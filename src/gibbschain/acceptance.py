@@ -80,15 +80,14 @@ def criterion_02_qbp_reconstruction():
     """Reconstruction residual of exact-split BP operators on random chains."""
     t0 = time.time()
     rows = []
-    schemes = {b: qbp.filter_quadrature(b, 1e-9) for b in (0.5, 1.0, 2.0)}
     for seed in range(10):
         h = chain_mod.build_chain(
             6, "random_two_site", power_law(3.0), coupling=0.4, seed=seed
         )
         htc = chain_mod.truncate(h, [0], [5], 1)
-        for beta, scheme in schemes.items():
+        for beta in (0.5, 1.0, 2.0):
             bp = qbp.build_bond_bp(
-                htc, 2, beta, scheme=scheme, tau_steps=32,
+                htc, 2, beta, tau_steps=32,
                 integrator="cf4", residual_gate=1e-6,
             )
             res = bp.reconstruction_residual
@@ -115,13 +114,10 @@ def criterion_03_bp_window_locality():
         )
         htc = chain_mod.truncate(h, x, y, 1)
         for beta in (0.5, 1.0):
-            scheme = qbp.filter_quadrature(beta, 1e-9)
-            phi_full = qbp.build_bond_bp(
-                htc, 1, beta, scheme=scheme, tau_steps=12, integrator="midpoint"
-            )
+            phi_full = qbp.build_bond_bp(htc, 1, beta, tau_steps=12, integrator="midpoint")
             for r in (7, 8, 9, 10):
                 rep = qbp.bp_locality_error(
-                    htc, 1, r, beta, scheme=scheme, tau_steps=12,
+                    htc, 1, r, beta, tau_steps=12,
                     integrator="midpoint", phi_full=phi_full,
                 )
                 label = f"n={n},beta={beta},r={r}" + (",vacuous" if rep.vacuous else "")
@@ -413,15 +409,13 @@ def criterion_12_gamma_machinery():
         cd = chain_mod.center_decomposition(hft, 2, 1, enforce_cutoff=False)
         o_x = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 0)
         o_y = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 5)
-        scheme = qbp.filter_quadrature(beta_f, 1e-9)
-        rep = cluster.gamma_pair(hft, cd, beta_f, o_x, o_y, scheme=scheme, tau_steps=16)
+        rep = cluster.gamma_pair(hft, cd, beta_f, o_x, o_y, tau_steps=16)
         rows.append(
             (f"factorization_residual[{label}]", rep.factorization_residual, 1e-10,
              rep.factorization_residual <= 1e-10)
         )
 
     for beta in (0.5, 1.0):
-        scheme = qbp.filter_quadrature(beta, 1e-9)
         values = []
         for m in (0, 1, 2):
             n_m = 2 + 2 * m
@@ -434,7 +428,7 @@ def criterion_12_gamma_machinery():
             else:
                 hmt = chain_mod.truncate(hm, [0], [n_m - 1], 1)
                 cd = chain_mod.center_decomposition(hmt, m, 1, enforce_cutoff=False)
-                rep = cluster.gamma_pair(hmt, cd, beta, o_x, o_y, scheme=scheme, tau_steps=16)
+                rep = cluster.gamma_pair(hmt, cd, beta, o_x, o_y, tau_steps=16)
                 values.append(rep.psi_trace_decay)
         drops = [values[i] - values[i + 1] for i in range(len(values) - 1)]
         rows.append(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,13 +90,17 @@ class PsiOperator:
     o_y: opalg.DenseOperator
     n: int
 
-    @property
+    @cached_property
     def x_full(self):
         return opalg.embed(self.o_x, self.n).matrix
 
-    @property
+    @cached_property
     def y_full(self):
         return opalg.embed(self.o_y, self.n).matrix
+
+    @cached_property
+    def xy_full(self):
+        return self.x_full @ self.y_full
 
     def matrix(self, dim_cap=DOUBLED_DIM_CAP):
         dim = self.o_x.local_dim**self.n
@@ -106,12 +111,27 @@ class PsiOperator:
         return x0 @ y1
 
     def expectation(self, a, b=None):
-        """tr[Psi (A x B)] via single-space traces; B defaults to A."""
+        """tr[Psi (A x B)] via single-space traces; B defaults to A.
+
+        The result is a connected correlation, often orders of magnitude
+        below the two products it is the difference of, so each trace is the
+        correctly rounded sum (math.fsum) of the diagonal of its product,
+        formed in O(dim^2) without a matrix product.
+        """
         b = a if b is None else b
-        ox, oy = self.x_full, self.y_full
-        return complex(
-            np.trace(ox @ oy @ a) * np.trace(b) - np.trace(ox @ a) * np.trace(oy @ b)
+        return (
+            _trace_of_product(self.xy_full, a) * _exact_sum(np.diagonal(b))
+            - _trace_of_product(self.x_full, a) * _trace_of_product(self.y_full, b)
         )
+
+
+def _exact_sum(values):
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def _trace_of_product(p, a):
+    """tr(p @ a) as the correctly rounded sum of the diagonal of the product."""
+    return _exact_sum(np.einsum("ij,ji->i", p, a))
 
 
 def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, norm_tol=1e-10) -> PsiOperator:
@@ -509,7 +529,6 @@ def gamma_pair(
     branch_cap=64,
     compute_diff=False,
     doubled_dim_cap=DOUBLED_DIM_CAP,
-    eps=1e-9,
 ) -> GammaPairReport:
     """Alternating Gibbs sum over center bonds and its block-local approximant.
 
@@ -533,7 +552,7 @@ def gamma_pair(
     for j in range(m):
         op = qbp.build_bp_localized(
             h_tc, centers.centers[j], centers.blocks[j + 1], beta,
-            scheme=scheme, tau_steps=tau_steps, integrator=integrator, eps=eps,
+            scheme=scheme, tau_steps=tau_steps, integrator=integrator,
         )
         local_ops.append(opalg.embed(op.op, n).matrix)
 

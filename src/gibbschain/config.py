@@ -4,7 +4,8 @@ The config file format is one ``key = value`` pair per line, ``#`` comments,
 no sections and no nesting, so every knob stays greppable.  Types are fixed
 by the defaults table; list-valued keys take comma-separated entries.
 Environment variables GIBBSCHAIN_<KEY> (upper-cased key) override file
-values, and CLI flags override both.
+values, and CLI flags override both; an unknown key from either source is a
+ConfigError.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class ExperimentConfig:
     m_list: tuple = (0, 1, 2, 3)
     x_width: int = 1
     y_width: int = 1
-    eps: float = 1e-9
     tau_steps: int = 32
     integrator: str = "cf4"
     residual_gate: float = 1e-6
@@ -134,10 +134,9 @@ def load_config(path=None, overrides=None, environ=None) -> ExperimentConfig:
         with open(path) as fh:
             raw.update(parse_config_text(fh.read()))
     environ = os.environ if environ is None else environ
-    for key in _PARSERS:
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in environ:
-            raw[key] = environ[env_key]
+    for env_key, value in environ.items():
+        if env_key.startswith(ENV_PREFIX):
+            raw[env_key[len(ENV_PREFIX):].lower()] = value
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -167,8 +166,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(
             f"dimension {cfg.local_dim**cfg.n} exceeds dim_cap {cfg.dim_cap}"
         )
-    if not (0.0 < cfg.eps <= 1e-2):
-        raise ConfigError("eps must lie in (0, 1e-2]")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):

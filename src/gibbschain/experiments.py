@@ -101,14 +101,12 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     reports = []
     rows = []
     for beta in cfg.beta_list:
-        scheme = qbp.filter_quadrature(beta, cfg.eps)
         phi_full = qbp.build_bond_bp(
-            htc, cfg.bond_index, beta, scheme=scheme,
-            tau_steps=cfg.tau_steps, integrator=cfg.integrator,
+            htc, cfg.bond_index, beta, tau_steps=cfg.tau_steps, integrator=cfg.integrator,
         )
         for r in cfg.radius_list:
             rep = qbp.bp_locality_error(
-                htc, cfg.bond_index, r, beta, scheme=scheme,
+                htc, cfg.bond_index, r, beta,
                 tau_steps=cfg.tau_steps, integrator=cfg.integrator,
                 phi_full=phi_full,
             )
@@ -228,7 +226,6 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
     rows = []
     values = {}
     for beta in cfg.beta_list:
-        scheme = qbp.filter_quadrature(beta, cfg.eps)
         for m in cfg.m_list:
             n_m = cfg.x_width + cfg.y_width + 2 * ell * m
             h = build_config_chain(cfg, n=n_m)
@@ -243,7 +240,7 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
                 htc = chain_mod.truncate(h, x, y, cfg.block_len)
                 cd = chain_mod.center_decomposition(htc, m, ell, enforce_cutoff=False)
                 rep = cluster.gamma_pair(
-                    htc, cd, beta, o_x, o_y, scheme=scheme,
+                    htc, cd, beta, o_x, o_y,
                     tau_steps=cfg.tau_steps, integrator=cfg.integrator,
                     branch_cap=cfg.branch_cap,
                 )

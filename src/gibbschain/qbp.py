@@ -12,13 +12,19 @@ exponentials of the filtered, Heisenberg-evolved bond
 
 The weight f_beta is the explicit kernel (2/(pi beta)) log((e^{pi|t|/beta}+1)
 /(e^{pi|t|/beta}-1)): nonnegative, even, unit integral, with an integrable
-log singularity at t = 0 and an exp(-pi|t|/beta) tail.  The t-integral is
-discretized once per beta by a fixed quadrature scheme (Gauss panels away
-from the origin, geometrically refined panels into the singularity), and the
-same scheme is reused for every operator-valued integral.  In the eigenbasis
-of the instantaneous Hamiltonian the node sum acts as a spectral filter
-F(omega) = sum_j w_j f_beta(t_j) cos(omega t_j) on the Bohr frequencies,
-which is how phi is evaluated.
+log singularity at t = 0 and an exp(-pi|t|/beta) tail.  Its Fourier
+transform is known in closed form (Hastings, "Quantum belief propagation",
+PRB 76, 201102(R), 2007):
+
+    F(omega) = integral dt f_beta(t) cos(omega t)
+             = tanh(beta omega/2) / (beta omega/2).
+
+In the eigenbasis of the instantaneous Hamiltonian phi is the bond with each
+matrix element multiplied by F at its Bohr frequency, which is how phi is
+evaluated.  ``filter_quadrature`` discretizes the t-integral by Gauss panels
+(geometrically refined into the singularity); it certifies the kernel's
+normalization and first moment, and its node sum is the independent check
+of F.
 
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
@@ -29,9 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import zeta
 
 from . import opalg
@@ -70,12 +76,24 @@ def _filter_values(beta, ts):
     return (2.0 / (math.pi * beta)) * np.log1p(2.0 / np.expm1(x))
 
 
+def filter_transfer(beta, omega):
+    """Fourier transform of the filter kernel: F(omega) = tanh(x)/x, x = beta omega/2.
+
+    F(0) = 1 exactly.  The quotient keeps tanh's relative accuracy, so small
+    |x| suffers no cancellation, and no cutoff in omega is needed.
+    """
+    x = (0.5 * beta) * np.asarray(omega, dtype=float)
+    out = np.ones_like(x)
+    np.divide(np.tanh(x), x, out=out, where=x != 0.0)
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Node/weight discretization of integrals against the filter kernel.
 
-    ``sum_j weights[j] * f_beta(nodes[j]) * F(nodes[j])`` approximates
-    ``integral f_beta(t) F(t) dt`` for integrands F oscillating no faster
+    ``sum_j weights[j] * f_beta(nodes[j]) * g(nodes[j])`` approximates
+    ``integral f_beta(t) g(t) dt`` for integrands g oscillating no faster
     than resolve_omega.  Nodes are symmetric about 0 and exclude it.
     """
 
@@ -86,16 +104,9 @@ class QuadratureScheme:
     t_max: float
     resolve_omega: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
-
-    @property
+    @cached_property
     def filter_at_nodes(self):
-        hit = self._cache.get("fvals")
-        if hit is None:
-            hit = _filter_values(self.beta, self.nodes)
-            self._cache["fvals"] = hit
-        return hit
+        return _filter_values(self.beta, self.nodes)
 
     def normalization(self):
         return float(np.sum(self.weights * self.filter_at_nodes))
@@ -103,15 +114,8 @@ class QuadratureScheme:
     def first_moment(self):
         return float(np.sum(self.weights * np.abs(self.nodes) * self.filter_at_nodes))
 
-    def moment(self, power):
-        return float(
-            np.sum(self.weights * np.abs(self.nodes) ** power * self.filter_at_nodes)
-        )
-
-    # -- spectral filter -----------------------------------------------------
-
     def spectral_filter_direct(self, omega):
-        """sum_j w_j f_beta(t_j) cos(omega t_j), the exact node sum."""
+        """sum_j w_j f_beta(t_j) cos(omega t_j), the node sum approximating F(omega)."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         coef = self.weights * self.filter_at_nodes
         out = np.empty(omega.shape, dtype=float)
@@ -121,35 +125,6 @@ class QuadratureScheme:
             chunk = flat[lo : lo + step]
             out.ravel()[lo : lo + step] = np.cos(np.outer(chunk, self.nodes)) @ coef
         return out
-
-    def _spline(self):
-        hit = self._cache.get("spline")
-        if hit is None:
-            m4 = max(self.moment(4), 1e-12)
-            # cubic interpolation error ~ (5/384) h^4 max|F''''|, F'''' <= m4
-            h = (1e-12 * 384.0 / (5.0 * m4)) ** 0.25
-            n_grid = int(min(max(self.resolve_omega / h, 4_000), 600_000))
-            grid = np.linspace(0.0, self.resolve_omega * 1.01, n_grid)
-            vals = self.spectral_filter_direct(grid)
-            hit = CubicSpline(grid, vals)
-            self._cache["spline"] = hit
-        return hit
-
-    def spectral_filter(self, omega, method="spline"):
-        """Filter transfer function at Bohr frequencies omega."""
-        if method == "direct":
-            return self.spectral_filter_direct(omega)
-        omega = np.asarray(omega, dtype=float)
-        a = np.abs(omega)
-        if a.max(initial=0.0) > self.resolve_omega * 1.005:
-            return self.spectral_filter_direct(omega)
-        return self._spline()(a)
-
-    def refined(self, factor=2.0):
-        """Companion scheme with the tolerance tightened by ``factor``."""
-        return filter_quadrature(
-            self.beta, self.eps / factor, resolve_omega=self.resolve_omega
-        )
 
 
 def _gauss_panel(a, b, order):
@@ -224,7 +199,6 @@ class BPOperator:
     op: opalg.DenseOperator
     beta: float
     tau_steps: int
-    scheme: QuadratureScheme
     bond_norm: float
     phi_norm_max: float
     window: tuple | None = None
@@ -247,11 +221,10 @@ class BPOperator:
         return opalg.opnorm(self.matrix)
 
 
-def _phi_tau(h_tau, h_bond, beta, scheme, filter_method):
+def _phi_tau(h_tau, h_bond, beta):
     evals, vecs = opalg.hermitian_eig(h_tau)
     hb = vecs.conj().T @ h_bond @ vecs
-    om = evals[:, None] - evals[None, :]
-    filt = scheme.spectral_filter(om, method=filter_method)
+    filt = filter_transfer(beta, evals[:, None] - evals[None, :])
     phi = (0.5 * beta) * (vecs @ (filt * hb) @ vecs.conj().T)
     return 0.5 * (phi + phi.conj().T)
 
@@ -262,7 +235,7 @@ _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 
-def _ordered_exponential(h_env, h_bond, beta, scheme, tau_steps, integrator, filter_method):
+def _ordered_exponential(h_env, h_bond, beta, tau_steps, integrator):
     """Product integration of the tau-ordered exponential, later factors left.
 
     Returns (Phi, max over evaluations of ||phi||).
@@ -275,7 +248,7 @@ def _ordered_exponential(h_env, h_bond, beta, scheme, tau_steps, integrator, fil
 
     def phi_at(tau):
         nonlocal phi_max
-        p = _phi_tau(h_env + tau * h_bond, h_bond, beta, scheme, filter_method)
+        p = _phi_tau(h_env + tau * h_bond, h_bond, beta)
         phi_max = max(phi_max, float(np.max(np.abs(np.linalg.eigvalsh(p)))))
         return p
 
@@ -313,21 +286,21 @@ def build_bp(
     max_refinements=3,
     sites=None,
     local_dim=2,
-    filter_method="spline",
-    eps=1e-9,
 ) -> BPOperator:
     """Belief propagation operator for the split H = H_env + h_bond.
 
-    h_env and h_bond are matrices on a common space.  With a residual_gate,
-    the reconstruction residual is computed and the construction refined
-    (tau_steps x2, scheme eps /2) until the gate is met; NonConvergence is
-    raised when refinements are exhausted.  Without a gate the residual is
-    left uncomputed (callers doing difference certifications do not need it).
+    h_env and h_bond are matrices on a common space.  phi is filtered by
+    the closed-form transfer function; a quadrature ``scheme``, if given,
+    must have been built for this beta (ValueError otherwise).  With a
+    residual_gate, the reconstruction residual is computed and tau_steps
+    doubled until the gate is met; NonConvergence is raised when
+    refinements are exhausted.  Without a gate the residual is left
+    uncomputed (callers doing difference certifications do not need it).
     """
+    if scheme is not None and scheme.beta != beta:
+        raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
-    if scheme is None:
-        scheme = filter_quadrature(beta, eps)
     bond_norm = float(np.max(np.abs(np.linalg.eigvalsh(h_bond)))) if np.any(h_bond) else 0.0
     n_sites = int(round(math.log(h_env.shape[0], local_dim)))
     sites = tuple(range(n_sites)) if sites is None else tuple(sites)
@@ -335,16 +308,14 @@ def build_bp(
     if bond_norm == 0.0:
         op = opalg.DenseOperator(sites, np.eye(h_env.shape[0], dtype=complex), local_dim)
         return BPOperator(
-            op=op, beta=beta, tau_steps=tau_steps, scheme=scheme, bond_norm=0.0,
+            op=op, beta=beta, tau_steps=tau_steps, bond_norm=0.0,
             phi_norm_max=0.0, reconstruction_residual=0.0, integrator=integrator,
         )
 
     steps = tau_steps
     attempt = 0
     while True:
-        u, phi_max = _ordered_exponential(
-            h_env, h_bond, beta, scheme, steps, integrator, filter_method
-        )
+        u, phi_max = _ordered_exponential(h_env, h_bond, beta, steps, integrator)
         residual = None
         if residual_gate is not None:
             residual = reconstruction_residual(u, h_env, h_bond, beta)
@@ -356,11 +327,10 @@ def build_bp(
                     )
                 attempt += 1
                 steps *= 2
-                scheme = scheme.refined()
                 continue
         op = opalg.DenseOperator(sites, u, local_dim)
         return BPOperator(
-            op=op, beta=beta, tau_steps=steps, scheme=scheme, bond_norm=bond_norm,
+            op=op, beta=beta, tau_steps=steps, bond_norm=bond_norm,
             phi_norm_max=phi_max, reconstruction_residual=residual, integrator=integrator,
         )
 
@@ -414,8 +384,6 @@ def build_bp_localized(
     tau_steps=32,
     integrator="cf4",
     excluded_cuts=(),
-    filter_method="spline",
-    eps=1e-9,
     residual_gate=None,
     max_refinements=3,
 ) -> BPOperator:
@@ -423,8 +391,8 @@ def build_bp_localized(
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
     op = build_bp(
         env, bond, beta, scheme=scheme, tau_steps=tau_steps, integrator=integrator,
-        sites=window, local_dim=h_tc.local_dim, filter_method=filter_method, eps=eps,
-        residual_gate=residual_gate, max_refinements=max_refinements,
+        sites=window, local_dim=h_tc.local_dim, residual_gate=residual_gate,
+        max_refinements=max_refinements,
     )
     return replace(op, window=window)
 
@@ -505,8 +473,6 @@ def bp_locality_error(
     integrator="cf4",
     theta: ThetaFunction | None = None,
     phi_full: BPOperator | None = None,
-    filter_method="spline",
-    eps=1e-9,
 ) -> BPLocalityReport:
     """Measured || Phi_s - Phi_s,window || against the explicit envelope.
 
@@ -551,10 +517,7 @@ def bp_locality_error(
             r=int(r), beta=float(beta), vacuous=True, f0_value=float(f0),
         )
 
-    kw = dict(
-        scheme=scheme, tau_steps=tau_steps, integrator=integrator,
-        filter_method=filter_method, eps=eps,
-    )
+    kw = dict(scheme=scheme, tau_steps=tau_steps, integrator=integrator)
     if phi_full is None:
         phi_full = build_bond_bp(h_tc, s, beta, **kw)
     phi_win = build_truncated_bp(h_tc, s, r, beta, **kw)
@@ -625,8 +588,6 @@ def bp_chain(
     tau_steps=32,
     integrator="cf4",
     theta: ThetaFunction | None = None,
-    filter_method="spline",
-    eps=1e-9,
 ):
     """Junction BP product versus its window-localized approximation.
 
@@ -641,8 +602,7 @@ def bp_chain(
     cpoints = centers.centers
     m = centers.m
     n = h_tc.n
-    kw = dict(scheme=scheme, tau_steps=tau_steps, integrator=integrator,
-              filter_method=filter_method, eps=eps)
+    kw = dict(scheme=scheme, tau_steps=tau_steps, integrator=integrator)
 
     cuts = [blocks[j][-1] for j in range(m + 1)]
     exact_ops, local_ops = [], []

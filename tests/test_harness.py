@@ -53,6 +53,23 @@ def test_config_validation_errors():
         load_config(None, overrides={"n": 14}, environ={})  # above dim cap
 
 
+def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
+    # eps no longer changes any output, so a config that still sets it is rejected
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    path = tmp_path / "stale.cfg"
+    path.write_text("experiment = clustering_sweep\nn = 6\neps = 1e-9\n")
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "a")]) == 2
+    with pytest.raises(ConfigError):
+        load_config(None, environ={"GIBBSCHAIN_EPS": "1e-9"})
+    with pytest.raises(ConfigError):
+        load_config(None, environ={"GIBBSCHAIN_NOT_A_KEY": "1"})
+    path.write_text("experiment = clustering_sweep\nn = 6\n")
+    monkeypatch.setenv("GIBBSCHAIN_EPS", "1e-9")
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()
+
+
 def test_csv_format_and_body_bytes(tmp_path):
     path = tmp_path / "x.csv"
     csvio.write_csv(path, ["header text"], ("a", "b"), [(1.5, True), (0.1, False)])

@@ -60,15 +60,53 @@ def test_quadrature_eps_validation_and_budget():
         qbp.filter_quadrature(1.0, 1e-9, max_nodes=100)
 
 
-def test_spectral_filter_spline_matches_direct(scheme1):
-    rng = np.random.default_rng(0)
-    om = rng.uniform(-150, 150, size=300)
-    direct = scheme1.spectral_filter(om, method="direct")
-    spline = scheme1.spectral_filter(om, method="spline")
-    assert np.max(np.abs(direct - spline)) < 1e-11
-    # and the node sum approximates the analytic transfer function
-    analytic = np.tanh(om / 2.0) / (om / 2.0)
-    assert np.max(np.abs(direct - analytic)) < 5e-9
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_transfer_function_matches_node_sum(beta):
+    scheme = qbp.filter_quadrature(beta, 1e-9)
+    om = np.concatenate([[0.0], np.random.default_rng(0).uniform(-150, 150, size=300)])
+    direct = scheme.spectral_filter_direct(om)
+    assert np.max(np.abs(direct - qbp.filter_transfer(beta, om))) < 5e-9
+
+
+def test_transfer_function_at_zero_and_small_argument():
+    assert qbp.filter_transfer(1.0, 0.0) == 1.0
+    assert np.all(qbp.filter_transfer(0.7, np.zeros((3, 3))) == 1.0)
+    x = np.geomspace(1e-20, 1e-8, 200)
+    x = np.concatenate([-x, x])
+    for beta in (0.5, 1.0, 2.0):
+        f = qbp.filter_transfer(beta, 2.0 * x / beta)
+        assert np.max(np.abs(f - (1.0 - x**2 / 3.0))) <= 1e-15
+
+
+def test_transfer_function_even_and_bounded():
+    om = np.concatenate([np.geomspace(1e-12, 1e6, 400), np.linspace(0.0, 300.0, 601)])
+    for beta in (0.5, 1.0, 2.0):
+        f = qbp.filter_transfer(beta, om)
+        assert np.array_equal(f, qbp.filter_transfer(beta, -om))
+        assert np.all(np.abs(f) <= 1.0)
+        assert np.all(f > 0.0)
+
+
+def test_transfer_function_beyond_old_resolution():
+    # the node sum was only designed for |omega| <= 192; the closed form has no cutoff
+    for beta in (0.5, 1.0, 2.0):
+        x = 0.5 * beta * 1e4
+        f = qbp.filter_transfer(beta, np.array([1e4, -1e4]))
+        assert np.all(np.isfinite(f))
+        # tanh(x) = (1 - e^{-2x}) / (1 + e^{-2x}), evaluated independently
+        expected = (-math.expm1(-2.0 * x) / (1.0 + math.exp(-2.0 * x))) / x
+        assert f == pytest.approx([expected, expected], rel=1e-15)
+
+
+def test_scheme_for_other_beta_rejected(scheme1):
+    htc = _random_truncated()
+    with pytest.raises(ValueError):
+        qbp.build_bond_bp(htc, 2, 0.5, scheme=scheme1, tau_steps=4)
+    with pytest.raises(ValueError):
+        qbp.build_bp(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]), 2.0, scheme=scheme1)
+    bp = qbp.build_bond_bp(htc, 2, 1.0, scheme=scheme1, tau_steps=4)
+    plain = qbp.build_bond_bp(htc, 2, 1.0, tau_steps=4)
+    assert np.array_equal(bp.matrix, plain.matrix)
 
 
 def _random_truncated(n=6, coupling=0.4, seed=3, block_len=1):
@@ -107,13 +145,12 @@ def test_reconstruction_and_caps(scheme1):
     assert bp.norm() <= math.exp(bp.bond_norm / 2.0) + 1e-8
 
 
-def test_refinement_reduces_residual(scheme1):
+def test_refinement_reduces_residual():
     htc = _random_truncated(coupling=0.8, seed=11)
     beta = 2.0
     res = []
-    for steps, eps in ((8, 1e-6), (16, 5e-7), (32, 2.5e-7)):
-        s = qbp.filter_quadrature(beta, eps)
-        bp = qbp.build_bond_bp(htc, 2, beta, scheme=s, tau_steps=steps, integrator="midpoint")
+    for steps in (8, 16, 32):
+        bp = qbp.build_bond_bp(htc, 2, beta, tau_steps=steps, integrator="midpoint")
         env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[2][-1], tuple(range(6)))
         res.append(qbp.reconstruction_residual(bp.matrix, env, bond, beta))
     assert res[0] > res[1] > res[2]
@@ -168,13 +205,12 @@ def test_first_moment_constant_below_nine():
 def test_ordered_product_order_scaling():
     htc = _random_truncated(coupling=0.8, seed=11)
     beta = 2.0
-    scheme = qbp.filter_quadrature(beta, 1e-10)
     env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[2][-1], tuple(range(6)))
     prev = {"midpoint": None, "cf4": None}
     orders = {"midpoint": [], "cf4": []}
     for integ in ("midpoint", "cf4"):
         for steps in (4, 8, 16):
-            bp = qbp.build_bond_bp(htc, 2, beta, scheme=scheme, tau_steps=steps, integrator=integ)
+            bp = qbp.build_bond_bp(htc, 2, beta, tau_steps=steps, integrator=integ)
             res = qbp.reconstruction_residual(bp.matrix, env, bond, beta)
             orders[integ].append(res)
     mid = orders["midpoint"]
