@@ -85,11 +85,9 @@ def criterion_02_qbp_reconstruction():
             6, "random_two_site", power_law(3.0), coupling=0.4, seed=seed
         )
         htc = chain_mod.truncate(h, [0], [5], 1)
-        for beta in (0.5, 1.0, 2.0):
-            bp = qbp.build_bond_bp(
-                htc, 2, beta, tau_steps=32,
-                integrator="cf4", residual_gate=1e-6,
-            )
+        betas = (0.5, 1.0, 2.0)
+        ops = qbp.bond_sweep(htc, 2, betas, tau_steps=32, integrator="cf4", residual_gate=1e-6)
+        for beta, bp in zip(betas, ops):
             res = bp.reconstruction_residual
             rows.append((f"residual[seed={seed},beta={beta}]", res, 1e-6, res <= 1e-6))
             phi_cap = beta * bp.bond_norm / 2.0 + 1e-8
@@ -113,15 +111,11 @@ def criterion_03_bp_window_locality():
             n, "heisenberg_xxz", power_law(3.0), coupling=0.25, seed=4
         )
         htc = chain_mod.truncate(h, x, y, 1)
-        for beta in (0.5, 1.0):
-            phi_full = qbp.build_bond_bp(htc, 1, beta, tau_steps=12, integrator="midpoint")
-            for r in (7, 8, 9, 10):
-                rep = qbp.bp_locality_error(
-                    htc, 1, r, beta, tau_steps=12,
-                    integrator="midpoint", phi_full=phi_full,
-                )
-                label = f"n={n},beta={beta},r={r}" + (",vacuous" if rep.vacuous else "")
-                rows.append((label, rep.exact, rep.explicit_bound, rep.passed))
+        for rep in qbp.bp_locality_sweep(
+            htc, 1, (7, 8, 9, 10), (0.5, 1.0), tau_steps=12, integrator="midpoint"
+        ):
+            label = f"n={n},beta={rep.beta},r={rep.r}" + (",vacuous" if rep.vacuous else "")
+            rows.append((label, rep.exact, rep.explicit_bound, rep.passed))
     return _result(3, "bp_window_locality", t0, rows)
 
 
@@ -203,9 +197,11 @@ def criterion_07_truncation_bounds():
     rows = []
     h = chain_mod.build_chain(10, "heisenberg_xxz", power_law(3.0), coupling=0.01, seed=5)
     beta = 0.3
+    h_spectrum = opalg.hermitian_eig(h.matrix())
     for l0 in (1, 2):
         htc = chain_mod.truncate(h, [0], [9], l0)
-        rep = chain_mod.truncation_error_report(h, htc, beta)
+        spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
+        rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
         rows.append(
             (f"delta_norm[l0={l0}]", rep.exact_delta_norm, rep.op_norm_bound,
              rep.exact_delta_norm <= rep.op_norm_bound + 1e-12)
@@ -353,10 +349,10 @@ def criterion_11_correlation_length():
     from .experiments import _fast_z_correlations
 
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
-    h_mat = h.matrix()
+    h_spectrum = opalg.hermitian_eig(h.matrix())
     worst = 0.0
     for beta in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5):
-        state = opalg.gibbs(h_mat, beta)
+        state = opalg.gibbs(h_spectrum, beta)
         cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10), 10)
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         ref = oracles.ising_correlation_length(beta, 1.0)
@@ -366,11 +362,11 @@ def criterion_11_correlation_length():
     hq = chain_mod.build_chain(
         10, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
     )
-    hq_mat = hq.matrix()
+    hq_spectrum = opalg.hermitian_eig(hq.matrix())
     log_xis = []
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     for beta in betas:
-        state = opalg.gibbs(hq_mat, beta)
+        state = opalg.gibbs(hq_spectrum, beta)
         cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10), 10)
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         log_xis.append(math.log(xi))

@@ -37,18 +37,16 @@ GENERATORS = ("ising_zz", "heisenberg_xxz", "random_two_site")
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """Positive local term h_Z with its support and stored energy shift."""
+    """Positive local term h_Z with its support, stored energy shift and norm."""
 
     sites: tuple
     matrix: np.ndarray
     shift: float = 0.0
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-
-    @property
-    def norm(self):
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+        object.__setattr__(self, "norm", float(np.max(np.abs(np.linalg.eigvalsh(self.matrix)))))
 
     @property
     def diameter(self):
@@ -71,15 +69,31 @@ def set_distance(a, b):
     return min(abs(i - j) for i in sa for j in sb)
 
 
-def _term_matrix_norm(mat):
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-
-
-def _shift_psd(raw):
+def _shift_psd(raw: LocalTerm) -> LocalTerm:
     """h -> h + ||h|| 1, making the term positive semidefinite."""
-    shift = _term_matrix_norm(raw)
-    dim = raw.shape[0]
-    return raw + shift * np.eye(dim), shift
+    shifted = raw.matrix + raw.norm * np.eye(raw.matrix.shape[0])
+    return LocalTerm(raw.sites, shifted, raw.norm)
+
+
+def terms_matrix(terms, sites, local_dim=2):
+    """Sum of ``terms`` on the tensor space of ``sites``, in the listed order.
+
+    Every term must lie inside ``sites``.  The sum is formed in the terms'
+    dtype (real unless a term is complex), each term added in place into a
+    diagonal view of the output, so no embedded copy of a term is built.
+    """
+    terms = list(terms)
+    pos = {int(s): a for a, s in enumerate(sites)}
+    dim = local_dim ** len(pos)
+    out = np.zeros((dim, dim), np.result_type(float, *(t.matrix for t in terms)))
+    for t in terms:
+        opalg.add_embedded(out, t.matrix, [pos[s] for s in t.sites], len(pos), local_dim)
+    return out
+
+
+def _read_only(mat):
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -109,37 +123,22 @@ class ChainHamiltonian:
         return self.local_dim**self.n
 
     def matrix(self):
-        """Full-space Hamiltonian matrix (cached)."""
+        """Full-space Hamiltonian matrix (cached, read-only)."""
         return self.subset_matrix(tuple(range(self.n)))
 
     def subset_matrix(self, sites, subspace=False):
-        """Sum of terms fully inside ``sites``.
+        """Sum of terms fully inside ``sites`` (cached, read-only).
 
         With subspace=True the matrix lives on the ordered subset's own
         tensor space; otherwise it is embedded into the full chain.
         """
         sites = tuple(sorted(int(s) for s in sites))
         key = (sites, subspace)
-        hit = self._matrix_cache.get(key)
-        if hit is not None:
-            return hit
-        if subspace:
-            pos = {s: a for a, s in enumerate(sites)}
-            dim = self.local_dim ** len(sites)
-            out = np.zeros((dim, dim), dtype=complex)
-            for t in self.terms:
-                if set(t.sites) <= set(sites):
-                    local_sites = [pos[s] for s in t.sites]
-                    out += opalg.embed_matrix(t.matrix, local_sites, len(sites), self.local_dim)
-        else:
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for t in self.terms:
-                if set(t.sites) <= set(sites):
-                    out += opalg.embed_matrix(t.matrix, t.sites, self.n, self.local_dim)
-        if np.abs(out.imag).max(initial=0.0) == 0.0:
-            out = np.ascontiguousarray(out.real)
-        self._matrix_cache[key] = out
-        return out
+        if key not in self._matrix_cache:
+            inside = [t for t in self.terms if set(t.sites) <= set(sites)]
+            space = sites if subspace else range(self.n)
+            self._matrix_cache[key] = _read_only(terms_matrix(inside, space, self.local_dim))
+        return self._matrix_cache[key]
 
     def one_site_energy(self, i):
         return sum(t.norm for t in self.terms if i in t.sites)
@@ -175,9 +174,8 @@ def _pair_terms(n, profile, coupling, generator, seed, local_dim, anisotropy):
             else:
                 m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
                 m = 0.5 * (m + m.conj().T)
-                raw = (strength / _term_matrix_norm(m)) * m
-            shifted, shift = _shift_psd(raw)
-            terms.append(LocalTerm((i, j), shifted, shift))
+                raw = (strength / LocalTerm((i, j), m).norm) * m
+            terms.append(_shift_psd(LocalTerm((i, j), raw)))
     return terms
 
 
@@ -347,7 +345,12 @@ class TruncatedHamiltonian:
         return self.base.replace_terms(self.kept_terms)
 
     def matrix(self):
-        return self.as_chain().matrix()
+        """Full-space matrix of the kept terms (cached, read-only)."""
+        if "full" not in self._matrix_cache:
+            self._matrix_cache["full"] = _read_only(
+                terms_matrix(self.kept_terms, range(self.n), self.local_dim)
+            )
+        return self._matrix_cache["full"]
 
     def bond_matrix(self, s, embedded=True):
         """Boundary bundle h_s as a matrix (full space or its own support)."""
@@ -362,34 +365,16 @@ class TruncatedHamiltonian:
 
     def delta_matrix(self):
         """Sum of the dropped terms, embedded in the full space."""
-        out = np.zeros((self.base.dim, self.base.dim), dtype=complex)
-        for t in self.dropped:
-            out += opalg.embed_matrix(t.matrix, t.sites, self.n, self.local_dim)
-        if np.abs(out.imag).max(initial=0.0) == 0.0:
-            out = np.ascontiguousarray(out.real)
-        return out
+        return terms_matrix(self.dropped, range(self.n), self.local_dim)
 
 
 def bundle_matrix(bundle, n, local_dim=2, embedded=True):
     """Sum a term bundle; returns None for an empty bundle in subspace form."""
     if embedded:
-        out = np.zeros((local_dim**n,) * 2, dtype=complex)
-        for t in bundle:
-            out += opalg.embed_matrix(t.matrix, t.sites, n, local_dim)
-        if np.abs(out.imag).max(initial=0.0) == 0.0:
-            out = np.ascontiguousarray(out.real)
-        return out
+        return terms_matrix(bundle, range(n), local_dim)
     if not bundle:
         return None
-    support = sorted({s for t in bundle for s in t.sites})
-    pos = {s: a for a, s in enumerate(support)}
-    dim = local_dim ** len(support)
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in bundle:
-        out += opalg.embed_matrix(t.matrix, [pos[s] for s in t.sites], len(support), local_dim)
-    if np.abs(out.imag).max(initial=0.0) == 0.0:
-        out = np.ascontiguousarray(out.real)
-    return out
+    return terms_matrix(bundle, sorted({s for t in bundle for s in t.sites}), local_dim)
 
 
 def truncate(h: ChainHamiltonian, x_sites, y_sites, block_len) -> TruncatedHamiltonian:
@@ -458,14 +443,20 @@ class TruncationErrorReport:
     partition_function: float
 
 
-def truncation_error_report(h: ChainHamiltonian, h_tc: TruncatedHamiltonian, beta) -> TruncationErrorReport:
+def truncation_error_report(
+    h: ChainHamiltonian, h_tc: TruncatedHamiltonian, beta, spectra=None
+) -> TruncationErrorReport:
     """Measured truncation errors against their closed-form envelopes.
 
     The operator-norm envelope gamma^2 g q l0^2 jbar(l0) is unconditional.
     The trace-norm envelope 3 beta gamma^2 g q l0^2 jbar(l0) * tr exp(beta H)
     requires beta * gamma^2 g q l0^2 jbar(l0) <= 1; if that fails the bound
-    is reported as None with condition_ok False.
+    is reported as None with condition_ok False.  ``spectra``, the pair
+    (spectrum of H, spectrum of the truncated H), lets sweeps over beta and
+    block length diagonalize each Hamiltonian once.
     """
+    if spectra is None:
+        spectra = (opalg.hermitian_eig(h.matrix()), opalg.hermitian_eig(h_tc.matrix()))
     p = h.profile
     l0 = h_tc.block_len
     op_bound = p.gamma**2 * p.g * h_tc.q * l0**2 * p(l0)
@@ -473,8 +464,8 @@ def truncation_error_report(h: ChainHamiltonian, h_tc: TruncatedHamiltonian, bet
     delta = h_tc.delta_matrix()
     exact_delta = float(np.max(np.abs(np.linalg.eigvalsh(delta)))) if h_tc.dropped else 0.0
 
-    e_full = opalg.herm_expm(h.matrix(), scale=beta)
-    e_trunc = opalg.herm_expm(h_tc.matrix(), scale=beta)
+    e_full = opalg.herm_expm(spectra[0], scale=beta)
+    e_trunc = opalg.herm_expm(spectra[1], scale=beta)
     diff_trace = float(np.sum(np.abs(np.linalg.eigvalsh(e_full - e_trunc))))
     z = float(np.trace(e_full).real)
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import opalg, qbp
-from .chain import ChainHamiltonian, TruncatedHamiltonian
+from .chain import ChainHamiltonian, TruncatedHamiltonian, terms_matrix
 from .errors import (
     CapExceeded,
     DimensionCap,
@@ -71,15 +71,6 @@ def double(op: opalg.DenseOperator, kind, n, dim_cap=DOUBLED_DIM_CAP) -> Doubled
     else:
         mat = np.kron(full, eye) - np.kron(eye, full)
     return DoubledOperator(base=op, kind=kind, matrix=mat, n=n)
-
-
-def swap_matrix(dim):
-    """Factor-exchange unitary on the doubled space."""
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
-    return s
 
 
 @dataclass(frozen=True)
@@ -314,17 +305,16 @@ def correlation_identity_residual(
 
     total = 0.0 + 0.0j
     g_trace = 0.0
-    full_term = None
     for lam, sign in lambda_branches(m):
         h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, bonds))
         e_lam = opalg.herm_expm(h_lam, beta)
         contrib = probe.expectation(e_lam)
         total += sign * contrib
         g_trace += sign * float(np.trace(e_lam).real) ** 2
-        if all(lam):
+        if all(lam):  # the all-ones branch is e^{beta H} itself
             full_term = contrib
+            z = float(np.trace(e_lam).real)
 
-    z = float(np.trace(opalg.herm_expm(h_mat, beta)).real)
     z2 = z * z
     # tr[Psi e^{beta H+}] equals the all-ones branch
     residual = abs(full_term - total) / z2
@@ -346,26 +336,14 @@ def correlation_identity_residual(
 
 
 def _kept_bundles_commute(h_tc: TruncatedHamiltonian, tol=1e-12):
-    bundles = list(h_tc.v_terms) + list(h_tc.h_terms)
-    mats, supports = [], []
-    for b in bundles:
-        if not b:
+    bundles = [b for b in list(h_tc.v_terms) + list(h_tc.h_terms) if b]
+    supports = [{s for t in b for s in t.sites} for b in bundles]
+    for (b1, s1), (b2, s2) in itertools.combinations(zip(bundles, supports), 2):
+        if not (s1 & s2):
             continue
-        support = tuple(sorted({s for t in b for s in t.sites}))
-        mats.append((b, support))
-    for (b1, s1), (b2, s2) in itertools.combinations(mats, 2):
-        if not (set(s1) & set(s2)):
-            continue
-        union = tuple(sorted(set(s1) | set(s2)))
-        pos = {s: a for a, s in enumerate(union)}
-        d = h_tc.local_dim
-        dim = d ** len(union)
-        m1 = np.zeros((dim, dim), dtype=complex)
-        m2 = np.zeros((dim, dim), dtype=complex)
-        for t in b1:
-            m1 += opalg.embed_matrix(t.matrix, [pos[s] for s in t.sites], len(union), d)
-        for t in b2:
-            m2 += opalg.embed_matrix(t.matrix, [pos[s] for s in t.sites], len(union), d)
+        union = sorted(s1 | s2)
+        m1 = terms_matrix(b1, union, h_tc.local_dim)
+        m2 = terms_matrix(b2, union, h_tc.local_dim)
         comm = m1 @ m2 - m2 @ m1
         scale = max(np.linalg.norm(m1, 2) * np.linalg.norm(m2, 2), 1e-300)
         if np.linalg.norm(comm, 2) / scale > tol:
@@ -556,15 +534,18 @@ def gamma_pair(
         )
         local_ops.append(opalg.embed(op.op, n).matrix)
 
-    h0 = h_mat - sum(bonds) if m else h_mat
-    e0 = opalg.herm_expm(h0, beta)
-
     tr_gamma = 0.0 + 0.0j
     tr_gamma_local = 0.0 + 0.0j
     branch_mats = {} if compute_diff else None
     for lam, sign in lambda_branches(m):
         h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, bonds)) if m else h_mat
         e_lam = opalg.herm_expm(h_lam, beta)
+        # the all-zero branch comes first and is e^{beta H_0}, H_0 = H minus every
+        # center bond; the all-one branch is e^{beta H}
+        if not any(lam):
+            e0 = e_lam
+        if all(lam):
+            z = float(np.trace(e_lam).real)
         tr_gamma += sign * probe.expectation(e_lam)
         b_lam = np.eye(h_mat.shape[0], dtype=complex)
         for j, l in enumerate(lam):
@@ -586,7 +567,6 @@ def gamma_pair(
                 kb = kb @ k_ops[j]
         tr_product_form += sign * probe.expectation(kb @ e0)
 
-    z = float(np.trace(opalg.herm_expm(h_mat, beta)).real)
     z2 = z * z
     scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)
     fact_residual = abs(tr_gamma_local - tr_product_form) / scale

@@ -40,7 +40,6 @@ def _ints(text):
 class ExperimentConfig:
     experiment: str = "acceptance"
     n: int = 10
-    local_dim: int = 2
     generator: str = "ising_zz"
     profile: str = "finite_range"
     alpha: float = 3.0
@@ -62,12 +61,9 @@ class ExperimentConfig:
     y_width: int = 1
     tau_steps: int = 32
     integrator: str = "cf4"
-    residual_gate: float = 1e-6
     dim_cap: int = 4096
-    doubled_dim_cap: int = 4096
     branch_cap: int = 64
     obs_x_site: int = -1
-    obs_y_site: int = -1
     bond_index: int = 1
     radius_list: tuple = (7, 8, 9, 10)
     threads: int = 1
@@ -160,12 +156,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
-    if cfg.local_dim < 2:
-        raise ConfigError("local_dim must be >= 2")
-    if cfg.local_dim**cfg.n > cfg.dim_cap:
-        raise ConfigError(
-            f"dimension {cfg.local_dim**cfg.n} exceeds dim_cap {cfg.dim_cap}"
-        )
+    if 2**cfg.n > cfg.dim_cap:
+        raise ConfigError(f"dimension {2**cfg.n} exceeds dim_cap {cfg.dim_cap}")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):

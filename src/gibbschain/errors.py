@@ -29,10 +29,6 @@ class BadPartition(GibbsChainError):
     """Block partition geometry is invalid (non-even block count, bad widths)."""
 
 
-class ConditionViolated(GibbsChainError):
-    """A smallness precondition of a closed-form bound does not hold."""
-
-
 class GeometryError(GibbsChainError):
     """Requested decomposition does not fit on the chain."""
 

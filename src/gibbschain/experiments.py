@@ -98,20 +98,12 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
     x, y = truncation_regions(cfg.n, cfg.x_width, cfg.y_width)
     htc = chain_mod.truncate(h, x, y, cfg.block_len)
-    reports = []
-    rows = []
-    for beta in cfg.beta_list:
-        phi_full = qbp.build_bond_bp(
-            htc, cfg.bond_index, beta, tau_steps=cfg.tau_steps, integrator=cfg.integrator,
-        )
-        for r in cfg.radius_list:
-            rep = qbp.bp_locality_error(
-                htc, cfg.bond_index, r, beta,
-                tau_steps=cfg.tau_steps, integrator=cfg.integrator,
-                phi_full=phi_full,
-            )
-            reports.append(rep)
-            rows.append((beta, r, rep.exact, rep.explicit_bound, rep.vacuous, not rep.passed))
+    reports = qbp.bp_locality_sweep(
+        htc, cfg.bond_index, cfg.radius_list, cfg.beta_list,
+        tau_steps=cfg.tau_steps, integrator=cfg.integrator,
+    )
+    rows = [(rep.beta, rep.r, rep.exact, rep.explicit_bound, rep.vacuous, not rep.passed)
+            for rep in reports]
     n_viol = sum(1 for rep in reports if not rep.passed)
     manifest.add_check("bp_locality_explicit_bound", n_viol == 0, f"{len(reports)} points")
     measured = [rep for rep in reports if not rep.vacuous and rep.exact > 0]
@@ -131,14 +123,16 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
 
 def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
+    h_spectrum = opalg.hermitian_eig(h.matrix())
     lens = cfg.block_len_list or (cfg.block_len,)
     rows = []
     ok_all = True
     for l0 in lens:
         x, y = truncation_regions(cfg.n, cfg.x_width, cfg.y_width)
         htc = chain_mod.truncate(h, x, y, l0)
+        spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
         for beta in cfg.beta_list:
-            rep = chain_mod.truncation_error_report(h, htc, beta)
+            rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
             op_ok = rep.exact_delta_norm <= rep.op_norm_bound + 1e-12
             tr_ok = (
                 rep.trace_norm_bound is None
@@ -165,13 +159,13 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
 
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
-    h_mat = h.matrix()
     n = cfg.n
+    h_spectrum = opalg.hermitian_eig(h.matrix())  # shared by every beta
     x0 = cfg.obs_x_site if cfg.obs_x_site >= 0 else 0
     r_list = cfg.r_list or tuple(range(1, n - x0))
 
     def one_beta(beta):
-        state = opalg.gibbs(h_mat, beta, dim_cap=cfg.dim_cap)
+        state = opalg.gibbs(h_spectrum, beta, dim_cap=cfg.dim_cap)
         cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list], n)
         return cors
 

@@ -286,8 +286,9 @@ def lr_certify(
     violations = []
     max_ratio = 0.0
     o_a = opalg.embed(opalg.single_site(op, i0), n).matrix
+    h_spectrum = opalg.hermitian_eig(h_mat)  # one diagonalization serves every t
     for t in t_grid:
-        a_t = opalg.evolve(o_a, h_mat, t)
+        a_t = opalg.evolve(o_a, h_spectrum, t)
         for r in r_grid:
             j = i0 + r
             if j > interior_hi:

@@ -2,17 +2,19 @@
 
 Everything is dense numpy; matrix exponentials of Hermitian operators go
 through eigendecomposition (large-beta exponentials lose accuracy in series
-methods), and the eigendecompositions are cached by content hash so repeated
-Gibbs states / evolutions of the same operator are cheap.  All functions are
-pure; the cache is guarded by a lock and safe for concurrent readers.
+methods).  A ``Spectrum`` is a read-only eigendecomposition: callers that
+need one operator's exponential at several scales (Gibbs states at several
+beta, evolutions at several t) diagonalize once and pass the spectrum to
+``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
+hidden cache; every function is pure.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
+import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,25 +103,33 @@ def single_site(op_matrix, site, local_dim=2) -> DenseOperator:
 # embedding / partial trace
 
 
-def embed_matrix(mat, sites, n, local_dim=2):
-    """Embed ``mat`` (acting on ``sites``) into the full n-site space.
+def add_embedded(out, mat, sites, n, local_dim=2):
+    """out += ``mat`` acting on ``sites`` (identity elsewhere), in place.
 
-    Sites need not be contiguous or sorted; the matrix axes follow the order
-    in which ``sites`` are listed.
+    ``out`` is a C-contiguous full-space matrix on n sites.  The sum runs
+    over a writeable diagonal view of ``out``, so no embedded copy of
+    ``mat`` is formed.  Sites need not be contiguous or sorted; the matrix
+    axes follow the order in which ``sites`` are listed.
     """
-    sites = list(sites)
-    m = len(sites)
+    sites = [int(s) for s in sites]
     if any(s < 0 or s >= n for s in sites):
         raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
+    rows, cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
     rest = [i for i in range(n) if i not in sites]
-    full = np.kron(np.asarray(mat), np.eye(local_dim ** len(rest)))
-    if not rest and sites == sorted(sites):
-        return full
-    perm = sites + rest
-    inv = np.argsort(perm)
-    t = full.reshape([local_dim] * (2 * n))
-    t = t.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(t.reshape(local_dim**n, local_dim**n))
+    # identity on the rest: the column index of a rest site repeats its row index
+    inp = rows + "".join(rows[i] if i in rest else cols[i] for i in range(n))
+    outp = "".join(rows[s] for s in sites) + "".join(cols[s] for s in sites)
+    view = np.einsum(f"{inp}->{outp}{''.join(rows[i] for i in rest)}",
+                     out.reshape((local_dim,) * (2 * n)))
+    view += np.asarray(mat).reshape((local_dim,) * (2 * len(sites)) + (1,) * len(rest))
+    return out
+
+
+def embed_matrix(mat, sites, n, local_dim=2):
+    """Embed ``mat`` (acting on ``sites``) into the full n-site space."""
+    mat = np.asarray(mat)
+    dim = local_dim**n
+    return add_embedded(np.zeros((dim, dim), np.result_type(float, mat)), mat, sites, n, local_dim)
 
 
 def embed(op: DenseOperator, n: int) -> DenseOperator:
@@ -144,68 +154,44 @@ def partial_trace(mat, keep_sites, n, local_dim=2):
 
 
 # ---------------------------------------------------------------------------
-# cached eigendecomposition
+# eigendecomposition
 
 
-class _EighCache:
-    """Content-addressed cache of Hermitian eigendecompositions.
+class Spectrum(NamedTuple):
+    """Ascending eigenvalues and orthonormal eigenvectors (columns), read-only."""
 
-    Evicts oldest entries once the stored eigenvector arrays exceed the byte
-    budget, so sweeps can reuse large decompositions without hoarding memory.
-    """
-
-    def __init__(self, max_bytes=256 * 2**20):
-        self._data = {}
-        self._order = []
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.max_bytes = max_bytes
-
-    def get(self, mat):
-        key = (mat.shape[0], hashlib.sha1(np.ascontiguousarray(mat).tobytes()).hexdigest())
-        with self._lock:
-            hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        # real symmetric input stays in the real path; it is ~4x faster
-        if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
-            evals, vecs = np.linalg.eigh(mat.real)
-        else:
-            evals, vecs = np.linalg.eigh(mat)
-        size = evals.nbytes + vecs.nbytes
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = (evals, vecs)
-                self._order.append(key)
-                self._bytes += size
-                while self._bytes > self.max_bytes and len(self._order) > 1:
-                    old = self._order.pop(0)
-                    ev, vc = self._data.pop(old)
-                    self._bytes -= ev.nbytes + vc.nbytes
-        return evals, vecs
+    evals: np.ndarray
+    vecs: np.ndarray
 
 
-_eigh_cache = _EighCache()
+def spectrum(mat) -> Spectrum:
+    """Eigendecomposition of a matrix that is Hermitian by construction (unchecked)."""
+    # real symmetric input stays in the real path; it is ~4x faster
+    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
+        mat = mat.real
+    evals, vecs = np.linalg.eigh(mat)
+    evals.setflags(write=False)
+    vecs.setflags(write=False)
+    return Spectrum(evals, vecs)
 
 
-def hermitian_eig(mat):
-    """Cached eigh of a Hermitian matrix (checked)."""
+def hermitian_eig(mat) -> Spectrum:
+    """Eigendecomposition of a caller's Hermitian matrix (checked)."""
+    mat = np.asarray(mat)
     require_hermitian(mat)
-    return _eigh_cache.get(mat)
+    return spectrum(mat)
+
+
+def _spectrum_of(a) -> Spectrum:
+    return a if isinstance(a, Spectrum) else hermitian_eig(a)
 
 
 def herm_expm(a, scale=1.0):
-    """exp(scale * A) for Hermitian A via unitary eigendecomposition."""
+    """exp(scale * A) for Hermitian A (matrix, DenseOperator or Spectrum)."""
     if isinstance(a, DenseOperator):
         return DenseOperator(a.sites, herm_expm(a.matrix, scale), a.local_dim)
-    evals, vecs = hermitian_eig(a)
+    evals, vecs = _spectrum_of(a)
     return (vecs * np.exp(scale * evals)) @ vecs.conj().T
-
-
-def unitary_evolution(h_mat, t):
-    """exp(i H t) for Hermitian H."""
-    evals, vecs = hermitian_eig(h_mat)
-    return (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +230,16 @@ class GibbsState:
 
 
 def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
-    """Gibbs state of a Hamiltonian given as matrix or DenseOperator."""
+    """Gibbs state of a Hamiltonian given as matrix, DenseOperator or Spectrum."""
     if isinstance(h, DenseOperator):
-        mat, local_dim = h.matrix, h.local_dim
         n = len(h.sites) if n is None else n
-    else:
-        mat = np.asarray(h)
-        if n is None:
-            n = int(round(np.log(mat.shape[0]) / np.log(local_dim)))
-    if mat.shape[0] > dim_cap:
-        raise DimensionCap(f"dimension {mat.shape[0]} exceeds cap {dim_cap}")
-    evals, vecs = hermitian_eig(mat)
+        h, local_dim = h.matrix, h.local_dim
+    dim = len(h.evals) if isinstance(h, Spectrum) else np.shape(h)[0]
+    if n is None:
+        n = int(round(np.log(dim) / np.log(local_dim)))
+    if dim > dim_cap:
+        raise DimensionCap(f"dimension {dim} exceeds cap {dim_cap}")
+    evals, vecs = _spectrum_of(h)
     m = beta * evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))
@@ -264,13 +249,16 @@ def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
 
 
 def evolve(op, generator, t):
-    """Heisenberg evolution exp(iGt) O exp(-iGt) on a common full space."""
+    """Heisenberg evolution exp(iGt) O exp(-iGt) on a common full space.
+
+    The generator is a Hermitian matrix, a DenseOperator or a Spectrum.
+    """
     o_mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-    g_mat = generator.matrix if isinstance(generator, DenseOperator) else np.asarray(generator)
-    if o_mat.shape != g_mat.shape:
+    g = generator.matrix if isinstance(generator, DenseOperator) else generator
+    if o_mat.shape != (g.vecs.shape if isinstance(g, Spectrum) else np.shape(g)):
         raise SupportMismatch("operator and generator must share a space; embed first")
-    require_hermitian(g_mat, "evolution generator")
-    u = unitary_evolution(g_mat, t)
+    evals, vecs = _spectrum_of(g)
+    u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
     out = u @ o_mat @ u.conj().T
     if isinstance(op, DenseOperator):
         return DenseOperator(op.sites, out, op.local_dim)

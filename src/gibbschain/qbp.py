@@ -21,7 +21,11 @@ PRB 76, 201102(R), 2007):
 
 In the eigenbasis of the instantaneous Hamiltonian phi is the bond with each
 matrix element multiplied by F at its Bohr frequency, which is how phi is
-evaluated.  ``filter_quadrature`` discretizes the t-integral by Gauss panels
+evaluated.  The interpolation H(tau) = H_env + tau h and its spectra do not
+depend on beta; only F does.  ``build_bp_sweep`` therefore runs one tau
+sweep for a tuple of betas, diagonalizing each H(tau) node once, and the
+one-beta builders (``build_bp``, ``build_bond_bp``, ...) are its one-beta
+case.  ``filter_quadrature`` discretizes the t-integral by Gauss panels
 (geometrically refined into the singularity); it certifies the kernel's
 normalization and first moment, and its node sum is the independent check
 of F.
@@ -41,7 +45,7 @@ import numpy as np
 from scipy.special import zeta
 
 from . import opalg
-from .chain import TruncatedHamiltonian
+from .chain import TruncatedHamiltonian, terms_matrix
 from .errors import (
     GeometryError,
     NonConvergence,
@@ -221,12 +225,24 @@ class BPOperator:
         return opalg.opnorm(self.matrix)
 
 
-def _phi_tau(h_tau, h_bond, beta):
-    evals, vecs = opalg.hermitian_eig(h_tau)
-    hb = vecs.conj().T @ h_bond @ vecs
+def _node(h_env, h_bond, tau):
+    """Spectrum of H(tau) = H_env + tau h and the bond in its eigenbasis.
+
+    Nothing here depends on beta, so one node serves every beta.
+    """
+    evals, vecs = opalg.spectrum(h_env + tau * h_bond)
+    return evals, vecs, vecs.conj().T @ h_bond @ vecs
+
+
+def _phi_tau(node, beta):
+    evals, vecs, hb = node
     filt = filter_transfer(beta, evals[:, None] - evals[None, :])
     phi = (0.5 * beta) * (vecs @ (filt * hb) @ vecs.conj().T)
     return 0.5 * (phi + phi.conj().T)
+
+
+def _spectral_norm(herm):
+    return float(np.max(np.abs(np.linalg.eigvalsh(herm))))
 
 
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -235,104 +251,131 @@ _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
 
-def _ordered_exponential(h_env, h_bond, beta, tau_steps, integrator):
+def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
     """Product integration of the tau-ordered exponential, later factors left.
 
-    Returns (Phi, max over evaluations of ||phi||).
+    One tau sweep serves every beta: each H(tau) node is diagonalized once,
+    then phi is filtered, exponentiated and multiplied in per beta.  Returns
+    one (Phi, max over evaluations of ||phi||) pair per beta.
     """
-    dim = h_env.shape[0]
+    if integrator not in ("midpoint", "cf4"):
+        raise ValueError(f"unknown integrator {integrator!r}")
     # real inputs stay in the real BLAS path; dtype promotes only if phi is complex
-    u = np.eye(dim)
+    us = [np.eye(h_env.shape[0]) for _ in betas]
+    phi_max = [0.0 for _ in betas]
     dtau = 1.0 / tau_steps
-    phi_max = 0.0
-
-    def phi_at(tau):
-        nonlocal phi_max
-        p = _phi_tau(h_env + tau * h_bond, h_bond, beta)
-        phi_max = max(phi_max, float(np.max(np.abs(np.linalg.eigvalsh(p)))))
-        return p
-
     for k in range(tau_steps):
         t0 = k * dtau
         if integrator == "midpoint":
-            u = opalg.herm_expm(phi_at(t0 + 0.5 * dtau), dtau) @ u
-        elif integrator == "cf4":
-            a1 = phi_at(t0 + _CF4_C1 * dtau)
-            a2 = phi_at(t0 + _CF4_C2 * dtau)
-            x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
-            x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
-            u = opalg.herm_expm(x2) @ opalg.herm_expm(x1) @ u
+            node = _node(h_env, h_bond, t0 + 0.5 * dtau)
+            for i, beta in enumerate(betas):
+                # ||phi|| comes from the spectrum the exponential needs anyway
+                spec = opalg.spectrum(_phi_tau(node, beta))
+                phi_max[i] = max(phi_max[i], float(np.max(np.abs(spec.evals))))
+                us[i] = opalg.herm_expm(spec, dtau) @ us[i]
         else:
-            raise ValueError(f"unknown integrator {integrator!r}")
-    return u, phi_max
+            nodes = (_node(h_env, h_bond, t0 + _CF4_C1 * dtau),
+                     _node(h_env, h_bond, t0 + _CF4_C2 * dtau))
+            for i, beta in enumerate(betas):
+                a1, a2 = (_phi_tau(node, beta) for node in nodes)
+                phi_max[i] = max(phi_max[i], _spectral_norm(a1), _spectral_norm(a2))
+                x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
+                x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
+                u1 = opalg.herm_expm(opalg.spectrum(x1))
+                us[i] = opalg.herm_expm(opalg.spectrum(x2)) @ u1 @ us[i]
+    return list(zip(us, phi_max))
 
 
-def reconstruction_residual(phi_mat, h_env, h_bond, beta):
-    """|| Phi e^{beta H_env} Phi^dag - e^{beta H} || / || e^{beta H} ||."""
-    e_env = opalg.herm_expm(h_env, beta)
-    e_full = opalg.herm_expm(h_env + h_bond, beta)
+def _residual(phi_mat, env_spectrum, full_spectrum, beta):
+    e_env = opalg.herm_expm(env_spectrum, beta)
+    e_full = opalg.herm_expm(full_spectrum, beta)
     diff = phi_mat @ e_env @ phi_mat.conj().T - e_full
     return float(opalg.opnorm(diff) / opalg.opnorm(e_full))
 
 
-def build_bp(
-    h_env,
-    h_bond,
-    beta,
-    scheme=None,
-    tau_steps=32,
-    integrator="cf4",
-    residual_gate=None,
-    max_refinements=3,
-    sites=None,
-    local_dim=2,
-) -> BPOperator:
-    """Belief propagation operator for the split H = H_env + h_bond.
+def reconstruction_residual(phi_mat, h_env, h_bond, beta):
+    """|| Phi e^{beta H_env} Phi^dag - e^{beta H} || / || e^{beta H} ||."""
+    h_env = np.asarray(h_env)
+    return _residual(phi_mat, opalg.hermitian_eig(h_env),
+                     opalg.hermitian_eig(h_env + h_bond), beta)
 
-    h_env and h_bond are matrices on a common space.  phi is filtered by
-    the closed-form transfer function; a quadrature ``scheme``, if given,
-    must have been built for this beta (ValueError otherwise).  With a
-    residual_gate, the reconstruction residual is computed and tau_steps
-    doubled until the gate is met; NonConvergence is raised when
-    refinements are exhausted.  Without a gate the residual is left
-    uncomputed (callers doing difference certifications do not need it).
+
+def build_bp_sweep(
+    h_env, h_bond, betas, tau_steps=32, integrator="cf4", residual_gate=None,
+    max_refinements=3, sites=None, local_dim=2,
+) -> tuple:
+    """Belief propagation operators of the split H = H_env + h_bond, one per beta.
+
+    h_env and h_bond are Hermitian matrices on a common space (checked).
+    The spectra of the interpolation H(tau) do not depend on beta, so a
+    single tau sweep builds every beta; phi is filtered by the closed-form
+    transfer function.  With a residual_gate, the reconstruction residual is
+    computed (from H_env and H spectra shared across beta) and the betas
+    above the gate are rebuilt with doubled tau_steps; NonConvergence is
+    raised when refinements are exhausted.  Without a gate the residual is
+    left uncomputed (callers doing difference certifications do not need
+    it).  Each operator equals, bit for bit, a one-beta build.
     """
-    if scheme is not None and scheme.beta != beta:
-        raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
-    bond_norm = float(np.max(np.abs(np.linalg.eigvalsh(h_bond)))) if np.any(h_bond) else 0.0
+    opalg.require_hermitian(h_env, "environment")
+    opalg.require_hermitian(h_bond, "bond")
+    bond_norm = _spectral_norm(h_bond) if np.any(h_bond) else 0.0
     n_sites = int(round(math.log(h_env.shape[0], local_dim)))
     sites = tuple(range(n_sites)) if sites is None else tuple(sites)
 
-    if bond_norm == 0.0:
-        op = opalg.DenseOperator(sites, np.eye(h_env.shape[0], dtype=complex), local_dim)
+    def record(beta, u, steps, phi_max, residual):
         return BPOperator(
-            op=op, beta=beta, tau_steps=tau_steps, bond_norm=0.0,
-            phi_norm_max=0.0, reconstruction_residual=0.0, integrator=integrator,
+            op=opalg.DenseOperator(sites, u, local_dim), beta=beta, tau_steps=steps,
+            bond_norm=bond_norm, phi_norm_max=phi_max, reconstruction_residual=residual,
+            integrator=integrator,
         )
 
+    if bond_norm == 0.0:
+        eye = np.eye(h_env.shape[0], dtype=complex)
+        return tuple(record(beta, eye, tau_steps, 0.0, 0.0) for beta in betas)
+
+    spectra = None
+    if residual_gate is not None:
+        spectra = (opalg.spectrum(h_env), opalg.spectrum(h_env + h_bond))
+    out = [None] * len(betas)
+    pending = list(range(len(betas)))
     steps = tau_steps
-    attempt = 0
-    while True:
-        u, phi_max = _ordered_exponential(h_env, h_bond, beta, steps, integrator)
-        residual = None
-        if residual_gate is not None:
-            residual = reconstruction_residual(u, h_env, h_bond, beta)
-            if residual > residual_gate:
-                if attempt >= max_refinements:
-                    raise NonConvergence(
-                        f"residual {residual:.3e} above gate {residual_gate:.1e} "
-                        f"after {attempt} refinements"
-                    )
-                attempt += 1
-                steps *= 2
-                continue
-        op = opalg.DenseOperator(sites, u, local_dim)
-        return BPOperator(
-            op=op, beta=beta, tau_steps=steps, bond_norm=bond_norm,
-            phi_norm_max=phi_max, reconstruction_residual=residual, integrator=integrator,
-        )
+    for _ in range(max_refinements + 1):
+        built = _ordered_exponentials(h_env, h_bond, [betas[i] for i in pending], steps, integrator)
+        failed = []
+        for i, (u, phi_max) in zip(pending, built):
+            residual = None
+            if spectra is not None:
+                residual = _residual(u, *spectra, betas[i])
+                if residual > residual_gate:
+                    failed.append((i, residual))
+                    continue
+            out[i] = record(betas[i], u, steps, phi_max, residual)
+        if not failed:
+            return tuple(out)
+        pending = [i for i, _ in failed]
+        steps *= 2
+    i, residual = failed[0]
+    raise NonConvergence(
+        f"residual {residual:.3e} above gate {residual_gate:.1e} at beta={betas[i]} "
+        f"after {max_refinements} refinements"
+    )
+
+
+def build_bp(h_env, h_bond, beta, scheme=None, tau_steps=32, **kw) -> BPOperator:
+    """Belief propagation operator for one beta: the one-beta ``build_bp_sweep``.
+
+    A quadrature ``scheme``, if given, must have been built for this beta
+    (ValueError otherwise); phi never uses it.
+    """
+    _check_scheme(scheme, beta)
+    return build_bp_sweep(h_env, h_bond, (beta,), tau_steps=tau_steps, **kw)[0]
+
+
+def _check_scheme(scheme, beta):
+    if scheme is not None and scheme.beta != beta:
+        raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,67 +393,56 @@ def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window, excluded_cut
     if window != tuple(range(window[0], window[-1] + 1)):
         raise GeometryError("window must be a contiguous interval")
     wset = set(window)
-    pos = {s: a for a, s in enumerate(window)}
-    d = h_tc.local_dim
-    dim = d ** len(window)
-    env = np.zeros((dim, dim), dtype=complex)
-    bond = np.zeros((dim, dim), dtype=complex)
-    bond_sites = set()
+    env, bond = [], []
     for t in h_tc.kept_terms:
         if t.crosses(cut):
             if not set(t.sites) <= wset:
                 raise GeometryError("bond bundle leaks outside the window")
-            bond += opalg.embed_matrix(t.matrix, [pos[s] for s in t.sites], len(window), d)
-            bond_sites |= set(t.sites)
-            continue
-        if not set(t.sites) <= wset:
-            continue
-        if any(t.crosses(c) for c in excluded_cuts):
-            continue
-        env += opalg.embed_matrix(t.matrix, [pos[s] for s in t.sites], len(window), d)
-    if np.abs(env.imag).max(initial=0.0) == 0.0:
-        env = np.ascontiguousarray(env.real)
-    if np.abs(bond.imag).max(initial=0.0) == 0.0:
-        bond = np.ascontiguousarray(bond.real)
-    return env, bond, window
+            bond.append(t)
+        elif set(t.sites) <= wset and not any(t.crosses(c) for c in excluded_cuts):
+            env.append(t)
+    d = h_tc.local_dim
+    return terms_matrix(env, window, d), terms_matrix(bond, window, d), window
+
+
+def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, excluded_cuts=(), **kw):
+    """BP operators for the bond at ``cut``, built from the window only, one per beta."""
+    env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
+    ops = build_bp_sweep(env, bond, betas, sites=window, local_dim=h_tc.local_dim, **kw)
+    return tuple(replace(op, window=window) for op in ops)
 
 
 def build_bp_localized(
-    h_tc: TruncatedHamiltonian,
-    cut,
-    window,
-    beta,
-    scheme=None,
-    tau_steps=32,
-    integrator="cf4",
-    excluded_cuts=(),
-    residual_gate=None,
-    max_refinements=3,
+    h_tc: TruncatedHamiltonian, cut, window, beta, excluded_cuts=(), **kw
 ) -> BPOperator:
     """BP operator for the bond at ``cut``, built from the window subset only."""
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    op = build_bp(
-        env, bond, beta, scheme=scheme, tau_steps=tau_steps, integrator=integrator,
-        sites=window, local_dim=h_tc.local_dim, residual_gate=residual_gate,
-        max_refinements=max_refinements,
-    )
+    op = build_bp(env, bond, beta, sites=window, local_dim=h_tc.local_dim, **kw)
     return replace(op, window=window)
+
+
+def bond_sweep(h_tc: TruncatedHamiltonian, s, betas, **kw) -> tuple:
+    """Exact-split BP operators for boundary bundle s, one per beta."""
+    ops = localized_sweep(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), betas, **kw)
+    return tuple(replace(op, bond_index=s, window=None) for op in ops)
 
 
 def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, **kw) -> BPOperator:
     """Exact-split BP operator for boundary bundle s, environment = rest of chain."""
-    cut = h_tc.blocks[s][-1]
-    op = build_bp_localized(h_tc, cut, tuple(range(h_tc.n)), beta, **kw)
+    op = build_bp_localized(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), beta, **kw)
     return replace(op, bond_index=s, window=None)
+
+
+def _window_around(h_tc: TruncatedHamiltonian, s, r):
+    """The bond cut of bundle s and the window of radius r around it."""
+    cut = h_tc.blocks[s][-1]
+    return cut, tuple(range(max(0, cut - r), min(h_tc.n - 1, cut + r) + 1))
 
 
 def build_truncated_bp(h_tc: TruncatedHamiltonian, s, r, beta, **kw) -> BPOperator:
     """Window-truncated BP operator for boundary bundle s, window radius r."""
-    cut = h_tc.blocks[s][-1]
-    lo = max(0, cut - r)
-    hi = min(h_tc.n - 1, cut + r)
-    op = build_bp_localized(h_tc, cut, tuple(range(lo, hi + 1)), beta, **kw)
-    return replace(op, bond_index=s)
+    cut, window = _window_around(h_tc, s, r)
+    return replace(build_bp_localized(h_tc, cut, window, beta, **kw), bond_index=s)
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +495,8 @@ def _truncated_f0(params: LRParams, profile, block_len, x):
     return params.prefactor * min(math.exp(-x / (2.0 * block_len)), profile(x))
 
 
-def bp_locality_error(
-    h_tc: TruncatedHamiltonian,
-    s,
-    r,
-    beta,
-    scheme=None,
-    tau_steps=32,
-    integrator="cf4",
-    theta: ThetaFunction | None = None,
-    phi_full: BPOperator | None = None,
-) -> BPLocalityReport:
-    """Measured || Phi_s - Phi_s,window || against the explicit envelope.
-
-    Requires r > 6 * block_len and a subcritical light-cone value
-    F0(r/3) <= 1.  When the window swallows the whole chain the two
-    constructions coincide term by term and the error is exactly zero
-    (reported as vacuous).
-    """
+def _locality_envelope(h_tc: TruncatedHamiltonian, r, beta, theta):
+    """(explicit bound, theta bound, F0(r/3)) after checking the preconditions."""
     base = h_tc.base
     p = base.profile
     l0 = h_tc.block_len
@@ -508,25 +524,60 @@ def bp_locality_error(
     theta_bound = (
         locality_decay_envelope(theta, p, l0, beta, r) if theta is not None else None
     )
+    return float(explicit), theta_bound, float(f0)
 
-    cut = h_tc.blocks[s][-1]
-    lo, hi = max(0, cut - r), min(h_tc.n - 1, cut + r)
-    if lo == 0 and hi == h_tc.n - 1:
-        return BPLocalityReport(
-            exact=0.0, explicit_bound=float(explicit), theta_bound=theta_bound,
-            r=int(r), beta=float(beta), vacuous=True, f0_value=float(f0),
+
+def bp_locality_sweep(
+    h_tc: TruncatedHamiltonian,
+    s,
+    radii,
+    betas,
+    tau_steps=32,
+    integrator="cf4",
+    theta: ThetaFunction | None = None,
+) -> tuple:
+    """Measured || Phi_s - Phi_s,window || against the explicit envelope.
+
+    One report per (beta, r), beta-major.  Requires r > 6 * block_len and
+    a subcritical light-cone value F0(r/3) <= 1 at every point, checked
+    before any build.  The full operators of all betas come from one tau
+    sweep, and so do the window operators at each radius.  When the window
+    swallows the whole chain the two constructions coincide term by term
+    and the error is exactly zero (reported as vacuous).
+    """
+    bounds = {(beta, r): _locality_envelope(h_tc, r, beta, theta)
+              for beta in betas for r in radii}
+    windows = {r: _window_around(h_tc, s, r) for r in radii}
+    measured = [r for r in radii if len(windows[r][1]) < h_tc.n]
+    kw = dict(tau_steps=tau_steps, integrator=integrator)
+    exact = {}
+    if measured:
+        full = bond_sweep(h_tc, s, betas, **kw)
+        for r in measured:
+            cut, window = windows[r]
+            for beta, phi_full, phi_win in zip(
+                betas, full, localized_sweep(h_tc, cut, window, betas, **kw)
+            ):
+                diff = phi_full.matrix - phi_win.embedded_matrix(h_tc.n)
+                exact[(beta, r)] = opalg.opnorm(diff)
+    return tuple(
+        BPLocalityReport(
+            exact=exact.get((beta, r), 0.0), explicit_bound=bounds[(beta, r)][0],
+            theta_bound=bounds[(beta, r)][1], r=int(r), beta=float(beta),
+            vacuous=r not in measured, f0_value=bounds[(beta, r)][2],
         )
-
-    kw = dict(scheme=scheme, tau_steps=tau_steps, integrator=integrator)
-    if phi_full is None:
-        phi_full = build_bond_bp(h_tc, s, beta, **kw)
-    phi_win = build_truncated_bp(h_tc, s, r, beta, **kw)
-    diff = phi_full.matrix - phi_win.embedded_matrix(h_tc.n)
-    exact = opalg.opnorm(diff)
-    return BPLocalityReport(
-        exact=exact, explicit_bound=float(explicit), theta_bound=theta_bound,
-        r=int(r), beta=float(beta), vacuous=False, f0_value=float(f0),
+        for beta in betas
+        for r in radii
     )
+
+
+def bp_locality_error(
+    h_tc: TruncatedHamiltonian, s, r, beta, scheme=None, tau_steps=32, integrator="cf4",
+    theta: ThetaFunction | None = None,
+) -> BPLocalityReport:
+    """The one-point ``bp_locality_sweep``; a ``scheme`` must match beta."""
+    _check_scheme(scheme, beta)
+    return bp_locality_sweep(h_tc, s, (r,), (beta,), tau_steps, integrator, theta)[0]
 
 
 def calibrate_theta(reports, profile, block_len, margin=1.05) -> ThetaFunction:

@@ -154,6 +154,25 @@ def test_block_interaction_all_pairs_small():
             assert rep.exact <= rep.bound + 1e-12
 
 
+def test_cached_matrices_are_read_only():
+    h = powerlaw_chain(n=6, gen="random_two_site", seed=4)
+    htc = chain.truncate(h, [0], [5], 1)
+    for owner in (h, htc):
+        before = owner.matrix().copy()
+        with pytest.raises(ValueError):
+            owner.matrix()[0, 0] = 1
+        assert np.array_equal(owner.matrix(), before)
+    with pytest.raises(ValueError):
+        h.subset_matrix((1, 2, 3), subspace=True)[0, 0] = 1
+
+
+def test_local_term_norm_computed_once():
+    h = powerlaw_chain(n=5, gen="random_two_site", seed=1)
+    for t in h.terms:
+        assert t.norm == float(np.max(np.abs(np.linalg.eigvalsh(t.matrix))))
+        assert "norm" in vars(t)
+
+
 def test_truncation_error_report_trivial():
     h = ising(n=6)
     htc = chain.truncate(h, [0], [5], 2)  # finite range: identical Hamiltonian

@@ -20,6 +20,15 @@ def rand_herm(rng, dim):
     return 0.5 * (m + m.conj().T)
 
 
+def swap_matrix(dim):
+    """Factor-exchange unitary on the doubled space."""
+    s = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            s[i * dim + j, j * dim + i] = 1.0
+    return s
+
+
 def test_double_identity_cases():
     eye = opalg.DenseOperator((1,), np.eye(2))
     assert np.allclose(cluster.double(eye, "one", 2).matrix, 0.0)
@@ -32,7 +41,7 @@ def test_double_identity_cases():
 def test_double_swap_symmetry():
     rng = np.random.default_rng(0)
     op = opalg.DenseOperator((0,), rand_herm(rng, 2))
-    s = cluster.swap_matrix(2)
+    s = swap_matrix(2)
     plus = cluster.double(op, "plus", 1).matrix
     one = cluster.double(op, "one", 1).matrix
     assert np.allclose(s @ plus @ s, plus)

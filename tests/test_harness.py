@@ -68,6 +68,18 @@ def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
     monkeypatch.setenv("GIBBSCHAIN_EPS", "1e-9")
     assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "b")]) == 2
     assert not (tmp_path / "b").exists()
+    monkeypatch.delenv("GIBBSCHAIN_EPS")
+    # keys that nothing read: the residual gate, the doubled-space cap, the
+    # second observable site and the local dimension (every generator is qubit-only)
+    for key, value in (("residual_gate", "1e-6"), ("doubled_dim_cap", "4096"),
+                       ("obs_y_site", "3"), ("local_dim", "2")):
+        path.write_text(f"experiment = clustering_sweep\nn = 6\n{key} = {value}\n")
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / key)]) == 2
+        path.write_text("experiment = clustering_sweep\nn = 6\n")
+        monkeypatch.setenv(f"GIBBSCHAIN_{key.upper()}", value)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / key)]) == 2
+        monkeypatch.delenv(f"GIBBSCHAIN_{key.upper()}")
+        assert not (tmp_path / key).exists()
 
 
 def test_csv_format_and_body_bytes(tmp_path):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibbschain import opalg
+from gibbschain import chain, opalg
 from gibbschain.errors import (
     DimensionCap,
     NotHermitian,
@@ -41,6 +43,85 @@ def test_embed_unsorted_support():
     m1 = opalg.embed_matrix(a, [2, 0], 3)
     m2 = opalg.embed_matrix(swapped, [0, 2], 3)
     assert np.allclose(m1, m2, atol=1e-12)
+
+
+def kron_embed(mat, sites, n, local_dim=2):
+    """Reference embedding: mat (x) 1 on (sites, rest), then the axes permuted."""
+    sites = list(sites)
+    rest = [i for i in range(n) if i not in sites]
+    full = np.kron(mat, np.eye(local_dim ** len(rest)))
+    inv = list(np.argsort(sites + rest))
+    t = full.reshape([local_dim] * (2 * n)).transpose(inv + [n + i for i in inv])
+    return t.reshape(local_dim**n, local_dim**n)
+
+
+@st.composite
+def term_sets(draw):
+    """A site list (unsorted, gapped labels) and random terms supported inside it."""
+    n = draw(st.integers(1, 6))
+    space = draw(st.permutations([3 * i + 1 for i in range(n)]))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, min(n, 3)))
+        support = draw(st.permutations(space))[:k]
+        mat = rng.standard_normal((2**k, 2**k))
+        if is_complex:
+            mat = mat + 1j * rng.standard_normal((2**k, 2**k))
+        terms.append(chain.LocalTerm(support, 0.5 * (mat + mat.conj().T)))
+    return space, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_sets())
+def test_terms_matrix_equals_kron_reference(case):
+    space, terms = case
+    n = len(space)
+    pos = {s: a for a, s in enumerate(space)}
+    dtype = complex if any(np.iscomplexobj(t.matrix) for t in terms) else float
+    expected = np.zeros((2**n, 2**n), dtype)
+    for t in terms:
+        local = [pos[s] for s in t.sites]
+        expected += kron_embed(t.matrix, local, n)
+        embedded = opalg.embed_matrix(t.matrix, local, n)
+        assert embedded.dtype == t.matrix.dtype
+        assert np.array_equal(embedded, kron_embed(t.matrix, local, n))
+    got = chain.terms_matrix(terms, space)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_embed_partial_trace_adjoint(n, data):
+    # tr(embed(A) B) = tr(A ptrace(B)) for any full-space B
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dk, dn = 2 ** len(keep), 2**n
+    a = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+    b = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
+    lhs = np.trace(opalg.embed_matrix(a, keep, n) @ b)
+    rhs = np.trace(a @ opalg.partial_trace(b, keep, n))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * dn
+
+
+def test_spectrum_reuse_matches_matrix_path():
+    rng = np.random.default_rng(10)
+    h = rand_herm(rng, 16)
+    o = rand_herm(rng, 16)
+    spec = opalg.hermitian_eig(h)
+    assert not spec.evals.flags.writeable and not spec.vecs.flags.writeable
+    with pytest.raises(ValueError):
+        spec.vecs[0, 0] = 1.0
+    evals, vecs = spec  # unpacks like a tuple
+    assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
+    assert np.array_equal(opalg.gibbs(spec, 1.3).rho.matrix, opalg.gibbs(h, 1.3).rho.matrix)
+    assert np.array_equal(opalg.evolve(o, spec, 0.4), opalg.evolve(o, h, 0.4))
+    with pytest.raises(NotHermitian):
+        opalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        opalg.evolve(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_embed_rejects_bad_support():

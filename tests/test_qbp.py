@@ -156,6 +156,26 @@ def test_refinement_reduces_residual():
     assert res[0] > res[1] > res[2]
 
 
+@pytest.mark.parametrize("integrator, gate", [
+    ("midpoint", None), ("cf4", None), ("midpoint", 1e-4), ("cf4", 1e-6),
+])
+def test_beta_sweep_equals_one_beta_builds(integrator, gate):
+    htc = _random_truncated(coupling=0.8, seed=11)
+    betas = (0.5, 1.0, 2.0)
+    kw = dict(tau_steps=1, integrator=integrator, residual_gate=gate)
+    swept = qbp.bond_sweep(htc, 2, betas, **kw)
+    for beta, op in zip(betas, swept):
+        one = qbp.build_bond_bp(htc, 2, beta, **kw)
+        assert op.beta == beta and op.bond_index == 2
+        assert np.array_equal(op.matrix, one.matrix)
+        assert op.tau_steps == one.tau_steps
+        assert op.reconstruction_residual == one.reconstruction_residual
+        assert op.phi_norm_max == one.phi_norm_max
+    if gate is not None:
+        # only the betas above the gate were refined
+        assert [op.tau_steps for op in swept] == sorted({op.tau_steps for op in swept})
+
+
 def test_nonconvergence_raises():
     htc = _random_truncated(coupling=1.5, seed=5)
     with pytest.raises(NonConvergence):
