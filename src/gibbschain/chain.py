@@ -57,10 +57,6 @@ class LocalTerm:
         return min(self.sites) <= cut < max(self.sites)
 
 
-def site_distance(i, j):
-    return abs(int(i) - int(j))
-
-
 def set_distance(a, b):
     """Shortest-path distance between two site sets; 0 when they intersect."""
     sa, sb = set(a), set(b)

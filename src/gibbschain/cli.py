@@ -28,7 +28,7 @@ def build_parser():
     run.add_argument("config", help="flat key=value config file")
     run.add_argument("--output-dir", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the seed")
-    run.add_argument("--threads", type=int, default=None, help="worker threads")
+    run.add_argument("--threads", type=int, default=None, help="worker threads (clustering_sweep only)")
     run.add_argument(
         "--experiment", default=None, choices=EXPERIMENTS, help="override the experiment"
     )

@@ -16,9 +16,12 @@ is the alternating sum of Gibbs exponentials
 
     G_S = sum_{lam in {0,1}^S} (-1)^(|S| - |lam|) exp(beta * (H - sum_(1-lam_j) h_j)),
 
-computed branch by branch; on the doubled space every branch factorizes as
-a tensor square, so traces against O_X^(0) O_Y^(1) reduce to single-space
-traces and no doubled matrix needs to be materialized for them.
+computed branch by branch.  Every tensor-square trace is evaluated in
+factorized form: an operator A x B against the probe gives
+tr[Psi (A x B)] = tr(O_X O_Y A) tr(B) - tr(O_X A) tr(O_Y B), a (+)-string
+expands into a sum of such products over subsets of its factors, and each
+inclusion-exclusion branch is a tensor square.  The only doubled matrix ever
+built is the optional trace-norm distance in ``gamma_pair``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import opalg, qbp
-from .chain import ChainHamiltonian, TruncatedHamiltonian, terms_matrix
+from .chain import TruncatedHamiltonian, terms_matrix
 from .errors import (
     CapExceeded,
     DimensionCap,
@@ -43,34 +46,6 @@ from .errors import (
 )
 
 DOUBLED_DIM_CAP = 4096
-
-
-@dataclass(frozen=True)
-class DoubledOperator:
-    """Operator on the tensor square of the n-site space."""
-
-    base: opalg.DenseOperator
-    kind: str  # plus | zero | one
-    matrix: np.ndarray
-    n: int
-
-
-def double(op: opalg.DenseOperator, kind, n, dim_cap=DOUBLED_DIM_CAP) -> DoubledOperator:
-    """O^(+), O^(0) or O^(1) of an operator embedded on n sites."""
-    if kind not in ("plus", "zero", "one"):
-        raise ValueError(f"unknown doubling kind {kind!r}")
-    dim = op.local_dim**n
-    if dim**2 > dim_cap:
-        raise DimensionCap(f"doubled dimension {dim**2} exceeds cap {dim_cap}")
-    full = opalg.embed(op, n).matrix
-    eye = np.eye(dim)
-    if kind == "zero":
-        mat = np.kron(full, eye)
-    elif kind == "plus":
-        mat = np.kron(full, eye) + np.kron(eye, full)
-    else:
-        mat = np.kron(full, eye) - np.kron(eye, full)
-    return DoubledOperator(base=op, kind=kind, matrix=mat, n=n)
 
 
 @dataclass(frozen=True)
@@ -92,14 +67,6 @@ class PsiOperator:
     @cached_property
     def xy_full(self):
         return self.x_full @ self.y_full
-
-    def matrix(self, dim_cap=DOUBLED_DIM_CAP):
-        dim = self.o_x.local_dim**self.n
-        if dim**2 > dim_cap:
-            raise DimensionCap(f"doubled dimension {dim**2} exceeds cap {dim_cap}")
-        x0 = double(self.o_x, "zero", self.n, dim_cap).matrix
-        y1 = double(self.o_y, "one", self.n, dim_cap).matrix
-        return x0 @ y1
 
     def expectation(self, a, b=None):
         """tr[Psi (A x B)] via single-space traces; B defaults to A.
@@ -166,30 +133,39 @@ class DisconnectedTraceResult:
 
 
 def disconnected_trace(
-    z_ops, o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n,
-    dim_cap=DOUBLED_DIM_CAP, require=False,
+    z_ops, o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, require=False,
 ) -> DisconnectedTraceResult:
     """tr[ prod_i Z_i^(+) . O_X^(0) O_Y^(1) ] with its disconnection check.
 
-    When the support collection is disconnected the value is an exact zero
-    up to rounding; the caller gets the measured value, the checker verdict
-    and the natural scale (product of operator norms times the doubled
-    dimension) to compare against.
+    The string expands as prod_i Z_i^(+) = sum_S P_S x Q_S over the subsets S
+    of its factors, P_S the ordered product of the Z_i in S and Q_S that of
+    the rest, so the value is sum_S tr[Psi (P_S x Q_S)] in single-space
+    traces.  When the support collection is disconnected the value is an
+    exact zero up to rounding; the caller gets the measured value, the
+    checker verdict and the natural scale (product of operator norms times
+    the doubled dimension) to compare against.
     """
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("X and Y must be disjoint")
     dim = o_x.local_dim**n
-    if dim**2 > dim_cap:
-        raise DimensionCap(f"doubled dimension {dim**2} exceeds cap {dim_cap}")
-    acc = np.eye(dim * dim, dtype=complex)
+    if dim**2 > DOUBLED_DIM_CAP:
+        raise DimensionCap(f"doubled dimension {dim**2} exceeds cap {DOUBLED_DIM_CAP}")
+    probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
+    z_full = [opalg.embed(z, n).matrix for z in z_ops]
+    eye = np.eye(dim, dtype=complex)
+    value = 0.0 + 0.0j
+    for in_p in itertools.product((False, True), repeat=len(z_full)):
+        p, q = eye, eye
+        for z, left in zip(z_full, in_p):
+            if left:
+                p = p @ z
+            else:
+                q = q @ z
+        value += probe.expectation(p, q)
     scale = float(dim * dim)
     for z in z_ops:
-        acc = acc @ double(z, "plus", n, dim_cap).matrix
         scale *= 2.0 * opalg.opnorm(z)
-    probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
-    acc = acc @ probe.matrix(dim_cap)
     scale *= 2.0 * opalg.opnorm(o_x) * opalg.opnorm(o_y)
-    value = complex(np.trace(acc))
     ok = supports_split(o_x.sites, o_y.sites, [z.sites for z in z_ops])
     if require and not ok:
         raise NotDisconnected("support collection connects X to Y")
@@ -209,58 +185,37 @@ def lambda_branches(m):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BondSelector:
-    indices: tuple
+def _branch_exponentials(h_mat, bonds, beta):
+    """(lambda, sign, e^{beta H_lambda}) per branch, all-zero lambda first.
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-
-@dataclass(frozen=True)
-class ClusterOperator:
-    matrix: np.ndarray
-    beta: float
-    bond_count: int
-    lambda_plan: tuple
+    H_lambda = H - sum_j (1 - lambda_j) h_j: the all-one branch is e^{beta H}.
+    """
+    m = len(bonds)
+    for lam, sign in lambda_branches(m):
+        h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, bonds)) if m else h_mat
+        yield lam, sign, opalg.herm_expm(h_lam, beta)
 
 
-def _resolve_bonds(h, bonds):
-    """(H matrix, list of bond matrices) from the accepted input forms."""
-    if isinstance(h, TruncatedHamiltonian):
-        h_mat = h.matrix()
-        if isinstance(bonds, BondSelector):
-            mats = [h.bond_matrix(s) for s in bonds.indices]
-        else:
-            mats = [np.asarray(b) for b in bonds]
-        return h_mat, mats
-    h_mat = h.matrix() if isinstance(h, ChainHamiltonian) else np.asarray(h)
-    return h_mat, [np.asarray(b) for b in bonds]
-
-
-def g_operator(h, bonds, beta, branch_cap=64, dim_cap=opalg.DEFAULT_DIM_CAP) -> ClusterOperator:
-    """Inclusion-exclusion sum over the given bonds (single-space form).
+def g_operator(h_mat, bonds, beta, branch_cap=64):
+    """Inclusion-exclusion sum over the given bond matrices (single-space form).
 
     For an empty bond set this is exp(beta H); for one bond it equals
     exp(beta H) - exp(beta (H - h_s)).
     """
-    h_mat, mats = _resolve_bonds(h, bonds)
-    if h_mat.shape[0] > dim_cap:
-        raise DimensionCap(f"dimension {h_mat.shape[0]} exceeds cap {dim_cap}")
-    m = len(mats)
-    if 2**m > branch_cap:
-        raise CapExceeded(f"2^{m} branches exceed cap {branch_cap}")
-    plan = lambda_branches(m)
+    h_mat = np.asarray(h_mat)
+    if h_mat.shape[0] > opalg.DEFAULT_DIM_CAP:
+        raise DimensionCap(f"dimension {h_mat.shape[0]} exceeds cap {opalg.DEFAULT_DIM_CAP}")
+    bonds = [np.asarray(b) for b in bonds]
+    if 2 ** len(bonds) > branch_cap:
+        raise CapExceeded(f"2^{len(bonds)} branches exceed cap {branch_cap}")
     out = np.zeros_like(h_mat, dtype=complex)
-    for lam, sign in plan:
-        h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, mats)) if m else h_mat
-        out = out + sign * opalg.herm_expm(h_lam, beta)
-    return ClusterOperator(matrix=out, beta=float(beta), bond_count=m, lambda_plan=plan)
+    for _, sign, e_lam in _branch_exponentials(h_mat, bonds, beta):
+        out = out + sign * e_lam
+    return out
 
 
-def g_operator_nested(h, bonds, beta):
+def g_operator_nested(h_mat, bonds, beta):
     """The same operator by the recursive difference definition (test oracle)."""
-    h_mat, mats = _resolve_bonds(h, bonds)
 
     def rec(mat, remaining):
         if not remaining:
@@ -268,7 +223,7 @@ def g_operator_nested(h, bonds, beta):
         head, *tail = remaining
         return rec(mat, tail) - rec(mat - head, tail)
 
-    return rec(h_mat, mats)
+    return rec(np.asarray(h_mat), [np.asarray(b) for b in bonds])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +240,7 @@ class IdentityResidualReport:
 
 
 def correlation_identity_residual(
-    h_tc: TruncatedHamiltonian, o_x, o_y, beta, dim_cap=opalg.DEFAULT_DIM_CAP
+    h_tc: TruncatedHamiltonian, o_x, o_y, beta
 ) -> IdentityResidualReport:
     """Residual of tr[Psi (e^{beta H+} - G_all)] = 0 over all boundary bonds.
 
@@ -296,18 +251,15 @@ def correlation_identity_residual(
     majorant 2 ||G||_1 / Z^2.
     """
     n = h_tc.n
-    if h_tc.base.dim > dim_cap:
+    if h_tc.base.dim > opalg.DEFAULT_DIM_CAP:
         raise DimensionCap("single-space dimension exceeds cap")
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
     bonds = [h_tc.bond_matrix(s) for s in range(h_tc.q + 1)]
-    m = len(bonds)
 
     total = 0.0 + 0.0j
     g_trace = 0.0
-    for lam, sign in lambda_branches(m):
-        h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, bonds))
-        e_lam = opalg.herm_expm(h_lam, beta)
+    for lam, sign, e_lam in _branch_exponentials(h_mat, bonds, beta):
         contrib = probe.expectation(e_lam)
         total += sign * contrib
         g_trace += sign * float(np.trace(e_lam).real) ** 2
@@ -367,7 +319,7 @@ class CommutingBoundReport:
 
 
 def commuting_chain_bound(
-    h_tc: TruncatedHamiltonian, beta, o_x=None, o_y=None, dim_cap=opalg.DEFAULT_DIM_CAP
+    h_tc: TruncatedHamiltonian, beta, o_x=None, o_y=None
 ) -> CommutingBoundReport:
     """Correlation bound chain for mutually commuting truncated chains.
 
@@ -381,7 +333,7 @@ def commuting_chain_bound(
         o_x = opalg.single_site(opalg.pauli("z"), h_tc.blocks[0][-1])
     if o_y is None:
         o_y = opalg.single_site(opalg.pauli("z"), h_tc.blocks[-1][0])
-    state = opalg.gibbs(h_tc.matrix(), beta, dim_cap=dim_cap)
+    state = opalg.gibbs(h_tc.matrix(), beta)
     exact = abs(opalg.correlation(state, o_x, o_y))
 
     bond_norms = tuple(h_tc.bond_norm(s) for s in range(h_tc.q + 1))
@@ -501,12 +453,10 @@ def gamma_pair(
     beta,
     o_x,
     o_y,
-    scheme=None,
     tau_steps=32,
     integrator="cf4",
     branch_cap=64,
     compute_diff=False,
-    doubled_dim_cap=DOUBLED_DIM_CAP,
 ) -> GammaPairReport:
     """Alternating Gibbs sum over center bonds and its block-local approximant.
 
@@ -523,6 +473,9 @@ def gamma_pair(
         raise CapExceeded(f"2^{m} branches exceed cap {branch_cap}")
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
+    dim = h_mat.shape[0]
+    if compute_diff and dim * dim > DOUBLED_DIM_CAP:
+        raise DimensionCap("doubled space too large for the trace-norm diff")
     bonds = [centers.bond_matrix(j) for j in range(m)]
 
     # window-localized removal operators, one per center bond
@@ -530,16 +483,14 @@ def gamma_pair(
     for j in range(m):
         op = qbp.build_bp_localized(
             h_tc, centers.centers[j], centers.blocks[j + 1], beta,
-            scheme=scheme, tau_steps=tau_steps, integrator=integrator,
+            tau_steps=tau_steps, integrator=integrator,
         )
         local_ops.append(opalg.embed(op.op, n).matrix)
 
     tr_gamma = 0.0 + 0.0j
     tr_gamma_local = 0.0 + 0.0j
-    branch_mats = {} if compute_diff else None
-    for lam, sign in lambda_branches(m):
-        h_lam = h_mat - sum((1 - l) * b for l, b in zip(lam, bonds)) if m else h_mat
-        e_lam = opalg.herm_expm(h_lam, beta)
+    diff = np.zeros((dim * dim, dim * dim), dtype=complex) if compute_diff else None
+    for lam, sign, e_lam in _branch_exponentials(h_mat, bonds, beta):
         # the all-zero branch comes first and is e^{beta H_0}, H_0 = H minus every
         # center bond; the all-one branch is e^{beta H}
         if not any(lam):
@@ -547,21 +498,20 @@ def gamma_pair(
         if all(lam):
             z = float(np.trace(e_lam).real)
         tr_gamma += sign * probe.expectation(e_lam)
-        b_lam = np.eye(h_mat.shape[0], dtype=complex)
+        b_lam = np.eye(dim, dtype=complex)
         for j, l in enumerate(lam):
             if l:
                 b_lam = b_lam @ local_ops[j]
         m_lam = b_lam @ e0 @ b_lam.conj().T
         tr_gamma_local += sign * probe.expectation(m_lam)
         if compute_diff:
-            branch_mats[lam] = (e_lam, m_lam)
+            diff += sign * (np.kron(e_lam, e_lam) - np.kron(m_lam, m_lam))
 
     # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
     k_ops = [o.conj().T @ o for o in local_ops]
     tr_product_form = 0.0 + 0.0j
-    for subset in itertools.product((0, 1), repeat=m):
-        sign = (-1) ** (m - sum(subset))
-        kb = np.eye(h_mat.shape[0], dtype=complex)
+    for subset, sign in lambda_branches(m):
+        kb = np.eye(dim, dtype=complex)
         for j, inc in enumerate(subset):
             if inc:
                 kb = kb @ k_ops[j]
@@ -570,17 +520,7 @@ def gamma_pair(
     z2 = z * z
     scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)
     fact_residual = abs(tr_gamma_local - tr_product_form) / scale
-
-    diff_tn = None
-    if compute_diff:
-        dim = h_mat.shape[0]
-        if dim * dim > doubled_dim_cap:
-            raise DimensionCap("doubled space too large for the trace-norm diff")
-        acc = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for lam, sign in lambda_branches(m):
-            e_lam, m_lam = branch_mats[lam]
-            acc += sign * (np.kron(e_lam, e_lam) - np.kron(m_lam, m_lam))
-        diff_tn = float(np.sum(np.abs(np.linalg.eigvalsh(acc))))
+    diff_tn = float(np.sum(np.abs(np.linalg.eigvalsh(diff)))) if compute_diff else None
 
     return GammaPairReport(
         psi_trace_gamma=abs(tr_gamma),

@@ -164,6 +164,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown integrator {cfg.integrator!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.threads > 1 and cfg.experiment != "clustering_sweep":
+        raise ConfigError(f"threads > 1 is only used by clustering_sweep, not {cfg.experiment}")
     cfg.make_profile()
     if cfg.experiment in ("lr_sweep", "qbp_locality", "truncation_sweep"):
         width = cfg.n - cfg.x_width - cfg.y_width
@@ -177,3 +179,11 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.experiment == "gamma_decay":
         if any(m < 0 for m in cfg.m_list):
             raise ConfigError("m_list entries must be >= 0")
+        # each m builds its own chain of x_width + y_width + 2*half_width*m sites
+        # with 2**m inclusion-exclusion branches; n is not used
+        for m in cfg.m_list:
+            n_m = cfg.x_width + cfg.y_width + 2 * cfg.half_width * m
+            if 2**n_m > cfg.dim_cap:
+                raise ConfigError(f"m={m}: dimension {2**n_m} exceeds dim_cap {cfg.dim_cap}")
+            if 2**m > cfg.branch_cap:
+                raise ConfigError(f"m={m}: 2^{m} branches exceed branch_cap {cfg.branch_cap}")

@@ -1,10 +1,10 @@
 """Experiment sweeps: build chains, run certifications, emit CSV + manifest.
 
 Each experiment function fills a Manifest and writes ``<experiment>.csv``
-into the output directory.  Sweep points are independent; a small keyed
-thread pool evaluates them concurrently when threads > 1, and rows are
-always emitted in sorted key order so output bytes do not depend on the
-execution schedule.
+into the output directory.  Sweep points are independent; clustering_sweep
+evaluates them in a small keyed thread pool when threads > 1 (the config
+rejects threads > 1 elsewhere), and rows are always emitted in sorted key
+order so output bytes do not depend on the execution schedule.
 """
 
 from __future__ import annotations

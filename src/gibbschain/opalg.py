@@ -68,13 +68,6 @@ class DenseOperator:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
-    def is_hermitian(self):
-        return herm_defect(self.matrix) <= HERM_TOL
-
-    def embedded(self, n):
-        return embed(self, n)
-
 
 def herm_defect(mat):
     """Relative deviation from Hermiticity, max|A - A^dag| / max(max|A|, tiny).
@@ -187,9 +180,7 @@ def _spectrum_of(a) -> Spectrum:
 
 
 def herm_expm(a, scale=1.0):
-    """exp(scale * A) for Hermitian A (matrix, DenseOperator or Spectrum)."""
-    if isinstance(a, DenseOperator):
-        return DenseOperator(a.sites, herm_expm(a.matrix, scale), a.local_dim)
+    """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
     evals, vecs = _spectrum_of(a)
     return (vecs * np.exp(scale * evals)) @ vecs.conj().T
 
@@ -230,10 +221,7 @@ class GibbsState:
 
 
 def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
-    """Gibbs state of a Hamiltonian given as matrix, DenseOperator or Spectrum."""
-    if isinstance(h, DenseOperator):
-        n = len(h.sites) if n is None else n
-        h, local_dim = h.matrix, h.local_dim
+    """Gibbs state of a Hamiltonian given as matrix or Spectrum."""
     dim = len(h.evals) if isinstance(h, Spectrum) else np.shape(h)[0]
     if n is None:
         n = int(round(np.log(dim) / np.log(local_dim)))
@@ -251,18 +239,15 @@ def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
 def evolve(op, generator, t):
     """Heisenberg evolution exp(iGt) O exp(-iGt) on a common full space.
 
-    The generator is a Hermitian matrix, a DenseOperator or a Spectrum.
+    The operator is a matrix; the generator is a Hermitian matrix or a Spectrum.
     """
-    o_mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-    g = generator.matrix if isinstance(generator, DenseOperator) else generator
-    if o_mat.shape != (g.vecs.shape if isinstance(g, Spectrum) else np.shape(g)):
+    o_mat = np.asarray(op)
+    g_shape = generator.vecs.shape if isinstance(generator, Spectrum) else np.shape(generator)
+    if o_mat.shape != g_shape:
         raise SupportMismatch("operator and generator must share a space; embed first")
-    evals, vecs = _spectrum_of(g)
+    evals, vecs = _spectrum_of(generator)
     u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
-    out = u @ o_mat @ u.conj().T
-    if isinstance(op, DenseOperator):
-        return DenseOperator(op.sites, out, op.local_dim)
-    return out
+    return u @ o_mat @ u.conj().T
 
 
 def correlation(state: GibbsState, o_x: DenseOperator, o_y: DenseOperator) -> complex:

@@ -363,19 +363,9 @@ def build_bp_sweep(
     )
 
 
-def build_bp(h_env, h_bond, beta, scheme=None, tau_steps=32, **kw) -> BPOperator:
-    """Belief propagation operator for one beta: the one-beta ``build_bp_sweep``.
-
-    A quadrature ``scheme``, if given, must have been built for this beta
-    (ValueError otherwise); phi never uses it.
-    """
-    _check_scheme(scheme, beta)
+def build_bp(h_env, h_bond, beta, tau_steps=32, **kw) -> BPOperator:
+    """Belief propagation operator for one beta: the one-beta ``build_bp_sweep``."""
     return build_bp_sweep(h_env, h_bond, (beta,), tau_steps=tau_steps, **kw)[0]
-
-
-def _check_scheme(scheme, beta):
-    if scheme is not None and scheme.beta != beta:
-        raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +417,14 @@ def bond_sweep(h_tc: TruncatedHamiltonian, s, betas, **kw) -> tuple:
     return tuple(replace(op, bond_index=s, window=None) for op in ops)
 
 
-def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, **kw) -> BPOperator:
-    """Exact-split BP operator for boundary bundle s, environment = rest of chain."""
+def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, scheme=None, **kw) -> BPOperator:
+    """Exact-split BP operator for boundary bundle s, environment = rest of chain.
+
+    A quadrature ``scheme``, if given, must have been built for this beta
+    (ValueError otherwise); phi never uses it.
+    """
+    if scheme is not None and scheme.beta != beta:
+        raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
     op = build_bp_localized(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), beta, **kw)
     return replace(op, bond_index=s, window=None)
 
@@ -572,11 +568,10 @@ def bp_locality_sweep(
 
 
 def bp_locality_error(
-    h_tc: TruncatedHamiltonian, s, r, beta, scheme=None, tau_steps=32, integrator="cf4",
+    h_tc: TruncatedHamiltonian, s, r, beta, tau_steps=32, integrator="cf4",
     theta: ThetaFunction | None = None,
 ) -> BPLocalityReport:
-    """The one-point ``bp_locality_sweep``; a ``scheme`` must match beta."""
-    _check_scheme(scheme, beta)
+    """The one-point ``bp_locality_sweep``."""
     return bp_locality_sweep(h_tc, s, (r,), (beta,), tau_steps, integrator, theta)[0]
 
 
@@ -635,7 +630,6 @@ def bp_chain(
     h_tc: TruncatedHamiltonian,
     centers,
     beta,
-    scheme=None,
     tau_steps=32,
     integrator="cf4",
     theta: ThetaFunction | None = None,
@@ -653,7 +647,7 @@ def bp_chain(
     cpoints = centers.centers
     m = centers.m
     n = h_tc.n
-    kw = dict(scheme=scheme, tau_steps=tau_steps, integrator=integrator)
+    kw = dict(tau_steps=tau_steps, integrator=integrator)
 
     cuts = [blocks[j][-1] for j in range(m + 1)]
     exact_ops, local_ops = [], []

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibbschain import chain, cluster, opalg, oracles, profiles, qbp
+from gibbschain import chain, cluster, opalg, oracles, profiles
 from gibbschain.errors import (
     CapExceeded,
     DimensionCap,
@@ -29,29 +32,44 @@ def swap_matrix(dim):
     return s
 
 
+def double(op, kind, n):
+    """O^(+), O^(0) or O^(1) of an operator embedded on n sites, as a kron matrix."""
+    full = opalg.embed(op, n).matrix
+    eye = np.eye(full.shape[0])
+    sign = {"plus": 1.0, "zero": 0.0, "one": -1.0}[kind]
+    return np.kron(full, eye) + sign * np.kron(eye, full)
+
+
+def psi_matrix(probe):
+    """The materialized probe O_X^(0) O_Y^(1) on the doubled space."""
+    return double(probe.o_x, "zero", probe.n) @ double(probe.o_y, "one", probe.n)
+
+
+def kron_disconnected_trace(z_ops, o_x, o_y, n):
+    """tr[prod_i Z_i^(+) O_X^(0) O_Y^(1)] from the materialized doubled matrices."""
+    acc = np.eye(4**n, dtype=complex)
+    for z in z_ops:
+        acc = acc @ double(z, "plus", n)
+    return complex(np.trace(acc @ psi_matrix(cluster.PsiOperator(o_x, o_y, n))))
+
+
 def test_double_identity_cases():
     eye = opalg.DenseOperator((1,), np.eye(2))
-    assert np.allclose(cluster.double(eye, "one", 2).matrix, 0.0)
-    assert np.allclose(cluster.double(eye, "plus", 2).matrix, 2 * np.eye(16))
+    assert np.allclose(double(eye, "one", 2), 0.0)
+    assert np.allclose(double(eye, "plus", 2), 2 * np.eye(16))
     z = opalg.single_site(opalg.pauli("z"), 0)
-    assert opalg.opnorm(cluster.double(z, "zero", 2).matrix) == pytest.approx(1.0)
-    assert opalg.opnorm(cluster.double(z, "one", 2).matrix) <= 2.0 + 1e-12
+    assert opalg.opnorm(double(z, "zero", 2)) == pytest.approx(1.0)
+    assert opalg.opnorm(double(z, "one", 2)) <= 2.0 + 1e-12
 
 
 def test_double_swap_symmetry():
     rng = np.random.default_rng(0)
     op = opalg.DenseOperator((0,), rand_herm(rng, 2))
     s = swap_matrix(2)
-    plus = cluster.double(op, "plus", 1).matrix
-    one = cluster.double(op, "one", 1).matrix
+    plus = double(op, "plus", 1)
+    one = double(op, "one", 1)
     assert np.allclose(s @ plus @ s, plus)
     assert np.allclose(s @ one @ s, -one)
-
-
-def test_double_dimension_cap():
-    z = opalg.single_site(opalg.pauli("z"), 0)
-    with pytest.raises(DimensionCap):
-        cluster.double(z, "plus", 8, dim_cap=4096)
 
 
 def test_psi_norm_and_validation():
@@ -62,7 +80,7 @@ def test_psi_norm_and_validation():
         b = rand_herm(rng, 2)
         b /= opalg.opnorm(b)
         probe = cluster.psi(opalg.DenseOperator((0,), a), opalg.DenseOperator((3,), b), 4)
-        assert opalg.opnorm(probe.matrix()) <= 2.0 + 1e-10
+        assert opalg.opnorm(psi_matrix(probe)) <= 2.0 + 1e-10
     with pytest.raises(OverlappingSupports):
         cluster.psi(opalg.single_site(opalg.pauli("x"), 1),
                     opalg.single_site(opalg.pauli("y"), 1), 3)
@@ -74,7 +92,7 @@ def test_psi_norm_and_validation():
 def test_psi_identity_second_factor_vanishes():
     probe = cluster.psi(opalg.single_site(opalg.pauli("x"), 0),
                         opalg.DenseOperator((2,), np.eye(2)), 3)
-    assert np.max(np.abs(probe.matrix())) < 1e-14
+    assert np.max(np.abs(psi_matrix(probe))) < 1e-14
 
 
 def test_psi_expectation_reproduces_correlation():
@@ -90,7 +108,7 @@ def test_psi_expectation_reproduces_correlation():
     direct = opalg.correlation(st, ox, oy)
     assert factorized == pytest.approx(direct, abs=1e-12)
     # and the same number from the materialized doubled operators
-    doubled = np.kron(rho, rho) @ probe.matrix()
+    doubled = np.kron(rho, rho) @ psi_matrix(probe)
     assert np.trace(doubled) == pytest.approx(direct, abs=1e-12)
 
 
@@ -117,6 +135,64 @@ def test_disconnected_trace_zero_and_counterexample():
         cluster.disconnected_trace(zs, ox, oy, n, require=True)
 
 
+def test_disconnected_trace_doubled_dimension_cap():
+    ox = opalg.single_site(opalg.pauli("x"), 0)
+    oy = opalg.single_site(opalg.pauli("y"), 6)
+    with pytest.raises(DimensionCap):
+        cluster.disconnected_trace([], ox, oy, 7)
+
+
+@st.composite
+def trace_cases(draw):
+    """Disjoint probe supports and random non-Hermitian clusters on n <= 4 sites."""
+    n = draw(st.integers(2, 4))
+    x = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    y = draw(st.sets(st.sampled_from(sorted(set(range(n)) - x)), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def op(sites):
+        d = 2 ** len(sites)
+        return opalg.DenseOperator(
+            tuple(sites), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        )
+
+    z_ops = [op(draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 2)))])
+             for _ in range(draw(st.integers(0, 3)))]
+    return n, op(sorted(x)), op(sorted(y)), z_ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_cases())
+def test_disconnected_trace_matches_kron_oracle(case):
+    n, ox, oy, z_ops = case
+    res = cluster.disconnected_trace(z_ops, ox, oy, n)
+    assert abs(res.value - kron_disconnected_trace(z_ops, ox, oy, n)) <= 1e-12 * res.scale
+    if res.disconnected:
+        assert abs(res.value) <= 1e-12 * res.scale
+
+
+def split_by_assignment(x_sites, y_sites, z_supports):
+    """Brute force: some X-side/Y-side assignment of the Z's has disjoint unions."""
+    for sides in itertools.product((0, 1), repeat=len(z_supports)):
+        left, right = set(x_sites), set(y_sites)
+        for side, z in zip(sides, z_supports):
+            (right if side else left).update(z)
+        if not left & right:
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.sets(st.integers(0, n - 1), min_size=1),
+    st.sets(st.integers(0, n - 1), min_size=1),
+    st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6),
+)))
+def test_supports_split_matches_brute_force(case):
+    x, y, zs = case
+    assert cluster.supports_split(x, y, zs) == split_by_assignment(x, y, zs)
+
+
 def _truncated(n=6, gen="random_two_site", coupling=0.4, seed=7, block_len=2, J=None):
     prof = profiles.finite_range(1) if gen == "ising_zz" else profiles.power_law(3.0)
     h = chain.build_chain(n, gen, prof, coupling=coupling, seed=seed)
@@ -126,22 +202,23 @@ def _truncated(n=6, gen="random_two_site", coupling=0.4, seed=7, block_len=2, J=
 def test_g_operator_trivial_cases():
     htc = _truncated()
     beta = 0.7
-    g0 = cluster.g_operator(htc, cluster.BondSelector(()), beta)
-    assert np.allclose(g0.matrix, opalg.herm_expm(htc.matrix(), beta))
-    zero_bond = np.zeros_like(htc.matrix())
-    g1 = cluster.g_operator(htc, [zero_bond], beta)
-    assert np.max(np.abs(g1.matrix)) < 1e-12
+    h_mat = htc.matrix()
+    g0 = cluster.g_operator(h_mat, [], beta)
+    assert np.allclose(g0, opalg.herm_expm(h_mat, beta))
+    zero_bond = np.zeros_like(h_mat)
+    g1 = cluster.g_operator(h_mat, [zero_bond], beta)
+    assert np.max(np.abs(g1)) < 1e-12
     with pytest.raises(CapExceeded):
-        cluster.g_operator(htc, [zero_bond] * 9, beta, branch_cap=256)
+        cluster.g_operator(h_mat, [zero_bond] * 9, beta, branch_cap=256)
 
 
 def test_g_operator_single_bond_difference():
     htc = _truncated()
     beta = 0.6
     b0 = htc.bond_matrix(0)
-    g = cluster.g_operator(htc, [b0], beta)
+    g = cluster.g_operator(htc.matrix(), [b0], beta)
     expected = opalg.herm_expm(htc.matrix(), beta) - opalg.herm_expm(htc.matrix() - b0, beta)
-    assert np.max(np.abs(g.matrix - expected)) < 1e-12
+    assert np.max(np.abs(g - expected)) < 1e-12
 
 
 def test_g_operator_lambda_vs_nested():
@@ -149,8 +226,8 @@ def test_g_operator_lambda_vs_nested():
     beta = 0.8
     for subset in ((0,), (0, 1), (1, 2)):
         bonds = [htc.bond_matrix(s) for s in subset]
-        a = cluster.g_operator(htc, cluster.BondSelector(subset), beta).matrix
-        b = cluster.g_operator_nested(htc, bonds, beta)
+        a = cluster.g_operator(htc.matrix(), bonds, beta)
+        b = cluster.g_operator_nested(htc.matrix(), bonds, beta)
         assert opalg.opnorm(a - b) <= 1e-12 * max(opalg.opnorm(b), 1.0)
 
 
@@ -173,7 +250,7 @@ def test_g_operator_integral_oracle_single():
         ratio = np.where(np.abs(de) < 1e-12, np.exp(e)[:, None] * np.ones_like(de),
                          (np.exp(e)[:, None] - np.exp(e)[None, :]) / np.where(np.abs(de) < 1e-12, 1.0, de))
         acc += wk * (vecs @ (ratio * bt) @ vecs.conj().T)
-    g = cluster.g_operator(htc, [b], beta).matrix
+    g = cluster.g_operator(h_mat, [b], beta)
     assert opalg.opnorm(g - acc) <= 1e-9 * max(opalg.opnorm(g), 1.0)
 
 
@@ -199,7 +276,7 @@ def test_g_operator_integral_oracle_double():
                 - e(l1 - step, l2 + step) + e(l1 - step, l2 - step)
             ) / (4 * step**2)
             acc += w1 * w2 * mixed
-    g = cluster.g_operator(htc, [b1, b2], beta).matrix
+    g = cluster.g_operator(h_mat, [b1, b2], beta)
     assert opalg.opnorm(g - acc) <= 1e-5 * max(opalg.opnorm(g), 1.0)
 
 
@@ -207,7 +284,7 @@ def test_commuting_factorization():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1)
     beta = 0.9
     bonds = [htc.bond_matrix(s) for s in range(htc.q + 1)]
-    g = cluster.g_operator(htc, cluster.BondSelector(tuple(range(htc.q + 1))), beta).matrix
+    g = cluster.g_operator(htc.matrix(), bonds, beta)
     v_total = htc.matrix() - sum(bonds)
     prod = opalg.herm_expm(v_total, beta)
     dim = prod.shape[0]
@@ -298,9 +375,7 @@ def test_gamma_pair_trivial_and_factorized():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 5)
     beta = 0.7
-    scheme = qbp.filter_quadrature(beta, 1e-9)
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, scheme=scheme, tau_steps=16,
-                             compute_diff=False)
+    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16, compute_diff=False)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the alternating sum reproduces the correlation
     st = opalg.gibbs(htc.matrix(), beta)

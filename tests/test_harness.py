@@ -53,6 +53,33 @@ def test_config_validation_errors():
         load_config(None, overrides={"n": 14}, environ={})  # above dim cap
 
 
+def test_gamma_decay_caps_checked_at_config_time(tmp_path):
+    gamma = {"experiment": "gamma_decay", "half_width": 1, "x_width": 1, "y_width": 1}
+    # m = 6 needs a 14-site chain (dimension 16384) whatever n says
+    with pytest.raises(ConfigError, match="dim_cap"):
+        load_config(None, overrides={**gamma, "m_list": "0,6"}, environ={})
+    # m = 3 needs 8 inclusion-exclusion branches
+    with pytest.raises(ConfigError, match="branch_cap"):
+        load_config(None, overrides={**gamma, "m_list": "0,1,3", "branch_cap": 4}, environ={})
+    cfg = load_config(None, overrides={**gamma, "m_list": "0,1,2", "branch_cap": 4}, environ={})
+    assert cfg.m_list == (0, 1, 2)
+    path = tmp_path / "gamma.cfg"
+    path.write_text("experiment = gamma_decay\nm_list = 0,1,3\nbranch_cap = 4\n")
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+def test_threads_rejected_where_unused():
+    for experiment in ("lr_sweep", "qbp_locality", "truncation_sweep", "gamma_decay",
+                       "acceptance"):
+        with pytest.raises(ConfigError, match="threads"):
+            load_config(None, overrides={"experiment": experiment, "threads": 2}, environ={})
+        assert load_config(None, overrides={"experiment": experiment, "threads": 1},
+                           environ={}).threads == 1
+    cfg = load_config(None, overrides={"experiment": "clustering_sweep", "threads": 2},
+                      environ={})
+    assert cfg.threads == 2
+
+
 def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
     # eps no longer changes any output, so a config that still sets it is rejected
     for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:

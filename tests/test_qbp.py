@@ -102,8 +102,9 @@ def test_scheme_for_other_beta_rejected(scheme1):
     htc = _random_truncated()
     with pytest.raises(ValueError):
         qbp.build_bond_bp(htc, 2, 0.5, scheme=scheme1, tau_steps=4)
-    with pytest.raises(ValueError):
-        qbp.build_bp(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]), 2.0, scheme=scheme1)
+    # build_bond_bp is the one builder that still takes a scheme
+    with pytest.raises(TypeError):
+        qbp.build_bp(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]), 1.0, scheme=scheme1)
     bp = qbp.build_bond_bp(htc, 2, 1.0, scheme=scheme1, tau_steps=4)
     plain = qbp.build_bond_bp(htc, 2, 1.0, tau_steps=4)
     assert np.array_equal(bp.matrix, plain.matrix)
@@ -115,21 +116,21 @@ def _random_truncated(n=6, coupling=0.4, seed=3, block_len=1):
     return chain.truncate(h, [0], [n - 1], block_len)
 
 
-def test_zero_bond_gives_identity(scheme1):
+def test_zero_bond_gives_identity():
     rng = np.random.default_rng(1)
     env = rng.standard_normal((8, 8))
     env = env + env.T
-    bp = qbp.build_bp(env, np.zeros((8, 8)), 1.0, scheme=scheme1)
+    bp = qbp.build_bp(env, np.zeros((8, 8)), 1.0)
     assert np.allclose(bp.matrix, np.eye(8))
     assert bp.reconstruction_residual == 0.0
 
 
-def test_commuting_split_closed_form(scheme1):
+def test_commuting_split_closed_form():
     # commuting environment: the operator must reduce to exp(beta h / 2)
     rng = np.random.default_rng(2)
     env = np.diag(rng.standard_normal(8))
     bond = np.diag(rng.uniform(0.0, 1.0, size=8))
-    bp = qbp.build_bp(env, bond, 1.0, scheme=scheme1, tau_steps=8)
+    bp = qbp.build_bp(env, bond, 1.0, tau_steps=8)
     expected = opalg.herm_expm(bond, 0.5)
     assert np.max(np.abs(bp.matrix - expected)) < 1e-8
     res = qbp.reconstruction_residual(bp.matrix, env, bond, 1.0)
@@ -186,15 +187,15 @@ def test_nonconvergence_raises():
 def test_truncated_full_window_matches_exact(scheme1):
     htc = _random_truncated()
     full = qbp.build_bond_bp(htc, 2, 1.0, scheme=scheme1, tau_steps=8)
-    win = qbp.build_truncated_bp(htc, 2, 10, 1.0, scheme=scheme1, tau_steps=8)
+    win = qbp.build_truncated_bp(htc, 2, 10, 1.0, tau_steps=8)
     assert win.sites == tuple(range(6))
     assert np.max(np.abs(full.matrix - win.matrix)) < 1e-12
 
 
-def test_truncated_bp_support_locality(scheme1):
+def test_truncated_bp_support_locality():
     htc = _random_truncated(n=6)
     s = 1
-    win = qbp.build_truncated_bp(htc, s, 2, 1.0, scheme=scheme1, tau_steps=8)
+    win = qbp.build_truncated_bp(htc, s, 2, 1.0, tau_steps=8)
     assert set(win.sites) <= set(range(6))
     full = win.embedded_matrix(6)
     # acting as identity outside the window: partial trace back recovers it
@@ -257,8 +258,7 @@ def test_bp_chain_identities():
     htc = chain.truncate(h, [0], [5], 1)
     cd = chain.center_decomposition(htc, 2, 1, enforce_cutoff=False)
     beta = 0.8
-    scheme = qbp.filter_quadrature(beta, 1e-9)
-    rep, exact_ops, local_ops = qbp.bp_chain(htc, cd, beta, scheme=scheme, tau_steps=8)
+    rep, exact_ops, local_ops = qbp.bp_chain(htc, cd, beta, tau_steps=8)
     assert rep.exact_diff <= rep.telescoping_bound + 1e-10
 
     # composition: the junction operators reassemble the full Gibbs exponential
@@ -285,5 +285,5 @@ def test_bp_chain_identities():
     assert np.max(np.abs(lhs2 - rhs2)) < 1e-12
 
     theta = qbp.ThetaFunction(2.0, 2.0)
-    rep2, _, _ = qbp.bp_chain(htc, cd, beta, scheme=scheme, tau_steps=8, theta=theta)
+    rep2, _, _ = qbp.bp_chain(htc, cd, beta, tau_steps=8, theta=theta)
     assert rep2.bound is not None and rep2.bound > 0
