@@ -458,11 +458,11 @@ def truncation_error_report(
     op_bound = p.gamma**2 * p.g * h_tc.q * l0**2 * p(l0)
     cond = beta * op_bound
     delta = h_tc.delta_matrix()
-    exact_delta = float(np.max(np.abs(np.linalg.eigvalsh(delta)))) if h_tc.dropped else 0.0
+    exact_delta = opalg.opnorm(delta) if h_tc.dropped else 0.0
 
     e_full = opalg.herm_expm(spectra[0], scale=beta)
     e_trunc = opalg.herm_expm(spectra[1], scale=beta)
-    diff_trace = float(np.sum(np.abs(np.linalg.eigvalsh(e_full - e_trunc))))
+    diff_trace = opalg.opnorm(e_full - e_trunc, kind="trace")
     z = float(np.trace(e_full).real)
 
     ok = cond <= 1.0

@@ -146,6 +146,11 @@ def load_config(path=None, overrides=None, environ=None) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     cfg = ExperimentConfig(**kwargs)
+    if cfg.experiment == "gamma_decay" and "n" in raw:
+        raise ConfigError(
+            "gamma_decay does not read n: each m builds a chain of "
+            "x_width + y_width + 2*half_width*m sites"
+        )
     validate_config(cfg)
     return cfg
 
@@ -156,7 +161,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
-    if 2**cfg.n > cfg.dim_cap:
+    # gamma_decay ignores n; its per-m chains are checked below
+    if cfg.experiment != "gamma_decay" and 2**cfg.n > cfg.dim_cap:
         raise ConfigError(f"dimension {2**cfg.n} exceeds dim_cap {cfg.dim_cap}")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")

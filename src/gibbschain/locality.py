@@ -294,8 +294,11 @@ def lr_certify(
             if j > interior_hi:
                 continue
             b = opalg.embed(opalg.single_site(op, j), n).matrix
-            comm = a_t @ b - b @ a_t
-            exact = float(np.max(np.abs(np.linalg.eigvalsh(1j * comm))))
+            # i[A, B] is Hermitian; built in place, one dim^2 array fewer alive at each step
+            comm = a_t @ b
+            comm -= b @ a_t
+            comm *= 1j
+            exact = float(np.max(np.abs(np.linalg.eigvalsh(comm))))
             bound = lr_envelope(env, t, r)
             rows.append(CertificationRow(t=float(t), r=int(r), exact=exact, envelope=bound))
             if exact > bound + slack * 2.0:

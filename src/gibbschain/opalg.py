@@ -7,6 +7,17 @@ need one operator's exponential at several scales (Gibbs states at several
 beta, evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
 hidden cache; every function is pure.
+
+This module is the one place that knows the total-S^z sector structure of
+qubit chains.  ``sz_sectors`` returns the basis-index blocks of equal
+popcount when the given matrices vanish exactly outside them (XXZ and Ising
+chains, their bonds and everything built from them), and a single block
+otherwise.  ``hermitian_eig`` and ``opnorm`` then work block by block:
+a sum over sectors of C(n,k)^3 flops instead of 2^(3n), about 28x fewer at
+n = 10 (symmetry-resolved exact diagonalization; Sandvik, "Computational
+studies of quantum spin systems", AIP Conf. Proc. 1297, 2010).  Callers
+that diagonalize matrices of their own (``qbp``) take the blocks from
+``sz_sectors`` and reassemble with ``from_blocks``.
 """
 
 from __future__ import annotations
@@ -147,18 +158,72 @@ def partial_trace(mat, keep_sites, n, local_dim=2):
 
 
 # ---------------------------------------------------------------------------
+# total-S^z sectors
+
+
+def sz_sectors(*mats):
+    """Basis-index blocks of total S^z shared by every matrix in ``mats``.
+
+    The blocks are the popcount classes of the basis index (sorted index
+    arrays, ascending popcount) when every matrix is exactly zero between
+    different classes; otherwise, or when the dimension is not a power of
+    2, one block holding every index.  The check scans row chunks, so no
+    dim x dim temporary is formed, and stops at the first entry that
+    breaks the pattern.
+    """
+    dim = mats[0].shape[0]
+    n = dim.bit_length() - 1
+    whole = (np.arange(dim),)
+    # basis state 0 is alone in its sector: a nonzero in its row or column ends the scan
+    if dim < 2 or dim != 1 << n or any(np.any(m[0, 1:]) or np.any(m[1:, 0]) for m in mats):
+        return whole
+    weight = ((np.arange(dim)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    step = max(1, (1 << 16) // dim)  # rows per chunk: ~65k entries scanned at a time
+    for mat in mats:
+        for lo in range(0, dim, step):
+            off = weight[lo : lo + step, None] != weight
+            off &= mat[lo : lo + step] != 0
+            if off.any():
+                return whole
+    return tuple(np.flatnonzero(weight == k) for k in range(n + 1))
+
+
+def sector_block(mat, block):
+    """The diagonal block of ``mat`` on ``block``; ``mat`` itself for the whole space."""
+    return mat if len(block) == mat.shape[0] else mat[np.ix_(block, block)]
+
+
+def from_blocks(blocks, mats):
+    """Dense matrix with ``mats[k]`` on the diagonal block ``blocks[k]``, zero elsewhere.
+
+    A single block covering the space is returned as it is.
+    """
+    if len(blocks) == 1:
+        return mats[0]
+    dim = sum(len(b) for b in blocks)
+    out = np.zeros((dim, dim), np.result_type(*mats))
+    for block, mat in zip(blocks, mats):
+        out[np.ix_(block, block)] = mat
+    return out
+
+
+# ---------------------------------------------------------------------------
 # eigendecomposition
 
 
 class Spectrum(NamedTuple):
-    """Ascending eigenvalues and orthonormal eigenvectors (columns), read-only."""
+    """Eigenvalues and orthonormal eigenvectors (columns), read-only.
+
+    From ``spectrum`` the eigenvalues ascend; from ``hermitian_eig`` they
+    ascend within each S^z sector, and no caller relies on a global order.
+    """
 
     evals: np.ndarray
     vecs: np.ndarray
 
 
 def spectrum(mat) -> Spectrum:
-    """Eigendecomposition of a matrix that is Hermitian by construction (unchecked)."""
+    """One eigendecomposition of a matrix Hermitian by construction (unchecked)."""
     # real symmetric input stays in the real path; it is ~4x faster
     if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
         mat = mat.real
@@ -169,10 +234,26 @@ def spectrum(mat) -> Spectrum:
 
 
 def hermitian_eig(mat) -> Spectrum:
-    """Eigendecomposition of a caller's Hermitian matrix (checked)."""
+    """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
+
+    Each S^z block is diagonalized on its own and its eigenvectors are
+    written into one dense output, eigenvalue k belonging to column k.
+    """
     mat = np.asarray(mat)
     require_hermitian(mat)
-    return spectrum(mat)
+    blocks = sz_sectors(mat)
+    if len(blocks) == 1:
+        return spectrum(mat)
+    evals = np.empty(mat.shape[0])
+    vecs = np.zeros(mat.shape, complex if np.iscomplexobj(mat) and np.any(mat.imag) else float)
+    for block in blocks:
+        # each block's arrays are freed before the next is formed
+        part = spectrum(sector_block(mat, block))
+        evals[block] = part.evals
+        vecs[np.ix_(block, block)] = part.vecs
+    evals.setflags(write=False)
+    vecs.setflags(write=False)
+    return Spectrum(evals, vecs)
 
 
 def _spectrum_of(a) -> Spectrum:
@@ -189,21 +270,34 @@ def herm_expm(a, scale=1.0):
 # norms, Gibbs states, evolution, correlations
 
 
+def _spectral_norm(mat):
+    if herm_defect(mat) <= HERM_TOL:
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    # sqrt of the top eigenvalue of A^dag A; cheaper than a full SVD here
+    gram = mat.conj().T @ mat
+    top = float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+    return math.sqrt(max(top, 0.0))
+
+
+def _trace_norm(mat):
+    if herm_defect(mat) <= HERM_TOL:
+        return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+
+
 def opnorm(op, kind="spectral"):
-    """Spectral norm (largest singular value) or trace norm (their sum)."""
+    """Spectral norm (largest singular value) or trace norm (their sum).
+
+    Over S^z blocks the spectral norm is the largest block norm and the
+    trace norm the sum of block norms.
+    """
     mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
+    if kind not in ("spectral", "trace"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    blocks = sz_sectors(mat)
     if kind == "spectral":
-        if herm_defect(mat) <= HERM_TOL:
-            return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-        # sqrt of the top eigenvalue of A^dag A; cheaper than a full SVD here
-        gram = mat.conj().T @ mat
-        top = float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
-        return math.sqrt(max(top, 0.0))
-    if kind == "trace":
-        if herm_defect(mat) <= HERM_TOL:
-            return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
-        return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+        return max(_spectral_norm(sector_block(mat, b)) for b in blocks)
+    return sum(_trace_norm(sector_block(mat, b)) for b in blocks)
 
 
 @dataclass(frozen=True)

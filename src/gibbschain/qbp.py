@@ -30,6 +30,12 @@ case.  ``filter_quadrature`` discretizes the t-integral by Gauss panels
 normalization and first moment, and its node sum is the independent check
 of F.
 
+Every matrix of the construction (H(tau), phi, their exponentials, Phi)
+commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
+therefore runs the sweep on each total-S^z block that ``opalg.sz_sectors``
+finds for the split and assembles Phi from the blocks; chains without the
+symmetry (random two-site terms) are the single-block case of the same loop.
+
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
 error is certified against a fully explicit envelope.
@@ -286,18 +292,26 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
     return list(zip(us, phi_max))
 
 
-def _residual(phi_mat, env_spectrum, full_spectrum, beta):
-    e_env = opalg.herm_expm(env_spectrum, beta)
-    e_full = opalg.herm_expm(full_spectrum, beta)
-    diff = phi_mat @ e_env @ phi_mat.conj().T - e_full
-    return float(opalg.opnorm(diff) / opalg.opnorm(e_full))
+def _residual(phis, spectra, beta):
+    """Relative reconstruction residual from per-sector Phi blocks and spectra.
+
+    ``spectra`` holds one (H_env spectrum, H spectrum) pair per block; the
+    norms of block-diagonal matrices are maxima over the blocks.
+    """
+    diff = scale = 0.0
+    for phi, (env_spectrum, full_spectrum) in zip(phis, spectra):
+        e_full = opalg.herm_expm(full_spectrum, beta)
+        d = phi @ opalg.herm_expm(env_spectrum, beta) @ phi.conj().T - e_full
+        diff = max(diff, opalg.opnorm(d))
+        scale = max(scale, opalg.opnorm(e_full))
+    return float(diff / scale)
 
 
 def reconstruction_residual(phi_mat, h_env, h_bond, beta):
     """|| Phi e^{beta H_env} Phi^dag - e^{beta H} || / || e^{beta H} ||."""
     h_env = np.asarray(h_env)
-    return _residual(phi_mat, opalg.hermitian_eig(h_env),
-                     opalg.hermitian_eig(h_env + h_bond), beta)
+    spectra = (opalg.hermitian_eig(h_env), opalg.hermitian_eig(h_env + h_bond))
+    return _residual([phi_mat], [spectra], beta)
 
 
 def build_bp_sweep(
@@ -307,22 +321,28 @@ def build_bp_sweep(
     """Belief propagation operators of the split H = H_env + h_bond, one per beta.
 
     h_env and h_bond are Hermitian matrices on a common space (checked).
+    Every matrix of the construction commutes with a symmetry shared by
+    H_env and the bond, so the build runs on each S^z block of
+    ``opalg.sz_sectors(h_env, h_bond)`` and writes the blocks of Phi into
+    one dense matrix (a chain without the symmetry is the one-block case).
     The spectra of the interpolation H(tau) do not depend on beta, so a
     single tau sweep builds every beta; phi is filtered by the closed-form
     transfer function.  With a residual_gate, the reconstruction residual is
-    computed (from H_env and H spectra shared across beta) and the betas
-    above the gate are rebuilt with doubled tau_steps; NonConvergence is
-    raised when refinements are exhausted.  Without a gate the residual is
-    left uncomputed (callers doing difference certifications do not need
+    computed (from per-block H_env and H spectra shared across beta) and the
+    betas above the gate are rebuilt with doubled tau_steps; NonConvergence
+    is raised when refinements are exhausted.  Without a gate the residual
+    is left uncomputed (callers doing difference certifications do not need
     it).  Each operator equals, bit for bit, a one-beta build.
     """
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
     opalg.require_hermitian(h_env, "environment")
     opalg.require_hermitian(h_bond, "bond")
-    bond_norm = _spectral_norm(h_bond) if np.any(h_bond) else 0.0
     n_sites = int(round(math.log(h_env.shape[0], local_dim)))
     sites = tuple(range(n_sites)) if sites is None else tuple(sites)
+    blocks = opalg.sz_sectors(h_env, h_bond)
+    parts = [(opalg.sector_block(h_env, b), opalg.sector_block(h_bond, b)) for b in blocks]
+    bond_norm = max(_spectral_norm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
@@ -337,21 +357,24 @@ def build_bp_sweep(
 
     spectra = None
     if residual_gate is not None:
-        spectra = (opalg.spectrum(h_env), opalg.spectrum(h_env + h_bond))
+        spectra = [(opalg.spectrum(he), opalg.spectrum(he + hb)) for he, hb in parts]
     out = [None] * len(betas)
     pending = list(range(len(betas)))
     steps = tau_steps
     for _ in range(max_refinements + 1):
-        built = _ordered_exponentials(h_env, h_bond, [betas[i] for i in pending], steps, integrator)
+        built = [_ordered_exponentials(he, hb, [betas[i] for i in pending], steps, integrator)
+                 for he, hb in parts]
         failed = []
-        for i, (u, phi_max) in zip(pending, built):
+        for k, i in enumerate(pending):
+            us = [per_block[k][0] for per_block in built]
+            phi_max = max(per_block[k][1] for per_block in built)
             residual = None
             if spectra is not None:
-                residual = _residual(u, *spectra, betas[i])
+                residual = _residual(us, spectra, betas[i])
                 if residual > residual_gate:
                     failed.append((i, residual))
                     continue
-            out[i] = record(betas[i], u, steps, phi_max, residual)
+            out[i] = record(betas[i], opalg.from_blocks(blocks, us), steps, phi_max, residual)
         if not failed:
             return tuple(out)
         pending = [i for i, _ in failed]

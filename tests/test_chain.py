@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbschain import chain, opalg, profiles
 from gibbschain.errors import (
@@ -222,3 +224,30 @@ def test_center_decomposition_single_block():
     assert cd.blocks[1] == tuple(range(1, 15))
     bundle = cd.bond_bundles[0]
     assert all(t.crosses(7) for t in bundle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(5, 9),
+    st.sampled_from(["ising_zz", "heisenberg_xxz", "random_two_site"]),
+    st.sampled_from([profiles.power_law(3.0), profiles.exponential(0.7),
+                     profiles.finite_range(2)]),
+    st.data(),
+)
+def test_truncate_idempotent_property(n, gen, profile, data):
+    # truncating a truncated chain on the same partition drops nothing more
+    h = chain.build_chain(n, gen, profile, coupling=0.5, seed=data.draw(st.integers(0, 99)))
+    partitions = [
+        (nx, ny, l0)
+        for nx in (1, 2) for ny in (1, 2) for l0 in (1, 2, 3)
+        if (n - nx - ny) % l0 == 0 and (n - nx - ny) // l0 >= 2
+        and ((n - nx - ny) // l0) % 2 == 0
+    ]
+    nx, ny, l0 = data.draw(st.sampled_from(partitions))
+    x, y = range(nx), range(n - ny, n)
+    htc = chain.truncate(h, x, y, l0)
+    again = chain.truncate(htc.as_chain(), x, y, l0)
+    assert again.dropped == ()
+    assert again.blocks == htc.blocks
+    assert again.v_terms == htc.v_terms and again.h_terms == htc.h_terms
+    assert np.array_equal(again.matrix(), htc.matrix())

@@ -68,6 +68,25 @@ def test_gamma_decay_caps_checked_at_config_time(tmp_path):
     assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
 
 
+def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    gamma = {"experiment": "gamma_decay", "m_list": "0,1", "dim_cap": "64"}
+    # the default n = 10 would exceed dim_cap = 64, but gamma_decay never builds it
+    cfg = load_config(None, overrides=gamma, environ={})
+    assert cfg.dim_cap == 64
+    # n changes nothing for gamma_decay, so setting it is a config error
+    for n in ("6", "14"):
+        with pytest.raises(ConfigError, match="gamma_decay does not read n"):
+            load_config(None, overrides={**gamma, "n": n}, environ={})
+        with pytest.raises(ConfigError, match="gamma_decay does not read n"):
+            load_config(None, overrides=gamma, environ={"GIBBSCHAIN_N": n})
+    path = tmp_path / "gamma.cfg"
+    path.write_text("experiment = gamma_decay\nn = 14\nm_list = 0,1\n")
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_rejected_where_unused():
     for experiment in ("lr_sweep", "qbp_locality", "truncation_sweep", "gamma_decay",
                        "acceptance"):
@@ -178,6 +197,24 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text("experiment = not_an_experiment\n")
     assert cli.main(["run", str(bad)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("generator", ["ising_zz", "heisenberg_xxz", "random_two_site"])
+def test_fast_z_correlations_match_dense_correlation(generator):
+    from gibbschain import chain, opalg, profiles
+    from gibbschain.experiments import _fast_z_correlations
+
+    n = 6
+    h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.7, seed=2)
+    state = opalg.gibbs(h.matrix(), 0.9)
+    for x in (0, 2):
+        partners = [y for y in range(n) if y != x]
+        fast = _fast_z_correlations(state.rho.matrix, x, partners, n)
+        zx = opalg.single_site(opalg.pauli("z"), x)
+        for y, value in zip(partners, fast):
+            zy = opalg.single_site(opalg.pauli("z"), y)
+            assert value == pytest.approx(opalg.correlation(state, zx, zy).real,
+                                          rel=1e-12, abs=1e-15)
 
 
 def test_determinism_same_seed(tmp_path):

@@ -254,3 +254,99 @@ def test_golden_thompson():
         lhs = np.trace(opalg.herm_expm(a + b)).real
         rhs = np.trace(opalg.herm_expm(a) @ opalg.herm_expm(b)).real
         assert lhs <= rhs * (1 + 1e-12)
+
+
+def _popcount(dim):
+    return np.array([bin(i).count("1") for i in range(dim)])
+
+
+@st.composite
+def sz_conserving(draw, hermitian=True):
+    """A random matrix that vanishes between different popcount sectors, n <= 6."""
+    n = draw(st.integers(1, 6))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    mat = rng.standard_normal((dim, dim))
+    if is_complex:
+        mat = mat + 1j * rng.standard_normal((dim, dim))
+    if hermitian:
+        mat = 0.5 * (mat + mat.conj().T)
+    weight = _popcount(dim)
+    mat[weight[:, None] != weight[None, :]] = 0.0
+    return n, mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(sz_conserving())
+def test_hermitian_eig_by_sector_reconstructs(case):
+    n, mat = case
+    blocks = opalg.sz_sectors(mat)
+    assert [len(b) for b in blocks] == [math.comb(n, k) for k in range(n + 1)]
+    assert all(np.all(_popcount(2**n)[b] == k) for k, b in enumerate(blocks))
+    evals, vecs = spec = opalg.hermitian_eig(mat)
+    assert not evals.flags.writeable and not vecs.flags.writeable
+    with pytest.raises(ValueError):
+        spec.evals[0] = 1.0
+    scale = max(1.0, float(np.abs(mat).max()))
+    assert np.max(np.abs((vecs * evals) @ vecs.conj().T - mat)) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) <= 1e-12
+    assert np.allclose(np.sort(evals), np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
+    # eigenvalues ascend within each sector
+    assert all(np.all(np.diff(evals[b]) >= 0) for b in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sz_conserving(), sz_conserving(hermitian=False)))
+def test_opnorm_by_sector_matches_dense(case):
+    _, mat = case
+    assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
+    assert opalg.opnorm(mat, kind="trace") == pytest.approx(
+        np.linalg.norm(mat, "nuc"), rel=1e-12, abs=1e-14
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sz_conserving(), st.data())
+def test_one_entry_off_the_sectors_gives_one_block(case, data):
+    n, mat = case
+    weight = _popcount(2**n)
+    i = data.draw(st.integers(0, 2**n - 1))
+    j = data.draw(st.sampled_from(np.flatnonzero(weight != weight[i]).tolist()))
+    mat = mat.copy()
+    mat[i, j] = mat[j, i] = 1e-300
+    blocks = opalg.sz_sectors(mat)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(2**n))
+    # the same eigendecomposition as one dense eigh
+    assert np.array_equal(opalg.hermitian_eig(mat).vecs, opalg.spectrum(mat).vecs)
+    # a sector-conserving partner does not restore the blocks
+    assert len(opalg.sz_sectors(np.eye(2**n), mat)) == 1
+
+
+def test_sz_sectors_single_block_cases():
+    # a dimension that is not a power of 2 is never split
+    assert len(opalg.sz_sectors(np.eye(6))) == 1
+    assert len(opalg.sz_sectors(np.eye(1))) == 1
+    # one block: the matrix itself, no copy
+    a = np.ones((8, 8))
+    (block,) = opalg.sz_sectors(a)
+    assert opalg.sector_block(a, block) is a
+    assert opalg.from_blocks((block,), [a]) is a
+    # a diagonal matrix splits into n + 1 sectors
+    assert [len(b) for b in opalg.sz_sectors(np.diag(np.arange(8.0)))] == [1, 3, 3, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_herm_expm_matches_scipy_expm(n, is_complex, scale, seed):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    a = rng.standard_normal((dim, dim))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    a = 0.5 * (a + a.conj().T)
+    expected = expm(scale * a)
+    got = opalg.herm_expm(a, scale)
+    assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))

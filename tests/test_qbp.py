@@ -287,3 +287,32 @@ def test_bp_chain_identities():
     theta = qbp.ThetaFunction(2.0, 2.0)
     rep2, _, _ = qbp.bp_chain(htc, cd, beta, tau_steps=8, theta=theta)
     assert rep2.bound is not None and rep2.bound > 0
+
+
+def _one_block(*mats):
+    return (np.arange(mats[0].shape[0]),)
+
+
+@pytest.mark.parametrize("n, integrator, gate", [
+    (8, "midpoint", None), (8, "cf4", None), (8, "midpoint", 1e-3), (8, "cf4", 1e-6),
+    (10, "midpoint", None),
+])
+def test_sector_build_matches_dense_build(n, integrator, gate, monkeypatch):
+    # XXZ conserves total S^z: the build runs on n + 1 blocks; one block is the dense path
+    h = chain.build_chain(n, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
+    htc = chain.truncate(h, [0], [n - 1], 1)
+    env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[1][-1], tuple(range(n)))
+    assert len(opalg.sz_sectors(env, bond)) == n + 1
+    betas = (0.5, 1.0, 2.0)
+    kw = dict(tau_steps=2, integrator=integrator, residual_gate=gate)
+    sector = qbp.bond_sweep(htc, 1, betas, **kw)
+    monkeypatch.setattr(opalg, "sz_sectors", _one_block)
+    dense = qbp.bond_sweep(htc, 1, betas, **kw)
+    for a, b in zip(sector, dense):
+        scale = max(1.0, float(np.abs(b.matrix).max()))
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12 * scale
+        assert a.tau_steps == b.tau_steps
+        assert a.phi_norm_max == pytest.approx(b.phi_norm_max, rel=1e-12)
+        assert a.bond_norm == pytest.approx(b.bond_norm, rel=1e-12)
+        if gate is not None:
+            assert abs(a.reconstruction_residual - b.reconstruction_residual) <= 1e-12
