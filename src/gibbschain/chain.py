@@ -28,7 +28,6 @@ from .errors import (
     GeometryError,
     InvalidSpec,
     Overlap,
-    OutOfRange,
 )
 from .profiles import DecayProfile, measure_gamma
 
@@ -47,10 +46,6 @@ class LocalTerm:
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "norm", float(np.max(np.abs(np.linalg.eigvalsh(self.matrix)))))
-
-    @property
-    def diameter(self):
-        return max(self.sites) - min(self.sites)
 
     def crosses(self, cut):
         """True if the support straddles the bond between sites cut, cut+1."""
@@ -135,9 +130,6 @@ class ChainHamiltonian:
             space = sites if subspace else range(self.n)
             self._matrix_cache[key] = _read_only(terms_matrix(inside, space, self.local_dim))
         return self._matrix_cache[key]
-
-    def one_site_energy(self, i):
-        return sum(t.norm for t in self.terms if i in t.sites)
 
     def replace_terms(self, terms):
         return ChainHamiltonian(
@@ -240,16 +232,6 @@ def build_chain(
     return chain
 
 
-def coupling_strength(h: ChainHamiltonian, i, j):
-    """Summed norm of all terms containing both sites."""
-    if i == j:
-        raise Overlap("coupling strength needs two distinct sites")
-    for s in (i, j):
-        if s < 0 or s >= h.n:
-            raise OutOfRange(f"site {s} outside 0..{h.n - 1}")
-    return sum(t.norm for t in h.terms if i in t.sites and j in t.sites)
-
-
 # ---------------------------------------------------------------------------
 # block interaction norms
 
@@ -322,10 +304,6 @@ class TruncatedHamiltonian:
         """Uniform bound g * gamma^2 * jbar(1) on every boundary bundle."""
         p = self.base.profile
         return p.g * p.gamma**2 * p(1)
-
-    @property
-    def interaction_length(self):
-        return 2 * self.block_len
 
     @property
     def kept_terms(self):

@@ -8,20 +8,20 @@ beta, evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
 hidden cache; every function is pure.
 
-This module is the one place that knows the total-S^z sector structure of
-qubit chains.  ``sz_sectors`` returns the basis-index blocks of equal
-popcount when the given matrices vanish exactly outside them (XXZ and Ising
-chains, their bonds and everything built from them), and a single block
-otherwise.  ``hermitian_eig`` and ``opnorm`` then work block by block:
-a sum over sectors of C(n,k)^3 flops instead of 2^(3n), about 28x fewer at
-n = 10 (symmetry-resolved exact diagonalization; Sandvik, "Computational
-studies of quantum spin systems", AIP Conf. Proc. 1297, 2010).  Callers
-that diagonalize matrices of their own (``qbp``) take the blocks from
-``sz_sectors`` and reassemble with ``from_blocks``.
+This module is the one place that knows the symmetry sectors of qubit
+chains.  ``sectors`` reads them from the exact zero pattern: the popcount
+classes (total S^z: XXZ and Ising chains and all built from them), else the
+two popcount-parity classes (Z2: sigma_x probe commutators on those chains),
+else one block.  ``hermitian_eig`` and ``opnorm`` work block by block, a sum
+of C(n,k)^3 flops instead of 2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf.
+Proc. 1297, 2010), and ``herm_expm``, ``gibbs`` and ``evolve`` form
+V f(E) V^dag block by block when V is block-diagonal.  Callers with matrices
+of their own (``qbp``) take ``sectors`` and reassemble with ``from_blocks``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -158,34 +158,49 @@ def partial_trace(mat, keep_sites, n, local_dim=2):
 
 
 # ---------------------------------------------------------------------------
-# total-S^z sectors
+# symmetry sectors
 
 
-def sz_sectors(*mats):
-    """Basis-index blocks of total S^z shared by every matrix in ``mats``.
+@functools.lru_cache(maxsize=None)
+def _sector_labels(n):
+    """Popcount and its parity for every n-bit basis index, each with the
+    indices whose label differs from index 0's (never written)."""
+    weight = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return tuple((label, np.flatnonzero(label)) for label in (weight, weight & 1))
 
-    The blocks are the popcount classes of the basis index (sorted index
-    arrays, ascending popcount) when every matrix is exactly zero between
-    different classes; otherwise, or when the dimension is not a power of
-    2, one block holding every index.  The check scans row chunks, so no
-    dim x dim temporary is formed, and stops at the first entry that
-    breaks the pattern.
+
+def _respects(mats, label):
+    """True when every matrix is exactly zero between basis states of different
+    ``label``; row chunks of ~65k entries are scanned up to the first break."""
+    step = max(1, (1 << 16) // len(label))
+    for mat in mats:
+        for lo in range(0, len(label), step):
+            bad = label[lo : lo + step, None] != label
+            bad &= mat[lo : lo + step] != 0
+            if bad.any():
+                return False
+    return True
+
+
+def sectors(*mats):
+    """Basis-index blocks shared by every matrix in ``mats``.
+
+    The popcount classes (ascending) when every matrix is exactly zero
+    between them, else the even and odd popcount classes, else (also when
+    the dimension is not a power of 2) one block: sorted index arrays.
     """
     dim = mats[0].shape[0]
     n = dim.bit_length() - 1
-    whole = (np.arange(dim),)
-    # basis state 0 is alone in its sector: a nonzero in its row or column ends the scan
-    if dim < 2 or dim != 1 << n or any(np.any(m[0, 1:]) or np.any(m[1:, 0]) for m in mats):
-        return whole
-    weight = ((np.arange(dim)[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    step = max(1, (1 << 16) // dim)  # rows per chunk: ~65k entries scanned at a time
-    for mat in mats:
-        for lo in range(0, dim, step):
-            off = weight[lo : lo + step, None] != weight
-            off &= mat[lo : lo + step] != 0
-            if off.any():
-                return whole
-    return tuple(np.flatnonzero(weight == k) for k in range(n + 1))
+    if dim > 1 and dim == 1 << n:
+        # row and column 0 first: they reject unstructured input without a scan
+        edge = np.zeros(dim, bool)
+        for m in mats:
+            edge |= m[0] != 0
+            edge |= m[:, 0] != 0
+        for label, off0 in _sector_labels(n):
+            if not edge[off0].any() and _respects(mats, label):
+                return tuple(np.flatnonzero(label == k) for k in range(label.max() + 1))
+    return (np.arange(dim),)
 
 
 def sector_block(mat, block):
@@ -215,7 +230,7 @@ class Spectrum(NamedTuple):
     """Eigenvalues and orthonormal eigenvectors (columns), read-only.
 
     From ``spectrum`` the eigenvalues ascend; from ``hermitian_eig`` they
-    ascend within each S^z sector, and no caller relies on a global order.
+    ascend within each sector, and no caller relies on a global order.
     """
 
     evals: np.ndarray
@@ -236,21 +251,19 @@ def spectrum(mat) -> Spectrum:
 def hermitian_eig(mat) -> Spectrum:
     """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
 
-    Each S^z block is diagonalized on its own and its eigenvectors are
-    written into one dense output, eigenvalue k belonging to column k.
+    Each block of ``sectors`` is diagonalized on its own; eigenvalue k
+    belongs to column k of the dense, block-diagonal vecs.
     """
     mat = np.asarray(mat)
     require_hermitian(mat)
-    blocks = sz_sectors(mat)
+    blocks = sectors(mat)
     if len(blocks) == 1:
         return spectrum(mat)
+    parts = [spectrum(sector_block(mat, b)) for b in blocks]
     evals = np.empty(mat.shape[0])
-    vecs = np.zeros(mat.shape, complex if np.iscomplexobj(mat) and np.any(mat.imag) else float)
-    for block in blocks:
-        # each block's arrays are freed before the next is formed
-        part = spectrum(sector_block(mat, block))
+    for block, part in zip(blocks, parts):
         evals[block] = part.evals
-        vecs[np.ix_(block, block)] = part.vecs
+    vecs = from_blocks(blocks, [part.vecs for part in parts])
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(evals, vecs)
@@ -260,10 +273,17 @@ def _spectrum_of(a) -> Spectrum:
     return a if isinstance(a, Spectrum) else hermitian_eig(a)
 
 
+def _block_sandwiches(spec, weights):
+    """The sectors of ``spec.vecs`` and V diag(weights) V^dag on each of them."""
+    blocks = sectors(spec.vecs)
+    vs = [sector_block(spec.vecs, b) for b in blocks]
+    return blocks, [(v * weights[b]) @ v.conj().T for v, b in zip(vs, blocks)]
+
+
 def herm_expm(a, scale=1.0):
     """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
-    evals, vecs = _spectrum_of(a)
-    return (vecs * np.exp(scale * evals)) @ vecs.conj().T
+    spec = _spectrum_of(a)
+    return from_blocks(*_block_sandwiches(spec, np.exp(scale * spec.evals)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +308,13 @@ def _trace_norm(mat):
 def opnorm(op, kind="spectral"):
     """Spectral norm (largest singular value) or trace norm (their sum).
 
-    Over S^z blocks the spectral norm is the largest block norm and the
-    trace norm the sum of block norms.
+    Over the blocks of ``sectors`` the spectral norm is the largest block
+    norm and the trace norm the sum of block norms.
     """
     mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
     if kind not in ("spectral", "trace"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    blocks = sz_sectors(mat)
+    blocks = sectors(mat)
     if kind == "spectral":
         return max(_spectral_norm(sector_block(mat, b)) for b in blocks)
     return sum(_trace_norm(sector_block(mat, b)) for b in blocks)
@@ -321,11 +341,11 @@ def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
         n = int(round(np.log(dim) / np.log(local_dim)))
     if dim > dim_cap:
         raise DimensionCap(f"dimension {dim} exceeds cap {dim_cap}")
-    evals, vecs = _spectrum_of(h)
-    m = beta * evals
+    spec = _spectrum_of(h)
+    m = beta * spec.evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))
-    rho = (vecs * np.exp(m - logz)) @ vecs.conj().T
+    rho = from_blocks(*_block_sandwiches(spec, np.exp(m - logz)))
     rho = 0.5 * (rho + rho.conj().T)
     return GibbsState(beta=float(beta), rho=DenseOperator(tuple(range(n)), rho, local_dim), logZ=float(logz))
 
@@ -333,15 +353,27 @@ def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
 def evolve(op, generator, t):
     """Heisenberg evolution exp(iGt) O exp(-iGt) on a common full space.
 
-    The operator is a matrix; the generator is a Hermitian matrix or a Spectrum.
+    O is a matrix, G a Hermitian matrix or a Spectrum; t = 0 returns O as a
+    complex copy.  Over the sectors of a block-diagonal V, U acts block by
+    block on both sides of O; block pairs where O vanishes stay zero.
     """
     o_mat = np.asarray(op)
     g_shape = generator.vecs.shape if isinstance(generator, Spectrum) else np.shape(generator)
     if o_mat.shape != g_shape:
         raise SupportMismatch("operator and generator must share a space; embed first")
-    evals, vecs = _spectrum_of(generator)
-    u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
-    return u @ o_mat @ u.conj().T
+    spec = _spectrum_of(generator)
+    if t == 0:
+        return o_mat.astype(complex)
+    blocks, us = _block_sandwiches(spec, np.exp(1j * spec.evals * t))
+    if len(blocks) == 1:
+        return us[0] @ o_mat @ us[0].conj().T
+    out = np.zeros(o_mat.shape, complex)
+    for bi, ui in zip(blocks, us):
+        left = ui @ o_mat[bi]
+        for bj, uj in zip(blocks, us):
+            if np.any(left[:, bj]):
+                out[np.ix_(bi, bj)] = left[:, bj] @ uj.conj().T
+    return out
 
 
 def correlation(state: GibbsState, o_x: DenseOperator, o_y: DenseOperator) -> complex:

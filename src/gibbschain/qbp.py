@@ -32,7 +32,7 @@ of F.
 
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
-therefore runs the sweep on each total-S^z block that ``opalg.sz_sectors``
+therefore runs the sweep on each sector block that ``opalg.sectors``
 finds for the split and assembles Phi from the blocks; chains without the
 symmetry (random two-site terms) are the single-block case of the same loop.
 
@@ -56,29 +56,12 @@ from .errors import (
     GeometryError,
     NonConvergence,
     PreconditionViolated,
-    SingularPoint,
     ToleranceUnreachable,
 )
 from .locality import LRParams, convolution_constant
 
 # first absolute moment of the filter is FILTER_FIRST_MOMENT * beta
 FILTER_FIRST_MOMENT = 7.0 * zeta(3) / math.pi**3
-
-
-def filter_value(beta, t):
-    """Filter kernel value and its exponential tail majorant at time t.
-
-    Returns (value, tail_bound) with tail_bound = (4/(pi beta))/(e^{pi|t|/beta}-1),
-    which dominates the value for every t != 0.
-    """
-    t = float(t)
-    if t == 0.0:
-        raise SingularPoint("filter kernel diverges (integrably) at t = 0")
-    x = math.pi * abs(t) / beta
-    em1 = math.expm1(x)
-    value = (2.0 / (math.pi * beta)) * math.log1p(2.0 / em1)
-    tail = (4.0 / (math.pi * beta)) / em1
-    return value, tail
 
 
 def _filter_values(beta, ts):
@@ -322,8 +305,8 @@ def build_bp_sweep(
 
     h_env and h_bond are Hermitian matrices on a common space (checked).
     Every matrix of the construction commutes with a symmetry shared by
-    H_env and the bond, so the build runs on each S^z block of
-    ``opalg.sz_sectors(h_env, h_bond)`` and writes the blocks of Phi into
+    H_env and the bond, so the build runs on each block of
+    ``opalg.sectors(h_env, h_bond)`` and writes the blocks of Phi into
     one dense matrix (a chain without the symmetry is the one-block case).
     The spectra of the interpolation H(tau) do not depend on beta, so a
     single tau sweep builds every beta; phi is filtered by the closed-form
@@ -340,7 +323,7 @@ def build_bp_sweep(
     opalg.require_hermitian(h_bond, "bond")
     n_sites = int(round(math.log(h_env.shape[0], local_dim)))
     sites = tuple(range(n_sites)) if sites is None else tuple(sites)
-    blocks = opalg.sz_sectors(h_env, h_bond)
+    blocks = opalg.sectors(h_env, h_bond)
     parts = [(opalg.sector_block(h_env, b), opalg.sector_block(h_bond, b)) for b in blocks]
     bond_norm = max(_spectral_norm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
 
@@ -456,12 +439,6 @@ def _window_around(h_tc: TruncatedHamiltonian, s, r):
     """The bond cut of bundle s and the window of radius r around it."""
     cut = h_tc.blocks[s][-1]
     return cut, tuple(range(max(0, cut - r), min(h_tc.n - 1, cut + r) + 1))
-
-
-def build_truncated_bp(h_tc: TruncatedHamiltonian, s, r, beta, **kw) -> BPOperator:
-    """Window-truncated BP operator for boundary bundle s, window radius r."""
-    cut, window = _window_around(h_tc, s, r)
-    return replace(build_bp_localized(h_tc, cut, window, beta, **kw), bond_index=s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""Reference oracles and one-point wrappers used only by the tests, kept out of the library."""
+
+import math
+from dataclasses import replace
+
+from gibbschain import qbp
+from gibbschain.errors import OutOfRange, Overlap, SingularPoint
+
+
+def coupling_strength(h, i, j):
+    """Summed norm of all terms of chain ``h`` containing both sites."""
+    if i == j:
+        raise Overlap("coupling strength needs two distinct sites")
+    for s in (i, j):
+        if s < 0 or s >= h.n:
+            raise OutOfRange(f"site {s} outside 0..{h.n - 1}")
+    return sum(t.norm for t in h.terms if i in t.sites and j in t.sites)
+
+
+def filter_value(beta, t):
+    """Filter kernel value and its exponential tail majorant at time t.
+
+    Returns (value, tail_bound) with tail_bound = (4/(pi beta))/(e^{pi|t|/beta}-1),
+    which dominates the value for every t != 0.
+    """
+    t = float(t)
+    if t == 0.0:
+        raise SingularPoint("filter kernel diverges (integrably) at t = 0")
+    x = math.pi * abs(t) / beta
+    em1 = math.expm1(x)
+    value = (2.0 / (math.pi * beta)) * math.log1p(2.0 / em1)
+    tail = (4.0 / (math.pi * beta)) / em1
+    return value, tail
+
+
+def build_truncated_bp(h_tc, s, r, beta, **kw):
+    """Window-truncated BP operator for boundary bundle s, window radius r."""
+    cut, window = qbp._window_around(h_tc, s, r)
+    return replace(qbp.build_bp_localized(h_tc, cut, window, beta, **kw), bond_index=s)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbschain import chain, locality, opalg, profiles
 from gibbschain.errors import MissingParam, SubsetViolation
@@ -87,10 +89,9 @@ def test_truncated_envelope_modes():
 
 def test_exact_commutator_trivial_cases():
     h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("x"), 4)
-    assert locality.exact_commutator_norm(ox, oy, h, 0.0) < 1e-14
-    assert locality.exact_commutator_norm(ox, oy, np.zeros((64, 64)), 1.3) < 1e-14
+    ox = opalg.embed(opalg.single_site(opalg.pauli("x"), 0), 6).matrix
+    for gen, t in ((h.matrix(), 0.0), (np.zeros((64, 64)), 1.3)):
+        assert locality.commutator_norm(opalg.evolve(ox, gen, t), "x", 4, 6) < 1e-14
 
 
 def test_certification_no_violations_small():
@@ -135,3 +136,72 @@ def test_truncated_envelope_monotone():
     assert all(a <= b + 1e-15 for a, b in zip(vals_t, vals_t[1:]))
     vals_r = [locality.lr_envelope(env, 0.5, r) for r in range(1, 9)]
     assert all(a >= b - 1e-15 for a, b in zip(vals_r, vals_r[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.sampled_from("xyz"), st.data())
+def test_pauli_commutator_equals_dense_products(n, is_complex, probe, data):
+    site = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    a = rng.standard_normal((dim, dim))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    a = 0.5 * (a + a.conj().T)
+    p = opalg.embed(opalg.single_site(opalg.pauli(probe), site), n).matrix
+    dense = 1j * (a @ p - p @ a)
+    # every product is by 0, +-1 or +-i: the signed permutation reproduces it bit for bit
+    assert np.array_equal(locality._pauli_commutator(a, probe, site, n), dense)
+    assert locality.commutator_norm(a, probe, site, n) == pytest.approx(
+        np.linalg.norm(dense, 2), rel=1e-12, abs=1e-14
+    )
+
+
+@pytest.mark.parametrize("probe", ["x", "y", "z"])
+def test_lr_certify_matches_dense_kron_path(probe):
+    h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
+    t_grid, r_grid = (0.0, 0.3, 1.1), range(1, 6)
+    rep = locality.lr_certify(h, _env(h), t_grid, r_grid, probe=probe)
+    evals, vecs = np.linalg.eigh(h.matrix())
+    sigma = opalg.pauli(probe)
+
+    def on_site(j):
+        return np.kron(np.kron(np.eye(2**j), sigma), np.eye(2 ** (5 - j)))
+
+    expected = []
+    for t in t_grid:
+        u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
+        a_t = u @ on_site(0) @ u.conj().T
+        for r in r_grid:
+            comm = a_t @ on_site(r) - on_site(r) @ a_t
+            expected.append(np.linalg.norm(comm, 2))
+    assert [(row.t, row.r) for row in rep.rows] == [(t, r) for t in t_grid for r in r_grid]
+    assert np.allclose([row.exact for row in rep.rows], expected, rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(4, 8),
+    st.sampled_from(("heisenberg_xxz", "random_two_site")),
+    st.floats(0.0, 1.0),
+    st.integers(0, 1000),
+    st.data(),
+)
+def test_window_evolution_matches_full_space(n, gen, t, seed, data):
+    h = chain.build_chain(n, gen, profiles.power_law(3.0), coupling=0.4, seed=seed)
+    lo = data.draw(st.integers(0, n - 2))
+    hi = data.draw(st.integers(lo + 1, n - 1))
+    window = range(lo, hi + 1)
+    site = data.draw(st.integers(lo, hi))
+    o = opalg.single_site(opalg.pauli(data.draw(st.sampled_from("xyz"))), site)
+    rep = locality.subset_evolution_error(o, h, window, t)
+    # dense reference: both evolutions at the full dimension, one eigh each
+    o_full = opalg.embed(o, n).matrix
+
+    def evolved(h_mat):
+        evals, vecs = np.linalg.eigh(h_mat)
+        u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
+        return u @ o_full @ u.conj().T
+
+    diff = evolved(h.matrix()) - evolved(h.subset_matrix(tuple(window)))
+    assert rep.exact == pytest.approx(np.linalg.norm(diff, 2), rel=1e-9, abs=1e-12)

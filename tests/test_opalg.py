@@ -260,10 +260,19 @@ def _popcount(dim):
     return np.array([bin(i).count("1") for i in range(dim)])
 
 
+def _zero_across(mat, label):
+    """Dense reference: is ``mat`` exactly zero between different labels?"""
+    return not np.any(mat[label[:, None] != label[None, :]])
+
+
 @st.composite
-def sz_conserving(draw, hermitian=True):
-    """A random matrix that vanishes between different popcount sectors, n <= 6."""
-    n = draw(st.integers(1, 6))
+def sz_conserving(draw, hermitian=True, structure="popcount", max_n=6):
+    """A random matrix that vanishes between different sectors of ``structure``.
+
+    ``structure`` is 'popcount' (total S^z), 'parity' (popcount parity) or
+    'whole' (no zero pattern).
+    """
+    n = draw(st.integers(1, max_n))
     is_complex = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
@@ -273,7 +282,8 @@ def sz_conserving(draw, hermitian=True):
     if hermitian:
         mat = 0.5 * (mat + mat.conj().T)
     weight = _popcount(dim)
-    mat[weight[:, None] != weight[None, :]] = 0.0
+    label = {"popcount": weight, "parity": weight % 2, "whole": np.zeros(dim, int)}[structure]
+    mat[label[:, None] != label[None, :]] = 0.0
     return n, mat
 
 
@@ -281,7 +291,7 @@ def sz_conserving(draw, hermitian=True):
 @given(sz_conserving())
 def test_hermitian_eig_by_sector_reconstructs(case):
     n, mat = case
-    blocks = opalg.sz_sectors(mat)
+    blocks = opalg.sectors(mat)
     assert [len(b) for b in blocks] == [math.comb(n, k) for k in range(n + 1)]
     assert all(np.all(_popcount(2**n)[b] == k) for k, b in enumerate(blocks))
     evals, vecs = spec = opalg.hermitian_eig(mat)
@@ -297,7 +307,8 @@ def test_hermitian_eig_by_sector_reconstructs(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(sz_conserving(), sz_conserving(hermitian=False)))
+@given(st.one_of(sz_conserving(), sz_conserving(hermitian=False),
+                 sz_conserving(structure="parity"), sz_conserving(hermitian=False, structure="parity")))
 def test_opnorm_by_sector_matches_dense(case):
     _, mat = case
     assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
@@ -315,25 +326,130 @@ def test_one_entry_off_the_sectors_gives_one_block(case, data):
     j = data.draw(st.sampled_from(np.flatnonzero(weight != weight[i]).tolist()))
     mat = mat.copy()
     mat[i, j] = mat[j, i] = 1e-300
-    blocks = opalg.sz_sectors(mat)
+    blocks = opalg.sectors(mat)
+    if (weight[i] - weight[j]) % 2 == 0:
+        # the entry breaks total S^z but keeps its parity: the two parity blocks remain
+        assert [b.tolist() for b in blocks] == [
+            np.flatnonzero(weight % 2 == p).tolist() for p in (0, 1)
+        ]
+        return
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(2**n))
     # the same eigendecomposition as one dense eigh
     assert np.array_equal(opalg.hermitian_eig(mat).vecs, opalg.spectrum(mat).vecs)
     # a sector-conserving partner does not restore the blocks
-    assert len(opalg.sz_sectors(np.eye(2**n), mat)) == 1
+    assert len(opalg.sectors(np.eye(2**n), mat)) == 1
 
 
 def test_sz_sectors_single_block_cases():
     # a dimension that is not a power of 2 is never split
-    assert len(opalg.sz_sectors(np.eye(6))) == 1
-    assert len(opalg.sz_sectors(np.eye(1))) == 1
+    assert len(opalg.sectors(np.eye(6))) == 1
+    assert len(opalg.sectors(np.eye(1))) == 1
     # one block: the matrix itself, no copy
     a = np.ones((8, 8))
-    (block,) = opalg.sz_sectors(a)
+    (block,) = opalg.sectors(a)
     assert opalg.sector_block(a, block) is a
     assert opalg.from_blocks((block,), [a]) is a
     # a diagonal matrix splits into n + 1 sectors
-    assert [len(b) for b in opalg.sz_sectors(np.diag(np.arange(8.0)))] == [1, 3, 3, 1]
+    assert [len(b) for b in opalg.sectors(np.diag(np.arange(8.0)))] == [1, 3, 3, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(*(sz_conserving(hermitian=h, structure=s, max_n=8)
+                   for h in (True, False) for s in ("popcount", "parity", "whole"))))
+def test_sectors_match_dense_zero_pattern(case):
+    """popcount blocks, else parity blocks, else the whole space, read off the dense pattern."""
+    n, mat = case
+    weight = _popcount(2**n)
+    if _zero_across(mat, weight):
+        expected = [np.flatnonzero(weight == k) for k in range(n + 1)]
+    elif _zero_across(mat, weight % 2):
+        expected = [np.flatnonzero(weight % 2 == p) for p in (0, 1)]
+    else:
+        expected = [np.arange(2**n)]
+    got = opalg.sectors(mat)
+    assert [b.tolist() for b in got] == [b.tolist() for b in expected]
+    # every matrix of a tuple must respect the blocks
+    assert len(opalg.sectors(mat, np.ones_like(mat))) == 1
+
+
+class _ReadLog(np.ndarray):
+    """An array that records every index it is read with."""
+
+    reads: list = []
+
+    def __getitem__(self, key):
+        _ReadLog.reads.append(key)
+        return np.asarray(self)[key]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_sectors_stop_at_row_zero_on_unstructured_input(n, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((2**n, 2**n))
+    if is_complex:
+        mat = mat + 1j * rng.standard_normal((2**n, 2**n))
+    _ReadLog.reads = []
+    assert len(opalg.sectors(mat.view(_ReadLog))) == 1
+    # only row 0 and column 0 are read, once each: no row chunk is scanned
+    assert _ReadLog.reads == [0, (slice(None), 0)]
+
+
+@st.composite
+def sector_spectra(draw):
+    """A Hermitian matrix with popcount or parity sectors, n <= 8, and its spectrum."""
+    structure = draw(st.sampled_from(("popcount", "parity")))
+    n, mat = draw(sz_conserving(structure=structure, max_n=8))
+    spec = opalg.hermitian_eig(mat)
+    return n, mat, spec
+
+
+def _dense_vfv(spec, weights):
+    return (spec.vecs * weights) @ spec.vecs.conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector_spectra(), st.floats(-2.0, 2.0), st.floats(0.05, 3.0))
+def test_blockwise_functions_match_dense(case, scale, beta):
+    n, mat, spec = case
+    # hermitian_eig's eigenvectors are block-diagonal, so the block path runs
+    assert len(opalg.sectors(spec.vecs)) > 1
+    tol = 1e-12
+    exp_ref = _dense_vfv(spec, np.exp(scale * spec.evals))
+    got = opalg.herm_expm(spec, scale)
+    assert np.max(np.abs(got - exp_ref)) <= tol * max(1.0, np.abs(exp_ref).max())
+    assert np.array_equal(opalg.herm_expm(mat, scale), got)
+
+    m = beta * spec.evals
+    w = np.exp(m - m.max())
+    rho_ref = _dense_vfv(spec, w / w.sum())
+    rho = opalg.gibbs(spec, beta).rho.matrix
+    assert np.max(np.abs(rho - rho_ref)) <= tol
+    assert opalg.herm_defect(rho) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector_spectra(), st.floats(-2.0, 2.0), st.sampled_from("xyz"), st.data())
+def test_blockwise_evolve_matches_dense(case, t, probe, data):
+    n, mat, spec = case
+    site = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    u = _dense_vfv(spec, np.exp(1j * t * spec.evals))
+    pauli = opalg.embed_matrix(opalg.pauli(probe), [site], n)
+    dense_op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for o in (pauli, dense_op):
+        ref = u @ o @ u.conj().T
+        got = opalg.evolve(o, spec, t)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.abs(o).max()) * dim
+        assert np.array_equal(opalg.evolve(o, mat, t), got)
+    # a block pair on which the Pauli vanishes stays exactly zero
+    got = opalg.evolve(pauli, spec, t)
+    blocks = opalg.sectors(spec.vecs)
+    for bi in blocks:
+        for bj in blocks:
+            if not np.any(pauli[np.ix_(bi, bj)]):
+                assert not np.any(got[np.ix_(bi, bj)])
 
 
 @settings(max_examples=80, deadline=None)
