@@ -203,20 +203,15 @@ def criterion_07_truncation_bounds():
         spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
         rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
         rows.append(
-            (f"delta_norm[l0={l0}]", rep.exact_delta_norm, rep.op_norm_bound,
-             rep.exact_delta_norm <= rep.op_norm_bound + 1e-12)
+            (f"delta_norm[l0={l0}]", rep.exact_delta_norm, rep.op_norm_bound, rep.op_ok)
         )
         rows.append(
             (f"smallness_condition[l0={l0}]", rep.condition_value, 1.0, rep.condition_ok)
         )
-        ok = (
-            rep.trace_norm_bound is not None
-            and rep.exact_trace_norm_diff
-            <= rep.trace_norm_bound + 1e-9 * rep.partition_function
-        )
         rows.append(
             (f"trace_norm[l0={l0}]", rep.exact_trace_norm_diff,
-             rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"), ok)
+             rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"),
+             rep.trace_ok)
         )
     return _result(7, "truncation_bounds", t0, rows)
 

@@ -45,7 +45,7 @@ class LocalTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-        object.__setattr__(self, "norm", float(np.max(np.abs(np.linalg.eigvalsh(self.matrix)))))
+        object.__setattr__(self, "norm", opalg.opnorm(self.matrix))
 
     def crosses(self, cut):
         """True if the support straddles the bond between sites cut, cut+1."""
@@ -333,9 +333,7 @@ class TruncatedHamiltonian:
 
     def bond_norm(self, s):
         mat = self.bond_matrix(s, embedded=False)
-        if mat is None:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+        return 0.0 if mat is None else opalg.opnorm(mat)
 
     def delta_matrix(self):
         """Sum of the dropped terms, embedded in the full space."""
@@ -415,6 +413,19 @@ class TruncationErrorReport:
     condition_value: float
     condition_ok: bool
     partition_function: float
+
+    @property
+    def op_ok(self):
+        return self.exact_delta_norm <= self.op_norm_bound + 1e-12
+
+    @property
+    def trace_ok(self):
+        """The trace-norm bound holds (False when it is None)."""
+        return (
+            self.trace_norm_bound is not None
+            and self.exact_trace_norm_diff
+            <= self.trace_norm_bound + 1e-9 * self.partition_function
+        )
 
 
 def truncation_error_report(

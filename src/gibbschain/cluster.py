@@ -20,8 +20,7 @@ computed branch by branch.  Every tensor-square trace is evaluated in
 factorized form: an operator A x B against the probe gives
 tr[Psi (A x B)] = tr(O_X O_Y A) tr(B) - tr(O_X A) tr(O_Y B), a (+)-string
 expands into a sum of such products over subsets of its factors, and each
-inclusion-exclusion branch is a tensor square.  The only doubled matrix ever
-built is the optional trace-norm distance in ``gamma_pair``.
+inclusion-exclusion branch is a tensor square.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from . import opalg, qbp
 from .chain import TruncatedHamiltonian, terms_matrix
 from .errors import (
     CapExceeded,
-    DimensionCap,
     NotCommuting,
     NotDisconnected,
     NotPSD,
@@ -45,7 +43,8 @@ from .errors import (
     OverlappingSupports,
 )
 
-DOUBLED_DIM_CAP = 4096
+# the most inclusion-exclusion branches (2^m for m bonds) any sum expands
+BRANCH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,6 @@ def disconnected_trace(
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("X and Y must be disjoint")
     dim = o_x.local_dim**n
-    if dim**2 > DOUBLED_DIM_CAP:
-        raise DimensionCap(f"doubled dimension {dim**2} exceeds cap {DOUBLED_DIM_CAP}")
     probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
     z_full = [opalg.embed(z, n).matrix for z in z_ops]
     eye = np.eye(dim, dtype=complex)
@@ -196,18 +193,20 @@ def _branch_exponentials(h_mat, bonds, beta):
         yield lam, sign, opalg.herm_expm(h_lam, beta)
 
 
-def g_operator(h_mat, bonds, beta, branch_cap=64):
+def _check_branches(m):
+    if 2**m > BRANCH_CAP:
+        raise CapExceeded(f"2^{m} branches exceed BRANCH_CAP {BRANCH_CAP}")
+
+
+def g_operator(h_mat, bonds, beta):
     """Inclusion-exclusion sum over the given bond matrices (single-space form).
 
     For an empty bond set this is exp(beta H); for one bond it equals
     exp(beta H) - exp(beta (H - h_s)).
     """
     h_mat = np.asarray(h_mat)
-    if h_mat.shape[0] > opalg.DEFAULT_DIM_CAP:
-        raise DimensionCap(f"dimension {h_mat.shape[0]} exceeds cap {opalg.DEFAULT_DIM_CAP}")
     bonds = [np.asarray(b) for b in bonds]
-    if 2 ** len(bonds) > branch_cap:
-        raise CapExceeded(f"2^{len(bonds)} branches exceed cap {branch_cap}")
+    _check_branches(len(bonds))
     out = np.zeros_like(h_mat, dtype=complex)
     for _, sign, e_lam in _branch_exponentials(h_mat, bonds, beta):
         out = out + sign * e_lam
@@ -251,8 +250,6 @@ def correlation_identity_residual(
     majorant 2 ||G||_1 / Z^2.
     """
     n = h_tc.n
-    if h_tc.base.dim > opalg.DEFAULT_DIM_CAP:
-        raise DimensionCap("single-space dimension exceeds cap")
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
     bonds = [h_tc.bond_matrix(s) for s in range(h_tc.q + 1)]
@@ -441,7 +438,6 @@ class GammaPairReport:
     psi_trace_gamma_local: float
     psi_trace_decay: float
     factorization_residual: float
-    diff_trace_norm: float | None
     m: int
     beta: float
     z2: float
@@ -455,8 +451,6 @@ def gamma_pair(
     o_y,
     tau_steps=32,
     integrator="cf4",
-    branch_cap=64,
-    compute_diff=False,
 ) -> GammaPairReport:
     """Alternating Gibbs sum over center bonds and its block-local approximant.
 
@@ -464,18 +458,14 @@ def gamma_pair(
     Gibbs exponential; Gamma-tilde replaces the exact removal operators by
     window-localized ones, after which the probe trace factorizes into the
     product form that drives the distance decay.  All traces go through the
-    tensor-square factorization; the doubled matrices are materialized only
-    when compute_diff requests the trace-norm distance.
+    tensor-square factorization.
     """
     n = h_tc.n
     m = centers.m
-    if 2**m > branch_cap:
-        raise CapExceeded(f"2^{m} branches exceed cap {branch_cap}")
+    _check_branches(m)
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
     dim = h_mat.shape[0]
-    if compute_diff and dim * dim > DOUBLED_DIM_CAP:
-        raise DimensionCap("doubled space too large for the trace-norm diff")
     bonds = [centers.bond_matrix(j) for j in range(m)]
 
     # window-localized removal operators, one per center bond
@@ -489,7 +479,6 @@ def gamma_pair(
 
     tr_gamma = 0.0 + 0.0j
     tr_gamma_local = 0.0 + 0.0j
-    diff = np.zeros((dim * dim, dim * dim), dtype=complex) if compute_diff else None
     for lam, sign, e_lam in _branch_exponentials(h_mat, bonds, beta):
         # the all-zero branch comes first and is e^{beta H_0}, H_0 = H minus every
         # center bond; the all-one branch is e^{beta H}
@@ -504,8 +493,6 @@ def gamma_pair(
                 b_lam = b_lam @ local_ops[j]
         m_lam = b_lam @ e0 @ b_lam.conj().T
         tr_gamma_local += sign * probe.expectation(m_lam)
-        if compute_diff:
-            diff += sign * (np.kron(e_lam, e_lam) - np.kron(m_lam, m_lam))
 
     # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
     k_ops = [o.conj().T @ o for o in local_ops]
@@ -520,14 +507,12 @@ def gamma_pair(
     z2 = z * z
     scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)
     fact_residual = abs(tr_gamma_local - tr_product_form) / scale
-    diff_tn = float(np.sum(np.abs(np.linalg.eigvalsh(diff)))) if compute_diff else None
 
     return GammaPairReport(
         psi_trace_gamma=abs(tr_gamma),
         psi_trace_gamma_local=abs(tr_gamma_local),
         psi_trace_decay=abs(tr_gamma_local) / z2,
         factorization_residual=float(fact_residual),
-        diff_trace_norm=diff_tn,
         m=m,
         beta=float(beta),
         z2=z2,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from . import opalg
 from .errors import ConfigError
 from .profiles import DecayProfile
 
@@ -61,8 +62,6 @@ class ExperimentConfig:
     y_width: int = 1
     tau_steps: int = 32
     integrator: str = "cf4"
-    dim_cap: int = 4096
-    branch_cap: int = 64
     obs_x_site: int = -1
     bond_index: int = 1
     radius_list: tuple = (7, 8, 9, 10)
@@ -155,6 +154,12 @@ def load_config(path=None, overrides=None, environ=None) -> ExperimentConfig:
     return cfg
 
 
+def _check_dimension(n_sites, what):
+    # read at call time, so the cap has a single owner in opalg
+    if 2**n_sites > opalg.DIM_CAP:
+        raise ConfigError(f"{what}dimension {2**n_sites} exceeds opalg.DIM_CAP {opalg.DIM_CAP}")
+
+
 def validate_config(cfg: ExperimentConfig):
     """Reject invalid knobs before any matrix work."""
     if cfg.experiment not in EXPERIMENTS:
@@ -162,8 +167,13 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
     # gamma_decay ignores n; its per-m chains are checked below
-    if cfg.experiment != "gamma_decay" and 2**cfg.n > cfg.dim_cap:
-        raise ConfigError(f"dimension {2**cfg.n} exceeds dim_cap {cfg.dim_cap}")
+    if cfg.experiment != "gamma_decay":
+        _check_dimension(cfg.n, "")
+    for key in ("x_width", "y_width", "half_width", "block_len"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if any(l0 < 1 for l0 in cfg.block_len_list):
+        raise ConfigError("block_len_list entries must be >= 1")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):
@@ -177,19 +187,16 @@ def validate_config(cfg: ExperimentConfig):
         width = cfg.n - cfg.x_width - cfg.y_width
         lens = cfg.block_len_list or (cfg.block_len,)
         for l0 in lens:
-            if width % l0 != 0 or (width // l0) % 2 != 0:
+            if width < 2 * l0 or width % l0 != 0 or (width // l0) % 2 != 0:
                 raise ConfigError(
                     f"interior width {width} with block_len {l0} "
-                    "must give an even block count"
+                    "must give an even block count >= 2"
                 )
     if cfg.experiment == "gamma_decay":
         if any(m < 0 for m in cfg.m_list):
             raise ConfigError("m_list entries must be >= 0")
-        # each m builds its own chain of x_width + y_width + 2*half_width*m sites
-        # with 2**m inclusion-exclusion branches; n is not used
+        # each m builds its own chain of x_width + y_width + 2*half_width*m sites;
+        # n is not used.  With every width >= 1 this also keeps m <= 5, inside
+        # cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
         for m in cfg.m_list:
-            n_m = cfg.x_width + cfg.y_width + 2 * cfg.half_width * m
-            if 2**n_m > cfg.dim_cap:
-                raise ConfigError(f"m={m}: dimension {2**n_m} exceeds dim_cap {cfg.dim_cap}")
-            if 2**m > cfg.branch_cap:
-                raise ConfigError(f"m={m}: 2^{m} branches exceed branch_cap {cfg.branch_cap}")
+            _check_dimension(cfg.x_width + cfg.y_width + 2 * cfg.half_width * m, f"m={m}: ")

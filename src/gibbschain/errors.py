@@ -70,7 +70,7 @@ class NotDisconnected(GibbsChainError):
 
 
 class DimensionCap(GibbsChainError):
-    """Dense computation would exceed the configured dimension cap."""
+    """Dense computation would exceed the fixed dimension cap, opalg.DIM_CAP."""
 
 
 class CapExceeded(GibbsChainError):

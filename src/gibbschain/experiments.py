@@ -140,17 +140,14 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
         spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
         for beta in cfg.beta_list:
             rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
-            op_ok = rep.exact_delta_norm <= rep.op_norm_bound + 1e-12
-            tr_ok = (
-                rep.trace_norm_bound is None
-                or rep.exact_trace_norm_diff <= rep.trace_norm_bound + 1e-9 * rep.partition_function
-            )
-            ok_all = ok_all and op_ok and tr_ok
+            # without the smallness condition there is no trace-norm bound to check
+            ok = rep.op_ok and (rep.trace_ok or not rep.condition_ok)
+            ok_all = ok_all and ok
             rows.append(
                 (l0, beta, rep.exact_delta_norm, rep.op_norm_bound,
                  rep.exact_trace_norm_diff,
                  rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"),
-                 rep.condition_value, rep.condition_ok, not (op_ok and tr_ok))
+                 rep.condition_value, rep.condition_ok, not ok)
             )
     manifest.add_check("truncation_bounds", ok_all)
     columns = ("block_len", "beta", "exact_delta_norm", "op_norm_bound",
@@ -172,7 +169,7 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     r_list = cfg.r_list or tuple(range(1, n - x0))
 
     def one_beta(beta):
-        state = opalg.gibbs(h_spectrum, beta, dim_cap=cfg.dim_cap)
+        state = opalg.gibbs(h_spectrum, beta)
         cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list], n)
         return cors
 
@@ -233,7 +230,7 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
             o_x = opalg.single_site(opalg.pauli("z"), 0)
             o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
             if m == 0:
-                state = opalg.gibbs(h.matrix(), beta, dim_cap=cfg.dim_cap)
+                state = opalg.gibbs(h.matrix(), beta)
                 value = abs(opalg.correlation(state, o_x, o_y))
                 fact = 0.0
             else:
@@ -243,7 +240,6 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
                 rep = cluster.gamma_pair(
                     htc, cd, beta, o_x, o_y,
                     tau_steps=cfg.tau_steps, integrator=cfg.integrator,
-                    branch_cap=cfg.branch_cap,
                 )
                 value, fact = rep.psi_trace_decay, rep.factorization_residual
             values[(beta, m)] = value

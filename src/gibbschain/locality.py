@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 from . import opalg
 from .chain import ChainHamiltonian, TruncatedHamiltonian, set_distance
-from .errors import DimensionCap, MissingParam, SubsetViolation
+from .errors import MissingParam, SubsetViolation
 from .profiles import DecayProfile
 
 
@@ -280,7 +280,6 @@ def lr_certify(
     base_site=None,
     probe="x",
     slack=1e-10,
-    dim_cap=opalg.DEFAULT_DIM_CAP,
 ) -> CertificationReport:
     """Certify the envelope against exact commutators on a (t, r) grid.
 
@@ -288,9 +287,6 @@ def lr_certify(
     truncated chains the probes stay inside the interior blocks, where the
     truncated envelope applies.
     """
-    h_mat = h.matrix()
-    if h_mat.shape[0] > dim_cap:
-        raise DimensionCap(f"dimension {h_mat.shape[0]} exceeds cap {dim_cap}")
     if isinstance(h, TruncatedHamiltonian):
         interior_lo = h.blocks[1][0]
         interior_hi = h.blocks[-2][-1]
@@ -302,8 +298,8 @@ def lr_certify(
     rows = []
     violations = []
     max_ratio = 0.0
+    h_spectrum = opalg.hermitian_eig(h.matrix())  # one diagonalization serves every t
     o_a = opalg.embed(opalg.single_site(opalg.pauli(probe), i0), n).matrix
-    h_spectrum = opalg.hermitian_eig(h_mat)  # one diagonalization serves every t
     for t in t_grid:
         a_t = opalg.evolve(o_a, h_spectrum, t)
         for r in r_grid:

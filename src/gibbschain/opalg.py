@@ -36,7 +36,8 @@ from .errors import (
     SupportMismatch,
 )
 
-DEFAULT_DIM_CAP = 4096
+# largest dimension hermitian_eig accepts (12 qubits); config validation reads it too
+DIM_CAP = 4096
 
 HERM_TOL = 1e-12
 
@@ -252,9 +253,12 @@ def hermitian_eig(mat) -> Spectrum:
     """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
 
     Each block of ``sectors`` is diagonalized on its own; eigenvalue k
-    belongs to column k of the dense, block-diagonal vecs.
+    belongs to column k of the dense, block-diagonal vecs.  This is the one
+    place ``DIM_CAP`` is checked: every checked diagonalization passes here.
     """
     mat = np.asarray(mat)
+    if mat.shape[0] > DIM_CAP:
+        raise DimensionCap(f"dimension {mat.shape[0]} exceeds DIM_CAP {DIM_CAP}")
     require_hermitian(mat)
     blocks = sectors(mat)
     if len(blocks) == 1:
@@ -334,14 +338,11 @@ class GibbsState:
         return len(self.rho.sites)
 
 
-def gibbs(h, beta, dim_cap=DEFAULT_DIM_CAP, n=None, local_dim=2) -> GibbsState:
+def gibbs(h, beta, n=None, local_dim=2) -> GibbsState:
     """Gibbs state of a Hamiltonian given as matrix or Spectrum."""
-    dim = len(h.evals) if isinstance(h, Spectrum) else np.shape(h)[0]
-    if n is None:
-        n = int(round(np.log(dim) / np.log(local_dim)))
-    if dim > dim_cap:
-        raise DimensionCap(f"dimension {dim} exceeds cap {dim_cap}")
     spec = _spectrum_of(h)
+    if n is None:
+        n = int(round(np.log(len(spec.evals)) / np.log(local_dim)))
     m = beta * spec.evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))

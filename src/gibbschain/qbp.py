@@ -194,10 +194,8 @@ class BPOperator:
     tau_steps: int
     bond_norm: float
     phi_norm_max: float
-    window: tuple | None = None
     bond_index: int | None = None
     reconstruction_residual: float | None = None
-    integrator: str = "cf4"
 
     @property
     def matrix(self):
@@ -228,10 +226,6 @@ def _phi_tau(node, beta):
     filt = filter_transfer(beta, evals[:, None] - evals[None, :])
     phi = (0.5 * beta) * (vecs @ (filt * hb) @ vecs.conj().T)
     return 0.5 * (phi + phi.conj().T)
-
-
-def _spectral_norm(herm):
-    return float(np.max(np.abs(np.linalg.eigvalsh(herm))))
 
 
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
@@ -267,7 +261,7 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
                      _node(h_env, h_bond, t0 + _CF4_C2 * dtau))
             for i, beta in enumerate(betas):
                 a1, a2 = (_phi_tau(node, beta) for node in nodes)
-                phi_max[i] = max(phi_max[i], _spectral_norm(a1), _spectral_norm(a2))
+                phi_max[i] = max(phi_max[i], opalg.opnorm(a1), opalg.opnorm(a2))
                 x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
                 x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
                 u1 = opalg.herm_expm(opalg.spectrum(x1))
@@ -325,13 +319,12 @@ def build_bp_sweep(
     sites = tuple(range(n_sites)) if sites is None else tuple(sites)
     blocks = opalg.sectors(h_env, h_bond)
     parts = [(opalg.sector_block(h_env, b), opalg.sector_block(h_bond, b)) for b in blocks]
-    bond_norm = max(_spectral_norm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
+    bond_norm = max(opalg.opnorm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
             op=opalg.DenseOperator(sites, u, local_dim), beta=beta, tau_steps=steps,
             bond_norm=bond_norm, phi_norm_max=phi_max, reconstruction_residual=residual,
-            integrator=integrator,
         )
 
     if bond_norm == 0.0:
@@ -404,8 +397,7 @@ def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window, excluded_cut
 def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, excluded_cuts=(), **kw):
     """BP operators for the bond at ``cut``, built from the window only, one per beta."""
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    ops = build_bp_sweep(env, bond, betas, sites=window, local_dim=h_tc.local_dim, **kw)
-    return tuple(replace(op, window=window) for op in ops)
+    return build_bp_sweep(env, bond, betas, sites=window, local_dim=h_tc.local_dim, **kw)
 
 
 def build_bp_localized(
@@ -413,14 +405,13 @@ def build_bp_localized(
 ) -> BPOperator:
     """BP operator for the bond at ``cut``, built from the window subset only."""
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    op = build_bp(env, bond, beta, sites=window, local_dim=h_tc.local_dim, **kw)
-    return replace(op, window=window)
+    return build_bp(env, bond, beta, sites=window, local_dim=h_tc.local_dim, **kw)
 
 
 def bond_sweep(h_tc: TruncatedHamiltonian, s, betas, **kw) -> tuple:
     """Exact-split BP operators for boundary bundle s, one per beta."""
     ops = localized_sweep(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), betas, **kw)
-    return tuple(replace(op, bond_index=s, window=None) for op in ops)
+    return tuple(replace(op, bond_index=s) for op in ops)
 
 
 def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, scheme=None, **kw) -> BPOperator:
@@ -432,7 +423,7 @@ def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, scheme=None, **kw) -> BPO
     if scheme is not None and scheme.beta != beta:
         raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
     op = build_bp_localized(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), beta, **kw)
-    return replace(op, bond_index=s, window=None)
+    return replace(op, bond_index=s)
 
 
 def _window_around(h_tc: TruncatedHamiltonian, s, r):
@@ -565,14 +556,6 @@ def bp_locality_sweep(
         for beta in betas
         for r in radii
     )
-
-
-def bp_locality_error(
-    h_tc: TruncatedHamiltonian, s, r, beta, tau_steps=32, integrator="cf4",
-    theta: ThetaFunction | None = None,
-) -> BPLocalityReport:
-    """The one-point ``bp_locality_sweep``."""
-    return bp_locality_sweep(h_tc, s, (r,), (beta,), tau_steps, integrator, theta)[0]
 
 
 def calibrate_theta(reports, profile, block_len, margin=1.05) -> ThetaFunction:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbschain import chain, cluster, opalg, oracles, profiles
+from gibbschain import chain, cluster, opalg, oracles, profiles, qbp
 from gibbschain.errors import (
     CapExceeded,
-    DimensionCap,
     NotCommuting,
     NotDisconnected,
     NotPSD,
@@ -135,11 +134,16 @@ def test_disconnected_trace_zero_and_counterexample():
         cluster.disconnected_trace(zs, ox, oy, n, require=True)
 
 
-def test_disconnected_trace_doubled_dimension_cap():
+def test_disconnected_trace_above_doubled_dimension_4096():
+    # the factorized form builds no doubled matrix, so a doubled dimension of
+    # 4^7 = 16384 is no limit
+    rng = np.random.default_rng(5)
+    n = 7
     ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("y"), 6)
-    with pytest.raises(DimensionCap):
-        cluster.disconnected_trace([], ox, oy, 7)
+    oy = opalg.single_site(opalg.pauli("y"), n - 1)
+    for z_ops in ([], [opalg.DenseOperator((0, 1), rand_herm(rng, 4))]):
+        res = cluster.disconnected_trace(z_ops, ox, oy, n)
+        assert res.disconnected and abs(res.value) < 1e-10 * res.scale
 
 
 @st.composite
@@ -209,7 +213,7 @@ def test_g_operator_trivial_cases():
     g1 = cluster.g_operator(h_mat, [zero_bond], beta)
     assert np.max(np.abs(g1)) < 1e-12
     with pytest.raises(CapExceeded):
-        cluster.g_operator(h_mat, [zero_bond] * 9, beta, branch_cap=256)
+        cluster.g_operator(h_mat, [zero_bond] * 9, beta)
 
 
 def test_g_operator_single_bond_difference():
@@ -375,7 +379,7 @@ def test_gamma_pair_trivial_and_factorized():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 5)
     beta = 0.7
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16, compute_diff=False)
+    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the alternating sum reproduces the correlation
     st = opalg.gibbs(htc.matrix(), beta)
@@ -400,15 +404,44 @@ def test_gamma_pair_zero_bonds_vanish():
     assert rep.psi_trace_gamma_local < 1e-12
 
 
+def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):
+    """||Gamma - Gamma-tilde||_1 from the materialized doubled matrices.
+
+    Gamma = sum_lam sign e^{beta H_lam} (x) e^{beta H_lam}; Gamma-tilde puts
+    M_lam = B_lam e^{beta H_0} B_lam^dag in place of e^{beta H_lam}, with B_lam
+    the product of the window-localized BP operators of the bonds in lam.
+    """
+    n = h_tc.n
+    h_mat = h_tc.matrix()
+    dim = h_mat.shape[0]
+    bonds = [centers.bond_matrix(j) for j in range(centers.m)]
+    local_ops = [
+        qbp.build_bp_localized(h_tc, centers.centers[j], centers.blocks[j + 1], beta,
+                               tau_steps=tau_steps).embedded_matrix(n)
+        for j in range(centers.m)
+    ]
+    e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
+    diff = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for lam, sign in cluster.lambda_branches(centers.m):
+        e_lam = opalg.herm_expm(h_mat - sum((1 - l) * b for l, b in zip(lam, bonds)), beta)
+        b_lam = np.eye(dim, dtype=complex)
+        for op, l in zip(local_ops, lam):
+            if l:
+                b_lam = b_lam @ op
+        m_lam = b_lam @ e0 @ b_lam.conj().T
+        diff += sign * (np.kron(e_lam, e_lam) - np.kron(m_lam, m_lam))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
 def test_gamma_pair_diff_trace_norm_small_on_commuting():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1, n=4)
     cd = chain.center_decomposition(htc, 1, 1, enforce_cutoff=False)
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 3)
     beta = 0.6
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16, compute_diff=True)
+    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
     # commuting case: the localized construction is numerically exact
-    assert rep.diff_trace_norm <= 1e-7 * rep.z2
+    assert kron_gamma_diff_trace_norm(htc, cd, beta, 16) <= 1e-7 * rep.z2
 
 
 def test_product_bound_small_beta_scaling():

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from gibbschain import cli, csvio
+from gibbschain import cli, csvio, opalg
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text
 from gibbschain.errors import ConfigError
 from gibbschain.experiments import run_experiment
@@ -51,30 +51,49 @@ def test_config_validation_errors():
                                      "block_len": 2}, environ={})
     with pytest.raises(ConfigError):
         load_config(None, overrides={"n": 14}, environ={})  # above dim cap
+    # geometry below 1 site: block_len = 0 used to divide by zero in validation,
+    # x_width = 0 failed in chain.truncate and half_width = 0 mid-run
+    for overrides in (
+        {"experiment": "lr_sweep", "block_len": 0},
+        {"experiment": "truncation_sweep", "block_len_list": "1,0"},
+        {"experiment": "truncation_sweep", "x_width": 0},
+        {"experiment": "qbp_locality", "y_width": 0},
+        {"experiment": "gamma_decay", "half_width": 0},
+        {"experiment": "gamma_decay", "x_width": -1},
+    ):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            load_config(None, overrides=overrides, environ={})
+    # interior width 0 (n = x_width + y_width) leaves no blocks to truncate
+    with pytest.raises(ConfigError):
+        load_config(None, overrides={"experiment": "truncation_sweep", "n": 2}, environ={})
 
 
-def test_gamma_decay_caps_checked_at_config_time(tmp_path):
+def test_gamma_decay_caps_checked_at_config_time(tmp_path, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
     gamma = {"experiment": "gamma_decay", "half_width": 1, "x_width": 1, "y_width": 1}
     # m = 6 needs a 14-site chain (dimension 16384) whatever n says
-    with pytest.raises(ConfigError, match="dim_cap"):
+    with pytest.raises(ConfigError, match="DIM_CAP"):
         load_config(None, overrides={**gamma, "m_list": "0,6"}, environ={})
-    # m = 3 needs 8 inclusion-exclusion branches
-    with pytest.raises(ConfigError, match="branch_cap"):
-        load_config(None, overrides={**gamma, "m_list": "0,1,3", "branch_cap": 4}, environ={})
-    cfg = load_config(None, overrides={**gamma, "m_list": "0,1,2", "branch_cap": 4}, environ={})
+    # the cap is read at call time: at 64, m = 2 (6 sites) fits and m = 3 does not
+    monkeypatch.setattr(opalg, "DIM_CAP", 64)
+    cfg = load_config(None, overrides={**gamma, "m_list": "0,1,2"}, environ={})
     assert cfg.m_list == (0, 1, 2)
+    with pytest.raises(ConfigError, match="m=3: dimension 256"):
+        load_config(None, overrides={**gamma, "m_list": "0,1,3"}, environ={})
     path = tmp_path / "gamma.cfg"
-    path.write_text("experiment = gamma_decay\nm_list = 0,1,3\nbranch_cap = 4\n")
+    path.write_text("experiment = gamma_decay\nm_list = 0,1,3\n")
     assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
 
 
 def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
     for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
         monkeypatch.delenv(name)
-    gamma = {"experiment": "gamma_decay", "m_list": "0,1", "dim_cap": "64"}
-    # the default n = 10 would exceed dim_cap = 64, but gamma_decay never builds it
+    monkeypatch.setattr(opalg, "DIM_CAP", 64)
+    gamma = {"experiment": "gamma_decay", "m_list": "0,1"}
+    # the default n = 10 would exceed DIM_CAP = 64, but gamma_decay never builds it
     cfg = load_config(None, overrides=gamma, environ={})
-    assert cfg.dim_cap == 64
+    assert 2**cfg.n > opalg.DIM_CAP
     # n changes nothing for gamma_decay, so setting it is a config error
     for n in ("6", "14"):
         with pytest.raises(ConfigError, match="gamma_decay does not read n"):
@@ -116,9 +135,11 @@ def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
     assert not (tmp_path / "b").exists()
     monkeypatch.delenv("GIBBSCHAIN_EPS")
     # keys that nothing read: the residual gate, the doubled-space cap, the
-    # second observable site and the local dimension (every generator is qubit-only)
+    # second observable site and the local dimension (every generator is qubit-only);
+    # and the size caps, which are constants (opalg.DIM_CAP, cluster.BRANCH_CAP)
     for key, value in (("residual_gate", "1e-6"), ("doubled_dim_cap", "4096"),
-                       ("obs_y_site", "3"), ("local_dim", "2")):
+                       ("obs_y_site", "3"), ("local_dim", "2"), ("dim_cap", "8192"),
+                       ("branch_cap", "64")):
         path.write_text(f"experiment = clustering_sweep\nn = 6\n{key} = {value}\n")
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / key)]) == 2
         path.write_text("experiment = clustering_sweep\nn = 6\n")

@@ -173,9 +173,10 @@ def test_gibbs_energy_spectral_sum_oracle():
     assert np.min(np.linalg.eigvalsh(st.rho.matrix)) > -1e-12
 
 
-def test_gibbs_dimension_cap():
+def test_gibbs_dimension_cap(monkeypatch):
+    monkeypatch.setattr(opalg, "DIM_CAP", 16)
     with pytest.raises(DimensionCap):
-        opalg.gibbs(np.zeros((32, 32)), 1.0, dim_cap=16, n=5)
+        opalg.gibbs(np.zeros((32, 32)), 1.0, n=5)
 
 
 def test_evolve_identity_cases():

@@ -216,7 +216,7 @@ def test_truncated_bp_window_too_small():
 def test_bp_locality_preconditions():
     htc = _random_truncated(n=8)
     with pytest.raises(PreconditionViolated):
-        qbp.bp_locality_error(htc, 1, 6, 1.0, tau_steps=4)
+        qbp.bp_locality_sweep(htc, 1, (6,), (1.0,), tau_steps=4)
 
 
 def test_first_moment_constant_below_nine():
