@@ -21,13 +21,18 @@ factorized form: an operator A x B against the probe gives
 tr[Psi (A x B)] = tr(O_X O_Y A) tr(B) - tr(O_X A) tr(O_Y B), a (+)-string
 expands into a sum of such products over subsets of its factors, and each
 inclusion-exclusion branch is a tensor square.
+
+Local operators (the string factors Z_i, the window-localized BP operators
+of ``gamma_pair``) act on full-space matrices by contraction on their own
+sites (``opalg.apply_local``); none is embedded or multiplied as a dense
+full-space matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +70,11 @@ class PsiOperator:
 
     @cached_property
     def xy_full(self):
-        return self.x_full @ self.y_full
+        # O_X O_Y is the kron of the factors on their joint (disjoint) support
+        return opalg.embed_matrix(
+            np.kron(self.o_x.matrix, self.o_y.matrix), self.o_x.sites + self.o_y.sites,
+            self.n, self.o_x.local_dim,
+        )
 
     def expectation(self, a, b=None):
         """tr[Psi (A x B)] via single-space traces; B defaults to A.
@@ -89,6 +98,16 @@ def _exact_sum(values):
 def _trace_of_product(p, a):
     """tr(p @ a) as the correctly rounded sum of the diagonal of the product."""
     return _exact_sum(np.einsum("ij,ji->i", p, a))
+
+
+def _apply(op: opalg.DenseOperator, mat, n):
+    """(op on its sites x 1) @ mat, by contraction on those sites."""
+    return opalg.apply_local(op.matrix, op.sites, mat, n, op.local_dim)
+
+
+def _sandwich(op: opalg.DenseOperator, mat, n):
+    """op mat op^dag as (op (op mat)^dag)^dag: two contractions."""
+    return _apply(op, _apply(op, mat, n).conj().T, n).conj().T
 
 
 def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, norm_tol=1e-10) -> PsiOperator:
@@ -148,16 +167,16 @@ def disconnected_trace(
         raise OverlappingSupports("X and Y must be disjoint")
     dim = o_x.local_dim**n
     probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
-    z_full = [opalg.embed(z, n).matrix for z in z_ops]
     eye = np.eye(dim, dtype=complex)
     value = 0.0 + 0.0j
-    for in_p in itertools.product((False, True), repeat=len(z_full)):
+    for in_p in itertools.product((False, True), repeat=len(z_ops)):
         p, q = eye, eye
-        for z, left in zip(z_full, in_p):
+        # ordered products, formed right to left by applying each factor
+        for z, left in reversed(list(zip(z_ops, in_p))):
             if left:
-                p = p @ z
+                p = _apply(z, p, n)
             else:
-                q = q @ z
+                q = _apply(z, q, n)
         value += probe.expectation(p, q)
     scale = float(dim * dim)
     for z in z_ops:
@@ -249,6 +268,7 @@ def correlation_identity_residual(
     of the identity, and for commuting chains the ratio to the trace-norm
     majorant 2 ||G||_1 / Z^2.
     """
+    _check_branches(h_tc.q + 1)
     n = h_tc.n
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
@@ -459,23 +479,28 @@ def gamma_pair(
     window-localized ones, after which the probe trace factorizes into the
     product form that drives the distance decay.  All traces go through the
     tensor-square factorization.
+
+    Each window BP operator B_j stays on its own window and acts on a
+    full-space matrix by contraction (``opalg.apply_local``), never embedded:
+    M_lam = B_lam e^{beta H_0} B_lam^dag is e^{beta H_0} sandwiched by each
+    B_j in lam, and K_S e^{beta H_0} applies each window product
+    K_j = B_j^dag B_j in S.  The windows are disjoint, so the B_j commute.
     """
     n = h_tc.n
     m = centers.m
     _check_branches(m)
     probe = psi(o_x, o_y, n)
     h_mat = h_tc.matrix()
-    dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(m)]
 
-    # window-localized removal operators, one per center bond
+    # window-localized removal operators, one per center bond, on their windows
     local_ops = []
     for j in range(m):
         op = qbp.build_bp_localized(
             h_tc, centers.centers[j], centers.blocks[j + 1], beta,
             tau_steps=tau_steps, integrator=integrator,
         )
-        local_ops.append(opalg.embed(op.op, n).matrix)
+        local_ops.append(op.op)
 
     tr_gamma = 0.0 + 0.0j
     tr_gamma_local = 0.0 + 0.0j
@@ -487,22 +512,21 @@ def gamma_pair(
         if all(lam):
             z = float(np.trace(e_lam).real)
         tr_gamma += sign * probe.expectation(e_lam)
-        b_lam = np.eye(dim, dtype=complex)
-        for j, l in enumerate(lam):
+        m_lam = e0
+        for op, l in zip(local_ops, lam):
             if l:
-                b_lam = b_lam @ local_ops[j]
-        m_lam = b_lam @ e0 @ b_lam.conj().T
+                m_lam = _sandwich(op, m_lam, n)
         tr_gamma_local += sign * probe.expectation(m_lam)
 
     # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
-    k_ops = [o.conj().T @ o for o in local_ops]
+    k_ops = [replace(op, matrix=op.matrix.conj().T @ op.matrix) for op in local_ops]
     tr_product_form = 0.0 + 0.0j
     for subset, sign in lambda_branches(m):
-        kb = np.eye(dim, dtype=complex)
-        for j, inc in enumerate(subset):
+        k_e0 = e0
+        for k, inc in zip(k_ops, subset):
             if inc:
-                kb = kb @ k_ops[j]
-        tr_product_form += sign * probe.expectation(kb @ e0)
+                k_e0 = _apply(k, k_e0, n)
+        tr_product_form += sign * probe.expectation(k_e0)
 
     z2 = z * z
     scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)

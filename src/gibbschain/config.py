@@ -182,8 +182,11 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("threads must be >= 1")
     if cfg.threads > 1 and cfg.experiment != "clustering_sweep":
         raise ConfigError(f"threads > 1 is only used by clustering_sweep, not {cfg.experiment}")
-    cfg.make_profile()
-    if cfg.experiment in ("lr_sweep", "qbp_locality", "truncation_sweep"):
+    profile = cfg.make_profile()
+    # lr_sweep truncates (and reads block_len) only on infinite-range chains
+    if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
+        cfg.experiment == "lr_sweep" and not profile.is_finite_range
+    ):
         width = cfg.n - cfg.x_width - cfg.y_width
         lens = cfg.block_len_list or (cfg.block_len,)
         for l0 in lens:

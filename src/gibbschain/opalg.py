@@ -8,6 +8,12 @@ beta, evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
 hidden cache; every function is pure.
 
+A local operator meets a full-space matrix in one of two ways.
+``add_embedded`` adds it (identity elsewhere) into a full-space matrix in
+place, and ``embed_matrix`` builds that embedding.  ``apply_local``
+multiplies by it, contracting it with the row axes of its sites: O(dim^2 d^k)
+for k sites where the embedded product costs O(dim^3).
+
 This module is the one place that knows the symmetry sectors of qubit
 chains.  ``sectors`` reads them from the exact zero pattern: the popcount
 classes (total S^z: XXZ and Ising chains and all built from them), else the
@@ -128,6 +134,26 @@ def add_embedded(out, mat, sites, n, local_dim=2):
                      out.reshape((local_dim,) * (2 * n)))
     view += np.asarray(mat).reshape((local_dim,) * (2 * len(sites)) + (1,) * len(rest))
     return out
+
+
+def apply_local(op, sites, mat, n, local_dim=2):
+    """(``op`` on ``sites``, identity elsewhere) @ ``mat``, with no embedding.
+
+    ``mat`` has the full n-site dimension as its row count and any number
+    of columns.  ``op`` is contracted with the row axes of ``sites`` (listed
+    in the order of its axes, as in ``add_embedded``): O(dim^2 d^k) work for
+    k sites instead of a dense O(dim^3) product.  The right product
+    mat @ (op x 1) is apply_local(op^dag, sites, mat^dag, n)^dag.
+    """
+    sites = [int(s) for s in sites]
+    if any(s < 0 or s >= n for s in sites):
+        raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
+    k = len(sites)
+    mat = np.asarray(mat)
+    t = np.tensordot(np.asarray(op).reshape((local_dim,) * (2 * k)),
+                     mat.reshape((local_dim,) * n + (-1,)),
+                     axes=(range(k, 2 * k), sites))
+    return np.moveaxis(t, range(k), sites).reshape(mat.shape)
 
 
 def embed_matrix(mat, sites, n, local_dim=2):

@@ -651,7 +651,11 @@ def bp_chain(
     full_local = np.eye(h_tc.base.dim, dtype=complex)
     for j in range(m + 1):
         full_exact = full_exact @ exact_ops[j].matrix
-        full_local = full_local @ local_ops[j].embedded_matrix(n)
+        # right product by the window factor: (B_j^dag applied to full_local^dag)^dag
+        op = local_ops[j].op
+        full_local = opalg.apply_local(
+            op.matrix.conj().T, op.sites, full_local.conj().T, n, op.local_dim
+        ).conj().T
     exact_diff = opalg.opnorm(full_exact - full_local)
 
     factor_diffs = tuple(

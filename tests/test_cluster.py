@@ -308,6 +308,21 @@ def test_identity_residual_beta_zero_and_small():
     assert rep.cor_abs == pytest.approx(rep.psi_g_over_z, abs=1e-12)
 
 
+def test_identity_residual_checks_branch_cap_before_any_exponential(monkeypatch):
+    # q = 6 interior blocks: q + 1 = 7 boundary bonds, 2^7 branches > BRANCH_CAP
+    htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1, n=8)
+    assert htc.q + 1 == 7
+
+    def no_branch(*args, **kw):
+        raise AssertionError("a branch exponential was built")
+
+    monkeypatch.setattr(opalg, "herm_expm", no_branch)
+    ox = opalg.single_site(opalg.pauli("z"), 0)
+    oy = opalg.single_site(opalg.pauli("z"), 7)
+    with pytest.raises(CapExceeded):
+        cluster.correlation_identity_residual(htc, ox, oy, 1.0)
+
+
 def test_commuting_chain_bound_oracle():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1, n=8)
     ox = opalg.single_site(opalg.pauli("z"), 0)
@@ -402,6 +417,78 @@ def test_gamma_pair_zero_bonds_vanish():
     rep = cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
     assert rep.psi_trace_gamma < 1e-12
     assert rep.psi_trace_gamma_local < 1e-12
+
+
+def dense_gamma_pair_traces(h_tc, centers, beta, o_x, o_y, tau_steps):
+    """(tr[Psi Gamma-tilde], product form) by dense products of embedded BP operators.
+
+    M_lam = B_lam e^{beta H_0} B_lam^dag with B_lam the identity-seeded product
+    of the embedded window operators in lam; the product form takes
+    K_S e^{beta H_0} with K_S the product of the embedded K_j = B_j^dag B_j.
+    """
+    n = h_tc.n
+    probe = cluster.psi(o_x, o_y, n)
+    h_mat = h_tc.matrix()
+    dim = h_mat.shape[0]
+    bonds = [centers.bond_matrix(j) for j in range(centers.m)]
+    local_ops = [
+        qbp.build_bp_localized(h_tc, centers.centers[j], centers.blocks[j + 1], beta,
+                               tau_steps=tau_steps).embedded_matrix(n)
+        for j in range(centers.m)
+    ]
+    e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
+    k_ops = [o.conj().T @ o for o in local_ops]
+    tr_local = tr_product = 0.0 + 0.0j
+    for lam, sign in cluster.lambda_branches(centers.m):
+        b_lam = np.eye(dim, dtype=complex)
+        kb = np.eye(dim, dtype=complex)
+        for op, k, l in zip(local_ops, k_ops, lam):
+            if l:
+                b_lam = b_lam @ op
+                kb = kb @ k
+        tr_local += sign * probe.expectation(b_lam @ e0 @ b_lam.conj().T)
+        tr_product += sign * probe.expectation(kb @ e0)
+    return tr_local, tr_product
+
+
+@pytest.mark.parametrize("gen", ["ising_zz", "random_two_site"])
+@pytest.mark.parametrize("n, half_width", [(5, 1), (7, 1), (7, 2)])
+def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
+    # x = {0, 1}, y = {n - 1}: (n - 3) / (2 half_width) center blocks; the
+    # 4-site windows of half_width 2 give non-normal BP operators on random chains
+    prof = profiles.finite_range(1) if gen == "ising_zz" else profiles.power_law(3.0)
+    h = chain.build_chain(n, gen, prof, coupling=0.4, seed=3)
+    htc = chain.truncate(h, [0, 1], [n - 1], 1)
+    cd = chain.center_decomposition(htc, (n - 3) // (2 * half_width), half_width,
+                                    enforce_cutoff=False)
+    ox = opalg.single_site(opalg.pauli("z"), 0)
+    oy = opalg.single_site(opalg.pauli("z"), n - 1)
+    beta = 0.9
+    ref_local, ref_product = dense_gamma_pair_traces(htc, cd, beta, ox, oy, 8)
+
+    # the product form is the signed sum of the last 2^m probe traces
+    seen = []
+    expectation = cluster.PsiOperator.expectation
+
+    def spy(self, a, b=None):
+        seen.append(expectation(self, a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(cluster.PsiOperator, "expectation", spy)
+    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=8)
+    branches = cluster.lambda_branches(cd.m)
+    product = sum(sign * v for (_, sign), v in zip(branches, seen[-len(branches):]))
+
+    # each probe trace is a connected correlation formed from trace products of
+    # size ~z^2, so its rounding floor is ~1e-16 z^2 whatever its value (at n = 7
+    # on random_two_site, ~1e-6 z^2, the two dense forms differ by 4e-12 relative)
+    def close(value, ref):
+        return abs(value - ref) <= 1e-12 * abs(ref) + 1e-15 * rep.z2
+
+    assert close(rep.psi_trace_gamma_local, abs(ref_local))
+    assert close(product, ref_product)
+    probe = cluster.psi(ox, oy, n)
+    assert np.array_equal(probe.xy_full, probe.x_full @ probe.y_full)
 
 
 def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):

@@ -86,6 +86,22 @@ def test_gamma_decay_caps_checked_at_config_time(tmp_path, monkeypatch):
     assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
 
 
+def test_lr_sweep_geometry_checked_only_where_it_truncates(tmp_path, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    # interior width 7 with block_len 1 gives an odd block count, which only a
+    # truncated (infinite-range) lr_sweep reads
+    text = "experiment = lr_sweep\nn = 9\nprofile = {}\n"
+    finite = tmp_path / "finite.cfg"
+    finite.write_text(text.format("finite_range"))
+    assert load_config(finite, environ={}).profile == "finite_range"
+    power = tmp_path / "power.cfg"
+    power.write_text(text.format("power_law"))
+    with pytest.raises(ConfigError, match="even block count"):
+        load_config(power, environ={})
+    assert cli.main(["run", str(power), "--output-dir", str(tmp_path / "out")]) == 2
+
+
 def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
     for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
         monkeypatch.delenv(name)

@@ -130,6 +130,39 @@ def test_embed_rejects_bad_support():
         opalg.embed_matrix(a, [2, 4], 4)
 
 
+@pytest.mark.parametrize("n, sites, cols", [
+    (3, (1,), 8),
+    (5, (3, 1), 32),
+    (6, (4, 0, 2), 5),
+    (7, (6, 2), 1),
+    (8, (5, 1, 7), 256),
+    (4, (2, 0, 3, 1), 3),
+])
+def test_apply_local_matches_embedded_product(n, sites, cols):
+    rng = np.random.default_rng(n * 31 + cols)
+    d = 2 ** len(sites)
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat = rng.standard_normal((2**n, cols)) + 1j * rng.standard_normal((2**n, cols))
+    full = opalg.embed_matrix(op, sites, n)
+    scale = np.abs(full).max() * np.abs(mat).max() * d
+    # left product
+    left = opalg.apply_local(op, sites, mat, n)
+    assert left.shape == mat.shape
+    assert np.abs(left - full @ mat).max() <= 1e-13 * scale
+    # right product through the conjugate transpose: rows of mat^dag are columns of mat
+    row = mat.conj().T
+    right = opalg.apply_local(op.conj().T, sites, row.conj().T, n).conj().T
+    assert np.abs(right - row @ full).max() <= 1e-13 * scale
+    # a real matrix times a complex operator keeps the complex part
+    real = mat.real.copy()
+    assert np.abs(opalg.apply_local(op, sites, real, n) - full @ real).max() <= 1e-13 * scale
+
+
+def test_apply_local_rejects_bad_support():
+    with pytest.raises(SupportMismatch):
+        opalg.apply_local(np.eye(2), [3], np.eye(8), 3)
+
+
 def test_herm_expm_basics():
     assert np.allclose(opalg.herm_expm(np.zeros((3, 3))), np.eye(3))
     d = opalg.herm_expm(np.diag([0.0, math.log(2.0)]))

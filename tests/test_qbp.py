@@ -277,6 +277,12 @@ def test_bp_chain_identities():
     rhs = opalg.herm_expm(h_mat, beta)
     assert opalg.opnorm(lhs - rhs) / opalg.opnorm(rhs) < 1e-6
 
+    # the window factors multiplied in by contraction match the embedded dense product
+    dense_local = np.eye(h_mat.shape[0])
+    for op in local_ops:
+        dense_local = dense_local @ op.embedded_matrix(htc.n)
+    assert rep.exact_diff == pytest.approx(opalg.opnorm(prod - dense_local), abs=1e-12)
+
     # telescoping identity for two factors is exact algebra
     f0, f1 = exact_ops[0].matrix, exact_ops[1].matrix
     g0 = local_ops[0].embedded_matrix(6)
