@@ -348,7 +348,7 @@ def criterion_11_correlation_length():
     worst = 0.0
     for beta in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5):
         state = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10), 10)
+        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         ref = oracles.ising_correlation_length(beta, 1.0)
         worst = max(worst, abs(xi - ref) / ref)
@@ -362,7 +362,7 @@ def criterion_11_correlation_length():
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     for beta in betas:
         state = opalg.gibbs(hq_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10), 10)
+        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         log_xis.append(math.log(xi))
     increments = np.diff(log_xis)

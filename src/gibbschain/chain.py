@@ -1,6 +1,7 @@
 """1D long-range Hamiltonians: construction, truncation, block geometry.
 
-A chain is a list of positive local terms on n qudits.  Terms are generated
+A chain is a list of positive two-site terms on n qubits (d = 2, the one
+local space of the library; ``opalg`` fixes it).  Terms are generated
 from a decay profile, shifted to positive semidefinite at build time (the
 shift amount is stored, so shift-invariant quantities such as correlation
 functions can be cross-checked against unshifted physics), and the coupling
@@ -66,7 +67,7 @@ def _shift_psd(raw: LocalTerm) -> LocalTerm:
     return LocalTerm(raw.sites, shifted, raw.norm)
 
 
-def terms_matrix(terms, sites, local_dim=2):
+def terms_matrix(terms, sites):
     """Sum of ``terms`` on the tensor space of ``sites``, in the listed order.
 
     Every term must lie inside ``sites``.  The sum is formed in the terms'
@@ -75,10 +76,10 @@ def terms_matrix(terms, sites, local_dim=2):
     """
     terms = list(terms)
     pos = {int(s): a for a, s in enumerate(sites)}
-    dim = local_dim ** len(pos)
+    dim = 2 ** len(pos)
     out = np.zeros((dim, dim), np.result_type(float, *(t.matrix for t in terms)))
     for t in terms:
-        opalg.add_embedded(out, t.matrix, [pos[s] for s in t.sites], len(pos), local_dim)
+        opalg.add_embedded(out, t.matrix, [pos[s] for s in t.sites])
     return out
 
 
@@ -92,8 +93,6 @@ class ChainHamiltonian:
     """Finite chain of positive local terms with its measured decay data."""
 
     n: int
-    local_dim: int
-    k: int
     terms: tuple
     profile: DecayProfile
     generator: str = "custom"
@@ -110,8 +109,13 @@ class ChainHamiltonian:
         return self.profile.gamma
 
     @property
+    def k(self):
+        """Largest term support: every generator emits two-site terms."""
+        return 2
+
+    @property
     def dim(self):
-        return self.local_dim**self.n
+        return 2**self.n
 
     def matrix(self):
         """Full-space Hamiltonian matrix (cached, read-only)."""
@@ -128,14 +132,12 @@ class ChainHamiltonian:
         if key not in self._matrix_cache:
             inside = [t for t in self.terms if set(t.sites) <= set(sites)]
             space = sites if subspace else range(self.n)
-            self._matrix_cache[key] = _read_only(terms_matrix(inside, space, self.local_dim))
+            self._matrix_cache[key] = _read_only(terms_matrix(inside, space))
         return self._matrix_cache[key]
 
     def replace_terms(self, terms):
         return ChainHamiltonian(
             n=self.n,
-            local_dim=self.local_dim,
-            k=self.k,
             terms=tuple(terms),
             profile=self.profile,
             generator=self.generator,
@@ -144,7 +146,7 @@ class ChainHamiltonian:
         )
 
 
-def _pair_terms(n, profile, coupling, generator, seed, local_dim, anisotropy):
+def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
     rng = np.random.default_rng(seed)
     sx, sy, sz = opalg.pauli("x"), opalg.pauli("y"), opalg.pauli("z")
     zz = np.kron(sz, sz).real
@@ -173,9 +175,7 @@ def build_chain(
     profile: DecayProfile,
     coupling=1.0,
     seed=None,
-    local_dim=2,
     anisotropy=1.5,
-    k=2,
 ) -> ChainHamiltonian:
     """Generate a chain whose couplings follow the profile.
 
@@ -186,16 +186,10 @@ def build_chain(
     """
     if n < 2:
         raise InvalidSpec("need at least two sites")
-    if local_dim < 2:
-        raise InvalidSpec("local dimension must be >= 2")
-    if k > n:
-        raise InvalidSpec("term support cap k exceeds chain length")
     if generator not in GENERATORS:
         raise InvalidSpec(f"unknown generator {generator!r}")
-    if local_dim != 2:
-        raise InvalidSpec("bundled generators are qubit-only")
 
-    terms = _pair_terms(n, profile, coupling, generator, seed, local_dim, anisotropy)
+    terms = _pair_terms(n, profile, coupling, generator, seed, anisotropy)
 
     pair_strength = {}
     for t in terms:
@@ -217,8 +211,6 @@ def build_chain(
 
     chain = ChainHamiltonian(
         n=n,
-        local_dim=local_dim,
-        k=k,
         terms=tuple(terms),
         profile=profile.with_constants(g=g, gamma=gamma),
         generator=generator,
@@ -287,10 +279,6 @@ class TruncatedHamiltonian:
         return self.base.n
 
     @property
-    def local_dim(self):
-        return self.base.local_dim
-
-    @property
     def q(self):
         return len(self.blocks) - 2
 
@@ -322,14 +310,14 @@ class TruncatedHamiltonian:
         """Full-space matrix of the kept terms (cached, read-only)."""
         if "full" not in self._matrix_cache:
             self._matrix_cache["full"] = _read_only(
-                terms_matrix(self.kept_terms, range(self.n), self.local_dim)
+                terms_matrix(self.kept_terms, range(self.n))
             )
         return self._matrix_cache["full"]
 
     def bond_matrix(self, s, embedded=True):
         """Boundary bundle h_s as a matrix (full space or its own support)."""
         bundle = self.h_terms[s]
-        return bundle_matrix(bundle, self.n, self.local_dim, embedded)
+        return bundle_matrix(bundle, self.n, embedded)
 
     def bond_norm(self, s):
         mat = self.bond_matrix(s, embedded=False)
@@ -337,16 +325,16 @@ class TruncatedHamiltonian:
 
     def delta_matrix(self):
         """Sum of the dropped terms, embedded in the full space."""
-        return terms_matrix(self.dropped, range(self.n), self.local_dim)
+        return terms_matrix(self.dropped, range(self.n))
 
 
-def bundle_matrix(bundle, n, local_dim=2, embedded=True):
+def bundle_matrix(bundle, n, embedded=True):
     """Sum a term bundle; returns None for an empty bundle in subspace form."""
     if embedded:
-        return terms_matrix(bundle, range(n), local_dim)
+        return terms_matrix(bundle, range(n))
     if not bundle:
         return None
-    return terms_matrix(bundle, sorted({s for t in bundle for s in t.sites}), local_dim)
+    return terms_matrix(bundle, sorted({s for t in bundle for s in t.sites}))
 
 
 def truncate(h: ChainHamiltonian, x_sites, y_sites, block_len) -> TruncatedHamiltonian:
@@ -485,9 +473,7 @@ class CenterDecomposition:
         return len(self.centers)
 
     def bond_matrix(self, j, embedded=True):
-        return bundle_matrix(
-            self.bond_bundles[j], self.h_tc.n, self.h_tc.local_dim, embedded
-        )
+        return bundle_matrix(self.bond_bundles[j], self.h_tc.n, embedded)
 
 
 def center_decomposition(

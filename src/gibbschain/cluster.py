@@ -72,8 +72,7 @@ class PsiOperator:
     def xy_full(self):
         # O_X O_Y is the kron of the factors on their joint (disjoint) support
         return opalg.embed_matrix(
-            np.kron(self.o_x.matrix, self.o_y.matrix), self.o_x.sites + self.o_y.sites,
-            self.n, self.o_x.local_dim,
+            np.kron(self.o_x.matrix, self.o_y.matrix), self.o_x.sites + self.o_y.sites, self.n
         )
 
     def expectation(self, a, b=None):
@@ -100,14 +99,14 @@ def _trace_of_product(p, a):
     return _exact_sum(np.einsum("ij,ji->i", p, a))
 
 
-def _apply(op: opalg.DenseOperator, mat, n):
+def _apply(op: opalg.DenseOperator, mat):
     """(op on its sites x 1) @ mat, by contraction on those sites."""
-    return opalg.apply_local(op.matrix, op.sites, mat, n, op.local_dim)
+    return opalg.apply_local(op.matrix, op.sites, mat)
 
 
-def _sandwich(op: opalg.DenseOperator, mat, n):
+def _sandwich(op: opalg.DenseOperator, mat):
     """op mat op^dag as (op (op mat)^dag)^dag: two contractions."""
-    return _apply(op, _apply(op, mat, n).conj().T, n).conj().T
+    return _apply(op, _apply(op, mat).conj().T).conj().T
 
 
 def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, norm_tol=1e-10) -> PsiOperator:
@@ -165,7 +164,7 @@ def disconnected_trace(
     """
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("X and Y must be disjoint")
-    dim = o_x.local_dim**n
+    dim = 2**n
     probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
     eye = np.eye(dim, dtype=complex)
     value = 0.0 + 0.0j
@@ -174,9 +173,9 @@ def disconnected_trace(
         # ordered products, formed right to left by applying each factor
         for z, left in reversed(list(zip(z_ops, in_p))):
             if left:
-                p = _apply(z, p, n)
+                p = _apply(z, p)
             else:
-                q = _apply(z, q, n)
+                q = _apply(z, q)
         value += probe.expectation(p, q)
     scale = float(dim * dim)
     for z in z_ops:
@@ -304,19 +303,14 @@ def correlation_identity_residual(
     )
 
 
-def _kept_bundles_commute(h_tc: TruncatedHamiltonian, tol=1e-12):
+def _kept_bundles_commute(h_tc: TruncatedHamiltonian):
     bundles = [b for b in list(h_tc.v_terms) + list(h_tc.h_terms) if b]
     supports = [{s for t in b for s in t.sites} for b in bundles]
     for (b1, s1), (b2, s2) in itertools.combinations(zip(bundles, supports), 2):
-        if not (s1 & s2):
-            continue
-        union = sorted(s1 | s2)
-        m1 = terms_matrix(b1, union, h_tc.local_dim)
-        m2 = terms_matrix(b2, union, h_tc.local_dim)
-        comm = m1 @ m2 - m2 @ m1
-        scale = max(np.linalg.norm(m1, 2) * np.linalg.norm(m2, 2), 1e-300)
-        if np.linalg.norm(comm, 2) / scale > tol:
-            return False
+        if s1 & s2:
+            union = sorted(s1 | s2)
+            if not _commute(terms_matrix(b1, union), terms_matrix(b2, union)):
+                return False
     return True
 
 
@@ -368,7 +362,24 @@ def commuting_chain_bound(
 
 
 # ---------------------------------------------------------------------------
-# standalone operator lemmas as checkable properties
+# standalone operator lemmas as checkable properties; their spectral checks
+# take every norm and eigenvalue through opalg
+
+
+def _commute(a, b):
+    """||[A, B]|| <= 1e-12 ||A|| ||B|| for Hermitian A, B (i[A, B] is Hermitian)."""
+    scale = max(opalg.opnorm(a) * opalg.opnorm(b), 1e-300)
+    return opalg.opnorm(1j * (a @ b - b @ a)) <= 1e-12 * scale
+
+
+def _min_eig(mat):
+    return float(opalg.spectrum(mat).evals[0])
+
+
+def _require_psd(mat, name):
+    """NotPSD unless Hermitian ``mat`` has no eigenvalue below -1e-12 max(1, ||mat||)."""
+    if _min_eig(mat) < -1e-12 * max(1.0, opalg.opnorm(mat)):
+        raise NotPSD(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -387,10 +398,9 @@ def verify_positivity_shift(a, b, zeta, tol=1e-10) -> PositivityShiftReport:
     b = np.asarray(b, dtype=complex)
     for name, mat in (("A", a), ("B", b)):
         opalg.require_hermitian(mat, name)
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-12 * max(1.0, np.linalg.norm(mat, 2)):
-            raise NotPSD(f"{name} must be positive semidefinite")
+        _require_psd(mat, name)
     diff = math.exp(zeta) * opalg.herm_expm(a + b) - opalg.herm_expm(a)
-    min_eig = float(np.min(np.linalg.eigvalsh(diff)))
+    min_eig = _min_eig(diff)
     return PositivityShiftReport(min_eig=min_eig, passed=min_eig >= -tol)
 
 
@@ -402,30 +412,26 @@ class WeightedProductReport:
 
 
 def verify_weighted_product(
-    w_ops, rho_full, psi_vec, x_sites, n, local_dim=2, tol=1e-10
+    w_ops, rho_full, psi_vec, x_sites, tol=1e-10
 ) -> WeightedProductReport:
     """Weighted-product trace inequality for commuting PSD factors on X.
 
     lhs = <psi| tr_X(rho prod W_j) |psi> must not exceed
     rhs = <psi| tr_X(rho prod (W_j + 1)) |psi> * prod ||W_j|| / (||W_j|| + 1)
-    for any PSD rho and any state psi on the complement of X.
+    for any PSD rho on the chain (its dimension fixes the site count) and
+    any state psi on the complement of X.
     """
     x_sites = tuple(sorted(int(s) for s in x_sites))
     w_ops = [np.asarray(w, dtype=complex) for w in w_ops]
     for i, w in enumerate(w_ops):
         opalg.require_hermitian(w, f"W_{i}")
-        if np.min(np.linalg.eigvalsh(w)) < -1e-12 * max(1.0, np.linalg.norm(w, 2)):
-            raise NotPSD(f"W_{i} must be positive semidefinite")
+        _require_psd(w, f"W_{i}")
     for w1, w2 in itertools.combinations(w_ops, 2):
-        if np.linalg.norm(w1 @ w2 - w2 @ w1, 2) > 1e-12 * max(
-            1.0, np.linalg.norm(w1, 2) * np.linalg.norm(w2, 2)
-        ):
+        if not _commute(w1, w2):
             raise NotCommuting("weight factors must commute pairwise")
     rho_full = np.asarray(rho_full, dtype=complex)
-    if np.min(np.linalg.eigvalsh(rho_full)) < -1e-12 * max(
-        1.0, np.linalg.norm(rho_full, 2)
-    ):
-        raise NotPSD("rho must be positive semidefinite")
+    n = opalg.n_qubits(rho_full.shape[0])
+    _require_psd(rho_full, "rho")
 
     keep = [s for s in range(n) if s not in x_sites]
     psi_vec = np.asarray(psi_vec, dtype=complex)
@@ -434,15 +440,14 @@ def verify_weighted_product(
     def bracket(mats):
         prod = rho_full.copy()
         for w in mats:
-            prod = prod @ opalg.embed_matrix(w, x_sites, n, local_dim)
-        reduced = opalg.partial_trace(prod, keep, n, local_dim)
+            prod = prod @ opalg.embed_matrix(w, x_sites, n)
+        reduced = opalg.partial_trace(prod, keep)
         return float(np.real(psi_vec.conj() @ reduced @ psi_vec))
 
     lhs = bracket(w_ops)
-    dim_x = local_dim ** len(x_sites)
-    rhs = bracket([w + np.eye(dim_x) for w in w_ops])
+    rhs = bracket([w + np.eye(2 ** len(x_sites)) for w in w_ops])
     for w in w_ops:
-        nw = float(np.max(np.abs(np.linalg.eigvalsh(w))))
+        nw = opalg.opnorm(w)
         rhs *= nw / (nw + 1.0)
     scale = max(abs(lhs), abs(rhs), 1.0)
     return WeightedProductReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol * scale)
@@ -515,7 +520,7 @@ def gamma_pair(
         m_lam = e0
         for op, l in zip(local_ops, lam):
             if l:
-                m_lam = _sandwich(op, m_lam, n)
+                m_lam = _sandwich(op, m_lam)
         tr_gamma_local += sign * probe.expectation(m_lam)
 
     # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
@@ -525,7 +530,7 @@ def gamma_pair(
         k_e0 = e0
         for k, inc in zip(k_ops, subset):
             if inc:
-                k_e0 = _apply(k, k_e0, n)
+                k_e0 = _apply(k, k_e0)
         tr_product_form += sign * probe.expectation(k_e0)
 
     z2 = z * z

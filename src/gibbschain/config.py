@@ -174,6 +174,15 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"{key} must be >= 1")
     if any(l0 < 1 for l0 in cfg.block_len_list):
         raise ConfigError("block_len_list entries must be >= 1")
+    if any(r < 1 for r in cfg.r_list):
+        raise ConfigError("r_list entries must be >= 1")
+    if cfg.experiment == "clustering_sweep":
+        x0 = max(cfg.obs_x_site, 0)  # a negative site selects site 0
+        if any(x0 + r > cfg.n - 1 for r in cfg.r_list):
+            raise ConfigError(f"obs_x_site + r must stay <= n - 1 = {cfg.n - 1}")
+        # the default r_list runs to the chain's end; xi is fitted to two or more rows
+        if len(cfg.r_list or range(1, cfg.n - x0)) < 2:
+            raise ConfigError("clustering_sweep needs two or more separations on the chain")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):

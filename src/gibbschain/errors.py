@@ -10,15 +10,11 @@ class GibbsChainError(Exception):
 
 
 class InvalidSpec(GibbsChainError):
-    """Chain specification is internally inconsistent (k > n, d < 2, ...)."""
+    """Chain specification is invalid (fewer than two sites, unknown generator)."""
 
 
 class DecayViolation(GibbsChainError):
     """Generated couplings exceed the declared decay envelope."""
-
-
-class OutOfRange(GibbsChainError):
-    """Site index outside the chain."""
 
 
 class NonConvergentTail(GibbsChainError):
@@ -83,10 +79,6 @@ class MissingParam(GibbsChainError):
 
 class SubsetViolation(GibbsChainError):
     """Subset relation L >= L0 required by the bound does not hold."""
-
-
-class SingularPoint(GibbsChainError):
-    """Function evaluated at a non-integrable singular point."""
 
 
 class ToleranceUnreachable(GibbsChainError):

@@ -46,13 +46,14 @@ def truncation_regions(n, x_width, y_width):
     return tuple(range(x_width)), tuple(range(n - y_width, n))
 
 
-def _fast_z_correlations(rho, x_site, partners, n):
-    """Connected zz correlations from the diagonal of one Gibbs state.
+def _fast_z_correlations(rho, x_site, partners):
+    """Connected zz correlations from the diagonal of one n-qubit Gibbs state.
 
     Embedded sigma^z is diagonal, +1 or -1 as bit n-1-site of the basis
     index is 0 or 1, so every moment is a weighted sum over diag(rho).
     """
     p = np.diagonal(rho).real
+    n = opalg.n_qubits(p.size)
     index = np.arange(p.size)
 
     def z(site):
@@ -170,7 +171,7 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
 
     def one_beta(beta):
         state = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list], n)
+        cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list])
         return cors
 
     results = _keyed_map(one_beta, cfg.beta_list, cfg.threads)

@@ -169,8 +169,8 @@ def lr_envelope(env: LREnvelope, t, r, size_z=1, size_zp=1, norm_z=1.0, norm_zp=
 _PAULI_ACTION = {"x": ((1, 0), None), "y": ((1, 0), (1j, -1j)), "z": ((0, 1), (1, -1))}
 
 
-def _pauli_commutator(a, probe, site, n):
-    """i[A, P] for the Pauli ``probe`` ('x', 'y' or 'z') on ``site`` of n qubits.
+def _pauli_commutator(a, probe, site):
+    """i[A, P] for the Pauli ``probe`` ('x', 'y' or 'z') on ``site`` of A's qubits.
 
     Site j is bit n-1-j (site 0 is the most significant bit).  sigma_x maps
     index i to i ^ bit, sigma_y is that permutation with phases +-i, sigma_z
@@ -179,6 +179,7 @@ def _pauli_commutator(a, probe, site, n):
     """
     a = np.asarray(a, dtype=complex)
     dim = a.shape[0]
+    n = opalg.n_qubits(dim)
     shape = (1 << site, 2, 1 << (n - 1 - site))
     src, phase = _PAULI_ACTION[probe.lower()]
     comm = np.empty_like(a)
@@ -195,9 +196,9 @@ def _pauli_commutator(a, probe, site, n):
     return comm
 
 
-def commutator_norm(a, probe, site, n):
-    """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of n qubits."""
-    return opalg.opnorm(_pauli_commutator(a, probe, site, n))
+def commutator_norm(a, probe, site):
+    """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits."""
+    return opalg.opnorm(_pauli_commutator(a, probe, site))
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,12 @@ def subset_evolution_error(
         env = envelope_for_chain(h, mode="infinite_range" if not chain.profile.is_finite_range else None)
 
     n = chain.n
-    d = o_local.local_dim
     diff = opalg.evolve(opalg.embed(o_local, n).matrix, chain.matrix(), t)
     # H_window acts on the window only: evolve O there and embed the result
     pos = [window.index(s) for s in o_local.sites]
-    o_win = opalg.embed_matrix(o_local.matrix, pos, len(window), d)
+    o_win = opalg.embed_matrix(o_local.matrix, pos, len(window))
     b_win = opalg.evolve(o_win, chain.subset_matrix(window, subspace=True), t)
-    diff -= opalg.embed_matrix(b_win, window, n, d)
+    diff -= opalg.embed_matrix(b_win, window, n)
     exact = opalg.opnorm(diff)
 
     complement = [s for s in range(n) if s not in window]
@@ -306,7 +306,7 @@ def lr_certify(
             j = i0 + r
             if j > interior_hi:
                 continue
-            exact = commutator_norm(a_t, probe, j, n)
+            exact = commutator_norm(a_t, probe, j)
             bound = lr_envelope(env, t, r)
             rows.append(CertificationRow(t=float(t), r=int(r), exact=exact, envelope=bound))
             if exact > bound + slack * 2.0:

@@ -1,4 +1,10 @@
-"""Dense operator algebra on tensor-product spaces.
+"""Dense operator algebra on qubit chains (d = 2).
+
+Every site is a qubit: an n-site operator is a 2^n x 2^n matrix, site j is
+bit n-1-j of the basis index (site 0 is the most significant bit), and a
+function given a full-space matrix reads n from its dimension
+(``n_qubits``).  Only functions that create a space (``embed_matrix``,
+``embed``) take n.
 
 Everything is dense numpy; matrix exponentials of Hermitian operators go
 through eigendecomposition (large-beta exponentials lose accuracy in series
@@ -11,7 +17,7 @@ hidden cache; every function is pure.
 A local operator meets a full-space matrix in one of two ways.
 ``add_embedded`` adds it (identity elsewhere) into a full-space matrix in
 place, and ``embed_matrix`` builds that embedding.  ``apply_local``
-multiplies by it, contracting it with the row axes of its sites: O(dim^2 d^k)
+multiplies by it, contracting it with the row axes of its sites: O(dim^2 2^k)
 for k sites where the embedded product costs O(dim^3).
 
 This module is the one place that knows the symmetry sectors of qubit
@@ -68,18 +74,16 @@ class DenseOperator:
 
     sites: tuple
     matrix: np.ndarray
-    local_dim: int = 2
 
     def __post_init__(self):
         sites = tuple(int(s) for s in self.sites)
         object.__setattr__(self, "sites", sites)
         if sorted(set(sites)) != sorted(sites):
             raise ValueError("duplicate sites in support")
-        dim = self.local_dim ** len(sites)
+        dim = 2 ** len(sites)
         if self.matrix.shape != (dim, dim):
             raise SupportMismatch(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{len(sites)} sites of dimension {self.local_dim}"
+                f"matrix shape {self.matrix.shape} does not match {len(sites)} qubits"
             )
 
     @property
@@ -106,22 +110,31 @@ def require_hermitian(mat, what="operator"):
         raise NotHermitian(f"{what} is not Hermitian")
 
 
-def single_site(op_matrix, site, local_dim=2) -> DenseOperator:
-    return DenseOperator((site,), np.asarray(op_matrix, dtype=complex), local_dim)
+def single_site(op_matrix, site) -> DenseOperator:
+    return DenseOperator((site,), np.asarray(op_matrix, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # embedding / partial trace
 
 
-def add_embedded(out, mat, sites, n, local_dim=2):
+def n_qubits(dim):
+    """n for a 2^n-dimensional space; SupportMismatch for any other dimension."""
+    n = int(dim).bit_length() - 1
+    if dim < 1 or dim != 1 << n:
+        raise SupportMismatch(f"dimension {dim} is not a power of 2")
+    return n
+
+
+def add_embedded(out, mat, sites):
     """out += ``mat`` acting on ``sites`` (identity elsewhere), in place.
 
-    ``out`` is a C-contiguous full-space matrix on n sites.  The sum runs
-    over a writeable diagonal view of ``out``, so no embedded copy of
-    ``mat`` is formed.  Sites need not be contiguous or sorted; the matrix
-    axes follow the order in which ``sites`` are listed.
+    ``out`` is a C-contiguous full-space matrix; its dimension fixes the
+    site count.  The sum runs over a writeable diagonal view of ``out``, so
+    no embedded copy of ``mat`` is formed.  Sites need not be contiguous or
+    sorted; the matrix axes follow the order in which ``sites`` are listed.
     """
+    n = n_qubits(out.shape[0])
     sites = [int(s) for s in sites]
     if any(s < 0 or s >= n for s in sites):
         raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
@@ -131,56 +144,58 @@ def add_embedded(out, mat, sites, n, local_dim=2):
     inp = rows + "".join(rows[i] if i in rest else cols[i] for i in range(n))
     outp = "".join(rows[s] for s in sites) + "".join(cols[s] for s in sites)
     view = np.einsum(f"{inp}->{outp}{''.join(rows[i] for i in rest)}",
-                     out.reshape((local_dim,) * (2 * n)))
-    view += np.asarray(mat).reshape((local_dim,) * (2 * len(sites)) + (1,) * len(rest))
+                     out.reshape((2,) * (2 * n)))
+    view += np.asarray(mat).reshape((2,) * (2 * len(sites)) + (1,) * len(rest))
     return out
 
 
-def apply_local(op, sites, mat, n, local_dim=2):
+def apply_local(op, sites, mat):
     """(``op`` on ``sites``, identity elsewhere) @ ``mat``, with no embedding.
 
-    ``mat`` has the full n-site dimension as its row count and any number
-    of columns.  ``op`` is contracted with the row axes of ``sites`` (listed
-    in the order of its axes, as in ``add_embedded``): O(dim^2 d^k) work for
-    k sites instead of a dense O(dim^3) product.  The right product
-    mat @ (op x 1) is apply_local(op^dag, sites, mat^dag, n)^dag.
+    ``mat`` has the full-space dimension as its row count (which fixes the
+    site count) and any number of columns.  ``op`` is contracted with the
+    row axes of ``sites`` (listed in the order of its axes, as in
+    ``add_embedded``): O(dim^2 2^k) work for k sites instead of a dense
+    O(dim^3) product.  The right product mat @ (op x 1) is
+    apply_local(op^dag, sites, mat^dag)^dag.
     """
+    mat = np.asarray(mat)
+    n = n_qubits(mat.shape[0])
     sites = [int(s) for s in sites]
     if any(s < 0 or s >= n for s in sites):
         raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
     k = len(sites)
-    mat = np.asarray(mat)
-    t = np.tensordot(np.asarray(op).reshape((local_dim,) * (2 * k)),
-                     mat.reshape((local_dim,) * n + (-1,)),
+    t = np.tensordot(np.asarray(op).reshape((2,) * (2 * k)),
+                     mat.reshape((2,) * n + (-1,)),
                      axes=(range(k, 2 * k), sites))
     return np.moveaxis(t, range(k), sites).reshape(mat.shape)
 
 
-def embed_matrix(mat, sites, n, local_dim=2):
+def embed_matrix(mat, sites, n):
     """Embed ``mat`` (acting on ``sites``) into the full n-site space."""
     mat = np.asarray(mat)
-    dim = local_dim**n
-    return add_embedded(np.zeros((dim, dim), np.result_type(float, mat)), mat, sites, n, local_dim)
+    return add_embedded(np.zeros((2**n, 2**n), np.result_type(float, mat)), mat, sites)
 
 
 def embed(op: DenseOperator, n: int) -> DenseOperator:
-    mat = embed_matrix(op.matrix, op.sites, n, op.local_dim)
-    return DenseOperator(tuple(range(n)), mat, op.local_dim)
+    return DenseOperator(tuple(range(n)), embed_matrix(op.matrix, op.sites, n))
 
 
-def partial_trace(mat, keep_sites, n, local_dim=2):
+def partial_trace(mat, keep_sites):
     """Trace out every site not in ``keep_sites`` from a full-space matrix.
 
     Returns the matrix on ``keep_sites`` in ascending site order.
     """
+    mat = np.asarray(mat)
+    n = n_qubits(mat.shape[0])
     keep = sorted(int(s) for s in keep_sites)
     drop = [i for i in range(n) if i not in keep]
-    t = np.asarray(mat).reshape([local_dim] * (2 * n))
+    t = mat.reshape([2] * (2 * n))
     for k, site in enumerate(drop):
         ax = site - sum(1 for d2 in drop[:k] if d2 < site)
         nleft = n - k
         t = np.trace(t, axis1=ax, axis2=ax + nleft)
-    dim = local_dim ** len(keep)
+    dim = 2 ** len(keep)
     return t.reshape(dim, dim)
 
 
@@ -364,17 +379,16 @@ class GibbsState:
         return len(self.rho.sites)
 
 
-def gibbs(h, beta, n=None, local_dim=2) -> GibbsState:
+def gibbs(h, beta) -> GibbsState:
     """Gibbs state of a Hamiltonian given as matrix or Spectrum."""
     spec = _spectrum_of(h)
-    if n is None:
-        n = int(round(np.log(len(spec.evals)) / np.log(local_dim)))
+    n = n_qubits(len(spec.evals))
     m = beta * spec.evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))
     rho = from_blocks(*_block_sandwiches(spec, np.exp(m - logz)))
     rho = 0.5 * (rho + rho.conj().T)
-    return GibbsState(beta=float(beta), rho=DenseOperator(tuple(range(n)), rho, local_dim), logZ=float(logz))
+    return GibbsState(beta=float(beta), rho=DenseOperator(tuple(range(n)), rho), logZ=float(logz))
 
 
 def evolve(op, generator, t):

@@ -63,6 +63,11 @@ from .locality import LRParams, convolution_constant
 # first absolute moment of the filter is FILTER_FIRST_MOMENT * beta
 FILTER_FIRST_MOMENT = 7.0 * zeta(3) / math.pi**3
 
+# filter_quadrature resolves integrands oscillating up to RESOLVE_OMEGA with
+# Gauss panels of PANEL_ORDER nodes
+RESOLVE_OMEGA = 192.0
+PANEL_ORDER = 16
+
 
 def _filter_values(beta, ts):
     x = math.pi * np.abs(ts) / beta
@@ -87,7 +92,7 @@ class QuadratureScheme:
 
     ``sum_j weights[j] * f_beta(nodes[j]) * g(nodes[j])`` approximates
     ``integral f_beta(t) g(t) dt`` for integrands g oscillating no faster
-    than resolve_omega.  Nodes are symmetric about 0 and exclude it.
+    than RESOLVE_OMEGA.  Nodes are symmetric about 0 and exclude it.
     """
 
     beta: float
@@ -95,7 +100,6 @@ class QuadratureScheme:
     nodes: np.ndarray
     weights: np.ndarray
     t_max: float
-    resolve_omega: float
 
     @cached_property
     def filter_at_nodes(self):
@@ -126,24 +130,18 @@ def _gauss_panel(a, b, order):
     return mid + half * x, half * w
 
 
-def filter_quadrature(
-    beta,
-    eps,
-    resolve_omega=192.0,
-    panel_order=16,
-    max_nodes=60_000,
-) -> QuadratureScheme:
+def filter_quadrature(beta, eps, max_nodes=60_000) -> QuadratureScheme:
     """Build the quadrature scheme for integrals against the filter kernel.
 
     The time cutoff T = (beta/pi) log(1 + 8/(pi eps)) keeps the discarded
-    tail mass below eps/2; panels of width ~panel_order/resolve_omega keep
-    Gauss quadrature accurate for integrands oscillating up to resolve_omega;
+    tail mass below eps/2; panels of width ~PANEL_ORDER/RESOLVE_OMEGA keep
+    Gauss quadrature accurate for integrands oscillating up to RESOLVE_OMEGA;
     geometric refinement into the origin handles the log singularity.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError("eps must lie in (0, 1e-2]")
     t_max = (beta / math.pi) * math.log(1.0 + 8.0 / (math.pi * eps))
-    w0 = min(1.4 * panel_order / resolve_omega, t_max / 4.0)
+    w0 = min(1.4 * PANEL_ORDER / RESOLVE_OMEGA, t_max / 4.0)
 
     edges = [w0]
     while edges[-1] < t_max:
@@ -156,7 +154,7 @@ def filter_quadrature(
 
     xs, ws = [], []
     for a, b in panels:
-        order = panel_order if (b - a) > w0 / 4 else max(8, panel_order // 2)
+        order = PANEL_ORDER if (b - a) > w0 / 4 else max(8, PANEL_ORDER // 2)
         x, w = _gauss_panel(a, b, order)
         xs.append(x)
         ws.append(w)
@@ -174,7 +172,6 @@ def filter_quadrature(
         nodes=nodes,
         weights=weights,
         t_max=t_max,
-        resolve_omega=float(resolve_omega),
     )
     if abs(scheme.normalization() - 1.0) > eps:
         raise ToleranceUnreachable("scheme failed its own normalization target")
@@ -284,16 +281,9 @@ def _residual(phis, spectra, beta):
     return float(diff / scale)
 
 
-def reconstruction_residual(phi_mat, h_env, h_bond, beta):
-    """|| Phi e^{beta H_env} Phi^dag - e^{beta H} || / || e^{beta H} ||."""
-    h_env = np.asarray(h_env)
-    spectra = (opalg.hermitian_eig(h_env), opalg.hermitian_eig(h_env + h_bond))
-    return _residual([phi_mat], [spectra], beta)
-
-
 def build_bp_sweep(
     h_env, h_bond, betas, tau_steps=32, integrator="cf4", residual_gate=None,
-    max_refinements=3, sites=None, local_dim=2,
+    max_refinements=3, sites=None,
 ) -> tuple:
     """Belief propagation operators of the split H = H_env + h_bond, one per beta.
 
@@ -315,15 +305,14 @@ def build_bp_sweep(
     h_bond = np.asarray(h_bond)
     opalg.require_hermitian(h_env, "environment")
     opalg.require_hermitian(h_bond, "bond")
-    n_sites = int(round(math.log(h_env.shape[0], local_dim)))
-    sites = tuple(range(n_sites)) if sites is None else tuple(sites)
+    sites = tuple(range(opalg.n_qubits(h_env.shape[0]))) if sites is None else tuple(sites)
     blocks = opalg.sectors(h_env, h_bond)
     parts = [(opalg.sector_block(h_env, b), opalg.sector_block(h_bond, b)) for b in blocks]
     bond_norm = max(opalg.opnorm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
-            op=opalg.DenseOperator(sites, u, local_dim), beta=beta, tau_steps=steps,
+            op=opalg.DenseOperator(sites, u), beta=beta, tau_steps=steps,
             bond_norm=bond_norm, phi_norm_max=phi_max, reconstruction_residual=residual,
         )
 
@@ -390,14 +379,13 @@ def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window, excluded_cut
             bond.append(t)
         elif set(t.sites) <= wset and not any(t.crosses(c) for c in excluded_cuts):
             env.append(t)
-    d = h_tc.local_dim
-    return terms_matrix(env, window, d), terms_matrix(bond, window, d), window
+    return terms_matrix(env, window), terms_matrix(bond, window), window
 
 
 def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, excluded_cuts=(), **kw):
     """BP operators for the bond at ``cut``, built from the window only, one per beta."""
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    return build_bp_sweep(env, bond, betas, sites=window, local_dim=h_tc.local_dim, **kw)
+    return build_bp_sweep(env, bond, betas, sites=window, **kw)
 
 
 def build_bp_localized(
@@ -405,7 +393,7 @@ def build_bp_localized(
 ) -> BPOperator:
     """BP operator for the bond at ``cut``, built from the window subset only."""
     env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    return build_bp(env, bond, beta, sites=window, local_dim=h_tc.local_dim, **kw)
+    return build_bp(env, bond, beta, sites=window, **kw)
 
 
 def bond_sweep(h_tc: TruncatedHamiltonian, s, betas, **kw) -> tuple:
@@ -653,9 +641,7 @@ def bp_chain(
         full_exact = full_exact @ exact_ops[j].matrix
         # right product by the window factor: (B_j^dag applied to full_local^dag)^dag
         op = local_ops[j].op
-        full_local = opalg.apply_local(
-            op.matrix.conj().T, op.sites, full_local.conj().T, n, op.local_dim
-        ).conj().T
+        full_local = opalg.apply_local(op.matrix.conj().T, op.sites, full_local.conj().T).conj().T
     exact_diff = opalg.opnorm(full_exact - full_local)
 
     factor_diffs = tuple(

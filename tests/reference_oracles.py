@@ -3,8 +3,19 @@
 import math
 from dataclasses import replace
 
+import numpy as np
+from scipy.linalg import expm
+
 from gibbschain import qbp
-from gibbschain.errors import OutOfRange, Overlap, SingularPoint
+from gibbschain.errors import GibbsChainError, Overlap
+
+
+class OutOfRange(GibbsChainError):
+    """Site index outside the chain."""
+
+
+class SingularPoint(GibbsChainError):
+    """Function evaluated at a non-integrable singular point."""
 
 
 def coupling_strength(h, i, j):
@@ -37,3 +48,15 @@ def build_truncated_bp(h_tc, s, r, beta, **kw):
     """Window-truncated BP operator for boundary bundle s, window radius r."""
     cut, window = qbp._window_around(h_tc, s, r)
     return replace(qbp.build_bp_localized(h_tc, cut, window, beta, **kw), bond_index=s)
+
+
+def reconstruction_residual(phi_mat, h_env, h_bond, beta):
+    """|| Phi e^{beta H_env} Phi^dag - e^{beta H} || / || e^{beta H} ||, H = H_env + h.
+
+    Dense and independent of the library: scipy's Pade exponentials and
+    numpy's SVD spectral norm, no spectra and no symmetry sectors.
+    """
+    e_env = expm(beta * np.asarray(h_env))
+    e_full = expm(beta * (np.asarray(h_env) + np.asarray(h_bond)))
+    diff = phi_mat @ e_env @ phi_mat.conj().T - e_full
+    return float(np.linalg.norm(diff, 2) / np.linalg.norm(e_full, 2))

@@ -98,7 +98,7 @@ def test_psi_expectation_reproduces_correlation():
     rng = np.random.default_rng(2)
     h = rand_herm(rng, 16)
     beta = 0.9
-    st = opalg.gibbs(h, beta, n=4)
+    st = opalg.gibbs(h, beta)
     ox = opalg.single_site(opalg.pauli("x"), 0)
     oy = opalg.single_site(opalg.pauli("y"), 3)
     probe = cluster.psi(ox, oy, 4)
@@ -366,7 +366,7 @@ def test_weighted_product_scalar_equality():
     psi = rng.standard_normal(2)
     c1, c2 = 1.7, 0.4
     ws = [c1 * np.eye(4), c2 * np.eye(4)]
-    rep = cluster.verify_weighted_product(ws, rho, psi, (0, 1), n)
+    rep = cluster.verify_weighted_product(ws, rho, psi, (0, 1))
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
     assert rep.passed
 
@@ -380,12 +380,12 @@ def test_weighted_product_random_draws():
         rho = rand_herm(rng, 2**n)
         rho = rho @ rho.conj().T
         psi = rng.standard_normal(2 ** (n - 2)) + 1j * rng.standard_normal(2 ** (n - 2))
-        rep = cluster.verify_weighted_product(ws, rho, psi, (0, 1), n)
+        rep = cluster.verify_weighted_product(ws, rho, psi, (0, 1))
         assert rep.passed
     w1 = np.array([[1.0, 0.5], [0.5, 1.0]])
     w2 = np.diag([0.2, 2.0])
     with pytest.raises(NotCommuting):
-        cluster.verify_weighted_product([w1, w2], np.eye(8), np.ones(4), (0,), 3)
+        cluster.verify_weighted_product([w1, w2], np.eye(8), np.ones(4), (0,))
 
 
 def test_gamma_pair_trivial_and_factorized():

@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from gibbschain import cli, csvio, opalg
+from gibbschain import cli, csvio, opalg, profiles
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text
-from gibbschain.errors import ConfigError
+from gibbschain.errors import ConfigError, SupportMismatch
 from gibbschain.experiments import run_experiment
 
 
@@ -38,7 +38,9 @@ def test_env_and_cli_overrides(tmp_path):
     assert cfg2.seed == 9
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
     with pytest.raises(ConfigError):
         load_config(None, overrides={"experiment": "nope"}, environ={})
     with pytest.raises(ConfigError):
@@ -66,6 +68,26 @@ def test_config_validation_errors():
     # interior width 0 (n = x_width + y_width) leaves no blocks to truncate
     with pytest.raises(ConfigError):
         load_config(None, overrides={"experiment": "truncation_sweep", "n": 2}, environ={})
+    # separations off the chain or of a site with itself: these used to write a
+    # fabricated r = 9 row (identity partner), fit a self-correlation row, raise
+    # FitDegenerate mid-run (twice) and raise an uncaught ValueError
+    for k, overrides in enumerate((
+        {"experiment": "clustering_sweep", "r_list": "1,2,9"},
+        {"experiment": "clustering_sweep", "r_list": "0,1,2"},
+        {"experiment": "clustering_sweep", "obs_x_site": 8},
+        {"experiment": "clustering_sweep", "obs_x_site": 4},
+        {"experiment": "lr_sweep", "r_list": "0,1"},
+    )):
+        overrides = {"n": 6, **overrides}
+        with pytest.raises(ConfigError):
+            load_config(None, overrides=overrides, environ={})
+        path = tmp_path / f"bad{k}.cfg"
+        path.write_text("".join(f"{key} = {v}\n" for key, v in overrides.items()))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / f"out{k}")]) == 2
+        assert not (tmp_path / f"out{k}").exists()
+    # the farthest partner on the chain is accepted
+    edge = {"experiment": "clustering_sweep", "n": 6, "obs_x_site": 1, "r_list": "1,4"}
+    assert load_config(None, overrides=edge, environ={}).r_list == (1, 4)
 
 
 def test_gamma_decay_caps_checked_at_config_time(tmp_path, monkeypatch):
@@ -246,7 +268,7 @@ def test_fast_z_correlations_match_dense_correlation(generator):
     state = opalg.gibbs(h.matrix(), 0.9)
     for x in (0, 2):
         partners = [y for y in range(n) if y != x]
-        fast = _fast_z_correlations(state.rho.matrix, x, partners, n)
+        fast = _fast_z_correlations(state.rho.matrix, x, partners)
         zx = opalg.single_site(opalg.pauli("z"), x)
         for y, value in zip(partners, fast):
             zy = opalg.single_site(opalg.pauli("z"), y)
@@ -286,3 +308,75 @@ def test_bundled_configs_parse():
     for path in paths:
         cfg = load_config(path, environ={})
         assert cfg.experiment
+
+
+def test_library_is_qubit_only():
+    """No public function or dataclass takes a local dimension; d = 2 is fixed.
+
+    ``build_chain`` takes no support cap k (every term has two sites, read as
+    ``ChainHamiltonian.k``), and functions handed a full-space matrix read the
+    site count from its dimension instead of taking n.
+    """
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import gibbschain
+    from gibbschain import chain, cluster, locality
+
+    offenders = []
+    for info in pkgutil.iter_modules(gibbschain.__path__):
+        mod = importlib.import_module(f"gibbschain.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            names = set()
+            if inspect.isfunction(obj):
+                names |= set(inspect.signature(obj).parameters)
+            elif inspect.isclass(obj):
+                names |= set(vars(obj))  # methods, properties, defaulted fields
+                if dataclasses.is_dataclass(obj):
+                    names |= {f.name for f in dataclasses.fields(obj)}
+                for member in vars(obj).values():
+                    if inspect.isfunction(member):
+                        names |= set(inspect.signature(member).parameters)
+            if "local_dim" in names:
+                offenders.append(f"{info.name}.{name}")
+    assert offenders == []
+    assert "k" not in inspect.signature(chain.build_chain).parameters
+    h = chain.build_chain(3, "ising_zz", profiles.finite_range(1))
+    assert h.k == 2 and locality.envelope_for_chain(h).params.k == 2
+    for fn in (opalg.add_embedded, opalg.apply_local, opalg.partial_trace, opalg.gibbs,
+               locality.commutator_norm, cluster.verify_weighted_product):
+        assert "n" not in inspect.signature(fn).parameters, fn.__name__
+    with pytest.raises(SupportMismatch):
+        opalg.gibbs(np.zeros((6, 6)), 1.0)
+    with pytest.raises(SupportMismatch):
+        opalg.partial_trace(np.zeros((6, 6)), [0])
+    with pytest.raises(SupportMismatch):
+        opalg.apply_local(np.eye(2), [0], np.zeros((6, 2)))
+    with pytest.raises(SupportMismatch):
+        locality.commutator_norm(np.zeros((6, 6)), "x", 0)
+
+
+def test_benchmark_workloads_run_and_gate_at_smoke_size(tmp_path, monkeypatch):
+    """Every benchmark workload runs against this library and passes its gate.
+
+    The benchmark calls the library through its public names and parameters;
+    this keeps a change to them from surfacing only in a benchmark run.
+    """
+    import sys
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    for name, (inputs, certify, gate) in workloads.WORKLOADS.items():
+        outdir = tmp_path / name
+        outdir.mkdir()
+        certify(inputs(3, smoke=True), str(outdir))
+        failed = [item for item in gate(str(outdir)) if not item[1]]
+        assert failed == [], name

@@ -31,7 +31,7 @@ def test_embed_roundtrip_partial_trace():
     a = rand_herm(rng, 4)
     op = opalg.DenseOperator((1, 2), a)
     full = opalg.embed(op, 4).matrix
-    back = opalg.partial_trace(full, (1, 2), 4) / 4.0  # identity factors carry 2 each
+    back = opalg.partial_trace(full, (1, 2)) / 4.0  # identity factors carry 2 each
     assert np.allclose(back, a, atol=1e-12)
 
 
@@ -45,14 +45,14 @@ def test_embed_unsorted_support():
     assert np.allclose(m1, m2, atol=1e-12)
 
 
-def kron_embed(mat, sites, n, local_dim=2):
+def kron_embed(mat, sites, n):
     """Reference embedding: mat (x) 1 on (sites, rest), then the axes permuted."""
     sites = list(sites)
     rest = [i for i in range(n) if i not in sites]
-    full = np.kron(mat, np.eye(local_dim ** len(rest)))
+    full = np.kron(mat, np.eye(2 ** len(rest)))
     inv = list(np.argsort(sites + rest))
-    t = full.reshape([local_dim] * (2 * n)).transpose(inv + [n + i for i in inv])
-    return t.reshape(local_dim**n, local_dim**n)
+    t = full.reshape([2] * (2 * n)).transpose(inv + [n + i for i in inv])
+    return t.reshape(2**n, 2**n)
 
 
 @st.composite
@@ -102,7 +102,7 @@ def test_embed_partial_trace_adjoint(n, data):
     a = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
     b = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
     lhs = np.trace(opalg.embed_matrix(a, keep, n) @ b)
-    rhs = np.trace(a @ opalg.partial_trace(b, keep, n))
+    rhs = np.trace(a @ opalg.partial_trace(b, keep))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * dn
 
 
@@ -146,21 +146,21 @@ def test_apply_local_matches_embedded_product(n, sites, cols):
     full = opalg.embed_matrix(op, sites, n)
     scale = np.abs(full).max() * np.abs(mat).max() * d
     # left product
-    left = opalg.apply_local(op, sites, mat, n)
+    left = opalg.apply_local(op, sites, mat)
     assert left.shape == mat.shape
     assert np.abs(left - full @ mat).max() <= 1e-13 * scale
     # right product through the conjugate transpose: rows of mat^dag are columns of mat
     row = mat.conj().T
-    right = opalg.apply_local(op.conj().T, sites, row.conj().T, n).conj().T
+    right = opalg.apply_local(op.conj().T, sites, row.conj().T).conj().T
     assert np.abs(right - row @ full).max() <= 1e-13 * scale
     # a real matrix times a complex operator keeps the complex part
     real = mat.real.copy()
-    assert np.abs(opalg.apply_local(op, sites, real, n) - full @ real).max() <= 1e-13 * scale
+    assert np.abs(opalg.apply_local(op, sites, real) - full @ real).max() <= 1e-13 * scale
 
 
 def test_apply_local_rejects_bad_support():
     with pytest.raises(SupportMismatch):
-        opalg.apply_local(np.eye(2), [3], np.eye(8), 3)
+        opalg.apply_local(np.eye(2), [3], np.eye(8))
 
 
 def test_herm_expm_basics():
@@ -182,10 +182,10 @@ def test_herm_expm_rejects_nonhermitian():
 
 
 def test_gibbs_maximally_mixed_and_two_level():
-    rho0 = opalg.gibbs(np.zeros((8, 8)), 0.7, n=3).rho.matrix
+    rho0 = opalg.gibbs(np.zeros((8, 8)), 0.7).rho.matrix
     assert np.allclose(rho0, np.eye(8) / 8.0)
     e = 1.3
-    st = opalg.gibbs(np.diag([0.0, e]), 2.0, n=1)
+    st = opalg.gibbs(np.diag([0.0, e]), 2.0)
     pops = np.diag(st.rho.matrix).real
     z = 1.0 + math.exp(2.0 * e)
     assert pops == pytest.approx([1.0 / z, math.exp(2.0 * e) / z], rel=1e-12)
@@ -196,7 +196,7 @@ def test_gibbs_energy_spectral_sum_oracle():
     rng = np.random.default_rng(3)
     h = rand_herm(rng, 64)
     beta = 1.0
-    st = opalg.gibbs(h, beta, n=6)
+    st = opalg.gibbs(h, beta)
     energy = float(np.trace(st.rho.matrix @ h).real)
     evals = np.linalg.eigvalsh(h)
     w = np.exp(beta * evals - np.max(beta * evals))
@@ -209,7 +209,7 @@ def test_gibbs_energy_spectral_sum_oracle():
 def test_gibbs_dimension_cap(monkeypatch):
     monkeypatch.setattr(opalg, "DIM_CAP", 16)
     with pytest.raises(DimensionCap):
-        opalg.gibbs(np.zeros((32, 32)), 1.0, n=5)
+        opalg.gibbs(np.zeros((32, 32)), 1.0)
 
 
 def test_evolve_identity_cases():
@@ -252,20 +252,20 @@ def test_norms():
 def test_correlation_factorizing_states():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 2)
-    st = opalg.gibbs(np.zeros((8, 8)), 1.0, n=3)  # maximally mixed
+    st = opalg.gibbs(np.zeros((8, 8)), 1.0)  # maximally mixed
     assert abs(opalg.correlation(st, ox, oy)) < 1e-14
 
     rng = np.random.default_rng(7)
     h_left = opalg.embed_matrix(rand_herm(rng, 2), [0], 3)
     h_right = opalg.embed_matrix(rand_herm(rng, 4), [1, 2], 3)
-    st2 = opalg.gibbs(h_left + h_right, 0.9, n=3)  # product state across 0 | 12
+    st2 = opalg.gibbs(h_left + h_right, 0.9)  # product state across 0 | 12
     assert abs(opalg.correlation(st2, ox, oy)) < 1e-12
 
 
 def test_correlation_rejects_overlap():
     ox = opalg.single_site(opalg.pauli("z"), 1)
     oy = opalg.single_site(opalg.pauli("z"), 1)
-    st = opalg.gibbs(np.zeros((4, 4)), 1.0, n=2)
+    st = opalg.gibbs(np.zeros((4, 4)), 1.0)
     with pytest.raises(OverlappingSupports):
         opalg.correlation(st, ox, oy)
 
@@ -275,8 +275,8 @@ def test_correlation_shift_invariance():
     h = rand_herm(rng, 16)
     ox = opalg.single_site(opalg.pauli("x"), 0)
     oy = opalg.single_site(opalg.pauli("x"), 3)
-    c1 = opalg.correlation(opalg.gibbs(h, 1.1, n=4), ox, oy)
-    c2 = opalg.correlation(opalg.gibbs(h + 2.7 * np.eye(16), 1.1, n=4), ox, oy)
+    c1 = opalg.correlation(opalg.gibbs(h, 1.1), ox, oy)
+    c2 = opalg.correlation(opalg.gibbs(h + 2.7 * np.eye(16), 1.1), ox, oy)
     assert abs(c1 - c2) < 1e-10
 
 
