@@ -260,7 +260,7 @@ def criterion_08_operator_lemmas():
         rho = _random_psd(rng, 2**n_all)
         psi_dim = 2 ** (n_all - nx)
         psi_vec = rng.standard_normal(psi_dim) + 1j * rng.standard_normal(psi_dim)
-        rep = cluster.verify_weighted_product(ws, rho, psi_vec, (0, 1), n_all)
+        rep = cluster.verify_weighted_product(ws, rho, psi_vec, (0, 1))
         if not rep.passed:
             n_fail += 1
     rows.append(("weighted_product_failures", float(n_fail), 0.0, n_fail == 0))

@@ -412,7 +412,7 @@ class WeightedProductReport:
 
 
 def verify_weighted_product(
-    w_ops, rho_full, psi_vec, x_sites, tol=1e-10
+    w_ops, rho_full, psi_vec, x_sites, *, tol=1e-10
 ) -> WeightedProductReport:
     """Weighted-product trace inequality for commuting PSD factors on X.
 

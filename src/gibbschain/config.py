@@ -79,6 +79,12 @@ class ExperimentConfig:
             return DecayProfile("exponential", rate=self.rate)
         raise ConfigError(f"unknown profile {self.profile!r}")
 
+    def clustering_sites(self):
+        """(x0, r_list) of clustering_sweep: a negative obs_x_site selects site 0,
+        and an empty r_list runs from x0 to the chain's end."""
+        x0 = max(self.obs_x_site, 0)
+        return x0, self.r_list or tuple(range(1, self.n - x0))
+
     def as_lines(self):
         """Config echo in file format, keys sorted."""
         out = []
@@ -177,11 +183,11 @@ def validate_config(cfg: ExperimentConfig):
     if any(r < 1 for r in cfg.r_list):
         raise ConfigError("r_list entries must be >= 1")
     if cfg.experiment == "clustering_sweep":
-        x0 = max(cfg.obs_x_site, 0)  # a negative site selects site 0
-        if any(x0 + r > cfg.n - 1 for r in cfg.r_list):
+        x0, r_list = cfg.clustering_sites()
+        if any(x0 + r > cfg.n - 1 for r in r_list):
             raise ConfigError(f"obs_x_site + r must stay <= n - 1 = {cfg.n - 1}")
-        # the default r_list runs to the chain's end; xi is fitted to two or more rows
-        if len(cfg.r_list or range(1, cfg.n - x0)) < 2:
+        # xi is fitted to two or more rows
+        if len(r_list) < 2:
             raise ConfigError("clustering_sweep needs two or more separations on the chain")
     if cfg.tau_steps < 1:
         raise ConfigError("tau_steps must be >= 1")

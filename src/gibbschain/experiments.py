@@ -164,10 +164,8 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
 
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
-    n = cfg.n
     h_spectrum = opalg.hermitian_eig(h.matrix())  # shared by every beta
-    x0 = cfg.obs_x_site if cfg.obs_x_site >= 0 else 0
-    r_list = cfg.r_list or tuple(range(1, n - x0))
+    x0, r_list = cfg.clustering_sites()
 
     def one_beta(beta):
         state = opalg.gibbs(h_spectrum, beta)

@@ -388,6 +388,30 @@ def test_weighted_product_random_draws():
         cluster.verify_weighted_product([w1, w2], np.eye(8), np.ones(4), (0,))
 
 
+def test_weighted_product_tolerance_is_keyword_only():
+    # the chain's site count comes from rho; a stale positional n must not land in tol
+    with pytest.raises(TypeError):
+        cluster.verify_weighted_product([np.eye(4)], np.eye(8), np.ones(2), (0, 1), 3)
+    assert cluster.verify_weighted_product([np.eye(4)], np.eye(8), np.ones(2), (0, 1),
+                                           tol=0.0).passed
+
+
+def test_weighted_product_commutation_is_relative_at_small_norms():
+    # ||i[W1, W2]|| = 5e-15 would pass an absolute 1e-12 floor, but it is 6e-9
+    # of ||W1|| ||W2|| = 9e-7, so the scale-invariant test rejects it
+    a = np.diag([1.0, 0.5, 0.2, 0.1])
+    off = np.zeros((4, 4))
+    off[0, 1] = off[1, 0] = 1e-8
+    b = np.diag([0.3, 0.9, 0.4, 0.7]) + off
+    s = 1e-3
+    with pytest.raises(NotCommuting):
+        cluster.verify_weighted_product([s * a, s * b], np.eye(8), np.ones(2), (0, 1))
+    # exactly commuting factors at the same scale still pass
+    rep = cluster.verify_weighted_product([s * a, s * np.diag(np.diag(b))], np.eye(8),
+                                          np.ones(2), (0, 1))
+    assert rep.passed
+
+
 def test_gamma_pair_trivial_and_factorized():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1)
     cd = chain.center_decomposition(htc, 2, 1, enforce_cutoff=False)
