@@ -11,7 +11,7 @@ from gibbschain import chain, locality, profiles
 h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=1)
 env = locality.envelope_for_chain(h)
 print(f"power-law chain, n=8: g={h.g:.3f}, gamma={h.gamma:.3f}, "
-      f"conv_const={env.params.conv_const:.3f}, velocity={env.params.velocity:.3f}")
+      f"conv_const={env.conv_const:.3f}, velocity={env.velocity:.3f}")
 
 report = locality.lr_certify(h, env, (0.25, 0.5, 1.0), range(1, 8))
 print(f"\n{'t':>5s} {'r':>3s} {'exact':>12s} {'envelope':>12s} {'ratio':>8s}")

@@ -430,7 +430,7 @@ def criterion_12_gamma_machinery():
     return _result(12, "gamma_machinery", t0, rows)
 
 
-def criterion_13_determinism(workdir=None):
+def criterion_13_determinism():
     """Identical config and seed reproduce CSV bodies byte for byte."""
     import shutil
 
@@ -438,7 +438,7 @@ def criterion_13_determinism(workdir=None):
 
     t0 = time.time()
     rows = []
-    base = tempfile.mkdtemp(prefix="determinism_", dir=workdir)
+    base = tempfile.mkdtemp(prefix="determinism_")
     configs = (
         ExperimentConfig(experiment="lr_sweep", n=6, generator="heisenberg_xxz",
                          profile="power_law", alpha=3.0, coupling=0.5, seed=1,
@@ -488,13 +488,13 @@ RUNTIME_CAPS = {1: 1, 2: 120, 3: 300, 4: 180, 5: 120, 6: 30, 7: 60, 8: 60,
                 9: 180, 10: 60, 11: 300, 12: 300}
 
 
-def run_acceptance(cfg, manifest, outdir, echo=print):
+def run_acceptance(cfg, manifest, outdir):
     """Run every criterion, print one line each, write the two CSV files."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        echo(
+        print(
             f"criterion {res.number:02d} {res.title:<24s} "
             f"{'PASS' if res.passed else 'FAIL'} ({res.seconds:.1f}s, {res.detail})"
         )

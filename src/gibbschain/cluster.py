@@ -109,12 +109,12 @@ def _sandwich(op: opalg.DenseOperator, mat):
     return _apply(op, _apply(op, mat).conj().T).conj().T
 
 
-def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, norm_tol=1e-10) -> PsiOperator:
-    """Build the correlation probe; requires disjoint supports and unit norms."""
+def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n) -> PsiOperator:
+    """Build the correlation probe; requires disjoint supports and unit norms (to 1e-10)."""
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("probe factors must have disjoint supports")
     for op, name in ((o_x, "O_X"), (o_y, "O_Y")):
-        if abs(opalg.opnorm(op) - 1.0) > norm_tol:
+        if abs(opalg.opnorm(op) - 1.0) > 1e-10:
             raise NotUnitNorm(f"{name} must have unit spectral norm")
     return PsiOperator(o_x=o_x, o_y=o_y, n=n)
 
@@ -501,10 +501,10 @@ def gamma_pair(
     # window-localized removal operators, one per center bond, on their windows
     local_ops = []
     for j in range(m):
-        op = qbp.build_bp_localized(
-            h_tc, centers.centers[j], centers.blocks[j + 1], beta,
+        op = qbp.localized_sweep(
+            h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
             tau_steps=tau_steps, integrator=integrator,
-        )
+        )[0]
         local_ops.append(op.op)
 
     tr_gamma = 0.0 + 0.0j

@@ -10,6 +10,7 @@ ConfigError.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -182,6 +183,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("block_len_list entries must be >= 1")
     if any(r < 1 for r in cfg.r_list):
         raise ConfigError("r_list entries must be >= 1")
+    if not all(math.isfinite(b) and b > 0 for b in cfg.beta_list):
+        raise ConfigError("beta_list entries must be finite and > 0")
     if cfg.experiment == "clustering_sweep":
         x0, r_list = cfg.clustering_sites()
         if any(x0 + r > cfg.n - 1 for r in r_list):
@@ -210,6 +213,12 @@ def validate_config(cfg: ExperimentConfig):
                     f"interior width {width} with block_len {l0} "
                     "must give an even block count >= 2"
                 )
+    if cfg.experiment == "qbp_locality":
+        q = (cfg.n - cfg.x_width - cfg.y_width) // cfg.block_len
+        if not 0 <= cfg.bond_index <= q:
+            raise ConfigError(f"bond_index must lie in 0..{q}, the bonds of {q} interior blocks")
+        if any(r <= 6 * cfg.block_len for r in cfg.radius_list):
+            raise ConfigError(f"radius_list entries must exceed 6*block_len = {6 * cfg.block_len}")
     if cfg.experiment == "gamma_decay":
         if any(m < 0 for m in cfg.m_list):
             raise ConfigError("m_list entries must be >= 0")

@@ -31,13 +31,13 @@ def _keyed_map(fn, keys, threads):
         return {k: f.result() for k, f in futures.items()}
 
 
-def build_config_chain(cfg: ExperimentConfig, n=None, seed=None):
+def build_config_chain(cfg: ExperimentConfig, n=None):
     return chain_mod.build_chain(
         cfg.n if n is None else n,
         cfg.generator,
         cfg.make_profile(),
         coupling=cfg.coupling,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
         anisotropy=cfg.anisotropy,
     )
 

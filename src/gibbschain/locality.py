@@ -1,18 +1,23 @@
 """Information-propagation envelopes and their certification.
 
-Three envelope modes are provided for the commutator norm ||[O_Z(t), O_Z']||:
+``LREnvelope`` holds the light-cone constants of a chain (measured by
+``envelope_for_chain``; the mode follows from the input) and is the one
+source of the velocity v, the prefactor C and the light-cone amplitude
+F0(r), which the QBP locality bound reads as well.  Three envelope modes
+bound the commutator norm ||[O_i(t), O_j]|| of unit-norm single-site
+operators at distance r = |i - j|:
 
 * ``finite_range`` - the factorial light-cone envelope for interaction
-  length d_H, (2/k) |Z| (2 g k |t|)^n0 / n0!  with  n0 = floor(r/d_H + 1);
+  length d_H, (2/k) (2 g k |t|)^n0 / n0!  with  n0 = floor(r/d_H + 1);
 * ``infinite_range`` - the convolution-constant envelope
-  (2/gg) |Z||Z'| (exp(2 gg |t|) - 1) jbar(r);
+  (2/gg) (exp(2 gg |t|) - 1) jbar(r);
 * ``truncated`` - the packaged envelope for interaction-truncated chains,
-  |Z||Z'| min(2, exp(v|t|) C min(exp(-r/(2 l0)), jbar(r))).
+  min(2, exp(v|t|) F0(r)), F0(r) = C min(exp(-r/(2 l0)), jbar(r)).
 
 Every returned value is additionally capped by the trivial commutator bound
-2 ||O_Z|| ||O_Z'||.  ``lr_certify`` sweeps a (t, r) grid and compares the
-envelope against exact commutator norms (``commutator_norm``: Pauli probes
-as signed permutations, norms over the commutator's ``opalg`` sectors).
+2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
+exact commutator norms (``commutator_norm``: Pauli probes as signed
+permutations, norms over the commutator's ``opalg`` sectors).
 """
 
 from __future__ import annotations
@@ -55,18 +60,29 @@ def convolution_constant(profile: DecayProfile, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class LRParams:
-    """Constants entering the propagation envelopes."""
+class LREnvelope:
+    """Light-cone constants of a chain (g and range_cutoff read from the profile)
+    and the envelope mode they enter; block_len is read in truncated mode only."""
 
-    g: float
-    k: int
+    mode: str  # finite_range | infinite_range | truncated
+    profile: DecayProfile
     conv_const: float
-    range_cutoff: int | None = None
+    k: int
     block_len: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("finite_range", "infinite_range", "truncated"):
+            raise ValueError(f"unknown envelope mode {self.mode!r}")
+        if self.mode == "finite_range" and self.profile.range_cutoff is None:
+            raise MissingParam("finite_range mode needs range_cutoff")
+        if self.mode == "infinite_range" and math.isinf(self.conv_const):
+            raise MissingParam("profile admits no finite convolution constant")
+        if self.mode == "truncated" and self.block_len is None:
+            raise MissingParam("truncated mode needs block_len")
 
     @property
     def velocity(self):
-        return max(2.0 * self.g * self.k, 2.0 * self.conv_const)
+        return max(2.0 * self.profile.g * self.k, 2.0 * self.conv_const)
 
     @property
     def prefactor(self):
@@ -74,95 +90,64 @@ class LRParams:
             return 2.0 / self.k
         return 2.0 * (1.0 / self.k + 1.0 / self.conv_const)
 
-
-@dataclass(frozen=True)
-class LREnvelope:
-    mode: str  # finite_range | infinite_range | truncated
-    params: LRParams
-    profile: DecayProfile
-
-    def __post_init__(self):
-        if self.mode not in ("finite_range", "infinite_range", "truncated"):
-            raise ValueError(f"unknown envelope mode {self.mode!r}")
+    def f0(self, r):
+        """Light-cone amplitude F0(r) of the mode, before the trivial 2-cap."""
+        if self.mode == "finite_range":
+            return self.prefactor * math.exp(-r / self.profile.range_cutoff)
+        if self.mode == "infinite_range":
+            return self.prefactor * self.profile(r)
+        return self.prefactor * min(math.exp(-r / (2.0 * self.block_len)), self.profile(r))
 
 
-def envelope_for_chain(h, mode=None) -> LREnvelope:
-    """Measure the envelope constants of a chain or truncated chain."""
+def envelope_for_chain(h) -> LREnvelope:
+    """Measure the envelope constants of a chain (finite_range or infinite_range,
+    as its profile) or of a truncated chain (truncated mode)."""
     if isinstance(h, TruncatedHamiltonian):
-        mode = mode or "truncated"
-        base = h.base
-        block_len = h.block_len
+        base, mode, block_len = h.base, "truncated", h.block_len
     else:
-        base = h
-        block_len = None
-        if mode is None:
-            mode = "finite_range" if base.profile.is_finite_range else "infinite_range"
-    conv = convolution_constant(base.profile, base.n)
-    params = LRParams(
-        g=base.profile.g,
-        k=base.k,
-        conv_const=conv,
-        range_cutoff=base.profile.range_cutoff,
-        block_len=block_len,
+        base, block_len = h, None
+        mode = "finite_range" if base.profile.is_finite_range else "infinite_range"
+    return LREnvelope(
+        mode=mode, profile=base.profile, conv_const=convolution_constant(base.profile, base.n),
+        k=base.k, block_len=block_len,
     )
-    return LREnvelope(mode=mode, params=params, profile=base.profile)
 
 
 def combined_lightcone(env: LREnvelope, t, r):
     """min(2, exp(v|t|) F0(r)) with F0 per mode; the per-pair envelope core."""
-    p = env.params
-    if env.mode == "finite_range":
-        if p.range_cutoff is None:
-            raise MissingParam("finite_range mode needs range_cutoff")
-        f0 = p.prefactor * math.exp(-r / p.range_cutoff)
-    elif env.mode == "infinite_range":
-        f0 = p.prefactor * env.profile(r)
-    else:
-        if p.block_len is None:
-            raise MissingParam("truncated mode needs block_len")
-        f0 = p.prefactor * min(math.exp(-r / (2.0 * p.block_len)), env.profile(r))
+    f0 = env.f0(r)
     if t == 0:
         return min(2.0, f0)
-    if math.isinf(p.velocity):
+    if math.isinf(env.velocity):
         return 2.0
-    exponent = p.velocity * abs(t)
+    exponent = env.velocity * abs(t)
     if f0 > 0 and exponent + math.log(f0) > math.log(2.0):
         return 2.0
     return min(2.0, math.exp(exponent) * f0) if f0 > 0 else 0.0
 
 
-def lr_envelope(env: LREnvelope, t, r, size_z=1, size_zp=1, norm_z=1.0, norm_zp=1.0):
-    """Envelope on ||[O_Z(t), O_Z']|| at time t and support distance r >= 1.
+def lr_envelope(env: LREnvelope, t, r):
+    """Envelope on ||[O_Z(t), O_Z']|| for unit-norm single-site O_Z, O_Z' at distance r >= 1.
 
-    The mode-specific form is evaluated and the trivial commutator bound
-    2 ||O_Z|| ||O_Z'|| is applied on top.
+    The mode-specific form is evaluated and the trivial commutator bound 2
+    is applied on top.
     """
     if r < 1:
         raise ValueError("supports must be disjoint (r >= 1)")
-    p = env.params
-    norms = norm_z * norm_zp
-    trivial = 2.0 * norms
     if env.mode == "finite_range":
-        if p.range_cutoff is None:
-            raise MissingParam("finite_range mode needs range_cutoff")
-        n0 = math.floor(r / p.range_cutoff + 1)
+        n0 = math.floor(r / env.profile.range_cutoff + 1)
         if t == 0:
             return 0.0
         # factorial in log space; n0 can be large for wide separations
-        log_core = n0 * math.log(2.0 * p.g * p.k * abs(t)) - gammaln(n0 + 1)
-        raw = (2.0 / p.k) * norms * size_z * math.exp(log_core)
-        return min(raw, trivial)
+        log_core = n0 * math.log(2.0 * env.profile.g * env.k * abs(t)) - gammaln(n0 + 1)
+        return min((2.0 / env.k) * math.exp(log_core), 2.0)
     if env.mode == "infinite_range":
-        if math.isinf(p.conv_const):
-            raise MissingParam("profile admits no finite convolution constant")
         jb = env.profile(r)
-        exponent = 2.0 * p.conv_const * abs(t)
+        exponent = 2.0 * env.conv_const * abs(t)
         if jb > 0 and exponent + math.log(jb) > 710.0:
-            return trivial
-        raw = (2.0 / p.conv_const) * norms * size_z * size_zp * math.expm1(exponent) * jb
-        return min(raw, trivial)
-    raw = norms * size_z * size_zp * combined_lightcone(env, t, r)
-    return min(raw, trivial)
+            return 2.0
+        return min((2.0 / env.conv_const) * math.expm1(exponent) * jb, 2.0)
+    return combined_lightcone(env, t, r)
 
 
 # P[src[b], b] = phase[b] on the probe's bit; sigma_x needs no phase
@@ -208,14 +193,13 @@ class SubsetEvolutionReport:
     distance: float
 
 
-def subset_evolution_error(
-    o_local, h, window, t, env: LREnvelope | None = None
-) -> SubsetEvolutionReport:
+def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     """Error of evolving with the window-restricted Hamiltonian.
 
     exact = || O(H, t) - O(H_window, t) ||, the second evolved on the window's
     own space and embedded; the envelope combines the interaction tail across
-    the window boundary with the light-cone factor at half the boundary distance.
+    the window boundary with the light-cone factor (the envelope of the chain
+    evolved, a truncated input as its ``as_chain()``) at half the boundary distance.
     """
     if not isinstance(h, (ChainHamiltonian, TruncatedHamiltonian)):
         raise TypeError("need a chain to form subset Hamiltonians")
@@ -224,8 +208,6 @@ def subset_evolution_error(
     support = set(o_local.sites)
     if not support <= set(window):
         raise SubsetViolation("window must contain the operator support")
-    if env is None:
-        env = envelope_for_chain(h, mode="infinite_range" if not chain.profile.is_finite_range else None)
 
     n = chain.n
     diff = opalg.evolve(opalg.embed(o_local, n).matrix, chain.matrix(), t)
@@ -243,7 +225,7 @@ def subset_evolution_error(
     p = chain.profile
     g_tilde = p.g * p.gamma**2 * p(1)
     norm_o = opalg.opnorm(o_local)
-    lightcone = combined_lightcone(env, t, ell / 2.0)
+    lightcone = combined_lightcone(envelope_for_chain(chain), t, ell / 2.0)
     bound = (
         abs(t)
         * len(support)
@@ -272,28 +254,19 @@ class CertificationReport:
         return len(self.violations) == 0
 
 
-def lr_certify(
-    h,
-    env: LREnvelope,
-    t_grid,
-    r_grid,
-    base_site=None,
-    probe="x",
-    slack=1e-10,
-) -> CertificationReport:
+def lr_certify(h, env: LREnvelope, t_grid, r_grid, probe="x") -> CertificationReport:
     """Certify the envelope against exact commutators on a (t, r) grid.
 
-    Probes are single-site Paulis at base_site and base_site + r.  For
-    truncated chains the probes stay inside the interior blocks, where the
-    truncated envelope applies.
+    Probes are single-site Paulis at the first site i0 (of the interior
+    blocks, for a truncated chain, where the truncated envelope applies) and
+    at i0 + r inside the same range.  A row violates when exact exceeds the
+    envelope by more than 2e-10.
     """
+    n = h.n
     if isinstance(h, TruncatedHamiltonian):
-        interior_lo = h.blocks[1][0]
-        interior_hi = h.blocks[-2][-1]
-        n = h.n
+        i0, interior_hi = h.blocks[1][0], h.blocks[-2][-1]
     else:
-        interior_lo, interior_hi, n = 0, h.n - 1, h.n
-    i0 = interior_lo if base_site is None else base_site
+        i0, interior_hi = 0, n - 1
 
     rows = []
     violations = []
@@ -309,7 +282,7 @@ def lr_certify(
             exact = commutator_norm(a_t, probe, j)
             bound = lr_envelope(env, t, r)
             rows.append(CertificationRow(t=float(t), r=int(r), exact=exact, envelope=bound))
-            if exact > bound + slack * 2.0:
+            if exact > bound + 2e-10:
                 violations.append(rows[-1])
             if bound > 0:
                 max_ratio = max(max_ratio, exact / bound)

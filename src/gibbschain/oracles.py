@@ -48,15 +48,16 @@ def ising_correlation_length(beta, coupling):
     return -1.0 / math.log(t)
 
 
-def fit_exponential_decay(distances, values, floor=1e-14):
+def fit_exponential_decay(distances, values):
     """Least-squares fit of values ~ A * exp(-d / xi) on log scale.
 
-    Rows with |value| below the floor are excluded (and reported); returns
+    Rows with |value| at or below the underflow floor 1e-14 are excluded (and
+    reported); returns
     (xi, log_amplitude, n_used, excluded_indices).
     """
     distances = np.asarray(distances, dtype=float)
     values = np.abs(np.asarray(values, dtype=float))
-    mask = values > floor
+    mask = values > 1e-14
     excluded = tuple(int(k) for k in np.nonzero(~mask)[0])
     if mask.sum() < 2:
         return math.nan, math.nan, int(mask.sum()), excluded

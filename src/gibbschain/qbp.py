@@ -23,12 +23,13 @@ In the eigenbasis of the instantaneous Hamiltonian phi is the bond with each
 matrix element multiplied by F at its Bohr frequency, which is how phi is
 evaluated.  The interpolation H(tau) = H_env + tau h and its spectra do not
 depend on beta; only F does.  ``build_bp_sweep`` therefore runs one tau
-sweep for a tuple of betas, diagonalizing each H(tau) node once, and the
-one-beta builders (``build_bp``, ``build_bond_bp``, ...) are its one-beta
-case.  ``filter_quadrature`` discretizes the t-integral by Gauss panels
-(geometrically refined into the singularity); it certifies the kernel's
-normalization and first moment, and its node sum is the independent check
-of F.
+sweep for a tuple of betas, diagonalizing each H(tau) node once; it is the
+one builder, and every BP operator (window-localized by ``localized_sweep``,
+exact-split by ``bond_sweep``) comes from it, a single beta being the
+one-element tuple.  ``filter_quadrature`` discretizes the t-integral by
+Gauss panels (geometrically refined into the singularity); it certifies the
+kernel's normalization and first moment, and its node sum is the
+independent check of F.
 
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
@@ -38,13 +39,14 @@ symmetry (random two-site terms) are the single-block case of the same loop.
 
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
-error is certified against a fully explicit envelope.
+error is certified against a fully explicit envelope, whose light-cone
+constants (velocity, prefactor, F0) come from ``locality.LREnvelope``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +60,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceUnreachable,
 )
-from .locality import LRParams, convolution_constant
+from .locality import envelope_for_chain
 
 # first absolute moment of the filter is FILTER_FIRST_MOMENT * beta
 FILTER_FIRST_MOMENT = 7.0 * zeta(3) / math.pi**3
@@ -67,6 +69,9 @@ FILTER_FIRST_MOMENT = 7.0 * zeta(3) / math.pi**3
 # Gauss panels of PANEL_ORDER nodes
 RESOLVE_OMEGA = 192.0
 PANEL_ORDER = 16
+
+# a residual-gated build doubles tau_steps at most this many times
+MAX_REFINEMENTS = 3
 
 
 def _filter_values(beta, ts):
@@ -191,7 +196,6 @@ class BPOperator:
     tau_steps: int
     bond_norm: float
     phi_norm_max: float
-    bond_index: int | None = None
     reconstruction_residual: float | None = None
 
     @property
@@ -282,8 +286,7 @@ def _residual(phis, spectra, beta):
 
 
 def build_bp_sweep(
-    h_env, h_bond, betas, tau_steps=32, integrator="cf4", residual_gate=None,
-    max_refinements=3, sites=None,
+    h_env, h_bond, betas, tau_steps=32, integrator="cf4", residual_gate=None, sites=None,
 ) -> tuple:
     """Belief propagation operators of the split H = H_env + h_bond, one per beta.
 
@@ -297,7 +300,7 @@ def build_bp_sweep(
     transfer function.  With a residual_gate, the reconstruction residual is
     computed (from per-block H_env and H spectra shared across beta) and the
     betas above the gate are rebuilt with doubled tau_steps; NonConvergence
-    is raised when refinements are exhausted.  Without a gate the residual
+    is raised after MAX_REFINEMENTS doublings.  Without a gate the residual
     is left uncomputed (callers doing difference certifications do not need
     it).  Each operator equals, bit for bit, a one-beta build.
     """
@@ -326,7 +329,7 @@ def build_bp_sweep(
     out = [None] * len(betas)
     pending = list(range(len(betas)))
     steps = tau_steps
-    for _ in range(max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         built = [_ordered_exponentials(he, hb, [betas[i] for i in pending], steps, integrator)
                  for he, hb in parts]
         failed = []
@@ -347,13 +350,8 @@ def build_bp_sweep(
     i, residual = failed[0]
     raise NonConvergence(
         f"residual {residual:.3e} above gate {residual_gate:.1e} at beta={betas[i]} "
-        f"after {max_refinements} refinements"
+        f"after {MAX_REFINEMENTS} refinements"
     )
-
-
-def build_bp(h_env, h_bond, beta, tau_steps=32, **kw) -> BPOperator:
-    """Belief propagation operator for one beta: the one-beta ``build_bp_sweep``."""
-    return build_bp_sweep(h_env, h_bond, (beta,), tau_steps=tau_steps, **kw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,35 +386,32 @@ def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, excluded_cut
     return build_bp_sweep(env, bond, betas, sites=window, **kw)
 
 
-def build_bp_localized(
-    h_tc: TruncatedHamiltonian, cut, window, beta, excluded_cuts=(), **kw
-) -> BPOperator:
-    """BP operator for the bond at ``cut``, built from the window subset only."""
-    env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
-    return build_bp(env, bond, beta, sites=window, **kw)
+def _bond_cut(h_tc: TruncatedHamiltonian, s):
+    """Cut of boundary bundle s, the bond between blocks s and s + 1 (0 <= s <= q)."""
+    if not 0 <= s <= h_tc.q:
+        raise GeometryError(f"bond index {s} outside 0..{h_tc.q}")
+    return h_tc.blocks[s][-1]
 
 
 def bond_sweep(h_tc: TruncatedHamiltonian, s, betas, **kw) -> tuple:
     """Exact-split BP operators for boundary bundle s, one per beta."""
-    ops = localized_sweep(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), betas, **kw)
-    return tuple(replace(op, bond_index=s) for op in ops)
+    return localized_sweep(h_tc, _bond_cut(h_tc, s), tuple(range(h_tc.n)), betas, **kw)
 
 
 def build_bond_bp(h_tc: TruncatedHamiltonian, s, beta, scheme=None, **kw) -> BPOperator:
-    """Exact-split BP operator for boundary bundle s, environment = rest of chain.
+    """One-beta ``bond_sweep``: the entry point of the benchmark's qbp_small workload.
 
     A quadrature ``scheme``, if given, must have been built for this beta
     (ValueError otherwise); phi never uses it.
     """
     if scheme is not None and scheme.beta != beta:
         raise ValueError(f"scheme built for beta={scheme.beta} used at beta={beta}")
-    op = build_bp_localized(h_tc, h_tc.blocks[s][-1], tuple(range(h_tc.n)), beta, **kw)
-    return replace(op, bond_index=s)
+    return bond_sweep(h_tc, s, (beta,), **kw)[0]
 
 
 def _window_around(h_tc: TruncatedHamiltonian, s, r):
     """The bond cut of bundle s and the window of radius r around it."""
-    cut = h_tc.blocks[s][-1]
+    cut = _bond_cut(h_tc, s)
     return cut, tuple(range(max(0, cut - r), min(h_tc.n - 1, cut + r) + 1))
 
 
@@ -455,37 +450,30 @@ def locality_decay_envelope(theta: ThetaFunction, profile, block_len, beta, r):
 class BPLocalityReport:
     exact: float
     explicit_bound: float
-    theta_bound: float | None
     r: int
     beta: float
     vacuous: bool
-    f0_value: float
 
     @property
     def passed(self):
         return self.exact <= self.explicit_bound + 1e-12
 
 
-def _truncated_f0(params: LRParams, profile, block_len, x):
-    return params.prefactor * min(math.exp(-x / (2.0 * block_len)), profile(x))
-
-
-def _locality_envelope(h_tc: TruncatedHamiltonian, r, beta, theta):
-    """(explicit bound, theta bound, F0(r/3)) after checking the preconditions."""
+def _locality_envelope(h_tc: TruncatedHamiltonian, env, r, beta):
+    """Explicit bound at (r, beta) after checking the preconditions; F0(r/3),
+    the prefactor C and the velocity v come from the chain's envelope ``env``."""
     base = h_tc.base
     p = base.profile
     l0 = h_tc.block_len
     if r <= 6 * l0:
         raise PreconditionViolated(f"need r > 6*block_len = {6 * l0}, got {r}")
-    conv = convolution_constant(p, base.n)
-    params = LRParams(g=p.g, k=base.k, conv_const=conv, block_len=l0)
-    f0 = _truncated_f0(params, p, l0, r / 3.0)
+    f0 = env.f0(r / 3.0)
     if f0 > 1.0:
         raise PreconditionViolated(f"F0(r/3) = {f0:.3g} exceeds 1")
 
     g_tilde = h_tc.g_tilde
-    c_pref = params.prefactor
-    v = params.velocity
+    c_pref = env.prefactor
+    v = env.velocity
     explicit = math.exp(beta * g_tilde / 2.0) * (
         beta * p.g * p.gamma**2 * r**2
         * (1.0 + base.k * g_tilde * beta / (2.0 * math.pi**3))
@@ -496,33 +484,26 @@ def _locality_envelope(h_tc: TruncatedHamiltonian, r, beta, theta):
             + 72.0 * g_tilde * (f0 / c_pref) ** (math.pi / (4.0 * v * beta))
         )
     )
-    theta_bound = (
-        locality_decay_envelope(theta, p, l0, beta, r) if theta is not None else None
-    )
-    return float(explicit), theta_bound, float(f0)
+    return float(explicit)
 
 
 def bp_locality_sweep(
-    h_tc: TruncatedHamiltonian,
-    s,
-    radii,
-    betas,
-    tau_steps=32,
-    integrator="cf4",
-    theta: ThetaFunction | None = None,
+    h_tc: TruncatedHamiltonian, s, radii, betas, tau_steps=32, integrator="cf4",
 ) -> tuple:
     """Measured || Phi_s - Phi_s,window || against the explicit envelope.
 
-    One report per (beta, r), beta-major.  Requires r > 6 * block_len and
-    a subcritical light-cone value F0(r/3) <= 1 at every point, checked
-    before any build.  The full operators of all betas come from one tau
-    sweep, and so do the window operators at each radius.  When the window
-    swallows the whole chain the two constructions coincide term by term
-    and the error is exactly zero (reported as vacuous).
+    One report per (beta, r), beta-major.  Requires 0 <= s <= q (else
+    GeometryError), r > 6 * block_len and a subcritical light-cone value
+    F0(r/3) <= 1 at every point, checked before any build.  The full
+    operators of all betas come from one tau sweep, and so do the window
+    operators at each radius.  When the window swallows the whole chain the
+    two constructions coincide term by term and the error is exactly zero
+    (reported as vacuous).
     """
-    bounds = {(beta, r): _locality_envelope(h_tc, r, beta, theta)
-              for beta in betas for r in radii}
     windows = {r: _window_around(h_tc, s, r) for r in radii}
+    env = envelope_for_chain(h_tc)
+    bounds = {(beta, r): _locality_envelope(h_tc, env, r, beta)
+              for beta in betas for r in radii}
     measured = [r for r in radii if len(windows[r][1]) < h_tc.n]
     kw = dict(tau_steps=tau_steps, integrator=integrator)
     exact = {}
@@ -537,17 +518,16 @@ def bp_locality_sweep(
                 exact[(beta, r)] = opalg.opnorm(diff)
     return tuple(
         BPLocalityReport(
-            exact=exact.get((beta, r), 0.0), explicit_bound=bounds[(beta, r)][0],
-            theta_bound=bounds[(beta, r)][1], r=int(r), beta=float(beta),
-            vacuous=r not in measured, f0_value=bounds[(beta, r)][2],
+            exact=exact.get((beta, r), 0.0), explicit_bound=bounds[(beta, r)],
+            r=int(r), beta=float(beta), vacuous=r not in measured,
         )
         for beta in betas
         for r in radii
     )
 
 
-def calibrate_theta(reports, profile, block_len, margin=1.05) -> ThetaFunction:
-    """Smallest affine rate function whose envelope dominates measured errors.
+def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
+    """Smallest affine rate function whose envelope dominates measured errors by 5%.
 
     reports is an iterable of BPLocalityReport (or anything with .exact, .r,
     .beta).  For each slope on a log grid the minimal intercept is found by
@@ -560,7 +540,7 @@ def calibrate_theta(reports, profile, block_len, margin=1.05) -> ThetaFunction:
     def dominates(th0, th1):
         theta = ThetaFunction(th0, th1)
         return all(
-            locality_decay_envelope(theta, profile, block_len, b, r) >= e * margin
+            locality_decay_envelope(theta, profile, block_len, b, r) >= e * 1.05
             for r, b, e in pts
         )
 
@@ -623,17 +603,15 @@ def bp_chain(
     cuts = [blocks[j][-1] for j in range(m + 1)]
     exact_ops, local_ops = [], []
     for j, cut in enumerate(cuts):
-        exact_ops.append(
-            build_bp_localized(h_tc, cut, tuple(range(n)), beta,
-                               excluded_cuts=tuple(cuts[:j]), **kw)
-        )
+        exact_ops.append(localized_sweep(h_tc, cut, tuple(range(n)), (beta,),
+                                         excluded_cuts=tuple(cuts[:j]), **kw)[0])
         if j == 0:
             window = tuple(range(0, cpoints[0] + 1))
         elif j == m:
             window = tuple(range(cpoints[m - 1] + 1, n))
         else:
             window = tuple(range(cpoints[j - 1] + 1, cpoints[j] + 1))
-        local_ops.append(build_bp_localized(h_tc, cut, window, beta, **kw))
+        local_ops.append(localized_sweep(h_tc, cut, window, (beta,), **kw)[0])
 
     full_exact = np.eye(h_tc.base.dim, dtype=complex)
     full_local = np.eye(h_tc.base.dim, dtype=complex)

@@ -1,7 +1,6 @@
 """Reference oracles and one-point wrappers used only by the tests, kept out of the library."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,7 +46,7 @@ def filter_value(beta, t):
 def build_truncated_bp(h_tc, s, r, beta, **kw):
     """Window-truncated BP operator for boundary bundle s, window radius r."""
     cut, window = qbp._window_around(h_tc, s, r)
-    return replace(qbp.build_bp_localized(h_tc, cut, window, beta, **kw), bond_index=s)
+    return qbp.localized_sweep(h_tc, cut, window, (beta,), **kw)[0]
 
 
 def reconstruction_residual(phi_mat, h_env, h_bond, beta):

@@ -456,8 +456,8 @@ def dense_gamma_pair_traces(h_tc, centers, beta, o_x, o_y, tau_steps):
     dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
     local_ops = [
-        qbp.build_bp_localized(h_tc, centers.centers[j], centers.blocks[j + 1], beta,
-                               tau_steps=tau_steps).embedded_matrix(n)
+        qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
+                            tau_steps=tau_steps)[0].embedded_matrix(n)
         for j in range(centers.m)
     ]
     e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
@@ -527,8 +527,8 @@ def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):
     dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
     local_ops = [
-        qbp.build_bp_localized(h_tc, centers.centers[j], centers.blocks[j + 1], beta,
-                               tau_steps=tau_steps).embedded_matrix(n)
+        qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
+                            tau_steps=tau_steps)[0].embedded_matrix(n)
         for j in range(centers.m)
     ]
     e0 = opalg.herm_expm(h_mat - sum(bonds), beta)

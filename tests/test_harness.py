@@ -70,21 +70,36 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         load_config(None, overrides={"experiment": "truncation_sweep", "n": 2}, environ={})
     # separations off the chain or of a site with itself: these used to write a
     # fabricated r = 9 row (identity partner), fit a self-correlation row, raise
-    # FitDegenerate mid-run (twice) and raise an uncaught ValueError
+    # FitDegenerate mid-run (twice) and raise an uncaught ValueError.
+    # qbp_locality at the defaults has q = 8 interior blocks, so bonds 0..8:
+    # bond 9 and bond -1 used to certify the empty bond at the chain's end
+    # (exact = 0), bond 20 raised IndexError and r <= 6*block_len failed mid-run.
+    # A negative beta used to raise a math domain error (clustering_sweep) or
+    # pass (gamma_decay).
     for k, overrides in enumerate((
-        {"experiment": "clustering_sweep", "r_list": "1,2,9"},
-        {"experiment": "clustering_sweep", "r_list": "0,1,2"},
-        {"experiment": "clustering_sweep", "obs_x_site": 8},
-        {"experiment": "clustering_sweep", "obs_x_site": 4},
-        {"experiment": "lr_sweep", "r_list": "0,1"},
+        {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
+        {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
+        {"n": 6, "experiment": "clustering_sweep", "obs_x_site": 8},
+        {"n": 6, "experiment": "clustering_sweep", "obs_x_site": 4},
+        {"n": 6, "experiment": "lr_sweep", "r_list": "0,1"},
+        {"experiment": "qbp_locality", "bond_index": 9},
+        {"experiment": "qbp_locality", "bond_index": -1},
+        {"experiment": "qbp_locality", "bond_index": 20},
+        {"experiment": "qbp_locality", "radius_list": "6,7"},
+        {"experiment": "clustering_sweep", "beta_list": "-0.5,0.5"},
+        {"experiment": "clustering_sweep", "beta_list": "0.5,nan"},
+        {"experiment": "gamma_decay", "beta_list": "-0.5"},
+        {"experiment": "gamma_decay", "beta_list": "0"},
+        {"experiment": "gamma_decay", "beta_list": "inf"},
     )):
-        overrides = {"n": 6, **overrides}
         with pytest.raises(ConfigError):
             load_config(None, overrides=overrides, environ={})
         path = tmp_path / f"bad{k}.cfg"
         path.write_text("".join(f"{key} = {v}\n" for key, v in overrides.items()))
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / f"out{k}")]) == 2
         assert not (tmp_path / f"out{k}").exists()
+    for s in (0, 8):
+        load_config(None, overrides={"experiment": "qbp_locality", "bond_index": s}, environ={})
     # the farthest partner on the chain is accepted
     edge = {"experiment": "clustering_sweep", "n": 6, "obs_x_site": 1, "r_list": "1,4"}
     assert load_config(None, overrides=edge, environ={}).r_list == (1, 4)
@@ -301,13 +316,17 @@ def test_threads_do_not_change_output(tmp_path):
     )
 
 
-def test_bundled_configs_parse():
+def test_bundled_configs_parse(tmp_path):
+    """Every bundled config parses, and every one but acceptance (covered by
+    test_acceptance.py) runs and passes its checks."""
     import glob
     paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
     assert len(paths) >= 6
     for path in paths:
         cfg = load_config(path, environ={})
-        assert cfg.experiment
+        if cfg.experiment != "acceptance":
+            manifest = run_experiment(cfg, output_dir=str(tmp_path / os.path.basename(path)))
+            assert manifest.all_passed, (path, manifest.errors)
 
 
 def test_library_is_qubit_only():
@@ -346,7 +365,7 @@ def test_library_is_qubit_only():
     assert offenders == []
     assert "k" not in inspect.signature(chain.build_chain).parameters
     h = chain.build_chain(3, "ising_zz", profiles.finite_range(1))
-    assert h.k == 2 and locality.envelope_for_chain(h).params.k == 2
+    assert h.k == 2 and locality.envelope_for_chain(h).k == 2
     for fn in (opalg.add_embedded, opalg.apply_local, opalg.partial_trace, opalg.gibbs,
                locality.commutator_norm, cluster.verify_weighted_product):
         assert "n" not in inspect.signature(fn).parameters, fn.__name__

@@ -37,8 +37,8 @@ def test_convolution_constant_infinite_for_finite_range():
     assert math.isinf(locality.convolution_constant(profiles.finite_range(1), 6))
 
 
-def _env(h, mode=None):
-    return locality.envelope_for_chain(h, mode=mode)
+def _env(h):
+    return locality.envelope_for_chain(h)
 
 
 def test_envelope_zero_at_t0():
@@ -56,11 +56,10 @@ def test_envelope_zero_at_t0():
 def test_envelope_light_cone_step_count():
     h = chain.build_chain(8, "ising_zz", profiles.finite_range(2), coupling=1.0, seed=0)
     env = _env(h)
-    p = env.params
     t, r = 0.3, 5
     n0 = math.floor(r / 2 + 1)
     assert n0 == 3
-    expected = (2.0 / p.k) * (2 * p.g * p.k * t) ** n0 / math.factorial(n0)
+    expected = (2.0 / env.k) * (2 * h.g * env.k * t) ** n0 / math.factorial(n0)
     assert locality.lr_envelope(env, t, r) == pytest.approx(min(expected, 2.0), rel=1e-12)
 
 
@@ -68,11 +67,11 @@ def test_envelope_trivial_cap_and_monotonicity():
     h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=1.0, seed=1)
     env = _env(h)
     assert locality.lr_envelope(env, 50.0, 1) == pytest.approx(2.0)
-    for mode_env in (env, _env(h.replace_terms(h.terms), mode="infinite_range")):
-        vals_t = [locality.lr_envelope(mode_env, t, 3) for t in (0.0, 0.1, 0.5, 1.0, 3.0)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals_t, vals_t[1:]))
-        vals_r = [locality.lr_envelope(mode_env, 0.5, r) for r in range(1, 7)]
-        assert all(a >= b - 1e-15 for a, b in zip(vals_r, vals_r[1:]))
+    assert env.mode == "infinite_range"
+    vals_t = [locality.lr_envelope(env, t, 3) for t in (0.0, 0.1, 0.5, 1.0, 3.0)]
+    assert all(a <= b + 1e-15 for a, b in zip(vals_t, vals_t[1:]))
+    vals_r = [locality.lr_envelope(env, 0.5, r) for r in range(1, 7)]
+    assert all(a >= b - 1e-15 for a, b in zip(vals_r, vals_r[1:]))
 
 
 def test_truncated_envelope_modes():
@@ -80,10 +79,10 @@ def test_truncated_envelope_modes():
     htc = chain.truncate(h, [0], [9], 2)
     env = _env(htc)
     assert env.mode == "truncated"
-    p = env.params
     r, t = 6, 0.4
-    f_tilde = p.prefactor * min(math.exp(-r / 4.0), h.profile(r))
-    expected = min(2.0, math.exp(p.velocity * t) * f_tilde)
+    f_tilde = env.prefactor * min(math.exp(-r / 4.0), h.profile(r))
+    assert env.f0(r) == f_tilde
+    expected = min(2.0, math.exp(env.velocity * t) * f_tilde)
     assert locality.lr_envelope(env, t, r) == pytest.approx(min(expected, 2.0), rel=1e-12)
 
 
@@ -123,9 +122,12 @@ def test_subset_evolution_trivial_and_bound():
 
 def test_infinite_range_mode_requires_convolution_constant():
     h = chain.build_chain(6, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
-    env = locality.envelope_for_chain(h, mode="infinite_range")
+    conv = locality.convolution_constant(h.profile, h.n)
+    assert math.isinf(conv)
     with pytest.raises(MissingParam):
-        locality.lr_envelope(env, 0.5, 2)
+        locality.LREnvelope(mode="infinite_range", profile=h.profile, conv_const=conv, k=h.k)
+    with pytest.raises(MissingParam):
+        locality.LREnvelope(mode="truncated", profile=h.profile, conv_const=conv, k=h.k)
 
 
 def test_truncated_envelope_monotone():

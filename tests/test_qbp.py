@@ -109,7 +109,7 @@ def test_scheme_for_other_beta_rejected(scheme1):
         qbp.build_bond_bp(htc, 2, 0.5, scheme=scheme1, tau_steps=4)
     # build_bond_bp is the one builder that still takes a scheme
     with pytest.raises(TypeError):
-        qbp.build_bp(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]), 1.0, scheme=scheme1)
+        qbp.build_bp_sweep(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]), (1.0,), scheme=scheme1)
     bp = qbp.build_bond_bp(htc, 2, 1.0, scheme=scheme1, tau_steps=4)
     plain = qbp.build_bond_bp(htc, 2, 1.0, tau_steps=4)
     assert np.array_equal(bp.matrix, plain.matrix)
@@ -125,7 +125,7 @@ def test_zero_bond_gives_identity():
     rng = np.random.default_rng(1)
     env = rng.standard_normal((8, 8))
     env = env + env.T
-    bp = qbp.build_bp(env, np.zeros((8, 8)), 1.0)
+    bp = qbp.build_bp_sweep(env, np.zeros((8, 8)), (1.0,))[0]
     assert np.allclose(bp.matrix, np.eye(8))
     assert bp.reconstruction_residual == 0.0
 
@@ -135,7 +135,7 @@ def test_commuting_split_closed_form():
     rng = np.random.default_rng(2)
     env = np.diag(rng.standard_normal(8))
     bond = np.diag(rng.uniform(0.0, 1.0, size=8))
-    bp = qbp.build_bp(env, bond, 1.0, tau_steps=8)
+    bp = qbp.build_bp_sweep(env, bond, (1.0,), tau_steps=8)[0]
     expected = opalg.herm_expm(bond, 0.5)
     assert np.max(np.abs(bp.matrix - expected)) < 1e-8
     res = reconstruction_residual(bp.matrix, env, bond, 1.0)
@@ -172,7 +172,7 @@ def test_beta_sweep_equals_one_beta_builds(integrator, gate):
     swept = qbp.bond_sweep(htc, 2, betas, **kw)
     for beta, op in zip(betas, swept):
         one = qbp.build_bond_bp(htc, 2, beta, **kw)
-        assert op.beta == beta and op.bond_index == 2
+        assert op.beta == beta
         assert np.array_equal(op.matrix, one.matrix)
         assert op.tau_steps == one.tau_steps
         assert op.reconstruction_residual == one.reconstruction_residual
@@ -186,7 +186,7 @@ def test_nonconvergence_raises():
     htc = _random_truncated(coupling=1.5, seed=5)
     with pytest.raises(NonConvergence):
         qbp.build_bond_bp(htc, 2, 2.0, tau_steps=1, integrator="midpoint",
-                          residual_gate=1e-14, max_refinements=1)
+                          residual_gate=1e-14)
 
 
 def test_truncated_full_window_matches_exact(scheme1):
@@ -221,6 +221,19 @@ def test_bp_locality_preconditions():
     htc = _random_truncated(n=8)
     with pytest.raises(PreconditionViolated):
         qbp.bp_locality_sweep(htc, 1, (6,), (1.0,), tau_steps=4)
+
+
+def test_bond_index_outside_bonds_rejected():
+    # q = 6 interior blocks give bonds 0..6; s = 7 and s = -1 used to select the
+    # empty bond at the chain's end (both operators the identity, exact = 0)
+    htc = _random_truncated(n=8)
+    assert htc.q == 6
+    for s in (-1, 7, 20):
+        with pytest.raises(GeometryError):
+            qbp.bond_sweep(htc, s, (1.0,), tau_steps=1)
+        with pytest.raises(GeometryError):
+            qbp.bp_locality_sweep(htc, s, (7,), (1.0,), tau_steps=1)
+    assert qbp.bond_sweep(htc, 6, (1.0,), tau_steps=1)[0].bond_norm > 0
 
 
 def test_first_moment_constant_below_nine():
