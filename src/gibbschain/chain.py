@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import opalg
 from .errors import (
@@ -147,7 +148,7 @@ class ChainHamiltonian:
 
 
 def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     sx, sy, sz = opalg.pauli("x"), opalg.pauli("y"), opalg.pauli("z")
     zz = np.kron(sz, sz).real
     xxz = (np.kron(sx, sx) + np.kron(sy, sy).real + anisotropy * zz).real

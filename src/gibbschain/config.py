@@ -201,6 +201,12 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.threads > 1 and cfg.experiment != "clustering_sweep":
         raise ConfigError(f"threads > 1 is only used by clustering_sweep, not {cfg.experiment}")
     profile = cfg.make_profile()
+    # the tail sums behind gamma converge only for alpha > 2
+    if profile.kind == "power_law" and not cfg.alpha > 2:
+        raise ConfigError(
+            f"power_law needs alpha > 2 (got {cfg.alpha}): the theorem assumes "
+            "couplings that decay faster than r^-2"
+        )
     # lr_sweep truncates (and reads block_len) only on infinite-range chains
     if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
         cfg.experiment == "lr_sweep" and not profile.is_finite_range

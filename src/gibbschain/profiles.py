@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import NonConvergentTail
 
@@ -109,6 +108,56 @@ def exponential(rate: float) -> DecayProfile:
     return DecayProfile("exponential", rate=float(rate))
 
 
+# Euler-Maclaurin stop and the coefficients (2k)! / B_2k of Cephes' zeta.c
+_MACHEP = 1.11022302462515654042e-16
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+    1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{j >= 0} (q + j)^-x for x > 1, q > 0.
+
+    A line-for-line port of the Cephes routine behind scipy.special.zeta(x, q)
+    (same terms, stops and order of operations), so the two agree bit for bit.
+    """
+    if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    # direct terms until at least 9 are summed and a > 9
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    # Euler-Maclaurin tail from w = a
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def tail_sum(profile: DecayProfile, ell: int, z: int) -> float:
     """sum over integer x >= ell of x^z * jbar(x), via analytic tails.
 
@@ -134,7 +183,7 @@ def tail_sum(profile: DecayProfile, ell: int, z: int) -> float:
                 f"power-law tail sum diverges for alpha={profile.alpha}, z={z}"
             )
         # Hurwitz zeta gives the exact tail.
-        return float(special.zeta(s, ell))
+        return hurwitz_zeta(s, float(ell))
 
     if profile.kind == "exponential":
         q = math.exp(-profile.rate)
@@ -156,6 +205,10 @@ def tail_sum(profile: DecayProfile, ell: int, z: int) -> float:
         if x > ell + 2_000_000:
             raise NonConvergentTail("stretched-exponential tail failed to settle")
         x += 1
+    # the library's one use of scipy, imported here so that importing
+    # gibbschain loads numpy alone
+    from scipy import integrate
+
     rem, _ = integrate.quad(
         lambda t: t**z * math.exp(-c * t**kappa), x, np.inf, limit=200
     )

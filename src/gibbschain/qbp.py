@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
+from numpy.polynomial.legendre import leggauss
 
 from . import opalg
 from .chain import TruncatedHamiltonian, terms_matrix
@@ -62,8 +62,9 @@ from .errors import (
 )
 from .locality import envelope_for_chain
 
-# first absolute moment of the filter is FILTER_FIRST_MOMENT * beta
-FILTER_FIRST_MOMENT = 7.0 * zeta(3) / math.pi**3
+# first absolute moment of the filter is FILTER_FIRST_MOMENT * beta; the
+# literal is zeta(3) rounded to the nearest double
+FILTER_FIRST_MOMENT = 7.0 * 1.2020569031595942 / math.pi**3
 
 # filter_quadrature resolves integrands oscillating up to RESOLVE_OMEGA with
 # Gauss panels of PANEL_ORDER nodes
@@ -130,7 +131,7 @@ class QuadratureScheme:
 
 
 def _gauss_panel(a, b, order):
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -139,6 +139,71 @@ def test_lr_sweep_geometry_checked_only_where_it_truncates(tmp_path, monkeypatch
     assert cli.main(["run", str(power), "--output-dir", str(tmp_path / "out")]) == 2
 
 
+def test_power_law_alpha_at_most_two_rejected_at_config_time(tmp_path, monkeypatch):
+    """alpha <= 2 is the theorem's excluded case; its tail sums diverge, so it
+    used to exit 1 with NonConvergentTail once the chain was built."""
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    for k, (experiment, alpha) in enumerate((
+        ("lr_sweep", "2.0"), ("qbp_locality", "1.5"), ("truncation_sweep", "2"),
+        ("clustering_sweep", "nan"), ("gamma_decay", "-3"),
+    )):
+        overrides = {"experiment": experiment, "profile": "power_law", "alpha": alpha}
+        with pytest.raises(ConfigError, match=r"faster than r\^-2"):
+            load_config(None, overrides=overrides, environ={})
+        path = tmp_path / f"alpha{k}.cfg"
+        path.write_text("".join(f"{key} = {v}\n" for key, v in overrides.items()))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / f"out{k}")]) == 2
+        assert not (tmp_path / f"out{k}").exists()
+    for alpha in (2.0001, 3.0):
+        overrides = {"experiment": "lr_sweep", "profile": "power_law", "alpha": alpha}
+        assert load_config(None, overrides=overrides, environ={}).alpha == alpha
+
+
+def test_library_and_configs_run_without_scipy(tmp_path):
+    """Importing gibbschain, then running a power-law lr_sweep, a gamma_decay
+    and every benchmark workload (smoke size), loads no scipy module: only the
+    stretched-exponential tail integral imports it."""
+    import subprocess
+    import sys
+
+    script = """
+import os, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import gibbschain
+print(scipy_modules())
+from gibbschain.config import load_config
+from gibbschain.experiments import run_experiment
+out, perfbench = sys.argv[1:]
+for label, overrides in (
+    ("lr", dict(experiment="lr_sweep", n=6, generator="heisenberg_xxz", profile="power_law",
+                alpha=3.0, coupling=0.5, t_grid="0.5", block_len=1)),
+    ("gamma", dict(experiment="gamma_decay", generator="ising_zz", profile="finite_range",
+                   range_cutoff=1, beta_list="0.6", m_list="0,1", half_width=1, tau_steps=4)),
+):
+    cfg = load_config(None, overrides=overrides, environ={})
+    assert run_experiment(cfg, output_dir=os.path.join(out, label)).all_passed, label
+sys.path.insert(0, perfbench)
+import workloads
+for name, (inputs, certify, gate) in workloads.WORKLOADS.items():
+    os.makedirs(os.path.join(out, name))
+    certify(inputs(3, smoke=True), os.path.join(out, name))
+print(scipy_modules())
+"""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIBBSCHAIN_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), os.path.join(root, "perfbench")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
 def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
     for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
         monkeypatch.delenv(name)

@@ -63,6 +63,25 @@ def test_envelope_light_cone_step_count():
     assert locality.lr_envelope(env, t, r) == pytest.approx(min(expected, 2.0), rel=1e-12)
 
 
+def test_log_factorial_equals_gammaln_inside_dim_cap():
+    """r <= n - 1 < log2(DIM_CAP) and d_H >= 1, so n0 = floor(r/d_H + 1) <= 12;
+    there log n0! equals scipy's gammaln(n0 + 1) exactly."""
+    from scipy.special import gammaln
+
+    n0_max = opalg.DIM_CAP.bit_length() - 1
+    assert n0_max == 12
+    for n0 in range(n0_max + 1):
+        assert math.log(math.factorial(n0)) == gammaln(n0 + 1), n0
+    h = chain.build_chain(8, "ising_zz", profiles.finite_range(1), coupling=0.2, seed=0)
+    env = _env(h)
+    for t in (0.1, 0.7, 2.0):
+        for r in range(1, n0_max):
+            n0 = r + 1
+            log_core = n0 * math.log(2.0 * env.profile.g * env.k * t) - gammaln(n0 + 1)
+            expected = min((2.0 / env.k) * math.exp(log_core), 2.0)
+            assert locality.lr_envelope(env, t, r) == expected, (t, r)
+
+
 def test_envelope_trivial_cap_and_monotonicity():
     h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=1.0, seed=1)
     env = _env(h)

@@ -52,6 +52,26 @@ def test_tail_sum_matches_brute_force():
         assert got == pytest.approx(brute, rel=1e-8), (p.kind, ell, z)
 
 
+def test_hurwitz_zeta_equals_scipy_bit_for_bit():
+    """The Cephes port equals scipy.special.zeta exactly, not to a tolerance."""
+    from scipy.special import zeta
+
+    rng = np.random.default_rng(11)
+    # the bundled configs' alpha - z (alpha = 3, z in {0, 1}), then s in (1, 40]
+    s_values = [2.0, 3.0, 1.0 + 1e-9, 1.25, 1.5, 2.5, 40.0]
+    s_values += list(1.0 + 39.0 * (1.0 - rng.random(60)))
+    qs = np.arange(1.0, 401.0)
+    for s in s_values:
+        expect = zeta(s, qs)
+        got = [profiles.hurwitz_zeta(float(s), float(q)) for q in qs]
+        assert got == expect.tolist(), s
+    # the asymptotic branch past q = 1e8
+    for q in (1e8 + 1.0, 1e9, 1e12):
+        for s in (1.5, 2.0, 3.0):
+            assert profiles.hurwitz_zeta(s, q) == zeta(s, q), (s, q)
+    assert profiles.tail_sum(profiles.power_law(3.0), 4, 1) == zeta(2.0, 4.0)
+
+
 def test_geometric_tail_closed_form():
     # jbar(x) = 2^-x: tail sum from ell is 2^(1-ell), ratio 2/ell, worst 2
     p = profiles.exponential(math.log(2.0))

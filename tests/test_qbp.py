@@ -239,6 +239,10 @@ def test_bond_index_outside_bonds_rejected():
 def test_first_moment_constant_below_nine():
     assert 7.0 * 1.2020569031595943 < 9.0
     assert qbp.FILTER_FIRST_MOMENT * math.pi**3 == pytest.approx(7 * 1.2020569031595943, rel=1e-12)
+    # the literal in qbp is scipy's zeta(3) to the last bit
+    from scipy.special import zeta
+
+    assert qbp.FILTER_FIRST_MOMENT == 7 * zeta(3) / math.pi**3
 
 
 def test_ordered_product_order_scaling():
