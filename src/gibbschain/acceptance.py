@@ -54,8 +54,7 @@ def _random_hermitian(rng, dim, scale=1.0):
 
 
 def _random_psd(rng, dim, scale=1.0):
-    m = _random_hermitian(rng, dim)
-    evals, vecs = np.linalg.eigh(m)
+    evals, vecs = opalg.spectrum(_random_hermitian(rng, dim))
     return (vecs * (scale * np.abs(evals))) @ vecs.conj().T
 
 
@@ -398,7 +397,7 @@ def criterion_12_gamma_machinery():
     ):
         hf = chain_mod.build_chain(6, gen, prof, coupling=coupling, seed=seed)
         hft = chain_mod.truncate(hf, [0], [5], 1)
-        cd = chain_mod.center_decomposition(hft, 2, 1, enforce_cutoff=False)
+        cd = chain_mod.center_decomposition(hft, 2, 1)
         o_x = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 0)
         o_y = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 5)
         rep = cluster.gamma_pair(hft, cd, beta_f, o_x, o_y, tau_steps=16)
@@ -419,7 +418,7 @@ def criterion_12_gamma_machinery():
                 values.append(abs(opalg.correlation(state, o_x, o_y)))
             else:
                 hmt = chain_mod.truncate(hm, [0], [n_m - 1], 1)
-                cd = chain_mod.center_decomposition(hmt, m, 1, enforce_cutoff=False)
+                cd = chain_mod.center_decomposition(hmt, m, 1)
                 rep = cluster.gamma_pair(hmt, cd, beta, o_x, o_y, tau_steps=16)
                 values.append(rep.psi_trace_decay)
         drops = [values[i] - values[i + 1] for i in range(len(values) - 1)]

@@ -25,7 +25,6 @@ from numpy.random import default_rng
 from . import opalg
 from .errors import (
     BadPartition,
-    CutoffError,
     DecayViolation,
     GeometryError,
     InvalidSpec,
@@ -96,9 +95,6 @@ class ChainHamiltonian:
     n: int
     terms: tuple
     profile: DecayProfile
-    generator: str = "custom"
-    seed: int | None = None
-    coupling: float = 1.0
     _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -137,14 +133,7 @@ class ChainHamiltonian:
         return self._matrix_cache[key]
 
     def replace_terms(self, terms):
-        return ChainHamiltonian(
-            n=self.n,
-            terms=tuple(terms),
-            profile=self.profile,
-            generator=self.generator,
-            seed=self.seed,
-            coupling=self.coupling,
-        )
+        return ChainHamiltonian(n=self.n, terms=tuple(terms), profile=self.profile)
 
 
 def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
@@ -214,9 +203,6 @@ def build_chain(
         n=n,
         terms=tuple(terms),
         profile=profile.with_constants(g=g, gamma=gamma),
-        generator=generator,
-        seed=seed,
-        coupling=coupling,
     )
     # defensive re-check of the decay envelope on the built chain
     for (i, j), s in pair_strength.items():
@@ -236,20 +222,19 @@ class BlockInteraction:
     distance: int
 
 
-def block_interaction_norm(h, region_a, region_b) -> BlockInteraction:
+def block_interaction_norm(h: ChainHamiltonian, region_a, region_b) -> BlockInteraction:
     """Summed norm of terms joining two disjoint regions, with its envelope.
 
     exact is the sum of term norms over terms touching both regions (an upper
     bound on the norm of their sum); bound is g * gamma^2 * r^2 * jbar(r).
     """
-    terms = h.terms if isinstance(h, ChainHamiltonian) else h.kept_terms
-    profile = h.profile if isinstance(h, ChainHamiltonian) else h.base.profile
     sa, sb = set(region_a), set(region_b)
     if sa & sb:
         raise Overlap("regions must be disjoint")
     r = set_distance(sa, sb)
-    exact = sum(t.norm for t in terms if set(t.sites) & sa and set(t.sites) & sb)
-    bound = profile.g * profile.gamma**2 * r**2 * profile(r)
+    exact = sum(t.norm for t in h.terms if set(t.sites) & sa and set(t.sites) & sb)
+    p = h.profile
+    bound = p.g * p.gamma**2 * r**2 * p(r)
     return BlockInteraction(exact=float(exact), bound=float(bound), distance=r)
 
 
@@ -467,7 +452,6 @@ class CenterDecomposition:
     blocks: tuple
     centers: tuple
     bond_bundles: tuple
-    half_width: int
 
     @property
     def m(self):
@@ -477,15 +461,13 @@ class CenterDecomposition:
         return bundle_matrix(self.bond_bundles[j], self.h_tc.n, embedded)
 
 
-def center_decomposition(
-    h_tc: TruncatedHamiltonian, m, half_width, enforce_cutoff=True
-) -> CenterDecomposition:
+def center_decomposition(h_tc: TruncatedHamiltonian, m, half_width) -> CenterDecomposition:
     """Split the region between the terminal blocks into m width-2l blocks.
 
     Each interior block carries the bundle of kept terms that straddle its
-    center cut.  The locality error estimates behind the block construction
-    need half_width > 6 * block_len; pass enforce_cutoff=False for desk-scale
-    geometries where only the exact algebraic identities are exercised.
+    center cut, which must lie inside the block (GeometryError otherwise).
+    The decomposition carries no locality estimate, so half_width <=
+    6 * block_len is allowed: only the exact algebraic identities read it.
     """
     if m < 1:
         raise GeometryError("need at least one interior block")
@@ -496,10 +478,6 @@ def center_decomposition(
     if 2 * ell * m != width:
         raise GeometryError(
             f"m={m} blocks of width {2 * ell} do not cover the {width}-site interior"
-        )
-    if enforce_cutoff and ell <= 6 * h_tc.block_len:
-        raise CutoffError(
-            f"half_width {ell} must exceed 6 * block_len = {6 * h_tc.block_len}"
         )
 
     blocks = [x]
@@ -525,5 +503,4 @@ def center_decomposition(
         blocks=tuple(blocks),
         centers=tuple(centers),
         bond_bundles=tuple(bundles),
-        half_width=ell,
     )

@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    gibbschain run <config-file> [--output-dir DIR] [--seed N] [--threads N]
-                                 [--experiment NAME]
+    gibbschain run <config-file> [--output-dir DIR] [--seed N] [--experiment NAME]
 
 Exit codes: 0 all checks passed, 1 assertion failure or runtime error,
 2 invalid configuration.  Environment variables GIBBSCHAIN_<KEY> override
@@ -28,7 +27,6 @@ def build_parser():
     run.add_argument("config", help="flat key=value config file")
     run.add_argument("--output-dir", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the seed")
-    run.add_argument("--threads", type=int, default=None, help="worker threads (clustering_sweep only)")
     run.add_argument(
         "--experiment", default=None, choices=EXPERIMENTS, help="override the experiment"
     )
@@ -40,7 +38,6 @@ def main(argv=None):
     overrides = {
         "output_dir": args.output_dir,
         "seed": args.seed,
-        "threads": args.threads,
         "experiment": args.experiment,
     }
     try:

@@ -42,7 +42,6 @@ from .chain import TruncatedHamiltonian, terms_matrix
 from .errors import (
     CapExceeded,
     NotCommuting,
-    NotDisconnected,
     NotPSD,
     NotUnitNorm,
     OverlappingSupports,
@@ -150,7 +149,7 @@ class DisconnectedTraceResult:
 
 
 def disconnected_trace(
-    z_ops, o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n, require=False,
+    z_ops, o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n,
 ) -> DisconnectedTraceResult:
     """tr[ prod_i Z_i^(+) . O_X^(0) O_Y^(1) ] with its disconnection check.
 
@@ -182,8 +181,6 @@ def disconnected_trace(
         scale *= 2.0 * opalg.opnorm(z)
     scale *= 2.0 * opalg.opnorm(o_x) * opalg.opnorm(o_y)
     ok = supports_split(o_x.sites, o_y.sites, [z.sites for z in z_ops])
-    if require and not ok:
-        raise NotDisconnected("support collection connects X to Y")
     return DisconnectedTraceResult(value=value, disconnected=ok, scale=scale)
 
 

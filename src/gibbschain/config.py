@@ -29,6 +29,16 @@ EXPERIMENTS = (
 
 ENV_PREFIX = "GIBBSCHAIN_"
 
+# the sweep lists each experiment reads; an empty one would certify no rows
+# (r_list and block_len_list are not here: empty selects their default)
+SWEEP_KEYS = {
+    "lr_sweep": ("t_grid",),
+    "qbp_locality": ("beta_list", "radius_list"),
+    "truncation_sweep": ("beta_list",),
+    "clustering_sweep": ("beta_list",),
+    "gamma_decay": ("beta_list", "m_list"),
+}
+
 
 def _floats(text):
     return tuple(float(x) for x in str(text).split(",") if str(x).strip() != "")
@@ -66,6 +76,8 @@ class ExperimentConfig:
     obs_x_site: int = -1
     bond_index: int = 1
     radius_list: tuple = (7, 8, 9, 10)
+    # every run is single-threaded and only 1 is accepted; the key stays
+    # because the benchmark workloads still set threads = 1
     threads: int = 1
     output_dir: str = "out"
 
@@ -167,6 +179,36 @@ def _check_dimension(n_sites, what):
         raise ConfigError(f"{what}dimension {2**n_sites} exceeds opalg.DIM_CAP {opalg.DIM_CAP}")
 
 
+def _check_center_geometry(cfg, profile, m):
+    """What chain.truncate and chain.center_decomposition check on
+    gamma_decay's m-block chain, from site arithmetic alone."""
+    ell, l0, x0 = cfg.half_width, cfg.block_len, cfg.x_width
+    width = 2 * ell * m
+    q, rest = divmod(width, l0)
+    if rest or q < 2 or q % 2:
+        raise ConfigError(
+            f"m={m}: interior width {width} with block_len {l0} must give an even "
+            "block count >= 2"
+        )
+    n_m = x0 + cfg.y_width + width
+    reach = cfg.range_cutoff if profile.is_finite_range else n_m
+
+    def block(s):  # truncation block of site s: X is 0, Y is q + 1
+        return 0 if s < x0 else min((s - x0) // l0 + 1, q + 1)
+
+    for k in range(m):
+        lo = x0 + 2 * ell * k
+        center = lo + ell - 1
+        for i in range(center + 1):
+            for j in range(center + 1, min(i + reach, n_m - 1) + 1):
+                # a kept pair across the center cut must lie inside its block
+                if abs(block(i) - block(j)) <= 1 and (i < lo or j >= lo + 2 * ell):
+                    raise ConfigError(
+                        f"m={m}: kept pair ({i}, {j}) crosses center cut {center} and "
+                        f"leaves its center block {lo}..{lo + 2 * ell - 1}"
+                    )
+
+
 def validate_config(cfg: ExperimentConfig):
     """Reject invalid knobs before any matrix work."""
     if cfg.experiment not in EXPERIMENTS:
@@ -185,6 +227,9 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("r_list entries must be >= 1")
     if not all(math.isfinite(b) and b > 0 for b in cfg.beta_list):
         raise ConfigError("beta_list entries must be finite and > 0")
+    for key in SWEEP_KEYS.get(cfg.experiment, ()):
+        if not getattr(cfg, key):
+            raise ConfigError(f"{cfg.experiment} needs a non-empty {key}")
     if cfg.experiment == "clustering_sweep":
         x0, r_list = cfg.clustering_sites()
         if any(x0 + r > cfg.n - 1 for r in r_list):
@@ -196,10 +241,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):
         raise ConfigError(f"unknown integrator {cfg.integrator!r}")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.threads > 1 and cfg.experiment != "clustering_sweep":
-        raise ConfigError(f"threads > 1 is only used by clustering_sweep, not {cfg.experiment}")
+    if cfg.threads != 1:
+        raise ConfigError("threads must be 1")
     profile = cfg.make_profile()
     # the tail sums behind gamma converge only for alpha > 2
     if profile.kind == "power_law" and not cfg.alpha > 2:
@@ -207,6 +250,16 @@ def validate_config(cfg: ExperimentConfig):
             f"power_law needs alpha > 2 (got {cfg.alpha}): the theorem assumes "
             "couplings that decay faster than r^-2"
         )
+    if cfg.experiment == "lr_sweep" and cfg.r_list:
+        # lr_certify skips a separation whose partner site is off its range
+        if max(cfg.r_list) > cfg.n - 1:
+            raise ConfigError(f"r_list entries must be <= n - 1 = {cfg.n - 1}")
+        interior = cfg.n - cfg.x_width - cfg.y_width - 1
+        if not profile.is_finite_range and min(cfg.r_list) > interior:
+            raise ConfigError(
+                f"r_list certifies no truncated row: its smallest entry exceeds "
+                f"n - x_width - y_width - 1 = {interior}"
+            )
     # lr_sweep truncates (and reads block_len) only on infinite-range chains
     if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
         cfg.experiment == "lr_sweep" and not profile.is_finite_range
@@ -233,3 +286,5 @@ def validate_config(cfg: ExperimentConfig):
         # cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
         for m in cfg.m_list:
             _check_dimension(cfg.x_width + cfg.y_width + 2 * cfg.half_width * m, f"m={m}: ")
+            if m >= 1:
+                _check_center_geometry(cfg, profile, m)

@@ -29,10 +29,6 @@ class GeometryError(GibbsChainError):
     """Requested decomposition does not fit on the chain."""
 
 
-class CutoffError(GibbsChainError):
-    """Block half-width does not clear the interaction-length cutoff."""
-
-
 class Overlap(GibbsChainError):
     """Regions required to be disjoint overlap."""
 
@@ -59,10 +55,6 @@ class NotCommuting(GibbsChainError):
 
 class NotUnitNorm(GibbsChainError):
     """Operator expected to have unit spectral norm does not."""
-
-
-class NotDisconnected(GibbsChainError):
-    """Support collection does not split into two disjoint sub-collections."""
 
 
 class DimensionCap(GibbsChainError):

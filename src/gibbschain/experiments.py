@@ -1,10 +1,8 @@
 """Experiment sweeps: build chains, run certifications, emit CSV + manifest.
 
 Each experiment function fills a Manifest and writes ``<experiment>.csv``
-into the output directory.  Sweep points are independent; clustering_sweep
-evaluates them in a small keyed thread pool when threads > 1 (the config
-rejects threads > 1 elsewhere), and rows are always emitted in sorted key
-order so output bytes do not depend on the execution schedule.
+into the output directory.  Sweep points run one after another in a single
+thread; clustering_sweep emits its rows in sorted beta order.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,15 +17,6 @@ from . import chain as chain_mod
 from . import cluster, csvio, locality, opalg, oracles, qbp
 from .config import ExperimentConfig
 from .errors import FitDegenerate, GibbsChainError
-
-
-def _keyed_map(fn, keys, threads):
-    keys = list(keys)
-    if threads <= 1:
-        return {k: fn(k) for k in keys}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {k: pool.submit(fn, k) for k in keys}
-        return {k: f.result() for k, f in futures.items()}
 
 
 def build_config_chain(cfg: ExperimentConfig, n=None):
@@ -167,17 +155,11 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     h_spectrum = opalg.hermitian_eig(h.matrix())  # shared by every beta
     x0, r_list = cfg.clustering_sites()
 
-    def one_beta(beta):
-        state = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list])
-        return cors
-
-    results = _keyed_map(one_beta, cfg.beta_list, cfg.threads)
-
     rows = []
     xis = []
     for beta in sorted(cfg.beta_list):
-        cors = results[beta]
+        state = opalg.gibbs(h_spectrum, beta)
+        cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list])
         xi, amp, used, excluded = oracles.fit_exponential_decay(r_list, cors)
         if used < 2:
             raise FitDegenerate(
@@ -235,7 +217,7 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
             else:
                 x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
                 htc = chain_mod.truncate(h, x, y, cfg.block_len)
-                cd = chain_mod.center_decomposition(htc, m, ell, enforce_cutoff=False)
+                cd = chain_mod.center_decomposition(htc, m, ell)
                 rep = cluster.gamma_pair(
                     htc, cd, beta, o_x, o_y,
                     tau_steps=cfg.tau_steps, integrator=cfg.integrator,

@@ -202,22 +202,21 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     exact = || O(H, t) - O(H_window, t) ||, the second evolved on the window's
     own space and embedded; the envelope combines the interaction tail across
     the window boundary with the light-cone factor (the envelope of the chain
-    evolved, a truncated input as its ``as_chain()``) at half the boundary distance.
+    evolved) at half the boundary distance.
     """
-    if not isinstance(h, (ChainHamiltonian, TruncatedHamiltonian)):
+    if not isinstance(h, ChainHamiltonian):
         raise TypeError("need a chain to form subset Hamiltonians")
-    chain = h.as_chain() if isinstance(h, TruncatedHamiltonian) else h
     window = sorted(int(s) for s in window)
     support = set(o_local.sites)
     if not support <= set(window):
         raise SubsetViolation("window must contain the operator support")
 
-    n = chain.n
-    diff = opalg.evolve(opalg.embed(o_local, n).matrix, chain.matrix(), t)
+    n = h.n
+    diff = opalg.evolve(opalg.embed(o_local, n).matrix, h.matrix(), t)
     # H_window acts on the window only: evolve O there and embed the result
     pos = [window.index(s) for s in o_local.sites]
     o_win = opalg.embed_matrix(o_local.matrix, pos, len(window))
-    b_win = opalg.evolve(o_win, chain.subset_matrix(window, subspace=True), t)
+    b_win = opalg.evolve(o_win, h.subset_matrix(window, subspace=True), t)
     diff -= opalg.embed_matrix(b_win, window, n)
     exact = opalg.opnorm(diff)
 
@@ -225,15 +224,15 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     if not complement:
         return SubsetEvolutionReport(exact=exact, bound=0.0, distance=math.inf)
     ell = set_distance(complement, support)
-    p = chain.profile
+    p = h.profile
     g_tilde = p.g * p.gamma**2 * p(1)
     norm_o = opalg.opnorm(o_local)
-    lightcone = combined_lightcone(envelope_for_chain(chain), t, ell / 2.0)
+    lightcone = combined_lightcone(envelope_for_chain(h), t, ell / 2.0)
     bound = (
         abs(t)
         * len(support)
         * norm_o
-        * (0.5 * p.g * p.gamma**2 * ell**2 * p(ell / 2.0) + g_tilde * chain.k * lightcone)
+        * (0.5 * p.g * p.gamma**2 * ell**2 * p(ell / 2.0) + g_tilde * h.k * lightcone)
     )
     return SubsetEvolutionReport(exact=exact, bound=float(bound), distance=float(ell))
 

@@ -359,12 +359,11 @@ def build_bp_sweep(
 # localized construction on truncated chains
 
 
-def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window, excluded_cuts=()):
+def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window):
     """Environment and bond matrices on the window subspace.
 
     The bond is the bundle of kept terms crossing ``cut``; the environment is
-    every kept term inside the window crossing neither ``cut`` nor any cut in
-    ``excluded_cuts``.
+    every other kept term inside the window.
     """
     window = tuple(sorted(int(s) for s in window))
     if window != tuple(range(window[0], window[-1] + 1)):
@@ -376,14 +375,14 @@ def _window_split_matrices(h_tc: TruncatedHamiltonian, cut, window, excluded_cut
             if not set(t.sites) <= wset:
                 raise GeometryError("bond bundle leaks outside the window")
             bond.append(t)
-        elif set(t.sites) <= wset and not any(t.crosses(c) for c in excluded_cuts):
+        elif set(t.sites) <= wset:
             env.append(t)
     return terms_matrix(env, window), terms_matrix(bond, window), window
 
 
-def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, excluded_cuts=(), **kw):
+def localized_sweep(h_tc: TruncatedHamiltonian, cut, window, betas, **kw):
     """BP operators for the bond at ``cut``, built from the window only, one per beta."""
-    env, bond, window = _window_split_matrices(h_tc, cut, window, excluded_cuts)
+    env, bond, window = _window_split_matrices(h_tc, cut, window)
     return build_bp_sweep(env, bond, betas, sites=window, **kw)
 
 
@@ -563,90 +562,3 @@ def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
         raise NonConvergence("no affine rate function dominates the measurements")
     return ThetaFunction(*best)
 
-
-# ---------------------------------------------------------------------------
-# products of BP operators along a center decomposition
-
-
-@dataclass(frozen=True)
-class BPChainReport:
-    exact_diff: float
-    bound: float | None
-    factor_diffs: tuple
-    telescoping_bound: float
-    m: int
-    beta: float
-
-
-def bp_chain(
-    h_tc: TruncatedHamiltonian,
-    centers,
-    beta,
-    tau_steps=32,
-    integrator="cf4",
-    theta: ThetaFunction | None = None,
-):
-    """Junction BP product versus its window-localized approximation.
-
-    The m+1 junctions between consecutive blocks of the center decomposition
-    are removed one at a time; factor j is built either from the full
-    remaining Hamiltonian (exact) or from the window between the neighboring
-    centers (localized).  Returns the product difference, the per-factor
-    differences, the telescoping majorant from factor norms, and the
-    calibrated envelope 2 m e^{2 m beta gtilde} G_beta(half_width).
-    """
-    blocks = centers.blocks
-    cpoints = centers.centers
-    m = centers.m
-    n = h_tc.n
-    kw = dict(tau_steps=tau_steps, integrator=integrator)
-
-    cuts = [blocks[j][-1] for j in range(m + 1)]
-    exact_ops, local_ops = [], []
-    for j, cut in enumerate(cuts):
-        exact_ops.append(localized_sweep(h_tc, cut, tuple(range(n)), (beta,),
-                                         excluded_cuts=tuple(cuts[:j]), **kw)[0])
-        if j == 0:
-            window = tuple(range(0, cpoints[0] + 1))
-        elif j == m:
-            window = tuple(range(cpoints[m - 1] + 1, n))
-        else:
-            window = tuple(range(cpoints[j - 1] + 1, cpoints[j] + 1))
-        local_ops.append(localized_sweep(h_tc, cut, window, (beta,), **kw)[0])
-
-    full_exact = np.eye(h_tc.base.dim, dtype=complex)
-    full_local = np.eye(h_tc.base.dim, dtype=complex)
-    for j in range(m + 1):
-        full_exact = full_exact @ exact_ops[j].matrix
-        # right product by the window factor: (B_j^dag applied to full_local^dag)^dag
-        op = local_ops[j].op
-        full_local = opalg.apply_local(op.matrix.conj().T, op.sites, full_local.conj().T).conj().T
-    exact_diff = opalg.opnorm(full_exact - full_local)
-
-    factor_diffs = tuple(
-        opalg.opnorm(exact_ops[j].matrix - local_ops[j].embedded_matrix(n))
-        for j in range(m + 1)
-    )
-    norms_exact = [opalg.opnorm(o.matrix) for o in exact_ops]
-    norms_local = [opalg.opnorm(o.matrix) for o in local_ops]
-    telescoping = 0.0
-    for j in range(m + 1):
-        left = math.prod(norms_local[:j])
-        right = math.prod(norms_exact[j + 1 :])
-        telescoping += left * factor_diffs[j] * right
-
-    bound = None
-    if theta is not None:
-        g_env = locality_decay_envelope(
-            theta, h_tc.base.profile, h_tc.block_len, beta, centers.half_width
-        )
-        bound = 2.0 * m * math.exp(2.0 * m * h_tc.g_tilde * beta) * g_env
-
-    return BPChainReport(
-        exact_diff=exact_diff,
-        bound=bound,
-        factor_diffs=factor_diffs,
-        telescoping_bound=float(telescoping),
-        m=m,
-        beta=float(beta),
-    ), exact_ops, local_ops

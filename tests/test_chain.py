@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gibbschain import chain, opalg, profiles
 from gibbschain.errors import (
     BadPartition,
-    CutoffError,
     GeometryError,
     InvalidSpec,
     Overlap,
@@ -207,9 +206,9 @@ def test_center_decomposition_geometry():
 
     with pytest.raises(GeometryError):
         chain.center_decomposition(htc, 3, 7)
-    # half_width 7 clears 6 * block_len only for block_len 1
-    with pytest.raises(CutoffError):
-        chain.center_decomposition(chain.truncate(h, [0], [29], 2), 2, 7)
+    # the decomposition carries no locality estimate: half_width 7 <= 6 * block_len
+    # is accepted
+    assert chain.center_decomposition(chain.truncate(h, [0], [29], 2), 2, 7).m == 2
 
 
 def test_center_decomposition_single_block():

@@ -76,6 +76,10 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     # (exact = 0), bond 20 raised IndexError and r <= 6*block_len failed mid-run.
     # A negative beta used to raise a math domain error (clustering_sweep) or
     # pass (gamma_decay).
+    # An empty sweep list, and an lr_sweep r_list with no truncated row (r = 7 on
+    # n = 8 power law), used to pass with a header-only CSV; r = 6 on n = 6 was
+    # skipped.  The gamma_decay geometries (odd or single interior block count, a
+    # kept XXZ power-law pair leaving its center block) failed mid-run.
     for k, overrides in enumerate((
         {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
         {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
@@ -91,6 +95,21 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         {"experiment": "gamma_decay", "beta_list": "-0.5"},
         {"experiment": "gamma_decay", "beta_list": "0"},
         {"experiment": "gamma_decay", "beta_list": "inf"},
+        {"experiment": "clustering_sweep", "threads": 2},
+        {"experiment": "clustering_sweep", "beta_list": ""},
+        {"experiment": "gamma_decay", "beta_list": ""},
+        {"experiment": "truncation_sweep", "beta_list": ""},
+        {"experiment": "qbp_locality", "beta_list": ""},
+        {"experiment": "lr_sweep", "t_grid": ""},
+        {"experiment": "gamma_decay", "m_list": ""},
+        {"experiment": "qbp_locality", "radius_list": ""},
+        {"n": 8, "experiment": "lr_sweep", "profile": "power_law", "r_list": "7"},
+        {"n": 6, "experiment": "lr_sweep", "r_list": "1,6"},
+        {"experiment": "gamma_decay", "block_len": 2, "half_width": 1, "m_list": "1"},
+        {"experiment": "gamma_decay", "block_len": 2, "half_width": 3, "m_list": "1"},
+        {"experiment": "gamma_decay", "block_len": 4, "half_width": 2, "m_list": "1"},
+        {"experiment": "gamma_decay", "generator": "heisenberg_xxz", "profile": "power_law",
+         "block_len": 2, "half_width": 1, "m_list": "0,2"},
     )):
         with pytest.raises(ConfigError):
             load_config(None, overrides=overrides, environ={})
@@ -100,6 +119,18 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         assert not (tmp_path / f"out{k}").exists()
     for s in (0, 8):
         load_config(None, overrides={"experiment": "qbp_locality", "bond_index": s}, environ={})
+    # the smallest r_list entry may reach the truncated interior's end, and the
+    # block_len 2 long-range gamma_decay geometry with half_width 2 fits
+    for ok in ({"n": 8, "experiment": "lr_sweep", "profile": "power_law", "r_list": "5,7"},
+               {"experiment": "gamma_decay", "generator": "heisenberg_xxz",
+                "profile": "power_law", "block_len": 2, "half_width": 2, "m_list": "0,1,2"}):
+        load_config(None, overrides=ok, environ={})
+    # argparse rejects the retired flag with its own exit code 2
+    path = tmp_path / "ok.cfg"
+    path.write_text("experiment = clustering_sweep\nn = 6\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(path), "--threads", "2"])
+    assert exc.value.code == 2
     # the farthest partner on the chain is accepted
     edge = {"experiment": "clustering_sweep", "n": 6, "obs_x_site": 1, "r_list": "1,4"}
     assert load_config(None, overrides=edge, environ={}).r_list == (1, 4)
@@ -225,15 +256,15 @@ def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
 
 
 def test_threads_rejected_where_unused():
-    for experiment in ("lr_sweep", "qbp_locality", "truncation_sweep", "gamma_decay",
-                       "acceptance"):
-        with pytest.raises(ConfigError, match="threads"):
-            load_config(None, overrides={"experiment": experiment, "threads": 2}, environ={})
+    # every experiment runs on one thread, so only threads = 1 is accepted
+    for experiment in ("lr_sweep", "qbp_locality", "truncation_sweep", "clustering_sweep",
+                       "gamma_decay", "acceptance"):
+        for threads in (0, 2):
+            with pytest.raises(ConfigError, match="threads must be 1"):
+                load_config(None, overrides={"experiment": experiment, "threads": threads},
+                            environ={})
         assert load_config(None, overrides={"experiment": experiment, "threads": 1},
                            environ={}).threads == 1
-    cfg = load_config(None, overrides={"experiment": "clustering_sweep", "threads": 2},
-                      environ={})
-    assert cfg.threads == 2
 
 
 def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
@@ -368,30 +399,23 @@ def test_determinism_same_seed(tmp_path):
     )
 
 
-def test_threads_do_not_change_output(tmp_path):
-    base = ExperimentConfig(experiment="clustering_sweep", n=8, generator="ising_zz",
-                            profile="finite_range", range_cutoff=1,
-                            beta_list=(0.4, 0.8, 1.2), seed=3)
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(base, output_dir=str(d1))
-    import dataclasses
-    run_experiment(dataclasses.replace(base, threads=2), output_dir=str(d2))
-    assert csvio.csv_body_bytes(d1 / "clustering_sweep.csv") == csvio.csv_body_bytes(
-        d2 / "clustering_sweep.csv"
-    )
-
-
 def test_bundled_configs_parse(tmp_path):
     """Every bundled config parses, and every one but acceptance (covered by
-    test_acceptance.py) runs and passes its checks."""
+    test_acceptance.py) runs, passes its checks and writes data rows."""
     import glob
     paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
     assert len(paths) >= 6
     for path in paths:
         cfg = load_config(path, environ={})
         if cfg.experiment != "acceptance":
-            manifest = run_experiment(cfg, output_dir=str(tmp_path / os.path.basename(path)))
+            outdir = tmp_path / os.path.basename(path)
+            manifest = run_experiment(cfg, output_dir=str(outdir))
             assert manifest.all_passed, (path, manifest.errors)
+            csvs = sorted(outdir.glob("*.csv"))
+            assert csvs, path
+            for csv in csvs:
+                # the body holds the column header, then one line per row
+                assert len(csvio.csv_body_bytes(csv).splitlines()) >= 2, csv
 
 
 def test_library_is_qubit_only():
@@ -442,6 +466,28 @@ def test_library_is_qubit_only():
         opalg.apply_local(np.eye(2), [0], np.zeros((6, 2)))
     with pytest.raises(SupportMismatch):
         locality.commutator_norm(np.zeros((6, 6)), "x", 0)
+
+
+def test_only_opalg_calls_the_eigensolver():
+    """Every eigendecomposition, eigenvalue and singular-value call of the library
+    goes through opalg, the one seam where dense diagonalization is counted."""
+    import ast
+    import glob
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "gibbschain")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "opalg.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "eig", "svd")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_benchmark_workloads_run_and_gate_at_smoke_size(tmp_path, monkeypatch):

@@ -275,48 +275,6 @@ def test_theta_calibration_dominates():
         assert qbp.locality_decay_envelope(theta, profile, 1, p.beta, p.r) >= p.exact
 
 
-def test_bp_chain_identities():
-    h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.3, seed=2)
-    htc = chain.truncate(h, [0], [5], 1)
-    cd = chain.center_decomposition(htc, 2, 1, enforce_cutoff=False)
-    beta = 0.8
-    rep, exact_ops, local_ops = qbp.bp_chain(htc, cd, beta, tau_steps=8)
-    assert rep.exact_diff <= rep.telescoping_bound + 1e-10
-
-    # composition: the junction operators reassemble the full Gibbs exponential
-    h_mat = htc.matrix()
-    h0 = h_mat.copy()
-    for j in range(cd.m + 1):
-        cut = cd.blocks[j][-1]
-        for t in htc.kept_terms:
-            if t.crosses(cut):
-                h0 = h0 - opalg.embed_matrix(t.matrix, t.sites, htc.n)
-    prod = np.eye(h_mat.shape[0])
-    for op in exact_ops:
-        prod = prod @ op.matrix
-    lhs = prod @ opalg.herm_expm(h0, beta) @ prod.conj().T
-    rhs = opalg.herm_expm(h_mat, beta)
-    assert opalg.opnorm(lhs - rhs) / opalg.opnorm(rhs) < 1e-6
-
-    # the window factors multiplied in by contraction match the embedded dense product
-    dense_local = np.eye(h_mat.shape[0])
-    for op in local_ops:
-        dense_local = dense_local @ op.embedded_matrix(htc.n)
-    assert rep.exact_diff == pytest.approx(opalg.opnorm(prod - dense_local), abs=1e-12)
-
-    # telescoping identity for two factors is exact algebra
-    f0, f1 = exact_ops[0].matrix, exact_ops[1].matrix
-    g0 = local_ops[0].embedded_matrix(6)
-    g1 = local_ops[1].embedded_matrix(6)
-    lhs2 = f0 @ f1 - g0 @ g1
-    rhs2 = (f0 - g0) @ f1 + g0 @ (f1 - g1)
-    assert np.max(np.abs(lhs2 - rhs2)) < 1e-12
-
-    theta = qbp.ThetaFunction(2.0, 2.0)
-    rep2, _, _ = qbp.bp_chain(htc, cd, beta, tau_steps=8, theta=theta)
-    assert rep2.bound is not None and rep2.bound > 0
-
-
 def _one_block(*mats):
     return (np.arange(mats[0].shape[0]),)
 
