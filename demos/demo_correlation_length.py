@@ -17,8 +17,7 @@ h = chain.build_chain(10, "ising_zz", profiles.finite_range(1), coupling=1.0, se
 h_mat = h.matrix()
 print(f"{'beta':>5s} {'fitted xi':>10s} {'closed form':>12s} {'rel dev':>9s}")
 for beta in (0.3, 0.6, 0.9, 1.2, 1.5):
-    state = opalg.gibbs(h_mat, beta)
-    cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
+    cors = _fast_z_correlations(opalg.gibbs(h_mat, beta), 0, range(1, 10))
     xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
     ref = oracles.ising_correlation_length(beta, 1.0)
     print(f"{beta:5.1f} {xi:10.4f} {ref:12.4f} {abs(xi - ref) / ref:9.2e}")
@@ -30,8 +29,7 @@ hq_mat = hq.matrix()
 print(f"{'beta':>5s} {'fitted xi':>10s} {'log xi':>8s}")
 prev = -math.inf
 for beta in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2):
-    state = opalg.gibbs(hq_mat, beta)
-    cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
+    cors = _fast_z_correlations(opalg.gibbs(hq_mat, beta), 0, range(1, 10))
     xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
     marker = "  (increasing)" if math.log(xi) > prev else ""
     prev = math.log(xi)

@@ -346,8 +346,7 @@ def criterion_11_correlation_length():
     h_spectrum = opalg.hermitian_eig(h.matrix())
     worst = 0.0
     for beta in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5):
-        state = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
+        cors = _fast_z_correlations(opalg.gibbs(h_spectrum, beta), 0, range(1, 10))
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         ref = oracles.ising_correlation_length(beta, 1.0)
         worst = max(worst, abs(xi - ref) / ref)
@@ -360,8 +359,7 @@ def criterion_11_correlation_length():
     log_xis = []
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     for beta in betas:
-        state = opalg.gibbs(hq_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, 0, range(1, 10))
+        cors = _fast_z_correlations(opalg.gibbs(hq_spectrum, beta), 0, range(1, 10))
         xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
         log_xis.append(math.log(xi))
     increments = np.diff(log_xis)
@@ -414,8 +412,8 @@ def criterion_12_gamma_machinery():
             o_x = opalg.single_site(opalg.pauli("z"), 0)
             o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
             if m == 0:
-                state = opalg.gibbs(hm.matrix(), beta)
-                values.append(abs(opalg.correlation(state, o_x, o_y)))
+                rho = opalg.gibbs(hm.matrix(), beta)
+                values.append(abs(opalg.correlation(rho, o_x, o_y)))
             else:
                 hmt = chain_mod.truncate(hm, [0], [n_m - 1], 1)
                 cd = chain_mod.center_decomposition(hmt, m, 1)

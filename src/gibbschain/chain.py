@@ -132,9 +132,6 @@ class ChainHamiltonian:
             self._matrix_cache[key] = _read_only(terms_matrix(inside, space))
         return self._matrix_cache[key]
 
-    def replace_terms(self, terms):
-        return ChainHamiltonian(n=self.n, terms=tuple(terms), profile=self.profile)
-
 
 def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
     rng = default_rng(seed)
@@ -287,10 +284,6 @@ class TruncatedHamiltonian:
         for bundle in self.h_terms:
             out.extend(bundle)
         return tuple(out)
-
-    def as_chain(self) -> ChainHamiltonian:
-        """The truncated system repackaged as a plain chain."""
-        return self.base.replace_terms(self.kept_terms)
 
     def matrix(self):
         """Full-space matrix of the kept terms (cached, read-only)."""

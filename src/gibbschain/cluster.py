@@ -22,9 +22,11 @@ tr[Psi (A x B)] = tr(O_X O_Y A) tr(B) - tr(O_X A) tr(O_Y B), a (+)-string
 expands into a sum of such products over subsets of its factors, and each
 inclusion-exclusion branch is a tensor square.
 
-Local operators (the string factors Z_i, the window-localized BP operators
-of ``gamma_pair``) act on full-space matrices by contraction on their own
-sites (``opalg.apply_local``); none is embedded or multiplied as a dense
+Local operators (the probes O_X and O_Y, the string factors Z_i, the weight
+factors W_j, the window-localized BP operators of ``gamma_pair``) meet
+full-space matrices only on their own sites: they multiply by contraction
+(``opalg.apply_local``) and are traced from a diagonal view
+(``opalg.local_trace``); none is embedded or multiplied as a dense
 full-space matrix.
 """
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -57,45 +58,28 @@ class PsiOperator:
 
     o_x: opalg.DenseOperator
     o_y: opalg.DenseOperator
-    n: int
-
-    @cached_property
-    def x_full(self):
-        return opalg.embed(self.o_x, self.n).matrix
-
-    @cached_property
-    def y_full(self):
-        return opalg.embed(self.o_y, self.n).matrix
-
-    @cached_property
-    def xy_full(self):
-        # O_X O_Y is the kron of the factors on their joint (disjoint) support
-        return opalg.embed_matrix(
-            np.kron(self.o_x.matrix, self.o_y.matrix), self.o_x.sites + self.o_y.sites, self.n
-        )
 
     def expectation(self, a, b=None):
         """tr[Psi (A x B)] via single-space traces; B defaults to A.
 
         The result is a connected correlation, often orders of magnitude
-        below the two products it is the difference of, so each trace is the
-        correctly rounded sum (math.fsum) of the diagonal of its product,
-        formed in O(dim^2) without a matrix product.
+        below the two products it is the difference of, so each trace is
+        correctly rounded: ``opalg.local_trace`` on the probe's own sites
+        (O_X O_Y is the kron of the factors on their joint support) and the
+        math.fsum of the diagonal of B.
         """
         b = a if b is None else b
+        o_x, o_y = self.o_x, self.o_y
+        xy = opalg.local_trace(np.kron(o_x.matrix, o_y.matrix), o_x.sites + o_y.sites, a)
         return (
-            _trace_of_product(self.xy_full, a) * _exact_sum(np.diagonal(b))
-            - _trace_of_product(self.x_full, a) * _trace_of_product(self.y_full, b)
+            xy * _exact_sum(np.diagonal(b))
+            - opalg.local_trace(o_x.matrix, o_x.sites, a)
+            * opalg.local_trace(o_y.matrix, o_y.sites, b)
         )
 
 
 def _exact_sum(values):
     return complex(math.fsum(values.real), math.fsum(values.imag))
-
-
-def _trace_of_product(p, a):
-    """tr(p @ a) as the correctly rounded sum of the diagonal of the product."""
-    return _exact_sum(np.einsum("ij,ji->i", p, a))
 
 
 def _apply(op: opalg.DenseOperator, mat):
@@ -108,14 +92,14 @@ def _sandwich(op: opalg.DenseOperator, mat):
     return _apply(op, _apply(op, mat).conj().T).conj().T
 
 
-def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n) -> PsiOperator:
+def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator) -> PsiOperator:
     """Build the correlation probe; requires disjoint supports and unit norms (to 1e-10)."""
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("probe factors must have disjoint supports")
     for op, name in ((o_x, "O_X"), (o_y, "O_Y")):
         if abs(opalg.opnorm(op) - 1.0) > 1e-10:
             raise NotUnitNorm(f"{name} must have unit spectral norm")
-    return PsiOperator(o_x=o_x, o_y=o_y, n=n)
+    return PsiOperator(o_x=o_x, o_y=o_y)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +148,7 @@ def disconnected_trace(
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("X and Y must be disjoint")
     dim = 2**n
-    probe = PsiOperator(o_x=o_x, o_y=o_y, n=n)
+    probe = PsiOperator(o_x=o_x, o_y=o_y)
     eye = np.eye(dim, dtype=complex)
     value = 0.0 + 0.0j
     for in_p in itertools.product((False, True), repeat=len(z_ops)):
@@ -265,8 +249,7 @@ def correlation_identity_residual(
     majorant 2 ||G||_1 / Z^2.
     """
     _check_branches(h_tc.q + 1)
-    n = h_tc.n
-    probe = psi(o_x, o_y, n)
+    probe = psi(o_x, o_y)
     h_mat = h_tc.matrix()
     bonds = [h_tc.bond_matrix(s) for s in range(h_tc.q + 1)]
 
@@ -336,13 +319,11 @@ def commuting_chain_bound(
     """
     if not _kept_bundles_commute(h_tc):
         raise NotCommuting("bound chain needs mutually commuting bundles")
-    n = h_tc.n
     if o_x is None:
         o_x = opalg.single_site(opalg.pauli("z"), h_tc.blocks[0][-1])
     if o_y is None:
         o_y = opalg.single_site(opalg.pauli("z"), h_tc.blocks[-1][0])
-    state = opalg.gibbs(h_tc.matrix(), beta)
-    exact = abs(opalg.correlation(state, o_x, o_y))
+    exact = abs(opalg.correlation(opalg.gibbs(h_tc.matrix(), beta), o_x, o_y))
 
     bond_norms = tuple(h_tc.bond_norm(s) for s in range(h_tc.q + 1))
     product_bound = 2.0 * math.prod(-math.expm1(-2.0 * beta * h) for h in bond_norms)
@@ -437,7 +418,8 @@ def verify_weighted_product(
     def bracket(mats):
         prod = rho_full.copy()
         for w in mats:
-            prod = prod @ opalg.embed_matrix(w, x_sites, n)
+            # prod (W x 1) as ((W^dag x 1) prod^dag)^dag, contracted on X
+            prod = opalg.apply_local(w.conj().T, x_sites, prod.conj().T).conj().T
         reduced = opalg.partial_trace(prod, keep)
         return float(np.real(psi_vec.conj() @ reduced @ psi_vec))
 
@@ -488,10 +470,9 @@ def gamma_pair(
     B_j in lam, and K_S e^{beta H_0} applies each window product
     K_j = B_j^dag B_j in S.  The windows are disjoint, so the B_j commute.
     """
-    n = h_tc.n
     m = centers.m
     _check_branches(m)
-    probe = psi(o_x, o_y, n)
+    probe = psi(o_x, o_y)
     h_mat = h_tc.matrix()
     bonds = [centers.bond_matrix(j) for j in range(m)]
 

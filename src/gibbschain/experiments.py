@@ -76,10 +76,11 @@ def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
             rows.append(
                 (label, row.t, row.r, row.exact, row.envelope, row.exact > row.envelope + 1e-10)
             )
-        manifest.add_check(
-            f"lr_envelope[{label}]", len(rep.violations) == 0,
-            f"max_ratio={rep.max_ratio:.3g}",
-        )
+        detail = f"max_ratio={rep.max_ratio:.3g}"
+        if rep.skipped:
+            detail += (f"; skipped r={','.join(map(str, rep.skipped))}"
+                       f" (past the {label} interior)")
+        manifest.add_check(f"lr_envelope[{label}]", len(rep.violations) == 0, detail)
     columns = ("mode", "t", "r", "exact_commutator", "envelope", "violation")
     comments = [
         "lr_sweep: exact commutator norms against propagation envelopes",
@@ -158,8 +159,8 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     rows = []
     xis = []
     for beta in sorted(cfg.beta_list):
-        state = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(state.rho.matrix, x0, [x0 + r for r in r_list])
+        rho = opalg.gibbs(h_spectrum, beta)
+        cors = _fast_z_correlations(rho, x0, [x0 + r for r in r_list])
         xi, amp, used, excluded = oracles.fit_exponential_decay(r_list, cors)
         if used < 2:
             raise FitDegenerate(
@@ -211,8 +212,8 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
             o_x = opalg.single_site(opalg.pauli("z"), 0)
             o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
             if m == 0:
-                state = opalg.gibbs(h.matrix(), beta)
-                value = abs(opalg.correlation(state, o_x, o_y))
+                rho = opalg.gibbs(h.matrix(), beta)
+                value = abs(opalg.correlation(rho, o_x, o_y))
                 fact = 0.0
             else:
                 x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)

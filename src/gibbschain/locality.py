@@ -18,6 +18,10 @@ Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
 exact commutator norms (``commutator_norm``: Pauli probes as signed
 permutations, norms over the commutator's ``opalg`` sectors).
+
+Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
+``subset_evolution_error`` subtracts the window evolution on the window's
+sites (``opalg.add_embedded``); no probe is embedded as a full-space matrix.
 """
 
 from __future__ import annotations
@@ -200,9 +204,9 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     """Error of evolving with the window-restricted Hamiltonian.
 
     exact = || O(H, t) - O(H_window, t) ||, the second evolved on the window's
-    own space and embedded; the envelope combines the interaction tail across
-    the window boundary with the light-cone factor (the envelope of the chain
-    evolved) at half the boundary distance.
+    own space and subtracted on the window's sites; the envelope combines the
+    interaction tail across the window boundary with the light-cone factor
+    (the envelope of the chain evolved) at half the boundary distance.
     """
     if not isinstance(h, ChainHamiltonian):
         raise TypeError("need a chain to form subset Hamiltonians")
@@ -212,12 +216,13 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
         raise SubsetViolation("window must contain the operator support")
 
     n = h.n
-    diff = opalg.evolve(opalg.embed(o_local, n).matrix, h.matrix(), t)
-    # H_window acts on the window only: evolve O there and embed the result
+    diff = opalg.evolve(o_local, h.matrix(), t)
+    # H_window acts on the window only: evolve O there and subtract the result
+    # on the window's sites
     pos = [window.index(s) for s in o_local.sites]
-    o_win = opalg.embed_matrix(o_local.matrix, pos, len(window))
-    b_win = opalg.evolve(o_win, h.subset_matrix(window, subspace=True), t)
-    diff -= opalg.embed_matrix(b_win, window, n)
+    b_win = opalg.evolve(opalg.DenseOperator(pos, o_local.matrix),
+                         h.subset_matrix(window, subspace=True), t)
+    opalg.add_embedded(diff, -b_win, window)
     exact = opalg.opnorm(diff)
 
     complement = [s for s in range(n) if s not in window]
@@ -250,6 +255,7 @@ class CertificationReport:
     rows: tuple
     violations: tuple
     max_ratio: float
+    skipped: tuple  # separations whose partner site falls past the interior
 
     @property
     def passed(self):
@@ -261,8 +267,9 @@ def lr_certify(h, env: LREnvelope, t_grid, r_grid, probe="x") -> CertificationRe
 
     Probes are single-site Paulis at the first site i0 (of the interior
     blocks, for a truncated chain, where the truncated envelope applies) and
-    at i0 + r inside the same range.  A row violates when exact exceeds the
-    envelope by more than 2e-10.
+    at i0 + r inside the same range; a separation whose partner falls past
+    that range has no rows and is listed in ``skipped``.  A row violates when
+    exact exceeds the envelope by more than 2e-10.
     """
     n = h.n
     if isinstance(h, TruncatedHamiltonian):
@@ -270,24 +277,23 @@ def lr_certify(h, env: LREnvelope, t_grid, r_grid, probe="x") -> CertificationRe
     else:
         i0, interior_hi = 0, n - 1
 
+    kept = [int(r) for r in r_grid if i0 + r <= interior_hi]
+    skipped = tuple(int(r) for r in r_grid if i0 + r > interior_hi)
     rows = []
     violations = []
     max_ratio = 0.0
     h_spectrum = opalg.hermitian_eig(h.matrix())  # one diagonalization serves every t
-    o_a = opalg.embed(opalg.single_site(opalg.pauli(probe), i0), n).matrix
+    o_a = opalg.single_site(opalg.pauli(probe), i0)
     for t in t_grid:
         a_t = opalg.evolve(o_a, h_spectrum, t)
-        for r in r_grid:
-            j = i0 + r
-            if j > interior_hi:
-                continue
-            exact = commutator_norm(a_t, probe, j)
+        for r in kept:
+            exact = commutator_norm(a_t, probe, i0 + r)
             bound = lr_envelope(env, t, r)
-            rows.append(CertificationRow(t=float(t), r=int(r), exact=exact, envelope=bound))
+            rows.append(CertificationRow(t=float(t), r=r, exact=exact, envelope=bound))
             if exact > bound + 2e-10:
                 violations.append(rows[-1])
             if bound > 0:
                 max_ratio = max(max_ratio, exact / bound)
     return CertificationReport(
-        rows=tuple(rows), violations=tuple(violations), max_ratio=max_ratio
+        rows=tuple(rows), violations=tuple(violations), max_ratio=max_ratio, skipped=skipped
     )

@@ -3,8 +3,7 @@
 Every site is a qubit: an n-site operator is a 2^n x 2^n matrix, site j is
 bit n-1-j of the basis index (site 0 is the most significant bit), and a
 function given a full-space matrix reads n from its dimension
-(``n_qubits``).  Only functions that create a space (``embed_matrix``,
-``embed``) take n.
+(``n_qubits``).
 
 Everything is dense numpy; matrix exponentials of Hermitian operators go
 through eigendecomposition (large-beta exponentials lose accuracy in series
@@ -14,11 +13,12 @@ beta, evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
 hidden cache; every function is pure.
 
-A local operator meets a full-space matrix in one of two ways.
-``add_embedded`` adds it (identity elsewhere) into a full-space matrix in
-place, and ``embed_matrix`` builds that embedding.  ``apply_local``
-multiplies by it, contracting it with the row axes of its sites: O(dim^2 2^k)
-for k sites where the embedded product costs O(dim^3).
+A local operator on k sites meets a full-space matrix only on its own
+sites; no function builds its 2^n x 2^n embedding.  ``add_embedded`` adds it
+(identity elsewhere) into a full-space matrix in place, ``apply_local``
+multiplies by it, contracting it with the row axes of its sites (O(dim^2 2^k)
+where the embedded product costs O(dim^3)), and ``local_trace`` takes the
+trace of that product from a diagonal view (O(dim 4^k)).
 
 This module is the one place that knows the symmetry sectors of qubit
 chains.  ``sectors`` reads them from the exact zero pattern: the popcount
@@ -171,14 +171,29 @@ def apply_local(op, sites, mat):
     return np.moveaxis(t, range(k), sites).reshape(mat.shape)
 
 
-def embed_matrix(mat, sites, n):
-    """Embed ``mat`` (acting on ``sites``) into the full n-site space."""
+def local_trace(op, sites, mat):
+    """tr((``op`` on ``sites``, identity elsewhere) @ ``mat``), correctly rounded.
+
+    Term i of the diagonal is sum_b op[a, b] mat[(b, r), (a, r)] for i = (a, r),
+    a on ``sites`` (in the order of op's axes) and r on the rest: one einsum
+    over a diagonal view of ``mat``, O(dim 4^k) reads for k sites.  The dim
+    terms are summed by math.fsum, whose result does not depend on their
+    order; for a Pauli string every term is a single exact product.
+    """
     mat = np.asarray(mat)
-    return add_embedded(np.zeros((2**n, 2**n), np.result_type(float, mat)), mat, sites)
-
-
-def embed(op: DenseOperator, n: int) -> DenseOperator:
-    return DenseOperator(tuple(range(n)), embed_matrix(op.matrix, op.sites, n))
+    n = n_qubits(mat.shape[0])
+    sites = [int(s) for s in sites]
+    if any(s < 0 or s >= n for s in sites):
+        raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
+    rows, cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
+    # the rest keep one letter on both axes (the diagonal); a site's row axis
+    # is summed against op's column axis, its column axis is op's row axis
+    inp = "".join(cols[i] if i in sites else rows[i] for i in range(n)) + "".join(rows)
+    op_axes = "".join(rows[s] for s in sites) + "".join(cols[s] for s in sites)
+    terms = np.einsum(f"{op_axes},{inp}->{rows}",
+                      np.asarray(op).reshape((2,) * (2 * len(sites))),
+                      mat.reshape((2,) * (2 * n))).ravel()
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def partial_trace(mat, keep_sites):
@@ -365,65 +380,55 @@ def opnorm(op, kind="spectral"):
     return sum(_trace_norm(sector_block(mat, b)) for b in blocks)
 
 
-@dataclass(frozen=True)
-class GibbsState:
-    """Thermal state exp(beta*H)/Z.  The sign convention puts the customary
-    minus sign inside the Hamiltonian, so beta multiplies +H."""
+def gibbs(h, beta):
+    """Gibbs state exp(beta*H)/Z, dense, of a Hamiltonian given as matrix or Spectrum.
 
-    beta: float
-    rho: DenseOperator
-    logZ: float
-
-    @property
-    def n_sites(self):
-        return len(self.rho.sites)
-
-
-def gibbs(h, beta) -> GibbsState:
-    """Gibbs state of a Hamiltonian given as matrix or Spectrum."""
+    The sign convention puts the customary minus sign inside the
+    Hamiltonian, so beta multiplies +H.
+    """
     spec = _spectrum_of(h)
-    n = n_qubits(len(spec.evals))
+    n_qubits(len(spec.evals))  # SupportMismatch unless the space is n qubits
     m = beta * spec.evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))
     rho = from_blocks(*_block_sandwiches(spec, np.exp(m - logz)))
-    rho = 0.5 * (rho + rho.conj().T)
-    return GibbsState(beta=float(beta), rho=DenseOperator(tuple(range(n)), rho), logZ=float(logz))
+    return 0.5 * (rho + rho.conj().T)
 
 
-def evolve(op, generator, t):
-    """Heisenberg evolution exp(iGt) O exp(-iGt) on a common full space.
+def evolve(op: DenseOperator, generator, t):
+    """Heisenberg evolution exp(iGt) (O x 1) exp(-iGt) on G's full space.
 
-    O is a matrix, G a Hermitian matrix or a Spectrum; t = 0 returns O as a
-    complex copy.  Over the sectors of a block-diagonal V, U acts block by
-    block on both sides of O; block pairs where O vanishes stay zero.
+    G is a Hermitian matrix or a Spectrum; t = 0 returns O x 1 as a complex
+    matrix.  O is never embedded: U (O x 1) is (O^dag U^dag)^dag, contracted
+    on O's sites.  Over the sectors of a block-diagonal V, the right factor
+    U^dag acts block by block; block pairs where U O vanishes stay zero.
     """
-    o_mat = np.asarray(op)
-    g_shape = generator.vecs.shape if isinstance(generator, Spectrum) else np.shape(generator)
-    if o_mat.shape != g_shape:
-        raise SupportMismatch("operator and generator must share a space; embed first")
     spec = _spectrum_of(generator)
+    dim = len(spec.evals)
     if t == 0:
-        return o_mat.astype(complex)
+        return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
     blocks, us = _block_sandwiches(spec, np.exp(1j * spec.evals * t))
+    us_dag = [u.conj().T for u in us]
+    left = apply_local(op.matrix.conj().T, op.sites, from_blocks(blocks, us_dag)).conj().T
     if len(blocks) == 1:
-        return us[0] @ o_mat @ us[0].conj().T
-    out = np.zeros(o_mat.shape, complex)
-    for bi, ui in zip(blocks, us):
-        left = ui @ o_mat[bi]
-        for bj, uj in zip(blocks, us):
-            if np.any(left[:, bj]):
-                out[np.ix_(bi, bj)] = left[:, bj] @ uj.conj().T
+        return left @ us_dag[0]
+    out = np.zeros((dim, dim), complex)
+    for bi in blocks:
+        for bj, uj_dag in zip(blocks, us_dag):
+            pair = left[np.ix_(bi, bj)]
+            if np.any(pair):
+                out[np.ix_(bi, bj)] = pair @ uj_dag
     return out
 
 
-def correlation(state: GibbsState, o_x: DenseOperator, o_y: DenseOperator) -> complex:
-    """tr(rho O_X O_Y) - tr(rho O_X) tr(rho O_Y) for disjoint supports."""
+def correlation(rho, o_x: DenseOperator, o_y: DenseOperator) -> complex:
+    """tr(rho O_X O_Y) - tr(rho O_X) tr(rho O_Y) for disjoint supports.
+
+    O_X O_Y is the kron of the factors on their joint support; each trace
+    is a correctly rounded ``local_trace``.
+    """
     if set(o_x.sites) & set(o_y.sites):
         raise OverlappingSupports("correlation requires disjoint supports")
-    n = state.n_sites
-    a = embed(o_x, n).matrix
-    b = embed(o_y, n).matrix
-    r = state.rho.matrix
-    joint = np.trace(r @ a @ b)
-    return complex(joint - np.trace(r @ a) * np.trace(r @ b))
+    joint = local_trace(np.kron(o_x.matrix, o_y.matrix), o_x.sites + o_y.sites, rho)
+    return joint - (local_trace(o_x.matrix, o_x.sites, rho)
+                    * local_trace(o_y.matrix, o_y.sites, rho))

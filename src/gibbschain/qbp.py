@@ -207,9 +207,6 @@ class BPOperator:
     def sites(self):
         return self.op.sites
 
-    def embedded_matrix(self, n):
-        return opalg.embed(self.op, n).matrix
-
     def norm(self):
         return opalg.opnorm(self.matrix)
 
@@ -514,7 +511,9 @@ def bp_locality_sweep(
             for beta, phi_full, phi_win in zip(
                 betas, full, localized_sweep(h_tc, cut, window, betas, **kw)
             ):
-                diff = phi_full.matrix - phi_win.embedded_matrix(h_tc.n)
+                # Phi - Phi_window as Phi + (-Phi_window), added on the window's sites
+                diff = phi_full.matrix.astype(np.result_type(phi_full.matrix, phi_win.matrix))
+                opalg.add_embedded(diff, -phi_win.matrix, phi_win.sites)
                 exact[(beta, r)] = opalg.opnorm(diff)
     return tuple(
         BPLocalityReport(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gibbschain import qbp
+from gibbschain import chain, opalg, qbp
 from gibbschain.errors import GibbsChainError, Overlap
 
 
@@ -59,3 +59,54 @@ def reconstruction_residual(phi_mat, h_env, h_bond, beta):
     e_full = expm(beta * (np.asarray(h_env) + np.asarray(h_bond)))
     diff = phi_mat @ e_env @ phi_mat.conj().T - e_full
     return float(np.linalg.norm(diff, 2) / np.linalg.norm(e_full, 2))
+
+
+def replace_terms(h, terms):
+    """Chain ``h`` with its terms replaced (same site count and profile)."""
+    return chain.ChainHamiltonian(n=h.n, terms=tuple(terms), profile=h.profile)
+
+
+def as_chain(h_tc):
+    """The truncated system ``h_tc`` repackaged as a plain chain of its kept terms."""
+    return replace_terms(h_tc.base, h_tc.kept_terms)
+
+
+def embed_matrix(mat, sites, n):
+    """``mat`` on ``sites`` (in the order of its axes), identity on the rest of n qubits.
+
+    Dense and independent of the library: mat (x) 1 on (sites, rest) by
+    np.kron, then the tensor axes permuted into site order.
+    """
+    sites = [int(s) for s in sites]
+    rest = [i for i in range(n) if i not in sites]
+    full = np.kron(np.asarray(mat), np.eye(2 ** len(rest)))
+    inv = list(np.argsort(sites + rest))
+    t = full.reshape([2] * (2 * n)).transpose(inv + [n + i for i in inv])
+    return t.reshape(2**n, 2**n)
+
+
+def trace_of_product(p, a):
+    """tr(p @ a) as the correctly rounded sum of the diagonal of the product."""
+    terms = np.einsum("ij,ji->i", p, a)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def blockwise_evolve(o_mat, spec, t):
+    """exp(iGt) O exp(-iGt) for a full-space O, U applied block by block.
+
+    The dense block-pair form: over the sectors of spec.vecs, row block b_i
+    of U O is u_i O[b_i], and each nonzero block pair (b_i, b_j) of it is
+    multiplied by u_j^dag; a single block is U O U^dag.
+    """
+    if t == 0:
+        return np.asarray(o_mat).astype(complex)
+    blocks, us = opalg._block_sandwiches(spec, np.exp(1j * spec.evals * t))
+    if len(blocks) == 1:
+        return us[0] @ o_mat @ us[0].conj().T
+    out = np.zeros(o_mat.shape, complex)
+    for bi, ui in zip(blocks, us):
+        left = ui @ o_mat[bi]
+        for bj, uj in zip(blocks, us):
+            if np.any(left[:, bj]):
+                out[np.ix_(bi, bj)] = left[:, bj] @ uj.conj().T
+    return out

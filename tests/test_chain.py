@@ -10,7 +10,7 @@ from gibbschain.errors import (
     InvalidSpec,
     Overlap,
 )
-from reference_oracles import OutOfRange, coupling_strength
+from reference_oracles import OutOfRange, as_chain, coupling_strength
 
 
 def ising(n=6, J=1.0, rng_range=1, seed=0):
@@ -114,7 +114,7 @@ def test_truncate_bundles_psd_and_capped():
 def test_truncate_idempotent():
     h = powerlaw_chain(n=10, gen="heisenberg_xxz")
     htc = chain.truncate(h, [0], [9], 2)
-    again = chain.truncate(htc.as_chain(), [0], [9], 2)
+    again = chain.truncate(as_chain(htc), [0], [9], 2)
     assert again.dropped == ()
     assert again.v_terms == htc.v_terms
     assert again.h_terms == htc.h_terms
@@ -241,7 +241,7 @@ def test_truncate_idempotent_property(n, gen, profile, data):
     nx, ny, l0 = data.draw(st.sampled_from(partitions))
     x, y = range(nx), range(n - ny, n)
     htc = chain.truncate(h, x, y, l0)
-    again = chain.truncate(htc.as_chain(), x, y, l0)
+    again = chain.truncate(as_chain(htc), x, y, l0)
     assert again.dropped == ()
     assert again.blocks == htc.blocks
     assert again.v_terms == htc.v_terms and again.h_terms == htc.h_terms

@@ -14,6 +14,7 @@ from gibbschain.errors import (
     NotUnitNorm,
     OverlappingSupports,
 )
+from reference_oracles import embed_matrix, replace_terms, trace_of_product
 
 
 def rand_herm(rng, dim):
@@ -32,15 +33,15 @@ def swap_matrix(dim):
 
 def double(op, kind, n):
     """O^(+), O^(0) or O^(1) of an operator embedded on n sites, as a kron matrix."""
-    full = opalg.embed(op, n).matrix
+    full = embed_matrix(op.matrix, op.sites, n)
     eye = np.eye(full.shape[0])
     sign = {"plus": 1.0, "zero": 0.0, "one": -1.0}[kind]
     return np.kron(full, eye) + sign * np.kron(eye, full)
 
 
-def psi_matrix(probe):
-    """The materialized probe O_X^(0) O_Y^(1) on the doubled space."""
-    return double(probe.o_x, "zero", probe.n) @ double(probe.o_y, "one", probe.n)
+def psi_matrix(probe, n):
+    """The materialized probe O_X^(0) O_Y^(1) on the doubled space of n sites."""
+    return double(probe.o_x, "zero", n) @ double(probe.o_y, "one", n)
 
 
 def kron_disconnected_trace(z_ops, o_x, o_y, n):
@@ -48,7 +49,7 @@ def kron_disconnected_trace(z_ops, o_x, o_y, n):
     acc = np.eye(4**n, dtype=complex)
     for z in z_ops:
         acc = acc @ double(z, "plus", n)
-    return complex(np.trace(acc @ psi_matrix(cluster.PsiOperator(o_x, o_y, n))))
+    return complex(np.trace(acc @ psi_matrix(cluster.PsiOperator(o_x, o_y), n)))
 
 
 def test_double_identity_cases():
@@ -77,36 +78,35 @@ def test_psi_norm_and_validation():
         a /= opalg.opnorm(a)
         b = rand_herm(rng, 2)
         b /= opalg.opnorm(b)
-        probe = cluster.psi(opalg.DenseOperator((0,), a), opalg.DenseOperator((3,), b), 4)
-        assert opalg.opnorm(psi_matrix(probe)) <= 2.0 + 1e-10
+        probe = cluster.psi(opalg.DenseOperator((0,), a), opalg.DenseOperator((3,), b))
+        assert opalg.opnorm(psi_matrix(probe, 4)) <= 2.0 + 1e-10
     with pytest.raises(OverlappingSupports):
         cluster.psi(opalg.single_site(opalg.pauli("x"), 1),
-                    opalg.single_site(opalg.pauli("y"), 1), 3)
+                    opalg.single_site(opalg.pauli("y"), 1))
     with pytest.raises(NotUnitNorm):
         cluster.psi(opalg.DenseOperator((0,), 2 * np.eye(2)),
-                    opalg.single_site(opalg.pauli("x"), 1), 3)
+                    opalg.single_site(opalg.pauli("x"), 1))
 
 
 def test_psi_identity_second_factor_vanishes():
     probe = cluster.psi(opalg.single_site(opalg.pauli("x"), 0),
-                        opalg.DenseOperator((2,), np.eye(2)), 3)
-    assert np.max(np.abs(psi_matrix(probe))) < 1e-14
+                        opalg.DenseOperator((2,), np.eye(2)))
+    assert np.max(np.abs(psi_matrix(probe, 3))) < 1e-14
 
 
 def test_psi_expectation_reproduces_correlation():
     rng = np.random.default_rng(2)
     h = rand_herm(rng, 16)
     beta = 0.9
-    st = opalg.gibbs(h, beta)
+    rho = opalg.gibbs(h, beta)
     ox = opalg.single_site(opalg.pauli("x"), 0)
     oy = opalg.single_site(opalg.pauli("y"), 3)
-    probe = cluster.psi(ox, oy, 4)
-    rho = st.rho.matrix
+    probe = cluster.psi(ox, oy)
     factorized = probe.expectation(rho)
-    direct = opalg.correlation(st, ox, oy)
+    direct = opalg.correlation(rho, ox, oy)
     assert factorized == pytest.approx(direct, abs=1e-12)
     # and the same number from the materialized doubled operators
-    doubled = np.kron(rho, rho) @ psi_matrix(probe)
+    doubled = np.kron(rho, rho) @ psi_matrix(probe, 4)
     assert np.trace(doubled) == pytest.approx(direct, abs=1e-12)
 
 
@@ -418,9 +418,9 @@ def test_gamma_pair_trivial_and_factorized():
     rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the alternating sum reproduces the correlation
-    st = opalg.gibbs(htc.matrix(), beta)
+    rho = opalg.gibbs(htc.matrix(), beta)
     assert rep.psi_trace_gamma / rep.z2 == pytest.approx(
-        abs(opalg.correlation(st, ox, oy)), abs=1e-10
+        abs(opalg.correlation(rho, ox, oy)), abs=1e-10
     )
 
 
@@ -429,7 +429,7 @@ def test_gamma_pair_zero_bonds_vanish():
     h = chain.build_chain(6, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     # drop the two center bonds by hand to make the bundles empty
     kept = tuple(t for t in h.terms if t.sites not in ((1, 2), (3, 4)))
-    h2 = h.replace_terms(kept)
+    h2 = replace_terms(h, kept)
     htc = chain.truncate(h2, [0], [5], 1)
     cd = chain.center_decomposition(htc, 2, 1)
     assert all(len(b) == 0 for b in cd.bond_bundles)
@@ -440,6 +440,13 @@ def test_gamma_pair_zero_bonds_vanish():
     assert rep.psi_trace_gamma_local < 1e-12
 
 
+def embedded_bp(h_tc, centers, j, beta, tau_steps):
+    """The window BP operator of center bond j, embedded on the full chain."""
+    op = qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
+                             tau_steps=tau_steps)[0]
+    return embed_matrix(op.matrix, op.sites, h_tc.n)
+
+
 def dense_gamma_pair_traces(h_tc, centers, beta, o_x, o_y, tau_steps):
     """(tr[Psi Gamma-tilde], product form) by dense products of embedded BP operators.
 
@@ -447,16 +454,11 @@ def dense_gamma_pair_traces(h_tc, centers, beta, o_x, o_y, tau_steps):
     of the embedded window operators in lam; the product form takes
     K_S e^{beta H_0} with K_S the product of the embedded K_j = B_j^dag B_j.
     """
-    n = h_tc.n
-    probe = cluster.psi(o_x, o_y, n)
+    probe = cluster.psi(o_x, o_y)
     h_mat = h_tc.matrix()
     dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
-    local_ops = [
-        qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
-                            tau_steps=tau_steps)[0].embedded_matrix(n)
-        for j in range(centers.m)
-    ]
+    local_ops = [embedded_bp(h_tc, centers, j, beta, tau_steps) for j in range(centers.m)]
     e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
     k_ops = [o.conj().T @ o for o in local_ops]
     tr_local = tr_product = 0.0 + 0.0j
@@ -507,8 +509,11 @@ def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
 
     assert close(rep.psi_trace_gamma_local, abs(ref_local))
     assert close(product, ref_product)
-    probe = cluster.psi(ox, oy, n)
-    assert np.array_equal(probe.xy_full, probe.x_full @ probe.y_full)
+    # the joint probe trace: the kron of the factors on their joint support is O_X O_Y
+    xy = embed_matrix(ox.matrix, ox.sites, n) @ embed_matrix(oy.matrix, oy.sites, n)
+    h_mat = htc.matrix()
+    assert (opalg.local_trace(np.kron(ox.matrix, oy.matrix), ox.sites + oy.sites, h_mat)
+            == trace_of_product(xy, h_mat))
 
 
 def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):
@@ -518,15 +523,10 @@ def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):
     M_lam = B_lam e^{beta H_0} B_lam^dag in place of e^{beta H_lam}, with B_lam
     the product of the window-localized BP operators of the bonds in lam.
     """
-    n = h_tc.n
     h_mat = h_tc.matrix()
     dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
-    local_ops = [
-        qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
-                            tau_steps=tau_steps)[0].embedded_matrix(n)
-        for j in range(centers.m)
-    ]
+    local_ops = [embedded_bp(h_tc, centers, j, beta, tau_steps) for j in range(centers.m)]
     e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
     diff = np.zeros((dim * dim, dim * dim), dtype=complex)
     for lam, sign in cluster.lambda_branches(centers.m):

@@ -170,6 +170,28 @@ def test_lr_sweep_geometry_checked_only_where_it_truncates(tmp_path, monkeypatch
     assert cli.main(["run", str(power), "--output-dir", str(tmp_path / "out")]) == 2
 
 
+def test_lr_sweep_names_the_separations_it_skips(tmp_path, monkeypatch):
+    """A separation whose partner falls past the truncated interior gets no rows;
+    the check detail says so instead of passing silently."""
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("GIBBSCHAIN_R_LIST", "1,6,7")
+    cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs", "lr_sweep.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "lr_envelope[truncated]" in manifest
+    for line in manifest.splitlines():
+        if "lr_envelope[truncated]" in line:
+            assert "skipped r=6,7 (past the truncated interior)" in line
+        if "lr_envelope[plain]" in line:
+            assert "skipped" not in line
+    rows = [line.split(",") for line in (out / "lr_sweep.csv").read_text().splitlines()
+            if line.startswith(("plain,", "truncated,"))]
+    assert {int(r[2]) for r in rows if r[0] == "truncated"} == {1}
+    assert {int(r[2]) for r in rows if r[0] == "plain"} == {1, 6, 7}
+
+
 def test_power_law_alpha_at_most_two_rejected_at_config_time(tmp_path, monkeypatch):
     """alpha <= 2 is the theorem's excluded case; its tail sums diverge, so it
     used to exit 1 with NonConvergentTail once the chain was built."""
@@ -376,14 +398,14 @@ def test_fast_z_correlations_match_dense_correlation(generator):
 
     n = 6
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.7, seed=2)
-    state = opalg.gibbs(h.matrix(), 0.9)
+    rho = opalg.gibbs(h.matrix(), 0.9)
     for x in (0, 2):
         partners = [y for y in range(n) if y != x]
-        fast = _fast_z_correlations(state.rho.matrix, x, partners)
+        fast = _fast_z_correlations(rho, x, partners)
         zx = opalg.single_site(opalg.pauli("z"), x)
         for y, value in zip(partners, fast):
             zy = opalg.single_site(opalg.pauli("z"), y)
-            assert value == pytest.approx(opalg.correlation(state, zx, zy).real,
+            assert value == pytest.approx(opalg.correlation(rho, zx, zy).real,
                                           rel=1e-12, abs=1e-15)
 
 
@@ -487,6 +509,23 @@ def test_only_opalg_calls_the_eigensolver():
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_local_operators_are_never_embedded_in_the_library():
+    """Local operators meet full-space matrices by contraction only: the deleted
+    embeddings, the dense probe copies and the test-only helpers stay out of src/."""
+    import glob
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "gibbschain")
+    banned = ("def embed(", "embed_matrix", "embedded_matrix", "x_full", "y_full", "xy_full",
+              "_trace_of_product", "GibbsState", "as_chain", "replace_terms")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                offenders += [f"{os.path.basename(path)}:{lineno}: {name}"
+                              for name in banned if name in line]
     assert offenders == []
 
 

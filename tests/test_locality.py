@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gibbschain import chain, locality, opalg, profiles
 from gibbschain.errors import MissingParam, SubsetViolation
+from reference_oracles import embed_matrix
 
 
 def test_convolution_constant_two_sites():
@@ -107,7 +108,7 @@ def test_truncated_envelope_modes():
 
 def test_exact_commutator_trivial_cases():
     h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
-    ox = opalg.embed(opalg.single_site(opalg.pauli("x"), 0), 6).matrix
+    ox = opalg.single_site(opalg.pauli("x"), 0)
     for gen, t in ((h.matrix(), 0.0), (np.zeros((64, 64)), 1.3)):
         assert locality.commutator_norm(opalg.evolve(ox, gen, t), "x", 4) < 1e-14
 
@@ -116,6 +117,7 @@ def test_certification_no_violations_small():
     h = chain.build_chain(6, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     rep = locality.lr_certify(h, _env(h), (0.0, 0.25, 0.5), range(1, 6))
     assert rep.passed
+    assert rep.skipped == ()
     assert rep.max_ratio <= 1.0 + 1e-10
 
     empty = locality.lr_certify(h, _env(h), (), range(1, 6))
@@ -169,7 +171,7 @@ def test_pauli_commutator_equals_dense_products(n, is_complex, probe, data):
     if is_complex:
         a = a + 1j * rng.standard_normal((dim, dim))
     a = 0.5 * (a + a.conj().T)
-    p = opalg.embed(opalg.single_site(opalg.pauli(probe), site), n).matrix
+    p = embed_matrix(opalg.single_site(opalg.pauli(probe), site).matrix, [site], n)
     dense = 1j * (a @ p - p @ a)
     # every product is by 0, +-1 or +-i: the signed permutation reproduces it bit for bit
     assert np.array_equal(locality._pauli_commutator(a, probe, site), dense)
@@ -217,7 +219,7 @@ def test_window_evolution_matches_full_space(n, gen, t, seed, data):
     o = opalg.single_site(opalg.pauli(data.draw(st.sampled_from("xyz"))), site)
     rep = locality.subset_evolution_error(o, h, window, t)
     # dense reference: both evolutions at the full dimension, one eigh each
-    o_full = opalg.embed(o, n).matrix
+    o_full = embed_matrix(o.matrix, o.sites, n)
 
     def evolved(h_mat):
         evals, vecs = np.linalg.eigh(h_mat)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gibbschain.errors import (
     OverlappingSupports,
     SupportMismatch,
 )
+from reference_oracles import blockwise_evolve, embed_matrix, trace_of_product
 
 
 def rand_herm(rng, dim):
@@ -20,17 +22,17 @@ def rand_herm(rng, dim):
 
 
 def test_embed_identity_and_norm():
-    eye = opalg.DenseOperator((2,), np.eye(2))
-    assert np.allclose(opalg.embed(eye, 4).matrix, np.eye(16))
-    z = opalg.single_site(opalg.pauli("z"), 0)
-    assert opalg.opnorm(opalg.embed(z, 2)) == pytest.approx(1.0)
+    eye = opalg.add_embedded(np.zeros((16, 16)), np.eye(2), [2])
+    assert np.allclose(eye, np.eye(16))
+    z = opalg.add_embedded(np.zeros((4, 4), complex), opalg.pauli("z"), [0])
+    assert opalg.opnorm(z) == pytest.approx(1.0)
 
 
 def test_embed_roundtrip_partial_trace():
     rng = np.random.default_rng(0)
     a = rand_herm(rng, 4)
     op = opalg.DenseOperator((1, 2), a)
-    full = opalg.embed(op, 4).matrix
+    full = embed_matrix(op.matrix, op.sites, 4)
     back = opalg.partial_trace(full, (1, 2)) / 4.0  # identity factors carry 2 each
     assert np.allclose(back, a, atol=1e-12)
 
@@ -40,19 +42,9 @@ def test_embed_unsorted_support():
     a = rand_herm(rng, 4)
     # acting on (2, 0) must equal swapping factors then acting on (0, 2)
     swapped = a.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    m1 = opalg.embed_matrix(a, [2, 0], 3)
-    m2 = opalg.embed_matrix(swapped, [0, 2], 3)
+    m1 = opalg.add_embedded(np.zeros((8, 8), complex), a, [2, 0])
+    m2 = opalg.add_embedded(np.zeros((8, 8), complex), swapped, [0, 2])
     assert np.allclose(m1, m2, atol=1e-12)
-
-
-def kron_embed(mat, sites, n):
-    """Reference embedding: mat (x) 1 on (sites, rest), then the axes permuted."""
-    sites = list(sites)
-    rest = [i for i in range(n) if i not in sites]
-    full = np.kron(mat, np.eye(2 ** len(rest)))
-    inv = list(np.argsort(sites + rest))
-    t = full.reshape([2] * (2 * n)).transpose(inv + [n + i for i in inv])
-    return t.reshape(2**n, 2**n)
 
 
 @st.composite
@@ -83,10 +75,9 @@ def test_terms_matrix_equals_kron_reference(case):
     expected = np.zeros((2**n, 2**n), dtype)
     for t in terms:
         local = [pos[s] for s in t.sites]
-        expected += kron_embed(t.matrix, local, n)
-        embedded = opalg.embed_matrix(t.matrix, local, n)
-        assert embedded.dtype == t.matrix.dtype
-        assert np.array_equal(embedded, kron_embed(t.matrix, local, n))
+        expected += embed_matrix(t.matrix, local, n)
+        embedded = opalg.add_embedded(np.zeros((2**n, 2**n), t.matrix.dtype), t.matrix, local)
+        assert np.array_equal(embedded, embed_matrix(t.matrix, local, n))
     got = chain.terms_matrix(terms, space)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
@@ -95,13 +86,13 @@ def test_terms_matrix_equals_kron_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_embed_partial_trace_adjoint(n, data):
-    # tr(embed(A) B) = tr(A ptrace(B)) for any full-space B
+    # tr((A x 1) B) = tr(A ptrace(B)) for any full-space B
     keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dk, dn = 2 ** len(keep), 2**n
     a = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
     b = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
-    lhs = np.trace(opalg.embed_matrix(a, keep, n) @ b)
+    lhs = opalg.local_trace(a, keep, b)
     rhs = np.trace(a @ opalg.partial_trace(b, keep))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * dn
 
@@ -116,18 +107,22 @@ def test_spectrum_reuse_matches_matrix_path():
         spec.vecs[0, 0] = 1.0
     evals, vecs = spec  # unpacks like a tuple
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
-    assert np.array_equal(opalg.gibbs(spec, 1.3).rho.matrix, opalg.gibbs(h, 1.3).rho.matrix)
+    assert np.array_equal(opalg.gibbs(spec, 1.3), opalg.gibbs(h, 1.3))
+    o = opalg.DenseOperator(range(4), o)
     assert np.array_equal(opalg.evolve(o, spec, 0.4), opalg.evolve(o, h, 0.4))
     with pytest.raises(NotHermitian):
         opalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
-        opalg.evolve(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        opalg.evolve(opalg.DenseOperator((0,), np.eye(2)),
+                     np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_embed_rejects_bad_support():
     a = np.eye(4)
     with pytest.raises(SupportMismatch):
-        opalg.embed_matrix(a, [2, 4], 4)
+        opalg.local_trace(a, [2, 4], np.eye(16))
+    with pytest.raises(SupportMismatch):
+        opalg.add_embedded(np.zeros((16, 16)), a, [2, 4])
 
 
 @pytest.mark.parametrize("n, sites, cols", [
@@ -143,7 +138,7 @@ def test_apply_local_matches_embedded_product(n, sites, cols):
     d = 2 ** len(sites)
     op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     mat = rng.standard_normal((2**n, cols)) + 1j * rng.standard_normal((2**n, cols))
-    full = opalg.embed_matrix(op, sites, n)
+    full = embed_matrix(op, sites, n)
     scale = np.abs(full).max() * np.abs(mat).max() * d
     # left product
     left = opalg.apply_local(op, sites, mat)
@@ -182,28 +177,26 @@ def test_herm_expm_rejects_nonhermitian():
 
 
 def test_gibbs_maximally_mixed_and_two_level():
-    rho0 = opalg.gibbs(np.zeros((8, 8)), 0.7).rho.matrix
+    rho0 = opalg.gibbs(np.zeros((8, 8)), 0.7)
     assert np.allclose(rho0, np.eye(8) / 8.0)
     e = 1.3
-    st = opalg.gibbs(np.diag([0.0, e]), 2.0)
-    pops = np.diag(st.rho.matrix).real
+    pops = np.diag(opalg.gibbs(np.diag([0.0, e]), 2.0)).real
     z = 1.0 + math.exp(2.0 * e)
     assert pops == pytest.approx([1.0 / z, math.exp(2.0 * e) / z], rel=1e-12)
-    assert st.logZ == pytest.approx(math.log(z))
 
 
 def test_gibbs_energy_spectral_sum_oracle():
     rng = np.random.default_rng(3)
     h = rand_herm(rng, 64)
     beta = 1.0
-    st = opalg.gibbs(h, beta)
-    energy = float(np.trace(st.rho.matrix @ h).real)
+    rho = opalg.gibbs(h, beta)
+    energy = float(np.trace(rho @ h).real)
     evals = np.linalg.eigvalsh(h)
     w = np.exp(beta * evals - np.max(beta * evals))
     oracle = float(np.sum(evals * w) / np.sum(w))
     assert energy == pytest.approx(oracle, rel=1e-10)
-    assert np.trace(st.rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-    assert np.min(np.linalg.eigvalsh(st.rho.matrix)) > -1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
 
 def test_gibbs_dimension_cap(monkeypatch):
@@ -216,10 +209,11 @@ def test_evolve_identity_cases():
     rng = np.random.default_rng(4)
     o = rand_herm(rng, 8)
     g = rand_herm(rng, 8)
-    assert np.allclose(opalg.evolve(o, g, 0.0), o)
+    assert np.allclose(opalg.evolve(opalg.DenseOperator(range(3), o), g, 0.0), o)
     diag = np.diag(rng.standard_normal(8))
     f = np.diag(rng.standard_normal(8))
-    assert np.allclose(opalg.evolve(f, diag, 0.83), f, atol=1e-12)
+    assert np.allclose(opalg.evolve(opalg.DenseOperator(range(3), f), diag, 0.83), f,
+                       atol=1e-12)
 
 
 def test_evolve_preserves_norm_and_hermiticity():
@@ -227,7 +221,7 @@ def test_evolve_preserves_norm_and_hermiticity():
     for _ in range(5):
         o = rand_herm(rng, 16)
         g = rand_herm(rng, 16)
-        out = opalg.evolve(o, g, 0.61)
+        out = opalg.evolve(opalg.DenseOperator(range(4), o), g, 0.61)
         assert opalg.opnorm(out) == pytest.approx(opalg.opnorm(o), abs=1e-10)
         assert opalg.herm_defect(out) < 1e-12
 
@@ -252,22 +246,22 @@ def test_norms():
 def test_correlation_factorizing_states():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 2)
-    st = opalg.gibbs(np.zeros((8, 8)), 1.0)  # maximally mixed
-    assert abs(opalg.correlation(st, ox, oy)) < 1e-14
+    rho = opalg.gibbs(np.zeros((8, 8)), 1.0)  # maximally mixed
+    assert abs(opalg.correlation(rho, ox, oy)) < 1e-14
 
     rng = np.random.default_rng(7)
-    h_left = opalg.embed_matrix(rand_herm(rng, 2), [0], 3)
-    h_right = opalg.embed_matrix(rand_herm(rng, 4), [1, 2], 3)
-    st2 = opalg.gibbs(h_left + h_right, 0.9)  # product state across 0 | 12
-    assert abs(opalg.correlation(st2, ox, oy)) < 1e-12
+    h_left = embed_matrix(rand_herm(rng, 2), [0], 3)
+    h_right = embed_matrix(rand_herm(rng, 4), [1, 2], 3)
+    rho2 = opalg.gibbs(h_left + h_right, 0.9)  # product state across 0 | 12
+    assert abs(opalg.correlation(rho2, ox, oy)) < 1e-12
 
 
 def test_correlation_rejects_overlap():
     ox = opalg.single_site(opalg.pauli("z"), 1)
     oy = opalg.single_site(opalg.pauli("z"), 1)
-    st = opalg.gibbs(np.zeros((4, 4)), 1.0)
+    rho = opalg.gibbs(np.zeros((4, 4)), 1.0)
     with pytest.raises(OverlappingSupports):
-        opalg.correlation(st, ox, oy)
+        opalg.correlation(rho, ox, oy)
 
 
 def test_correlation_shift_invariance():
@@ -457,7 +451,7 @@ def test_blockwise_functions_match_dense(case, scale, beta):
     m = beta * spec.evals
     w = np.exp(m - m.max())
     rho_ref = _dense_vfv(spec, w / w.sum())
-    rho = opalg.gibbs(spec, beta).rho.matrix
+    rho = opalg.gibbs(spec, beta)
     assert np.max(np.abs(rho - rho_ref)) <= tol
     assert opalg.herm_defect(rho) == 0.0
 
@@ -470,20 +464,84 @@ def test_blockwise_evolve_matches_dense(case, t, probe, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
     u = _dense_vfv(spec, np.exp(1j * t * spec.evals))
-    pauli = opalg.embed_matrix(opalg.pauli(probe), [site], n)
+    pauli_op = opalg.single_site(opalg.pauli(probe), site)
+    pauli = embed_matrix(pauli_op.matrix, pauli_op.sites, n)
     dense_op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    for o in (pauli, dense_op):
+    for op in (pauli_op, opalg.DenseOperator(range(n), dense_op)):
+        o = embed_matrix(op.matrix, op.sites, n)
         ref = u @ o @ u.conj().T
-        got = opalg.evolve(o, spec, t)
+        got = opalg.evolve(op, spec, t)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.abs(o).max()) * dim
-        assert np.array_equal(opalg.evolve(o, mat, t), got)
+        assert np.array_equal(opalg.evolve(op, mat, t), got)
     # a block pair on which the Pauli vanishes stays exactly zero
-    got = opalg.evolve(pauli, spec, t)
+    got = opalg.evolve(pauli_op, spec, t)
     blocks = opalg.sectors(spec.vecs)
     for bi in blocks:
         for bj in blocks:
             if not np.any(pauli[np.ix_(bi, bj)]):
                 assert not np.any(got[np.ix_(bi, bj)])
+
+
+@pytest.mark.parametrize("structure", ["popcount", "parity", "whole"])
+@pytest.mark.parametrize("t", [0.0, 0.37, -1.4])
+def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
+    # contraction on the probe's site reproduces the dense block-pair product
+    # bit for bit: every product with a Pauli is by 0, +-1 or +-i
+    for n in (3, 5):
+        rng = np.random.default_rng(n)
+        dim = 2**n
+        weight = _popcount(dim)
+        label = {"popcount": weight, "parity": weight % 2, "whole": np.zeros(dim, int)}[structure]
+        for is_complex in (False, True):
+            mat = rng.standard_normal((dim, dim))
+            if is_complex:
+                mat = mat + 1j * rng.standard_normal((dim, dim))
+            mat = 0.5 * (mat + mat.conj().T)
+            mat[label[:, None] != label[None, :]] = 0.0
+            spec = opalg.hermitian_eig(mat)
+            n_blocks = {"popcount": n + 1, "parity": 2, "whole": 1}[structure]
+            assert len(opalg.sectors(spec.vecs)) == n_blocks
+            for probe in "xyz":
+                for site in range(n):
+                    op = opalg.single_site(opalg.pauli(probe), site)
+                    ref = blockwise_evolve(embed_matrix(op.matrix, op.sites, n), spec, t)
+                    assert np.array_equal(opalg.evolve(op, spec, t), ref)
+
+
+def _random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_local_trace_of_paulis_equals_dense_trace_exactly(n):
+    rng = np.random.default_rng(40 + n)
+    mat = _random_complex(rng, 2**n, 2**n)
+    paulis = [opalg.pauli(p) for p in "xyz"]
+    for site in range(n):
+        for p in paulis:
+            want = trace_of_product(embed_matrix(p.astype(complex), [site], n), mat)
+            assert opalg.local_trace(p, [site], mat) == want
+    for a, b in itertools.permutations(range(n), 2):
+        for p, q in itertools.product(paulis, repeat=2):
+            op = np.kron(p, q)
+            want = trace_of_product(embed_matrix(op.astype(complex), [a, b], n), mat)
+            assert opalg.local_trace(op, [a, b], mat) == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_local_trace_of_dense_operators_matches_dense_trace(n):
+    rng = np.random.default_rng(50 + n)
+    mat = _random_complex(rng, 2**n, 2**n)
+    supports = [[s] for s in range(n)] + [list(p) for p in itertools.permutations(range(n), 2)]
+    for sites in supports:
+        op = _random_complex(rng, 2 ** len(sites), 2 ** len(sites))
+        want = trace_of_product(embed_matrix(op, sites, n), mat)
+        scale = 2**n * op.shape[0] * np.abs(op).max() * np.abs(mat).max()
+        assert abs(opalg.local_trace(op, sites, mat) - want) <= 1e-13 * scale
+    # a real operator against a real matrix gives a real trace
+    op = rng.standard_normal((2, 2))
+    real = mat.real.copy()
+    assert opalg.local_trace(op, [0], real) == trace_of_product(embed_matrix(op, [0], n), real)
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ from gibbschain.errors import (
 from reference_oracles import (
     SingularPoint,
     build_truncated_bp,
+    embed_matrix,
     filter_value,
     reconstruction_residual,
 )
@@ -202,7 +203,7 @@ def test_truncated_bp_support_locality():
     s = 1
     win = build_truncated_bp(htc, s, 2, 1.0, tau_steps=8)
     assert set(win.sites) <= set(range(6))
-    full = win.embedded_matrix(6)
+    full = embed_matrix(win.matrix, win.sites, 6)
     # acting as identity outside the window: partial trace back recovers it
     outside = [q for q in range(6) if q not in win.sites]
     back = opalg.partial_trace(full, win.sites) / 2 ** len(outside)
