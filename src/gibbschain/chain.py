@@ -116,21 +116,23 @@ class ChainHamiltonian:
 
     def matrix(self):
         """Full-space Hamiltonian matrix (cached, read-only)."""
-        return self.subset_matrix(tuple(range(self.n)))
+        if "full" not in self._matrix_cache:
+            self._matrix_cache["full"] = _read_only(terms_matrix(self.terms, range(self.n)))
+        return self._matrix_cache["full"]
 
-    def subset_matrix(self, sites, subspace=False):
-        """Sum of terms fully inside ``sites`` (cached, read-only).
+    def subset_matrix(self, sites):
+        """Sum of the terms inside ``sites`` on their own tensor space (read-only)."""
+        sites = sorted(int(s) for s in sites)
+        inside = [t for t in self.terms if set(t.sites) <= set(sites)]
+        return _read_only(terms_matrix(inside, sites))
 
-        With subspace=True the matrix lives on the ordered subset's own
-        tensor space; otherwise it is embedded into the full chain.
-        """
-        sites = tuple(sorted(int(s) for s in sites))
-        key = (sites, subspace)
-        if key not in self._matrix_cache:
-            inside = [t for t in self.terms if set(t.sites) <= set(sites)]
-            space = sites if subspace else range(self.n)
-            self._matrix_cache[key] = _read_only(terms_matrix(inside, space))
-        return self._matrix_cache[key]
+
+def coupled_pairs(n, profile, coupling):
+    """Pair -> strength coupling * jbar(j - i) of every pair i < j the chain
+    builder gives a term: the pairs whose strength is not zero."""
+    strength = {d: coupling * profile(d) for d in range(1, n)}
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    return {(i, j): strength[j - i] for i, j in pairs if strength[j - i] != 0.0}
 
 
 def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
@@ -139,20 +141,16 @@ def _pair_terms(n, profile, coupling, generator, seed, anisotropy):
     zz = np.kron(sz, sz).real
     xxz = (np.kron(sx, sx) + np.kron(sy, sy).real + anisotropy * zz).real
     terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            strength = coupling * profile(j - i)
-            if strength == 0.0:
-                continue
-            if generator == "ising_zz":
-                raw = strength * zz
-            elif generator == "heisenberg_xxz":
-                raw = strength * xxz
-            else:
-                m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                m = 0.5 * (m + m.conj().T)
-                raw = (strength / LocalTerm((i, j), m).norm) * m
-            terms.append(_shift_psd(LocalTerm((i, j), raw)))
+    for (i, j), strength in coupled_pairs(n, profile, coupling).items():
+        if generator == "ising_zz":
+            raw = strength * zz
+        elif generator == "heisenberg_xxz":
+            raw = strength * xxz
+        else:
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = 0.5 * (m + m.conj().T)
+            raw = (strength / LocalTerm((i, j), m).norm) * m
+        terms.append(_shift_psd(LocalTerm((i, j), raw)))
     return terms
 
 
@@ -293,34 +291,53 @@ class TruncatedHamiltonian:
             )
         return self._matrix_cache["full"]
 
-    def bond_matrix(self, s, embedded=True):
-        """Boundary bundle h_s as a matrix (full space or its own support)."""
-        bundle = self.h_terms[s]
-        return bundle_matrix(bundle, self.n, embedded)
+    def bond_matrix(self, s):
+        """Boundary bundle h_s as a full-space matrix."""
+        return terms_matrix(self.h_terms[s], range(self.n))
 
     def bond_norm(self, s):
-        mat = self.bond_matrix(s, embedded=False)
-        return 0.0 if mat is None else opalg.opnorm(mat)
+        """Norm of the boundary bundle h_s, summed on its own support."""
+        bundle = self.h_terms[s]
+        support = sorted({i for t in bundle for i in t.sites})
+        return opalg.opnorm(terms_matrix(bundle, support)) if bundle else 0.0
 
     def delta_matrix(self):
         """Sum of the dropped terms, embedded in the full space."""
         return terms_matrix(self.dropped, range(self.n))
 
 
-def bundle_matrix(bundle, n, embedded=True):
-    """Sum a term bundle; returns None for an empty bundle in subspace form."""
-    if embedded:
-        return terms_matrix(bundle, range(n))
-    if not bundle:
-        return None
-    return terms_matrix(bundle, sorted({s for t in bundle for s in t.sites}))
+def partition(n, x_width, y_width, block_len):
+    """X (the first x_width sites), the q interior blocks and Y (the last
+    y_width sites) of an n-site chain, as site tuples.
+
+    The interior must split into an even block count q >= 2 of block_len
+    sites each (BadPartition otherwise); this is the one place that says so.
+    """
+    if min(x_width, y_width) < 1:
+        raise BadPartition("X and Y need at least one site each")
+    width = n - x_width - y_width
+    if block_len < 1 or width < 2 * block_len or width % (2 * block_len):
+        raise BadPartition(
+            f"interior width {width} with block_len {block_len} must give an even "
+            "block count >= 2"
+        )
+    interior = (tuple(range(s, s + block_len)) for s in range(x_width, n - y_width, block_len))
+    return (tuple(range(x_width)), *interior, tuple(range(n - y_width, n)))
+
+
+def truncation_spans(blocks, supports):
+    """Where truncation files each support: (b, b) inside block b, (b, b + 1)
+    across adjacent blocks b and b + 1, None when it is dropped."""
+    block_of = {s: b for b, sites in enumerate(blocks) for s in sites}
+    touched = ([block_of[s] for s in sites] for sites in supports)
+    return [(min(b), max(b)) if max(b) - min(b) <= 1 else None for b in touched]
 
 
 def truncate(h: ChainHamiltonian, x_sites, y_sites, block_len) -> TruncatedHamiltonian:
     """Drop every term that straddles non-adjacent blocks.
 
-    X must be a prefix and Y a suffix of the chain, with the q = width/block_len
-    interior blocks an even count >= 2.
+    X must be a prefix and Y a suffix of the chain; ``partition`` lays out
+    the interior blocks.
     """
     x = sorted(int(s) for s in x_sites)
     y = sorted(int(s) for s in y_sites)
@@ -328,42 +345,20 @@ def truncate(h: ChainHamiltonian, x_sites, y_sites, block_len) -> TruncatedHamil
         raise BadPartition("X must be a contiguous prefix of the chain")
     if y != list(range(y[0], h.n)):
         raise BadPartition("Y must be a contiguous suffix of the chain")
-    width = y[0] - x[-1] - 1
-    if width <= 0:
-        raise BadPartition("X and Y must leave room between them")
-    if block_len < 1 or width % block_len != 0:
-        raise BadPartition(f"width {width} is not a multiple of block_len {block_len}")
-    q = width // block_len
-    if q % 2 != 0 or q < 2:
-        raise BadPartition(f"interior block count q={q} must be an even integer >= 2")
-
-    blocks = [tuple(x)]
-    start = x[-1] + 1
-    for _ in range(q):
-        blocks.append(tuple(range(start, start + block_len)))
-        start += block_len
-    blocks.append(tuple(y))
-
-    block_of = {}
-    for b, sites in enumerate(blocks):
-        for s in sites:
-            block_of[s] = b
+    blocks = partition(h.n, len(x), len(y), block_len)
 
     v_terms = [[] for _ in blocks]
     h_terms = [[] for _ in range(len(blocks) - 1)]
     dropped = []
-    for t in h.terms:
-        touched = sorted({block_of[s] for s in t.sites})
-        if len(touched) == 1:
-            v_terms[touched[0]].append(t)
-        elif len(touched) == 2 and touched[1] == touched[0] + 1:
-            h_terms[touched[0]].append(t)
-        else:
+    for t, span in zip(h.terms, truncation_spans(blocks, [t.sites for t in h.terms])):
+        if span is None:
             dropped.append(t)
+        else:
+            (v_terms if span[0] == span[1] else h_terms)[span[0]].append(t)
 
     return TruncatedHamiltonian(
         base=h,
-        blocks=tuple(blocks),
+        blocks=blocks,
         block_len=int(block_len),
         v_terms=tuple(tuple(b) for b in v_terms),
         h_terms=tuple(tuple(b) for b in h_terms),
@@ -450,16 +445,41 @@ class CenterDecomposition:
     def m(self):
         return len(self.centers)
 
-    def bond_matrix(self, j, embedded=True):
-        return bundle_matrix(self.bond_bundles[j], self.h_tc.n, embedded)
+    def bond_matrix(self, j):
+        """Center bond bundle j as a full-space matrix."""
+        return terms_matrix(self.bond_bundles[j], range(self.h_tc.n))
+
+
+def center_cuts(supports, start, m, half_width):
+    """The m center blocks of 2 * half_width sites from site ``start``, and
+    for each the indices of the supports that cross its center cut.
+
+    A support that crosses a center cut must lie inside its center block
+    (GeometryError otherwise); this is the one place that says so.
+    """
+    blocks, bundles = [], []
+    for k in range(m):
+        lo = start + 2 * half_width * k
+        hi = lo + 2 * half_width - 1
+        center = lo + half_width - 1
+        bundle = [a for a, sup in enumerate(supports) if min(sup) <= center < max(sup)]
+        for a in bundle:
+            if min(supports[a]) < lo or max(supports[a]) > hi:
+                raise GeometryError(
+                    f"support {tuple(supports[a])} crosses center cut {center} and "
+                    f"leaves its center block {lo}..{hi}"
+                )
+        blocks.append(tuple(range(lo, hi + 1)))
+        bundles.append(bundle)
+    return blocks, bundles
 
 
 def center_decomposition(h_tc: TruncatedHamiltonian, m, half_width) -> CenterDecomposition:
     """Split the region between the terminal blocks into m width-2l blocks.
 
     Each interior block carries the bundle of kept terms that straddle its
-    center cut, which must lie inside the block (GeometryError otherwise).
-    The decomposition carries no locality estimate, so half_width <=
+    center cut, which ``center_cuts`` keeps inside the block.  The
+    decomposition carries no locality estimate, so half_width <=
     6 * block_len is allowed: only the exact algebraic identities read it.
     """
     if m < 1:
@@ -472,28 +492,11 @@ def center_decomposition(h_tc: TruncatedHamiltonian, m, half_width) -> CenterDec
         raise GeometryError(
             f"m={m} blocks of width {2 * ell} do not cover the {width}-site interior"
         )
-
-    blocks = [x]
-    centers = []
-    bundles = []
-    start = x[-1] + 1
     kept = h_tc.kept_terms
-    for _ in range(m):
-        sites = tuple(range(start, start + 2 * ell))
-        blocks.append(sites)
-        center = start + ell - 1
-        centers.append(center)
-        bundle = tuple(t for t in kept if t.crosses(center))
-        for t in bundle:
-            if not set(t.sites) <= set(sites):
-                raise GeometryError("center bond bundle leaks outside its block")
-        bundles.append(bundle)
-        start += 2 * ell
-    blocks.append(y)
-
+    blocks, bundles = center_cuts([t.sites for t in kept], x[-1] + 1, m, ell)
     return CenterDecomposition(
         h_tc=h_tc,
-        blocks=tuple(blocks),
-        centers=tuple(centers),
-        bond_bundles=tuple(bundles),
+        blocks=(x, *blocks, y),
+        centers=tuple(b[ell - 1] for b in blocks),
+        bond_bundles=tuple(tuple(kept[a] for a in bundle) for bundle in bundles),
     )

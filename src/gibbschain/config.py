@@ -14,8 +14,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from . import opalg
-from .errors import ConfigError
+from . import chain, opalg
+from .errors import BadPartition, ConfigError, GeometryError
 from .profiles import DecayProfile
 
 EXPERIMENTS = (
@@ -179,34 +179,21 @@ def _check_dimension(n_sites, what):
         raise ConfigError(f"{what}dimension {2**n_sites} exceeds opalg.DIM_CAP {opalg.DIM_CAP}")
 
 
-def _check_center_geometry(cfg, profile, m):
-    """What chain.truncate and chain.center_decomposition check on
-    gamma_decay's m-block chain, from site arithmetic alone."""
-    ell, l0, x0 = cfg.half_width, cfg.block_len, cfg.x_width
-    width = 2 * ell * m
-    q, rest = divmod(width, l0)
-    if rest or q < 2 or q % 2:
-        raise ConfigError(
-            f"m={m}: interior width {width} with block_len {l0} must give an even "
-            "block count >= 2"
-        )
-    n_m = x0 + cfg.y_width + width
-    reach = cfg.range_cutoff if profile.is_finite_range else n_m
+def _geometry(prefix, rule, *args):
+    """Run one of chain's geometry rules, its failure as a ConfigError."""
+    try:
+        return rule(*args)
+    except (BadPartition, GeometryError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
-    def block(s):  # truncation block of site s: X is 0, Y is q + 1
-        return 0 if s < x0 else min((s - x0) // l0 + 1, q + 1)
 
-    for k in range(m):
-        lo = x0 + 2 * ell * k
-        center = lo + ell - 1
-        for i in range(center + 1):
-            for j in range(center + 1, min(i + reach, n_m - 1) + 1):
-                # a kept pair across the center cut must lie inside its block
-                if abs(block(i) - block(j)) <= 1 and (i < lo or j >= lo + 2 * ell):
-                    raise ConfigError(
-                        f"m={m}: kept pair ({i}, {j}) crosses center cut {center} and "
-                        f"leaves its center block {lo}..{lo + 2 * ell - 1}"
-                    )
+def _check_center_cuts(cfg, profile, n_m, m):
+    """chain.truncate's partition and chain.center_decomposition's center-cut
+    rule on gamma_decay's m-block chain, read from the pairs it would couple."""
+    blocks = chain.partition(n_m, cfg.x_width, cfg.y_width, cfg.block_len)
+    pairs = list(chain.coupled_pairs(n_m, profile, cfg.coupling))
+    kept = [p for p, span in zip(pairs, chain.truncation_spans(blocks, pairs)) if span is not None]
+    chain.center_cuts(kept, cfg.x_width, m, cfg.half_width)
 
 
 def validate_config(cfg: ExperimentConfig):
@@ -260,20 +247,16 @@ def validate_config(cfg: ExperimentConfig):
                 f"r_list certifies no truncated row: its smallest entry exceeds "
                 f"n - x_width - y_width - 1 = {interior}"
             )
-    # lr_sweep truncates (and reads block_len) only on infinite-range chains
+    # lr_sweep truncates (and reads block_len) only on infinite-range chains;
+    # truncation_sweep alone reads block_len_list
     if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
         cfg.experiment == "lr_sweep" and not profile.is_finite_range
     ):
-        width = cfg.n - cfg.x_width - cfg.y_width
-        lens = cfg.block_len_list or (cfg.block_len,)
-        for l0 in lens:
-            if width < 2 * l0 or width % l0 != 0 or (width // l0) % 2 != 0:
-                raise ConfigError(
-                    f"interior width {width} with block_len {l0} "
-                    "must give an even block count >= 2"
-                )
+        lens = cfg.block_len_list if cfg.experiment == "truncation_sweep" else ()
+        for l0 in lens or (cfg.block_len,):
+            blocks = _geometry("", chain.partition, cfg.n, cfg.x_width, cfg.y_width, l0)
     if cfg.experiment == "qbp_locality":
-        q = (cfg.n - cfg.x_width - cfg.y_width) // cfg.block_len
+        q = len(blocks) - 2  # the block_len partition checked above
         if not 0 <= cfg.bond_index <= q:
             raise ConfigError(f"bond_index must lie in 0..{q}, the bonds of {q} interior blocks")
         if any(r <= 6 * cfg.block_len for r in cfg.radius_list):
@@ -285,6 +268,7 @@ def validate_config(cfg: ExperimentConfig):
         # n is not used.  With every width >= 1 this also keeps m <= 5, inside
         # cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
         for m in cfg.m_list:
-            _check_dimension(cfg.x_width + cfg.y_width + 2 * cfg.half_width * m, f"m={m}: ")
+            n_m = cfg.x_width + cfg.y_width + 2 * cfg.half_width * m
+            _check_dimension(n_m, f"m={m}: ")
             if m >= 1:
-                _check_center_geometry(cfg, profile, m)
+                _geometry(f"m={m}: ", _check_center_cuts, cfg, profile, n_m, m)

@@ -227,22 +227,19 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
             values[(beta, m)] = value
             rows.append((beta, m, n_m, value, fact))
 
+    taus = []
     for beta in sorted(cfg.beta_list):
         seq = [values[(beta, m)] for m in sorted(cfg.m_list)]
         monotone = all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
         manifest.add_check(f"decay_nonincreasing[beta={beta}]", monotone)
-        ms = np.array(sorted(cfg.m_list), dtype=float)
-        vals = np.array(seq)
-        mask = vals > 1e-14
-        if mask.sum() >= 2:
-            slope, _ = np.polyfit(ms[mask], np.log(vals[mask]), 1)
-            tau = -1.0 / slope if slope < 0 else math.inf
+        tau, _, used, _ = oracles.fit_exponential_decay(sorted(cfg.m_list), seq)
+        if used >= 2:
             manifest.add_fit(f"tau[beta={beta}]", tau)
+            taus.append((beta, tau))
 
-    taus = [(label, v) for label, v in manifest.fitted if label.startswith("tau[")]
     if len(taus) >= 2:
-        bs = np.array([float(l.split("=")[1].rstrip("]")) for l, _ in taus])
-        ts = np.array([v for _, v in taus])
+        bs = np.array([b for b, _ in taus])
+        ts = np.array([t for _, t in taus])
         finite = np.isfinite(ts) & (ts > 0)
         if finite.sum() >= 2:
             slope, intercept = np.polyfit(bs[finite], np.log(ts[finite]), 1)

@@ -221,7 +221,7 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     # on the window's sites
     pos = [window.index(s) for s in o_local.sites]
     b_win = opalg.evolve(opalg.DenseOperator(pos, o_local.matrix),
-                         h.subset_matrix(window, subspace=True), t)
+                         h.subset_matrix(window), t)
     opalg.add_embedded(diff, -b_win, window)
     exact = opalg.opnorm(diff)
 

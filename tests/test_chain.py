@@ -101,9 +101,10 @@ def test_truncate_bundles_psd_and_capped():
     h = powerlaw_chain(n=10, gen="random_two_site", seed=5)
     htc = chain.truncate(h, [0], [9], 2)
     for s in range(htc.q + 1):
-        mat = htc.bond_matrix(s, embedded=False)
-        if mat is None:
+        bundle = htc.h_terms[s]
+        if not bundle:
             continue
+        mat = chain.terms_matrix(bundle, sorted({i for t in bundle for i in t.sites}))
         evals = np.linalg.eigvalsh(mat)
         assert evals.min() >= -1e-12 * max(1.0, abs(evals).max())
         assert htc.bond_norm(s) <= htc.g_tilde * (1 + 1e-12)
@@ -160,7 +161,7 @@ def test_cached_matrices_are_read_only():
             owner.matrix()[0, 0] = 1
         assert np.array_equal(owner.matrix(), before)
     with pytest.raises(ValueError):
-        h.subset_matrix((1, 2, 3), subspace=True)[0, 0] = 1
+        h.subset_matrix((1, 2, 3))[0, 0] = 1
 
 
 def test_local_term_norm_computed_once():

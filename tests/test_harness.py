@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from gibbschain import cli, csvio, opalg, profiles
+from gibbschain import chain, cli, csvio, opalg, profiles
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text
-from gibbschain.errors import ConfigError, SupportMismatch
+from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
 from gibbschain.experiments import run_experiment
 
 
@@ -79,7 +79,9 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     # An empty sweep list, and an lr_sweep r_list with no truncated row (r = 7 on
     # n = 8 power law), used to pass with a header-only CSV; r = 6 on n = 6 was
     # skipped.  The gamma_decay geometries (odd or single interior block count, a
-    # kept XXZ power-law pair leaving its center block) failed mid-run.
+    # kept XXZ power-law pair leaving its center block) failed mid-run.  qbp_locality
+    # truncates with block_len (width 8 with block_len 3 failed mid-run), not with
+    # the block_len_list it does not read.
     for k, overrides in enumerate((
         {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
         {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
@@ -110,6 +112,8 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         {"experiment": "gamma_decay", "block_len": 4, "half_width": 2, "m_list": "1"},
         {"experiment": "gamma_decay", "generator": "heisenberg_xxz", "profile": "power_law",
          "block_len": 2, "half_width": 1, "m_list": "0,2"},
+        {"experiment": "qbp_locality", "block_len": 3, "block_len_list": "1",
+         "radius_list": "19"},
     )):
         with pytest.raises(ConfigError):
             load_config(None, overrides=overrides, environ={})
@@ -152,6 +156,97 @@ def test_gamma_decay_caps_checked_at_config_time(tmp_path, monkeypatch):
     path = tmp_path / "gamma.cfg"
     path.write_text("experiment = gamma_decay\nm_list = 0,1,3\n")
     assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+def test_gamma_decay_config_accepts_exactly_what_the_chain_builds(monkeypatch):
+    """load_config accepts a gamma_decay geometry exactly when build_chain,
+    truncate and center_decomposition do.  Pairs left uncoupled by the profile
+    and coupling do not count: exponential(400) couples nearest neighbours only
+    (jbar(2) underflows to 0) and coupling 0 couples none."""
+    import itertools
+
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    cases = (
+        ({"profile": "finite_range", "range_cutoff": 1}, profiles.finite_range(1), 1.0),
+        ({"profile": "finite_range", "range_cutoff": 2}, profiles.finite_range(2), 1.0),
+        ({"profile": "power_law", "alpha": 3.0}, profiles.power_law(3.0), 1.0),
+        ({"profile": "exponential", "rate": 400.0}, profiles.exponential(400.0), 1.0),
+        ({"profile": "power_law", "alpha": 3.0, "coupling": 0.0}, profiles.power_law(3.0), 0.0),
+    )
+    chains = {}
+    outcomes = set()
+    for (k, (keys, profile, coupling)), xw, yw, hw, l0, m in itertools.product(
+        enumerate(cases), (1, 2), (1, 2), (1, 2, 3), (1, 2, 3), (1, 2, 3)
+    ):
+        n = xw + yw + 2 * hw * m
+        if n > 12:
+            continue
+        overrides = {"experiment": "gamma_decay", "generator": "heisenberg_xxz",
+                     "x_width": xw, "y_width": yw, "half_width": hw, "block_len": l0,
+                     "m_list": m, **keys}
+        try:
+            load_config(None, overrides=overrides, environ={})
+            accepted = True
+        except ConfigError:
+            accepted = False
+        if (k, n) not in chains:
+            chains[(k, n)] = chain.build_chain(n, "heisenberg_xxz", profile, coupling=coupling)
+        try:
+            htc = chain.truncate(chains[(k, n)], range(xw), range(n - yw, n), l0)
+            chain.center_decomposition(htc, m, hw)
+            built = "built"
+        except (BadPartition, GeometryError) as exc:
+            built = type(exc).__name__
+        assert accepted == (built == "built"), (overrides, built)
+        outcomes.add((k, built))
+    # every profile has accepted geometries, and the center-cut rule rejects some
+    assert {k for k, built in outcomes if built == "built"} == set(range(len(cases)))
+    assert (2, "GeometryError") in outcomes
+
+
+def test_gamma_decay_runs_where_the_profile_leaves_far_pairs_uncoupled(tmp_path, monkeypatch):
+    """At rate 400 the pair (0, 2) of the m = 2 chain has jbar(2) = 0, so the
+    block_len 2 geometry that power_law rejects runs to a pass."""
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = gamma_decay\ngenerator = heisenberg_xxz\n"
+                    "profile = exponential\nrate = 400\nblock_len = 2\n"
+                    "half_width = 1\nm_list = 0,2\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    rows = csvio.csv_body_bytes(out / "gamma_decay.csv").decode().splitlines()[1:]
+    assert sorted({row.split(",")[1] for row in rows}) == ["0", "2"]
+
+
+def test_config_validation_does_no_matrix_work(monkeypatch):
+    """Config checks read site arithmetic and chain's geometry rules over site
+    tuples only: no term, matrix or eigensolver call.  This covers every
+    bundled config and every benchmark workload's inputs, whose setup time
+    includes load_config."""
+    import glob
+    import sys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix work during config validation")
+
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setattr(chain, "terms_matrix", refuse)
+    monkeypatch.setattr(chain.LocalTerm, "__post_init__", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+    assert len(paths) >= 7
+    for path in paths:
+        load_config(path, environ={})
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    for inputs, _, _ in workloads.WORKLOADS.values():
+        inputs(0, False)
 
 
 def test_lr_sweep_geometry_checked_only_where_it_truncates(tmp_path, monkeypatch):
