@@ -20,6 +20,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import cluster, csvio, locality, opalg, oracles, qbp
 from .config import ExperimentConfig
+from .experiments import correlation_lengths, gamma_decay_values, run_experiment
 from .profiles import exponential, finite_range, power_law, stretched_exp
 
 
@@ -340,14 +341,10 @@ def criterion_11_correlation_length():
     t0 = time.time()
     rows = []
 
-    from .experiments import _fast_z_correlations
-
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
-    h_spectrum = opalg.hermitian_eig(h.matrix())
+    betas = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
     worst = 0.0
-    for beta in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5):
-        cors = _fast_z_correlations(opalg.gibbs(h_spectrum, beta), 0, range(1, 10))
-        xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
+    for beta, (_, xi, _, _) in zip(betas, correlation_lengths(h, betas, 0, range(1, 10))):
         ref = oracles.ising_correlation_length(beta, 1.0)
         worst = max(worst, abs(xi - ref) / ref)
     rows.append(("ising_xi_worst_rel_dev", worst, 0.05, worst <= 0.05))
@@ -355,20 +352,18 @@ def criterion_11_correlation_length():
     hq = chain_mod.build_chain(
         10, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
     )
-    hq_spectrum = opalg.hermitian_eig(hq.matrix())
-    log_xis = []
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
-    for beta in betas:
-        cors = _fast_z_correlations(opalg.gibbs(hq_spectrum, beta), 0, range(1, 10))
-        xi, _, _, _ = oracles.fit_exponential_decay(range(1, 10), cors)
-        log_xis.append(math.log(xi))
-    increments = np.diff(log_xis)
+    xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, 10))]
+    fit = oracles.fit_log_line(betas, xis)
+    if fit is None or len(fit[3]) < len(betas):  # some xi is not finite and > 0
+        slope, increments = math.nan, np.array([math.nan])
+    else:
+        slope, increments = fit[0], np.diff(fit[3])
     rows.append(
         ("quantum_log_xi_monotone", float(np.min(increments)), 0.0,
          bool(np.all(increments > 0)))
     )
-    slope, _ = np.polyfit(betas, log_xis, 1)
-    rows.append(("quantum_log_xi_slope", float(slope), math.inf, math.isfinite(slope)))
+    rows.append(("quantum_log_xi_slope", slope, math.inf, math.isfinite(slope)))
     return _result(11, "correlation_length", t0, rows)
 
 
@@ -404,21 +399,14 @@ def criterion_12_gamma_machinery():
              rep.factorization_residual <= 1e-10)
         )
 
-    for beta in (0.5, 1.0):
-        values = []
-        for m in (0, 1, 2):
-            n_m = 2 + 2 * m
-            hm = chain_mod.build_chain(n_m, "ising_zz", finite_range(1), coupling=1.0, seed=0)
-            o_x = opalg.single_site(opalg.pauli("z"), 0)
-            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
-            if m == 0:
-                rho = opalg.gibbs(hm.matrix(), beta)
-                values.append(abs(opalg.correlation(rho, o_x, o_y)))
-            else:
-                hmt = chain_mod.truncate(hm, [0], [n_m - 1], 1)
-                cd = chain_mod.center_decomposition(hmt, m, 1)
-                rep = cluster.gamma_pair(hmt, cd, beta, o_x, o_y, tau_steps=16)
-                values.append(rep.psi_trace_decay)
+    # m = 0, 1, 2 center blocks on the 2 + 2m site Ising chain
+    cfg = ExperimentConfig(experiment="gamma_decay", generator="ising_zz",
+                           profile="finite_range", range_cutoff=1, coupling=1.0, seed=0,
+                           beta_list=(0.5, 1.0), m_list=(0, 1, 2), half_width=1,
+                           tau_steps=16)
+    decay = gamma_decay_values(cfg)
+    for beta in cfg.beta_list:
+        values = [value for b, _, _, value, _ in decay if b == beta]
         drops = [values[i] - values[i + 1] for i in range(len(values) - 1)]
         rows.append(
             (f"decay_nonincreasing[beta={beta}]", float(min(drops)), 0.0,
@@ -430,8 +418,6 @@ def criterion_12_gamma_machinery():
 def criterion_13_determinism():
     """Identical config and seed reproduce CSV bodies byte for byte."""
     import shutil
-
-    from .experiments import run_experiment
 
     t0 = time.time()
     rows = []

@@ -117,8 +117,6 @@ for _f in fields(ExperimentConfig):
             if _f.name in ("r_list", "m_list", "radius_list", "block_len_list")
             else _floats
         )
-    elif isinstance(_f.default, bool):
-        _PARSERS[_f.name] = lambda s: str(s).strip().lower() in ("1", "true", "yes")
     elif isinstance(_f.default, int):
         _PARSERS[_f.name] = int
     elif isinstance(_f.default, float):
@@ -208,6 +206,8 @@ def validate_config(cfg: ExperimentConfig):
     for key in ("x_width", "y_width", "half_width", "block_len"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if cfg.block_len_list and cfg.experiment != "truncation_sweep":
+        raise ConfigError(f"{cfg.experiment} does not read block_len_list (truncation_sweep only)")
     if any(l0 < 1 for l0 in cfg.block_len_list):
         raise ConfigError("block_len_list entries must be >= 1")
     if any(r < 1 for r in cfg.r_list):
@@ -248,12 +248,11 @@ def validate_config(cfg: ExperimentConfig):
                 f"n - x_width - y_width - 1 = {interior}"
             )
     # lr_sweep truncates (and reads block_len) only on infinite-range chains;
-    # truncation_sweep alone reads block_len_list
+    # a block_len_list (truncation_sweep only, checked above) replaces block_len
     if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
         cfg.experiment == "lr_sweep" and not profile.is_finite_range
     ):
-        lens = cfg.block_len_list if cfg.experiment == "truncation_sweep" else ()
-        for l0 in lens or (cfg.block_len,):
+        for l0 in cfg.block_len_list or (cfg.block_len,):
             blocks = _geometry("", chain.partition, cfg.n, cfg.x_width, cfg.y_width, l0)
     if cfg.experiment == "qbp_locality":
         q = len(blocks) - 2  # the block_len partition checked above

@@ -34,25 +34,55 @@ def truncation_regions(n, x_width, y_width):
     return tuple(range(x_width)), tuple(range(n - y_width, n))
 
 
-def _fast_z_correlations(rho, x_site, partners):
-    """Connected zz correlations from the diagonal of one n-qubit Gibbs state.
+def correlation_lengths(h, betas, x0, r_list):
+    """Connected zz correlations and their fitted correlation length at each beta.
 
-    Embedded sigma^z is diagonal, +1 or -1 as bit n-1-site of the basis
-    index is 0 or 1, so every moment is a weighted sum over diag(rho).
+    ``h`` is diagonalized once.  For each beta the list holds
+    (cors, xi, n_used, excluded): cors[k] = Re Cor(Z_x0, Z_(x0 + r_list[k]))
+    from ``opalg.correlation`` on the Gibbs state, and the rest from
+    ``oracles.fit_exponential_decay`` of |cors| against r_list.
     """
-    p = np.diagonal(rho).real
-    n = opalg.n_qubits(p.size)
-    index = np.arange(p.size)
-
-    def z(site):
-        return 1.0 - 2.0 * ((index >> (n - 1 - site)) & 1)
-
-    px = p * z(x_site)
-    mean_x = float(np.sum(px))
+    spectrum = opalg.hermitian_eig(h.matrix())
+    z = opalg.pauli("z")
+    o_x = opalg.single_site(z, x0)
     out = []
-    for y in partners:
-        zy = z(y)
-        out.append(float(np.sum(px * zy)) - mean_x * float(np.sum(p * zy)))
+    for beta in betas:
+        rho = opalg.gibbs(spectrum, beta)
+        cors = [opalg.correlation(rho, o_x, opalg.single_site(z, x0 + r)).real for r in r_list]
+        xi, _, used, excluded = oracles.fit_exponential_decay(r_list, cors)
+        out.append((cors, xi, used, excluded))
+    return out
+
+
+def gamma_decay_values(cfg: ExperimentConfig):
+    """(beta, m, n_m, value, factorization residual) for each beta and m, in
+    config order, with Z probes on the ends of an n_m-site chain.
+
+    m = 0 gives |Cor(O_X, O_Y)| (residual 0); m >= 1 gives ``gamma_pair``'s
+    psi_trace_decay over m center blocks of 2*half_width sites.
+    """
+    ell = cfg.half_width
+    out = []
+    for beta in cfg.beta_list:
+        for m in cfg.m_list:
+            n_m = cfg.x_width + cfg.y_width + 2 * ell * m
+            h = build_config_chain(cfg, n=n_m)
+            o_x = opalg.single_site(opalg.pauli("z"), 0)
+            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
+            if m == 0:
+                rho = opalg.gibbs(h.matrix(), beta)
+                value = abs(opalg.correlation(rho, o_x, o_y))
+                fact = 0.0
+            else:
+                x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
+                htc = chain_mod.truncate(h, x, y, cfg.block_len)
+                cd = chain_mod.center_decomposition(htc, m, ell)
+                rep = cluster.gamma_pair(
+                    htc, cd, beta, o_x, o_y,
+                    tau_steps=cfg.tau_steps, integrator=cfg.integrator,
+                )
+                value, fact = rep.psi_trace_decay, rep.factorization_residual
+            out.append((beta, m, n_m, value, fact))
     return out
 
 
@@ -152,41 +182,34 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
 
 
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
-    h = build_config_chain(cfg)
-    h_spectrum = opalg.hermitian_eig(h.matrix())  # shared by every beta
     x0, r_list = cfg.clustering_sites()
+    betas = sorted(cfg.beta_list)
+    sweep = correlation_lengths(build_config_chain(cfg), betas, x0, r_list)
 
     rows = []
     xis = []
-    for beta in sorted(cfg.beta_list):
-        rho = opalg.gibbs(h_spectrum, beta)
-        cors = _fast_z_correlations(rho, x0, [x0 + r for r in r_list])
-        xi, amp, used, excluded = oracles.fit_exponential_decay(r_list, cors)
+    for beta, (cors, xi, used, excluded) in zip(betas, sweep):
         if used < 2:
             raise FitDegenerate(
                 f"beta={beta}: only {used} rows above the underflow floor"
             )
-        xis.append((beta, xi))
+        xis.append(xi)
         for k, r in enumerate(r_list):
             rows.append((beta, r, abs(cors[k]), k in excluded))
         manifest.add_fit(f"xi[beta={beta}]", xi)
 
-    good = [(b, x) for b, x in xis if math.isfinite(x) and x > 0]
-    if len(good) >= 2:
-        bs = np.array([b for b, _ in good])
-        ls = np.log([x for _, x in good])
-        slope, intercept = np.polyfit(bs, ls, 1)
-        resid = float(np.max(np.abs(ls - (slope * bs + intercept))))
-        manifest.add_fit("log_xi_slope", float(slope))
-        manifest.add_fit("log_xi_intercept", float(intercept))
+    fit = oracles.fit_log_line(betas, xis)
+    if fit is not None:
+        slope, intercept, resid, log_xi = fit
+        manifest.add_fit("log_xi_slope", slope)
+        manifest.add_fit("log_xi_intercept", intercept)
         manifest.add_fit("log_xi_max_residual", resid)
-        monotone = bool(np.all(np.diff(ls) > 0))
-        manifest.add_check("log_xi_monotone_increasing", monotone)
+        manifest.add_check("log_xi_monotone_increasing", bool(np.all(np.diff(log_xi) > 0)))
         manifest.add_check("log_xi_slope_finite", math.isfinite(slope))
 
     if cfg.generator == "ising_zz" and cfg.profile == "finite_range" and cfg.range_cutoff == 1:
         worst = 0.0
-        for beta, xi in good:
+        for beta, xi in zip(betas, xis):
             ref = oracles.ising_correlation_length(beta, cfg.coupling)
             worst = max(worst, abs(xi - ref) / ref)
         manifest.add_fit("ising_xi_worst_rel_dev", worst)
@@ -202,32 +225,10 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
 
 
 def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
-    ell = cfg.half_width
-    rows = []
-    values = {}
-    for beta in cfg.beta_list:
-        for m in cfg.m_list:
-            n_m = cfg.x_width + cfg.y_width + 2 * ell * m
-            h = build_config_chain(cfg, n=n_m)
-            o_x = opalg.single_site(opalg.pauli("z"), 0)
-            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
-            if m == 0:
-                rho = opalg.gibbs(h.matrix(), beta)
-                value = abs(opalg.correlation(rho, o_x, o_y))
-                fact = 0.0
-            else:
-                x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
-                htc = chain_mod.truncate(h, x, y, cfg.block_len)
-                cd = chain_mod.center_decomposition(htc, m, ell)
-                rep = cluster.gamma_pair(
-                    htc, cd, beta, o_x, o_y,
-                    tau_steps=cfg.tau_steps, integrator=cfg.integrator,
-                )
-                value, fact = rep.psi_trace_decay, rep.factorization_residual
-            values[(beta, m)] = value
-            rows.append((beta, m, n_m, value, fact))
+    rows = gamma_decay_values(cfg)
+    values = {(beta, m): value for beta, m, _, value, _ in rows}
 
-    taus = []
+    betas, taus = [], []
     for beta in sorted(cfg.beta_list):
         seq = [values[(beta, m)] for m in sorted(cfg.m_list)]
         monotone = all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
@@ -235,18 +236,15 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
         tau, _, used, _ = oracles.fit_exponential_decay(sorted(cfg.m_list), seq)
         if used >= 2:
             manifest.add_fit(f"tau[beta={beta}]", tau)
-            taus.append((beta, tau))
+            betas.append(beta)
+            taus.append(tau)
 
-    if len(taus) >= 2:
-        bs = np.array([b for b, _ in taus])
-        ts = np.array([t for _, t in taus])
-        finite = np.isfinite(ts) & (ts > 0)
-        if finite.sum() >= 2:
-            slope, intercept = np.polyfit(bs[finite], np.log(ts[finite]), 1)
-            resid = float(np.max(np.abs(np.log(ts[finite]) - (slope * bs[finite] + intercept))))
-            manifest.add_fit("log_tau_slope", float(slope))
-            manifest.add_fit("log_tau_linear_max_residual", resid)
-            manifest.add_check("log_tau_at_most_linear", resid <= 0.5, f"residual={resid:.3g}")
+    fit = oracles.fit_log_line(betas, taus)
+    if fit is not None:
+        slope, _, resid, _ = fit
+        manifest.add_fit("log_tau_slope", slope)
+        manifest.add_fit("log_tau_linear_max_residual", resid)
+        manifest.add_check("log_tau_at_most_linear", resid <= 0.5, f"residual={resid:.3g}")
 
     columns = ("beta", "m", "n", "psi_trace_decay", "factorization_residual")
     comments = [

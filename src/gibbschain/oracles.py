@@ -64,3 +64,21 @@ def fit_exponential_decay(distances, values):
     slope, intercept = np.polyfit(distances[mask], np.log(values[mask]), 1)
     xi = -1.0 / slope if slope < 0 else math.inf
     return float(xi), float(intercept), int(mask.sum()), excluded
+
+
+def fit_log_line(xs, ys):
+    """Least-squares line log y ~ slope * x + intercept over the points with
+    finite y > 0, the fit behind "log xi (or log tau) is linear in beta".
+
+    Returns (slope, intercept, max_residual, log_y), log_y the logs of the
+    kept ys in order, or None when fewer than two points remain.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(ys) & (ys > 0)
+    if keep.sum() < 2:
+        return None
+    xs, log_y = xs[keep], np.log(ys[keep])
+    slope, intercept = np.polyfit(xs, log_y, 1)
+    resid = float(np.max(np.abs(log_y - (slope * xs + intercept))))
+    return float(slope), float(intercept), resid, log_y

@@ -219,9 +219,6 @@ def tail_sum(profile: DecayProfile, ell: int, z: int) -> float:
 class DecayConditionReport:
     worst_ratio: float
     passed: bool
-    z: int
-    gamma: float
-    ell_max: int
 
 
 def verify_decay_condition(
@@ -242,9 +239,7 @@ def verify_decay_condition(
             continue
         ratio = tail_sum(profile, ell, z) / (ell ** (z + 1) * j)
         worst = max(worst, ratio)
-    return DecayConditionReport(
-        worst_ratio=worst, passed=worst <= gamma, z=z, gamma=gamma, ell_max=ell_max
-    )
+    return DecayConditionReport(worst_ratio=worst, passed=worst <= gamma)
 
 
 def measure_gamma(profile: DecayProfile, ell_max: int) -> float:

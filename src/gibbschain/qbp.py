@@ -102,7 +102,6 @@ class QuadratureScheme:
     """
 
     beta: float
-    eps: float
     nodes: np.ndarray
     weights: np.ndarray
     t_max: float
@@ -174,7 +173,6 @@ def filter_quadrature(beta, eps, max_nodes=60_000) -> QuadratureScheme:
     weights = np.concatenate([w_pos[::-1], w_pos])
     scheme = QuadratureScheme(
         beta=float(beta),
-        eps=float(eps),
         nodes=nodes,
         weights=weights,
         t_max=t_max,

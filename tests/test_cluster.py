@@ -417,9 +417,9 @@ def test_gamma_pair_trivial_and_factorized():
     beta = 0.7
     rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
     assert rep.factorization_residual <= 1e-10
-    # the probe trace of the alternating sum reproduces the correlation
+    # the probe trace of the exact alternating sum reproduces the correlation
     rho = opalg.gibbs(htc.matrix(), beta)
-    assert rep.psi_trace_gamma / rep.z2 == pytest.approx(
+    assert exact_gamma_trace(htc, cd, beta, ox, oy) / rep.z2 == pytest.approx(
         abs(opalg.correlation(rho, ox, oy)), abs=1e-10
     )
 
@@ -436,8 +436,40 @@ def test_gamma_pair_zero_bonds_vanish():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 5)
     rep = cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
-    assert rep.psi_trace_gamma < 1e-12
+    assert exact_gamma_trace(htc, cd, 0.8, ox, oy) < 1e-12
     assert rep.psi_trace_gamma_local < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
+    # x = {0, 1}, y = {n - 1}: e^{beta H_0} and e^{beta H} for Z are the only
+    # full-space exponentials; the exact Gamma's 2^m branches are never formed
+    n = 3 + 2 * m
+    h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
+    htc = chain.truncate(h, [0, 1], [n - 1], 1)
+    cd = chain.center_decomposition(htc, m, 1)
+    ox = opalg.single_site(opalg.pauli("z"), 0)
+    oy = opalg.single_site(opalg.pauli("z"), n - 1)
+    dims = []
+    herm_expm = opalg.herm_expm
+
+    def spy(a, scale=1.0):
+        dims.append(len(a.evals) if isinstance(a, opalg.Spectrum) else a.shape[0])
+        return herm_expm(a, scale)
+
+    monkeypatch.setattr(opalg, "herm_expm", spy)
+    cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
+    assert dims.count(2**n) == 2
+
+
+def exact_gamma_trace(h_tc, centers, beta, o_x, o_y):
+    """|tr[Psi Gamma]| for the exact alternating sum over the center bonds."""
+    probe = cluster.psi(o_x, o_y)
+    bonds = [centers.bond_matrix(j) for j in range(centers.m)]
+    total = 0.0 + 0.0j
+    for _, sign, e_lam in cluster._branch_exponentials(h_tc.matrix(), bonds, beta):
+        total += sign * probe.expectation(e_lam)
+    return abs(total)
 
 
 def embedded_bp(h_tc, centers, j, beta, tau_steps):

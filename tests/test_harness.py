@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -80,8 +81,9 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     # n = 8 power law), used to pass with a header-only CSV; r = 6 on n = 6 was
     # skipped.  The gamma_decay geometries (odd or single interior block count, a
     # kept XXZ power-law pair leaving its center block) failed mid-run.  qbp_locality
-    # truncates with block_len (width 8 with block_len 3 failed mid-run), not with
-    # the block_len_list it does not read.
+    # truncates with block_len (width 8 with block_len 3 failed mid-run).  Only
+    # truncation_sweep reads block_len_list; every other experiment used to accept
+    # it and run with block_len.
     for k, overrides in enumerate((
         {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
         {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
@@ -112,8 +114,13 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         {"experiment": "gamma_decay", "block_len": 4, "half_width": 2, "m_list": "1"},
         {"experiment": "gamma_decay", "generator": "heisenberg_xxz", "profile": "power_law",
          "block_len": 2, "half_width": 1, "m_list": "0,2"},
-        {"experiment": "qbp_locality", "block_len": 3, "block_len_list": "1",
-         "radius_list": "19"},
+        {"experiment": "qbp_locality", "block_len": 3, "radius_list": "19"},
+        {"experiment": "qbp_locality", "block_len_list": "1"},
+        {"experiment": "qbp_locality", "block_len_list": "3"},
+        {"experiment": "gamma_decay", "block_len_list": "5"},
+        {"experiment": "lr_sweep", "profile": "power_law", "block_len_list": "2"},
+        {"n": 6, "experiment": "clustering_sweep", "block_len_list": "1"},
+        {"experiment": "acceptance", "block_len_list": "1"},
     )):
         with pytest.raises(ConfigError):
             load_config(None, overrides=overrides, environ={})
@@ -487,21 +494,47 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("generator", ["ising_zz", "heisenberg_xxz", "random_two_site"])
-def test_fast_z_correlations_match_dense_correlation(generator):
-    from gibbschain import chain, opalg, profiles
-    from gibbschain.experiments import _fast_z_correlations
+def test_correlation_lengths_equal_dense_correlation(generator):
+    from gibbschain import oracles
+    from gibbschain.experiments import correlation_lengths
 
     n = 6
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.7, seed=2)
-    rho = opalg.gibbs(h.matrix(), 0.9)
+    betas = (0.4, 0.9)
+    z = opalg.pauli("z")
     for x in (0, 2):
-        partners = [y for y in range(n) if y != x]
-        fast = _fast_z_correlations(rho, x, partners)
-        zx = opalg.single_site(opalg.pauli("z"), x)
-        for y, value in zip(partners, fast):
-            zy = opalg.single_site(opalg.pauli("z"), y)
-            assert value == pytest.approx(opalg.correlation(rho, zx, zy).real,
-                                          rel=1e-12, abs=1e-15)
+        r_list = tuple(range(1, n - x))
+        for beta, (cors, xi, used, excluded) in zip(
+            betas, correlation_lengths(h, betas, x, r_list)
+        ):
+            rho = opalg.gibbs(h.matrix(), beta)
+            dense = [opalg.correlation(rho, opalg.single_site(z, x),
+                                       opalg.single_site(z, x + r)).real for r in r_list]
+            assert cors == dense
+            fit = oracles.fit_exponential_decay(r_list, dense)
+            assert (xi, used, excluded) == (fit[0], fit[2], fit[3])
+
+
+def test_fit_log_line_drops_nonpositive_and_nonfinite_points():
+    from gibbschain.oracles import fit_log_line
+
+    xs = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+    ys = [0.5, math.inf, 1.3, 0.0, 2.9, -1.0, math.nan]
+    slope, intercept, resid, log_y = fit_log_line(xs, ys)
+    kept_x, kept_y = np.array([0.2, 0.6, 1.0]), np.array([0.5, 1.3, 2.9])
+    ref_slope, ref_intercept = np.polyfit(kept_x, np.log(kept_y), 1)
+    assert (slope, intercept) == (ref_slope, ref_intercept)
+    assert np.array_equal(log_y, np.log(kept_y))
+    assert resid == np.max(np.abs(np.log(kept_y) - (ref_slope * kept_x + ref_intercept)))
+    # an exact exponential leaves no residual to speak of
+    exact = fit_log_line([1.0, 2.0, 3.0], [math.exp(0.5 + 2.0 * b) for b in (1.0, 2.0, 3.0)])
+    assert exact[0] == pytest.approx(2.0) and exact[1] == pytest.approx(0.5)
+    assert exact[2] < 1e-12
+    # fewer than two usable points: no line
+    assert fit_log_line([0.1, 0.2, 0.3], [1.0, 0.0, math.inf]) is None
+    assert fit_log_line([0.1], [1.0]) is None
+    assert fit_log_line([], []) is None
+    assert fit_log_line([0.1, 0.2], [-1.0, math.nan]) is None
 
 
 def test_determinism_same_seed(tmp_path):
@@ -621,6 +654,34 @@ def test_local_operators_are_never_embedded_in_the_library():
             for lineno, line in enumerate(fh, 1):
                 offenders += [f"{os.path.basename(path)}:{lineno}: {name}"
                               for name in banned if name in line]
+    assert offenders == []
+
+
+def test_no_private_names_imported_across_modules():
+    """The library and the demos import no underscore-prefixed name from another
+    gibbschain module; what a caller needs is public."""
+    import ast
+    import glob
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = sorted(glob.glob(os.path.join(root, "src", "gibbschain", "*.py"))
+                   + glob.glob(os.path.join(root, "demos", "*.py")))
+    assert paths
+    offenders = []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                ours = node.level > 0 or (node.module or "").startswith("gibbschain")
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                ours = any(a.name.startswith("gibbschain") for a in node.names)
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            if ours and any(p.startswith("_") and not p.startswith("__") for p in parts):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
     assert offenders == []
 
 
