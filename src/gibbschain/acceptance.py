@@ -429,7 +429,7 @@ def criterion_13_determinism():
         ExperimentConfig(experiment="clustering_sweep", n=8, generator="ising_zz",
                          profile="finite_range", range_cutoff=1, coupling=1.0,
                          seed=0, beta_list=(0.4, 0.8)),
-        ExperimentConfig(experiment="gamma_decay", n=6, generator="ising_zz",
+        ExperimentConfig(experiment="gamma_decay", generator="ising_zz",
                          profile="finite_range", range_cutoff=1, coupling=1.0,
                          seed=0, beta_list=(0.7,), m_list=(0, 1, 2), half_width=1),
     )

@@ -3,8 +3,9 @@
     gibbschain run <config-file> [--output-dir DIR] [--seed N] [--experiment NAME]
 
 Exit codes: 0 all checks passed, 1 assertion failure or runtime error,
-2 invalid configuration.  Environment variables GIBBSCHAIN_<KEY> override
-config-file values; command-line flags override both.
+2 invalid configuration, which includes a key the experiment does not read
+(so --seed on acceptance exits 2).  Environment variables GIBBSCHAIN_<KEY>
+override config-file values; command-line flags override both.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ The config file format is one ``key = value`` pair per line, ``#`` comments,
 no sections and no nesting, so every knob stays greppable.  Types are fixed
 by the defaults table; list-valued keys take comma-separated entries.
 Environment variables GIBBSCHAIN_<KEY> (upper-cased key) override file
-values, and CLI flags override both; an unknown key from either source is a
-ConfigError.
+values, and CLI flags override both.  ``read_keys`` states which keys a run
+reads; a key it does not read, from any source, is a ConfigError, as are an
+unknown key and an empty list the run reads (an empty ``r_list`` selects
+every separation).  The manifest echoes only the keys read.
 """
 
 from __future__ import annotations
@@ -16,36 +18,24 @@ from dataclasses import dataclass, fields
 
 from . import chain, opalg
 from .errors import BadPartition, ConfigError, GeometryError
-from .profiles import DecayProfile
+from .profiles import PARAMETERS, DecayProfile
 
-EXPERIMENTS = (
-    "lr_sweep",
-    "qbp_locality",
-    "truncation_sweep",
-    "clustering_sweep",
-    "gamma_decay",
-    "acceptance",
-)
+# the keys each experiment reads, besides experiment, output_dir, threads and
+# its chain's keys (see read_keys); acceptance pins its parameters itself
+READS = {
+    "lr_sweep": ("n", "t_grid", "r_list"),
+    "qbp_locality": ("n", "x_width", "y_width", "block_len", "bond_index", "radius_list",
+                     "beta_list", "tau_steps", "integrator"),
+    "truncation_sweep": ("n", "x_width", "y_width", "block_len_list", "beta_list"),
+    "clustering_sweep": ("n", "obs_x_site", "r_list", "beta_list"),
+    # each m builds its own chain of x_width + y_width + 2*half_width*m sites
+    "gamma_decay": ("x_width", "y_width", "half_width", "block_len", "m_list", "beta_list",
+                    "tau_steps", "integrator"),
+    "acceptance": (),
+}
+EXPERIMENTS = tuple(READS)
 
 ENV_PREFIX = "GIBBSCHAIN_"
-
-# the sweep lists each experiment reads; an empty one would certify no rows
-# (r_list and block_len_list are not here: empty selects their default)
-SWEEP_KEYS = {
-    "lr_sweep": ("t_grid",),
-    "qbp_locality": ("beta_list", "radius_list"),
-    "truncation_sweep": ("beta_list",),
-    "clustering_sweep": ("beta_list",),
-    "gamma_decay": ("beta_list", "m_list"),
-}
-
-
-def _floats(text):
-    return tuple(float(x) for x in str(text).split(",") if str(x).strip() != "")
-
-
-def _ints(text):
-    return tuple(int(x) for x in str(text).split(",") if str(x).strip() != "")
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class ExperimentConfig:
     t_grid: tuple = (0.0, 0.25, 0.5, 1.0)
     r_list: tuple = ()
     block_len: int = 1
-    block_len_list: tuple = ()
+    block_len_list: tuple = (1,)
     half_width: int = 1
     m_list: tuple = (0, 1, 2, 3)
     x_width: int = 1
@@ -82,15 +72,9 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def make_profile(self) -> DecayProfile:
-        if self.profile == "finite_range":
-            return DecayProfile("finite_range", range_cutoff=self.range_cutoff)
-        if self.profile == "power_law":
-            return DecayProfile("power_law", alpha=self.alpha)
-        if self.profile == "stretched_exp":
-            return DecayProfile("stretched_exp", kappa=self.kappa, stretch_c=self.stretch_c)
-        if self.profile == "exponential":
-            return DecayProfile("exponential", rate=self.rate)
-        raise ConfigError(f"unknown profile {self.profile!r}")
+        return DecayProfile(
+            self.profile, **{k: getattr(self, k) for k in PARAMETERS.get(self.profile, ())}
+        )
 
     def clustering_sites(self):
         """(x0, r_list) of clustering_sweep: a negative obs_x_site selects site 0,
@@ -99,30 +83,48 @@ class ExperimentConfig:
         return x0, self.r_list or tuple(range(1, self.n - x0))
 
     def as_lines(self):
-        """Config echo in file format, keys sorted."""
+        """Config echo in file format: the keys the run reads, sorted."""
         out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
+        for name in sorted(read_keys(self)):
+            v = getattr(self, name)
             if isinstance(v, tuple):
                 v = ",".join(repr(x) for x in v)
-            out.append(f"{f.name} = {v}")
+            out.append(f"{name} = {v}")
         return out
 
 
-_PARSERS = {}
-for _f in fields(ExperimentConfig):
-    if isinstance(_f.default, tuple):
-        _PARSERS[_f.name] = (
-            _ints
-            if _f.name in ("r_list", "m_list", "radius_list", "block_len_list")
-            else _floats
-        )
-    elif isinstance(_f.default, int):
-        _PARSERS[_f.name] = int
-    elif isinstance(_f.default, float):
-        _PARSERS[_f.name] = float
-    else:
-        _PARSERS[_f.name] = lambda s: str(s).strip()
+def read_keys(cfg: ExperimentConfig) -> set:
+    """The keys a run of cfg reads.  An unknown experiment, generator or
+    profile, which the set depends on, is a ConfigError."""
+    if cfg.experiment not in READS:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    keys = {"experiment", "output_dir", "threads", *READS[cfg.experiment]}
+    if cfg.experiment == "acceptance":
+        return keys
+    if cfg.generator not in chain.GENERATORS:
+        raise ConfigError(f"unknown generator {cfg.generator!r}")
+    if cfg.profile not in PARAMETERS:
+        raise ConfigError(f"unknown profile {cfg.profile!r}")
+    # seed counts as read on the deterministic generators too
+    keys |= {"generator", "profile", "coupling", "seed", *PARAMETERS[cfg.profile]}
+    if cfg.generator == "heisenberg_xxz":
+        keys.add("anisotropy")
+    # lr_sweep truncates its chain only where the profile has an infinite range
+    if cfg.experiment == "lr_sweep" and cfg.profile != "finite_range":
+        keys |= {"x_width", "y_width", "block_len"}
+    return keys
+
+
+def _parser(f):
+    if isinstance(f.default, tuple):
+        kind = int if f.name in ("r_list", "m_list", "radius_list", "block_len_list") else float
+        return lambda text: tuple(kind(x) for x in str(text).split(",") if x.strip())
+    if isinstance(f.default, str):
+        return lambda s: str(s).strip()
+    return type(f.default)
+
+
+_PARSERS = {f.name: _parser(f) for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text) -> dict:
@@ -152,20 +154,20 @@ def load_config(path=None, overrides=None, environ=None) -> ExperimentConfig:
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
-    unknown = set(raw) - set(_PARSERS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key, value in raw.items():
+    for key in sorted(raw.keys() & _PARSERS.keys()):
         try:
-            kwargs[key] = _PARSERS[key](value)
+            kwargs[key] = _PARSERS[key](raw[key])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+            raise ConfigError(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
     cfg = ExperimentConfig(**kwargs)
-    if cfg.experiment == "gamma_decay" and "n" in raw:
+    # an unknown key is one no run reads
+    keys = read_keys(cfg)
+    unread = set(raw) - keys
+    if unread:
         raise ConfigError(
-            "gamma_decay does not read n: each m builds a chain of "
-            "x_width + y_width + 2*half_width*m sites"
+            f"{cfg.experiment} does not read {', '.join(sorted(unread))} "
+            f"(it reads {', '.join(sorted(keys))})"
         )
     validate_config(cfg)
     return cfg
@@ -196,27 +198,24 @@ def _check_center_cuts(cfg, profile, n_m, m):
 
 def validate_config(cfg: ExperimentConfig):
     """Reject invalid knobs before any matrix work."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    keys = read_keys(cfg)
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
-    # gamma_decay ignores n; its per-m chains are checked below
-    if cfg.experiment != "gamma_decay":
+    # gamma_decay's per-m chains are checked below
+    if "n" in keys:
         _check_dimension(cfg.n, "")
-    for key in ("x_width", "y_width", "half_width", "block_len"):
+    for key in ("x_width", "y_width", "half_width", "block_len", "tau_steps"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if cfg.block_len_list and cfg.experiment != "truncation_sweep":
-        raise ConfigError(f"{cfg.experiment} does not read block_len_list (truncation_sweep only)")
-    if any(l0 < 1 for l0 in cfg.block_len_list):
-        raise ConfigError("block_len_list entries must be >= 1")
-    if any(r < 1 for r in cfg.r_list):
-        raise ConfigError("r_list entries must be >= 1")
+    for key in ("block_len_list", "r_list"):
+        if any(v < 1 for v in getattr(cfg, key)):
+            raise ConfigError(f"{key} entries must be >= 1")
     if not all(math.isfinite(b) and b > 0 for b in cfg.beta_list):
         raise ConfigError("beta_list entries must be finite and > 0")
-    for key in SWEEP_KEYS.get(cfg.experiment, ()):
-        if not getattr(cfg, key):
-            raise ConfigError(f"{cfg.experiment} needs a non-empty {key}")
+    # an empty list certifies no rows; an empty r_list selects every separation
+    empty = sorted(key for key in keys - {"r_list"} if getattr(cfg, key) == ())
+    if empty:
+        raise ConfigError(f"{cfg.experiment} needs a non-empty {', '.join(empty)}")
     if cfg.experiment == "clustering_sweep":
         x0, r_list = cfg.clustering_sites()
         if any(x0 + r > cfg.n - 1 for r in r_list):
@@ -224,19 +223,20 @@ def validate_config(cfg: ExperimentConfig):
         # xi is fitted to two or more rows
         if len(r_list) < 2:
             raise ConfigError("clustering_sweep needs two or more separations on the chain")
-    if cfg.tau_steps < 1:
-        raise ConfigError("tau_steps must be >= 1")
     if cfg.integrator not in ("cf4", "midpoint"):
         raise ConfigError(f"unknown integrator {cfg.integrator!r}")
     if cfg.threads != 1:
         raise ConfigError("threads must be 1")
-    profile = cfg.make_profile()
     # the tail sums behind gamma converge only for alpha > 2
-    if profile.kind == "power_law" and not cfg.alpha > 2:
+    if cfg.profile == "power_law" and not cfg.alpha > 2:
         raise ConfigError(
             f"power_law needs alpha > 2 (got {cfg.alpha}): the theorem assumes "
             "couplings that decay faster than r^-2"
         )
+    try:
+        profile = cfg.make_profile()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.experiment == "lr_sweep" and cfg.r_list:
         # lr_certify skips a separation whose partner site is off its range
         if max(cfg.r_list) > cfg.n - 1:
@@ -247,12 +247,11 @@ def validate_config(cfg: ExperimentConfig):
                 f"r_list certifies no truncated row: its smallest entry exceeds "
                 f"n - x_width - y_width - 1 = {interior}"
             )
-    # lr_sweep truncates (and reads block_len) only on infinite-range chains;
-    # a block_len_list (truncation_sweep only, checked above) replaces block_len
-    if cfg.experiment in ("qbp_locality", "truncation_sweep") or (
-        cfg.experiment == "lr_sweep" and not profile.is_finite_range
-    ):
-        for l0 in cfg.block_len_list or (cfg.block_len,):
+    # the runs that truncate their n-site chain read a block length; gamma_decay's
+    # m-block chains are checked below
+    if "n" in keys and keys & {"block_len", "block_len_list"}:
+        lens = cfg.block_len_list if "block_len_list" in keys else (cfg.block_len,)
+        for l0 in lens:
             blocks = _geometry("", chain.partition, cfg.n, cfg.x_width, cfg.y_width, l0)
     if cfg.experiment == "qbp_locality":
         q = len(blocks) - 2  # the block_len partition checked above
@@ -263,9 +262,8 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.experiment == "gamma_decay":
         if any(m < 0 for m in cfg.m_list):
             raise ConfigError("m_list entries must be >= 0")
-        # each m builds its own chain of x_width + y_width + 2*half_width*m sites;
-        # n is not used.  With every width >= 1 this also keeps m <= 5, inside
-        # cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
+        # each m builds its own chain.  With every width >= 1 this also keeps
+        # m <= 5, inside cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
         for m in cfg.m_list:
             n_m = cfg.x_width + cfg.y_width + 2 * cfg.half_width * m
             _check_dimension(n_m, f"m={m}: ")

@@ -151,10 +151,9 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
 def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
     h_spectrum = opalg.hermitian_eig(h.matrix())
-    lens = cfg.block_len_list or (cfg.block_len,)
     rows = []
     ok_all = True
-    for l0 in lens:
+    for l0 in cfg.block_len_list:
         x, y = truncation_regions(cfg.n, cfg.x_width, cfg.y_width)
         htc = chain_mod.truncate(h, x, y, l0)
         spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))

@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import NonConvergentTail
 
-PROFILE_KINDS = ("finite_range", "power_law", "stretched_exp", "exponential")
+# each profile kind and the parameters that shape it
+PARAMETERS = {
+    "finite_range": ("range_cutoff",),
+    "power_law": ("alpha",),
+    "stretched_exp": ("kappa", "stretch_c"),
+    "exponential": ("rate",),
+}
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class DecayProfile:
 
     Parameters
     ----------
-    kind : one of PROFILE_KINDS
+    kind : a key of PARAMETERS
     range_cutoff : interaction length for ``finite_range`` (sites)
     alpha : power-law exponent
     kappa, stretch_c : stretched-exponential shape, jbar(x) = exp(-c x^kappa)
@@ -53,17 +59,12 @@ class DecayProfile:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        needed = {
-            "finite_range": ("range_cutoff",),
-            "power_law": ("alpha",),
-            "stretched_exp": ("kappa", "stretch_c"),
-            "exponential": ("rate",),
-        }[self.kind]
-        for name in needed:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.kind} profile needs {name}")
+        for name in PARAMETERS[self.kind]:
+            value = getattr(self, name)
+            if value is None or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{self.kind} profile needs a finite {name} > 0 (got {value})")
 
     def __call__(self, x):
         """jbar evaluated elementwise on real x >= 0."""

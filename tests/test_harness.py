@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gibbschain import chain, cli, csvio, opalg, profiles
-from gibbschain.config import ExperimentConfig, load_config, parse_config_text
+from gibbschain.config import ExperimentConfig, load_config, parse_config_text, read_keys
 from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
 from gibbschain.experiments import run_experiment
 
@@ -23,11 +23,24 @@ beta_list = 0.5, 1.0
 
 
 def test_load_config_round_trip(tmp_path):
+    """The manifest's [config] echo holds exactly the keys the run reads and
+    reloads to an equal config, for a direct config and every bundled one."""
+    import glob
+
     cfg = ExperimentConfig(experiment="clustering_sweep", n=6, beta_list=(0.4, 0.9),
                            r_list=(1, 2, 3), coupling=0.7)
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(cfg.as_lines()))
     assert load_config(path, environ={}) == cfg
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+    assert len(paths) >= 7
+    for bundled in paths:
+        cfg = load_config(bundled, environ={})
+        csvio.Manifest(cfg, "test").write(str(tmp_path))
+        echo = (tmp_path / "manifest.txt").read_text().split("[config]\n")[1].split("\n\n")[0]
+        assert set(parse_config_text(echo)) == read_keys(cfg), bundled
+        path.write_text(echo)
+        assert load_config(path, environ={}) == cfg, bundled
 
 
 def test_env_and_cli_overrides(tmp_path):
@@ -57,7 +70,7 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     # geometry below 1 site: block_len = 0 used to divide by zero in validation,
     # x_width = 0 failed in chain.truncate and half_width = 0 mid-run
     for overrides in (
-        {"experiment": "lr_sweep", "block_len": 0},
+        {"experiment": "lr_sweep", "profile": "power_law", "block_len": 0},
         {"experiment": "truncation_sweep", "block_len_list": "1,0"},
         {"experiment": "truncation_sweep", "x_width": 0},
         {"experiment": "qbp_locality", "y_width": 0},
@@ -367,11 +380,13 @@ def test_gamma_decay_ignores_and_rejects_n(tmp_path, monkeypatch):
     # the default n = 10 would exceed DIM_CAP = 64, but gamma_decay never builds it
     cfg = load_config(None, overrides=gamma, environ={})
     assert 2**cfg.n > opalg.DIM_CAP
-    # n changes nothing for gamma_decay, so setting it is a config error
+    # n is outside gamma_decay's read set, so setting it is a config error that
+    # names the keys the run does read
+    unread = r"gamma_decay does not read n \(it reads .*half_width.*m_list"
     for n in ("6", "14"):
-        with pytest.raises(ConfigError, match="gamma_decay does not read n"):
+        with pytest.raises(ConfigError, match=unread):
             load_config(None, overrides={**gamma, "n": n}, environ={})
-        with pytest.raises(ConfigError, match="gamma_decay does not read n"):
+        with pytest.raises(ConfigError, match=unread):
             load_config(None, overrides=gamma, environ={"GIBBSCHAIN_N": n})
     path = tmp_path / "gamma.cfg"
     path.write_text("experiment = gamma_decay\nn = 14\nm_list = 0,1\n")

@@ -20,6 +20,21 @@ def test_profile_shapes_and_normalization():
         assert np.all(np.diff(vals) <= 1e-15), p.kind
 
 
+def test_profile_parameters_are_finite_and_positive():
+    """Each kind's parameters come from one table, and each must be finite and
+    > 0: rate -1 gave couplings growing as e^r, and zeros divided by zero."""
+    assert {p.kind for p in (profiles.finite_range(1), profiles.power_law(2.0),
+                             profiles.stretched_exp(0.5, 1.0), profiles.exponential(0.7))
+            } == set(profiles.PARAMETERS)
+    for make, args in ((profiles.finite_range, (0,)), (profiles.power_law, (math.nan,)),
+                       (profiles.stretched_exp, (0.5, 0.0)), (profiles.stretched_exp, (-1, 1)),
+                       (profiles.exponential, (-1.0,)), (profiles.exponential, (math.inf,))):
+        with pytest.raises(ValueError, match="needs a finite .* > 0"):
+            make(*args)
+    with pytest.raises(ValueError, match="needs a finite rate > 0"):
+        profiles.DecayProfile("exponential")
+
+
 def test_power_law_flat_inside_unit_distance():
     p = profiles.power_law(3.0)
     assert p(0.3) == 1.0
