@@ -247,14 +247,14 @@ def validate_config(cfg: ExperimentConfig):
                 f"r_list certifies no truncated row: its smallest entry exceeds "
                 f"n - x_width - y_width - 1 = {interior}"
             )
-    # the runs that truncate their n-site chain read a block length; gamma_decay's
+    # an n-site run truncates with the block lengths it reads; gamma_decay's
     # m-block chains are checked below
-    if "n" in keys and keys & {"block_len", "block_len_list"}:
-        lens = cfg.block_len_list if "block_len_list" in keys else (cfg.block_len,)
-        for l0 in lens:
-            blocks = _geometry("", chain.partition, cfg.n, cfg.x_width, cfg.y_width, l0)
+    for key, lens in (("block_len_list", cfg.block_len_list), ("block_len", (cfg.block_len,))):
+        if {"n", key} <= keys:
+            for l0 in lens:
+                _geometry("", chain.partition, cfg.n, cfg.x_width, cfg.y_width, l0)
     if cfg.experiment == "qbp_locality":
-        q = len(blocks) - 2  # the block_len partition checked above
+        q = len(chain.partition(cfg.n, cfg.x_width, cfg.y_width, cfg.block_len)) - 2
         if not 0 <= cfg.bond_index <= q:
             raise ConfigError(f"bond_index must lie in 0..{q}, the bonds of {q} interior blocks")
         if any(r <= 6 * cfg.block_len for r in cfg.radius_list):

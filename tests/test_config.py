@@ -92,41 +92,6 @@ def test_unread_flags_exit_2(tmp_path):
     assert not out.exists()
 
 
-def test_unknown_generator_exits_2_before_any_run(tmp_path):
-    """An unknown generator used to pass load_config and exit 1 mid-run with
-    InvalidSpec, leaving the output directory on disk."""
-    path = _write(tmp_path / "typo.cfg", {"experiment": "clustering_sweep", "n": 6,
-                                          "generator": "isng_zz"})
-    with pytest.raises(ConfigError, match="unknown generator 'isng_zz'"):
-        load_config(path, environ={})
-    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("experiment,kind,key,value", [
-    ("lr_sweep", "finite_range", "range_cutoff", "0"),
-    ("lr_sweep", "finite_range", "range_cutoff", "-1"),
-    ("clustering_sweep", "exponential", "rate", "0"),
-    ("clustering_sweep", "exponential", "rate", "-1"),
-    ("clustering_sweep", "exponential", "rate", "inf"),
-    ("truncation_sweep", "stretched_exp", "kappa", "0"),
-    ("gamma_decay", "stretched_exp", "stretch_c", "0"),
-    ("gamma_decay", "stretched_exp", "stretch_c", "nan"),
-])
-def test_profile_parameters_must_be_finite_and_positive(experiment, kind, key, value, tmp_path):
-    """Used to die with ZeroDivisionError or ValueError tracebacks, fail with
-    NonConvergentTail after the chain was built, or (rate = -1, couplings
-    growing as e^r) pass clustering_sweep."""
-    keys = {"experiment": experiment, "profile": kind, key: value}
-    if experiment != "gamma_decay":
-        keys["n"] = 6
-    path = _write(tmp_path / "bad.cfg", keys)
-    with pytest.raises(ConfigError, match=rf"{kind} profile needs a finite {key} > 0"):
-        load_config(path, environ={})
-    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
-
-
 def test_library_configs_set_only_keys_their_runs_read():
     """Every ExperimentConfig the library builds (criteria 12 and 13) sets
     only keys its run reads, and passes config validation."""

@@ -57,16 +57,16 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         monkeypatch.delenv(name)
     with pytest.raises(ConfigError):
         load_config(None, overrides={"experiment": "nope"}, environ={})
-    with pytest.raises(ConfigError):
-        load_config(None, overrides={"n": 1}, environ={})
+    with pytest.raises(ConfigError, match="n must be >= 2"):
+        load_config(None, overrides={"experiment": "clustering_sweep", "n": 1}, environ={})
     with pytest.raises(ConfigError):
         load_config(None, overrides={"bogus_key": 1}, environ={})
     # interior width 7 with block_len 2 is not an even block count
     with pytest.raises(ConfigError):
         load_config(None, overrides={"experiment": "qbp_locality", "n": 9,
                                      "block_len": 2}, environ={})
-    with pytest.raises(ConfigError):
-        load_config(None, overrides={"n": 14}, environ={})  # above dim cap
+    with pytest.raises(ConfigError, match="DIM_CAP"):
+        load_config(None, overrides={"experiment": "clustering_sweep", "n": 14}, environ={})
     # geometry below 1 site: block_len = 0 used to divide by zero in validation,
     # x_width = 0 failed in chain.truncate and half_width = 0 mid-run
     for overrides in (
@@ -94,10 +94,31 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     # n = 8 power law), used to pass with a header-only CSV; r = 6 on n = 6 was
     # skipped.  The gamma_decay geometries (odd or single interior block count, a
     # kept XXZ power-law pair leaving its center block) failed mid-run.  qbp_locality
-    # truncates with block_len (width 8 with block_len 3 failed mid-run).  Only
-    # truncation_sweep reads block_len_list; every other experiment used to accept
-    # it and run with block_len.
-    for k, overrides in enumerate((
+    # truncates with block_len (width 8 with block_len 3 failed mid-run).
+    # An unknown generator passed and exited 1 mid-run with InvalidSpec.  A profile
+    # parameter <= 0 died with a ZeroDivisionError or ValueError traceback, or with
+    # NonConvergentTail after the chain was built; rate = -1 built couplings growing
+    # as e^r, on which clustering_sweep reported PASS.
+    bad_parameters = [
+        ("lr_sweep", "finite_range", "range_cutoff", "0"),
+        ("lr_sweep", "finite_range", "range_cutoff", "-1"),
+        ("clustering_sweep", "exponential", "rate", "0"),
+        ("clustering_sweep", "exponential", "rate", "-1"),
+        ("clustering_sweep", "exponential", "rate", "inf"),
+        ("truncation_sweep", "stretched_exp", "kappa", "0"),
+        ("gamma_decay", "stretched_exp", "stretch_c", "0"),
+        ("gamma_decay", "stretched_exp", "stretch_c", "nan"),
+    ]
+    matched = [
+        ({"n": 6, "experiment": "clustering_sweep", "generator": "isng_zz"},
+         "unknown generator 'isng_zz'"),
+    ] + [
+        ({"experiment": experiment, "profile": kind, key: value,
+          **({} if experiment == "gamma_decay" else {"n": 6})},
+         rf"{kind} profile needs a finite {key} > 0")
+        for experiment, kind, key, value in bad_parameters
+    ]
+    for k, (overrides, match) in enumerate([(o, None) for o in (
         {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
         {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
         {"n": 6, "experiment": "clustering_sweep", "obs_x_site": 8},
@@ -128,14 +149,8 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         {"experiment": "gamma_decay", "generator": "heisenberg_xxz", "profile": "power_law",
          "block_len": 2, "half_width": 1, "m_list": "0,2"},
         {"experiment": "qbp_locality", "block_len": 3, "radius_list": "19"},
-        {"experiment": "qbp_locality", "block_len_list": "1"},
-        {"experiment": "qbp_locality", "block_len_list": "3"},
-        {"experiment": "gamma_decay", "block_len_list": "5"},
-        {"experiment": "lr_sweep", "profile": "power_law", "block_len_list": "2"},
-        {"n": 6, "experiment": "clustering_sweep", "block_len_list": "1"},
-        {"experiment": "acceptance", "block_len_list": "1"},
-    )):
-        with pytest.raises(ConfigError):
+    )] + matched):
+        with pytest.raises(ConfigError, match=match):
             load_config(None, overrides=overrides, environ={})
         path = tmp_path / f"bad{k}.cfg"
         path.write_text("".join(f"{key} = {v}\n" for key, v in overrides.items()))
