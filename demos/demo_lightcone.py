@@ -13,7 +13,7 @@ env = locality.envelope_for_chain(h)
 print(f"power-law chain, n=8: g={h.g:.3f}, gamma={h.gamma:.3f}, "
       f"conv_const={env.conv_const:.3f}, velocity={env.velocity:.3f}")
 
-report = locality.lr_certify(h, env, (0.25, 0.5, 1.0), range(1, 8))
+report = locality.lr_certify(h, (0.25, 0.5, 1.0), range(1, 8))
 print(f"\n{'t':>5s} {'r':>3s} {'exact':>12s} {'envelope':>12s} {'ratio':>8s}")
 for row in report.rows:
     ratio = row.exact / row.envelope if row.envelope > 0 else 0.0
@@ -25,7 +25,6 @@ htc = chain.truncate(
     chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=2),
     [0], [9], 2,
 )
-env_t = locality.envelope_for_chain(htc)
-rep_t = locality.lr_certify(htc, env_t, (0.25, 0.5, 1.0), range(1, 10))
+rep_t = locality.lr_certify(htc, (0.25, 0.5, 1.0), range(1, 10))
 print(f"\ntruncated chain (block_len 2): violations {len(rep_t.violations)}, "
       f"max ratio {rep_t.max_ratio:.3f}")

@@ -1,8 +1,10 @@
 """The acceptance suite: every certified inequality at its fixed tolerance.
 
-Each criterion is an independent function returning a CriterionResult with
-one detail row per assertion; ``run_acceptance`` executes all of them,
-prints one pass/fail line each, and writes acceptance.csv plus
+A criterion is a function ``criterion_NN_title`` that returns its rows,
+one (label, measured, bound, ok) row per assertion; it passes when it has
+rows and every one is ok.  ``run_acceptance`` reads the number and title
+from the function name, times each call, prints one pass/fail line each,
+checks the runtime budgets and writes acceptance.csv plus
 acceptance_detail.csv.  Criterion parameters (sizes, seeds, couplings,
 tolerances) are pinned here, not configurable: the suite is the contract.
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,31 +24,6 @@ from . import cluster, csvio, locality, opalg, oracles, qbp
 from .config import ExperimentConfig
 from .experiments import correlation_lengths, gamma_decay_values, run_experiment
 from .profiles import exponential, finite_range, power_law, stretched_exp
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    seconds: float
-    rows: tuple  # (label, measured, bound, ok)
-
-    @property
-    def detail(self):
-        bad = [r for r in self.rows if not r[3]]
-        return f"{len(self.rows)} checks, {len(bad)} failing"
-
-
-def _result(number, title, t0, rows):
-    rows = tuple(rows)
-    return CriterionResult(
-        number=number,
-        title=title,
-        passed=all(r[3] for r in rows) and bool(rows),
-        seconds=round(time.time() - t0, 2),
-        rows=rows,
-    )
 
 
 def _random_hermitian(rng, dim, scale=1.0):
@@ -65,7 +42,6 @@ def _random_psd(rng, dim, scale=1.0):
 
 def criterion_01_filter_normalization():
     """Quadrature normalization and first moment of the filter kernel."""
-    t0 = time.time()
     rows = []
     for beta in (0.5, 1.0, 2.0, 4.0):
         scheme = qbp.filter_quadrature(beta, 1e-9)
@@ -73,12 +49,11 @@ def criterion_01_filter_normalization():
         rows.append((f"norm[beta={beta}]", norm_err, 1e-8, norm_err <= 1e-8))
         m1_err = abs(scheme.first_moment() - qbp.FILTER_FIRST_MOMENT * beta)
         rows.append((f"first_moment[beta={beta}]", m1_err, 1e-6, m1_err <= 1e-6))
-    return _result(1, "filter_normalization", t0, rows)
+    return rows
 
 
 def criterion_02_qbp_reconstruction():
     """Reconstruction residual of exact-split BP operators on random chains."""
-    t0 = time.time()
     rows = []
     for seed in range(10):
         h = chain_mod.build_chain(
@@ -98,12 +73,11 @@ def criterion_02_qbp_reconstruction():
             op_cap = math.exp(beta * bp.bond_norm / 2.0) + 1e-8
             nrm = bp.norm()
             rows.append((f"op_cap[seed={seed},beta={beta}]", nrm, op_cap, nrm <= op_cap))
-    return _result(2, "qbp_reconstruction", t0, rows)
+    return rows
 
 
 def criterion_03_bp_window_locality():
     """Window-truncation error of BP operators against the explicit envelope."""
-    t0 = time.time()
     rows = []
     cases = [(10, [0], [9]), (11, [0], [9, 10])]
     for n, x, y in cases:
@@ -116,36 +90,34 @@ def criterion_03_bp_window_locality():
         ):
             label = f"n={n},beta={rep.beta},r={rep.r}" + (",vacuous" if rep.vacuous else "")
             rows.append((label, rep.exact, rep.explicit_bound, rep.passed))
-    return _result(3, "bp_window_locality", t0, rows)
+    return rows
 
 
 def criterion_04_lr_certification():
     """Zero envelope violations on finite-range, long-range, truncated chains."""
-    t0 = time.time()
     rows = []
     t_grid = (0.0, 0.25, 0.5, 1.0)
 
     h1 = chain_mod.build_chain(8, "ising_zz", finite_range(1), coupling=1.0, seed=0)
-    rep = locality.lr_certify(h1, locality.envelope_for_chain(h1), t_grid, range(1, 8))
+    rep = locality.lr_certify(h1, t_grid, range(1, 8))
     rows.append(("finite_range_violations", float(len(rep.violations)), 0.0,
                  len(rep.violations) == 0))
 
     h2 = chain_mod.build_chain(8, "heisenberg_xxz", power_law(3.0), coupling=0.5, seed=1)
-    rep = locality.lr_certify(h2, locality.envelope_for_chain(h2), t_grid, range(1, 8))
+    rep = locality.lr_certify(h2, t_grid, range(1, 8))
     rows.append(("power_law_violations", float(len(rep.violations)), 0.0,
                  len(rep.violations) == 0))
 
     h3 = chain_mod.build_chain(10, "heisenberg_xxz", power_law(3.0), coupling=0.5, seed=2)
     h3t = chain_mod.truncate(h3, [0], [9], 2)
-    rep = locality.lr_certify(h3t, locality.envelope_for_chain(h3t), t_grid, range(1, 10))
+    rep = locality.lr_certify(h3t, t_grid, range(1, 10))
     rows.append(("truncated_violations", float(len(rep.violations)), 0.0,
                  len(rep.violations) == 0))
-    return _result(4, "lr_certification", t0, rows)
+    return rows
 
 
 def criterion_05_subset_evolution():
     """Window-restricted evolution error within its envelope, 20 seeded runs."""
-    t0 = time.time()
     rows = []
     profiles = (power_law(3.0), exponential(0.7), stretched_exp(0.5, 1.0))
     for seed in range(20):
@@ -162,12 +134,11 @@ def criterion_05_subset_evolution():
         rows.append(
             (f"seed={seed},n={n},t={t}", rep.exact, rep.bound, rep.exact <= rep.bound)
         )
-    return _result(5, "subset_evolution", t0, rows)
+    return rows
 
 
 def criterion_06_block_interaction():
     """Region-coupling norms under their distance envelope, all interval pairs."""
-    t0 = time.time()
     h = chain_mod.build_chain(12, "random_two_site", power_law(3.0), coupling=0.5, seed=3)
     worst_margin = -math.inf
     checked = 0
@@ -185,15 +156,11 @@ def criterion_06_block_interaction():
                     worst_margin = max(
                         worst_margin, rep.exact / rep.bound if rep.bound else 0.0
                     )
-    rows = [
-        (f"interval_pairs[{checked}]", worst_margin, 1.0, ok_all),
-    ]
-    return _result(6, "block_interaction", t0, rows)
+    return [(f"interval_pairs[{checked}]", worst_margin, 1.0, ok_all)]
 
 
 def criterion_07_truncation_bounds():
     """Truncation error norms inside their closed-form envelopes."""
-    t0 = time.time()
     rows = []
     h = chain_mod.build_chain(10, "heisenberg_xxz", power_law(3.0), coupling=0.01, seed=5)
     beta = 0.3
@@ -213,12 +180,11 @@ def criterion_07_truncation_bounds():
              rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"),
              rep.trace_ok)
         )
-    return _result(7, "truncation_bounds", t0, rows)
+    return rows
 
 
 def criterion_08_operator_lemmas():
     """Three standalone operator inequalities on 100 seeded draws each."""
-    t0 = time.time()
     rows = []
 
     rng = np.random.default_rng(0)
@@ -264,12 +230,11 @@ def criterion_08_operator_lemmas():
         if not rep.passed:
             n_fail += 1
     rows.append(("weighted_product_failures", float(n_fail), 0.0, n_fail == 0))
-    return _result(8, "operator_lemmas", t0, rows)
+    return rows
 
 
 def criterion_09_disconnected_traces():
     """Vanishing disconnected traces and the all-bond cancellation identity."""
-    t0 = time.time()
     rows = []
     rng = np.random.default_rng(9)
     for seed in range(20):
@@ -309,12 +274,11 @@ def criterion_09_disconnected_traces():
                 (f"trace_norm_majorant[{label}]", rep.trace_norm_ratio, 1.0,
                  rep.trace_norm_ratio <= 1.0 + 1e-10)
             )
-    return _result(9, "disconnected_traces", t0, rows)
+    return rows
 
 
 def criterion_10_commuting_clustering():
     """Commuting-case bound chain on the classical zz chain, with oracle."""
-    t0 = time.time()
     rows = []
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
     htc = chain_mod.truncate(h, [0], [9], 1)
@@ -333,12 +297,11 @@ def criterion_10_commuting_clustering():
             (f"final_bound[beta={beta}]", rep.product_bound, rep.final_bound,
              rep.product_bound <= rep.final_bound + 1e-10)
         )
-    return _result(10, "commuting_clustering", t0, rows)
+    return rows
 
 
 def criterion_11_correlation_length():
     """Fitted correlation lengths: oracle match and temperature monotonicity."""
-    t0 = time.time()
     rows = []
 
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
@@ -364,12 +327,11 @@ def criterion_11_correlation_length():
          bool(np.all(increments > 0)))
     )
     rows.append(("quantum_log_xi_slope", slope, math.inf, math.isfinite(slope)))
-    return _result(11, "correlation_length", t0, rows)
+    return rows
 
 
 def criterion_12_gamma_machinery():
     """Inclusion-exclusion identities and block-local product decay."""
-    t0 = time.time()
     rows = []
 
     h = chain_mod.build_chain(6, "random_two_site", power_law(3.0), coupling=0.4, seed=7)
@@ -412,14 +374,11 @@ def criterion_12_gamma_machinery():
             (f"decay_nonincreasing[beta={beta}]", float(min(drops)), 0.0,
              all(d >= -1e-12 for d in drops))
         )
-    return _result(12, "gamma_machinery", t0, rows)
+    return rows
 
 
 def criterion_13_determinism():
     """Identical config and seed reproduce CSV bodies byte for byte."""
-    import shutil
-
-    t0 = time.time()
     rows = []
     base = tempfile.mkdtemp(prefix="determinism_")
     configs = (
@@ -446,7 +405,7 @@ def criterion_13_determinism():
             rows.append((f"bytes_equal[{cfg.experiment}/{name}]",
                          float(b1 != b2), 0.0, b1 == b2))
     shutil.rmtree(base, ignore_errors=True)
-    return _result(13, "determinism", t0, rows)
+    return rows
 
 
 ALL_CRITERIA = (
@@ -473,39 +432,37 @@ RUNTIME_CAPS = {1: 1, 2: 120, 3: 300, 4: 180, 5: 120, 6: 30, 7: 60, 8: 60,
 
 def run_acceptance(cfg, manifest, outdir):
     """Run every criterion, print one line each, write the two CSV files."""
-    results = []
+    summary, detail = [], []
     for fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
+        _, number, title = fn.__name__.split("_", 2)
+        number = int(number)
+        t0 = time.time()
+        rows = fn()
+        seconds = round(time.time() - t0, 2)
+        passed = all(r[3] for r in rows) and bool(rows)
+        checks = f"{len(rows)} checks, {sum(1 for r in rows if not r[3])} failing"
         print(
-            f"criterion {res.number:02d} {res.title:<24s} "
-            f"{'PASS' if res.passed else 'FAIL'} ({res.seconds:.1f}s, {res.detail})"
+            f"criterion {number:02d} {title:<24s} "
+            f"{'PASS' if passed else 'FAIL'} ({seconds:.1f}s, {checks})"
         )
-        manifest.add_check(f"criterion_{res.number:02d}_{res.title}", res.passed, res.detail)
-        cap = RUNTIME_CAPS.get(res.number)
+        manifest.add_check(fn.__name__, passed, checks)
+        cap = RUNTIME_CAPS.get(number)
         if cap is not None:
             manifest.add_check(
-                f"criterion_{res.number:02d}_runtime", res.seconds <= cap,
-                f"{res.seconds}s <= {cap}s",
+                f"criterion_{number:02d}_runtime", seconds <= cap, f"{seconds}s <= {cap}s"
             )
+        summary.append((number, title, passed, len(rows)))
+        detail += [(number, label, float(m), float(b), ok) for label, m, b, ok in rows]
 
-    columns = ("criterion", "title", "passed", "checks")
-    rows = [(r.number, r.title, r.passed, len(r.rows)) for r in results]
-    comments = ["acceptance: one row per certified criterion"]
-    count = csvio.write_csv(os.path.join(outdir, "acceptance.csv"), comments, columns, rows)
-    manifest.add_file("acceptance.csv", columns, count)
-
-    dcolumns = ("criterion", "label", "measured", "bound", "ok")
-    drows = []
-    for r in results:
-        for label, measured, bound, ok in r.rows:
-            drows.append((r.number, label, float(measured), float(bound), ok))
+    manifest.write_csv(
+        outdir, "acceptance.csv", ["acceptance: one row per certified criterion"],
+        ("criterion", "title", "passed", "checks"), summary,
+    )
     comments = [
         "acceptance_detail: every asserted inequality with its measured value",
         "measured <= bound is the passing direction for every row",
     ]
-    count = csvio.write_csv(
-        os.path.join(outdir, "acceptance_detail.csv"), comments, dcolumns, drows
+    manifest.write_csv(
+        outdir, "acceptance_detail.csv", comments,
+        ("criterion", "label", "measured", "bound", "ok"), detail,
     )
-    manifest.add_file("acceptance_detail.csv", dcolumns, count)
-    return results

@@ -56,8 +56,10 @@ class Manifest:
         self.errors = []
         self.wall_seconds = None
 
-    def add_file(self, name, columns, row_count):
-        self.files.append((name, tuple(columns), int(row_count)))
+    def write_csv(self, output_dir, name, comments, columns, rows):
+        """Write ``name`` into output_dir with ``write_csv`` and list it in [files]."""
+        count = write_csv(os.path.join(output_dir, name), comments, columns, rows)
+        self.files.append((name, tuple(columns), count))
 
     def add_fit(self, label, value):
         self.fitted.append((label, value))

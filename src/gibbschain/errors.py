@@ -13,10 +13,6 @@ class InvalidSpec(GibbsChainError):
     """Chain specification is invalid (fewer than two sites, unknown generator)."""
 
 
-class DecayViolation(GibbsChainError):
-    """Generated couplings exceed the declared decay envelope."""
-
-
 class NonConvergentTail(GibbsChainError):
     """Tail sum of the decay profile diverges for the requested moment."""
 

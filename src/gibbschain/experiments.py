@@ -1,8 +1,10 @@
 """Experiment sweeps: build chains, run certifications, emit CSV + manifest.
 
-Each experiment function fills a Manifest and writes ``<experiment>.csv``
-into the output directory.  Sweep points run one after another in a single
-thread; clustering_sweep emits its rows in sorted beta order.
+Each runner fills a Manifest and writes ``<experiment>.csv`` through it
+into the output directory; ``runners`` maps each experiment to its runner,
+and ``run_experiment`` alone dispatches, times and writes the manifest.
+Sweep points run one after another in a single thread; clustering_sweep
+emits its rows in sorted beta order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import cluster, csvio, locality, opalg, oracles, qbp
 from .config import ExperimentConfig
-from .errors import FitDegenerate, GibbsChainError
+from .errors import ConfigError, FitDegenerate, GibbsChainError
 
 
 def build_config_chain(cfg: ExperimentConfig, n=None):
@@ -93,15 +95,14 @@ def gamma_decay_values(cfg: ExperimentConfig):
 def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
     r_list = cfg.r_list or tuple(range(1, cfg.n))
-    targets = [("plain", h, locality.envelope_for_chain(h))]
+    targets = [("plain", h)]
     if not h.profile.is_finite_range:
         x, y = truncation_regions(cfg.n, cfg.x_width, cfg.y_width)
-        htc = chain_mod.truncate(h, x, y, cfg.block_len)
-        targets.append(("truncated", htc, locality.envelope_for_chain(htc)))
+        targets.append(("truncated", chain_mod.truncate(h, x, y, cfg.block_len)))
 
     rows = []
-    for label, target, env in targets:
-        rep = locality.lr_certify(target, env, cfg.t_grid, r_list)
+    for label, target in targets:
+        rep = locality.lr_certify(target, cfg.t_grid, r_list)
         for row in rep.rows:
             rows.append(
                 (label, row.t, row.r, row.exact, row.envelope, row.exact > row.envelope + 1e-10)
@@ -117,8 +118,7 @@ def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
         "exact_commutator: ||[O_Z(t), O_Z']|| computed densely",
         "envelope: mode-specific light-cone bound, trivial 2-cap applied",
     ]
-    count = csvio.write_csv(os.path.join(outdir, "lr_sweep.csv"), comments, columns, rows)
-    manifest.add_file("lr_sweep.csv", columns, count)
+    manifest.write_csv(outdir, "lr_sweep.csv", comments, columns, rows)
 
 
 def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
@@ -136,16 +136,19 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     measured = [rep for rep in reports if not rep.vacuous and rep.exact > 0]
     if measured:
         theta = qbp.calibrate_theta(measured, h.profile, cfg.block_len)
-        manifest.add_fit("theta0", theta.theta0)
-        manifest.add_fit("theta1", theta.theta1)
+        if theta is None:
+            zero = sorted({rep.r for rep in measured if h.profile(rep.r / 3.0) == 0.0})
+            manifest.add_fit("theta", f"none (jbar(r/3) = 0 at r = {zero}: no envelope dominates)")
+        else:
+            manifest.add_fit("theta0", theta.theta0)
+            manifest.add_fit("theta1", theta.theta1)
     columns = ("beta", "r", "exact", "explicit_bound", "vacuous", "violation")
     comments = [
         "qbp_locality: window-truncation error of belief propagation operators",
         "exact: || Phi - Phi_window ||, explicit_bound: fully explicit envelope",
         "vacuous rows: window covers the chain, constructions coincide",
     ]
-    count = csvio.write_csv(os.path.join(outdir, "qbp_locality.csv"), comments, columns, rows)
-    manifest.add_file("qbp_locality.csv", columns, count)
+    manifest.write_csv(outdir, "qbp_locality.csv", comments, columns, rows)
 
 
 def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
@@ -176,8 +179,7 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
         "truncation_sweep: measured truncation errors against closed forms",
         "op bound: gamma^2 g q l0^2 jbar(l0); trace bound requires beta-smallness",
     ]
-    count = csvio.write_csv(os.path.join(outdir, "truncation_sweep.csv"), comments, columns, rows)
-    manifest.add_file("truncation_sweep.csv", columns, count)
+    manifest.write_csv(outdir, "truncation_sweep.csv", comments, columns, rows)
 
 
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
@@ -219,8 +221,7 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
         "clustering_sweep: connected zz correlations versus separation",
         "rows with cor_abs below the underflow floor are excluded from fits",
     ]
-    count = csvio.write_csv(os.path.join(outdir, "clustering_sweep.csv"), comments, columns, rows)
-    manifest.add_file("clustering_sweep.csv", columns, count)
+    manifest.write_csv(outdir, "clustering_sweep.csv", comments, columns, rows)
 
 
 def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
@@ -250,38 +251,41 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
         "gamma_decay: block-local inclusion-exclusion trace versus block count",
         "each m uses the chain of width x_width + 2*half_width*m + y_width",
     ]
-    count = csvio.write_csv(os.path.join(outdir, "gamma_decay.csv"), comments, columns, rows)
-    manifest.add_file("gamma_decay.csv", columns, count)
+    manifest.write_csv(outdir, "gamma_decay.csv", comments, columns, rows)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir=None):
-    """Run one experiment; returns the written Manifest."""
-    from . import __version__
-    from .acceptance import run_acceptance
+def runners():
+    """Experiment -> its runner(cfg, manifest, outdir), one per ``config.READS`` entry."""
+    from .acceptance import run_acceptance  # acceptance imports this module
 
+    return {
+        "lr_sweep": run_lr_sweep,
+        "qbp_locality": run_qbp_locality,
+        "truncation_sweep": run_truncation_sweep,
+        "clustering_sweep": run_clustering_sweep,
+        "gamma_decay": run_gamma_decay,
+        "acceptance": run_acceptance,
+    }
+
+
+def run_experiment(cfg: ExperimentConfig, output_dir=None):
+    """Run one experiment; returns the written Manifest.  An unknown
+    experiment is a ConfigError, raised before any output is written."""
+    from . import __version__
+
+    runner = runners().get(cfg.experiment)
+    if runner is None:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     outdir = output_dir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     manifest = csvio.Manifest(cfg, __version__)
     t0 = time.time()
     try:
-        if cfg.experiment == "lr_sweep":
-            run_lr_sweep(cfg, manifest, outdir)
-        elif cfg.experiment == "qbp_locality":
-            run_qbp_locality(cfg, manifest, outdir)
-        elif cfg.experiment == "truncation_sweep":
-            run_truncation_sweep(cfg, manifest, outdir)
-        elif cfg.experiment == "clustering_sweep":
-            run_clustering_sweep(cfg, manifest, outdir)
-        elif cfg.experiment == "gamma_decay":
-            run_gamma_decay(cfg, manifest, outdir)
-        elif cfg.experiment == "acceptance":
-            run_acceptance(cfg, manifest, outdir)
-        else:  # pragma: no cover - guarded by config validation
-            raise GibbsChainError(f"unknown experiment {cfg.experiment}")
+        runner(cfg, manifest, outdir)
     except GibbsChainError as exc:
         manifest.add_error(f"{type(exc).__name__}: {exc}")
     manifest.wall_seconds = round(time.time() - t0, 3)

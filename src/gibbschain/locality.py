@@ -262,8 +262,9 @@ class CertificationReport:
         return len(self.violations) == 0
 
 
-def lr_certify(h, env: LREnvelope, t_grid, r_grid, probe="x") -> CertificationReport:
-    """Certify the envelope against exact commutators on a (t, r) grid.
+def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
+    """Certify the chain's envelope (``envelope_for_chain``) against exact
+    commutators on a (t, r) grid.
 
     Probes are single-site Paulis at the first site i0 (of the interior
     blocks, for a truncated chain, where the truncated envelope applies) and
@@ -279,6 +280,7 @@ def lr_certify(h, env: LREnvelope, t_grid, r_grid, probe="x") -> CertificationRe
 
     kept = [int(r) for r in r_grid if i0 + r <= interior_hi]
     skipped = tuple(int(r) for r in r_grid if i0 + r > interior_hi)
+    env = envelope_for_chain(h)
     rows = []
     violations = []
     max_ratio = 0.0

@@ -86,10 +86,6 @@ class DenseOperator:
                 f"matrix shape {self.matrix.shape} does not match {len(sites)} qubits"
             )
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def herm_defect(mat):
     """Relative deviation from Hermiticity, max|A - A^dag| / max(max|A|, tiny).

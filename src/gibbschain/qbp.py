@@ -456,7 +456,9 @@ class BPLocalityReport:
 
 def _locality_envelope(h_tc: TruncatedHamiltonian, env, r, beta):
     """Explicit bound at (r, beta) after checking the preconditions; F0(r/3),
-    the prefactor C and the velocity v come from the chain's envelope ``env``."""
+    the prefactor C and the velocity v come from the chain's envelope ``env``.
+    A prefactor e^{beta g~ / 2} past e^709 gives math.inf, as in
+    ``locality_decay_envelope``."""
     base = h_tc.base
     p = base.profile
     l0 = h_tc.block_len
@@ -467,6 +469,8 @@ def _locality_envelope(h_tc: TruncatedHamiltonian, env, r, beta):
         raise PreconditionViolated(f"F0(r/3) = {f0:.3g} exceeds 1")
 
     g_tilde = h_tc.g_tilde
+    if beta * g_tilde / 2.0 > 709.0:
+        return math.inf
     c_pref = env.prefactor
     v = env.velocity
     explicit = math.exp(beta * g_tilde / 2.0) * (
@@ -523,12 +527,15 @@ def bp_locality_sweep(
     )
 
 
-def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
+def calibrate_theta(reports, profile, block_len) -> ThetaFunction | None:
     """Smallest affine rate function whose envelope dominates measured errors by 5%.
 
     reports is an iterable of BPLocalityReport (or anything with .exact, .r,
     .beta).  For each slope on a log grid the minimal intercept is found by
-    bisection; the feasible pair minimizing theta0 + theta1 wins.
+    bisection; the feasible pair minimizing theta0 + theta1 wins.  The
+    largest intercept, 1e3, makes the envelope infinite wherever jbar(r/3) >
+    0, so the grid finds no pair exactly when some jbar(r/3) = 0 (a finite
+    range profile); that gives None, since no envelope dominates there.
     """
     pts = [(rep.r, rep.beta, rep.exact) for rep in reports if rep.exact > 0]
     if not pts:
@@ -555,7 +562,5 @@ def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
         cand = (hi, th1)
         if best is None or sum(cand) < sum(best):
             best = cand
-    if best is None:
-        raise NonConvergence("no affine rate function dominates the measurements")
-    return ThetaFunction(*best)
+    return None if best is None else ThetaFunction(*best)
 

@@ -7,7 +7,7 @@ consecutive acceptance runs with the same config must produce byte-identical
 CSV bodies.
 """
 
-import dataclasses
+import csv
 
 import pytest
 
@@ -52,6 +52,19 @@ def test_acceptance_outputs_written(acceptance_run):
     assert {"acceptance.csv", "acceptance_detail.csv"} <= names
     assert (outdir / "manifest.txt").exists()
     assert manifest.all_passed
+
+
+def test_acceptance_csv_lists_every_criterion_in_order(acceptance_run):
+    _, outdir = acceptance_run
+    with open(outdir / "acceptance.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [(int(r["criterion"]), r["title"]) for r in rows] == [
+        (1, "filter_normalization"), (2, "qbp_reconstruction"), (3, "bp_window_locality"),
+        (4, "lr_certification"), (5, "subset_evolution"), (6, "block_interaction"),
+        (7, "truncation_bounds"), (8, "operator_lemmas"), (9, "disconnected_traces"),
+        (10, "commuting_clustering"), (11, "correlation_length"), (12, "gamma_machinery"),
+        (13, "determinism"),
+    ]
 
 
 def test_acceptance_rerun_byte_identical(acceptance_run, tmp_path_factory):

@@ -16,10 +16,10 @@ import pytest
 
 from gibbschain import chain, cli, csvio, profiles
 from gibbschain.config import (
-    EXPERIMENTS, ExperimentConfig, load_config, read_keys, validate_config,
+    EXPERIMENTS, READS, ExperimentConfig, load_config, read_keys, validate_config,
 )
 from gibbschain.errors import ConfigError
-from gibbschain.experiments import run_experiment
+from gibbschain.experiments import run_experiment, runners
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "gibbschain")
 
@@ -47,6 +47,15 @@ def test_every_field_is_read_by_some_run():
         read |= read_keys(ExperimentConfig(experiment=experiment, generator=generator,
                                            profile=kind))
     assert read == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_every_experiment_has_one_runner(tmp_path):
+    assert runners().keys() == READS.keys()
+    # an experiment outside the table fails before any output is written
+    outdir = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown experiment"):
+        run_experiment(ExperimentConfig(experiment="nope"), output_dir=str(outdir))
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("base", [

@@ -505,6 +505,36 @@ def test_qbp_locality_experiment(tmp_path):
     assert "theta0" in fits and "theta1" in fits
 
 
+def test_qbp_locality_bound_past_float_range_is_infinite(tmp_path, capsys):
+    # g~ = 3316 on this chain, so e^{beta g~ / 2} overflows a float; r = 7
+    # covers the 8-site chain, so the run builds no BP operator
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "experiment = qbp_locality\nn = 8\ngenerator = heisenberg_xxz\n"
+        "profile = stretched_exp\nkappa = 0.5\nstretch_c = 1.0\n"
+        "beta_list = 0.5\nradius_list = 7\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    body = csvio.csv_body_bytes(out / "qbp_locality.csv").decode().split("\n")
+    assert body[1:3] == ["0.5,7,0.0,inf,1,0", ""]
+
+
+def test_qbp_locality_fits_no_theta_where_jbar_vanishes(tmp_path):
+    # range_cutoff 2 gives jbar(7/3) = 0: no rate function dominates the row at r = 7
+    cfg = ExperimentConfig(experiment="qbp_locality", n=10, generator="heisenberg_xxz",
+                           profile="finite_range", range_cutoff=2, beta_list=(0.5,),
+                           radius_list=(7,), tau_steps=1, integrator="midpoint")
+    m = run_experiment(cfg, output_dir=str(tmp_path))
+    assert m.all_passed
+    assert dict(m.fitted) == {
+        "theta": "none (jbar(r/3) = 0 at r = [7]: no envelope dominates)"
+    }
+    rows = csvio.csv_body_bytes(tmp_path / "qbp_locality.csv").decode().split("\n")[1:-1]
+    assert [row.split(",")[:2] for row in rows] == [["0.5", "7"]]
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(

@@ -115,12 +115,12 @@ def test_exact_commutator_trivial_cases():
 
 def test_certification_no_violations_small():
     h = chain.build_chain(6, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
-    rep = locality.lr_certify(h, _env(h), (0.0, 0.25, 0.5), range(1, 6))
+    rep = locality.lr_certify(h, (0.0, 0.25, 0.5), range(1, 6))
     assert rep.passed
     assert rep.skipped == ()
     assert rep.max_ratio <= 1.0 + 1e-10
 
-    empty = locality.lr_certify(h, _env(h), (), range(1, 6))
+    empty = locality.lr_certify(h, (), range(1, 6))
     assert empty.passed and len(empty.rows) == 0
 
 
@@ -184,7 +184,7 @@ def test_pauli_commutator_equals_dense_products(n, is_complex, probe, data):
 def test_lr_certify_matches_dense_kron_path(probe):
     h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
     t_grid, r_grid = (0.0, 0.3, 1.1), range(1, 6)
-    rep = locality.lr_certify(h, _env(h), t_grid, r_grid, probe=probe)
+    rep = locality.lr_certify(h, t_grid, r_grid, probe=probe)
     evals, vecs = np.linalg.eigh(h.matrix())
     sigma = opalg.pauli(probe)
 
