@@ -136,12 +136,8 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     measured = [rep for rep in reports if not rep.vacuous and rep.exact > 0]
     if measured:
         theta = qbp.calibrate_theta(measured, h.profile, cfg.block_len)
-        if theta is None:
-            zero = sorted({rep.r for rep in measured if h.profile(rep.r / 3.0) == 0.0})
-            manifest.add_fit("theta", f"none (jbar(r/3) = 0 at r = {zero}: no envelope dominates)")
-        else:
-            manifest.add_fit("theta0", theta.theta0)
-            manifest.add_fit("theta1", theta.theta1)
+        manifest.add_fit("theta0", theta.theta0)
+        manifest.add_fit("theta1", theta.theta1)
     columns = ("beta", "r", "exact", "explicit_bound", "vacuous", "violation")
     comments = [
         "qbp_locality: window-truncation error of belief propagation operators",

@@ -5,9 +5,16 @@ bit n-1-j of the basis index (site 0 is the most significant bit), and a
 function given a full-space matrix reads n from its dimension
 (``n_qubits``).
 
-Everything is dense numpy; matrix exponentials of Hermitian operators go
-through eigendecomposition (large-beta exponentials lose accuracy in series
-methods).  A ``Spectrum`` is a read-only eigendecomposition: callers that
+Everything is dense numpy.  Exponentials of Hermitian operators at large
+scale (``herm_expm``, ``gibbs``, ``evolve``) go through eigendecomposition:
+a Taylor series of exp(beta H) cancels terms far larger than its result and
+loses accuracy.  ``expm_bounded`` takes the other road for a generator whose
+spectral-norm bound b the caller already holds (the cf4 steps of ``qbp``,
+b ~ 1e-2): it sums the Taylor series to the degree m at which the remainder
+b^(m+1)/(m+1)! e^(2b) falls below 2^-53 relative to exp(X), with no
+eigensolver; for b > 1/2 it scales X into b <= 1/2 and squares back, so no
+term ever exceeds the result by more than e^(1/2).  A ``Spectrum`` is a
+read-only eigendecomposition: callers that
 need one operator's exponential at several scales (Gibbs states at several
 beta, evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
@@ -290,12 +297,19 @@ class Spectrum(NamedTuple):
     vecs: np.ndarray
 
 
+def _real_if_real(mat):
+    """``mat``, or its real part when its imaginary part is exactly zero.
+
+    Real input stays in the real BLAS and LAPACK paths; they are ~4x faster.
+    """
+    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
+        return mat.real
+    return mat
+
+
 def spectrum(mat) -> Spectrum:
     """One eigendecomposition of a matrix Hermitian by construction (unchecked)."""
-    # real symmetric input stays in the real path; it is ~4x faster
-    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) == 0.0:
-        mat = mat.real
-    evals, vecs = np.linalg.eigh(mat)
+    evals, vecs = np.linalg.eigh(_real_if_real(mat))
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(evals, vecs)
@@ -340,6 +354,56 @@ def herm_expm(a, scale=1.0):
     """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
     spec = _spectrum_of(a)
     return from_blocks(*_block_sandwiches(spec, np.exp(scale * spec.evals)))
+
+
+def _taylor_degree(bound):
+    """Smallest m with bound^(m+1)/(m+1)! e^(2 bound) <= 2^-53.
+
+    The Taylor remainder of exp(X) past degree m is at most
+    bound^(m+1)/(m+1)! e^bound for ||X|| <= bound, and ||exp(X)|| >= e^-bound,
+    so this is the relative truncation error.
+    """
+    m, err = 0, bound * math.exp(2.0 * bound)
+    while err > 2.0**-53:
+        m += 1
+        err *= bound / (m + 1)
+    return m
+
+
+def expm_bounded(mat, bound):
+    """exp(X) for any square X with spectral norm ||X|| <= bound, without an eigensolver.
+
+    The Taylor polynomial of degree ``_taylor_degree`` is evaluated by
+    Paterson-Stockmeyer (Horner in X^s over chunks of degree < s, with s
+    chosen for the fewest products: 4 at degree 7); past bound 1/2, X is
+    scaled by 2^-k into that range and the result squared k times
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).
+    """
+    mat = _real_if_real(np.asarray(mat))
+    squarings = math.ceil(math.log2(2.0 * bound)) if bound > 0.5 else 0
+    x = mat / 2.0**squarings
+    m = _taylor_degree(bound / 2.0**squarings)
+    coef = [1.0 / math.factorial(k) for k in range(m + 1)]
+    # products: s - 1 powers, then one per Horner step but none on a scalar top chunk
+    s = min(range(1, m + 2), key=lambda s: s - 1 + m // s - (m % s == 0))
+    powers = [np.eye(mat.shape[0], dtype=mat.dtype), x]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ x)
+
+    def chunk(lo, hi):
+        return sum(coef[k] * powers[k - lo] for k in range(lo, hi + 1))
+
+    top = m // s
+    if m % s == 0 and top > 0:
+        top -= 1
+        out = chunk(top * s, top * s + s - 1) + coef[m] * powers[s]
+    else:
+        out = chunk(top * s, m)
+    for j in range(top - 1, -1, -1):
+        out = chunk(j * s, j * s + s - 1) + powers[s] @ out
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 # ---------------------------------------------------------------------------

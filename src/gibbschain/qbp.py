@@ -236,7 +236,11 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
 
     One tau sweep serves every beta: each H(tau) node is diagonalized once,
     then phi is filtered, exponentiated and multiplied in per beta.  Returns
-    one (Phi, max over evaluations of ||phi||) pair per beta.
+    one (Phi, max over evaluations of ||phi||) pair per beta.  The midpoint
+    rule needs phi's spectrum for ||phi|| and exponentiates from it.  The cf4
+    step needs only ||a1|| and ||a2||; its exponents x1 and x2 have norms
+    below dtau (|A1| ||a1|| + |A2| ||a2||), and ``opalg.expm_bounded`` takes
+    that bound with no further eigensolver call.
     """
     if integrator not in ("midpoint", "cf4"):
         raise ValueError(f"unknown integrator {integrator!r}")
@@ -258,11 +262,13 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
                      _node(h_env, h_bond, t0 + _CF4_C2 * dtau))
             for i, beta in enumerate(betas):
                 a1, a2 = (_phi_tau(node, beta) for node in nodes)
-                phi_max[i] = max(phi_max[i], opalg.opnorm(a1), opalg.opnorm(a2))
+                n1, n2 = opalg.opnorm(a1), opalg.opnorm(a2)
+                phi_max[i] = max(phi_max[i], n1, n2)
                 x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
                 x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
-                u1 = opalg.herm_expm(opalg.spectrum(x1))
-                us[i] = opalg.herm_expm(opalg.spectrum(x2)) @ u1 @ us[i]
+                u1 = opalg.expm_bounded(x1, dtau * (_CF4_A1 * n1 + abs(_CF4_A2) * n2))
+                u2 = opalg.expm_bounded(x2, dtau * (abs(_CF4_A2) * n1 + _CF4_A1 * n2))
+                us[i] = u2 @ u1 @ us[i]
     return list(zip(us, phi_max))
 
 
@@ -430,12 +436,18 @@ class ThetaFunction:
 
 
 def locality_decay_envelope(theta: ThetaFunction, profile, block_len, beta, r):
-    """Calibrated envelope e^{Theta} min(e^{-r/(l0 Theta)}, jbar(r/3)^(1/Theta))."""
+    """Calibrated envelope e^{Theta} min(e^{-r/(l0 Theta)}, jbar(r/3)^(1/Theta)).
+
+    Where jbar(r/3) = 0 (a finite-range profile past three ranges) the jbar
+    branch does not apply and the envelope is e^{Theta} e^{-r/(l0 Theta)}:
+    the window-truncation error is not 0 there.
+    """
     th = theta(beta)
+    decay = -r / (block_len * th)
     jb = profile(r / 3.0)
-    if jb == 0.0:
-        return 0.0
-    log_val = th + min(-r / (block_len * th), math.log(jb) / th)
+    if jb > 0.0:
+        decay = min(decay, math.log(jb) / th)
+    log_val = th + decay
     if log_val > 709.0:
         return math.inf
     return math.exp(log_val)
@@ -527,15 +539,14 @@ def bp_locality_sweep(
     )
 
 
-def calibrate_theta(reports, profile, block_len) -> ThetaFunction | None:
+def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
     """Smallest affine rate function whose envelope dominates measured errors by 5%.
 
     reports is an iterable of BPLocalityReport (or anything with .exact, .r,
     .beta).  For each slope on a log grid the minimal intercept is found by
     bisection; the feasible pair minimizing theta0 + theta1 wins.  The
-    largest intercept, 1e3, makes the envelope infinite wherever jbar(r/3) >
-    0, so the grid finds no pair exactly when some jbar(r/3) = 0 (a finite
-    range profile); that gives None, since no envelope dominates there.
+    largest intercept, 1e3, makes the envelope infinite at every point, so
+    every slope has a feasible intercept.
     """
     pts = [(rep.r, rep.beta, rep.exact) for rep in reports if rep.exact > 0]
     if not pts:
@@ -551,8 +562,6 @@ def calibrate_theta(reports, profile, block_len) -> ThetaFunction | None:
     best = None
     for th1 in np.geomspace(0.05, 20.0, 25):
         lo, hi = 1e-3, 1e3
-        if not dominates(hi, th1):
-            continue
         for _ in range(60):
             mid = math.sqrt(lo * hi)
             if dominates(mid, th1):
@@ -562,5 +571,5 @@ def calibrate_theta(reports, profile, block_len) -> ThetaFunction | None:
         cand = (hi, th1)
         if best is None or sum(cand) < sum(best):
             best = cand
-    return None if best is None else ThetaFunction(*best)
+    return ThetaFunction(*best)
 

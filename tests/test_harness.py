@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gibbschain import chain, cli, csvio, opalg, profiles
+from gibbschain import chain, cli, csvio, opalg, profiles, qbp
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text, read_keys
 from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
 from gibbschain.experiments import run_experiment
@@ -521,18 +521,24 @@ def test_qbp_locality_bound_past_float_range_is_infinite(tmp_path, capsys):
     assert body[1:3] == ["0.5,7,0.0,inf,1,0", ""]
 
 
-def test_qbp_locality_fits_no_theta_where_jbar_vanishes(tmp_path):
-    # range_cutoff 2 gives jbar(7/3) = 0: no rate function dominates the row at r = 7
+def test_qbp_locality_fits_theta_where_jbar_vanishes(tmp_path):
+    # range_cutoff 2 gives jbar(7/3) = 0, yet the window error at r = 7 is not 0:
+    # the fitted envelope there is e^Theta e^(-r/(l0 Theta)), and it dominates by 5%
     cfg = ExperimentConfig(experiment="qbp_locality", n=10, generator="heisenberg_xxz",
                            profile="finite_range", range_cutoff=2, beta_list=(0.5,),
                            radius_list=(7,), tau_steps=1, integrator="midpoint")
     m = run_experiment(cfg, output_dir=str(tmp_path))
     assert m.all_passed
-    assert dict(m.fitted) == {
-        "theta": "none (jbar(r/3) = 0 at r = [7]: no envelope dominates)"
-    }
+    fitted = dict(m.fitted)
+    assert sorted(fitted) == ["theta0", "theta1"]
     rows = csvio.csv_body_bytes(tmp_path / "qbp_locality.csv").decode().split("\n")[1:-1]
     assert [row.split(",")[:2] for row in rows] == [["0.5", "7"]]
+    exact = float(rows[0].split(",")[2])
+    assert exact > 1e-3
+    profile = profiles.finite_range(2)
+    assert profile(7 / 3) == 0.0
+    theta = qbp.ThetaFunction(fitted["theta0"], fitted["theta1"])
+    assert qbp.locality_decay_envelope(theta, profile, 1, 0.5, 7) >= 1.05 * exact
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

@@ -558,3 +558,26 @@ def test_herm_expm_matches_scipy_expm(n, is_complex, scale, seed):
     expected = expm(scale * a)
     got = opalg.herm_expm(a, scale)
     assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_expm_bounded_matches_eigen_path(dim, is_complex):
+    # norms up to 20 with a bound up to 80 run the scaling-and-squaring branch
+    rng = np.random.default_rng(dim + 100 * is_complex)
+    for norm in (1e-6, 1e-4, 7e-3, 0.1, 0.5, 0.9, 3.0, 20.0):
+        a = rng.standard_normal((dim, dim))
+        if is_complex:
+            a = a + 1j * rng.standard_normal((dim, dim))
+        a = 0.5 * (a + a.conj().T)
+        a *= norm / np.linalg.norm(a, 2)
+        want = opalg.herm_expm(opalg.spectrum(a))
+        for bound in (norm, 4.0 * norm):
+            got = opalg.expm_bounded(a, bound)
+            assert is_complex or not np.iscomplexobj(got)
+            rel = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+            assert rel <= 1e-13, (norm, bound, rel)
+
+
+def test_expm_bounded_of_zero_is_identity():
+    assert np.array_equal(opalg.expm_bounded(np.zeros((4, 4)), 0.0), np.eye(4))

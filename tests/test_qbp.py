@@ -183,6 +183,38 @@ def test_beta_sweep_equals_one_beta_builds(integrator, gate):
         assert [op.tau_steps for op in swept] == sorted({op.tau_steps for op in swept})
 
 
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "random_two_site"])
+def test_eigh_calls_per_sector_block(generator, monkeypatch):
+    # cf4 diagonalizes its two H(tau) nodes per step and exponentiates phi with
+    # no eigensolver, so the count does not grow with the number of betas;
+    # midpoint diagonalizes one node per step and phi once per beta
+    h = chain.build_chain(6, generator, profiles.power_law(3.0), coupling=0.25, seed=4)
+    htc = chain.truncate(h, [0], [5], 1)
+    env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[2][-1], tuple(range(6)))
+    n_blocks = len(opalg.sectors(env, bond))
+    assert n_blocks == (7 if generator == "heisenberg_xxz" else 1)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    steps = 3
+    for betas in ((1.0,), (0.5, 1.0, 2.0)):
+        for integrator, gate, per_block in (
+            ("cf4", None, 2 * steps),
+            ("cf4", 1e-2, 2 * steps + 2),
+            ("midpoint", None, steps * (1 + len(betas))),
+        ):
+            calls.clear()
+            ops = qbp.bond_sweep(htc, 2, betas, tau_steps=steps, integrator=integrator,
+                                 residual_gate=gate)
+            assert [op.tau_steps for op in ops] == [steps] * len(betas)
+            assert len(calls) == per_block * n_blocks, (integrator, gate, betas)
+
+
 def test_nonconvergence_raises():
     htc = _random_truncated(coupling=1.5, seed=5)
     with pytest.raises(NonConvergence):
