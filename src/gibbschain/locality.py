@@ -189,8 +189,19 @@ def _pauli_commutator(a, probe, site):
 
 
 def commutator_norm(a, probe, site):
-    """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits."""
-    return opalg.opnorm(_pauli_commutator(a, probe, site))
+    """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits.
+
+    The norm is the largest over the commutator's ``opalg.sectors``, except
+    that a sigma_x or sigma_y commutator split into the two parity blocks
+    takes the first block alone: P i[A, P] P = -i[A, P] and P maps each
+    parity block onto the other, so the two blocks are unitarily equivalent
+    up to sign and share their norm.
+    """
+    comm = _pauli_commutator(a, probe, site)
+    blocks = opalg.sectors(comm)
+    if probe.lower() != "z" and len(blocks) == 2:
+        blocks = blocks[:1]
+    return max(opalg.spectral_norm(opalg.sector_block(comm, b)) for b in blocks)
 
 
 @dataclass(frozen=True)

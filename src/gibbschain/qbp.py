@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -129,8 +129,17 @@ class QuadratureScheme:
         return out
 
 
-def _gauss_panel(a, b, order):
+@lru_cache(maxsize=None)
+def _legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, one build per order."""
     x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_panel(a, b, order):
+    x, w = _legendre(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

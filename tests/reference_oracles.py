@@ -85,6 +85,13 @@ def embed_matrix(mat, sites, n):
     return t.reshape(2**n, 2**n)
 
 
+def herm_defect_untiled(mat):
+    """max|A - A^dag| / max(max|A|, tiny) by one full-matrix difference, untiled."""
+    mat = np.asarray(mat)
+    d = float(np.abs(mat - mat.conj().T).max(initial=0.0))
+    return d / max(float(np.abs(mat).max(initial=0.0)), 1e-300)
+
+
 def trace_of_product(p, a):
     """tr(p @ a) as the correctly rounded sum of the diagonal of the product."""
     terms = np.einsum("ij,ji->i", p, a)

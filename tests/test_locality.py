@@ -229,3 +229,61 @@ def test_window_evolution_matches_full_space(n, gen, t, seed, data):
     inside = [term for term in h.terms if set(term.sites) <= set(window)]
     diff = evolved(h.matrix()) - evolved(chain.terms_matrix(inside, range(n)))
     assert rep.exact == pytest.approx(np.linalg.norm(diff, 2), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz"])
+@pytest.mark.parametrize("probe", ["x", "y"])
+def test_one_parity_block_norm_equals_two_block_maximum(n, generator, probe):
+    h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
+    spec = opalg.hermitian_eig(h.matrix())
+    o = opalg.single_site(opalg.pauli(probe), 0)
+    for t in (0.25, 0.7, 1.3):
+        a_t = opalg.evolve(o, spec, t)
+        for site in range(1, n):
+            comm = locality._pauli_commutator(a_t, probe, site)
+            blocks = opalg.sectors(comm)
+            assert len(blocks) == 2
+            both = max(opalg.spectral_norm(opalg.sector_block(comm, b)) for b in blocks)
+            got = locality.commutator_norm(a_t, probe, site)
+            assert got == opalg.spectral_norm(opalg.sector_block(comm, blocks[0]))
+            assert abs(got - both) <= 1e-14 * both
+
+
+def _eigvalsh_spy(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kw):
+        calls.append((a.shape[0], np.iscomplexobj(a)))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_sigma_z_commutator_takes_both_parity_blocks(monkeypatch):
+    # sigma_z maps each parity block to itself, so the blocks need not share a norm
+    n, site = 6, 2
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    parity = np.array([bin(i).count("1") & 1 for i in range(2**n)])
+    a[parity[:, None] != parity] = 0.0
+    a = 0.5 * (a + a.conj().T)
+    assert len(opalg.sectors(locality._pauli_commutator(a, "z", site))) == 2
+    want = opalg.opnorm(locality._pauli_commutator(a, "z", site))
+    calls = _eigvalsh_spy(monkeypatch)
+    assert locality.commutator_norm(a, "z", site) == want
+    assert calls == [(2 ** (n - 1), True)] * 2
+
+
+def test_lr_certify_makes_one_half_dimension_call_per_row(monkeypatch):
+    h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=2)
+    t_grid, r_grid = (0.0, 0.5, 1.0), (1, 3, 6)
+    calls = _eigvalsh_spy(monkeypatch)
+    rep = locality.lr_certify(h, t_grid, r_grid)
+    assert rep.passed and len(rep.rows) == 9
+    # each t > 0 row diagonalizes the even parity block alone; the t = 0
+    # commutators vanish and split into popcount blocks
+    assert calls.count((512, True)) == 6
+    assert max(dim for dim, _ in calls) == 512

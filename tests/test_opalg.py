@@ -13,7 +13,12 @@ from gibbschain.errors import (
     OverlappingSupports,
     SupportMismatch,
 )
-from reference_oracles import blockwise_evolve, embed_matrix, trace_of_product
+from reference_oracles import (
+    blockwise_evolve,
+    embed_matrix,
+    herm_defect_untiled,
+    trace_of_product,
+)
 
 
 def rand_herm(rng, dim):
@@ -581,3 +586,29 @@ def test_expm_bounded_matches_eigen_path(dim, is_complex):
 
 def test_expm_bounded_of_zero_is_identity():
     assert np.array_equal(opalg.expm_bounded(np.zeros((4, 4)), 0.0), np.eye(4))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 300, 1024])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_tiled_herm_defect_equals_untiled_formula(dim, is_complex):
+    rng = np.random.default_rng(dim + 7 * is_complex)
+    a = rng.standard_normal((dim, dim))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    bumped = h.copy()
+    bumped[dim // 2, dim - 1] += 3e-12  # one entry, across a tile boundary past dim 128
+    for mat in (h, bumped, h + 1e-9 * a, a, np.asfortranarray(a), h[::-1, ::-1]):
+        assert opalg.herm_defect(mat) == herm_defect_untiled(mat)
+
+
+def test_require_hermitian_raises_just_above_tolerance():
+    # max|A| = 1, so the defect is the asymmetric entry itself; (200, 3) lies
+    # in an off-diagonal tile pair
+    for is_complex in (False, True):
+        mat = np.eye(300, dtype=complex if is_complex else float)
+        mat[200, 3] = 0.99e-12
+        opalg.require_hermitian(mat)
+        mat[200, 3] = 1.01e-12
+        with pytest.raises(NotHermitian):
+            opalg.require_hermitian(mat)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from gibbschain import chain, opalg, profiles, qbp
 from gibbschain.errors import (
@@ -64,6 +65,23 @@ def test_quadrature_eps_validation_and_budget():
         qbp.filter_quadrature(1.0, 0.5)
     with pytest.raises(ToleranceUnreachable):
         qbp.filter_quadrature(1.0, 1e-9, max_nodes=100)
+
+
+def test_legendre_nodes_built_once_and_read_only():
+    x, w = qbp._legendre(qbp.PANEL_ORDER)
+    assert qbp._legendre(qbp.PANEL_ORDER)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_filter_quadrature_equals_per_panel_leggauss_build(beta, monkeypatch):
+    cached = qbp.filter_quadrature(beta, 1e-9)
+    monkeypatch.setattr(qbp, "_legendre", leggauss)
+    fresh = qbp.filter_quadrature(beta, 1e-9)
+    assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+    assert cached.weights.tobytes() == fresh.weights.tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
