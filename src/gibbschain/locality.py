@@ -17,7 +17,10 @@ operators at distance r = |i - j|:
 Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
 exact commutator norms (``commutator_norm``: Pauli probes as signed
-permutations, norms over the commutator's ``opalg`` sectors).
+permutations, norms over the commutator's ``opalg`` sectors).  For sigma_x
+and sigma_y probes the commutator splits into the two parity blocks, which
+P maps onto each other with a sign (P i[A, P] P = -i[A, P]); they share
+their norm, so one block is diagonalized, at half the dimension.
 
 Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
 ``subset_evolution_error`` subtracts the window evolution on the window's

@@ -96,7 +96,7 @@ class DenseOperator:
 
 # side of the square tiles herm_defect compares: a complex tile pair (2 x 256 KB)
 # stays in cache while its transposed read runs
-HERM_TILE = 128
+_HERM_TILE = 128
 
 
 def herm_defect(mat):
@@ -104,15 +104,14 @@ def herm_defect(mat):
 
     Entrywise maxima keep this guard O(dim^2); they bound the spectral-norm
     ratio up to a factor dim, which is irrelevant at the 1e-12 scale checked.
-    The maximum runs over square tiles of side ``HERM_TILE``: tile (i, j) is
-    compared with the transpose of tile (j, i) for j >= i only, so the
-    transposed read stays in cache and every entry pair is read once.  Each
-    entry |a_ij - conj(a_ji)| equals the untiled formula's entry (or its
-    mirror, equal under negation and conjugation), so the maximum is the
-    same float bit for bit.
+    The maximum runs over square tiles of side ``_HERM_TILE``: tile (i, j)
+    is compared with the transpose of tile (j, i) for j >= i only, so the
+    transposed read stays in cache and each off-diagonal pair is compared
+    once.  Each entry |a_ij - conj(a_ji)| equals the untiled formula's entry
+    (or its mirror, equal under negation and conjugation), so the maximum is
+    the same float bit for bit.
     """
-    mat = np.asarray(mat)
-    dim, step, conj = mat.shape[0], HERM_TILE, np.iscomplexobj(mat)
+    dim, step, conj = mat.shape[0], _HERM_TILE, np.iscomplexobj(mat)
     d = 0.0
     for i in range(0, dim, step):
         for j in range(i, dim, step):
