@@ -7,14 +7,16 @@ sit inside fully explicit envelopes (the latter under a beta-smallness
 condition).
 """
 
-from gibbschain import chain, profiles
+from gibbschain import chain, opalg, profiles
 
 h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.01, seed=5)
 print(f"chain n=10, weak power-law couplings: g={h.g:.4f}, gamma={h.gamma:.4f}")
 
+h_spectrum = opalg.hermitian_eig(h.matrix())
 for l0 in (1, 2):
     htc = chain.truncate(h, [0], [9], l0)
-    rep = chain.truncation_error_report(h, htc, beta=0.3)
+    spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
+    rep = chain.truncation_error_report(h, htc, 0.3, spectra)
     print(f"\nblock_len={l0}: q={htc.q}, dropped {len(htc.dropped)} terms, "
           f"bond cap g_tilde={htc.g_tilde:.4f}")
     print(f"  ||dropped||        = {rep.exact_delta_norm:.3e}  <=  {rep.op_norm_bound:.3e}")

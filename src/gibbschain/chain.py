@@ -364,19 +364,17 @@ class TruncationErrorReport:
 
 
 def truncation_error_report(
-    h: ChainHamiltonian, h_tc: TruncatedHamiltonian, beta, spectra=None
+    h: ChainHamiltonian, h_tc: TruncatedHamiltonian, beta, spectra
 ) -> TruncationErrorReport:
     """Measured truncation errors against their closed-form envelopes.
 
     The operator-norm envelope gamma^2 g q l0^2 jbar(l0) is unconditional.
     The trace-norm envelope 3 beta gamma^2 g q l0^2 jbar(l0) * tr exp(beta H)
     requires beta * gamma^2 g q l0^2 jbar(l0) <= 1; if that fails the bound
-    is reported as None with condition_ok False.  ``spectra``, the pair
-    (spectrum of H, spectrum of the truncated H), lets sweeps over beta and
+    is reported as None with condition_ok False.  ``spectra`` is the pair
+    (spectrum of H, spectrum of the truncated H), so sweeps over beta and
     block length diagonalize each Hamiltonian once.
     """
-    if spectra is None:
-        spectra = (opalg.hermitian_eig(h.matrix()), opalg.hermitian_eig(h_tc.matrix()))
     p = h.profile
     l0 = h_tc.block_len
     op_bound = p.gamma**2 * p.g * h_tc.q * l0**2 * p(l0)

@@ -103,10 +103,8 @@ def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
     rows = []
     for label, target in targets:
         rep = locality.lr_certify(target, cfg.t_grid, r_list)
-        for row in rep.rows:
-            rows.append(
-                (label, row.t, row.r, row.exact, row.envelope, row.exact > row.envelope + 1e-10)
-            )
+        rows += [(label, row.t, row.r, row.exact, row.envelope, row in rep.violations)
+                 for row in rep.rows]
         detail = f"max_ratio={rep.max_ratio:.3g}"
         if rep.skipped:
             detail += (f"; skipped r={','.join(map(str, rep.skipped))}"

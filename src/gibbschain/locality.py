@@ -284,7 +284,7 @@ def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
     blocks, for a truncated chain, where the truncated envelope applies) and
     at i0 + r inside the same range; a separation whose partner falls past
     that range has no rows and is listed in ``skipped``.  A row violates when
-    exact exceeds the envelope by more than 2e-10.
+    exact exceeds the envelope by more than 1e-10.
     """
     n = h.n
     if isinstance(h, TruncatedHamiltonian):
@@ -306,7 +306,7 @@ def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
             exact = commutator_norm(a_t, probe, i0 + r)
             bound = lr_envelope(env, t, r)
             rows.append(CertificationRow(t=float(t), r=r, exact=exact, envelope=bound))
-            if exact > bound + 2e-10:
+            if exact > bound + 1e-10:
                 violations.append(rows[-1])
             if bound > 0:
                 max_ratio = max(max_ratio, exact / bound)

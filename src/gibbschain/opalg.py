@@ -14,9 +14,9 @@ b ~ 1e-2): it sums the Taylor series to the degree m at which the remainder
 b^(m+1)/(m+1)! e^(2b) falls below 2^-53 relative to exp(X), with no
 eigensolver; for b > 1/2 it scales X into b <= 1/2 and squares back, so no
 term ever exceeds the result by more than e^(1/2).  A ``Spectrum`` is a
-read-only eigendecomposition: callers that
-need one operator's exponential at several scales (Gibbs states at several
-beta, evolutions at several t) diagonalize once and pass the spectrum to
+read-only eigendecomposition held sector by sector: callers that need one
+operator's exponential at several scales (Gibbs states at several beta,
+evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
 hidden cache; every function is pure.
 
@@ -33,9 +33,11 @@ classes (total S^z: XXZ and Ising chains and all built from them), else the
 two popcount-parity classes (Z2: sigma_x probe commutators on those chains),
 else one block.  ``hermitian_eig`` and ``opnorm`` work block by block, a sum
 of C(n,k)^3 flops instead of 2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf.
-Proc. 1297, 2010), and ``herm_expm``, ``gibbs`` and ``evolve`` form
-V f(E) V^dag block by block when V is block-diagonal.  Callers with matrices
-of their own (``qbp``) take ``sectors`` and reassemble with ``from_blocks``.
+Proc. 1297, 2010).  A spectrum keeps its sectors: each holds its own
+eigenvector matrix V_k, so no 2^n x 2^n eigenvector matrix is formed or split
+again, and ``herm_expm``, ``gibbs`` and ``evolve`` form V_k f(E_k) V_k^dag per
+sector.  Callers with matrices of their own (``qbp``) take ``sectors`` and
+reassemble with ``from_blocks``.
 """
 
 from __future__ import annotations
@@ -235,12 +237,19 @@ def partial_trace(mat, keep_sites):
 # symmetry sectors
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @functools.lru_cache(maxsize=None)
 def _sector_labels(n):
     """Popcount and its parity for every n-bit basis index, each with the
-    indices whose label differs from index 0's (never written)."""
+    indices whose label differs from index 0's; read-only, as every call shares them."""
     weight = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    return tuple((label, np.flatnonzero(label)) for label in (weight, weight & 1))
+    out = tuple((label, np.flatnonzero(label)) for label in (weight, weight & 1))
+    _read_only(*(a for pair in out for a in pair))
+    return out
 
 
 def _respects(mats, label):
@@ -301,14 +310,17 @@ def from_blocks(blocks, mats):
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues and orthonormal eigenvectors (columns), read-only.
+    """Eigenvalues and, per symmetry sector, orthonormal eigenvectors; read-only.
 
-    From ``spectrum`` the eigenvalues ascend; from ``hermitian_eig`` they
-    ascend within each sector, and no caller relies on a global order.
+    ``blocks[k]`` is a sector's sorted basis indices and ``vecs[k]`` its
+    eigenvectors (columns) in that sector's own basis, with eigenvalues
+    ``evals[blocks[k]]``, ascending within the sector; ``evals`` is the
+    dense vector over the whole space.  No caller relies on a global order.
     """
 
     evals: np.ndarray
-    vecs: np.ndarray
+    vecs: tuple
+    blocks: tuple
 
 
 def _real_if_real(mat):
@@ -322,35 +334,34 @@ def _real_if_real(mat):
 
 
 def spectrum(mat) -> Spectrum:
-    """One eigendecomposition of a matrix Hermitian by construction (unchecked)."""
+    """One eigendecomposition of a matrix Hermitian by construction (unchecked),
+    as the one-block spectrum: ``evals, (vecs,), _ = spectrum(mat)``."""
     evals, vecs = np.linalg.eigh(_real_if_real(mat))
-    evals.setflags(write=False)
-    vecs.setflags(write=False)
-    return Spectrum(evals, vecs)
+    block = np.arange(len(evals))
+    _read_only(evals, vecs, block)
+    return Spectrum(evals, (vecs,), (block,))
 
 
 def hermitian_eig(mat) -> Spectrum:
     """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
 
-    Each block of ``sectors`` is diagonalized on its own; eigenvalue k
-    belongs to column k of the dense, block-diagonal vecs.  This is the one
-    place ``DIM_CAP`` is checked: every checked diagonalization passes here.
+    Each block of ``sectors`` is diagonalized on its own and keeps its own
+    eigenvectors; they are never assembled into one matrix.  This is the
+    one place ``DIM_CAP`` is checked: every checked diagonalization passes
+    here.
     """
     mat = np.asarray(mat)
     if mat.shape[0] > DIM_CAP:
         raise DimensionCap(f"dimension {mat.shape[0]} exceeds DIM_CAP {DIM_CAP}")
     require_hermitian(mat)
     blocks = sectors(mat)
-    if len(blocks) == 1:
-        return spectrum(mat)
-    parts = [spectrum(sector_block(mat, b)) for b in blocks]
     evals = np.empty(mat.shape[0])
-    for block, part in zip(blocks, parts):
-        evals[block] = part.evals
-    vecs = from_blocks(blocks, [part.vecs for part in parts])
-    evals.setflags(write=False)
-    vecs.setflags(write=False)
-    return Spectrum(evals, vecs)
+    vecs = []
+    for block in blocks:
+        evals[block], v = np.linalg.eigh(_real_if_real(sector_block(mat, block)))
+        vecs.append(v)
+    _read_only(evals, *vecs, *blocks)
+    return Spectrum(evals, tuple(vecs), blocks)
 
 
 def _spectrum_of(a) -> Spectrum:
@@ -358,16 +369,14 @@ def _spectrum_of(a) -> Spectrum:
 
 
 def _block_sandwiches(spec, weights):
-    """The sectors of ``spec.vecs`` and V diag(weights) V^dag on each of them."""
-    blocks = sectors(spec.vecs)
-    vs = [sector_block(spec.vecs, b) for b in blocks]
-    return blocks, [(v * weights[b]) @ v.conj().T for v, b in zip(vs, blocks)]
+    """V_k diag(weights) V_k^dag on each sector of ``spec``."""
+    return [(v * weights[b]) @ v.conj().T for v, b in zip(spec.vecs, spec.blocks)]
 
 
 def herm_expm(a, scale=1.0):
     """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
     spec = _spectrum_of(a)
-    return from_blocks(*_block_sandwiches(spec, np.exp(scale * spec.evals)))
+    return from_blocks(spec.blocks, _block_sandwiches(spec, np.exp(scale * spec.evals)))
 
 
 def _taylor_degree(bound):
@@ -467,8 +476,8 @@ def gibbs(h, beta):
     m = beta * spec.evals
     shift = np.max(m)
     logz = shift + np.log(np.sum(np.exp(m - shift)))
-    rho = from_blocks(*_block_sandwiches(spec, np.exp(m - logz)))
-    return 0.5 * (rho + rho.conj().T)
+    rhos = _block_sandwiches(spec, np.exp(m - logz))
+    return from_blocks(spec.blocks, [0.5 * (r + r.conj().T) for r in rhos])
 
 
 def evolve(op: DenseOperator, generator, t):
@@ -476,15 +485,15 @@ def evolve(op: DenseOperator, generator, t):
 
     G is a Hermitian matrix or a Spectrum; t = 0 returns O x 1 as a complex
     matrix.  O is never embedded: U (O x 1) is (O^dag U^dag)^dag, contracted
-    on O's sites.  Over the sectors of a block-diagonal V, the right factor
-    U^dag acts block by block; block pairs where U O vanishes stay zero.
+    on O's sites.  Over the spectrum's sectors, the right factor U^dag acts
+    block by block; block pairs where U O vanishes stay zero.
     """
     spec = _spectrum_of(generator)
     dim = len(spec.evals)
     if t == 0:
         return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
-    blocks, us = _block_sandwiches(spec, np.exp(1j * spec.evals * t))
-    us_dag = [u.conj().T for u in us]
+    blocks = spec.blocks
+    us_dag = [u.conj().T for u in _block_sandwiches(spec, np.exp(1j * spec.evals * t))]
     left = apply_local(op.matrix.conj().T, op.sites, from_blocks(blocks, us_dag)).conj().T
     if len(blocks) == 1:
         return left @ us_dag[0]

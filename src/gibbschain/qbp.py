@@ -116,18 +116,6 @@ class QuadratureScheme:
     def first_moment(self):
         return float(np.sum(self.weights * np.abs(self.nodes) * self.filter_at_nodes))
 
-    def spectral_filter_direct(self, omega):
-        """sum_j w_j f_beta(t_j) cos(omega t_j), the node sum approximating F(omega)."""
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        coef = self.weights * self.filter_at_nodes
-        out = np.empty(omega.shape, dtype=float)
-        flat = omega.ravel()
-        step = max(1, 8_000_000 // max(self.nodes.size, 1))
-        for lo in range(0, flat.size, step):
-            chunk = flat[lo : lo + step]
-            out.ravel()[lo : lo + step] = np.cos(np.outer(chunk, self.nodes)) @ coef
-        return out
-
 
 @lru_cache(maxsize=None)
 def _legendre(order):
@@ -223,7 +211,7 @@ def _node(h_env, h_bond, tau):
 
     Nothing here depends on beta, so one node serves every beta.
     """
-    evals, vecs = opalg.spectrum(h_env + tau * h_bond)
+    evals, (vecs,), _ = opalg.spectrum(h_env + tau * h_bond)
     return evals, vecs, vecs.conj().T @ h_bond @ vecs
 
 

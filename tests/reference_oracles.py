@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gibbschain import chain, opalg, qbp
+from gibbschain import chain, qbp
 from gibbschain.errors import GibbsChainError, Overlap
 
 
@@ -47,6 +47,12 @@ def build_truncated_bp(h_tc, s, r, beta, **kw):
     """Window-truncated BP operator for boundary bundle s, window radius r."""
     cut, window = qbp._window_around(h_tc, s, r)
     return qbp.localized_sweep(h_tc, cut, window, (beta,), **kw)[0]
+
+
+def spectral_filter_direct(scheme, omega):
+    """sum_j w_j f_beta(t_j) cos(omega t_j), the quadrature node sum approximating F(omega)."""
+    coef = scheme.weights * scheme.filter_at_nodes
+    return np.cos(np.outer(omega, scheme.nodes)) @ coef
 
 
 def reconstruction_residual(phi_mat, h_env, h_bond, beta):
@@ -101,13 +107,16 @@ def trace_of_product(p, a):
 def blockwise_evolve(o_mat, spec, t):
     """exp(iGt) O exp(-iGt) for a full-space O, U applied block by block.
 
-    The dense block-pair form: over the sectors of spec.vecs, row block b_i
-    of U O is u_i O[b_i], and each nonzero block pair (b_i, b_j) of it is
-    multiplied by u_j^dag; a single block is U O U^dag.
+    The dense block-pair form: over the spectrum's sectors, u_k is
+    V_k e^{iE_k t} V_k^dag, row block b_i of U O is u_i O[b_i], and each
+    nonzero block pair (b_i, b_j) of it is multiplied by u_j^dag; a single
+    block is U O U^dag.
     """
     if t == 0:
         return np.asarray(o_mat).astype(complex)
-    blocks, us = opalg._block_sandwiches(spec, np.exp(1j * spec.evals * t))
+    phases = np.exp(1j * spec.evals * t)
+    blocks = spec.blocks
+    us = [(v * phases[b]) @ v.conj().T for v, b in zip(spec.vecs, blocks)]
     if len(blocks) == 1:
         return us[0] @ o_mat @ us[0].conj().T
     out = np.zeros(o_mat.shape, complex)

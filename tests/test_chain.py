@@ -171,10 +171,14 @@ def test_local_term_norm_computed_once():
         assert "norm" in vars(t)
 
 
+def _spectra(h, htc):
+    return opalg.hermitian_eig(h.matrix()), opalg.hermitian_eig(htc.matrix())
+
+
 def test_truncation_error_report_trivial():
     h = ising(n=6)
     htc = chain.truncate(h, [0], [5], 2)  # finite range: identical Hamiltonian
-    rep = chain.truncation_error_report(h, htc, 0.5)
+    rep = chain.truncation_error_report(h, htc, 0.5, _spectra(h, htc))
     assert rep.exact_delta_norm == 0.0
     assert rep.exact_trace_norm_diff < 1e-9 * rep.partition_function
 
@@ -182,14 +186,14 @@ def test_truncation_error_report_trivial():
 def test_truncation_error_report_bounds():
     h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.02, seed=1)
     htc = chain.truncate(h, [0], [9], 2)
-    rep = chain.truncation_error_report(h, htc, 0.3)
+    rep = chain.truncation_error_report(h, htc, 0.3, _spectra(h, htc))
     assert rep.condition_ok
     assert rep.exact_delta_norm <= rep.op_norm_bound
     assert rep.exact_trace_norm_diff <= rep.trace_norm_bound
     # stronger coupling violates the smallness condition; bound withdrawn
     h2 = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=2.0, seed=1)
     htc2 = chain.truncate(h2, [0], [9], 2)
-    rep2 = chain.truncation_error_report(h2, htc2, 0.3)
+    rep2 = chain.truncation_error_report(h2, htc2, 0.3, _spectra(h2, htc2))
     assert not rep2.condition_ok
     assert rep2.trace_norm_bound is None
 

@@ -322,6 +322,26 @@ def test_lr_sweep_names_the_separations_it_skips(tmp_path, monkeypatch):
     assert {int(r[2]) for r in rows if r[0] == "plain"} == {1, 6, 7}
 
 
+def test_lr_sweep_csv_violation_column_is_the_certified_verdict(tmp_path, monkeypatch):
+    """A row 1.5e-10 over its envelope violates in the CSV and fails the manifest
+    check alike: both read lr_certify's one slack of 1e-10."""
+    from gibbschain import locality
+
+    monkeypatch.setattr(locality, "lr_envelope", lambda env, t, r: 0.5)
+    monkeypatch.setattr(locality, "commutator_norm",
+                        lambda a, probe, site: 0.5 + 1.5e-10 if site == 2 else 0.25)
+    cfg = load_config(None, overrides=dict(
+        experiment="lr_sweep", n=5, generator="heisenberg_xxz", profile="finite_range",
+        range_cutoff=1, t_grid="0.5,1.0"), environ={})
+    out = tmp_path / "out"
+    manifest = run_experiment(cfg, output_dir=str(out))
+    rows = [line.split(",") for line in (out / "lr_sweep.csv").read_text().splitlines()
+            if line.startswith("plain,")]
+    assert sorted((float(r[1]), int(r[2])) for r in rows if r[5] == "1") == [(0.5, 2), (1.0, 2)]
+    assert ("lr_envelope[plain]", False) in [c[:2] for c in manifest.checks]
+    assert "FAIL  lr_envelope[plain]" in (out / "manifest.txt").read_text()
+
+
 def test_power_law_alpha_at_most_two_rejected_at_config_time(tmp_path, monkeypatch):
     """alpha <= 2 is the theorem's excluded case; its tail sums diverge, so it
     used to exit 1 with NonConvergentTail once the chain was built."""

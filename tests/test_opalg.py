@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbschain import chain, opalg
+from gibbschain import chain, opalg, profiles
 from gibbschain.errors import (
     DimensionCap,
     NotHermitian,
@@ -19,6 +19,14 @@ from reference_oracles import (
     herm_defect_untiled,
     trace_of_product,
 )
+
+
+def _assert_read_only(spec):
+    """Every array a Spectrum holds refuses writes."""
+    for a in (spec.evals, *spec.vecs, *spec.blocks):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
 
 
 def rand_herm(rng, dim):
@@ -107,10 +115,10 @@ def test_spectrum_reuse_matches_matrix_path():
     h = rand_herm(rng, 16)
     o = rand_herm(rng, 16)
     spec = opalg.hermitian_eig(h)
-    assert not spec.evals.flags.writeable and not spec.vecs.flags.writeable
-    with pytest.raises(ValueError):
-        spec.vecs[0, 0] = 1.0
-    evals, vecs = spec  # unpacks like a tuple
+    _assert_read_only(spec)
+    _assert_read_only(opalg.spectrum(h))
+    evals, (vecs,), (block,) = spec  # unpacks like a tuple; no symmetry, one sector
+    assert vecs.shape == (16, 16) and np.array_equal(block, np.arange(16))
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
     assert np.array_equal(opalg.gibbs(spec, 1.3), opalg.gibbs(h, 1.3))
     o = opalg.DenseOperator(range(4), o)
@@ -327,16 +335,22 @@ def test_hermitian_eig_by_sector_reconstructs(case):
     blocks = opalg.sectors(mat)
     assert [len(b) for b in blocks] == [math.comb(n, k) for k in range(n + 1)]
     assert all(np.all(_popcount(2**n)[b] == k) for k, b in enumerate(blocks))
-    evals, vecs = spec = opalg.hermitian_eig(mat)
-    assert not evals.flags.writeable and not vecs.flags.writeable
-    with pytest.raises(ValueError):
-        spec.evals[0] = 1.0
+    evals, vecs, spec_blocks = spec = opalg.hermitian_eig(mat)
+    assert [b.tolist() for b in spec_blocks] == [b.tolist() for b in blocks]
+    _assert_read_only(spec)
     scale = max(1.0, float(np.abs(mat).max()))
-    assert np.max(np.abs((vecs * evals) @ vecs.conj().T - mat)) <= 1e-12 * scale
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2**n))) <= 1e-12
+    rebuilt = np.zeros_like(mat)
+    for v, b in zip(vecs, spec_blocks):
+        # each sector in its own basis: rebuilt from its vecs and evals, orthonormal
+        assert v.shape == (len(b), len(b))
+        sector = (v * evals[b]) @ v.conj().T
+        assert np.max(np.abs(sector - mat[np.ix_(b, b)])) <= 1e-12 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(b)))) <= 1e-12
+        # eigenvalues ascend within each sector
+        assert np.all(np.diff(evals[b]) >= 0)
+        rebuilt[np.ix_(b, b)] = sector
+    assert np.max(np.abs(rebuilt - mat)) <= 1e-12 * scale
     assert np.allclose(np.sort(evals), np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
-    # eigenvalues ascend within each sector
-    assert all(np.all(np.diff(evals[b]) >= 0) for b in blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +382,8 @@ def test_one_entry_off_the_sectors_gives_one_block(case, data):
         return
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(2**n))
     # the same eigendecomposition as one dense eigh
-    assert np.array_equal(opalg.hermitian_eig(mat).vecs, opalg.spectrum(mat).vecs)
+    (vecs,) = opalg.hermitian_eig(mat).vecs
+    assert np.array_equal(vecs, opalg.spectrum(mat).vecs[0])
     # a sector-conserving partner does not restore the blocks
     assert len(opalg.sectors(np.eye(2**n), mat)) == 1
 
@@ -438,15 +453,20 @@ def sector_spectra(draw):
 
 
 def _dense_vfv(spec, weights):
-    return (spec.vecs * weights) @ spec.vecs.conj().T
+    """V f(E) V^dag with the dense 2^n x 2^n eigenvector matrix V assembled here."""
+    dim = len(spec.evals)
+    vecs = np.zeros((dim, dim), np.result_type(*spec.vecs))
+    for v, b in zip(spec.vecs, spec.blocks):
+        vecs[np.ix_(b, b)] = v
+    return (vecs * weights) @ vecs.conj().T
 
 
 @settings(max_examples=40, deadline=None)
 @given(sector_spectra(), st.floats(-2.0, 2.0), st.floats(0.05, 3.0))
 def test_blockwise_functions_match_dense(case, scale, beta):
     n, mat, spec = case
-    # hermitian_eig's eigenvectors are block-diagonal, so the block path runs
-    assert len(opalg.sectors(spec.vecs)) > 1
+    # hermitian_eig splits the sectors, so the block path runs
+    assert len(spec.blocks) > 1
     tol = 1e-12
     exp_ref = _dense_vfv(spec, np.exp(scale * spec.evals))
     got = opalg.herm_expm(spec, scale)
@@ -480,9 +500,8 @@ def test_blockwise_evolve_matches_dense(case, t, probe, data):
         assert np.array_equal(opalg.evolve(op, mat, t), got)
     # a block pair on which the Pauli vanishes stays exactly zero
     got = opalg.evolve(pauli_op, spec, t)
-    blocks = opalg.sectors(spec.vecs)
-    for bi in blocks:
-        for bj in blocks:
+    for bi in spec.blocks:
+        for bj in spec.blocks:
             if not np.any(pauli[np.ix_(bi, bj)]):
                 assert not np.any(got[np.ix_(bi, bj)])
 
@@ -505,12 +524,49 @@ def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
             mat[label[:, None] != label[None, :]] = 0.0
             spec = opalg.hermitian_eig(mat)
             n_blocks = {"popcount": n + 1, "parity": 2, "whole": 1}[structure]
-            assert len(opalg.sectors(spec.vecs)) == n_blocks
+            assert len(spec.blocks) == n_blocks
             for probe in "xyz":
                 for site in range(n):
                     op = opalg.single_site(opalg.pauli(probe), site)
                     ref = blockwise_evolve(embed_matrix(op.matrix, op.sites, n), spec, t)
                     assert np.array_equal(opalg.evolve(op, spec, t), ref)
+
+
+def test_spectrum_functions_scan_no_sectors(monkeypatch):
+    # a Spectrum carries its sectors: nothing re-splits its eigenvectors
+    h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
+    assert len(opalg.sectors(h.matrix())) == 7
+    spec = opalg.hermitian_eig(h.matrix())
+    calls = []
+    sectors = opalg.sectors
+
+    def spy(*mats):
+        calls.append(len(mats))
+        return sectors(*mats)
+
+    monkeypatch.setattr(opalg, "sectors", spy)
+    opalg.herm_expm(spec, 0.3)
+    opalg.gibbs(spec, 0.7)
+    opalg.evolve(opalg.single_site(opalg.pauli("x"), 2), spec, 0.4)
+    assert calls == []
+
+
+def test_xxz_spectrum_holds_only_its_sector_blocks():
+    # sum_k C(10, k)^2 eigenvector entries, not the 4^10 of a dense matrix
+    h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
+    spec = opalg.hermitian_eig(h.matrix())
+    assert sum(v.size for v in spec.vecs) == 184756
+    assert [len(b) for b in spec.blocks] == [math.comb(10, k) for k in range(11)]
+
+
+def test_cached_sector_labels_are_read_only():
+    opalg.sectors(np.diag(np.arange(16.0)))  # fills the n = 4 cache entry
+    for label, off0 in opalg._sector_labels(4):
+        for a in (label, off0):
+            with pytest.raises(ValueError):
+                a[0] = 5
+    # the next split is unaffected
+    assert [len(b) for b in opalg.sectors(np.diag(np.arange(16.0)))] == [1, 4, 6, 4, 1]
 
 
 def _random_complex(rng, rows, cols):
