@@ -18,7 +18,7 @@ print(f"\n{'t':>5s} {'r':>3s} {'exact':>12s} {'envelope':>12s} {'ratio':>8s}")
 for row in report.rows:
     ratio = row.exact / row.envelope if row.envelope > 0 else 0.0
     print(f"{row.t:5.2f} {row.r:3d} {row.exact:12.3e} {row.envelope:12.3e} {ratio:8.3f}")
-print(f"\nviolations: {len(report.violations)}, max exact/envelope: {report.max_ratio:.3f}")
+print(f"\nviolations: {sum(not row.ok for row in report.rows)}")
 
 # truncating the interactions restores an exponential light cone
 htc = chain.truncate(
@@ -26,5 +26,4 @@ htc = chain.truncate(
     [0], [9], 2,
 )
 rep_t = locality.lr_certify(htc, (0.25, 0.5, 1.0), range(1, 10))
-print(f"\ntruncated chain (block_len 2): violations {len(rep_t.violations)}, "
-      f"max ratio {rep_t.max_ratio:.3f}")
+print(f"\ntruncated chain (block_len 2): violations {sum(not row.ok for row in rep_t.rows)}")

@@ -3,17 +3,17 @@
 A criterion is a function ``criterion_NN_title`` that returns its rows,
 one (label, measured, bound, ok) row per assertion; it passes when it has
 rows and every one is ok.  ``run_acceptance`` reads the number and title
-from the function name, times each call, prints one pass/fail line each,
-checks the runtime budgets and writes acceptance.csv plus
-acceptance_detail.csv.  Criterion parameters (sizes, seeds, couplings,
-tolerances) are pinned here, not configurable: the suite is the contract.
+from the function name, times each call, records each criterion and each
+runtime budget as one ``Manifest.add_check`` check, prints one pass/fail
+line each and writes acceptance.csv plus acceptance_detail.csv.  Criterion
+parameters (sizes, seeds, couplings, tolerances) are pinned here, not
+configurable: the suite is the contract.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import shutil
 import tempfile
 import time
 
@@ -22,7 +22,8 @@ import numpy as np
 from . import chain as chain_mod
 from . import cluster, csvio, locality, opalg, oracles, qbp
 from .config import ExperimentConfig
-from .experiments import correlation_lengths, gamma_decay_values, run_experiment
+from .experiments import (correlation_lengths, decay_row, gamma_decay_values, ising_xi_row,
+                          log_xi_line, run_experiment)
 from .profiles import exponential, finite_range, power_law, stretched_exp
 
 
@@ -96,23 +97,17 @@ def criterion_03_bp_window_locality():
 def criterion_04_lr_certification():
     """Zero envelope violations on finite-range, long-range, truncated chains."""
     rows = []
-    t_grid = (0.0, 0.25, 0.5, 1.0)
-
-    h1 = chain_mod.build_chain(8, "ising_zz", finite_range(1), coupling=1.0, seed=0)
-    rep = locality.lr_certify(h1, t_grid, range(1, 8))
-    rows.append(("finite_range_violations", float(len(rep.violations)), 0.0,
-                 len(rep.violations) == 0))
-
-    h2 = chain_mod.build_chain(8, "heisenberg_xxz", power_law(3.0), coupling=0.5, seed=1)
-    rep = locality.lr_certify(h2, t_grid, range(1, 8))
-    rows.append(("power_law_violations", float(len(rep.violations)), 0.0,
-                 len(rep.violations) == 0))
-
     h3 = chain_mod.build_chain(10, "heisenberg_xxz", power_law(3.0), coupling=0.5, seed=2)
-    h3t = chain_mod.truncate(h3, [0], [9], 2)
-    rep = locality.lr_certify(h3t, t_grid, range(1, 10))
-    rows.append(("truncated_violations", float(len(rep.violations)), 0.0,
-                 len(rep.violations) == 0))
+    for label, h in (
+        ("finite_range", chain_mod.build_chain(8, "ising_zz", finite_range(1), coupling=1.0,
+                                               seed=0)),
+        ("power_law", chain_mod.build_chain(8, "heisenberg_xxz", power_law(3.0), coupling=0.5,
+                                            seed=1)),
+        ("truncated", chain_mod.truncate(h3, [0], [9], 2)),
+    ):
+        rep = locality.lr_certify(h, (0.0, 0.25, 0.5, 1.0), range(1, h.n))
+        bad = sum(not row.ok for row in rep.rows)
+        rows.append((f"{label}_violations", float(bad), 0.0, bad == 0))
     return rows
 
 
@@ -140,23 +135,11 @@ def criterion_05_subset_evolution():
 def criterion_06_block_interaction():
     """Region-coupling norms under their distance envelope, all interval pairs."""
     h = chain_mod.build_chain(12, "random_two_site", power_law(3.0), coupling=0.5, seed=3)
-    worst_margin = -math.inf
-    checked = 0
-    ok_all = True
-    for a1 in range(12):
-        for a2 in range(a1, 12):
-            for b1 in range(a2 + 1, 12):
-                for b2 in range(b1, 12):
-                    rep = chain_mod.block_interaction_norm(
-                        h, range(a1, a2 + 1), range(b1, b2 + 1)
-                    )
-                    checked += 1
-                    ok = rep.exact <= rep.bound + 1e-12
-                    ok_all = ok_all and ok
-                    worst_margin = max(
-                        worst_margin, rep.exact / rep.bound if rep.bound else 0.0
-                    )
-    return [(f"interval_pairs[{checked}]", worst_margin, 1.0, ok_all)]
+    reps = [chain_mod.block_interaction_norm(h, range(a1, a2 + 1), range(b1, b2 + 1))
+            for a1 in range(12) for a2 in range(a1, 12)
+            for b1 in range(a2 + 1, 12) for b2 in range(b1, 12)]
+    worst = max(rep.exact / rep.bound if rep.bound else 0.0 for rep in reps)
+    return [(f"interval_pairs[{len(reps)}]", worst, 1.0, all(rep.passed for rep in reps))]
 
 
 def criterion_07_truncation_bounds():
@@ -169,17 +152,12 @@ def criterion_07_truncation_bounds():
         htc = chain_mod.truncate(h, [0], [9], l0)
         spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
         rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
-        rows.append(
-            (f"delta_norm[l0={l0}]", rep.exact_delta_norm, rep.op_norm_bound, rep.op_ok)
-        )
-        rows.append(
-            (f"smallness_condition[l0={l0}]", rep.condition_value, 1.0, rep.condition_ok)
-        )
-        rows.append(
-            (f"trace_norm[l0={l0}]", rep.exact_trace_norm_diff,
-             rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"),
-             rep.trace_ok)
-        )
+        rows += [
+            (f"delta_norm[l0={l0}]", rep.exact_delta_norm, rep.op_norm_bound, rep.op_ok),
+            (f"smallness_condition[l0={l0}]", rep.condition_value, 1.0, rep.condition_ok),
+            (f"trace_norm[l0={l0}]", rep.exact_trace_norm_diff, rep.trace_norm_bound,
+             rep.trace_ok),
+        ]
     return rows
 
 
@@ -289,14 +267,10 @@ def criterion_10_commuting_clustering():
         oracle = abs(oracles.ising_transfer_correlation(10, 1.0, beta, 0, 9))
         dev = abs(rep.exact_cor - oracle)
         rows.append((f"oracle_match[beta={beta}]", dev, 1e-10, dev <= 1e-10))
-        rows.append(
-            (f"product_bound[beta={beta}]", rep.exact_cor, rep.product_bound,
-             rep.exact_cor <= rep.product_bound + 1e-10)
-        )
-        rows.append(
-            (f"final_bound[beta={beta}]", rep.product_bound, rep.final_bound,
-             rep.product_bound <= rep.final_bound + 1e-10)
-        )
+        rows += [
+            (f"product_bound[beta={beta}]", rep.exact_cor, rep.product_bound, rep.product_ok),
+            (f"final_bound[beta={beta}]", rep.product_bound, rep.final_bound, rep.final_ok),
+        ]
     return rows
 
 
@@ -306,27 +280,17 @@ def criterion_11_correlation_length():
 
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
     betas = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
-    worst = 0.0
-    for beta, (_, xi, _, _) in zip(betas, correlation_lengths(h, betas, 0, range(1, 10))):
-        ref = oracles.ising_correlation_length(beta, 1.0)
-        worst = max(worst, abs(xi - ref) / ref)
-    rows.append(("ising_xi_worst_rel_dev", worst, 0.05, worst <= 0.05))
+    xis = [xi for _, xi, _, _ in correlation_lengths(h, betas, 0, range(1, 10))]
+    rows.append(ising_xi_row(betas, xis, 1.0))
 
     hq = chain_mod.build_chain(
         10, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
     )
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, 10))]
-    fit = oracles.fit_log_line(betas, xis)
-    if fit is None or len(fit[3]) < len(betas):  # some xi is not finite and > 0
-        slope, increments = math.nan, np.array([math.nan])
-    else:
-        slope, increments = fit[0], np.diff(fit[3])
-    rows.append(
-        ("quantum_log_xi_monotone", float(np.min(increments)), 0.0,
-         bool(np.all(increments > 0)))
-    )
-    rows.append(("quantum_log_xi_slope", slope, math.inf, math.isfinite(slope)))
+    fit, monotone = log_xi_line("quantum_log_xi_monotone", betas, xis)
+    slope = fit[0] if fit else math.nan
+    rows += [monotone, ("quantum_log_xi_slope", slope, math.inf, math.isfinite(slope))]
     return rows
 
 
@@ -368,19 +332,13 @@ def criterion_12_gamma_machinery():
                            tau_steps=16)
     decay = gamma_decay_values(cfg)
     for beta in cfg.beta_list:
-        values = [value for b, _, _, value, _ in decay if b == beta]
-        drops = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-        rows.append(
-            (f"decay_nonincreasing[beta={beta}]", float(min(drops)), 0.0,
-             all(d >= -1e-12 for d in drops))
-        )
+        rows.append(decay_row(beta, [value for b, _, _, value, _ in decay if b == beta]))
     return rows
 
 
 def criterion_13_determinism():
     """Identical config and seed reproduce CSV bodies byte for byte."""
     rows = []
-    base = tempfile.mkdtemp(prefix="determinism_")
     configs = (
         ExperimentConfig(experiment="lr_sweep", n=6, generator="heisenberg_xxz",
                          profile="power_law", alpha=3.0, coupling=0.5, seed=1,
@@ -392,19 +350,19 @@ def criterion_13_determinism():
                          profile="finite_range", range_cutoff=1, coupling=1.0,
                          seed=0, beta_list=(0.7,), m_list=(0, 1, 2), half_width=1),
     )
-    for cfg in configs:
-        dirs = []
-        for run in (1, 2):
-            outdir = os.path.join(base, f"{cfg.experiment}_{run}")
-            run_experiment(cfg, output_dir=outdir)
-            dirs.append(outdir)
-        csvs = sorted(f for f in os.listdir(dirs[0]) if f.endswith(".csv"))
-        for name in csvs:
-            b1 = csvio.csv_body_bytes(os.path.join(dirs[0], name))
-            b2 = csvio.csv_body_bytes(os.path.join(dirs[1], name))
-            rows.append((f"bytes_equal[{cfg.experiment}/{name}]",
-                         float(b1 != b2), 0.0, b1 == b2))
-    shutil.rmtree(base, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="determinism_") as base:
+        for cfg in configs:
+            dirs = []
+            for run in (1, 2):
+                outdir = os.path.join(base, f"{cfg.experiment}_{run}")
+                run_experiment(cfg, output_dir=outdir)
+                dirs.append(outdir)
+            csvs = sorted(f for f in os.listdir(dirs[0]) if f.endswith(".csv"))
+            for name in csvs:
+                b1 = csvio.csv_body_bytes(os.path.join(dirs[0], name))
+                b2 = csvio.csv_body_bytes(os.path.join(dirs[1], name))
+                rows.append((f"bytes_equal[{cfg.experiment}/{name}]",
+                             float(b1 != b2), 0.0, b1 == b2))
     return rows
 
 
@@ -439,18 +397,13 @@ def run_acceptance(cfg, manifest, outdir):
         t0 = time.time()
         rows = fn()
         seconds = round(time.time() - t0, 2)
-        passed = all(r[3] for r in rows) and bool(rows)
-        checks = f"{len(rows)} checks, {sum(1 for r in rows if not r[3])} failing"
-        print(
-            f"criterion {number:02d} {title:<24s} "
-            f"{'PASS' if passed else 'FAIL'} ({seconds:.1f}s, {checks})"
-        )
-        manifest.add_check(fn.__name__, passed, checks)
+        passed = manifest.add_check(fn.__name__, rows)
+        print(f"criterion {number:02d} {title:<24s} {'PASS' if passed else 'FAIL'} "
+              f"({seconds:.1f}s; {manifest.checks[-1][2]})")
         cap = RUNTIME_CAPS.get(number)
         if cap is not None:
-            manifest.add_check(
-                f"criterion_{number:02d}_runtime", seconds <= cap, f"{seconds}s <= {cap}s"
-            )
+            manifest.add_check(f"criterion_{number:02d}_runtime",
+                               [("wall_s", seconds, cap, seconds <= cap)])
         summary.append((number, title, passed, len(rows)))
         detail += [(number, label, float(m), float(b), ok) for label, m, b, ok in rows]
 
@@ -460,7 +413,8 @@ def run_acceptance(cfg, manifest, outdir):
     )
     comments = [
         "acceptance_detail: every asserted inequality with its measured value",
-        "measured <= bound is the passing direction for every row",
+        "ok is the row's verdict; measured <= bound passes except on rows whose",
+        "measured value is a smallest increment or drop, or a counterexample's eigenvalue",
     ]
     manifest.write_csv(
         outdir, "acceptance_detail.csv", comments,

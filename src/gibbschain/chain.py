@@ -189,6 +189,10 @@ class BlockInteraction:
     bound: float
     distance: int
 
+    @property
+    def passed(self):
+        return self.exact <= self.bound + 1e-12
+
 
 def block_interaction_norm(h: ChainHamiltonian, region_a, region_b) -> BlockInteraction:
     """Summed norm of terms joining two disjoint regions, with its envelope.
@@ -344,7 +348,7 @@ class TruncationErrorReport:
     exact_delta_norm: float
     op_norm_bound: float
     exact_trace_norm_diff: float
-    trace_norm_bound: float | None
+    trace_norm_bound: float  # nan where the smallness condition fails
     condition_value: float
     condition_ok: bool
     partition_function: float
@@ -355,12 +359,8 @@ class TruncationErrorReport:
 
     @property
     def trace_ok(self):
-        """The trace-norm bound holds (False when it is None)."""
-        return (
-            self.trace_norm_bound is not None
-            and self.exact_trace_norm_diff
-            <= self.trace_norm_bound + 1e-9 * self.partition_function
-        )
+        """The trace-norm bound holds (never where it is nan)."""
+        return self.exact_trace_norm_diff <= self.trace_norm_bound + 1e-9 * self.partition_function
 
 
 def truncation_error_report(
@@ -371,7 +371,7 @@ def truncation_error_report(
     The operator-norm envelope gamma^2 g q l0^2 jbar(l0) is unconditional.
     The trace-norm envelope 3 beta gamma^2 g q l0^2 jbar(l0) * tr exp(beta H)
     requires beta * gamma^2 g q l0^2 jbar(l0) <= 1; if that fails the bound
-    is reported as None with condition_ok False.  ``spectra`` is the pair
+    is reported as nan with condition_ok False.  ``spectra`` is the pair
     (spectrum of H, spectrum of the truncated H), so sweeps over beta and
     block length diagonalize each Hamiltonian once.
     """
@@ -392,7 +392,7 @@ def truncation_error_report(
         exact_delta_norm=exact_delta,
         op_norm_bound=float(op_bound),
         exact_trace_norm_diff=diff_trace,
-        trace_norm_bound=3.0 * beta * op_bound * z if ok else None,
+        trace_norm_bound=3.0 * beta * op_bound * z if ok else float("nan"),
         condition_value=float(cond),
         condition_ok=ok,
         partition_function=z,

@@ -5,7 +5,8 @@
 Exit codes: 0 all checks passed, 1 assertion failure or runtime error,
 2 invalid configuration, which includes a key the experiment does not read
 (so --seed on acceptance exits 2).  Environment variables GIBBSCHAIN_<KEY>
-override config-file values; command-line flags override both.
+override config-file values; command-line flags override both.  A failed
+run prints its first failing check's manifest line on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def main(argv=None):
     manifest = run_experiment(cfg)
     for message in manifest.errors:
         print(f"error: {message}", file=sys.stderr)
+    failing = [line for line in manifest.check_lines() if line.startswith("FAIL")]
+    if failing:
+        print(failing[0], file=sys.stderr)
     print(f"{cfg.experiment}: {'PASS' if manifest.all_passed else 'FAIL'} "
           f"({manifest.wall_seconds}s) -> {cfg.output_dir}")
     return 0 if manifest.all_passed else 1

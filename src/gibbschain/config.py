@@ -220,9 +220,11 @@ def validate_config(cfg: ExperimentConfig):
         x0, r_list = cfg.clustering_sites()
         if any(x0 + r > cfg.n - 1 for r in r_list):
             raise ConfigError(f"obs_x_site + r must stay <= n - 1 = {cfg.n - 1}")
-        # xi is fitted to two or more rows
+        # xi is fitted to two or more rows, and log xi to two or more beta
         if len(r_list) < 2:
             raise ConfigError("clustering_sweep needs two or more separations on the chain")
+        if len(cfg.beta_list) < 2:
+            raise ConfigError("clustering_sweep needs two or more beta_list entries")
     if cfg.integrator not in ("cf4", "midpoint"):
         raise ConfigError(f"unknown integrator {cfg.integrator!r}")
     if cfg.threads != 1:

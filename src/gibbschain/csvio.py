@@ -8,6 +8,7 @@ a '#'-prefixed header block naming the experiment and the column meanings.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -44,6 +45,21 @@ def csv_body_bytes(path):
     return b"\n".join(l for l in raw.split(b"\n") if not l.startswith(b"#"))
 
 
+def _row_text(row):
+    """``label: measured <= bound`` (or ``>``), in as many digits as tell the two apart."""
+    label, m, b, _ = row
+    ms, bs = f"{m:.4g}", f"{b:.4g}"
+    if ms == bs and m != b:
+        ms, bs = format_value(m), format_value(b)
+    return f"{label}: {ms} {'<=' if m <= b else '>'} {bs}"
+
+
+def _ratio(row):
+    """measured / bound where the bound is finite and > 0 and measured is a number, else -inf."""
+    _, m, b, _ = row
+    return m / b if 0 < b < math.inf and not math.isnan(m) else -math.inf
+
+
 class Manifest:
     """Collects run metadata and writes manifest.txt."""
 
@@ -64,8 +80,20 @@ class Manifest:
     def add_fit(self, label, value):
         self.fitted.append((label, value))
 
-    def add_check(self, label, passed, detail=""):
-        self.checks.append((label, bool(passed), detail))
+    def add_check(self, name, rows, note=""):
+        """Record check ``name`` over its (label, measured, bound, ok) rows; return its
+        verdict, a pass when it has rows and all are ok.  The detail names the first
+        failing row, else the worst (largest ``_ratio``), then ``note``."""
+        failing = [row for row in rows if not row[3]]
+        detail = "no rows"
+        if failing:
+            detail = f"{len(failing)} of {len(rows)} rows fail; first {_row_text(failing[0])}"
+        elif rows:
+            worst = _row_text(max(rows, key=_ratio))
+            detail = f"{len(rows)} row{'s' * (len(rows) > 1)}; worst {worst}"
+        passed = bool(rows) and not failing
+        self.checks.append((name, passed, f"{detail}; {note}" if note else detail))
+        return passed
 
     def add_error(self, message):
         self.errors.append(str(message))
@@ -73,6 +101,11 @@ class Manifest:
     @property
     def all_passed(self):
         return not self.errors and all(p for _, p, _ in self.checks)
+
+    def check_lines(self):
+        """One ``PASS|FAIL  <name>  (<detail>)`` line per check, in order."""
+        return [f"{'PASS' if p else 'FAIL'}  {name}  ({detail})"
+                for name, p, detail in self.checks]
 
     def write(self, output_dir):
         lines = [
@@ -90,10 +123,7 @@ class Manifest:
             lines += ["", "[fitted]"]
             for label, value in self.fitted:
                 lines.append(f"{label} = {format_value(value)}")
-        lines += ["", "[checks]"]
-        for label, passed, detail in self.checks:
-            suffix = f"  ({detail})" if detail else ""
-            lines.append(f"{'PASS' if passed else 'FAIL'}  {label}{suffix}")
+        lines += ["", "[checks]"] + self.check_lines()
         if self.errors:
             lines += ["", "[errors]"]
             lines += self.errors

@@ -88,6 +88,29 @@ def gamma_decay_values(cfg: ExperimentConfig):
     return out
 
 
+def ising_xi_row(betas, xis, coupling):
+    """The row that each xi lies within 5% of the Ising chain's closed form."""
+    refs = [oracles.ising_correlation_length(beta, coupling) for beta in betas]
+    worst = max([0.0] + [abs(xi - ref) / ref for xi, ref in zip(xis, refs)])
+    return ("ising_xi_worst_rel_dev", worst, 0.05, worst <= 0.05)
+
+
+def log_xi_line(label, betas, xis):
+    """(fit, row): ``oracles.fit_log_line`` of xi on beta, None unless every xi is finite
+    and > 0, and the row that log xi increases, measured by its least step (nan if None)."""
+    fit = oracles.fit_log_line(betas, xis)
+    fit = fit if fit is not None and len(fit[3]) == len(betas) else None
+    steps = np.diff(fit[3]) if fit else np.array([math.nan])
+    return fit, (label, float(np.min(steps)), 0.0, bool(np.all(steps > 0)))
+
+
+def decay_row(beta, values):
+    """The row that ``values`` (by increasing m) rise by at most 1e-12; measured: the least drop."""
+    drops = [a - b for a, b in zip(values, values[1:])]
+    return (f"decay_nonincreasing[beta={beta}]", float(min(drops, default=0.0)), 0.0,
+            all(d >= -1e-12 for d in drops))
+
+
 # ---------------------------------------------------------------------------
 # individual experiments
 
@@ -103,13 +126,12 @@ def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
     rows = []
     for label, target in targets:
         rep = locality.lr_certify(target, cfg.t_grid, r_list)
-        rows += [(label, row.t, row.r, row.exact, row.envelope, row in rep.violations)
-                 for row in rep.rows]
-        detail = f"max_ratio={rep.max_ratio:.3g}"
-        if rep.skipped:
-            detail += (f"; skipped r={','.join(map(str, rep.skipped))}"
-                       f" (past the {label} interior)")
-        manifest.add_check(f"lr_envelope[{label}]", len(rep.violations) == 0, detail)
+        rows += [(label, row.t, row.r, row.exact, row.envelope, not row.ok) for row in rep.rows]
+        note = (f"skipped r={','.join(map(str, rep.skipped))} (past the {label} interior)"
+                if rep.skipped else "")
+        manifest.add_check(f"lr_envelope[{label}]",
+                           [(f"t={row.t},r={row.r}", row.exact, row.envelope, row.ok)
+                            for row in rep.rows], note)
     columns = ("mode", "t", "r", "exact_commutator", "envelope", "violation")
     comments = [
         "lr_sweep: exact commutator norms against propagation envelopes",
@@ -129,8 +151,9 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     )
     rows = [(rep.beta, rep.r, rep.exact, rep.explicit_bound, rep.vacuous, not rep.passed)
             for rep in reports]
-    n_viol = sum(1 for rep in reports if not rep.passed)
-    manifest.add_check("bp_locality_explicit_bound", n_viol == 0, f"{len(reports)} points")
+    manifest.add_check("bp_locality_explicit_bound",
+                       [(f"beta={rep.beta},r={rep.r}", rep.exact, rep.explicit_bound, rep.passed)
+                        for rep in reports])
     measured = [rep for rep in reports if not rep.vacuous and rep.exact > 0]
     if measured:
         theta = qbp.calibrate_theta(measured, h.profile, cfg.block_len)
@@ -148,24 +171,24 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
 def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
     h = build_config_chain(cfg)
     h_spectrum = opalg.hermitian_eig(h.matrix())
-    rows = []
-    ok_all = True
+    rows, checks = [], []
     for l0 in cfg.block_len_list:
         x, y = truncation_regions(cfg.n, cfg.x_width, cfg.y_width)
         htc = chain_mod.truncate(h, x, y, l0)
         spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
         for beta in cfg.beta_list:
             rep = chain_mod.truncation_error_report(h, htc, beta, spectra)
+            point = [(f"delta_norm[l0={l0},beta={beta}]", rep.exact_delta_norm,
+                      rep.op_norm_bound, rep.op_ok)]
             # without the smallness condition there is no trace-norm bound to check
-            ok = rep.op_ok and (rep.trace_ok or not rep.condition_ok)
-            ok_all = ok_all and ok
-            rows.append(
-                (l0, beta, rep.exact_delta_norm, rep.op_norm_bound,
-                 rep.exact_trace_norm_diff,
-                 rep.trace_norm_bound if rep.trace_norm_bound is not None else float("nan"),
-                 rep.condition_value, rep.condition_ok, not ok)
-            )
-    manifest.add_check("truncation_bounds", ok_all)
+            if rep.condition_ok:
+                point.append((f"trace_norm[l0={l0},beta={beta}]", rep.exact_trace_norm_diff,
+                              rep.trace_norm_bound, rep.trace_ok))
+            checks += point
+            rows.append((l0, beta, rep.exact_delta_norm, rep.op_norm_bound,
+                         rep.exact_trace_norm_diff, rep.trace_norm_bound, rep.condition_value,
+                         rep.condition_ok, not all(row[3] for row in point)))
+    manifest.add_check("truncation_bounds", checks)
     columns = ("block_len", "beta", "exact_delta_norm", "op_norm_bound",
                "exact_trace_norm_diff", "trace_norm_bound", "condition_value",
                "condition_ok", "violation")
@@ -193,22 +216,18 @@ def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
             rows.append((beta, r, abs(cors[k]), k in excluded))
         manifest.add_fit(f"xi[beta={beta}]", xi)
 
-    fit = oracles.fit_log_line(betas, xis)
+    fit, monotone = log_xi_line("min_log_xi_increment", betas, xis)
     if fit is not None:
-        slope, intercept, resid, log_xi = fit
+        slope, intercept, resid, _ = fit
         manifest.add_fit("log_xi_slope", slope)
         manifest.add_fit("log_xi_intercept", intercept)
         manifest.add_fit("log_xi_max_residual", resid)
-        manifest.add_check("log_xi_monotone_increasing", bool(np.all(np.diff(log_xi) > 0)))
-        manifest.add_check("log_xi_slope_finite", math.isfinite(slope))
+    manifest.add_check("log_xi_monotone_increasing", [monotone])
 
     if cfg.generator == "ising_zz" and cfg.profile == "finite_range" and cfg.range_cutoff == 1:
-        worst = 0.0
-        for beta, xi in zip(betas, xis):
-            ref = oracles.ising_correlation_length(beta, cfg.coupling)
-            worst = max(worst, abs(xi - ref) / ref)
-        manifest.add_fit("ising_xi_worst_rel_dev", worst)
-        manifest.add_check("ising_xi_within_5pct", worst <= 0.05)
+        row = ising_xi_row(betas, xis, cfg.coupling)
+        manifest.add_fit(row[0], row[1])
+        manifest.add_check("ising_xi_within_5pct", [row])
 
     columns = ("beta", "r", "cor_abs", "excluded")
     comments = [
@@ -225,8 +244,7 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
     betas, taus = [], []
     for beta in sorted(cfg.beta_list):
         seq = [values[(beta, m)] for m in sorted(cfg.m_list)]
-        monotone = all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
-        manifest.add_check(f"decay_nonincreasing[beta={beta}]", monotone)
+        manifest.add_check(f"decay_nonincreasing[beta={beta}]", [decay_row(beta, seq)])
         tau, _, used, _ = oracles.fit_exponential_decay(sorted(cfg.m_list), seq)
         if used >= 2:
             manifest.add_fit(f"tau[beta={beta}]", tau)
@@ -238,7 +256,8 @@ def run_gamma_decay(cfg: ExperimentConfig, manifest, outdir):
         slope, _, resid, _ = fit
         manifest.add_fit("log_tau_slope", slope)
         manifest.add_fit("log_tau_linear_max_residual", resid)
-        manifest.add_check("log_tau_at_most_linear", resid <= 0.5, f"residual={resid:.3g}")
+        manifest.add_check("log_tau_at_most_linear",
+                           [("log_tau_linear_max_residual", resid, 0.5, resid <= 0.5)])
 
     columns = ("beta", "m", "n", "psi_trace_decay", "factorization_residual")
     comments = [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbschain import chain, cluster, opalg, oracles, profiles, qbp
@@ -591,6 +591,49 @@ def test_product_bound_small_beta_scaling():
         rep = cluster.commuting_chain_bound(htc, beta)
         # product bound vanishes at leading order beta^(q+1)
         assert rep.product_bound / beta ** (htc.q + 1) == pytest.approx(leading, rel=1e-3)
+
+
+def test_final_bound_is_two_where_its_exponent_overflows():
+    # 2 beta gt = 792: e^{2 beta gt} is past float range, and the bound is its limit 2
+    h = chain.build_chain(6, "ising_zz", profiles.power_law(3.0), coupling=4.0)
+    htc = chain.truncate(h, [0], [5], 1)
+    assert 2.0 * 8.0 * htc.g_tilde > 709.8
+    for beta in (3.0, 8.0):
+        rep = cluster.commuting_chain_bound(htc, beta)
+        assert rep.final_bound == 2.0
+        assert rep.product_ok and rep.final_ok
+
+
+@st.composite
+def commuting_chains(draw):
+    """(n, profile, (x_width, y_width, block_len)) inside the theorem's domain:
+    alpha > 2 and every profile parameter finite and > 0.  stretched_exp keeps
+    kappa, c >= 0.5, where build_chain can sum its tail (below that it raises
+    NonConvergentTail, a defect of the tail sum, not of this bound)."""
+    n = draw(st.sampled_from((4, 6, 8)))
+    profile = draw(st.one_of(
+        st.integers(1, n - 1).map(profiles.finite_range),
+        st.floats(2.0, 8.0, exclude_min=True).map(profiles.power_law),
+        st.floats(1e-3, 5.0).map(profiles.exponential),
+        st.builds(profiles.stretched_exp, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    ))
+    geometry = draw(st.sampled_from([
+        (nx, ny, l0) for nx in (1, 2) for ny in (1, 2) for l0 in (1, 2, 3)
+        if n - nx - ny >= 2 * l0 and (n - nx - ny) % (2 * l0) == 0
+    ]))
+    return n, profile, geometry
+
+
+# e^{2 beta gt} overflowed here (gt = 3.6e3): final_bound raised OverflowError
+@example((8, profiles.finite_range(6), (2, 2, 2)), 0.5794097439550014, 0.3164858387106886)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(commuting_chains(), st.floats(0.05, 1.5), st.floats(0.0, 3.0, exclude_min=True))
+def test_commuting_chain_bound_holds_on_random_ising_chains(draw, coupling, beta):
+    n, profile, (nx, ny, l0) = draw
+    h = chain.build_chain(n, "ising_zz", profile, coupling=coupling, seed=0)
+    rep = cluster.commuting_chain_bound(chain.truncate(h, range(nx), range(n - ny, n), l0), beta)
+    assert rep.exact_cor <= rep.product_bound + 1e-10 <= rep.final_bound + 1e-10
+    assert rep.product_ok and rep.final_ok
 
 
 def test_commuting_trace_inequality_dense():

@@ -206,3 +206,17 @@ def test_every_read_key_changes_the_output(tmp_path):
             assert _outputs(cfg, tmp_path / f"{name}-{key}") != reference, (name, key)
             changed.add((base.experiment, key))
     assert changed == required
+
+
+def test_clustering_sweep_needs_two_betas(tmp_path, monkeypatch):
+    """One beta fits no log xi line: the run would certify nothing, so the
+    bundled config with a one-entry beta_list exits 2 and writes no output."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "clustering_xxz.cfg")
+    out = tmp_path / "out"
+    monkeypatch.setenv("GIBBSCHAIN_BETA_LIST", "0.6")
+    with pytest.raises(ConfigError, match="two or more beta_list entries"):
+        load_config(path)
+    assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("GIBBSCHAIN_BETA_LIST", "0.6,0.8")
+    assert load_config(path).beta_list == (0.6, 0.8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -342,6 +343,154 @@ def test_lr_sweep_csv_violation_column_is_the_certified_verdict(tmp_path, monkey
     assert "FAIL  lr_envelope[plain]" in (out / "manifest.txt").read_text()
 
 
+def _patch_lr(monkeypatch):
+    from gibbschain import locality
+
+    norm = locality.commutator_norm
+    monkeypatch.setattr(locality, "commutator_norm",
+                        lambda a, probe, site: 2.5 if site == 2 else norm(a, probe, site))
+
+
+def _patch_qbp(monkeypatch):
+    sweep = qbp.bp_locality_sweep
+
+    def first_over(*args, **kwargs):
+        first, *rest = sweep(*args, **kwargs)
+        return [dataclasses.replace(first, exact=2.0 * first.explicit_bound + 1.0), *rest]
+
+    monkeypatch.setattr(qbp, "bp_locality_sweep", first_over)
+
+
+def _patch_truncation(monkeypatch):
+    report = chain.truncation_error_report
+
+    def over(*args):
+        rep = report(*args)
+        return dataclasses.replace(rep, exact_delta_norm=3.0 * rep.op_norm_bound)
+
+    monkeypatch.setattr(chain, "truncation_error_report", over)
+
+
+def _patch_clustering(monkeypatch):
+    from gibbschain import experiments
+
+    lengths = experiments.correlation_lengths
+
+    def first_high(h, betas, x0, r_list):  # xi at the first beta 20% high
+        (cors, xi, used, excluded), *rest = lengths(h, betas, x0, r_list)
+        return [(cors, 1.2 * xi, used, excluded), *rest]
+
+    monkeypatch.setattr(experiments, "correlation_lengths", first_high)
+
+
+def _patch_gamma(monkeypatch):
+    from gibbschain import experiments
+
+    values = experiments.gamma_decay_values
+
+    def last_rises(cfg):  # the last m's value lies 0.5 above the first's
+        rows = values(cfg)
+        beta, m, n_m, _, fact = rows[-1]
+        return rows[:-1] + [(beta, m, n_m, rows[0][3] + 0.5, fact)]
+
+    monkeypatch.setattr(experiments, "gamma_decay_values", last_rises)
+
+
+def _patch_criterion(monkeypatch):
+    from gibbschain import acceptance
+
+    norm = chain.block_interaction_norm
+
+    def first_pair_over(h, a, b):
+        rep = norm(h, a, b)
+        first = (a, b) == (range(1), range(1, 2))
+        return dataclasses.replace(rep, exact=3.0 * rep.bound) if first else rep
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (acceptance.criterion_06_block_interaction,))
+    monkeypatch.setattr(chain, "block_interaction_norm", first_pair_over)
+
+
+def _csv_rows(out, name):
+    import csv
+
+    with open(out / name, newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def _fitted(out, label):
+    prefix = f"{label} = "
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return float(next(line for line in lines if line.startswith(prefix))[len(prefix):])
+
+
+def _drop(rows):
+    first, last = (float(r["psi_trace_decay"]) for r in rows)
+    return first - last
+
+
+# experiment: (keys, patch, check, failing row's label, (measured, bound) read from the output)
+FAILING_ROWS = {
+    "lr_sweep": (
+        dict(experiment="lr_sweep", n=5, generator="heisenberg_xxz", profile="finite_range",
+             range_cutoff=1, t_grid="0.5"),
+        _patch_lr, "lr_envelope[plain]", "t=0.5,r=2",
+        lambda out: [(float(r["exact_commutator"]), float(r["envelope"]))
+                     for r in _csv_rows(out, "lr_sweep.csv") if r["r"] == "2"][0]),
+    "qbp_locality": (
+        dict(experiment="qbp_locality", n=10, generator="heisenberg_xxz",
+             profile="finite_range", range_cutoff=2, beta_list="0.5", radius_list="7",
+             tau_steps=1, integrator="midpoint"),
+        _patch_qbp, "bp_locality_explicit_bound", "beta=0.5,r=7",
+        lambda out: [(float(r["exact"]), float(r["explicit_bound"]))
+                     for r in _csv_rows(out, "qbp_locality.csv")][0]),
+    "truncation_sweep": (
+        dict(experiment="truncation_sweep", n=6, generator="heisenberg_xxz",
+             profile="power_law", alpha=3.0, coupling=0.01, beta_list="0.3",
+             block_len_list="1"),
+        _patch_truncation, "truncation_bounds", "delta_norm[l0=1,beta=0.3]",
+        lambda out: [(float(r["exact_delta_norm"]), float(r["op_norm_bound"]))
+                     for r in _csv_rows(out, "truncation_sweep.csv")][0]),
+    "clustering_sweep": (
+        dict(experiment="clustering_sweep", n=6, generator="ising_zz", profile="finite_range",
+             range_cutoff=1, beta_list="0.5,0.9"),
+        _patch_clustering, "ising_xi_within_5pct", "ising_xi_worst_rel_dev",
+        lambda out: (_fitted(out, "ising_xi_worst_rel_dev"), 0.05)),
+    "gamma_decay": (
+        dict(experiment="gamma_decay", generator="ising_zz", profile="finite_range",
+             range_cutoff=1, beta_list="0.6", m_list="0,1", half_width=1, tau_steps=4),
+        _patch_gamma, "decay_nonincreasing[beta=0.6]", "decay_nonincreasing[beta=0.6]",
+        lambda out: (_drop(_csv_rows(out, "gamma_decay.csv")), 0.0)),
+    "acceptance": (
+        dict(experiment="acceptance"),
+        _patch_criterion, "criterion_06_block_interaction", "interval_pairs[1001]",
+        lambda out: [(float(r["measured"]), float(r["bound"]))
+                     for r in _csv_rows(out, "acceptance_detail.csv")][0]),
+}
+
+
+@pytest.mark.parametrize("experiment", FAILING_ROWS)
+def test_a_failing_row_is_named_in_the_manifest_and_on_stderr(experiment, tmp_path, monkeypatch,
+                                                              capsys):
+    """One row made to fail: the run exits 1, and its check's manifest line,
+    also printed on stderr, names the row with its measured value and bound."""
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    keys, patch, check, label, read_values = FAILING_ROWS[experiment]
+    patch(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    failing = [line for line in (out / "manifest.txt").read_text().splitlines()
+               if line.startswith("FAIL")]
+    measured, bound = read_values(out)
+    relation = "<=" if measured <= bound else ">"
+    assert failing[0].startswith(f"FAIL  {check}  (1 of ")
+    assert failing[0].endswith(
+        f" rows fail; first {label}: {measured:.4g} {relation} {bound:.4g})")
+    assert failing[0] in capsys.readouterr().err.splitlines()
+
+
 def test_power_law_alpha_at_most_two_rejected_at_config_time(tmp_path, monkeypatch):
     """alpha <= 2 is the theorem's excluded case; its tail sums diverge, so it
     used to exit 1 with NonConvergentTail once the chain was built."""
@@ -482,13 +631,15 @@ def test_csv_format_and_body_bytes(tmp_path):
 
 
 def test_lr_sweep_empty_grid(tmp_path):
+    # config validation rejects an empty t_grid; built directly, the run writes
+    # its files, and its check, having no rows, fails
     cfg = ExperimentConfig(experiment="lr_sweep", n=6, generator="ising_zz",
                            profile="finite_range", range_cutoff=1, t_grid=())
     m = run_experiment(cfg, output_dir=str(tmp_path))
-    assert m.all_passed
+    assert not m.all_passed
     body = csvio.csv_body_bytes(tmp_path / "lr_sweep.csv")
     assert body.strip().count(b"\n") == 0  # header row only
-    assert (tmp_path / "manifest.txt").exists()
+    assert "FAIL  lr_envelope[plain]  (no rows)" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_truncation_sweep_experiment(tmp_path):

@@ -116,12 +116,11 @@ def test_exact_commutator_trivial_cases():
 def test_certification_no_violations_small():
     h = chain.build_chain(6, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     rep = locality.lr_certify(h, (0.0, 0.25, 0.5), range(1, 6))
-    assert rep.passed
-    assert rep.skipped == ()
-    assert rep.max_ratio <= 1.0 + 1e-10
+    assert len(rep.rows) == 15 and rep.skipped == ()
+    assert all(row.ok and row.exact <= row.envelope + 1e-10 for row in rep.rows)
 
     empty = locality.lr_certify(h, (), range(1, 6))
-    assert empty.passed and len(empty.rows) == 0
+    assert empty.rows == () and empty.skipped == ()
 
 
 def test_subset_evolution_trivial_and_bound():
@@ -282,7 +281,7 @@ def test_lr_certify_makes_one_half_dimension_call_per_row(monkeypatch):
     t_grid, r_grid = (0.0, 0.5, 1.0), (1, 3, 6)
     calls = _eigvalsh_spy(monkeypatch)
     rep = locality.lr_certify(h, t_grid, r_grid)
-    assert rep.passed and len(rep.rows) == 9
+    assert all(row.ok for row in rep.rows) and len(rep.rows) == 9
     # each t > 0 row diagonalizes the even parity block alone; the t = 0
     # commutators vanish and split into popcount blocks
     assert calls.count((512, True)) == 6
