@@ -18,10 +18,10 @@ for l0 in (1, 2):
     spectra = (h_spectrum, opalg.hermitian_eig(htc.matrix()))
     rep = chain.truncation_error_report(h, htc, 0.3, spectra)
     print(f"\nblock_len={l0}: q={htc.q}, dropped {len(htc.dropped)} terms, "
-          f"bond cap g_tilde={htc.g_tilde:.4f}")
+          f"bond cap g_tilde={h.g_tilde:.4f}")
     print(f"  ||dropped||        = {rep.exact_delta_norm:.3e}  <=  {rep.op_norm_bound:.3e}")
     print(f"  smallness value    = {rep.condition_value:.3f} (must be <= 1: {rep.condition_ok})")
     print(f"  ||e^bH - e^bHt||_1 = {rep.exact_trace_norm_diff:.3e}  <=  {rep.trace_norm_bound:.3e}")
     for s in range(htc.q + 1):
-        assert htc.bond_norm(s) <= htc.g_tilde + 1e-12
+        assert htc.bond_norm(s) <= h.g_tilde + 1e-12
     print(f"  all {htc.q + 1} boundary bundles within g_tilde")

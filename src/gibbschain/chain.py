@@ -2,11 +2,11 @@
 
 A chain is a list of positive two-site terms on n qubits (d = 2, the one
 local space of the library; ``opalg`` fixes it).  Terms are generated
-from a decay profile, shifted to positive semidefinite at build time (the
-shift amount is stored, so shift-invariant quantities such as correlation
-functions can be cross-checked against unshifted physics), and the coupling
-scale ``g`` and tail constant ``gamma`` are measured from the generated terms
-rather than assumed.
+from a decay profile and shifted to positive semidefinite at build time.
+The chain owns the constants every bound reads: the coupling scale ``g``,
+measured from the generated terms rather than assumed, the tail constant
+``gamma`` of its profile, and ``g_tilde = g gamma^2 jbar(1)``.  The profile
+itself is only the shape jbar.
 
 Sites are indexed 0..n-1.  Distances are shortest-path distances on the chain
 graph (adjacent sites at distance 1, overlapping sets at distance 0).  For
@@ -31,11 +31,10 @@ GENERATORS = ("ising_zz", "heisenberg_xxz", "random_two_site")
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """Positive local term h_Z with its support, stored energy shift and norm."""
+    """Positive local term h_Z with its support and norm."""
 
     sites: tuple
     matrix: np.ndarray
-    shift: float = 0.0
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ def set_distance(a, b):
 def _shift_psd(raw: LocalTerm) -> LocalTerm:
     """h -> h + ||h|| 1, making the term positive semidefinite."""
     shifted = raw.matrix + raw.norm * np.eye(raw.matrix.shape[0])
-    return LocalTerm(raw.sites, shifted, raw.norm)
+    return LocalTerm(raw.sites, shifted)
 
 
 def terms_matrix(terms, sites):
@@ -84,20 +83,20 @@ def _read_only(mat):
 
 @dataclass(frozen=True)
 class ChainHamiltonian:
-    """Finite chain of positive local terms with its measured decay data."""
+    """Finite chain of positive local terms with its measured constants: the
+    one-site coupling scale g and the tail-sum constant gamma of its profile."""
 
     n: int
     terms: tuple
     profile: DecayProfile
+    g: float
+    gamma: float
     _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def g(self):
-        return self.profile.g
-
-    @property
-    def gamma(self):
-        return self.profile.gamma
+    def g_tilde(self):
+        """Uniform bound g * gamma^2 * jbar(1) on every boundary bundle."""
+        return self.g * self.gamma**2 * self.profile(1)
 
     @property
     def k(self):
@@ -173,9 +172,8 @@ def build_chain(
     )
     g = max(worst_pair, one_site)
     return ChainHamiltonian(
-        n=n,
-        terms=tuple(terms),
-        profile=profile.with_constants(g=g, gamma=measure_gamma(profile, n)),
+        n=n, terms=tuple(terms), profile=profile,
+        g=float(g), gamma=float(measure_gamma(profile, n)),
     )
 
 
@@ -205,8 +203,7 @@ def block_interaction_norm(h: ChainHamiltonian, region_a, region_b) -> BlockInte
         raise Overlap("regions must be disjoint")
     r = set_distance(sa, sb)
     exact = sum(t.norm for t in h.terms if set(t.sites) & sa and set(t.sites) & sb)
-    p = h.profile
-    bound = p.g * p.gamma**2 * r**2 * p(r)
+    bound = h.g * h.gamma**2 * r**2 * h.profile(r)
     return BlockInteraction(exact=float(exact), bound=float(bound), distance=r)
 
 
@@ -244,12 +241,6 @@ class TruncatedHamiltonian:
     def separation(self):
         """R = q * block_len, the width of the region between the ends."""
         return self.q * self.block_len
-
-    @property
-    def g_tilde(self):
-        """Uniform bound g * gamma^2 * jbar(1) on every boundary bundle."""
-        p = self.base.profile
-        return p.g * p.gamma**2 * p(1)
 
     @property
     def kept_terms(self):
@@ -375,9 +366,8 @@ def truncation_error_report(
     (spectrum of H, spectrum of the truncated H), so sweeps over beta and
     block length diagonalize each Hamiltonian once.
     """
-    p = h.profile
     l0 = h_tc.block_len
-    op_bound = p.gamma**2 * p.g * h_tc.q * l0**2 * p(l0)
+    op_bound = h.gamma**2 * h.g * h_tc.q * l0**2 * h.profile(l0)
     cond = beta * op_bound
     delta = h_tc.delta_matrix()
     exact_delta = opalg.opnorm(delta) if h_tc.dropped else 0.0

@@ -328,7 +328,7 @@ def commuting_chain_bound(
     bond_norms = tuple(h_tc.bond_norm(s) for s in range(h_tc.q + 1))
     product_bound = 2.0 * math.prod(-math.expm1(-2.0 * beta * h) for h in bond_norms)
     try:
-        spread = h_tc.block_len * math.exp(2.0 * beta * h_tc.g_tilde)
+        spread = h_tc.block_len * math.exp(2.0 * beta * h_tc.base.g_tilde)
     except OverflowError:  # e^{2 beta gt} past float range: the bound is its limit 2
         spread = math.inf
     final_bound = 2.0 * math.exp(-h_tc.separation / spread)

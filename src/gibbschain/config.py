@@ -27,7 +27,7 @@ READS = {
     "qbp_locality": ("n", "x_width", "y_width", "block_len", "bond_index", "radius_list",
                      "beta_list", "tau_steps", "integrator"),
     "truncation_sweep": ("n", "x_width", "y_width", "block_len_list", "beta_list"),
-    "clustering_sweep": ("n", "obs_x_site", "r_list", "beta_list"),
+    "clustering_sweep": ("n", "r_list", "beta_list"),
     # each m builds its own chain of x_width + y_width + 2*half_width*m sites
     "gamma_decay": ("x_width", "y_width", "half_width", "block_len", "m_list", "beta_list",
                     "tau_steps", "integrator"),
@@ -63,7 +63,6 @@ class ExperimentConfig:
     y_width: int = 1
     tau_steps: int = 32
     integrator: str = "cf4"
-    obs_x_site: int = -1
     bond_index: int = 1
     radius_list: tuple = (7, 8, 9, 10)
     # every run is single-threaded and only 1 is accepted; the key stays
@@ -77,10 +76,9 @@ class ExperimentConfig:
         )
 
     def clustering_sites(self):
-        """(x0, r_list) of clustering_sweep: a negative obs_x_site selects site 0,
-        and an empty r_list runs from x0 to the chain's end."""
-        x0 = max(self.obs_x_site, 0)
-        return x0, self.r_list or tuple(range(1, self.n - x0))
+        """Separations from site 0 of clustering_sweep: an empty r_list runs to
+        the chain's end."""
+        return self.r_list or tuple(range(1, self.n))
 
     def as_lines(self):
         """Config echo in file format: the keys the run reads, sorted."""
@@ -217,9 +215,9 @@ def validate_config(cfg: ExperimentConfig):
     if empty:
         raise ConfigError(f"{cfg.experiment} needs a non-empty {', '.join(empty)}")
     if cfg.experiment == "clustering_sweep":
-        x0, r_list = cfg.clustering_sites()
-        if any(x0 + r > cfg.n - 1 for r in r_list):
-            raise ConfigError(f"obs_x_site + r must stay <= n - 1 = {cfg.n - 1}")
+        r_list = cfg.clustering_sites()
+        if any(r > cfg.n - 1 for r in r_list):
+            raise ConfigError(f"r_list entries must be <= n - 1 = {cfg.n - 1}")
         # xi is fitted to two or more rows, and log xi to two or more beta
         if len(r_list) < 2:
             raise ConfigError("clustering_sweep needs two or more separations on the chain")
@@ -264,6 +262,9 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.experiment == "gamma_decay":
         if any(m < 0 for m in cfg.m_list):
             raise ConfigError("m_list entries must be >= 0")
+        # the decay of psi_trace_decay in m is checked between two or more m
+        if len(cfg.m_list) < 2:
+            raise ConfigError("gamma_decay needs two or more m_list entries")
         # each m builds its own chain.  With every width >= 1 this also keeps
         # m <= 5, inside cluster.BRANCH_CAP's 2^6 inclusion-exclusion branches.
         for m in cfg.m_list:

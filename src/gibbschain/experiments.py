@@ -200,9 +200,9 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
 
 
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
-    x0, r_list = cfg.clustering_sites()
+    r_list = cfg.clustering_sites()
     betas = sorted(cfg.beta_list)
-    sweep = correlation_lengths(build_config_chain(cfg), betas, x0, r_list)
+    sweep = correlation_lengths(build_config_chain(cfg), betas, 0, r_list)
 
     rows = []
     xis = []

@@ -1,11 +1,12 @@
 """Information-propagation envelopes and their certification.
 
-``LREnvelope`` holds the light-cone constants of a chain (measured by
-``envelope_for_chain``; the mode follows from the input) and is the one
-source of the velocity v, the prefactor C and the light-cone amplitude
-F0(r), which the QBP locality bound reads as well.  Three envelope modes
-bound the commutator norm ||[O_i(t), O_j]|| of unit-norm single-site
-operators at distance r = |i - j|:
+``LREnvelope`` holds the light-cone constants of a chain (read by
+``envelope_for_chain`` from the chain, which owns g, gamma and g~; the mode
+follows from the input) and is the one source of the velocity v, the
+prefactor C and the light-cone amplitude F0(r), which the QBP locality
+bound reads as well.  Every other bound here reads g, gamma and g~ from the
+chain too.  Three envelope modes bound the commutator norm ||[O_i(t), O_j]||
+of unit-norm single-site operators at distance r = |i - j|:
 
 * ``finite_range`` - the factorial light-cone envelope for interaction
   length d_H, (2/k) (2 g k |t|)^n0 / n0!  with  n0 = floor(r/d_H + 1);
@@ -42,7 +43,7 @@ from .profiles import DecayProfile
 
 def convolution_constant(profile: DecayProfile, n: int) -> float:
     """Smallest c with sum_i0 jbar(d(i,i0)) jbar(d(i0,i')) <= c jbar(d(i,i'))
-    on an n-site chain, by exhaustive evaluation over all site pairs.
+    on an n-site chain, the largest ratio over all site pairs.
 
     Profiles that vanish at finite distance admit no finite constant once the
     chain is long enough; math.inf is returned in that case.
@@ -50,28 +51,22 @@ def convolution_constant(profile: DecayProfile, n: int) -> float:
     if n < 2:
         raise ValueError("need at least two sites")
     idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    jm = profile(dist)
+    jm = profile(np.abs(idx[:, None] - idx[None, :]).astype(float))
     conv = jm @ jm
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            denom = jm[i, j]
-            if denom == 0.0:
-                if conv[i, j] > 0.0:
-                    return math.inf
-                continue
-            worst = max(worst, conv[i, j] / denom)
-    return worst
+    # a pair with jbar = 0 but a positive convolution has ratio inf; 0 / 0 counts as 0
+    ratios = np.divide(conv, jm, out=np.where(conv > 0.0, np.inf, 0.0), where=jm != 0.0)
+    return float(ratios.max())
 
 
 @dataclass(frozen=True)
 class LREnvelope:
-    """Light-cone constants of a chain (g and range_cutoff read from the profile)
-    and the envelope mode they enter; block_len is read in truncated mode only."""
+    """Light-cone constants of a chain (its coupling scale g, its profile's
+    range_cutoff) and the envelope mode they enter; block_len is read in
+    truncated mode only."""
 
     mode: str  # finite_range | infinite_range | truncated
     profile: DecayProfile
+    g: float
     conv_const: float
     k: int
     block_len: int | None = None
@@ -88,7 +83,7 @@ class LREnvelope:
 
     @property
     def velocity(self):
-        return max(2.0 * self.profile.g * self.k, 2.0 * self.conv_const)
+        return max(2.0 * self.g * self.k, 2.0 * self.conv_const)
 
     @property
     def prefactor(self):
@@ -114,8 +109,8 @@ def envelope_for_chain(h) -> LREnvelope:
         base, block_len = h, None
         mode = "finite_range" if base.profile.is_finite_range else "infinite_range"
     return LREnvelope(
-        mode=mode, profile=base.profile, conv_const=convolution_constant(base.profile, base.n),
-        k=base.k, block_len=block_len,
+        mode=mode, profile=base.profile, g=base.g,
+        conv_const=convolution_constant(base.profile, base.n), k=base.k, block_len=block_len,
     )
 
 
@@ -147,7 +142,7 @@ def lr_envelope(env: LREnvelope, t, r):
         # factorial in log space; for the n0 <= 12 that DIM_CAP allows
         # (r <= 11) this equals scipy's gammaln(n0 + 1) bit for bit, past 12
         # the two can differ by 1 ulp
-        log_core = n0 * math.log(2.0 * env.profile.g * env.k * abs(t)) - math.log(
+        log_core = n0 * math.log(2.0 * env.g * env.k * abs(t)) - math.log(
             math.factorial(n0)
         )
         return min((2.0 / env.k) * math.exp(log_core), 2.0)
@@ -213,6 +208,12 @@ class SubsetEvolutionReport:
     bound: float
     distance: float
 
+    @property
+    def ok(self):
+        """The envelope holds: exact, which carries the roundoff of two
+        evolutions, exceeds it by at most 1e-12."""
+        return self.exact <= self.bound + 1e-12
+
 
 def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     """Error of evolving with the window-restricted Hamiltonian.
@@ -243,15 +244,13 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     if not complement:
         return SubsetEvolutionReport(exact=exact, bound=0.0, distance=math.inf)
     ell = set_distance(complement, support)
-    p = h.profile
-    g_tilde = p.g * p.gamma**2 * p(1)
     norm_o = opalg.opnorm(o_local)
     lightcone = combined_lightcone(envelope_for_chain(h), t, ell / 2.0)
     bound = (
         abs(t)
         * len(support)
         * norm_o
-        * (0.5 * p.g * p.gamma**2 * ell**2 * p(ell / 2.0) + g_tilde * h.k * lightcone)
+        * (0.5 * h.g * h.gamma**2 * ell**2 * h.profile(ell / 2.0) + h.g_tilde * h.k * lightcone)
     )
     return SubsetEvolutionReport(exact=exact, bound=float(bound), distance=float(ell))
 

@@ -13,13 +13,15 @@ The tail-sum condition
 
 is what the locality machinery needs from a profile.  ``verify_decay_condition``
 checks it numerically with analytic tails, and ``measure_gamma`` returns the
-smallest gamma that works on a finite chain.
+smallest gamma that works on a finite chain.  A profile is only its shape: the
+measured constants (gamma, and the coupling scale g) belong to the chain they
+were measured on, ``chain.ChainHamiltonian``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,7 @@ PARAMETERS = {
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Normalized coupling-decay envelope with its measured constants.
+    """Normalized coupling-decay envelope: its kind and the parameters of its shape.
 
     Parameters
     ----------
@@ -45,8 +47,6 @@ class DecayProfile:
     alpha : power-law exponent
     kappa, stretch_c : stretched-exponential shape, jbar(x) = exp(-c x^kappa)
     rate : exponential decay rate per site
-    g : one-site coupling scale, filled in by the chain builder
-    gamma : tail-sum constant, filled in by ``measure_gamma``
     """
 
     kind: str
@@ -55,8 +55,6 @@ class DecayProfile:
     kappa: float | None = None
     stretch_c: float | None = None
     rate: float | None = None
-    g: float | None = None
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind not in PARAMETERS:
@@ -82,15 +80,6 @@ class DecayProfile:
     @property
     def is_finite_range(self):
         return self.kind == "finite_range"
-
-    def with_constants(self, g=None, gamma=None):
-        """Copy with measured constants attached."""
-        kw = {}
-        if g is not None:
-            kw["g"] = float(g)
-        if gamma is not None:
-            kw["gamma"] = float(gamma)
-        return replace(self, **kw)
 
 
 def finite_range(d_h: int) -> DecayProfile:

@@ -465,11 +465,10 @@ class BPLocalityReport:
 
 def _locality_envelope(h_tc: TruncatedHamiltonian, env, r, beta):
     """Explicit bound at (r, beta) after checking the preconditions; F0(r/3),
-    the prefactor C and the velocity v come from the chain's envelope ``env``.
-    A prefactor e^{beta g~ / 2} past e^709 gives math.inf, as in
-    ``locality_decay_envelope``."""
+    the prefactor C and the velocity v come from the chain's envelope ``env``,
+    g, gamma and g~ from the chain.  A prefactor e^{beta g~ / 2} past e^709
+    gives math.inf, as in ``locality_decay_envelope``."""
     base = h_tc.base
-    p = base.profile
     l0 = h_tc.block_len
     if r <= 6 * l0:
         raise PreconditionViolated(f"need r > 6*block_len = {6 * l0}, got {r}")
@@ -477,15 +476,15 @@ def _locality_envelope(h_tc: TruncatedHamiltonian, env, r, beta):
     if f0 > 1.0:
         raise PreconditionViolated(f"F0(r/3) = {f0:.3g} exceeds 1")
 
-    g_tilde = h_tc.g_tilde
+    g_tilde = base.g_tilde
     if beta * g_tilde / 2.0 > 709.0:
         return math.inf
     c_pref = env.prefactor
     v = env.velocity
     explicit = math.exp(beta * g_tilde / 2.0) * (
-        beta * p.g * p.gamma**2 * r**2
+        beta * base.g * base.gamma**2 * r**2
         * (1.0 + base.k * g_tilde * beta / (2.0 * math.pi**3))
-        * p(r / 3.0)
+        * base.profile(r / 3.0)
         + (base.k * g_tilde * beta**2 / (2.0 * math.pi**3))
         * (
             9.0 * g_tilde * math.sqrt(c_pref * f0)
@@ -540,33 +539,34 @@ def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
     """Smallest affine rate function whose envelope dominates measured errors by 5%.
 
     reports is an iterable of BPLocalityReport (or anything with .exact, .r,
-    .beta).  For each slope on a log grid the minimal intercept is found by
-    bisection; the feasible pair minimizing theta0 + theta1 wins.  The
-    largest intercept, 1e3, makes the envelope infinite at every point, so
-    every slope has a feasible intercept.
+    .beta).  With c = max(r/l0, -log jbar(r/3)), or c = r/l0 where
+    jbar(r/3) = 0, the log of the envelope is Theta - c/Theta, increasing in
+    Theta; a point is dominated exactly when Theta >= Theta* =
+    (L + sqrt(L^2 + 4c))/2 with L = log(1.05 exact).  For each slope theta1
+    on a log grid the least intercept is max(1e-3, max_p(Theta*_p - theta1
+    beta_p)), in closed form; the pair minimizing theta0 + theta1 wins.
     """
     pts = [(rep.r, rep.beta, rep.exact) for rep in reports if rep.exact > 0]
     if not pts:
         return ThetaFunction(1.0, 1.0)
 
-    def dominates(th0, th1):
-        theta = ThetaFunction(th0, th1)
-        return all(
-            locality_decay_envelope(theta, profile, block_len, b, r) >= e * 1.05
-            for r, b, e in pts
-        )
+    def least_intercept(th1, r, beta, exact):
+        jb = profile(r / 3.0)
+        c = r / block_len if jb == 0.0 else max(r / block_len, -math.log(jb))
+        big_l = math.log(1.05 * exact)
+        root = math.sqrt(big_l * big_l + 4.0 * c)
+        # Theta* in the form without cancellation for the sign of L
+        star = 0.5 * (big_l + root) if big_l >= 0.0 else 2.0 * c / (root - big_l)
+        th0 = max(1e-3, star - th1 * beta)
+        # roundoff can leave the point a few ulp short of 5%
+        while (locality_decay_envelope(ThetaFunction(th0, th1), profile, block_len, beta, r)
+               < exact * 1.05):
+            th0 = math.nextafter(th0, math.inf)
+        return th0
 
     best = None
     for th1 in np.geomspace(0.05, 20.0, 25):
-        lo, hi = 1e-3, 1e3
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if dominates(mid, th1):
-                hi = mid
-            else:
-                lo = mid
-        cand = (hi, th1)
+        cand = (max(least_intercept(th1, *p) for p in pts), th1)
         if best is None or sum(cand) < sum(best):
             best = cand
     return ThetaFunction(*best)
-

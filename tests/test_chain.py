@@ -25,16 +25,16 @@ def test_two_site_ising_shift():
     h = ising(n=2)
     assert len(h.terms) == 1
     t = h.terms[0]
-    assert t.shift == pytest.approx(1.0)
     evals = np.sort(np.linalg.eigvalsh(t.matrix))
     assert evals == pytest.approx([0.0, 0.0, 2.0, 2.0], abs=1e-12)
 
 
 def test_power_law_coupling_strength():
     h = powerlaw_chain(n=6)
-    # stored pre-shift strength at distance 3 is the raw profile value
+    # the raw strength at distance 3 is the profile value 1/27, shifted up by itself
     term = next(t for t in h.terms if t.sites == (1, 4))
-    assert term.shift == pytest.approx(1.0 / 27.0, rel=1e-12)
+    evals = np.sort(np.linalg.eigvalsh(term.matrix))
+    assert evals == pytest.approx([0.0, 0.0, 2.0 / 27.0, 2.0 / 27.0], abs=1e-15)
     # the summed (shifted) coupling doubles it
     assert coupling_strength(h, 1, 4) == pytest.approx(2.0 / 27.0, rel=1e-12)
 
@@ -90,8 +90,7 @@ def test_truncate_bad_partition():
 def test_truncate_dropped_norm_within_bound():
     h = powerlaw_chain(n=12, gen="heisenberg_xxz")
     htc = chain.truncate(h, [0], [9, 10, 11], 2)  # q = 4
-    p = h.profile
-    bound = p.gamma**2 * p.g * htc.q * htc.block_len**2 * p(htc.block_len)
+    bound = h.gamma**2 * h.g * htc.q * htc.block_len**2 * h.profile(htc.block_len)
     delta = htc.delta_matrix()
     assert opalg.opnorm(delta) <= bound + 1e-12
     assert htc.separation == htc.q * htc.block_len
@@ -107,7 +106,7 @@ def test_truncate_bundles_psd_and_capped():
         mat = chain.terms_matrix(bundle, sorted({i for t in bundle for i in t.sites}))
         evals = np.linalg.eigvalsh(mat)
         assert evals.min() >= -1e-12 * max(1.0, abs(evals).max())
-        assert htc.bond_norm(s) <= htc.g_tilde * (1 + 1e-12)
+        assert htc.bond_norm(s) <= h.g_tilde * (1 + 1e-12)
     for t in htc.kept_terms:
         assert max(t.sites) - min(t.sites) < 2 * htc.block_len
 
@@ -137,8 +136,7 @@ def test_block_interaction_norm():
     assert rep2.distance == 3
 
     adjacent = chain.block_interaction_norm(h, range(0, 4), range(4, 8))
-    g_tilde = h.g * h.gamma**2 * h.profile(1)
-    assert adjacent.bound == pytest.approx(g_tilde, rel=1e-12)
+    assert adjacent.bound == h.g_tilde
 
     with pytest.raises(Overlap):
         chain.block_interaction_norm(h, range(0, 4), range(3, 6))

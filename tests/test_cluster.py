@@ -597,7 +597,7 @@ def test_final_bound_is_two_where_its_exponent_overflows():
     # 2 beta gt = 792: e^{2 beta gt} is past float range, and the bound is its limit 2
     h = chain.build_chain(6, "ising_zz", profiles.power_law(3.0), coupling=4.0)
     htc = chain.truncate(h, [0], [5], 1)
-    assert 2.0 * 8.0 * htc.g_tilde > 709.8
+    assert 2.0 * 8.0 * h.g_tilde > 709.8
     for beta in (3.0, 8.0):
         rep = cluster.commuting_chain_bound(htc, beta)
         assert rep.final_bound == 2.0

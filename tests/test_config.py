@@ -138,7 +138,7 @@ BASES = {
                        seed=1, block_len_list=(1,), beta_list=(0.3,)),
     "clustering": dict(experiment="clustering_sweep", n=6, generator="heisenberg_xxz",
                        profile="finite_range", range_cutoff=1, anisotropy=1.5, coupling=1.0,
-                       obs_x_site=0, r_list=(1, 2, 3), beta_list=(0.4, 0.8)),
+                       r_list=(1, 2, 3), beta_list=(0.4, 0.8)),
     "gamma": dict(experiment="gamma_decay", generator="random_two_site", profile="power_law",
                   alpha=3.0, coupling=0.5, seed=1, m_list=(0, 1), beta_list=(0.5,),
                   tau_steps=4),
@@ -162,7 +162,7 @@ CHANGES = (
     ("truncation", "generator", "heisenberg_xxz"), ("truncation", "profile", "exponential"),
     ("truncation", "kappa", 0.6), ("truncation", "stretch_c", 1.5),
     ("truncation", "coupling", 0.02), ("truncation", "seed", 2),
-    ("clustering", "n", 5), ("clustering", "obs_x_site", 1), ("clustering", "r_list", (1, 2)),
+    ("clustering", "n", 5), ("clustering", "r_list", (1, 2)),
     ("clustering", "beta_list", (0.5, 0.8)), ("clustering", "generator", "ising_zz"),
     ("clustering", "profile", "power_law"), ("clustering", "range_cutoff", 2),
     ("clustering", "anisotropy", 1.0), ("clustering", "coupling", 0.7),
@@ -220,3 +220,17 @@ def test_clustering_sweep_needs_two_betas(tmp_path, monkeypatch):
     assert not out.exists()
     monkeypatch.setenv("GIBBSCHAIN_BETA_LIST", "0.6,0.8")
     assert load_config(path).beta_list == (0.6, 0.8)
+
+
+def test_gamma_decay_needs_two_block_counts(tmp_path, monkeypatch):
+    """One m checks no decay in m: the bundled config with a one-entry m_list
+    exits 2 and writes no output."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "gamma_decay.cfg")
+    out = tmp_path / "out"
+    monkeypatch.setenv("GIBBSCHAIN_M_LIST", "1")
+    with pytest.raises(ConfigError, match="two or more m_list entries"):
+        load_config(path)
+    assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("GIBBSCHAIN_M_LIST", "0,1")
+    assert load_config(path).m_list == (0, 1)

@@ -122,8 +122,8 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     for k, (overrides, match) in enumerate([(o, None) for o in (
         {"n": 6, "experiment": "clustering_sweep", "r_list": "1,2,9"},
         {"n": 6, "experiment": "clustering_sweep", "r_list": "0,1,2"},
-        {"n": 6, "experiment": "clustering_sweep", "obs_x_site": 8},
-        {"n": 6, "experiment": "clustering_sweep", "obs_x_site": 4},
+        {"n": 6, "experiment": "clustering_sweep", "r_list": "2,8"},
+        {"n": 6, "experiment": "clustering_sweep", "r_list": "1"},
         {"n": 6, "experiment": "lr_sweep", "r_list": "0,1"},
         {"experiment": "qbp_locality", "bond_index": 9},
         {"experiment": "qbp_locality", "bond_index": -1},
@@ -144,9 +144,10 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         {"experiment": "qbp_locality", "radius_list": ""},
         {"n": 8, "experiment": "lr_sweep", "profile": "power_law", "r_list": "7"},
         {"n": 6, "experiment": "lr_sweep", "r_list": "1,6"},
-        {"experiment": "gamma_decay", "block_len": 2, "half_width": 1, "m_list": "1"},
-        {"experiment": "gamma_decay", "block_len": 2, "half_width": 3, "m_list": "1"},
-        {"experiment": "gamma_decay", "block_len": 4, "half_width": 2, "m_list": "1"},
+        {"experiment": "gamma_decay", "block_len": 2, "half_width": 1, "m_list": "0,1"},
+        {"experiment": "gamma_decay", "block_len": 2, "half_width": 3, "m_list": "0,1"},
+        {"experiment": "gamma_decay", "block_len": 4, "half_width": 2, "m_list": "0,1"},
+        {"experiment": "gamma_decay", "m_list": "1"},
         {"experiment": "gamma_decay", "generator": "heisenberg_xxz", "profile": "power_law",
          "block_len": 2, "half_width": 1, "m_list": "0,2"},
         {"experiment": "qbp_locality", "block_len": 3, "radius_list": "19"},
@@ -172,8 +173,8 @@ def test_config_validation_errors(tmp_path, monkeypatch):
         cli.main(["run", str(path), "--threads", "2"])
     assert exc.value.code == 2
     # the farthest partner on the chain is accepted
-    edge = {"experiment": "clustering_sweep", "n": 6, "obs_x_site": 1, "r_list": "1,4"}
-    assert load_config(None, overrides=edge, environ={}).r_list == (1, 4)
+    edge = {"experiment": "clustering_sweep", "n": 6, "r_list": "1,5"}
+    assert load_config(None, overrides=edge, environ={}).r_list == (1, 5)
 
 
 def test_gamma_decay_caps_checked_at_config_time(tmp_path, monkeypatch):
@@ -220,7 +221,7 @@ def test_gamma_decay_config_accepts_exactly_what_the_chain_builds(monkeypatch):
             continue
         overrides = {"experiment": "gamma_decay", "generator": "heisenberg_xxz",
                      "x_width": xw, "y_width": yw, "half_width": hw, "block_len": l0,
-                     "m_list": m, **keys}
+                     "m_list": f"0,{m}", **keys}
         try:
             load_config(None, overrides=overrides, environ={})
             accepted = True
@@ -607,11 +608,12 @@ def test_retired_and_unknown_keys_fail_at_config_time(tmp_path, monkeypatch):
     assert not (tmp_path / "b").exists()
     monkeypatch.delenv("GIBBSCHAIN_EPS")
     # keys that nothing read: the residual gate, the doubled-space cap, the
-    # second observable site and the local dimension (every generator is qubit-only);
-    # and the size caps, which are constants (opalg.DIM_CAP, cluster.BRANCH_CAP)
+    # observable sites (correlations start at site 0) and the local dimension
+    # (every generator is qubit-only); and the size caps, which are constants
+    # (opalg.DIM_CAP, cluster.BRANCH_CAP)
     for key, value in (("residual_gate", "1e-6"), ("doubled_dim_cap", "4096"),
-                       ("obs_y_site", "3"), ("local_dim", "2"), ("dim_cap", "8192"),
-                       ("branch_cap", "64")):
+                       ("obs_x_site", "-1"), ("obs_y_site", "3"), ("local_dim", "2"),
+                       ("dim_cap", "8192"), ("branch_cap", "64")):
         path.write_text(f"experiment = clustering_sweep\nn = 6\n{key} = {value}\n")
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / key)]) == 2
         path.write_text("experiment = clustering_sweep\nn = 6\n")

@@ -28,6 +28,13 @@ def test_convolution_constant_brute_force():
     assert got == pytest.approx(worst, rel=1e-12)
 
 
+def test_convolution_constant_zero_pairs():
+    # jbar(2) = 0 with a convolution jbar(1)^2 > 0 admits no constant; at rate 400
+    # jbar(1)^2 underflows to 0 as well, and the 0/0 pairs past distance 1 are no constraint
+    assert math.isinf(locality.convolution_constant(profiles.finite_range(1), 4))
+    assert locality.convolution_constant(profiles.exponential(400.0), 4) == 2.0
+
+
 def test_convolution_constant_monotone_in_n():
     p = profiles.power_law(3.0)
     vals = [locality.convolution_constant(p, n) for n in (4, 6, 8, 10)]
@@ -78,7 +85,7 @@ def test_log_factorial_equals_gammaln_inside_dim_cap():
     for t in (0.1, 0.7, 2.0):
         for r in range(1, n0_max):
             n0 = r + 1
-            log_core = n0 * math.log(2.0 * env.profile.g * env.k * t) - gammaln(n0 + 1)
+            log_core = n0 * math.log(2.0 * env.g * env.k * t) - gammaln(n0 + 1)
             expected = min((2.0 / env.k) * math.exp(log_core), 2.0)
             assert locality.lr_envelope(env, t, r) == expected, (t, r)
 
@@ -145,9 +152,10 @@ def test_infinite_range_mode_requires_convolution_constant():
     conv = locality.convolution_constant(h.profile, h.n)
     assert math.isinf(conv)
     with pytest.raises(MissingParam):
-        locality.LREnvelope(mode="infinite_range", profile=h.profile, conv_const=conv, k=h.k)
+        locality.LREnvelope(mode="infinite_range", profile=h.profile, g=h.g, conv_const=conv,
+                            k=h.k)
     with pytest.raises(MissingParam):
-        locality.LREnvelope(mode="truncated", profile=h.profile, conv_const=conv, k=h.k)
+        locality.LREnvelope(mode="truncated", profile=h.profile, g=h.g, conv_const=conv, k=h.k)
 
 
 def test_truncated_envelope_monotone():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_profile_parameters_are_finite_and_positive():
             make(*args)
     with pytest.raises(ValueError, match="needs a finite rate > 0"):
         profiles.DecayProfile("exponential")
+
+
+def test_profile_is_only_its_shape():
+    """A profile holds its kind and the parameters of its shape; the measured
+    constants g and gamma belong to the chain."""
+    shape = {name for names in profiles.PARAMETERS.values() for name in names}
+    assert {f.name for f in fields(profiles.DecayProfile)} == {"kind"} | shape
 
 
 def test_power_law_flat_inside_unit_distance():

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gibbschain.errors import (
 from reference_oracles import (
     SingularPoint,
     build_truncated_bp,
+    calibrate_theta_bisection,
     embed_matrix,
     filter_value,
     reconstruction_residual,
@@ -325,6 +327,31 @@ def test_theta_calibration_dominates():
     theta = qbp.calibrate_theta(pts, profile, 1)
     for p in pts:
         assert qbp.locality_decay_envelope(theta, profile, 1, p.beta, p.r) >= p.exact
+
+
+def test_closed_form_theta_matches_bisection_on_random_point_sets():
+    """The closed-form fit dominates every point by 5% in floating point and
+    equals the bisection fit to 1e-12 relative, on power-law, exponential and
+    finite-range point sets (r > 6 l0, so jbar(r/3) = 0 for the last)."""
+    rng = np.random.default_rng(2024)
+    Point = namedtuple("Point", "r beta exact")
+    shapes = (lambda: profiles.power_law(8.0 - rng.uniform(0.0, 6.0)),
+              lambda: profiles.exponential(rng.uniform(0.1, 3.0)),
+              lambda: profiles.finite_range(int(rng.integers(1, 3))))
+    for k in range(45):
+        profile = shapes[k % 3]()
+        l0 = int(rng.integers(1, 3))
+        pts = [Point(int(rng.integers(6 * l0 + 1, 6 * l0 + 6)), rng.uniform(0.05, 3.0),
+                     10.0 ** rng.uniform(-14.0, 0.5))
+               for _ in range(int(rng.integers(1, 7)))]
+        if profile.is_finite_range:
+            assert all(profile(p.r / 3.0) == 0.0 for p in pts)
+        fit = qbp.calibrate_theta(pts, profile, l0)
+        ref = calibrate_theta_bisection(pts, profile, l0)
+        for p in pts:
+            assert qbp.locality_decay_envelope(fit, profile, l0, p.beta, p.r) >= p.exact * 1.05
+        assert fit.theta1 == ref.theta1
+        assert fit.theta0 == pytest.approx(ref.theta0, rel=1e-12, abs=0.0)
 
 
 def _one_block(*mats):
