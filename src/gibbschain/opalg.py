@@ -33,11 +33,25 @@ classes (total S^z: XXZ and Ising chains and all built from them), else the
 two popcount-parity classes (Z2: sigma_x probe commutators on those chains),
 else one block.  ``hermitian_eig`` and ``opnorm`` work block by block, a sum
 of C(n,k)^3 flops instead of 2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf.
-Proc. 1297, 2010).  A spectrum keeps its sectors: each holds its own
+Proc. 1297, 135, 2010).  A spectrum keeps its sectors: each holds its own
 eigenvector matrix V_k, so no 2^n x 2^n eigenvector matrix is formed or split
 again, and ``herm_expm``, ``gibbs`` and ``evolve`` form V_k f(E_k) V_k^dag per
-sector.  Callers with matrices of their own (``qbp``) take ``sectors`` and
-reassemble with ``from_blocks``.
+sector.
+
+The global spin flip F (every sigma_x at once) maps basis index i to
+dim - 1 - i, so it maps popcount block k onto block n - k with the order
+reversed, and XXZ and Ising chains without a field commute with it.
+``flip_split`` finds that by exact comparison and turns the blocks into
+pieces: block k < n - k is computed and block n - k is its reversed copy,
+and the self-image block k = n/2 splits into the F = +-1 halves
+H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each, which
+``FlipLayout.assemble`` joins again as
+1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]] for P = f(H_+), M = f(H_-).
+Reversed copies make F f(H) F = f(H) hold bit for bit.  ``hermitian_eig``
+diagonalizes the pieces and the spectrum keeps their layout, so functions of
+a spectrum are formed on the pieces too.  Callers with matrices of their own
+(``qbp``) take ``sectors`` and ``flip_split``, and reassemble with
+``FlipLayout.assemble`` and ``from_blocks``.
 """
 
 from __future__ import annotations
@@ -305,6 +319,72 @@ def from_blocks(blocks, mats):
     return out
 
 
+class FlipLayout(tuple):
+    """How each sector block is formed from pieces under the global flip F.
+
+    Entry k is ``(p,)`` when block k is piece p, ``(p, p + 1)`` when pieces
+    p and p + 1 are the F = +1 and F = -1 halves of the self-image block k,
+    and ``()`` when block k is block ``len(layout) - 1 - k`` reversed, since
+    F maps that block onto block k.
+    """
+
+    def assemble(self, results):
+        """f(block) for every block from f(piece) for every piece.
+
+        A self-image block is rebuilt from P = f(H_+) and M = f(H_-) as
+        1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]], J the reversal.
+        """
+        out = []
+        for k, src in enumerate(self):
+            if not src:
+                out.append(out[len(self) - 1 - k][::-1, ::-1])
+            elif len(src) == 1:
+                out.append(results[src[0]])
+            else:
+                plus, minus = results[src[0]], results[src[1]]
+                s, d = 0.5 * (plus + minus), 0.5 * (plus - minus)
+                out.append(np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]]))
+        return out
+
+
+def flip_split(blocks, *mats):
+    """The blocks of ``sectors(*mats)`` as (pieces, layout), paired by the global spin flip.
+
+    F maps basis index i to dim - 1 - i, so it maps the popcount block k onto
+    block n - k in reversed order.  When every matrix commutes with F, block
+    ``len(blocks) - 1 - k`` is block k reversed and is computed as its copy,
+    and a self-image block of even size splits into the halves
+    H_+- = H11 +- H12 J on the F = +-1 subspaces, J the reversal of a half
+    (Sandvik, AIP Conf. Proc. 1297, 135, 2010).  Both are found by exact
+    comparison; row 0 against the last row reversed rejects unstructured
+    input first.  Otherwise every block is its own piece.  ``pieces[p]``
+    holds piece p of every matrix; the ``FlipLayout`` rebuilds the blocks.
+    """
+    dim = mats[0].shape[0]
+    parts = [tuple(sector_block(m, b) for m in mats) for b in blocks]
+    own = tuple(parts), FlipLayout((k,) for k in range(len(blocks)))
+    if not all(np.array_equal(m[-1, ::-1], m[0]) for m in mats):
+        return own
+    pieces, layout = [], []
+    for k, (block, part) in enumerate(zip(blocks, parts)):
+        j = len(blocks) - 1 - k
+        if j < k:
+            layout.append(())
+            continue
+        if not (np.array_equal(dim - 1 - block[::-1], blocks[j])
+                and all(np.array_equal(q, p[::-1, ::-1]) for p, q in zip(part, parts[j]))):
+            return own
+        if j > k or len(block) % 2:
+            layout.append((len(pieces),))
+            pieces.append(part)
+        else:
+            h = len(block) // 2
+            layout.append((len(pieces), len(pieces) + 1))
+            halves = [(p[:h, :h], p[:h, h:][:, ::-1]) for p in part]
+            pieces += [tuple(a + b for a, b in halves), tuple(a - b for a, b in halves)]
+    return tuple(pieces), FlipLayout(layout)
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
@@ -314,13 +394,18 @@ class Spectrum(NamedTuple):
 
     ``blocks[k]`` is a sector's sorted basis indices and ``vecs[k]`` its
     eigenvectors (columns) in that sector's own basis, with eigenvalues
-    ``evals[blocks[k]]``, ascending within the sector; ``evals`` is the
-    dense vector over the whole space.  No caller relies on a global order.
+    ``evals[blocks[k]]``; ``evals`` is the dense vector over the whole space.
+    ``layout`` is the ``FlipLayout`` of the pieces the sectors were
+    diagonalized by.  A block of its own lists its eigenvalues ascending.  A flip image
+    block has its partner's evals and vecs with the rows reversed.  A
+    self-image block lists the ascending eigenvalues of its F = +1 half,
+    then those of its F = -1 half.  No caller relies on a global order.
     """
 
     evals: np.ndarray
     vecs: tuple
     blocks: tuple
+    layout: tuple
 
 
 def _real_if_real(mat):
@@ -335,33 +420,46 @@ def _real_if_real(mat):
 
 def spectrum(mat) -> Spectrum:
     """One eigendecomposition of a matrix Hermitian by construction (unchecked),
-    as the one-block spectrum: ``evals, (vecs,), _ = spectrum(mat)``."""
+    as the one-block spectrum: ``evals, (vecs,), *_ = spectrum(mat)``."""
     evals, vecs = np.linalg.eigh(_real_if_real(mat))
     block = np.arange(len(evals))
     _read_only(evals, vecs, block)
-    return Spectrum(evals, (vecs,), (block,))
+    return Spectrum(evals, (vecs,), (block,), FlipLayout([(0,)]))
 
 
 def hermitian_eig(mat) -> Spectrum:
     """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
 
-    Each block of ``sectors`` is diagonalized on its own and keeps its own
-    eigenvectors; they are never assembled into one matrix.  This is the
-    one place ``DIM_CAP`` is checked: every checked diagonalization passes
-    here.
+    Each piece of ``flip_split(sectors(mat), mat)`` is diagonalized on its
+    own, and each block keeps its own eigenvectors; they are never assembled
+    into one matrix.  A flip image block copies its partner's evals and
+    reverses the rows of its vecs (a contiguous copy: products on a reversed
+    view run slower); a self-image block joins the eigenvectors V_+- of its
+    halves as [[V_+, V_-], [J V_+, -J V_-]] / sqrt(2).  This is the one place
+    ``DIM_CAP`` is checked: every checked diagonalization passes here.
     """
     mat = np.asarray(mat)
     if mat.shape[0] > DIM_CAP:
         raise DimensionCap(f"dimension {mat.shape[0]} exceeds DIM_CAP {DIM_CAP}")
     require_hermitian(mat)
     blocks = sectors(mat)
+    pieces, layout = flip_split(blocks, mat)
+    eigs = [np.linalg.eigh(_real_if_real(piece)) for (piece,) in pieces]
     evals = np.empty(mat.shape[0])
     vecs = []
-    for block in blocks:
-        evals[block], v = np.linalg.eigh(_real_if_real(sector_block(mat, block)))
+    for k, (block, src) in enumerate(zip(blocks, layout)):
+        if not src:
+            j = len(blocks) - 1 - k
+            evals[block], v = evals[blocks[j]], np.ascontiguousarray(vecs[j][::-1])
+        elif len(src) == 1:
+            evals[block], v = eigs[src[0]]
+        else:
+            (ep, vp), (em, vm) = eigs[src[0]], eigs[src[1]]
+            evals[block] = np.concatenate([ep, em])
+            v = math.sqrt(0.5) * np.block([[vp, vm], [vp[::-1], -vm[::-1]]])
         vecs.append(v)
     _read_only(evals, *vecs, *blocks)
-    return Spectrum(evals, tuple(vecs), blocks)
+    return Spectrum(evals, tuple(vecs), blocks, layout)
 
 
 def _spectrum_of(a) -> Spectrum:
@@ -369,8 +467,23 @@ def _spectrum_of(a) -> Spectrum:
 
 
 def _block_sandwiches(spec, weights):
-    """V_k diag(weights) V_k^dag on each sector of ``spec``."""
-    return [(v * weights[b]) @ v.conj().T for v, b in zip(spec.vecs, spec.blocks)]
+    """V_k diag(weights) V_k^dag on each sector of ``spec``, reassembled from its pieces.
+
+    A self-image block's columns are sqrt(1/2) [V_+; J V_+] and then
+    sqrt(1/2) [V_-; -J V_-], so its top rows give each half's
+    V_+- diag(w) V_+-^dag, and ``FlipLayout.assemble`` rebuilds the block;
+    a flip image block is its partner's, reversed.
+    """
+    pieces = []
+    for v, b, src in zip(spec.vecs, spec.blocks, spec.layout):
+        if len(src) == 1:
+            pieces.append((v * weights[b]) @ v.conj().T)
+        elif src:
+            h, w = len(b) // 2, weights[b]
+            for half in (slice(None, h), slice(h, None)):
+                top = v[:h, half]
+                pieces.append(2.0 * ((top * w[half]) @ top.conj().T))
+    return spec.layout.assemble(pieces)
 
 
 def herm_expm(a, scale=1.0):

@@ -33,9 +33,13 @@ independent check of F.
 
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
-therefore runs the sweep on each sector block that ``opalg.sectors``
-finds for the split and assembles Phi from the blocks; chains without the
-symmetry (random two-site terms) are the single-block case of the same loop.
+therefore runs the sweep on each piece that ``opalg.flip_split`` makes of
+the sector blocks ``opalg.sectors`` finds for the split: under the global
+spin flip F of an XXZ split, block n - k is block k reversed and is not
+swept (its Phi is the reversed copy, so F Phi F = Phi exactly), and the
+self-image block k = n/2 is swept as its F = +1 and F = -1 halves, which
+``FlipLayout.assemble`` joins again.  Chains without the symmetry (random
+two-site terms) are the single-piece case of the same loop.
 
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
@@ -211,7 +215,7 @@ def _node(h_env, h_bond, tau):
 
     Nothing here depends on beta, so one node serves every beta.
     """
-    evals, (vecs,), _ = opalg.spectrum(h_env + tau * h_bond)
+    evals, (vecs,), *_ = opalg.spectrum(h_env + tau * h_bond)
     return evals, vecs, vecs.conj().T @ h_bond @ vecs
 
 
@@ -270,10 +274,10 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
 
 
 def _residual(phis, spectra, beta):
-    """Relative reconstruction residual from per-sector Phi blocks and spectra.
+    """Relative reconstruction residual from per-piece Phi and spectra.
 
-    ``spectra`` holds one (H_env spectrum, H spectrum) pair per block; the
-    norms of block-diagonal matrices are maxima over the blocks.
+    ``spectra`` holds one (H_env spectrum, H spectrum) pair per piece; the
+    norms of block-diagonal matrices are maxima over the pieces.
     """
     diff = scale = 0.0
     for phi, (env_spectrum, full_spectrum) in zip(phis, spectra):
@@ -291,13 +295,14 @@ def build_bp_sweep(
 
     h_env and h_bond are Hermitian matrices on a common space (checked).
     Every matrix of the construction commutes with a symmetry shared by
-    H_env and the bond, so the build runs on each block of
-    ``opalg.sectors(h_env, h_bond)`` and writes the blocks of Phi into
-    one dense matrix (a chain without the symmetry is the one-block case).
+    H_env and the bond, so the build runs on each piece of
+    ``opalg.flip_split`` over the blocks of ``opalg.sectors(h_env, h_bond)``
+    and writes the reassembled blocks of Phi into one dense matrix (a chain
+    without the symmetry is the one-piece case).
     The spectra of the interpolation H(tau) do not depend on beta, so a
     single tau sweep builds every beta; phi is filtered by the closed-form
     transfer function.  With a residual_gate, the reconstruction residual is
-    computed (from per-block H_env and H spectra shared across beta) and the
+    computed (from per-piece H_env and H spectra shared across beta) and the
     betas above the gate are rebuilt with doubled tau_steps; NonConvergence
     is raised after MAX_REFINEMENTS doublings.  Without a gate the residual
     is left uncomputed (callers doing difference certifications do not need
@@ -309,8 +314,8 @@ def build_bp_sweep(
     opalg.require_hermitian(h_bond, "bond")
     sites = tuple(range(opalg.n_qubits(h_env.shape[0]))) if sites is None else tuple(sites)
     blocks = opalg.sectors(h_env, h_bond)
-    parts = [(opalg.sector_block(h_env, b), opalg.sector_block(h_bond, b)) for b in blocks]
-    bond_norm = max(opalg.opnorm(hb) for _, hb in parts) if np.any(h_bond) else 0.0
+    pieces, layout = opalg.flip_split(blocks, h_env, h_bond)
+    bond_norm = max(opalg.opnorm(hb) for _, hb in pieces) if np.any(h_bond) else 0.0
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
@@ -324,24 +329,25 @@ def build_bp_sweep(
 
     spectra = None
     if residual_gate is not None:
-        spectra = [(opalg.spectrum(he), opalg.spectrum(he + hb)) for he, hb in parts]
+        spectra = [(opalg.spectrum(he), opalg.spectrum(he + hb)) for he, hb in pieces]
     out = [None] * len(betas)
     pending = list(range(len(betas)))
     steps = tau_steps
     for _ in range(MAX_REFINEMENTS + 1):
         built = [_ordered_exponentials(he, hb, [betas[i] for i in pending], steps, integrator)
-                 for he, hb in parts]
+                 for he, hb in pieces]
         failed = []
         for k, i in enumerate(pending):
-            us = [per_block[k][0] for per_block in built]
-            phi_max = max(per_block[k][1] for per_block in built)
+            us = [per_piece[k][0] for per_piece in built]
+            phi_max = max(per_piece[k][1] for per_piece in built)
             residual = None
             if spectra is not None:
                 residual = _residual(us, spectra, betas[i])
                 if residual > residual_gate:
                     failed.append((i, residual))
                     continue
-            out[i] = record(betas[i], opalg.from_blocks(blocks, us), steps, phi_max, residual)
+            phi = opalg.from_blocks(blocks, layout.assemble(us))
+            out[i] = record(betas[i], phi, steps, phi_max, residual)
         if not failed:
             return tuple(out)
         pending = [i for i, _ in failed]

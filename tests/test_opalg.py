@@ -117,8 +117,9 @@ def test_spectrum_reuse_matches_matrix_path():
     spec = opalg.hermitian_eig(h)
     _assert_read_only(spec)
     _assert_read_only(opalg.spectrum(h))
-    evals, (vecs,), (block,) = spec  # unpacks like a tuple; no symmetry, one sector
+    evals, (vecs,), (block,), layout = spec  # unpacks like a tuple; no symmetry, one sector
     assert vecs.shape == (16, 16) and np.array_equal(block, np.arange(16))
+    assert layout == ((0,),)
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
     assert np.array_equal(opalg.gibbs(spec, 1.3), opalg.gibbs(h, 1.3))
     o = opalg.DenseOperator(range(4), o)
@@ -307,11 +308,12 @@ def _zero_across(mat, label):
 
 
 @st.composite
-def sz_conserving(draw, hermitian=True, structure="popcount", max_n=6):
+def sz_conserving(draw, hermitian=True, structure="popcount", max_n=6, flip=False):
     """A random matrix that vanishes between different sectors of ``structure``.
 
     ``structure`` is 'popcount' (total S^z), 'parity' (popcount parity) or
-    'whole' (no zero pattern).
+    'whole' (no zero pattern).  With ``flip`` it also commutes with the
+    global flip F, which maps basis index i to dim - 1 - i.
     """
     n = draw(st.integers(1, max_n))
     is_complex = draw(st.booleans())
@@ -325,6 +327,8 @@ def sz_conserving(draw, hermitian=True, structure="popcount", max_n=6):
     weight = _popcount(dim)
     label = {"popcount": weight, "parity": weight % 2, "whole": np.zeros(dim, int)}[structure]
     mat[label[:, None] != label[None, :]] = 0.0
+    if flip:
+        mat = 0.5 * (mat + mat[::-1, ::-1])
     return n, mat
 
 
@@ -335,7 +339,7 @@ def test_hermitian_eig_by_sector_reconstructs(case):
     blocks = opalg.sectors(mat)
     assert [len(b) for b in blocks] == [math.comb(n, k) for k in range(n + 1)]
     assert all(np.all(_popcount(2**n)[b] == k) for k, b in enumerate(blocks))
-    evals, vecs, spec_blocks = spec = opalg.hermitian_eig(mat)
+    evals, vecs, spec_blocks, _ = spec = opalg.hermitian_eig(mat)
     assert [b.tolist() for b in spec_blocks] == [b.tolist() for b in blocks]
     _assert_read_only(spec)
     scale = max(1.0, float(np.abs(mat).max()))
@@ -443,11 +447,55 @@ def test_sectors_stop_at_row_zero_on_unstructured_input(n, is_complex, seed):
     assert _ReadLog.reads == [0, (slice(None), 0)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(*(sz_conserving(structure=s, max_n=7, flip=True)
+                   for s in ("popcount", "parity", "whole"))))
+def test_flip_split_pieces_reassemble_to_the_dense_function(case):
+    n, mat = case
+    blocks = opalg.sectors(mat)
+    pieces, layout = opalg.flip_split(blocks, mat)
+    if len(blocks) == 2 and n % 2 == 0:
+        # F keeps popcount parity at even n: each parity block is its own image,
+        # not the other's, so nothing pairs
+        assert layout == ((0,), (1,))
+    else:
+        # block k pairs with block len - 1 - k; a self-image block of even size splits
+        for k, src in enumerate(layout):
+            j = len(blocks) - 1 - k
+            assert len(src) == (0 if j < k else 1 if j > k or len(blocks[k]) % 2 else 2)
+    dense = np.linalg.eigh(mat)
+    want = (dense[1] * np.exp(0.3 * dense[0])) @ dense[1].conj().T
+    got = opalg.from_blocks(blocks, layout.assemble(
+        [opalg.herm_expm(opalg.spectrum(piece), 0.3) for (piece,) in pieces]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+    # the pieces hold every eigenvalue once, the images' through their partners
+    images = [blocks[len(blocks) - 1 - k] for k, src in enumerate(layout) if not src]
+    evals = np.concatenate([np.linalg.eigvalsh(piece) for (piece,) in pieces]
+                           + [np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in images])
+    assert np.allclose(np.sort(evals), dense[0], rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_flip_split_reads_two_rows_of_unstructured_input(n, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((2**n, 2**n))
+    if is_complex:
+        mat = mat + 1j * rng.standard_normal((2**n, 2**n))
+    logged = mat.view(_ReadLog)
+    (block,) = opalg.sectors(mat)
+    _ReadLog.reads = []
+    pieces, layout = opalg.flip_split((block,), logged)
+    assert layout == ((0,),) and pieces[0][0] is logged
+    # only the last row (reversed) and row 0 are read: no block is compared
+    assert _ReadLog.reads == [(-1, slice(None, None, -1)), 0]
+
+
 @st.composite
 def sector_spectra(draw):
     """A Hermitian matrix with popcount or parity sectors, n <= 8, and its spectrum."""
     structure = draw(st.sampled_from(("popcount", "parity")))
-    n, mat = draw(sz_conserving(structure=structure, max_n=8))
+    n, mat = draw(sz_conserving(structure=structure, max_n=8, flip=draw(st.booleans())))
     spec = opalg.hermitian_eig(mat)
     return n, mat, spec
 

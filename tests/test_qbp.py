@@ -212,8 +212,11 @@ def test_eigh_calls_per_sector_block(generator, monkeypatch):
     h = chain.build_chain(6, generator, profiles.power_law(3.0), coupling=0.25, seed=4)
     htc = chain.truncate(h, [0], [5], 1)
     env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[2][-1], tuple(range(6)))
-    n_blocks = len(opalg.sectors(env, bond))
-    assert n_blocks == (7 if generator == "heisenberg_xxz" else 1)
+    blocks = opalg.sectors(env, bond)
+    assert len(blocks) == (7 if generator == "heisenberg_xxz" else 1)
+    # XXZ: blocks 0-2 are swept, 4-6 are their flip images, and block 3 splits in two
+    n_pieces = len(opalg.flip_split(blocks, env, bond)[0])
+    assert n_pieces == (5 if generator == "heisenberg_xxz" else 1)
     calls = []
     eigh = np.linalg.eigh
 
@@ -224,7 +227,7 @@ def test_eigh_calls_per_sector_block(generator, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     steps = 3
     for betas in ((1.0,), (0.5, 1.0, 2.0)):
-        for integrator, gate, per_block in (
+        for integrator, gate, per_piece in (
             ("cf4", None, 2 * steps),
             ("cf4", 1e-2, 2 * steps + 2),
             ("midpoint", None, steps * (1 + len(betas))),
@@ -233,7 +236,71 @@ def test_eigh_calls_per_sector_block(generator, monkeypatch):
             ops = qbp.bond_sweep(htc, 2, betas, tau_steps=steps, integrator=integrator,
                                  residual_gate=gate)
             assert [op.tau_steps for op in ops] == [steps] * len(betas)
-            assert len(calls) == per_block * n_blocks, (integrator, gate, betas)
+            assert len(calls) == per_piece * n_pieces, (integrator, gate, betas)
+
+
+def _xxz_split(n):
+    """An XXZ chain truncated with an even interior, and its exact bond-1 split."""
+    h = chain.build_chain(n, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
+    htc = chain.truncate(h, [0], [n - 2, n - 1] if n % 2 else [n - 1], 1)
+    env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[1][-1], tuple(range(n)))
+    return htc, env, bond
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_one_eigh_per_flip_image_pair(n, monkeypatch):
+    # F maps block k onto block n - k: only blocks k < n/2 are diagonalized, and at
+    # even n the self-image block k = n/2 as its two halves
+    htc, _, _ = _xxz_split(n)
+    swept = [math.comb(n, k) for k in range((n + 1) // 2)]
+    swept += [math.comb(n, n // 2) // 2] * 2 if n % 2 == 0 else []
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    opalg.hermitian_eig(htc.base.matrix())
+    assert calls == swept
+    calls.clear()
+    # midpoint, one step, one beta: one H(tau) node and one phi per piece
+    qbp.bond_sweep(htc, 1, (1.0,), tau_steps=1, integrator="midpoint")
+    assert sorted(calls) == sorted(swept * 2)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_flip_images_are_exact_reversals(n):
+    # F (basis index i -> dim - 1 - i) maps block k onto block n - k reversed, so
+    # F M F = M is M[::-1, ::-1] == M; it holds bit for bit for rho, e^{iHt} and
+    # Phi, on every image pair and on the self-image block's halves.  At n = 10 a
+    # block product recomputed from the reversed vecs misses it; at n <= 7 it may not
+    htc, _, _ = _xxz_split(n)
+    h = htc.base.matrix()
+    spec = opalg.hermitian_eig(h)
+    blocks = spec.blocks
+    for k, (v, b, src) in enumerate(zip(spec.vecs, blocks, spec.layout)):
+        partner = len(blocks) - 1 - k
+        if not src:
+            # an image block holds its partner's evals and its vecs rows reversed
+            assert np.array_equal(spec.evals[b], spec.evals[blocks[partner]])
+            assert np.array_equal(v, spec.vecs[partner][::-1])
+            assert v.flags.c_contiguous and not v.flags.writeable
+        # every block, its halves joined, diagonalizes H's block
+        assert np.max(np.abs((v * spec.evals[b]) @ v.T - h[np.ix_(b, b)])) <= 1e-13
+        assert np.max(np.abs(v.T @ v - np.eye(len(b)))) <= 1e-13
+    assert np.allclose(np.sort(spec.evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-13)
+    rho = opalg.gibbs(spec, 0.7)
+    u = opalg.herm_expm(spec, 0.9j)
+    phis = [op.matrix for op in qbp.bond_sweep(htc, 1, (0.5, 2.0), tau_steps=2)]
+    for mat in (rho, u, *phis):
+        assert np.array_equal(mat[::-1, ::-1], mat)
+        for k, b in enumerate(blocks):
+            image = blocks[len(blocks) - 1 - k]
+            assert np.array_equal(mat[np.ix_(image, image)], mat[np.ix_(b, b)][::-1, ::-1])
+    dense = np.linalg.eigh(h)
+    assert np.max(np.abs(u - (dense[1] * np.exp(0.9j * dense[0])) @ dense[1].T)) <= 1e-13
 
 
 def test_nonconvergence_raises():
@@ -358,20 +425,29 @@ def _one_block(*mats):
     return (np.arange(mats[0].shape[0]),)
 
 
+def _no_flip(blocks, *mats):
+    """Every block its own piece, as for a chain without the flip symmetry."""
+    return (tuple(tuple(opalg.sector_block(m, b) for m in mats) for b in blocks),
+            opalg.FlipLayout((k,) for k in range(len(blocks))))
+
+
 @pytest.mark.parametrize("n, integrator, gate", [
     (8, "midpoint", None), (8, "cf4", None), (8, "midpoint", 1e-3), (8, "cf4", 1e-6),
-    (10, "midpoint", None),
+    (10, "midpoint", None), (9, "midpoint", None), (6, "cf4", 1e-6),
 ])
 def test_sector_build_matches_dense_build(n, integrator, gate, monkeypatch):
-    # XXZ conserves total S^z: the build runs on n + 1 blocks; one block is the dense path
-    h = chain.build_chain(n, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
-    htc = chain.truncate(h, [0], [n - 1], 1)
-    env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[1][-1], tuple(range(n)))
-    assert len(opalg.sectors(env, bond)) == n + 1
+    # XXZ conserves total S^z and commutes with the flip F: the build runs on the
+    # flip pieces of n + 1 blocks (at odd n every block pairs, none is self-image);
+    # one block with no flip split is the dense path
+    htc, env, bond = _xxz_split(n)
+    blocks = opalg.sectors(env, bond)
+    assert len(blocks) == n + 1
+    assert len(opalg.flip_split(blocks, env, bond)[0]) == n // 2 + 1 + (n % 2 == 0)
     betas = (0.5, 1.0, 2.0)
     kw = dict(tau_steps=2, integrator=integrator, residual_gate=gate)
     sector = qbp.bond_sweep(htc, 1, betas, **kw)
     monkeypatch.setattr(opalg, "sectors", _one_block)
+    monkeypatch.setattr(opalg, "flip_split", _no_flip)
     dense = qbp.bond_sweep(htc, 1, betas, **kw)
     for a, b in zip(sector, dense):
         scale = max(1.0, float(np.abs(b.matrix).max()))
