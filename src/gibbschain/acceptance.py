@@ -33,7 +33,7 @@ def _random_hermitian(rng, dim, scale=1.0):
 
 
 def _random_psd(rng, dim, scale=1.0):
-    evals, (vecs,), *_ = opalg.spectrum(_random_hermitian(rng, dim))
+    (evals,), (vecs,), _ = opalg.spectrum(_random_hermitian(rng, dim))
     return (vecs * (scale * np.abs(evals))) @ vecs.conj().T
 
 

@@ -351,7 +351,7 @@ def _commute(a, b):
 
 
 def _min_eig(mat):
-    return float(opalg.spectrum(mat).evals[0])
+    return float(opalg.spectrum(mat).evals[0][0])
 
 
 def _require_psd(mat, name):

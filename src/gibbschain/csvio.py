@@ -8,6 +8,7 @@ a '#'-prefixed header block naming the experiment and the column meanings.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 
@@ -28,13 +29,13 @@ def format_value(v):
 
 
 def write_csv(path, comments, columns, rows):
-    """Write one CSV file; returns the number of data rows."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write one CSV file; returns the number of data rows.  A field holding a
+    comma, quote or line break is quoted (``csv.QUOTE_MINIMAL``), no other."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format_value(v) for v in row] for row in rows)
     return len(rows)
 
 

@@ -14,7 +14,7 @@ b ~ 1e-2): it sums the Taylor series to the degree m at which the remainder
 b^(m+1)/(m+1)! e^(2b) falls below 2^-53 relative to exp(X), with no
 eigensolver; for b > 1/2 it scales X into b <= 1/2 and squares back, so no
 term ever exceeds the result by more than e^(1/2).  A ``Spectrum`` is a
-read-only eigendecomposition held sector by sector: callers that need one
+read-only eigendecomposition held piece by piece: callers that need one
 operator's exponential at several scales (Gibbs states at several beta,
 evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
@@ -31,27 +31,24 @@ This module is the one place that knows the symmetry sectors of qubit
 chains.  ``sectors`` reads them from the exact zero pattern: the popcount
 classes (total S^z: XXZ and Ising chains and all built from them), else the
 two popcount-parity classes (Z2: sigma_x probe commutators on those chains),
-else one block.  ``hermitian_eig`` and ``opnorm`` work block by block, a sum
-of C(n,k)^3 flops instead of 2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf.
-Proc. 1297, 135, 2010).  A spectrum keeps its sectors: each holds its own
-eigenvector matrix V_k, so no 2^n x 2^n eigenvector matrix is formed or split
-again, and ``herm_expm``, ``gibbs`` and ``evolve`` form V_k f(E_k) V_k^dag per
-sector.
+else one block.  Blockwise work costs a sum of C(n,k)^3 flops instead of
+2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf. Proc. 1297, 135, 2010).
 
 The global spin flip F (every sigma_x at once) maps basis index i to
 dim - 1 - i, so it maps popcount block k onto block n - k with the order
 reversed, and XXZ and Ising chains without a field commute with it.
-``flip_split`` finds that by exact comparison and turns the blocks into
-pieces: block k < n - k is computed and block n - k is its reversed copy,
-and the self-image block k = n/2 splits into the F = +-1 halves
-H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each, which
-``FlipLayout.assemble`` joins again as
-1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]] for P = f(H_+), M = f(H_-).
-Reversed copies make F f(H) F = f(H) hold bit for bit.  ``hermitian_eig``
-diagonalizes the pieces and the spectrum keeps their layout, so functions of
-a spectrum are formed on the pieces too.  Callers with matrices of their own
-(``qbp``) take ``sectors`` and ``flip_split``, and reassemble with
-``FlipLayout.assemble`` and ``from_blocks``.
+``split`` finds that by exact comparison and cuts the blocks into pieces,
+the one unit of blockwise work: block k < n - k is a piece and block n - k
+its reversed copy, and the self-image block k = n/2 splits into the F = +-1
+halves H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each.
+A spectrum keeps one (evals, vecs) pair per piece, so no block or 2^n x 2^n
+eigenvector matrix is formed; ``herm_expm``, ``gibbs`` and ``evolve`` form
+V_p f(E_p) V_p^dag per piece and ``FlipLayout.assemble`` rebuilds the dense
+result, so F f(H) F = f(H) holds bit for bit.  The pieces are orthogonally
+equivalent to the blocks: ``opnorm`` takes the largest piece norm, and the
+trace norm, like Z in ``gibbs``, counts each piece once per block it fills.
+Callers with matrices of their own (``qbp``) take ``split`` and reassemble
+with its layout.
 """
 
 from __future__ import annotations
@@ -319,25 +316,41 @@ def from_blocks(blocks, mats):
     return out
 
 
-class FlipLayout(tuple):
-    """How each sector block is formed from pieces under the global flip F.
+class FlipLayout(NamedTuple):
+    """How the sector blocks of a matrix are formed from its pieces under the global flip F.
 
-    Entry k is ``(p,)`` when block k is piece p, ``(p, p + 1)`` when pieces
-    p and p + 1 are the F = +1 and F = -1 halves of the self-image block k,
-    and ``()`` when block k is block ``len(layout) - 1 - k`` reversed, since
-    F maps that block onto block k.
+    ``blocks[k]`` is sector k's sorted basis indices.  ``sources[k]`` is
+    ``(p,)`` when block k is piece p, ``(p, p + 1)`` when pieces p and p + 1
+    are the F = +1 and F = -1 halves of the self-image block k, and ``()``
+    when block k is block ``len(blocks) - 1 - k`` reversed, since F maps
+    that block onto block k.
     """
 
-    def assemble(self, results):
+    blocks: tuple
+    sources: tuple
+
+    @property
+    def dim(self):
+        return sum(len(b) for b in self.blocks)
+
+    def counts(self):
+        """How many blocks each piece fills: 2 for a block with a flip image, else 1."""
+        out = [0] * (1 + max(p for src in self.sources for p in src))
+        for k, src in enumerate(self.sources):
+            for p in src or self.sources[len(self.sources) - 1 - k]:
+                out[p] += 1
+        return out
+
+    def blockwise(self, results):
         """f(block) for every block from f(piece) for every piece.
 
         A self-image block is rebuilt from P = f(H_+) and M = f(H_-) as
         1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]], J the reversal.
         """
         out = []
-        for k, src in enumerate(self):
+        for k, src in enumerate(self.sources):
             if not src:
-                out.append(out[len(self) - 1 - k][::-1, ::-1])
+                out.append(out[len(self.sources) - 1 - k][::-1, ::-1])
             elif len(src) == 1:
                 out.append(results[src[0]])
             else:
@@ -346,43 +359,48 @@ class FlipLayout(tuple):
                 out.append(np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]]))
         return out
 
+    def assemble(self, results):
+        """The dense f(M) from f(piece) for every piece."""
+        return from_blocks(self.blocks, self.blockwise(results))
 
-def flip_split(blocks, *mats):
-    """The blocks of ``sectors(*mats)`` as (pieces, layout), paired by the global spin flip.
 
-    F maps basis index i to dim - 1 - i, so it maps the popcount block k onto
-    block n - k in reversed order.  When every matrix commutes with F, block
-    ``len(blocks) - 1 - k`` is block k reversed and is computed as its copy,
-    and a self-image block of even size splits into the halves
-    H_+- = H11 +- H12 J on the F = +-1 subspaces, J the reversal of a half
-    (Sandvik, AIP Conf. Proc. 1297, 135, 2010).  Both are found by exact
-    comparison; row 0 against the last row reversed rejects unstructured
-    input first.  Otherwise every block is its own piece.  ``pieces[p]``
-    holds piece p of every matrix; the ``FlipLayout`` rebuilds the blocks.
+def split(*mats):
+    """(pieces, layout): the sectors of ``mats`` as pieces under the global spin flip F.
+
+    The sectors, ``layout.blocks``, are those of ``sectors(*mats)``.  When
+    every matrix commutes with F, block ``len(blocks) - 1 - k`` is block k
+    reversed and is formed as its copy, and a self-image block of even size
+    splits into the halves H_+- = H11 +- H12 J on the F = +-1 subspaces, J
+    the reversal of a half.  Both are found by exact comparison; row 0
+    against the last row reversed rejects unstructured input first.
+    Otherwise every block is its own piece.  ``pieces[p]`` holds piece p of
+    every matrix; ``layout.assemble`` forms a dense matrix from one result
+    per piece.
     """
+    blocks = sectors(*mats)
     dim = mats[0].shape[0]
     parts = [tuple(sector_block(m, b) for m in mats) for b in blocks]
-    own = tuple(parts), FlipLayout((k,) for k in range(len(blocks)))
+    own = tuple(parts), FlipLayout(blocks, tuple((k,) for k in range(len(blocks))))
     if not all(np.array_equal(m[-1, ::-1], m[0]) for m in mats):
         return own
-    pieces, layout = [], []
+    pieces, sources = [], []
     for k, (block, part) in enumerate(zip(blocks, parts)):
         j = len(blocks) - 1 - k
         if j < k:
-            layout.append(())
+            sources.append(())
             continue
         if not (np.array_equal(dim - 1 - block[::-1], blocks[j])
                 and all(np.array_equal(q, p[::-1, ::-1]) for p, q in zip(part, parts[j]))):
             return own
         if j > k or len(block) % 2:
-            layout.append((len(pieces),))
+            sources.append((len(pieces),))
             pieces.append(part)
         else:
             h = len(block) // 2
-            layout.append((len(pieces), len(pieces) + 1))
+            sources.append((len(pieces), len(pieces) + 1))
             halves = [(p[:h, :h], p[:h, h:][:, ::-1]) for p in part]
             pieces += [tuple(a + b for a, b in halves), tuple(a - b for a, b in halves)]
-    return tuple(pieces), FlipLayout(layout)
+    return tuple(pieces), FlipLayout(blocks, tuple(sources))
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +408,17 @@ def flip_split(blocks, *mats):
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues and, per symmetry sector, orthonormal eigenvectors; read-only.
+    """Eigenvalues and orthonormal eigenvectors, one pair per flip piece; read-only.
 
-    ``blocks[k]`` is a sector's sorted basis indices and ``vecs[k]`` its
-    eigenvectors (columns) in that sector's own basis, with eigenvalues
-    ``evals[blocks[k]]``; ``evals`` is the dense vector over the whole space.
-    ``layout`` is the ``FlipLayout`` of the pieces the sectors were
-    diagonalized by.  A block of its own lists its eigenvalues ascending.  A flip image
-    block has its partner's evals and vecs with the rows reversed.  A
-    self-image block lists the ascending eigenvalues of its F = +1 half,
-    then those of its F = -1 half.  No caller relies on a global order.
+    ``evals[p]`` (ascending) and ``vecs[p]`` (columns, in the piece's own
+    basis) diagonalize piece p of ``layout``, which forms a dense function of
+    the matrix from V_p f(E_p) V_p^dag per piece.  Image and self-image blocks
+    hold no eigenvectors of their own.
     """
 
-    evals: np.ndarray
+    evals: tuple
     vecs: tuple
-    blocks: tuple
-    layout: tuple
+    layout: FlipLayout
 
 
 def _real_if_real(mat):
@@ -420,76 +433,43 @@ def _real_if_real(mat):
 
 def spectrum(mat) -> Spectrum:
     """One eigendecomposition of a matrix Hermitian by construction (unchecked),
-    as the one-block spectrum: ``evals, (vecs,), *_ = spectrum(mat)``."""
+    as the one-piece spectrum: ``(evals,), (vecs,), _ = spectrum(mat)``."""
     evals, vecs = np.linalg.eigh(_real_if_real(mat))
     block = np.arange(len(evals))
     _read_only(evals, vecs, block)
-    return Spectrum(evals, (vecs,), (block,), FlipLayout([(0,)]))
+    return Spectrum((evals,), (vecs,), FlipLayout((block,), ((0,),)))
 
 
 def hermitian_eig(mat) -> Spectrum:
-    """Eigendecomposition of a caller's Hermitian matrix (checked), sector by sector.
+    """Eigendecomposition of a caller's Hermitian matrix (checked), piece by piece.
 
-    Each piece of ``flip_split(sectors(mat), mat)`` is diagonalized on its
-    own, and each block keeps its own eigenvectors; they are never assembled
-    into one matrix.  A flip image block copies its partner's evals and
-    reverses the rows of its vecs (a contiguous copy: products on a reversed
-    view run slower); a self-image block joins the eigenvectors V_+- of its
-    halves as [[V_+, V_-], [J V_+, -J V_-]] / sqrt(2).  This is the one place
+    Each piece of ``split(mat)`` is diagonalized on its own; its eigenvectors
+    are never assembled into blocks or into one matrix.  This is the one place
     ``DIM_CAP`` is checked: every checked diagonalization passes here.
     """
     mat = np.asarray(mat)
     if mat.shape[0] > DIM_CAP:
         raise DimensionCap(f"dimension {mat.shape[0]} exceeds DIM_CAP {DIM_CAP}")
     require_hermitian(mat)
-    blocks = sectors(mat)
-    pieces, layout = flip_split(blocks, mat)
-    eigs = [np.linalg.eigh(_real_if_real(piece)) for (piece,) in pieces]
-    evals = np.empty(mat.shape[0])
-    vecs = []
-    for k, (block, src) in enumerate(zip(blocks, layout)):
-        if not src:
-            j = len(blocks) - 1 - k
-            evals[block], v = evals[blocks[j]], np.ascontiguousarray(vecs[j][::-1])
-        elif len(src) == 1:
-            evals[block], v = eigs[src[0]]
-        else:
-            (ep, vp), (em, vm) = eigs[src[0]], eigs[src[1]]
-            evals[block] = np.concatenate([ep, em])
-            v = math.sqrt(0.5) * np.block([[vp, vm], [vp[::-1], -vm[::-1]]])
-        vecs.append(v)
-    _read_only(evals, *vecs, *blocks)
-    return Spectrum(evals, tuple(vecs), blocks, layout)
+    pieces, layout = split(mat)
+    evals, vecs = zip(*(np.linalg.eigh(_real_if_real(piece)) for (piece,) in pieces))
+    _read_only(*evals, *vecs, *layout.blocks)
+    return Spectrum(evals, vecs, layout)
 
 
 def _spectrum_of(a) -> Spectrum:
     return a if isinstance(a, Spectrum) else hermitian_eig(a)
 
 
-def _block_sandwiches(spec, weights):
-    """V_k diag(weights) V_k^dag on each sector of ``spec``, reassembled from its pieces.
-
-    A self-image block's columns are sqrt(1/2) [V_+; J V_+] and then
-    sqrt(1/2) [V_-; -J V_-], so its top rows give each half's
-    V_+- diag(w) V_+-^dag, and ``FlipLayout.assemble`` rebuilds the block;
-    a flip image block is its partner's, reversed.
-    """
-    pieces = []
-    for v, b, src in zip(spec.vecs, spec.blocks, spec.layout):
-        if len(src) == 1:
-            pieces.append((v * weights[b]) @ v.conj().T)
-        elif src:
-            h, w = len(b) // 2, weights[b]
-            for half in (slice(None, h), slice(h, None)):
-                top = v[:h, half]
-                pieces.append(2.0 * ((top * w[half]) @ top.conj().T))
-    return spec.layout.assemble(pieces)
+def _sandwiches(spec, weights):
+    """V_p diag(weights[p]) V_p^dag on every piece p of ``spec``."""
+    return [(v * w) @ v.conj().T for v, w in zip(spec.vecs, weights)]
 
 
 def herm_expm(a, scale=1.0):
     """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
     spec = _spectrum_of(a)
-    return from_blocks(spec.blocks, _block_sandwiches(spec, np.exp(scale * spec.evals)))
+    return spec.layout.assemble(_sandwiches(spec, [np.exp(scale * e) for e in spec.evals]))
 
 
 def _taylor_degree(bound):
@@ -566,31 +546,34 @@ def _trace_norm(mat):
 def opnorm(op, kind="spectral"):
     """Spectral norm (largest singular value) or trace norm (their sum).
 
-    Over the blocks of ``sectors`` the spectral norm is the largest block
-    norm and the trace norm the sum of block norms.
+    Taken over the pieces of ``split``, which are orthogonally equivalent to
+    the sector blocks: the spectral norm is the largest piece norm, the trace
+    norm the sum of piece norms, each counted once per block it fills.
     """
     mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
     if kind not in ("spectral", "trace"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    blocks = sectors(mat)
+    pieces, layout = split(mat)
     if kind == "spectral":
-        return max(spectral_norm(sector_block(mat, b)) for b in blocks)
-    return sum(_trace_norm(sector_block(mat, b)) for b in blocks)
+        return max(spectral_norm(piece) for (piece,) in pieces)
+    return sum(c * _trace_norm(piece) for c, (piece,) in zip(layout.counts(), pieces))
 
 
 def gibbs(h, beta):
     """Gibbs state exp(beta*H)/Z, dense, of a Hamiltonian given as matrix or Spectrum.
 
     The sign convention puts the customary minus sign inside the
-    Hamiltonian, so beta multiplies +H.
+    Hamiltonian, so beta multiplies +H.  Z counts each piece's eigenvalues
+    once per block the piece fills.
     """
     spec = _spectrum_of(h)
-    n_qubits(len(spec.evals))  # SupportMismatch unless the space is n qubits
-    m = beta * spec.evals
-    shift = np.max(m)
-    logz = shift + np.log(np.sum(np.exp(m - shift)))
-    rhos = _block_sandwiches(spec, np.exp(m - logz))
-    return from_blocks(spec.blocks, [0.5 * (r + r.conj().T) for r in rhos])
+    n_qubits(spec.layout.dim)  # SupportMismatch unless the space is n qubits
+    ms = [beta * e for e in spec.evals]
+    shift = max(np.max(m) for m in ms)
+    z = sum(c * np.sum(np.exp(m - shift)) for c, m in zip(spec.layout.counts(), ms))
+    logz = shift + np.log(z)
+    rhos = _sandwiches(spec, [np.exp(m - logz) for m in ms])
+    return spec.layout.assemble([0.5 * (r + r.conj().T) for r in rhos])
 
 
 def evolve(op: DenseOperator, generator, t):
@@ -602,11 +585,13 @@ def evolve(op: DenseOperator, generator, t):
     block by block; block pairs where U O vanishes stay zero.
     """
     spec = _spectrum_of(generator)
-    dim = len(spec.evals)
+    layout = spec.layout
+    dim = layout.dim
     if t == 0:
         return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
-    blocks = spec.blocks
-    us_dag = [u.conj().T for u in _block_sandwiches(spec, np.exp(1j * spec.evals * t))]
+    blocks = layout.blocks
+    phases = [np.exp(1j * e * t) for e in spec.evals]
+    us_dag = [u.conj().T for u in layout.blockwise(_sandwiches(spec, phases))]
     left = apply_local(op.matrix.conj().T, op.sites, from_blocks(blocks, us_dag)).conj().T
     if len(blocks) == 1:
         return left @ us_dag[0]

@@ -33,13 +33,12 @@ independent check of F.
 
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
-therefore runs the sweep on each piece that ``opalg.flip_split`` makes of
-the sector blocks ``opalg.sectors`` finds for the split: under the global
-spin flip F of an XXZ split, block n - k is block k reversed and is not
-swept (its Phi is the reversed copy, so F Phi F = Phi exactly), and the
-self-image block k = n/2 is swept as its F = +1 and F = -1 halves, which
-``FlipLayout.assemble`` joins again.  Chains without the symmetry (random
-two-site terms) are the single-piece case of the same loop.
+therefore runs the sweep on each piece of ``opalg.split(h_env, h)``: under
+the global spin flip F of an XXZ split, block n - k is block k reversed and
+is not swept (its Phi is the reversed copy, so F Phi F = Phi exactly), and
+the self-image block k = n/2 is swept as its F = +1 and F = -1 halves; the
+split's layout assembles the dense Phi.  Chains without the symmetry
+(random two-site terms) are the single-piece case of the same loop.
 
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
@@ -215,7 +214,7 @@ def _node(h_env, h_bond, tau):
 
     Nothing here depends on beta, so one node serves every beta.
     """
-    evals, (vecs,), *_ = opalg.spectrum(h_env + tau * h_bond)
+    (evals,), (vecs,), _ = opalg.spectrum(h_env + tau * h_bond)
     return evals, vecs, vecs.conj().T @ h_bond @ vecs
 
 
@@ -256,14 +255,14 @@ def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
             for i, beta in enumerate(betas):
                 # ||phi|| comes from the spectrum the exponential needs anyway
                 spec = opalg.spectrum(_phi_tau(node, beta))
-                phi_max[i] = max(phi_max[i], float(np.max(np.abs(spec.evals))))
+                phi_max[i] = max(phi_max[i], float(np.max(np.abs(spec.evals[0]))))
                 us[i] = opalg.herm_expm(spec, dtau) @ us[i]
         else:
             nodes = (_node(h_env, h_bond, t0 + _CF4_C1 * dtau),
                      _node(h_env, h_bond, t0 + _CF4_C2 * dtau))
             for i, beta in enumerate(betas):
                 a1, a2 = (_phi_tau(node, beta) for node in nodes)
-                n1, n2 = opalg.opnorm(a1), opalg.opnorm(a2)
+                n1, n2 = opalg.spectral_norm(a1), opalg.spectral_norm(a2)
                 phi_max[i] = max(phi_max[i], n1, n2)
                 x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
                 x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
@@ -283,8 +282,8 @@ def _residual(phis, spectra, beta):
     for phi, (env_spectrum, full_spectrum) in zip(phis, spectra):
         e_full = opalg.herm_expm(full_spectrum, beta)
         d = phi @ opalg.herm_expm(env_spectrum, beta) @ phi.conj().T - e_full
-        diff = max(diff, opalg.opnorm(d))
-        scale = max(scale, opalg.opnorm(e_full))
+        diff = max(diff, opalg.spectral_norm(d))
+        scale = max(scale, opalg.spectral_norm(e_full))
     return float(diff / scale)
 
 
@@ -296,9 +295,8 @@ def build_bp_sweep(
     h_env and h_bond are Hermitian matrices on a common space (checked).
     Every matrix of the construction commutes with a symmetry shared by
     H_env and the bond, so the build runs on each piece of
-    ``opalg.flip_split`` over the blocks of ``opalg.sectors(h_env, h_bond)``
-    and writes the reassembled blocks of Phi into one dense matrix (a chain
-    without the symmetry is the one-piece case).
+    ``opalg.split(h_env, h_bond)`` and its layout assembles the dense Phi
+    (a chain without the symmetry is the one-piece case).
     The spectra of the interpolation H(tau) do not depend on beta, so a
     single tau sweep builds every beta; phi is filtered by the closed-form
     transfer function.  With a residual_gate, the reconstruction residual is
@@ -313,9 +311,8 @@ def build_bp_sweep(
     opalg.require_hermitian(h_env, "environment")
     opalg.require_hermitian(h_bond, "bond")
     sites = tuple(range(opalg.n_qubits(h_env.shape[0]))) if sites is None else tuple(sites)
-    blocks = opalg.sectors(h_env, h_bond)
-    pieces, layout = opalg.flip_split(blocks, h_env, h_bond)
-    bond_norm = max(opalg.opnorm(hb) for _, hb in pieces) if np.any(h_bond) else 0.0
+    pieces, layout = opalg.split(h_env, h_bond)
+    bond_norm = max(opalg.spectral_norm(hb) for _, hb in pieces) if np.any(h_bond) else 0.0
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
@@ -346,7 +343,7 @@ def build_bp_sweep(
                 if residual > residual_gate:
                     failed.append((i, residual))
                     continue
-            phi = opalg.from_blocks(blocks, layout.assemble(us))
+            phi = layout.assemble(us)
             out[i] = record(betas[i], phi, steps, phi_max, residual)
         if not failed:
             return tuple(out)

@@ -108,16 +108,16 @@ def trace_of_product(p, a):
 def blockwise_evolve(o_mat, spec, t):
     """exp(iGt) O exp(-iGt) for a full-space O, U applied block by block.
 
-    The dense block-pair form: over the spectrum's sectors, u_k is
-    V_k e^{iE_k t} V_k^dag, row block b_i of U O is u_i O[b_i], and each
-    nonzero block pair (b_i, b_j) of it is multiplied by u_j^dag; a single
-    block is U O U^dag.
+    The dense block-pair form: over the spectrum's sectors, u_k is block k
+    of V e^{iEt} V^dag, formed from its pieces, row block b_i of U O is
+    u_i O[b_i], and each nonzero block pair (b_i, b_j) of it is multiplied by
+    u_j^dag; a single block is U O U^dag.
     """
     if t == 0:
         return np.asarray(o_mat).astype(complex)
-    phases = np.exp(1j * spec.evals * t)
-    blocks = spec.blocks
-    us = [(v * phases[b]) @ v.conj().T for v, b in zip(spec.vecs, blocks)]
+    blocks = spec.layout.blocks
+    us = spec.layout.blockwise([(v * np.exp(1j * e * t)) @ v.conj().T
+                                for e, v in zip(spec.evals, spec.vecs)])
     if len(blocks) == 1:
         return us[0] @ o_mat @ us[0].conj().T
     out = np.zeros(o_mat.shape, complex)

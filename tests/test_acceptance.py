@@ -67,6 +67,16 @@ def test_acceptance_csv_lists_every_criterion_in_order(acceptance_run):
     ]
 
 
+def test_acceptance_detail_rows_have_five_fields(acceptance_run):
+    # labels such as n=10,beta=0.5,r=7 hold commas; quoting keeps each one field
+    _, outdir = acceptance_run
+    with open(outdir / "acceptance_detail.csv", newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["criterion", "label", "measured", "bound", "ok"]
+    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert any("," in row[1] for row in rows)
+
+
 def test_acceptance_rerun_byte_identical(acceptance_run, tmp_path_factory):
     _, first_dir = acceptance_run
     outdir = tmp_path_factory.mktemp("acceptance_run2")

@@ -1,6 +1,7 @@
-"""Random draws from the theorem's hypotheses against the three inequalities
+"""Random draws from the theorem's hypotheses against the four inequalities
 whose bounds read a chain's measured constants g, gamma and g_tilde:
-block-interaction norms, truncation errors and window-restricted evolution.
+block-interaction norms, truncation errors, window-restricted evolution and
+the window truncation of belief propagation operators.
 
 The draws stay inside what the theorem assumes and config validation
 admits: n from 4 to 8, every generator, finite_range, power_law with alpha
@@ -12,7 +13,7 @@ tail at small kappa and c (it raises NonConvergentTail there).
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gibbschain import chain, locality, opalg, profiles
+from gibbschain import chain, locality, opalg, profiles, qbp
 
 
 @st.composite
@@ -84,3 +85,24 @@ def test_subset_evolution_error_holds_on_random_windows(draws, t):
     h, probe, window = draws
     rep = locality.subset_evolution_error(probe, h, window, t)
     assert rep.ok, rep
+
+
+@st.composite
+def bp_windows(draw):
+    """A 9-site power-law chain truncated with X = {0} and Y = {7, 8}: bond 0 and
+    r = 7 is the smallest geometry at which a window (sites 0..7) is measured."""
+    h = chain.build_chain(9, draw(st.sampled_from(chain.GENERATORS)),
+                          profiles.power_law(draw(st.floats(2.0, 8.0, exclude_min=True))),
+                          coupling=draw(st.floats(0.05, 1.5)),
+                          seed=draw(st.integers(0, 2**31 - 1)))
+    return chain.truncate(h, [0], [7, 8], 1)
+
+
+# a random_two_site draw takes ~1.5 CPU s (no symmetry to split), hence five draws
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(bp_windows(), st.floats(0.0, 3.0, exclude_min=True), st.integers(1, 2))
+def test_bp_locality_sweep_holds_on_random_chains(htc, beta, tau_steps):
+    (rep,) = qbp.bp_locality_sweep(htc, 0, (7,), (beta,), tau_steps=tau_steps,
+                                   integrator="midpoint")
+    assert not rep.vacuous
+    assert rep.exact <= rep.explicit_bound, rep

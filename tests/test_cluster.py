@@ -454,7 +454,7 @@ def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
     herm_expm = opalg.herm_expm
 
     def spy(a, scale=1.0):
-        dims.append(len(a.evals) if isinstance(a, opalg.Spectrum) else a.shape[0])
+        dims.append(a.layout.dim if isinstance(a, opalg.Spectrum) else a.shape[0])
         return herm_expm(a, scale)
 
     monkeypatch.setattr(opalg, "herm_expm", spy)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -630,6 +631,11 @@ def test_csv_format_and_body_bytes(tmp_path):
     assert text.startswith("# header text\na,b\n1.5,1\n")
     body = csvio.csv_body_bytes(path)
     assert b"header" not in body
+    # a field holding a comma is quoted, and only that field: csv.reader reads it back whole
+    csvio.write_csv(path, [], ("label", "measured"), [("r[seed=0,beta=0.5]", 0.25), ("x", 1.0)])
+    assert path.read_text() == 'label,measured\n"r[seed=0,beta=0.5]",0.25\nx,1.0\n'
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["r[seed=0,beta=0.5]", "0.25"]
 
 
 def test_lr_sweep_empty_grid(tmp_path):
@@ -855,6 +861,31 @@ def test_library_is_qubit_only():
         opalg.apply_local(np.eye(2), [0], np.zeros((6, 2)))
     with pytest.raises(SupportMismatch):
         locality.commutator_norm(np.zeros((6, 6)), "x", 0)
+
+
+def test_only_opalg_knows_the_flip_split():
+    """The flip pieces and their reassembly stay in opalg: every other library
+    module reaches them through ``opalg.split`` and the layout it returns."""
+    import ast
+    import glob
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "gibbschain")
+    banned = ("flip_split", "FlipLayout", "from_blocks")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "opalg.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in banned:
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{os.path.basename(path)}:{node.lineno}: {a.name}"
+                              for a in node.names if a.name in banned]
+    assert offenders == []
 
 
 def test_only_opalg_calls_the_eigensolver():

@@ -23,7 +23,7 @@ from reference_oracles import (
 
 def _assert_read_only(spec):
     """Every array a Spectrum holds refuses writes."""
-    for a in (spec.evals, *spec.vecs, *spec.blocks):
+    for a in (*spec.evals, *spec.vecs, *spec.layout.blocks):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1
@@ -117,9 +117,9 @@ def test_spectrum_reuse_matches_matrix_path():
     spec = opalg.hermitian_eig(h)
     _assert_read_only(spec)
     _assert_read_only(opalg.spectrum(h))
-    evals, (vecs,), (block,), layout = spec  # unpacks like a tuple; no symmetry, one sector
-    assert vecs.shape == (16, 16) and np.array_equal(block, np.arange(16))
-    assert layout == ((0,),)
+    (evals,), (vecs,), layout = spec  # unpacks like a tuple; no symmetry, one piece
+    assert vecs.shape == (16, 16) and np.array_equal(layout.blocks[0], np.arange(16))
+    assert layout.sources == ((0,),) and layout.counts() == [1]
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
     assert np.array_equal(opalg.gibbs(spec, 1.3), opalg.gibbs(h, 1.3))
     o = opalg.DenseOperator(range(4), o)
@@ -339,22 +339,23 @@ def test_hermitian_eig_by_sector_reconstructs(case):
     blocks = opalg.sectors(mat)
     assert [len(b) for b in blocks] == [math.comb(n, k) for k in range(n + 1)]
     assert all(np.all(_popcount(2**n)[b] == k) for k, b in enumerate(blocks))
-    evals, vecs, spec_blocks, _ = spec = opalg.hermitian_eig(mat)
-    assert [b.tolist() for b in spec_blocks] == [b.tolist() for b in blocks]
+    evals, vecs, layout = spec = opalg.hermitian_eig(mat)
+    assert [b.tolist() for b in layout.blocks] == [b.tolist() for b in blocks]
     _assert_read_only(spec)
     scale = max(1.0, float(np.abs(mat).max()))
-    rebuilt = np.zeros_like(mat)
-    for v, b in zip(vecs, spec_blocks):
-        # each sector in its own basis: rebuilt from its vecs and evals, orthonormal
-        assert v.shape == (len(b), len(b))
-        sector = (v * evals[b]) @ v.conj().T
-        assert np.max(np.abs(sector - mat[np.ix_(b, b)])) <= 1e-12 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(len(b)))) <= 1e-12
-        # eigenvalues ascend within each sector
-        assert np.all(np.diff(evals[b]) >= 0)
-        rebuilt[np.ix_(b, b)] = sector
-    assert np.max(np.abs(rebuilt - mat)) <= 1e-12 * scale
-    assert np.allclose(np.sort(evals), np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
+    pieces, _ = opalg.split(mat)
+    sandwiches = []
+    for e, v, (piece,) in zip(evals, vecs, pieces):
+        # each piece in its own basis: rebuilt from its vecs and evals, orthonormal
+        assert v.shape == piece.shape
+        sandwiches.append((v * e) @ v.conj().T)
+        assert np.max(np.abs(sandwiches[-1] - piece)) <= 1e-12 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(e)))) <= 1e-12
+        # eigenvalues ascend within each piece
+        assert np.all(np.diff(e) >= 0)
+    assert np.max(np.abs(layout.assemble(sandwiches) - mat)) <= 1e-12 * scale
+    counted = np.concatenate([np.tile(e, c) for e, c in zip(evals, layout.counts())])
+    assert np.allclose(np.sort(counted), np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,6 +363,20 @@ def test_hermitian_eig_by_sector_reconstructs(case):
                  sz_conserving(structure="parity"), sz_conserving(hermitian=False, structure="parity")))
 def test_opnorm_by_sector_matches_dense(case):
     _, mat = case
+    assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
+    assert opalg.opnorm(mat, kind="trace") == pytest.approx(
+        np.linalg.norm(mat, "nuc"), rel=1e-12, abs=1e-14
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(*(sz_conserving(hermitian=h, structure=s, max_n=7, flip=True)
+                   for h in (True, False) for s in ("popcount", "parity", "whole"))))
+def test_opnorm_over_flip_pieces_matches_dense(case):
+    # F-symmetric draws at odd and even n: the norms run over the flip pieces,
+    # and the non-Hermitian ones take spectral_norm's Gram path
+    n, mat = case
+    assert np.array_equal(mat[::-1, ::-1], mat)
     assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
     assert opalg.opnorm(mat, kind="trace") == pytest.approx(
         np.linalg.norm(mat, "nuc"), rel=1e-12, abs=1e-14
@@ -453,25 +468,24 @@ def test_sectors_stop_at_row_zero_on_unstructured_input(n, is_complex, seed):
 def test_flip_split_pieces_reassemble_to_the_dense_function(case):
     n, mat = case
     blocks = opalg.sectors(mat)
-    pieces, layout = opalg.flip_split(blocks, mat)
+    pieces, layout = opalg.split(mat)
+    assert [b.tolist() for b in layout.blocks] == [b.tolist() for b in blocks]
     if len(blocks) == 2 and n % 2 == 0:
         # F keeps popcount parity at even n: each parity block is its own image,
         # not the other's, so nothing pairs
-        assert layout == ((0,), (1,))
+        assert layout.sources == ((0,), (1,))
     else:
         # block k pairs with block len - 1 - k; a self-image block of even size splits
-        for k, src in enumerate(layout):
+        for k, src in enumerate(layout.sources):
             j = len(blocks) - 1 - k
             assert len(src) == (0 if j < k else 1 if j > k or len(blocks[k]) % 2 else 2)
     dense = np.linalg.eigh(mat)
     want = (dense[1] * np.exp(0.3 * dense[0])) @ dense[1].conj().T
-    got = opalg.from_blocks(blocks, layout.assemble(
-        [opalg.herm_expm(opalg.spectrum(piece), 0.3) for (piece,) in pieces]))
+    got = layout.assemble([opalg.herm_expm(opalg.spectrum(piece), 0.3) for (piece,) in pieces])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
-    # the pieces hold every eigenvalue once, the images' through their partners
-    images = [blocks[len(blocks) - 1 - k] for k, src in enumerate(layout) if not src]
-    evals = np.concatenate([np.linalg.eigvalsh(piece) for (piece,) in pieces]
-                           + [np.linalg.eigvalsh(mat[np.ix_(b, b)]) for b in images])
+    # counted once per block it fills, a piece holds every eigenvalue of its blocks
+    evals = np.concatenate([np.tile(np.linalg.eigvalsh(piece), c)
+                            for (piece,), c in zip(pieces, layout.counts())])
     assert np.allclose(np.sort(evals), dense[0], rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max()))
 
 
@@ -483,12 +497,12 @@ def test_flip_split_reads_two_rows_of_unstructured_input(n, is_complex, seed):
     if is_complex:
         mat = mat + 1j * rng.standard_normal((2**n, 2**n))
     logged = mat.view(_ReadLog)
-    (block,) = opalg.sectors(mat)
     _ReadLog.reads = []
-    pieces, layout = opalg.flip_split((block,), logged)
-    assert layout == ((0,),) and pieces[0][0] is logged
-    # only the last row (reversed) and row 0 are read: no block is compared
-    assert _ReadLog.reads == [(-1, slice(None, None, -1)), 0]
+    pieces, layout = opalg.split(logged)
+    assert layout.sources == ((0,),) and pieces[0][0] is logged
+    # past the sector scan's row 0 and column 0, only the last row (reversed)
+    # and row 0 are read: no block is compared
+    assert _ReadLog.reads == [0, (slice(None), 0), (-1, slice(None, None, -1)), 0]
 
 
 @st.composite
@@ -500,12 +514,29 @@ def sector_spectra(draw):
     return n, mat, spec
 
 
-def _dense_vfv(spec, weights):
-    """V f(E) V^dag with the dense 2^n x 2^n eigenvector matrix V assembled here."""
-    dim = len(spec.evals)
-    vecs = np.zeros((dim, dim), np.result_type(*spec.vecs))
-    for v, b in zip(spec.vecs, spec.blocks):
-        vecs[np.ix_(b, b)] = v
+def _dense_eig(spec):
+    """The dense eigenvalue vector E and 2^n x 2^n eigenvector matrix V assembled
+    here from the pieces: an image block takes its partner's evals and its vecs
+    with the rows reversed, a self-image block the vecs
+    [[V_+, V_-], [J V_+, -J V_-]] / sqrt(2) of its halves."""
+    blocks, sources = spec.layout
+    dim = spec.layout.dim
+    evals, vecs = np.empty(dim), np.zeros((dim, dim), np.result_type(*spec.vecs))
+    for k, (b, src) in enumerate(zip(blocks, sources)):
+        if not src:
+            partner = blocks[len(blocks) - 1 - k]
+            evals[b], vecs[np.ix_(b, b)] = evals[partner], vecs[np.ix_(partner, partner)][::-1]
+        elif len(src) == 1:
+            evals[b], vecs[np.ix_(b, b)] = spec.evals[src[0]], spec.vecs[src[0]]
+        else:
+            (ep, em), (vp, vm) = (spec.evals[p] for p in src), (spec.vecs[p] for p in src)
+            evals[b] = np.concatenate([ep, em])
+            vecs[np.ix_(b, b)] = math.sqrt(0.5) * np.block([[vp, vm], [vp[::-1], -vm[::-1]]])
+    return evals, vecs
+
+
+def _dense_vfv(evals, vecs, weights):
+    """V f(E) V^dag from the dense eigendecomposition of ``_dense_eig``."""
     return (vecs * weights) @ vecs.conj().T
 
 
@@ -514,16 +545,17 @@ def _dense_vfv(spec, weights):
 def test_blockwise_functions_match_dense(case, scale, beta):
     n, mat, spec = case
     # hermitian_eig splits the sectors, so the block path runs
-    assert len(spec.blocks) > 1
+    assert len(spec.layout.blocks) > 1
     tol = 1e-12
-    exp_ref = _dense_vfv(spec, np.exp(scale * spec.evals))
+    evals, vecs = _dense_eig(spec)
+    exp_ref = _dense_vfv(evals, vecs, np.exp(scale * evals))
     got = opalg.herm_expm(spec, scale)
     assert np.max(np.abs(got - exp_ref)) <= tol * max(1.0, np.abs(exp_ref).max())
     assert np.array_equal(opalg.herm_expm(mat, scale), got)
 
-    m = beta * spec.evals
+    m = beta * evals
     w = np.exp(m - m.max())
-    rho_ref = _dense_vfv(spec, w / w.sum())
+    rho_ref = _dense_vfv(evals, vecs, w / w.sum())
     rho = opalg.gibbs(spec, beta)
     assert np.max(np.abs(rho - rho_ref)) <= tol
     assert opalg.herm_defect(rho) == 0.0
@@ -536,7 +568,8 @@ def test_blockwise_evolve_matches_dense(case, t, probe, data):
     site = data.draw(st.integers(0, n - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
-    u = _dense_vfv(spec, np.exp(1j * t * spec.evals))
+    evals, vecs = _dense_eig(spec)
+    u = _dense_vfv(evals, vecs, np.exp(1j * t * evals))
     pauli_op = opalg.single_site(opalg.pauli(probe), site)
     pauli = embed_matrix(pauli_op.matrix, pauli_op.sites, n)
     dense_op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -548,8 +581,8 @@ def test_blockwise_evolve_matches_dense(case, t, probe, data):
         assert np.array_equal(opalg.evolve(op, mat, t), got)
     # a block pair on which the Pauli vanishes stays exactly zero
     got = opalg.evolve(pauli_op, spec, t)
-    for bi in spec.blocks:
-        for bj in spec.blocks:
+    for bi in spec.layout.blocks:
+        for bj in spec.layout.blocks:
             if not np.any(pauli[np.ix_(bi, bj)]):
                 assert not np.any(got[np.ix_(bi, bj)])
 
@@ -572,7 +605,7 @@ def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
             mat[label[:, None] != label[None, :]] = 0.0
             spec = opalg.hermitian_eig(mat)
             n_blocks = {"popcount": n + 1, "parity": 2, "whole": 1}[structure]
-            assert len(spec.blocks) == n_blocks
+            assert len(spec.layout.blocks) == n_blocks
             for probe in "xyz":
                 for site in range(n):
                     op = opalg.single_site(opalg.pauli(probe), site)
@@ -600,11 +633,14 @@ def test_spectrum_functions_scan_no_sectors(monkeypatch):
 
 
 def test_xxz_spectrum_holds_only_its_sector_blocks():
-    # sum_k C(10, k)^2 eigenvector entries, not the 4^10 of a dense matrix
+    # sum_{k<5} C(10, k)^2 + 2 (C(10, 5)/2)^2 eigenvector entries: the blocks
+    # k < 5 and the halves of block 5, not the sum_k C(10, k)^2 = 184756 of
+    # every sector block, nor the 4^10 of a dense matrix
     h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
     spec = opalg.hermitian_eig(h.matrix())
-    assert sum(v.size for v in spec.vecs) == 184756
-    assert [len(b) for b in spec.blocks] == [math.comb(10, k) for k in range(11)]
+    assert sum(v.size for v in spec.vecs) == 92378
+    assert [len(e) for e in spec.evals] == [math.comb(10, k) for k in range(5)] + [126, 126]
+    assert [len(b) for b in spec.layout.blocks] == [math.comb(10, k) for k in range(11)]
 
 
 def test_cached_sector_labels_are_read_only():

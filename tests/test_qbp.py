@@ -215,7 +215,7 @@ def test_eigh_calls_per_sector_block(generator, monkeypatch):
     blocks = opalg.sectors(env, bond)
     assert len(blocks) == (7 if generator == "heisenberg_xxz" else 1)
     # XXZ: blocks 0-2 are swept, 4-6 are their flip images, and block 3 splits in two
-    n_pieces = len(opalg.flip_split(blocks, env, bond)[0])
+    n_pieces = len(opalg.split(env, bond)[0])
     assert n_pieces == (5 if generator == "heisenberg_xxz" else 1)
     calls = []
     eigh = np.linalg.eigh
@@ -270,6 +270,33 @@ def test_one_eigh_per_flip_image_pair(n, monkeypatch):
     assert sorted(calls) == sorted(swept * 2)
 
 
+def test_window_difference_is_normed_on_the_flip_pieces(monkeypatch):
+    # criterion 3's n = 10 geometry: Phi - Phi_window is exactly F-symmetric, so
+    # its norm takes one eigvalsh per flip piece, 7 (blocks 0-4 and the two
+    # halves of block 5), not one per sector block, 11
+    h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
+    htc = chain.truncate(h, [0], [9], 1)
+    calls, per_norm = [], []
+    eigvalsh, opnorm = np.linalg.eigvalsh, opalg.opnorm
+
+    def eigvalsh_spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigvalsh(a, *args, **kw)
+
+    def opnorm_spy(op, *args, **kw):
+        before = len(calls)
+        out = opnorm(op, *args, **kw)
+        if np.shape(op)[0] == 2**10:
+            per_norm.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(opalg, "opnorm", opnorm_spy)
+    (rep,) = qbp.bp_locality_sweep(htc, 1, (7,), (0.5,), tau_steps=1, integrator="midpoint")
+    assert rep.exact > 0.0 and not rep.vacuous
+    assert per_norm == [7]
+
+
 @pytest.mark.parametrize("n", [7, 10])
 def test_flip_images_are_exact_reversals(n):
     # F (basis index i -> dim - 1 - i) maps block k onto block n - k reversed, so
@@ -279,18 +306,15 @@ def test_flip_images_are_exact_reversals(n):
     htc, _, _ = _xxz_split(n)
     h = htc.base.matrix()
     spec = opalg.hermitian_eig(h)
-    blocks = spec.blocks
-    for k, (v, b, src) in enumerate(zip(spec.vecs, blocks, spec.layout)):
-        partner = len(blocks) - 1 - k
-        if not src:
-            # an image block holds its partner's evals and its vecs rows reversed
-            assert np.array_equal(spec.evals[b], spec.evals[blocks[partner]])
-            assert np.array_equal(v, spec.vecs[partner][::-1])
-            assert v.flags.c_contiguous and not v.flags.writeable
-        # every block, its halves joined, diagonalizes H's block
-        assert np.max(np.abs((v * spec.evals[b]) @ v.T - h[np.ix_(b, b)])) <= 1e-13
-        assert np.max(np.abs(v.T @ v - np.eye(len(b)))) <= 1e-13
-    assert np.allclose(np.sort(spec.evals), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-13)
+    blocks = spec.layout.blocks
+    pieces, _ = opalg.split(h)
+    for e, v, (piece,) in zip(spec.evals, spec.vecs, pieces):
+        # every piece, a block or a self-image half, is diagonalized by its own vecs
+        assert not v.flags.writeable
+        assert np.max(np.abs((v * e) @ v.T - piece)) <= 1e-13
+        assert np.max(np.abs(v.T @ v - np.eye(len(e)))) <= 1e-13
+    counted = np.concatenate([np.tile(e, c) for e, c in zip(spec.evals, spec.layout.counts())])
+    assert np.allclose(np.sort(counted), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-13)
     rho = opalg.gibbs(spec, 0.7)
     u = opalg.herm_expm(spec, 0.9j)
     phis = [op.matrix for op in qbp.bond_sweep(htc, 1, (0.5, 2.0), tau_steps=2)]
@@ -421,14 +445,9 @@ def test_closed_form_theta_matches_bisection_on_random_point_sets():
         assert fit.theta0 == pytest.approx(ref.theta0, rel=1e-12, abs=0.0)
 
 
-def _one_block(*mats):
-    return (np.arange(mats[0].shape[0]),)
-
-
-def _no_flip(blocks, *mats):
-    """Every block its own piece, as for a chain without the flip symmetry."""
-    return (tuple(tuple(opalg.sector_block(m, b) for m in mats) for b in blocks),
-            opalg.FlipLayout((k,) for k in range(len(blocks))))
+def _one_piece(*mats):
+    """The whole space as one piece, as for a chain with no symmetry."""
+    return (mats,), opalg.FlipLayout((np.arange(mats[0].shape[0]),), ((0,),))
 
 
 @pytest.mark.parametrize("n, integrator, gate", [
@@ -442,12 +461,11 @@ def test_sector_build_matches_dense_build(n, integrator, gate, monkeypatch):
     htc, env, bond = _xxz_split(n)
     blocks = opalg.sectors(env, bond)
     assert len(blocks) == n + 1
-    assert len(opalg.flip_split(blocks, env, bond)[0]) == n // 2 + 1 + (n % 2 == 0)
+    assert len(opalg.split(env, bond)[0]) == n // 2 + 1 + (n % 2 == 0)
     betas = (0.5, 1.0, 2.0)
     kw = dict(tau_steps=2, integrator=integrator, residual_gate=gate)
     sector = qbp.bond_sweep(htc, 1, betas, **kw)
-    monkeypatch.setattr(opalg, "sectors", _one_block)
-    monkeypatch.setattr(opalg, "flip_split", _no_flip)
+    monkeypatch.setattr(opalg, "split", _one_piece)
     dense = qbp.bond_sweep(htc, 1, betas, **kw)
     for a, b in zip(sector, dense):
         scale = max(1.0, float(np.abs(b.matrix).max()))
