@@ -39,7 +39,7 @@ class LocalTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-        object.__setattr__(self, "norm", opalg.opnorm(self.matrix))
+        object.__setattr__(self, "norm", opalg.spectral_norm(self.matrix))
 
     def crosses(self, cut):
         """True if the support straddles the bond between sites cut, cut+1."""

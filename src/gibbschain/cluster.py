@@ -25,7 +25,9 @@ inclusion-exclusion branch is a tensor square.
 Local operators (the probes O_X and O_Y, the string factors Z_i, the weight
 factors W_j, the window-localized BP operators of ``gamma_pair``) meet
 full-space matrices only on their own sites: they multiply by contraction
-(``opalg.apply_local``) and are traced from a diagonal view
+(``opalg.apply_local``), or by scaling rows when they are diagonal (sigma_z
+probes and factors, and on a commuting chain every window BP operator and
+its product K_j = B_j^dag B_j), and are traced from a diagonal view
 (``opalg.local_trace``); none is embedded or multiplied as a dense
 full-space matrix.
 """
@@ -464,7 +466,8 @@ def gamma_pair(
     All traces go through the tensor-square factorization.
 
     Each window BP operator B_j stays on its own window and acts on a
-    full-space matrix by contraction (``opalg.apply_local``), never embedded:
+    full-space matrix by contraction (``opalg.apply_local``; a diagonal B_j,
+    as on a commuting chain, scales rows), never embedded:
     M_lam = B_lam e^{beta H_0} B_lam^dag is e^{beta H_0} sandwiched by each
     B_j in lam, and K_S e^{beta H_0} applies each window product
     K_j = B_j^dag B_j in S.  The windows are disjoint, so the B_j commute.

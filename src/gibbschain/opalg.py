@@ -25,7 +25,11 @@ sites; no function builds its 2^n x 2^n embedding.  ``add_embedded`` adds it
 (identity elsewhere) into a full-space matrix in place, ``apply_local``
 multiplies by it, contracting it with the row axes of its sites (O(dim^2 2^k)
 where the embedded product costs O(dim^3)), and ``local_trace`` takes the
-trace of that product from a diagonal view (O(dim 4^k)).
+trace of that product from a diagonal view (O(dim 4^k)).  An exactly
+diagonal local operator (a Pauli-z string, the BP operator of a commuting
+bond) is applied by scaling rows: its diagonal, broadcast over the other
+sites, is one factor per row, O(dim^2) with no contraction, and every entry
+equals the contraction's (its other terms are exact zeros).
 
 This module is the one place that knows the symmetry sectors of qubit
 chains.  ``sectors`` reads them from the exact zero pattern: the popcount
@@ -186,16 +190,28 @@ def apply_local(op, sites, mat):
     site count) and any number of columns.  ``op`` is contracted with the
     row axes of ``sites`` (listed in the order of its axes, as in
     ``add_embedded``): O(dim^2 2^k) work for k sites instead of a dense
-    O(dim^3) product.  The right product mat @ (op x 1) is
-    apply_local(op^dag, sites, mat^dag)^dag.
+    O(dim^3) product.  An exactly diagonal ``op`` (a Pauli-z string, a BP
+    operator of a commuting bond) scales row i of ``mat`` by its diagonal
+    entry at the sites' bits of i, broadcast over the other site axes:
+    O(dim^2) work, no contraction and no transposed copy, and each entry is
+    the one product the contraction forms (its other terms are exact zeros).
+    The right product mat @ (op x 1) is apply_local(op^dag, sites, mat^dag)^dag.
     """
     mat = np.asarray(mat)
+    op = np.asarray(op)
     n = n_qubits(mat.shape[0])
     sites = [int(s) for s in sites]
     if any(s < 0 or s >= n for s in sites):
         raise SupportMismatch(f"support {sites} not inside 0..{n - 1}")
     k = len(sites)
-    t = np.tensordot(np.asarray(op).reshape((2,) * (2 * k)),
+    diag = np.diagonal(op)
+    if np.count_nonzero(op) == np.count_nonzero(diag):
+        # op's axes to ascending site order, a unit axis on every other site
+        scale = np.transpose(diag.reshape((2,) * k), np.argsort(sites))
+        shape = [2 if i in sites else 1 for i in range(n)]
+        rows = np.broadcast_to(scale.reshape(shape), (2,) * n).reshape(-1)
+        return mat * rows[:, None]
+    t = np.tensordot(op.reshape((2,) * (2 * k)),
                      mat.reshape((2,) * n + (-1,)),
                      axes=(range(k, 2 * k), sites))
     return np.moveaxis(t, range(k), sites).reshape(mat.shape)
@@ -263,9 +279,10 @@ def _sector_labels(n):
     return out
 
 
-def _respects(mats, label):
+def respects(mats, label):
     """True when every matrix is exactly zero between basis states of different
-    ``label``; row chunks of ~65k entries are scanned up to the first break."""
+    ``label`` (any array of one value per basis index); row chunks of ~65k
+    entries are scanned up to the first break."""
     step = max(1, (1 << 16) // len(label))
     for mat in mats:
         for lo in range(0, len(label), step):
@@ -292,7 +309,7 @@ def sectors(*mats):
             edge |= m[0] != 0
             edge |= m[:, 0] != 0
         for label, off0 in _sector_labels(n):
-            if not edge[off0].any() and _respects(mats, label):
+            if not edge[off0].any() and respects(mats, label):
                 return tuple(np.flatnonzero(label == k) for k in range(label.max() + 1))
     return (np.arange(dim),)
 

@@ -31,6 +31,15 @@ Gauss panels (geometrically refined into the singularity); it certifies the
 kernel's normalization and first moment, and its node sum is the
 independent check of F.
 
+When the bond commutes with its environment, phi(tau) = (beta/2) h for every
+tau (h has no matrix element between distinct eigenvalues of H(tau), and
+F(0) = 1), so Phi = exp(beta h / 2) exactly.  ``build_bp_sweep`` takes that
+closed form, with no tau sweep, when it can read the commutation from exact
+zeros: the bond is diagonal, and H_env vanishes between basis states where
+the bond's diagonal differs.  That covers every window and bond of a
+classical (ising_zz) chain, and a diagonal bond that is a function of total
+S^z against an XXZ environment.  Any other bond takes the sweep.
+
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
 therefore runs the sweep on each piece of ``opalg.split(h_env, h)``: under
@@ -287,14 +296,34 @@ def _residual(phis, spectra, beta):
     return float(diff / scale)
 
 
+def _commuting_diagonal(h_env, h_bond):
+    """The bond's diagonal (real part) when the bond is diagonal and commutes
+    with H_env, else None.
+
+    Both conditions are read from exact zeros, with no floating-point
+    product: the bond has no nonzero entry off its diagonal (one count over
+    the matrix), and H_env is zero between basis states where the bond's
+    diagonal differs, which is [H_env, h] = 0 for a diagonal h.
+    """
+    diag = np.diagonal(h_bond)
+    if np.count_nonzero(h_bond) != np.count_nonzero(diag):
+        return None
+    diag = diag.real
+    return diag if opalg.respects((h_env,), diag) else None
+
+
 def build_bp_sweep(
     h_env, h_bond, betas, tau_steps=32, integrator="cf4", residual_gate=None, sites=None,
 ) -> tuple:
     """Belief propagation operators of the split H = H_env + h_bond, one per beta.
 
     h_env and h_bond are Hermitian matrices on a common space (checked).
-    Every matrix of the construction commutes with a symmetry shared by
-    H_env and the bond, so the build runs on each piece of
+    A diagonal bond that commutes with H_env (``_commuting_diagonal``, read
+    from exact zeros) has the closed form Phi = exp(beta h / 2) =
+    diag(exp(beta h_ii / 2)), with ||h|| = max |h_ii| and phi_norm_max =
+    beta ||h|| / 2; no tau sweep runs and tau_steps is recorded as given.
+    Otherwise every matrix of the construction commutes with a symmetry
+    shared by H_env and the bond, so the build runs on each piece of
     ``opalg.split(h_env, h_bond)`` and its layout assembles the dense Phi
     (a chain without the symmetry is the one-piece case).
     The spectra of the interpolation H(tau) do not depend on beta, so a
@@ -302,17 +331,25 @@ def build_bp_sweep(
     transfer function.  With a residual_gate, the reconstruction residual is
     computed (from per-piece H_env and H spectra shared across beta) and the
     betas above the gate are rebuilt with doubled tau_steps; NonConvergence
-    is raised after MAX_REFINEMENTS doublings.  Without a gate the residual
-    is left uncomputed (callers doing difference certifications do not need
-    it).  Each operator equals, bit for bit, a one-beta build.
+    is raised after MAX_REFINEMENTS doublings, and at once for a closed form,
+    which no refinement changes.  Without a gate the residual is left
+    uncomputed (callers doing difference certifications do not need it).
+    A zero bond gives the identity with residual 0.  Each operator equals,
+    bit for bit, a one-beta build.
     """
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
     opalg.require_hermitian(h_env, "environment")
     opalg.require_hermitian(h_bond, "bond")
     sites = tuple(range(opalg.n_qubits(h_env.shape[0]))) if sites is None else tuple(sites)
-    pieces, layout = opalg.split(h_env, h_bond)
-    bond_norm = max(opalg.spectral_norm(hb) for _, hb in pieces) if np.any(h_bond) else 0.0
+    diag = _commuting_diagonal(h_env, h_bond)
+    # a closed form needs the split only to measure its residual piece by piece
+    if diag is None or residual_gate is not None:
+        pieces, layout = opalg.split(h_env, h_bond)
+    if diag is None:
+        bond_norm = max(opalg.spectral_norm(hb) for _, hb in pieces)
+    else:
+        bond_norm = float(np.max(np.abs(diag)))
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
@@ -327,6 +364,23 @@ def build_bp_sweep(
     spectra = None
     if residual_gate is not None:
         spectra = [(opalg.spectrum(he), opalg.spectrum(he + hb)) for he, hb in pieces]
+    if diag is not None:
+        out = []
+        for beta in betas:
+            residual = None
+            if spectra is not None:
+                # a piece of a diagonal bond is diagonal: its Phi is exp(beta h_p / 2)
+                phis = [np.diag(np.exp((0.5 * beta) * np.diagonal(hb).real)) for _, hb in pieces]
+                residual = _residual(phis, spectra, beta)
+                if residual > residual_gate:
+                    raise NonConvergence(
+                        f"closed-form residual {residual:.3e} above gate "
+                        f"{residual_gate:.1e} at beta={beta}"
+                    )
+            phi = np.diag(np.exp((0.5 * beta) * diag))
+            out.append(record(beta, phi, tau_steps, 0.5 * beta * bond_norm, residual))
+        return tuple(out)
+
     out = [None] * len(betas)
     pending = list(range(len(betas)))
     steps = tau_steps

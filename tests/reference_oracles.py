@@ -92,6 +92,22 @@ def embed_matrix(mat, sites, n):
     return t.reshape(2**n, 2**n)
 
 
+def apply_local_contracted(op, sites, mat):
+    """(``op`` on ``sites``) @ ``mat`` by contraction for every ``op``, diagonal or not.
+
+    The tensordot expression ``opalg.apply_local`` uses for a non-diagonal
+    operator: op's column axes against the row axes of ``sites`` in the
+    ``(2,) * n + (-1,)`` reshape of ``mat``, then the result's site axes moved
+    back into place.
+    """
+    mat = np.asarray(mat)
+    n = int(mat.shape[0]).bit_length() - 1
+    k = len(sites)
+    t = np.tensordot(np.asarray(op).reshape((2,) * (2 * k)), mat.reshape((2,) * n + (-1,)),
+                     axes=(range(k, 2 * k), list(sites)))
+    return np.moveaxis(t, range(k), list(sites)).reshape(mat.shape)
+
+
 def herm_defect_untiled(mat):
     """max|A - A^dag| / max(max|A|, tiny) by one full-matrix difference, untiled."""
     mat = np.asarray(mat)

@@ -457,9 +457,32 @@ def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
         dims.append(a.layout.dim if isinstance(a, opalg.Spectrum) else a.shape[0])
         return herm_expm(a, scale)
 
+    # the Ising window bonds are diagonal and commute with their windows: their
+    # BP operators are closed forms, built with no eigensolver call
+    in_sweep, solver_calls = [], []
+    localized_sweep = qbp.localized_sweep
+
+    def sweep_spy(*args, **kw):
+        in_sweep.append(True)
+        try:
+            return localized_sweep(*args, **kw)
+        finally:
+            in_sweep.pop()
+
+    def solver_spy(solver):
+        def call(a, *args, **kw):
+            if in_sweep:
+                solver_calls.append((solver.__name__, a.shape[0]))
+            return solver(a, *args, **kw)
+        return call
+
     monkeypatch.setattr(opalg, "herm_expm", spy)
+    monkeypatch.setattr(qbp, "localized_sweep", sweep_spy)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, solver_spy(getattr(np.linalg, name)))
     cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
     assert dims.count(2**n) == 2
+    assert solver_calls == []
 
 
 def exact_gamma_trace(h_tc, centers, beta, o_x, o_y):

@@ -3,6 +3,8 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from gibbschain import chain, opalg, profiles, qbp
@@ -159,9 +161,103 @@ def test_commuting_split_closed_form():
     bond = np.diag(rng.uniform(0.0, 1.0, size=8))
     bp = qbp.build_bp_sweep(env, bond, (1.0,), tau_steps=8)[0]
     expected = opalg.herm_expm(bond, 0.5)
-    assert np.max(np.abs(bp.matrix - expected)) < 1e-8
+    assert np.max(np.abs(bp.matrix - expected)) < 1e-13
     res = reconstruction_residual(bp.matrix, env, bond, 1.0)
-    assert res < 1e-8
+    assert res < 1e-13
+
+
+@st.composite
+def commuting_splits(draw):
+    """(H_env, h) with h diagonal and [H_env, h] = 0: the bond and environment of
+    an ising_zz window or whole chain (n <= 8), or a diagonal bond that is a
+    function of total S^z against a whole XXZ chain, which is not diagonal."""
+    n = draw(st.integers(4, 8))
+    profile = draw(st.one_of(
+        st.integers(1, n - 1).map(profiles.finite_range),
+        st.floats(2.0, 8.0, exclude_min=True).map(profiles.power_law),
+        st.floats(1e-3, 5.0).map(profiles.exponential),
+    ))
+    coupling, seed = draw(st.floats(0.05, 1.5)), draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        h = chain.build_chain(n, "heisenberg_xxz", profile, coupling=coupling, seed=seed)
+        levels = np.random.default_rng(seed).uniform(0.0, 2.0, size=n + 1)
+        popcount = [bin(i).count("1") for i in range(2**n)]
+        return h.matrix(), np.diag(levels[popcount])
+    h = chain.build_chain(n, "ising_zz", profile, coupling=coupling, seed=seed)
+    nx, ny, l0 = draw(st.sampled_from([
+        (nx, ny, l0) for nx in (1, 2) for ny in (1, 2) for l0 in (1, 2)
+        if n - nx - ny >= 2 * l0 and (n - nx - ny) % (2 * l0) == 0
+    ]))
+    htc = chain.truncate(h, range(nx), range(n - ny, n), l0)
+    # a bond bundle reaches at most 2 sites from its cut (blocks of <= 2 sites)
+    cut, window = qbp._window_around(htc, draw(st.integers(0, htc.q)), draw(st.integers(2, n)))
+    env, bond, _ = qbp._window_split_matrices(htc, cut, window)
+    return env, bond
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(commuting_splits(), st.lists(st.floats(0.0, 3.0, exclude_min=True), min_size=1,
+                                    max_size=2),
+       st.sampled_from([8, 12]))
+def test_commuting_closed_form_matches_the_tau_sweep(split, betas, tau_steps):
+    # the closed form exp(beta h / 2) is the cf4 sweep's limit; no eigensolver runs
+    # without a gate, and with one the reconstruction residual sits at roundoff
+    env, bond = split
+    betas = tuple(betas)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    np.linalg.eigh = spy
+    try:
+        ops = qbp.build_bp_sweep(env, bond, betas, tau_steps=tau_steps)
+    finally:
+        np.linalg.eigh = eigh
+    assert calls == []
+    gated = qbp.build_bp_sweep(env, bond, betas, tau_steps=tau_steps, residual_gate=1.0)
+    swept = qbp._ordered_exponentials(env, bond, betas, tau_steps, "cf4")
+    bond_norm = opalg.spectral_norm(bond)
+    for beta, op, gate_op, (u, phi_max) in zip(betas, ops, gated, swept):
+        assert np.array_equal(op.matrix, gate_op.matrix)
+        assert np.abs(op.matrix - u).max() <= 1e-12 * np.abs(u).max()
+        assert gate_op.reconstruction_residual <= 1e-13
+        assert op.reconstruction_residual is None and op.tau_steps == tau_steps
+        assert op.bond_norm == pytest.approx(bond_norm, rel=1e-12)
+        assert op.phi_norm_max == pytest.approx(phi_max, rel=1e-12)
+
+
+def test_closed_form_above_its_gate_raises_at_once():
+    # doubling tau_steps cannot change a closed form, so a residual above the
+    # gate is reported without refinement
+    h = chain.build_chain(5, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
+    bond = np.diag([0.5 * bin(i).count("1") for i in range(32)])
+    (op,) = qbp.build_bp_sweep(h.matrix(), bond, (2.0,), tau_steps=4, residual_gate=1e-12)
+    assert 0.0 < op.reconstruction_residual <= 1e-13 and op.tau_steps == 4
+    with pytest.raises(NonConvergence, match="closed-form residual"):
+        qbp.build_bp_sweep(h.matrix(), bond, (2.0,), tau_steps=4,
+                           residual_gate=0.5 * op.reconstruction_residual)
+
+
+def test_diagonal_bond_that_does_not_commute_takes_the_sweep(monkeypatch):
+    # sigma_z on site 0 is diagonal, but the XXZ hopping flips site 0: [H_env, h] != 0
+    h = chain.build_chain(5, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.25, seed=4)
+    env = h.matrix()
+    bond = np.diag([2.0 if i >> 4 else 0.0 for i in range(32)])
+    assert qbp._commuting_diagonal(env, bond) is None
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    (op,) = qbp.build_bp_sweep(env, bond, (1.0,), tau_steps=2)
+    assert len(calls) == 2 * 2 * len(opalg.split(env, bond)[0])
+    assert reconstruction_residual(op.matrix, env, bond, 1.0) > 1e-8
 
 
 def test_reconstruction_and_caps(scheme1):
