@@ -62,18 +62,17 @@ def criterion_02_qbp_reconstruction():
         )
         htc = chain_mod.truncate(h, [0], [5], 1)
         betas = (0.5, 1.0, 2.0)
-        ops = qbp.bond_sweep(htc, 2, betas, tau_steps=32, integrator="cf4", residual_gate=1e-6)
+        # an infinite gate measures each residual and never refines: the row checks it
+        ops = qbp.bond_sweep(htc, 2, betas, tau_steps=32, integrator="cf4",
+                             residual_gate=math.inf)
         for beta, bp in zip(betas, ops):
-            res = bp.reconstruction_residual
-            rows.append((f"residual[seed={seed},beta={beta}]", res, 1e-6, res <= 1e-6))
-            phi_cap = beta * bp.bond_norm / 2.0 + 1e-8
-            rows.append(
-                (f"phi_cap[seed={seed},beta={beta}]", bp.phi_norm_max, phi_cap,
-                 bp.phi_norm_max <= phi_cap)
-            )
-            op_cap = math.exp(beta * bp.bond_norm / 2.0) + 1e-8
-            nrm = bp.norm()
-            rows.append((f"op_cap[seed={seed},beta={beta}]", nrm, op_cap, nrm <= op_cap))
+            for label, measured, bound in (
+                ("residual", bp.reconstruction_residual, 1e-6),
+                ("phi_cap", bp.phi_norm_max, beta * bp.bond_norm / 2.0 + 1e-8),
+                ("op_cap", bp.norm(), math.exp(beta * bp.bond_norm / 2.0) + 1e-8),
+            ):
+                rows.append((f"{label}[seed={seed},beta={beta}]", measured, bound,
+                             measured <= bound))
     return rows
 
 
@@ -123,6 +122,8 @@ def criterion_05_subset_evolution():
         t = (0.2, 0.4, 0.6)[seed % 3]
         site = n // 2
         lo = 1 + (seed // 2) % 2
+        if gen == "heisenberg_xxz" and seed >= 12:
+            lo = 3 - lo  # XXZ ignores its seed: seeds 12-18 would repeat 0-6 bit for bit
         window = range(lo, n - 1)
         o = opalg.single_site(opalg.pauli("x"), site)
         rep = locality.subset_evolution_error(o, h, window, t)
@@ -286,9 +287,7 @@ def criterion_11_correlation_length():
     )
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, 10))]
-    fit, monotone = log_xi_line("quantum_log_xi_monotone", betas, xis)
-    slope = fit[0] if fit else math.nan
-    rows += [monotone, ("quantum_log_xi_slope", slope, math.inf, math.isfinite(slope))]
+    rows.append(log_xi_line("quantum_log_xi_monotone", betas, xis)[1])
     return rows
 
 

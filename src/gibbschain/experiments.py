@@ -154,9 +154,10 @@ def run_qbp_locality(cfg: ExperimentConfig, manifest, outdir):
     manifest.add_check("bp_locality_explicit_bound",
                        [(f"beta={rep.beta},r={rep.r}", rep.exact, rep.explicit_bound, rep.passed)
                         for rep in reports])
-    measured = [rep for rep in reports if not rep.vacuous and rep.exact > 0]
-    if measured:
-        theta = qbp.calibrate_theta(measured, h.profile, cfg.block_len)
+    theta = qbp.calibrate_theta(reports, h.profile, cfg.block_len)
+    if theta is None:
+        manifest.add_fit("theta", "unresolved")
+    else:
         manifest.add_fit("theta0", theta.theta0)
         manifest.add_fit("theta1", theta.theta1)
     columns = ("beta", "r", "exact", "explicit_bound", "vacuous", "violation")

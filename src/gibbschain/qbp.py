@@ -31,28 +31,30 @@ Gauss panels (geometrically refined into the singularity); it certifies the
 kernel's normalization and first moment, and its node sum is the
 independent check of F.
 
-When the bond commutes with its environment, phi(tau) = (beta/2) h for every
-tau (h has no matrix element between distinct eigenvalues of H(tau), and
-F(0) = 1), so Phi = exp(beta h / 2) exactly.  ``build_bp_sweep`` takes that
-closed form, with no tau sweep, when it can read the commutation from exact
-zeros: the bond is diagonal, and H_env vanishes between basis states where
-the bond's diagonal differs.  That covers every window and bond of a
-classical (ising_zz) chain, and a diagonal bond that is a function of total
-S^z against an XXZ environment.  Any other bond takes the sweep.
-
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
-therefore runs the sweep on each piece of ``opalg.split(h_env, h)``: under
-the global spin flip F of an XXZ split, block n - k is block k reversed and
-is not swept (its Phi is the reversed copy, so F Phi F = Phi exactly), and
-the self-image block k = n/2 is swept as its F = +1 and F = -1 halves; the
-split's layout assembles the dense Phi.  Chains without the symmetry
-(random two-site terms) are the single-piece case of the same loop.
+therefore builds Phi in one loop over the pieces of ``opalg.split(h_env,
+h)``: under the global spin flip F of an XXZ split, block n - k is block k
+reversed and is not built (its Phi is the reversed copy, so F Phi F = Phi
+exactly), and the self-image block k = n/2 is built as its F = +1 and
+F = -1 halves; the split's layout assembles the dense Phi.  Chains without
+the symmetry (random two-site terms) are the single-piece case.
+
+When the bond commutes with its environment, phi(tau) = (beta/2) h for every
+tau (h has no matrix element between distinct eigenvalues of H(tau), and
+F(0) = 1), so Phi = exp(beta h / 2) exactly; each piece takes that closed
+form in the same loop, with no tau sweep, when the commutation can be read
+from exact zeros: the bond is diagonal, and H_env vanishes between basis
+states where the bond's diagonal differs.  That covers every window and bond
+of a classical (ising_zz) chain, and a diagonal bond that is a function of
+total S^z against an XXZ environment.  Any other bond takes the sweep.
 
 Truncating the construction to a window around the bond gives an operator
 supported on the window only; the distance dependence of the truncation
 error is certified against a fully explicit envelope, whose light-cone
 constants (velocity, prefactor, F0) come from ``locality.LREnvelope``.
+``calibrate_theta`` fits the rate function of the calibrated envelope
+exactly, from the upper hull of the measured points, with no slope grid.
 """
 
 from __future__ import annotations
@@ -318,24 +320,21 @@ def build_bp_sweep(
     """Belief propagation operators of the split H = H_env + h_bond, one per beta.
 
     h_env and h_bond are Hermitian matrices on a common space (checked).
-    A diagonal bond that commutes with H_env (``_commuting_diagonal``, read
-    from exact zeros) has the closed form Phi = exp(beta h / 2) =
-    diag(exp(beta h_ii / 2)), with ||h|| = max |h_ii| and phi_norm_max =
-    beta ||h|| / 2; no tau sweep runs and tau_steps is recorded as given.
-    Otherwise every matrix of the construction commutes with a symmetry
-    shared by H_env and the bond, so the build runs on each piece of
-    ``opalg.split(h_env, h_bond)`` and its layout assembles the dense Phi
-    (a chain without the symmetry is the one-piece case).
-    The spectra of the interpolation H(tau) do not depend on beta, so a
-    single tau sweep builds every beta; phi is filtered by the closed-form
-    transfer function.  With a residual_gate, the reconstruction residual is
-    computed (from per-piece H_env and H spectra shared across beta) and the
-    betas above the gate are rebuilt with doubled tau_steps; NonConvergence
-    is raised after MAX_REFINEMENTS doublings, and at once for a closed form,
-    which no refinement changes.  Without a gate the residual is left
-    uncomputed (callers doing difference certifications do not need it).
-    A zero bond gives the identity with residual 0.  Each operator equals,
-    bit for bit, a one-beta build.
+    Each Phi is built on the pieces of ``opalg.split(h_env, h_bond)`` and
+    assembled by its layout.  A diagonal bond that commutes with H_env
+    (``_commuting_diagonal``, read from exact zeros) has the closed form
+    Phi = exp(beta h / 2), diag(exp(beta h_p / 2)) on each piece, with
+    ||h|| = max |h_ii| and phi_norm_max = beta ||h|| / 2; no tau sweep runs
+    and tau_steps is recorded as given.  Any other bond takes one tau sweep
+    for every beta, since the spectra of H(tau) do not depend on beta.
+    With a residual_gate, the reconstruction residual is computed (from
+    per-piece H_env and H spectra shared across beta) and the betas above
+    the gate are rebuilt with doubled tau_steps; NonConvergence is raised
+    after MAX_REFINEMENTS doublings, and at once for a closed form, which no
+    refinement changes.  An infinite gate measures the residual and never
+    refines; without a gate it is left uncomputed.  A zero bond gives the
+    identity with residual 0.  Each operator equals, bit for bit, a one-beta
+    build.
     """
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
@@ -343,9 +342,7 @@ def build_bp_sweep(
     opalg.require_hermitian(h_bond, "bond")
     sites = tuple(range(opalg.n_qubits(h_env.shape[0]))) if sites is None else tuple(sites)
     diag = _commuting_diagonal(h_env, h_bond)
-    # a closed form needs the split only to measure its residual piece by piece
-    if diag is None or residual_gate is not None:
-        pieces, layout = opalg.split(h_env, h_bond)
+    pieces, layout = opalg.split(h_env, h_bond)
     if diag is None:
         bond_norm = max(opalg.spectral_norm(hb) for _, hb in pieces)
     else:
@@ -361,32 +358,22 @@ def build_bp_sweep(
         eye = np.eye(h_env.shape[0], dtype=complex)
         return tuple(record(beta, eye, tau_steps, 0.0, 0.0) for beta in betas)
 
+    def build(he, hb, pending_betas, steps):
+        if diag is None:
+            return _ordered_exponentials(he, hb, pending_betas, steps, integrator)
+        return [(np.diag(np.exp((0.5 * beta) * np.diagonal(hb).real)), 0.5 * beta * bond_norm)
+                for beta in pending_betas]
+
     spectra = None
     if residual_gate is not None:
         spectra = [(opalg.spectrum(he), opalg.spectrum(he + hb)) for he, hb in pieces]
-    if diag is not None:
-        out = []
-        for beta in betas:
-            residual = None
-            if spectra is not None:
-                # a piece of a diagonal bond is diagonal: its Phi is exp(beta h_p / 2)
-                phis = [np.diag(np.exp((0.5 * beta) * np.diagonal(hb).real)) for _, hb in pieces]
-                residual = _residual(phis, spectra, beta)
-                if residual > residual_gate:
-                    raise NonConvergence(
-                        f"closed-form residual {residual:.3e} above gate "
-                        f"{residual_gate:.1e} at beta={beta}"
-                    )
-            phi = np.diag(np.exp((0.5 * beta) * diag))
-            out.append(record(beta, phi, tau_steps, 0.5 * beta * bond_norm, residual))
-        return tuple(out)
-
+    # no refinement changes a closed form
+    attempts = 1 if diag is not None else MAX_REFINEMENTS + 1
     out = [None] * len(betas)
     pending = list(range(len(betas)))
     steps = tau_steps
-    for _ in range(MAX_REFINEMENTS + 1):
-        built = [_ordered_exponentials(he, hb, [betas[i] for i in pending], steps, integrator)
-                 for he, hb in pieces]
+    for _ in range(attempts):
+        built = [build(he, hb, [betas[i] for i in pending], steps) for he, hb in pieces]
         failed = []
         for k, i in enumerate(pending):
             us = [per_piece[k][0] for per_piece in built]
@@ -397,16 +384,16 @@ def build_bp_sweep(
                 if residual > residual_gate:
                     failed.append((i, residual))
                     continue
-            phi = layout.assemble(us)
-            out[i] = record(betas[i], phi, steps, phi_max, residual)
+            out[i] = record(betas[i], layout.assemble(us), steps, phi_max, residual)
         if not failed:
             return tuple(out)
         pending = [i for i, _ in failed]
         steps *= 2
     i, residual = failed[0]
+    kind = "residual" if diag is None else "closed-form residual"
     raise NonConvergence(
-        f"residual {residual:.3e} above gate {residual_gate:.1e} at beta={betas[i]} "
-        f"after {MAX_REFINEMENTS} refinements"
+        f"{kind} {residual:.3e} above gate {residual_gate:.1e} at beta={betas[i]} "
+        f"after {attempts - 1} refinements"
     )
 
 
@@ -592,38 +579,49 @@ def bp_locality_sweep(
     )
 
 
-def calibrate_theta(reports, profile, block_len) -> ThetaFunction:
-    """Smallest affine rate function whose envelope dominates measured errors by 5%.
+def calibrate_theta(reports, profile, block_len) -> ThetaFunction | None:
+    """Affine rate function of least Theta(beta_bar), beta_bar the mean measured
+    beta, whose envelope dominates every measured error by 5%; None if unresolved.
 
-    reports is an iterable of BPLocalityReport (or anything with .exact, .r,
-    .beta).  With c = max(r/l0, -log jbar(r/3)), or c = r/l0 where
-    jbar(r/3) = 0, the log of the envelope is Theta - c/Theta, increasing in
-    Theta; a point is dominated exactly when Theta >= Theta* =
-    (L + sqrt(L^2 + 4c))/2 with L = log(1.05 exact).  For each slope theta1
-    on a log grid the least intercept is max(1e-3, max_p(Theta*_p - theta1
-    beta_p)), in closed form; the pair minimizing theta0 + theta1 wins.
+    reports: BPLocalityReport-like (.exact, .r, .beta); exact = 0 is left out.
+    With c = max(r/l0, -log jbar(r/3)), or c = r/l0 where jbar(r/3) = 0, the
+    envelope's log is Theta - c/Theta, so a point is dominated exactly when
+    Theta(beta_p) >= Theta*_p = (L + sqrt(L^2 + 4c))/2, L = log(1.05 exact).
+    The optimum of this linear program (theta0 >= 0 is the same condition at
+    the point (0, 0)) is the edge above beta_bar of the upper hull of (0, 0)
+    and the (beta_p, Theta*_p); at a hull vertex the edge to its right (the
+    smaller slope) is taken.  theta0 is then raised by ulps of the largest
+    Theta(beta_p) until every point is dominated in floating point.
+    Unresolved: fewer than two distinct beta, or theta0 or theta1 <= 0.
     """
-    pts = [(rep.r, rep.beta, rep.exact) for rep in reports if rep.exact > 0]
-    if not pts:
-        return ThetaFunction(1.0, 1.0)
+    pts = [(rep.beta, rep.r, rep.exact) for rep in reports if rep.exact > 0]
+    if len({beta for beta, _, _ in pts}) < 2:
+        return None
 
-    def least_intercept(th1, r, beta, exact):
+    def least_theta(r, exact):
         jb = profile(r / 3.0)
         c = r / block_len if jb == 0.0 else max(r / block_len, -math.log(jb))
         big_l = math.log(1.05 * exact)
         root = math.sqrt(big_l * big_l + 4.0 * c)
-        # Theta* in the form without cancellation for the sign of L
-        star = 0.5 * (big_l + root) if big_l >= 0.0 else 2.0 * c / (root - big_l)
-        th0 = max(1e-3, star - th1 * beta)
-        # roundoff can leave the point a few ulp short of 5%
-        while (locality_decay_envelope(ThetaFunction(th0, th1), profile, block_len, beta, r)
-               < exact * 1.05):
-            th0 = math.nextafter(th0, math.inf)
-        return th0
+        # the form without cancellation for the sign of L
+        return 0.5 * (big_l + root) if big_l >= 0.0 else 2.0 * c / (root - big_l)
 
-    best = None
-    for th1 in np.geomspace(0.05, 20.0, 25):
-        cand = (max(least_intercept(th1, *p) for p in pts), th1)
-        if best is None or sum(cand) < sum(best):
-            best = cand
-    return ThetaFunction(*best)
+    hull = [(0.0, 0.0)]
+    for beta, star in sorted((beta, least_theta(r, exact)) for beta, r, exact in pts):
+        # drop the last vertex while it lies on or below the chord to the new point
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (star - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (beta - hull[-2][0])):
+            hull.pop()
+        hull.append((beta, star))
+    beta_bar = sum(beta for beta, _, _ in pts) / len(pts)
+    edges = list(zip(hull, hull[1:]))
+    (b0, s0), (b1, s1) = next((e for e in edges if e[1][0] > beta_bar), edges[-1])
+    th1 = (s1 - s0) / (b1 - b0)
+    th0 = s0 - th1 * b0
+    if th0 <= 0.0 or th1 <= 0.0:
+        return None
+    theta = ThetaFunction(th0, th1)
+    while any(locality_decay_envelope(theta, profile, block_len, beta, r) < exact * 1.05
+              for beta, r, exact in pts):
+        theta = ThetaFunction(theta.theta0 + math.ulp(theta(hull[-1][0])), th1)
+    return theta

@@ -145,34 +145,37 @@ def blockwise_evolve(o_mat, spec, t):
     return out
 
 
-def calibrate_theta_bisection(reports, profile, block_len):
-    """``qbp.calibrate_theta`` by search: for each slope of its 25-point log grid
-    the least intercept in [1e-3, 1e3] whose envelope dominates every measured
-    error by 5%, found by 60 steps of geometric bisection; the feasible pair
-    minimizing theta0 + theta1 wins.  An intercept of 1e3 makes the envelope
-    infinite at every point, so every slope has a feasible intercept.
+def theta_lines_by_search(reports, profile, block_len, count=10_000):
+    """The rate-function fit's feasible lines on a slope grid, by search.
+
+    Theta*_p, the least Theta at which ``qbp.locality_decay_envelope``
+    dominates point p's error by 5%, comes from 200 steps of bisection.  The
+    ``count`` slopes span evenly every slope between two of (0, 0) and the
+    points (beta_p, Theta*_p), which holds the optimal slope; each gets its
+    least intercept >= 0 with theta0 + theta1 beta_p >= Theta*_p at every
+    point.  Returns (slopes, intercepts).
     """
-    pts = [(rep.r, rep.beta, rep.exact) for rep in reports if rep.exact > 0]
-    if not pts:
-        return qbp.ThetaFunction(1.0, 1.0)
+    pts = [(rep.beta, rep.r, rep.exact) for rep in reports if rep.exact > 0]
 
-    def dominates(th0, th1):
-        theta = qbp.ThetaFunction(th0, th1)
-        return all(
-            qbp.locality_decay_envelope(theta, profile, block_len, b, r) >= e * 1.05
-            for r, b, e in pts
-        )
+    def dominates(theta, beta, r, exact):
+        return qbp.locality_decay_envelope(lambda _: theta, profile, block_len, beta, r) >= (
+            exact * 1.05)
 
-    best = None
-    for th1 in np.geomspace(0.05, 20.0, 25):
-        lo, hi = 1e-3, 1e3
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if dominates(mid, th1):
-                hi = mid
-            else:
-                lo = mid
-        cand = (hi, th1)
-        if best is None or sum(cand) < sum(best):
-            best = cand
-    return qbp.ThetaFunction(*best)
+    stars = []
+    for beta, r, exact in pts:
+        lo, hi = 0.0, 1.0
+        while not dominates(hi, beta, r, exact):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if dominates(mid, beta, r, exact) else (mid, hi)
+        stars.append(hi)
+    betas = np.array([beta for beta, _, _ in pts])
+    stars = np.array(stars)
+    xs, ys = np.append(0.0, betas), np.append(0.0, stars)
+    i, j = np.triu_indices(len(xs), 1)
+    rise = xs[i] != xs[j]
+    pair_slopes = (ys[j] - ys[i])[rise] / (xs[j] - xs[i])[rise]
+    slopes = np.linspace(pair_slopes.min(), pair_slopes.max(), count)
+    intercepts = np.maximum(0.0, np.max(stars - slopes[:, None] * betas, axis=1))
+    return slopes, intercepts

@@ -8,6 +8,7 @@ CSV bodies.
 """
 
 import csv
+import math
 
 import pytest
 
@@ -75,6 +76,17 @@ def test_acceptance_detail_rows_have_five_fields(acceptance_run):
     assert rows[0] == ["criterion", "label", "measured", "bound", "ok"]
     assert len(rows) > 1 and all(len(row) == 5 for row in rows)
     assert any("," in row[1] for row in rows)
+
+
+def test_every_acceptance_row_can_fail(acceptance_run):
+    # a row with an infinite bound or a measured value that is not a number
+    # checks nothing of its own
+    _, outdir = acceptance_run
+    with open(outdir / "acceptance_detail.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    loose = [row["label"] for row in rows
+             if not (math.isfinite(float(row["measured"])) and math.isfinite(float(row["bound"])))]
+    assert rows and loose == []
 
 
 def test_acceptance_rerun_byte_identical(acceptance_run, tmp_path_factory):

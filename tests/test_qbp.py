@@ -17,11 +17,11 @@ from gibbschain.errors import (
 from reference_oracles import (
     SingularPoint,
     build_truncated_bp,
-    calibrate_theta_bisection,
     embed_matrix,
     filter_value,
     reconstruction_residual,
     spectral_filter_direct,
+    theta_lines_by_search,
 )
 
 
@@ -239,6 +239,46 @@ def test_closed_form_above_its_gate_raises_at_once():
     with pytest.raises(NonConvergence, match="closed-form residual"):
         qbp.build_bp_sweep(h.matrix(), bond, (2.0,), tau_steps=4,
                            residual_gate=0.5 * op.reconstruction_residual)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_closed_form_is_exp_of_the_diagonal_bit_for_bit(n):
+    # each piece's diag(exp(beta h_p / 2)), assembled by the split's layout, is the
+    # direct diag(exp(beta h / 2)) of the whole bond, dtype included
+    for profile in (profiles.finite_range(1), profiles.power_law(3.0), profiles.exponential(1.0)):
+        h = chain.build_chain(n, "ising_zz", profile, coupling=1.0, seed=0)
+        htc = chain.truncate(h, [0], [n - 1], 1)
+        for s in range(htc.q + 1):
+            env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[s][-1], tuple(range(n)))
+            for op in qbp.build_bp_sweep(env, bond, (0.5, 2.0)):
+                direct = np.diag(np.exp((0.5 * op.beta) * np.diagonal(bond).real))
+                assert op.matrix.dtype == direct.dtype
+                assert np.array_equal(op.matrix, direct)
+
+
+def test_infinite_gate_measures_the_residual_and_never_refines(monkeypatch):
+    htc = _random_truncated(coupling=0.4, seed=0)
+    betas = (0.5, 1.0, 2.0)
+    calls = []
+    ordered = qbp._ordered_exponentials
+
+    def spy(*args):
+        calls.append(args[3])
+        return ordered(*args)
+
+    monkeypatch.setattr(qbp, "_ordered_exponentials", spy)
+    inf_ops = qbp.bond_sweep(htc, 2, betas, tau_steps=32, residual_gate=math.inf)
+    assert calls == [32]
+    gated = qbp.bond_sweep(htc, 2, betas, tau_steps=32, residual_gate=1e-6)
+    for a, b in zip(inf_ops, gated):
+        assert a.reconstruction_residual == b.reconstruction_residual <= 1e-6
+        assert np.array_equal(a.matrix, b.matrix) and a.tau_steps == b.tau_steps == 32
+    # one midpoint step leaves a residual far above 1e-6: it is reported, not refined
+    calls.clear()
+    coarse = qbp.bond_sweep(htc, 2, (1.0, 2.0), tau_steps=1, integrator="midpoint",
+                            residual_gate=math.inf)
+    assert calls == [1]
+    assert all(op.tau_steps == 1 and op.reconstruction_residual > 1e-6 for op in coarse)
 
 
 def test_diagonal_bond_that_does_not_commute_takes_the_sweep(monkeypatch):
@@ -516,29 +556,68 @@ def test_theta_calibration_dominates():
         assert qbp.locality_decay_envelope(theta, profile, 1, p.beta, p.r) >= p.exact
 
 
-def test_closed_form_theta_matches_bisection_on_random_point_sets():
-    """The closed-form fit dominates every point by 5% in floating point and
-    equals the bisection fit to 1e-12 relative, on power-law, exponential and
-    finite-range point sets (r > 6 l0, so jbar(r/3) = 0 for the last)."""
-    rng = np.random.default_rng(2024)
-    Point = namedtuple("Point", "r beta exact")
-    shapes = (lambda: profiles.power_law(8.0 - rng.uniform(0.0, 6.0)),
-              lambda: profiles.exponential(rng.uniform(0.1, 3.0)),
-              lambda: profiles.finite_range(int(rng.integers(1, 3))))
-    for k in range(45):
-        profile = shapes[k % 3]()
-        l0 = int(rng.integers(1, 3))
-        pts = [Point(int(rng.integers(6 * l0 + 1, 6 * l0 + 6)), rng.uniform(0.05, 3.0),
-                     10.0 ** rng.uniform(-14.0, 0.5))
-               for _ in range(int(rng.integers(1, 7)))]
-        if profile.is_finite_range:
-            assert all(profile(p.r / 3.0) == 0.0 for p in pts)
-        fit = qbp.calibrate_theta(pts, profile, l0)
-        ref = calibrate_theta_bisection(pts, profile, l0)
-        for p in pts:
-            assert qbp.locality_decay_envelope(fit, profile, l0, p.beta, p.r) >= p.exact * 1.05
-        assert fit.theta1 == ref.theta1
-        assert fit.theta0 == pytest.approx(ref.theta0, rel=1e-12, abs=0.0)
+Point = namedtuple("Point", "r beta exact")
+
+
+@st.composite
+def theta_point_sets(draw):
+    """A profile, l0, and 2-6 points at two or more distinct beta, r > 6 l0
+    (so jbar(r/3) = 0 on the finite-range profiles)."""
+    profile = draw(st.one_of(st.floats(2.0, 8.0).map(profiles.power_law),
+                             st.floats(0.1, 3.0).map(profiles.exponential),
+                             st.integers(1, 2).map(profiles.finite_range)))
+    l0 = draw(st.integers(1, 2))
+    betas = draw(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6)
+                 .filter(lambda b: len(set(b)) >= 2))
+    logs = draw(st.lists(st.floats(-14.0, 0.5), min_size=len(betas), max_size=len(betas)))
+    if draw(st.booleans()):
+        # errors that grow with beta, as measured ones do
+        betas, logs = sorted(betas), sorted(logs)
+    points = [Point(draw(st.integers(6 * l0 + 1, 6 * l0 + 5)), beta, 10.0**x)
+              for beta, x in zip(betas, logs)]
+    return profile, l0, points
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta_point_sets())
+def test_closed_form_theta_matches_bisection_on_random_point_sets(case):
+    """The exact fit dominates every point by 5% in floating point, and no line
+    of a 10^4-slope grid over bisected Theta*_p has a lower Theta at the mean
+    beta by more than 1e-12 relative.  An unresolved fit is one whose optimal
+    line has theta0 = 0 or theta1 <= 0, within a grid step."""
+    profile, l0, points = case
+    if profile.is_finite_range:
+        assert all(profile(p.r / 3.0) == 0.0 for p in points)
+    fit = qbp.calibrate_theta(points, profile, l0)
+    slopes, intercepts = theta_lines_by_search(points, profile, l0)
+    beta_bar = sum(p.beta for p in points) / len(points)
+    values = intercepts + slopes * beta_bar
+    best = values.min()
+    if fit is None:
+        step = slopes[1] - slopes[0]
+        near = values <= best * (1.0 + 1e-12)
+        flat = (slopes[near] <= step) | (intercepts[near] <= step * max(p.beta for p in points))
+        assert flat.any()
+        return
+    for p in points:
+        assert qbp.locality_decay_envelope(fit, profile, l0, p.beta, p.r) >= p.exact * 1.05
+    assert best >= fit(beta_bar) * (1.0 - 1e-12)
+
+
+def test_theta_fit_unresolved_on_one_beta_and_decreasing_sets():
+    profile = profiles.power_law(3.0)
+    assert qbp.calibrate_theta([], profile, 1) is None
+    one_beta = [Point(7, 0.5, 1e-7), Point(8, 0.5, 3e-8), Point(9, 0.5, 1e-3)]
+    assert qbp.calibrate_theta(one_beta, profile, 1) is None
+    # Theta*_p falls with beta: the optimal line does not rise
+    falling = [Point(7, 0.5, 1e-2), Point(7, 1.0, 1e-5), Point(7, 2.0, 1e-9)]
+    assert qbp.calibrate_theta(falling, profile, 1) is None
+    # the line from (0, 0) to the beta = 2 point passes above the beta = 0.5
+    # point, so the optimal line at beta_bar = 1.25 has theta0 = 0; a larger
+    # error at beta = 0.5 lifts that point onto the hull and resolves the fit
+    assert qbp.calibrate_theta([Point(7, 0.5, 1e-12), Point(7, 2.0, 1.0)], profile, 1) is None
+    fit = qbp.calibrate_theta([Point(7, 0.5, 1e-3), Point(7, 2.0, 1.0)], profile, 1)
+    assert fit.theta0 > 0.0 and fit.theta1 > 0.0
 
 
 def _one_piece(*mats):
