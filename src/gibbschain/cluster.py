@@ -449,21 +449,22 @@ class GammaPairReport:
 def gamma_pair(
     h_tc: TruncatedHamiltonian,
     centers,
-    beta,
+    betas,
     o_x,
     o_y,
     tau_steps=32,
     integrator="cf4",
-) -> GammaPairReport:
-    """Block-local approximant of the alternating Gibbs sum over center bonds.
+) -> tuple:
+    """Block-local approximants of the alternating Gibbs sum over center bonds, one per beta.
 
     Gamma removes the zeroth order of every center bond from the doubled
     Gibbs exponential; Gamma-tilde replaces the exact removal operators by
     window-localized ones, after which the probe trace factorizes into the
     product form that drives the distance decay.  Only Gamma-tilde is
-    traced, so the full space sees two exponentials whatever m is:
-    e^{beta H_0} (H_0 = H minus every center bond) and e^{beta H} for Z.
-    All traces go through the tensor-square factorization.
+    traced, so the full space sees two exponentials per beta whatever m is:
+    e^{beta H_0} (H_0 = H minus every center bond) and e^{beta H} for Z,
+    from one spectrum each; each window takes one ``qbp.localized_sweep``
+    over all betas.  All traces go through the tensor-square factorization.
 
     Each window BP operator B_j stays on its own window and acts on a
     full-space matrix by contraction (``opalg.apply_local``; a diagonal B_j,
@@ -478,42 +479,41 @@ def gamma_pair(
     h_mat = h_tc.matrix()
     bonds = [centers.bond_matrix(j) for j in range(m)]
 
-    # window-localized removal operators, one per center bond, on their windows
-    local_ops = []
-    for j in range(m):
-        op = qbp.localized_sweep(
-            h_tc, centers.centers[j], centers.blocks[j + 1], (beta,),
-            tau_steps=tau_steps, integrator=integrator,
-        )[0]
-        local_ops.append(op.op)
+    # window-localized removal operators on their windows, per window one per beta
+    sweeps = [qbp.localized_sweep(h_tc, centers.centers[j], centers.blocks[j + 1], betas,
+                                  tau_steps=tau_steps, integrator=integrator)
+              for j in range(m)]
+    spec0 = opalg.hermitian_eig(h_mat - sum(bonds))
+    spec = opalg.hermitian_eig(h_mat)
+    reports = []
+    for i, beta in enumerate(betas):
+        local_ops = [ops[i].op for ops in sweeps]
+        e0 = opalg.herm_expm(spec0, beta)
+        z = float(np.trace(opalg.herm_expm(spec, beta)).real)
+        tr_gamma_local = 0.0 + 0.0j
+        for lam, sign in lambda_branches(m):
+            m_lam = e0
+            for op, l in zip(local_ops, lam):
+                if l:
+                    m_lam = _sandwich(op, m_lam)
+            tr_gamma_local += sign * probe.expectation(m_lam)
 
-    e0 = opalg.herm_expm(h_mat - sum(bonds), beta)
-    z = float(np.trace(opalg.herm_expm(h_mat, beta)).real)
-    tr_gamma_local = 0.0 + 0.0j
-    for lam, sign in lambda_branches(m):
-        m_lam = e0
-        for op, l in zip(local_ops, lam):
-            if l:
-                m_lam = _sandwich(op, m_lam)
-        tr_gamma_local += sign * probe.expectation(m_lam)
+        # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
+        k_ops = [replace(op, matrix=op.matrix.conj().T @ op.matrix) for op in local_ops]
+        tr_product_form = 0.0 + 0.0j
+        for subset, sign in lambda_branches(m):
+            k_e0 = e0
+            for k, inc in zip(k_ops, subset):
+                if inc:
+                    k_e0 = _apply(k, k_e0)
+            tr_product_form += sign * probe.expectation(k_e0)
 
-    # product form: expand prod_j (K_j (x) K_j - 1) over subsets, K_j = B_j^dag B_j
-    k_ops = [replace(op, matrix=op.matrix.conj().T @ op.matrix) for op in local_ops]
-    tr_product_form = 0.0 + 0.0j
-    for subset, sign in lambda_branches(m):
-        k_e0 = e0
-        for k, inc in zip(k_ops, subset):
-            if inc:
-                k_e0 = _apply(k, k_e0)
-        tr_product_form += sign * probe.expectation(k_e0)
-
-    z2 = z * z
-    scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)
-    fact_residual = abs(tr_gamma_local - tr_product_form) / scale
-
-    return GammaPairReport(
-        psi_trace_gamma_local=abs(tr_gamma_local),
-        psi_trace_decay=abs(tr_gamma_local) / z2,
-        factorization_residual=float(fact_residual),
-        z2=z2,
-    )
+        z2 = z * z
+        scale = max(abs(tr_gamma_local), abs(tr_product_form), z2 * 1e-30)
+        reports.append(GammaPairReport(
+            psi_trace_gamma_local=abs(tr_gamma_local),
+            psi_trace_decay=abs(tr_gamma_local) / z2,
+            factorization_residual=float(abs(tr_gamma_local - tr_product_form) / scale),
+            z2=z2,
+        ))
+    return tuple(reports)

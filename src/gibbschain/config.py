@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from . import chain, opalg
+from . import chain, opalg, qbp
 from .errors import BadPartition, ConfigError, GeometryError
 from .profiles import PARAMETERS, DecayProfile
 
@@ -223,7 +223,7 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError("clustering_sweep needs two or more separations on the chain")
         if len(cfg.beta_list) < 2:
             raise ConfigError("clustering_sweep needs two or more beta_list entries")
-    if cfg.integrator not in ("cf4", "midpoint"):
+    if cfg.integrator not in qbp.INTEGRATORS:
         raise ConfigError(f"unknown integrator {cfg.integrator!r}")
     if cfg.threads != 1:
         raise ConfigError("threads must be 1")

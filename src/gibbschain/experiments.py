@@ -61,31 +61,29 @@ def gamma_decay_values(cfg: ExperimentConfig):
     config order, with Z probes on the ends of an n_m-site chain.
 
     m = 0 gives |Cor(O_X, O_Y)| (residual 0); m >= 1 gives ``gamma_pair``'s
-    psi_trace_decay over m center blocks of 2*half_width sites.
+    psi_trace_decay over m center blocks of 2*half_width sites.  m is the outer
+    loop: each m's chain is built, and its spectra taken, once for every beta.
     """
     ell = cfg.half_width
-    out = []
-    for beta in cfg.beta_list:
-        for m in cfg.m_list:
-            n_m = cfg.x_width + cfg.y_width + 2 * ell * m
-            h = build_config_chain(cfg, n=n_m)
-            o_x = opalg.single_site(opalg.pauli("z"), 0)
-            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
-            if m == 0:
-                rho = opalg.gibbs(h.matrix(), beta)
-                value = abs(opalg.correlation(rho, o_x, o_y))
-                fact = 0.0
-            else:
-                x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
-                htc = chain_mod.truncate(h, x, y, cfg.block_len)
-                cd = chain_mod.center_decomposition(htc, m, ell)
-                rep = cluster.gamma_pair(
-                    htc, cd, beta, o_x, o_y,
-                    tau_steps=cfg.tau_steps, integrator=cfg.integrator,
-                )
-                value, fact = rep.psi_trace_decay, rep.factorization_residual
-            out.append((beta, m, n_m, value, fact))
-    return out
+    ladder = []  # per m, its rows in beta order
+    for m in cfg.m_list:
+        n_m = cfg.x_width + cfg.y_width + 2 * ell * m
+        h = build_config_chain(cfg, n=n_m)
+        o_x = opalg.single_site(opalg.pauli("z"), 0)
+        o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
+        if m == 0:
+            spec = opalg.hermitian_eig(h.matrix())
+            values = [(abs(opalg.correlation(opalg.gibbs(spec, beta), o_x, o_y)), 0.0)
+                      for beta in cfg.beta_list]
+        else:
+            x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
+            htc = chain_mod.truncate(h, x, y, cfg.block_len)
+            cd = chain_mod.center_decomposition(htc, m, ell)
+            reps = cluster.gamma_pair(htc, cd, cfg.beta_list, o_x, o_y,
+                                      tau_steps=cfg.tau_steps, integrator=cfg.integrator)
+            values = [(rep.psi_trace_decay, rep.factorization_residual) for rep in reps]
+        ladder.append([(beta, m, n_m, *v) for beta, v in zip(cfg.beta_list, values)])
+    return [row for rows in zip(*ladder) for row in rows]
 
 
 def ising_xi_row(betas, xis, coupling):

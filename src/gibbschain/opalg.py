@@ -9,7 +9,7 @@ Everything is dense numpy.  Exponentials of Hermitian operators at large
 scale (``herm_expm``, ``gibbs``, ``evolve``) go through eigendecomposition:
 a Taylor series of exp(beta H) cancels terms far larger than its result and
 loses accuracy.  ``expm_bounded`` takes the other road for a generator whose
-spectral-norm bound b the caller already holds (the cf4 steps of ``qbp``,
+spectral-norm bound b the caller already holds (the tau steps of ``qbp``,
 b ~ 1e-2): it sums the Taylor series to the degree m at which the remainder
 b^(m+1)/(m+1)! e^(2b) falls below 2^-53 relative to exp(X), with no
 eigensolver; for b > 1/2 it scales X into b <= 1/2 and squares back, so no

@@ -31,6 +31,10 @@ Gauss panels (geometrically refined into the singularity); it certifies the
 kernel's normalization and first moment, and its node sum is the
 independent check of F.
 
+Every tau step takes its rule, stage nodes and weights, from ``INTEGRATORS``
+(midpoint is the one-stage case of cf4) and exponentiates each stage by
+``opalg.expm_bounded`` from a bound on its norm: phi is never diagonalized.
+
 Every matrix of the construction (H(tau), phi, their exponentials, Phi)
 commutes with any symmetry shared by H_env and h.  ``build_bp_sweep``
 therefore builds Phi in one loop over the pieces of ``opalg.split(h_env,
@@ -60,8 +64,9 @@ exactly, from the upper hull of the measured points, with no slope grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -236,50 +241,44 @@ def _phi_tau(node, beta):
     return 0.5 * (phi + phi.conj().T)
 
 
-_CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
-_CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+# tau-step rules (stage nodes c, stage weights a): stage k of the step from t0
+# exponentiates X_k = dtau sum_j a[k][j] phi(t0 + c[j] dtau), later stages left
+_CF4_A = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
+INTEGRATORS = {
+    "midpoint": ((0.5,), ((1.0,),)),
+    "cf4": ((0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0), (_CF4_A, _CF4_A[::-1])),
+}
+
+
+def _weighted(weights, values):
+    """sum_j weights[j] values[j], summed from the first term."""
+    return reduce(operator.add, (w * v for w, v in zip(weights, values)))
 
 
 def _ordered_exponentials(h_env, h_bond, betas, tau_steps, integrator):
     """Product integration of the tau-ordered exponential, later factors left.
 
-    One tau sweep serves every beta: each H(tau) node is diagonalized once,
-    then phi is filtered, exponentiated and multiplied in per beta.  Returns
-    one (Phi, max over evaluations of ||phi||) pair per beta.  The midpoint
-    rule needs phi's spectrum for ||phi|| and exponentiates from it.  The cf4
-    step needs only ||a1|| and ||a2||; its exponents x1 and x2 have norms
-    below dtau (|A1| ||a1|| + |A2| ||a2||), and ``opalg.expm_bounded`` takes
-    that bound with no further eigensolver call.
+    Each step diagonalizes the H(tau) nodes of ``INTEGRATORS[integrator]``
+    once for every beta.  Per beta it norms phi at each node and exponentiates
+    each stage X_k by ``opalg.expm_bounded`` from ||X_k|| <= dtau sum_j
+    |a[k][j]| ||phi_j||, forming the step's stage product before applying it.
+    Returns one (Phi, max over evaluations of ||phi||) pair per beta.
     """
-    if integrator not in ("midpoint", "cf4"):
-        raise ValueError(f"unknown integrator {integrator!r}")
+    offsets, weights = INTEGRATORS[integrator]
     # real inputs stay in the real BLAS path; dtype promotes only if phi is complex
     us = [np.eye(h_env.shape[0]) for _ in betas]
     phi_max = [0.0 for _ in betas]
     dtau = 1.0 / tau_steps
     for k in range(tau_steps):
-        t0 = k * dtau
-        if integrator == "midpoint":
-            node = _node(h_env, h_bond, t0 + 0.5 * dtau)
-            for i, beta in enumerate(betas):
-                # ||phi|| comes from the spectrum the exponential needs anyway
-                spec = opalg.spectrum(_phi_tau(node, beta))
-                phi_max[i] = max(phi_max[i], float(np.max(np.abs(spec.evals[0]))))
-                us[i] = opalg.herm_expm(spec, dtau) @ us[i]
-        else:
-            nodes = (_node(h_env, h_bond, t0 + _CF4_C1 * dtau),
-                     _node(h_env, h_bond, t0 + _CF4_C2 * dtau))
-            for i, beta in enumerate(betas):
-                a1, a2 = (_phi_tau(node, beta) for node in nodes)
-                n1, n2 = opalg.spectral_norm(a1), opalg.spectral_norm(a2)
-                phi_max[i] = max(phi_max[i], n1, n2)
-                x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
-                x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
-                u1 = opalg.expm_bounded(x1, dtau * (_CF4_A1 * n1 + abs(_CF4_A2) * n2))
-                u2 = opalg.expm_bounded(x2, dtau * (abs(_CF4_A2) * n1 + _CF4_A1 * n2))
-                us[i] = u2 @ u1 @ us[i]
+        nodes = [_node(h_env, h_bond, k * dtau + c * dtau) for c in offsets]
+        for i, beta in enumerate(betas):
+            phis = [_phi_tau(node, beta) for node in nodes]
+            norms = [opalg.spectral_norm(phi) for phi in phis]
+            phi_max[i] = max(phi_max[i], *norms)
+            stages = [opalg.expm_bounded(dtau * _weighted(a, phis),
+                                         dtau * _weighted(map(abs, a), norms))
+                      for a in weights]
+            us[i] = reduce(lambda done, u: u @ done, stages) @ us[i]
     return list(zip(us, phi_max))
 
 

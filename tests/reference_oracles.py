@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gibbschain import chain, qbp
+from gibbschain import chain, opalg, qbp
 from gibbschain.errors import GibbsChainError, Overlap
 
 
@@ -179,3 +179,43 @@ def theta_lines_by_search(reports, profile, block_len, count=10_000):
     slopes = np.linspace(pair_slopes.min(), pair_slopes.max(), count)
     intercepts = np.maximum(0.0, np.max(stars - slopes[:, None] * betas, axis=1))
     return slopes, intercepts
+
+
+_CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
+_CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
+_CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
+_CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+
+
+def ordered_exponentials_two_rules(h_env, h_bond, betas, tau_steps, integrator):
+    """The tau-ordered exponential with each rule written out on its own branch.
+
+    Midpoint diagonalizes phi at the step's midpoint and exponentiates it from
+    that spectrum (||phi|| is its largest |eigenvalue|); cf4 forms its two
+    stage exponents x1, x2 from phi at the Gauss nodes and exponentiates each
+    by ``opalg.expm_bounded``.  Returns one (Phi, max ||phi||) pair per beta.
+    """
+    us = [np.eye(h_env.shape[0]) for _ in betas]
+    phi_max = [0.0 for _ in betas]
+    dtau = 1.0 / tau_steps
+    for k in range(tau_steps):
+        t0 = k * dtau
+        if integrator == "midpoint":
+            node = qbp._node(h_env, h_bond, t0 + 0.5 * dtau)
+            for i, beta in enumerate(betas):
+                spec = opalg.spectrum(qbp._phi_tau(node, beta))
+                phi_max[i] = max(phi_max[i], float(np.max(np.abs(spec.evals[0]))))
+                us[i] = opalg.herm_expm(spec, dtau) @ us[i]
+        else:
+            nodes = (qbp._node(h_env, h_bond, t0 + _CF4_C1 * dtau),
+                     qbp._node(h_env, h_bond, t0 + _CF4_C2 * dtau))
+            for i, beta in enumerate(betas):
+                a1, a2 = (qbp._phi_tau(node, beta) for node in nodes)
+                n1, n2 = opalg.spectral_norm(a1), opalg.spectral_norm(a2)
+                phi_max[i] = max(phi_max[i], n1, n2)
+                x1 = dtau * (_CF4_A1 * a1 + _CF4_A2 * a2)
+                x2 = dtau * (_CF4_A2 * a1 + _CF4_A1 * a2)
+                u1 = opalg.expm_bounded(x1, dtau * (_CF4_A1 * n1 + abs(_CF4_A2) * n2))
+                u2 = opalg.expm_bounded(x2, dtau * (abs(_CF4_A2) * n1 + _CF4_A1 * n2))
+                us[i] = u2 @ u1 @ us[i]
+    return list(zip(us, phi_max))

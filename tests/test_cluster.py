@@ -415,7 +415,7 @@ def test_gamma_pair_trivial_and_factorized():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 5)
     beta = 0.7
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=16)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the exact alternating sum reproduces the correlation
     rho = opalg.gibbs(htc.matrix(), beta)
@@ -435,27 +435,33 @@ def test_gamma_pair_zero_bonds_vanish():
     assert all(len(b) == 0 for b in cd.bond_bundles)
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 5)
-    rep = cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
+    (rep,) = cluster.gamma_pair(htc, cd, (0.8,), ox, oy, tau_steps=4)
     assert exact_gamma_trace(htc, cd, 0.8, ox, oy) < 1e-12
     assert rep.psi_trace_gamma_local < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
-    # x = {0, 1}, y = {n - 1}: e^{beta H_0} and e^{beta H} for Z are the only
-    # full-space exponentials; the exact Gamma's 2^m branches are never formed
+    # x = {0, 1}, y = {n - 1}: H_0 and H are the only full-space spectra, taken
+    # once for every beta, and e^{beta H_0} and e^{beta H} for Z the only
+    # full-space exponentials of each beta; the exact Gamma's 2^m branches are
+    # never formed
     n = 3 + 2 * m
     h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     htc = chain.truncate(h, [0, 1], [n - 1], 1)
     cd = chain.center_decomposition(htc, m, 1)
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), n - 1)
-    dims = []
-    herm_expm = opalg.herm_expm
+    dims, eig_dims = [], []
+    herm_expm, hermitian_eig = opalg.herm_expm, opalg.hermitian_eig
 
     def spy(a, scale=1.0):
         dims.append(a.layout.dim if isinstance(a, opalg.Spectrum) else a.shape[0])
         return herm_expm(a, scale)
+
+    def eig_spy(a):
+        eig_dims.append(a.shape[0])
+        return hermitian_eig(a)
 
     # the Ising window bonds are diagonal and commute with their windows: their
     # BP operators are closed forms, built with no eigensolver call
@@ -477,12 +483,34 @@ def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
         return call
 
     monkeypatch.setattr(opalg, "herm_expm", spy)
+    monkeypatch.setattr(opalg, "hermitian_eig", eig_spy)
     monkeypatch.setattr(qbp, "localized_sweep", sweep_spy)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, solver_spy(getattr(np.linalg, name)))
-    cluster.gamma_pair(htc, cd, 0.8, ox, oy, tau_steps=4)
-    assert dims.count(2**n) == 2
+    for betas in ((0.8,), (0.5, 0.8, 1.1)):
+        dims.clear()
+        eig_dims.clear()
+        reports = cluster.gamma_pair(htc, cd, betas, ox, oy, tau_steps=4)
+        assert len(reports) == len(betas)
+        assert eig_dims.count(2**n) == 2
+        assert dims.count(2**n) == 2 * len(betas)
     assert solver_calls == []
+
+
+@pytest.mark.parametrize("gen", ["ising_zz", "random_two_site"])
+def test_gamma_pair_over_betas_equals_one_beta_calls(gen):
+    # one build per Hamiltonian and per window serves every beta, bit for bit
+    prof = profiles.finite_range(1) if gen == "ising_zz" else profiles.power_law(3.0)
+    h = chain.build_chain(7, gen, prof, coupling=0.4, seed=3)
+    htc = chain.truncate(h, [0, 1], [6], 1)
+    cd = chain.center_decomposition(htc, 2, 1)
+    ox = opalg.single_site(opalg.pauli("z"), 0)
+    oy = opalg.single_site(opalg.pauli("z"), 6)
+    betas = (0.5, 0.9, 1.4)
+    swept = cluster.gamma_pair(htc, cd, betas, ox, oy, tau_steps=4)
+    ones = [cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=4)[0] for beta in betas]
+    assert len(swept) == len(betas)
+    assert [repr(rep) for rep in swept] == [repr(rep) for rep in ones]
 
 
 def exact_gamma_trace(h_tc, centers, beta, o_x, o_y):
@@ -552,7 +580,7 @@ def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(cluster.PsiOperator, "expectation", spy)
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=8)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=8)
     branches = cluster.lambda_branches(cd.m)
     product = sum(sign * v for (_, sign), v in zip(branches, seen[-len(branches):]))
 
@@ -601,7 +629,7 @@ def test_gamma_pair_diff_trace_norm_small_on_commuting():
     ox = opalg.single_site(opalg.pauli("z"), 0)
     oy = opalg.single_site(opalg.pauli("z"), 3)
     beta = 0.6
-    rep = cluster.gamma_pair(htc, cd, beta, ox, oy, tau_steps=16)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=16)
     # commuting case: the localized construction is numerically exact
     assert kron_gamma_diff_trace_norm(htc, cd, beta, 16) <= 1e-7 * rep.z2
 

@@ -672,6 +672,36 @@ def test_gamma_decay_experiment(tmp_path):
     assert all(v > 0 for v in taus.values())
 
 
+def test_gamma_decay_values_diagonalize_once_for_every_beta(monkeypatch):
+    # the long-range XXZ chain at alpha = 3: each m's chain, window sweeps and
+    # full-space spectra are built once for all betas, so four betas take the
+    # eigh calls of one, and each beta's rows equal its one-beta run bit for bit
+    from gibbschain import experiments
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    cfg = ExperimentConfig(experiment="gamma_decay", generator="heisenberg_xxz",
+                           profile="power_law", alpha=3.0, coupling=0.25, block_len=2,
+                           half_width=2, m_list=(0, 1, 2), beta_list=(0.5, 1.0, 1.5, 2.0),
+                           tau_steps=16)
+    rows = experiments.gamma_decay_values(cfg)
+    four = len(calls)
+    calls.clear()
+    for beta in cfg.beta_list:
+        one = experiments.gamma_decay_values(dataclasses.replace(cfg, beta_list=(beta,)))
+        assert [row for row in rows if row[0] == beta] == one
+        assert len(calls) == four
+        calls.clear()
+    assert [(beta, m) for beta, m, *_ in rows] == [
+        (beta, m) for beta in cfg.beta_list for m in cfg.m_list]
+
+
 def test_qbp_locality_experiment(tmp_path):
     cfg = ExperimentConfig(experiment="qbp_locality", n=10,
                            generator="heisenberg_xxz", profile="power_law",

@@ -19,6 +19,7 @@ from reference_oracles import (
     build_truncated_bp,
     embed_matrix,
     filter_value,
+    ordered_exponentials_two_rules,
     reconstruction_residual,
     spectral_filter_direct,
     theta_lines_by_search,
@@ -342,9 +343,10 @@ def test_beta_sweep_equals_one_beta_builds(integrator, gate):
 
 @pytest.mark.parametrize("generator", ["heisenberg_xxz", "random_two_site"])
 def test_eigh_calls_per_sector_block(generator, monkeypatch):
-    # cf4 diagonalizes its two H(tau) nodes per step and exponentiates phi with
-    # no eigensolver, so the count does not grow with the number of betas;
-    # midpoint diagonalizes one node per step and phi once per beta
+    # every rule diagonalizes its H(tau) nodes once per step for all betas (cf4
+    # two, midpoint one), so the eigh count does not grow with the number of
+    # betas; each phi takes one eigvalsh for its norm, and each piece one more
+    # for the bond norm, and a gate adds two eigh and, per beta, two eigvalsh
     h = chain.build_chain(6, generator, profiles.power_law(3.0), coupling=0.25, seed=4)
     htc = chain.truncate(h, [0], [5], 1)
     env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[2][-1], tuple(range(6)))
@@ -353,26 +355,56 @@ def test_eigh_calls_per_sector_block(generator, monkeypatch):
     # XXZ: blocks 0-2 are swept, 4-6 are their flip images, and block 3 splits in two
     n_pieces = len(opalg.split(env, bond)[0])
     assert n_pieces == (5 if generator == "heisenberg_xxz" else 1)
-    calls = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kw):
-        calls.append(a.shape[0])
-        return eigh(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, _solver_spy(getattr(np.linalg, name), calls[name]))
     steps = 3
     for betas in ((1.0,), (0.5, 1.0, 2.0)):
-        for integrator, gate, per_piece in (
-            ("cf4", None, 2 * steps),
-            ("cf4", 1e-2, 2 * steps + 2),
-            ("midpoint", None, steps * (1 + len(betas))),
+        k = len(betas)
+        for integrator, gate, eigh_per_piece, eigvalsh_per_piece in (
+            ("cf4", None, 2 * steps, 1 + 2 * steps * k),
+            ("cf4", 1e-2, 2 * steps + 2, 1 + 2 * steps * k + 2 * k),
+            ("midpoint", None, steps, 1 + steps * k),
         ):
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             ops = qbp.bond_sweep(htc, 2, betas, tau_steps=steps, integrator=integrator,
                                  residual_gate=gate)
-            assert [op.tau_steps for op in ops] == [steps] * len(betas)
-            assert len(calls) == per_piece * n_pieces, (integrator, gate, betas)
+            assert [op.tau_steps for op in ops] == [steps] * k
+            assert len(calls["eigh"]) == eigh_per_piece * n_pieces, (integrator, gate, betas)
+            assert len(calls["eigvalsh"]) == eigvalsh_per_piece * n_pieces, (
+                integrator, gate, betas)
+
+
+def _solver_spy(solver, calls):
+    """``solver`` recording the dimension of each matrix it is called on."""
+    def spy(a, *args, **kw):
+        calls.append(a.shape[0])
+        return solver(a, *args, **kw)
+    return spy
+
+
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "random_two_site"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_step_rule_matches_the_two_branch_oracle(generator, n):
+    # cf4 takes the oracle's floating-point operations in its order; midpoint
+    # exponentiates by Taylor polynomial rather than from phi's spectrum, which
+    # moves Phi at roundoff only
+    h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.4, seed=n)
+    htc = chain.truncate(h, [0], [n - 1], 1)
+    env, bond, _ = qbp._window_split_matrices(htc, htc.blocks[1][-1], tuple(range(n)))
+    betas = (0.5, 2.0)
+    for steps in (1, 4, 12):
+        for integrator in qbp.INTEGRATORS:
+            got = qbp._ordered_exponentials(env, bond, betas, steps, integrator)
+            ref = ordered_exponentials_two_rules(env, bond, betas, steps, integrator)
+            for (u, phi_max), (u_ref, phi_ref) in zip(got, ref):
+                if integrator == "cf4":
+                    assert np.array_equal(u, u_ref) and phi_max == phi_ref
+                else:
+                    dev = opalg.spectral_norm(u - u_ref) / opalg.spectral_norm(u_ref)
+                    assert dev <= 1e-13, (steps, dev)
+                    assert phi_max == pytest.approx(phi_ref, rel=1e-13)
 
 
 def _xxz_split(n):
@@ -390,20 +422,17 @@ def test_one_eigh_per_flip_image_pair(n, monkeypatch):
     htc, _, _ = _xxz_split(n)
     swept = [math.comb(n, k) for k in range((n + 1) // 2)]
     swept += [math.comb(n, n // 2) // 2] * 2 if n % 2 == 0 else []
-    calls = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kw):
-        calls.append(a.shape[0])
-        return eigh(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    calls, norms = [], []
+    monkeypatch.setattr(np.linalg, "eigh", _solver_spy(np.linalg.eigh, calls))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _solver_spy(np.linalg.eigvalsh, norms))
     opalg.hermitian_eig(htc.base.matrix())
-    assert calls == swept
+    assert calls == swept and norms == []
     calls.clear()
-    # midpoint, one step, one beta: one H(tau) node and one phi per piece
+    # midpoint, one step, one beta: per piece one H(tau) node is diagonalized,
+    # and the bond and one phi are normed
     qbp.bond_sweep(htc, 1, (1.0,), tau_steps=1, integrator="midpoint")
-    assert sorted(calls) == sorted(swept * 2)
+    assert sorted(calls) == sorted(swept)
+    assert sorted(norms) == sorted(swept * 2)
 
 
 def test_window_difference_is_normed_on_the_flip_pieces(monkeypatch):
