@@ -71,6 +71,7 @@ class Manifest:
         self.fitted = []
         self.checks = []
         self.errors = []
+        self.notes = []
         self.wall_seconds = None
 
     def write_csv(self, output_dir, name, comments, columns, rows):
@@ -98,6 +99,10 @@ class Manifest:
 
     def add_error(self, message):
         self.errors.append(str(message))
+
+    def add_note(self, message):
+        """A remark on how the run was made, written apart from its checks."""
+        self.notes.append(str(message))
 
     @property
     def all_passed(self):
@@ -128,6 +133,9 @@ class Manifest:
         if self.errors:
             lines += ["", "[errors]"]
             lines += self.errors
+        if self.notes:
+            lines += ["", "[notes]"]
+            lines += self.notes
         lines += ["", f"summary: {'PASS' if self.all_passed else 'FAIL'}"]
         path = os.path.join(output_dir, "manifest.txt")
         with open(path, "w") as fh:

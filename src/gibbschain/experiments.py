@@ -3,12 +3,15 @@
 Each runner fills a Manifest and writes ``<experiment>.csv`` through it
 into the output directory; ``runners`` maps each experiment to its runner,
 and ``run_experiment`` alone dispatches, times and writes the manifest.
-Sweep points run one after another in a single thread; clustering_sweep
-emits its rows in sorted beta order.
+Sweep points run one after another in a single thread, and a run holds
+OpenBLAS on one thread (``_one_blas_thread``), so its CSV bodies do not
+depend on OPENBLAS_NUM_THREADS; clustering_sweep emits its rows in sorted
+beta order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -284,6 +287,38 @@ def runners():
     }
 
 
+@contextlib.contextmanager
+def _one_blas_thread(manifest):
+    """OpenBLAS on one thread inside the block, its previous count restored after.
+
+    Products and eigensolvers split their sums by thread, so output bytes
+    would depend on the thread count.  The count is set through the
+    ``scipy_openblas_set_num_threads64_`` symbol of numpy's bundled OpenBLAS;
+    without it the block runs at the ambient count and ``manifest`` notes so.
+    """
+    import ctypes  # here, not at import time, so importing gibbschain costs nothing more
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # dlsym also searches its OpenBLAS
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError) as exc:
+        manifest.add_note(f"BLAS threads not set (ambient count, output bytes may depend "
+                          f"on it): {exc}")
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir=None):
     """Run one experiment; returns the written Manifest.  An unknown
     experiment is a ConfigError, raised before any output is written."""
@@ -297,7 +332,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None):
     manifest = csvio.Manifest(cfg, __version__)
     t0 = time.time()
     try:
-        runner(cfg, manifest, outdir)
+        with _one_blas_thread(manifest):
+            runner(cfg, manifest, outdir)
     except GibbsChainError as exc:
         manifest.add_error(f"{type(exc).__name__}: {exc}")
     manifest.wall_seconds = round(time.time() - t0, 3)

@@ -18,10 +18,14 @@ of unit-norm single-site operators at distance r = |i - j|:
 Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
 exact commutator norms (``commutator_norm``: Pauli probes as signed
-permutations, norms over the commutator's ``opalg`` sectors).  For sigma_x
+permutations, norms over the commutator's ``opalg`` pieces).  For sigma_x
 and sigma_y probes the commutator splits into the two parity blocks, which
 P maps onto each other with a sign (P i[A, P] P = -i[A, P]); they share
-their norm, so one block is diagonalized, at half the dimension.
+their norm, so one block is normed, at half the dimension.  At even n the
+flip F maps that block onto itself, and ``opalg.evolve`` keeps
+F A(t) F = +-A(t) bit for bit, so the commutator commutes with F exactly:
+``opalg.opnorm`` norms the block on its two F = +-1 halves, two eigvalsh
+calls at a quarter of the full dimension per (t, r) row.
 
 Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
 ``subset_evolution_error`` subtracts the window evolution on the window's
@@ -189,17 +193,20 @@ def _pauli_commutator(a, probe, site):
 def commutator_norm(a, probe, site):
     """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits.
 
-    The norm is the largest over the commutator's ``opalg.sectors``, except
-    that a sigma_x or sigma_y commutator split into the two parity blocks
-    takes the first block alone: P i[A, P] P = -i[A, P] and P maps each
-    parity block onto the other, so the two blocks are unitarily equivalent
-    up to sign and share their norm.
+    The norm is ``opalg.opnorm`` of the commutator, except that a sigma_x or
+    sigma_y commutator split into the two parity blocks is normed on the
+    first block alone: P i[A, P] P = -i[A, P] and P maps each parity block
+    onto the other, so the two blocks are unitarily equivalent up to sign
+    and share their norm.  ``opnorm`` splits that block again when F maps
+    it onto itself (even n, A F-symmetric up to sign): it is normed on its
+    two F halves.
     """
     comm = _pauli_commutator(a, probe, site)
-    blocks = opalg.sectors(comm)
-    if probe.lower() != "z" and len(blocks) == 2:
-        blocks = blocks[:1]
-    return max(opalg.spectral_norm(opalg.sector_block(comm, b)) for b in blocks)
+    if probe.lower() != "z":
+        blocks = opalg.sectors(comm)
+        if len(blocks) == 2:
+            comm = opalg.sector_block(comm, blocks[0])
+    return opalg.opnorm(comm)
 
 
 @dataclass(frozen=True)

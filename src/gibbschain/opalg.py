@@ -39,20 +39,28 @@ else one block.  Blockwise work costs a sum of C(n,k)^3 flops instead of
 2^(3n), 28x fewer at n = 10 (Sandvik, AIP Conf. Proc. 1297, 135, 2010).
 
 The global spin flip F (every sigma_x at once) maps basis index i to
-dim - 1 - i, so it maps popcount block k onto block n - k with the order
-reversed, and XXZ and Ising chains without a field commute with it.
-``split`` finds that by exact comparison and cuts the blocks into pieces,
-the one unit of blockwise work: block k < n - k is a piece and block n - k
-its reversed copy, and the self-image block k = n/2 splits into the F = +-1
-halves H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each.
-A spectrum keeps one (evals, vecs) pair per piece, so no block or 2^n x 2^n
-eigenvector matrix is formed; ``herm_expm``, ``gibbs`` and ``evolve`` form
+dim - 1 - i, so it maps each block onto a block with the order reversed:
+popcount block k onto block n - k, and at even n each popcount-parity block
+onto itself.  XXZ and Ising chains without a field commute with it, and so
+does the commutator of an F-symmetric operator with a sigma_x or sigma_y
+probe.  ``split`` finds each block's image by exact comparison, at any
+index, and cuts the blocks into pieces, the one unit of blockwise work: a
+block whose image comes later is a piece and the image its reversed copy
+(``FlipLayout.sources`` records the image's index), and a self-image block
+(k = n/2, or a parity block at even n) splits into the F = +-1 halves
+H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each.  A
+spectrum keeps one (evals, vecs) pair per piece, so no block or 2^n x 2^n
+eigenvector matrix is formed; ``herm_expm`` and ``gibbs`` form
 V_p f(E_p) V_p^dag per piece and ``FlipLayout.assemble`` rebuilds the dense
-result, so F f(H) F = f(H) holds bit for bit.  The pieces are orthogonally
+result, so F f(H) F = f(H) holds bit for bit.  ``evolve`` forms only the
+block pairs that O x 1 connects, read from O's exact zeros; when F O F =
++-O exactly, each image pair is the reversed copy of its partner (negated
+for sigma_y and sigma_z) and a self-image pair is formed F-symmetric, so
+F A(t) F = +-A(t) holds bit for bit as well.  The pieces are orthogonally
 equivalent to the blocks: ``opnorm`` takes the largest piece norm, and the
 trace norm, like Z in ``gibbs``, counts each piece once per block it fills.
-Callers with matrices of their own (``qbp``) take ``split`` and reassemble
-with its layout.
+Callers with matrices of their own (``qbp``, ``locality.commutator_norm``)
+take ``split`` (or ``opnorm``) and reassemble with its layout.
 """
 
 from __future__ import annotations
@@ -338,9 +346,9 @@ class FlipLayout(NamedTuple):
 
     ``blocks[k]`` is sector k's sorted basis indices.  ``sources[k]`` is
     ``(p,)`` when block k is piece p, ``(p, p + 1)`` when pieces p and p + 1
-    are the F = +1 and F = -1 halves of the self-image block k, and ``()``
-    when block k is block ``len(blocks) - 1 - k`` reversed, since F maps
-    that block onto block k.
+    are the F = +1 and F = -1 halves of the self-image block k, and a block
+    index j < k (an int) when block k is block j reversed, since F maps
+    block j onto block k.
     """
 
     blocks: tuple
@@ -350,13 +358,26 @@ class FlipLayout(NamedTuple):
     def dim(self):
         return sum(len(b) for b in self.blocks)
 
+    def _pieces(self, src):
+        return self.sources[src] if isinstance(src, int) else src
+
     def counts(self):
         """How many blocks each piece fills: 2 for a block with a flip image, else 1."""
-        out = [0] * (1 + max(p for src in self.sources for p in src))
-        for k, src in enumerate(self.sources):
-            for p in src or self.sources[len(self.sources) - 1 - k]:
+        out = [0] * (1 + max(p for src in self.sources for p in self._pieces(src)))
+        for src in self.sources:
+            for p in self._pieces(src):
                 out[p] += 1
         return out
+
+    def images(self):
+        """The block that F maps each block onto, or None when the pieces carry no flip."""
+        out = [None] * len(self.sources)
+        for k, src in enumerate(self.sources):
+            if isinstance(src, int):
+                out[k], out[src] = src, k
+            elif len(src) == 2:
+                out[k] = k
+        return None if None in out else tuple(out)
 
     def blockwise(self, results):
         """f(block) for every block from f(piece) for every piece.
@@ -365,9 +386,9 @@ class FlipLayout(NamedTuple):
         1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]], J the reversal.
         """
         out = []
-        for k, src in enumerate(self.sources):
-            if not src:
-                out.append(out[len(self.sources) - 1 - k][::-1, ::-1])
+        for src in self.sources:
+            if isinstance(src, int):
+                out.append(out[src][::-1, ::-1])
             elif len(src) == 1:
                 out.append(results[src[0]])
             else:
@@ -385,14 +406,16 @@ def split(*mats):
     """(pieces, layout): the sectors of ``mats`` as pieces under the global spin flip F.
 
     The sectors, ``layout.blocks``, are those of ``sectors(*mats)``.  When
-    every matrix commutes with F, block ``len(blocks) - 1 - k`` is block k
-    reversed and is formed as its copy, and a self-image block of even size
-    splits into the halves H_+- = H11 +- H12 J on the F = +-1 subspaces, J
-    the reversal of a half.  Both are found by exact comparison; row 0
-    against the last row reversed rejects unstructured input first.
-    Otherwise every block is its own piece.  ``pieces[p]`` holds piece p of
-    every matrix; ``layout.assemble`` forms a dense matrix from one result
-    per piece.
+    every matrix commutes with F, F maps each block onto a block j, its
+    image, reversed, at any index: the block whose first index is
+    dim - 1 - the block's last.  An image j > k is formed as block k's
+    copy, and a self-image block of even size (block n/2 of the popcount
+    blocks, or each parity block at even n) splits into the halves
+    H_+- = H11 +- H12 J on the F = +-1 subspaces, J the reversal of a half.
+    Images and symmetry are found by exact comparison; row 0 against the
+    last row reversed rejects unstructured input first.  Otherwise every
+    block is its own piece.  ``pieces[p]`` holds piece p of every matrix;
+    ``layout.assemble`` forms a dense matrix from one result per piece.
     """
     blocks = sectors(*mats)
     dim = mats[0].shape[0]
@@ -400,14 +423,16 @@ def split(*mats):
     own = tuple(parts), FlipLayout(blocks, tuple((k,) for k in range(len(blocks))))
     if not all(np.array_equal(m[-1, ::-1], m[0]) for m in mats):
         return own
+    first = {int(b[0]): j for j, b in enumerate(blocks)}
     pieces, sources = [], []
     for k, (block, part) in enumerate(zip(blocks, parts)):
-        j = len(blocks) - 1 - k
+        j = first.get(dim - 1 - int(block[-1]))
+        if j is None or not np.array_equal(dim - 1 - block[::-1], blocks[j]):
+            return own
         if j < k:
-            sources.append(())
+            sources.append(j)
             continue
-        if not (np.array_equal(dim - 1 - block[::-1], blocks[j])
-                and all(np.array_equal(q, p[::-1, ::-1]) for p, q in zip(part, parts[j]))):
+        if not all(np.array_equal(q, p[::-1, ::-1]) for p, q in zip(part, parts[j])):
             return own
         if j > k or len(block) % 2:
             sources.append((len(pieces),))
@@ -593,13 +618,37 @@ def gibbs(h, beta):
     return spec.layout.assemble([0.5 * (r + r.conj().T) for r in rhos])
 
 
+def _connected_pairs(op, blocks):
+    """The block pairs (i, j), sorted, on which O x 1 has a nonzero entry.
+
+    Read from O's exact zeros: entry (a, b) of O puts a nonzero at (x, y)
+    for x and y that carry a and b on O's sites and agree on the rest.
+    """
+    dim = sum(len(b) for b in blocks)
+    n, k = n_qubits(dim), len(op.sites)
+    label = np.empty(dim, int)
+    for i, block in enumerate(blocks):
+        label[block] = i
+    # basis index of (state a on O's sites, in its axis order) x (state of the rest)
+    local = np.moveaxis(np.arange(dim).reshape((2,) * n), op.sites, range(k)).reshape(1 << k, -1)
+    a, b = np.nonzero(op.matrix)
+    codes = np.unique(label[local[a]] * len(blocks) + label[local[b]])
+    return [divmod(int(c), len(blocks)) for c in codes]
+
+
 def evolve(op: DenseOperator, generator, t):
     """Heisenberg evolution exp(iGt) (O x 1) exp(-iGt) on G's full space.
 
     G is a Hermitian matrix or a Spectrum; t = 0 returns O x 1 as a complex
     matrix.  O is never embedded: U (O x 1) is (O^dag U^dag)^dag, contracted
-    on O's sites.  Over the spectrum's sectors, the right factor U^dag acts
-    block by block; block pairs where U O vanishes stay zero.
+    on O's sites, times U^dag.  Over the spectrum's sectors, only the block
+    pairs (i, j) that O x 1 connects (``_connected_pairs``) are formed, as
+    (U (O x 1))[b_i, b_j] U_j^dag from U^dag's columns b_i; the rest stay
+    zero.  When the spectrum's layout carries the flip F and
+    F O F = s O exactly (s = +1 for sigma_x, -1 for sigma_y and sigma_z),
+    F maps pair (i, j) onto the pair of their images reversed: that pair is
+    s times its partner's copy, and a self-image pair is formed F-symmetric,
+    so F A(t) F = s A(t) holds bit for bit.
     """
     spec = _spectrum_of(generator)
     layout = spec.layout
@@ -607,17 +656,31 @@ def evolve(op: DenseOperator, generator, t):
     if t == 0:
         return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
     blocks = layout.blocks
-    phases = [np.exp(1j * e * t) for e in spec.evals]
-    us_dag = [u.conj().T for u in layout.blockwise(_sandwiches(spec, phases))]
-    left = apply_local(op.matrix.conj().T, op.sites, from_blocks(blocks, us_dag)).conj().T
-    if len(blocks) == 1:
-        return left @ us_dag[0]
+    us = layout.blockwise(_sandwiches(spec, [np.exp(1j * e * t) for e in spec.evals]))
+    if layout.sources == ((0,),):
+        u_dag = us[0].conj().T
+        return apply_local(op.matrix.conj().T, op.sites, u_dag).conj().T @ u_dag
+    mat = op.matrix
+    sign = next((s for s in (1, -1) if np.array_equal(mat[::-1, ::-1], s * mat)), None)
+    images = layout.images() if sign is not None else None
     out = np.zeros((dim, dim), complex)
-    for bi in blocks:
-        for bj, uj_dag in zip(blocks, us_dag):
-            pair = left[np.ix_(bi, bj)]
-            if np.any(pair):
-                out[np.ix_(bi, bj)] = pair @ uj_dag
+    lefts, pairs = {}, {}
+    for i, j in _connected_pairs(op, blocks):
+        if images is not None and (images[i], images[j]) < (i, j):
+            pair = pairs[images[i], images[j]][::-1, ::-1]
+            pair = pair if sign == 1 else -pair
+        else:
+            if i not in lefts:
+                # rows b_i of U (O x 1) = (O^dag U^dag)^dag, from U^dag's columns b_i
+                cols = np.zeros((dim, len(blocks[i])), complex)
+                cols[blocks[i]] = us[i].conj().T
+                lefts[i] = apply_local(mat.conj().T, op.sites, cols).conj().T
+            pair = lefts[i][:, blocks[j]] @ us[j].conj().T
+            if images is not None and (images[i], images[j]) == (i, j):
+                flipped = pair[::-1, ::-1]
+                pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
+            pairs[i, j] = pair
+        out[np.ix_(blocks[i], blocks[j])] = pair
     return out
 
 

@@ -1012,3 +1012,48 @@ def test_benchmark_workloads_run_and_gate_at_smoke_size(tmp_path, monkeypatch):
         certify(inputs(3, smoke=True), str(outdir))
         failed = [item for item in gate(str(outdir)) if not item[1]]
         assert failed == [], name
+
+
+def test_csv_bodies_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The configs whose bodies once moved with OPENBLAS_NUM_THREADS, and
+    lr_sweep, run in subprocesses at 1 and 2 threads write the same CSV bytes."""
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIBBSCHAIN_")}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    for name in ("qbp_locality", "clustering_xxz", "truncation_sweep", "lr_sweep"):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gibbschain.cli", "run",
+                 os.path.join(root, "configs", f"{name}.cfg"), "--output-dir", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert written[0] and written[0] == written[1], name
+
+
+def test_missing_blas_thread_symbol_is_a_note(tmp_path, monkeypatch):
+    import ctypes
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+    cfg = load_config(None, overrides=dict(experiment="truncation_sweep", n=4,
+                                           generator="heisenberg_xxz", profile="power_law",
+                                           alpha=3.0, coupling=0.01, beta_list="0.3",
+                                           block_len_list="1"), environ={})
+    manifest = run_experiment(cfg, output_dir=str(tmp_path))
+    assert manifest.all_passed
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    notes = lines.index("[notes]")
+    assert lines[notes + 1].startswith("BLAS threads not set")
+    assert notes > lines.index("[checks]") + len(manifest.checks)
+    assert lines[-1] == "summary: PASS"

@@ -252,8 +252,12 @@ def test_one_parity_block_norm_equals_two_block_maximum(n, generator, probe):
             blocks = opalg.sectors(comm)
             assert len(blocks) == 2
             both = max(opalg.spectral_norm(opalg.sector_block(comm, b)) for b in blocks)
+            # F maps the first parity block onto itself: it is normed on its F
+            # halves (XXZ), or on finer pieces where the block has exact zeros (Ising)
+            pieces, _ = opalg.split(opalg.sector_block(comm, blocks[0]))
+            assert len(pieces) == 2 or generator == "ising_zz"
             got = locality.commutator_norm(a_t, probe, site)
-            assert got == opalg.spectral_norm(opalg.sector_block(comm, blocks[0]))
+            assert got == max(opalg.spectral_norm(piece) for (piece,) in pieces)
             assert abs(got - both) <= 1e-14 * both
 
 
@@ -284,13 +288,14 @@ def test_sigma_z_commutator_takes_both_parity_blocks(monkeypatch):
     assert calls == [(2 ** (n - 1), True)] * 2
 
 
-def test_lr_certify_makes_one_half_dimension_call_per_row(monkeypatch):
+def test_lr_certify_makes_two_quarter_dimension_calls_per_row(monkeypatch):
     h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=2)
     t_grid, r_grid = (0.0, 0.5, 1.0), (1, 3, 6)
     calls = _eigvalsh_spy(monkeypatch)
     rep = locality.lr_certify(h, t_grid, r_grid)
     assert all(row.ok for row in rep.rows) and len(rep.rows) == 9
-    # each t > 0 row diagonalizes the even parity block alone; the t = 0
-    # commutators vanish and split into popcount blocks
-    assert calls.count((512, True)) == 6
-    assert max(dim for dim, _ in calls) == 512
+    # each t > 0 row takes the even parity block alone and norms it on its two
+    # F halves; the t = 0 commutators vanish and split into popcount blocks
+    assert calls.count((256, True)) == 12
+    assert (512, True) not in calls
+    assert max(dim for dim, _ in calls) == 256

@@ -506,6 +506,31 @@ def test_sectors_stop_at_row_zero_on_unstructured_input(n, is_complex, seed):
     assert _ReadLog.reads == [0, (slice(None), 0)]
 
 
+def _image_index(blocks, k):
+    """The block that F (index i -> dim - 1 - i) maps block k onto."""
+    dim = sum(len(b) for b in blocks)
+    image = (dim - 1 - blocks[k][::-1]).tolist()
+    (j,) = [j for j, b in enumerate(blocks) if b.tolist() == image]
+    return j
+
+
+def _pieces_paired_by_reversal(mat, blocks):
+    """The pieces of the reversal pairing (block k with block len - 1 - k), which
+    the split used before it found images at any index."""
+    pieces = []
+    for k, block in enumerate(blocks):
+        j = len(blocks) - 1 - k
+        part = opalg.sector_block(mat, block)
+        if j < k:
+            continue
+        if j > k or len(block) % 2:
+            pieces.append(part)
+        else:
+            h = len(block) // 2
+            pieces += [part[:h, :h] + part[:h, h:][:, ::-1], part[:h, :h] - part[:h, h:][:, ::-1]]
+    return pieces
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(*(sz_conserving(structure=s, max_n=7, flip=True)
                    for s in ("popcount", "parity", "whole"))))
@@ -514,19 +539,35 @@ def test_flip_split_pieces_reassemble_to_the_dense_function(case):
     blocks = opalg.sectors(mat)
     pieces, layout = opalg.split(mat)
     assert [b.tolist() for b in layout.blocks] == [b.tolist() for b in blocks]
-    if len(blocks) == 2 and n % 2 == 0:
-        # F keeps popcount parity at even n: each parity block is its own image,
-        # not the other's, so nothing pairs
-        assert layout.sources == ((0,), (1,))
+    # each block pairs with its F image, found at any index; a self-image
+    # block of even size splits into its F = +-1 halves
+    for k, src in enumerate(layout.sources):
+        j = _image_index(blocks, k)
+        assert src == j if j < k else len(src) == (1 if j > k or len(blocks[k]) % 2 else 2)
+    assert layout.images() == tuple(_image_index(blocks, k) for k in range(len(blocks)))
+    parity_at_even_n = len(blocks) == 2 and n % 2 == 0
+    if parity_at_even_n:
+        # F keeps popcount parity at even n: each parity block is its own image
+        assert layout.sources == ((0, 1), (2, 3))
     else:
-        # block k pairs with block len - 1 - k; a self-image block of even size splits
-        for k, src in enumerate(layout.sources):
-            j = len(blocks) - 1 - k
-            assert len(src) == (0 if j < k else 1 if j > k or len(blocks[k]) % 2 else 2)
+        # popcount and odd-n parity layouts keep the pieces of the reversal pairing
+        want = _pieces_paired_by_reversal(mat, blocks)
+        assert len(pieces) == len(want)
+        assert all(np.array_equal(p, w) for (p,), w in zip(pieces, want))
     dense = np.linalg.eigh(mat)
     want = (dense[1] * np.exp(0.3 * dense[0])) @ dense[1].conj().T
-    got = layout.assemble([opalg.herm_expm(opalg.spectrum(piece), 0.3) for (piece,) in pieces])
+    results = [opalg.herm_expm(opalg.spectrum(piece), 0.3) for (piece,) in pieces]
+    got = layout.assemble(results)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.array_equal(got[::-1, ::-1], got)
+    if parity_at_even_n:
+        # each parity block is 1/2 [[P + M, (P - M) J], [J (P - M), J (P + M) J]]
+        # of its halves' results, bit for bit, and zero between the blocks
+        rebuilt = np.zeros_like(got)
+        for block, (plus, minus) in zip(blocks, (results[:2], results[2:])):
+            s, d = 0.5 * (plus + minus), 0.5 * (plus - minus)
+            rebuilt[np.ix_(block, block)] = np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
+        assert np.array_equal(got, rebuilt)
     # counted once per block it fills, a piece holds every eigenvalue of its blocks
     evals = np.concatenate([np.tile(np.linalg.eigvalsh(piece), c)
                             for (piece,), c in zip(pieces, layout.counts())])
@@ -560,15 +601,15 @@ def sector_spectra(draw):
 
 def _dense_eig(spec):
     """The dense eigenvalue vector E and 2^n x 2^n eigenvector matrix V assembled
-    here from the pieces: an image block takes its partner's evals and its vecs
-    with the rows reversed, a self-image block the vecs
+    here from the pieces: an image block takes its partner's (``sources[k]``)
+    evals and its vecs with the rows reversed, a self-image block the vecs
     [[V_+, V_-], [J V_+, -J V_-]] / sqrt(2) of its halves."""
     blocks, sources = spec.layout
     dim = spec.layout.dim
     evals, vecs = np.empty(dim), np.zeros((dim, dim), np.result_type(*spec.vecs))
-    for k, (b, src) in enumerate(zip(blocks, sources)):
-        if not src:
-            partner = blocks[len(blocks) - 1 - k]
+    for b, src in zip(blocks, sources):
+        if isinstance(src, int):
+            partner = blocks[src]
             evals[b], vecs[np.ix_(b, b)] = evals[partner], vecs[np.ix_(partner, partner)][::-1]
         elif len(src) == 1:
             evals[b], vecs[np.ix_(b, b)] = spec.evals[src[0]], spec.vecs[src[0]]
@@ -655,6 +696,80 @@ def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
                     op = opalg.single_site(opalg.pauli(probe), site)
                     ref = blockwise_evolve(embed_matrix(op.matrix, op.sites, n), spec, t)
                     assert np.array_equal(opalg.evolve(op, spec, t), ref)
+
+
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz"])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_evolve_keeps_the_flip_exactly(generator, n):
+    # F sigma_x F = sigma_x and F sigma_{y,z} F = -sigma_{y,z}: the image block
+    # pairs are copies and the self-image pairs are formed F-symmetric
+    h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
+    spec = opalg.hermitian_eig(h.matrix())
+    assert spec.layout.images() is not None
+    for probe, sign in (("x", 1), ("y", -1), ("z", -1)):
+        for site in (0, n // 2):
+            for t in (0.25, 1.0):
+                a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), site), spec, t)
+                assert np.array_equal(a_t[::-1, ::-1], sign * a_t)
+
+
+def _random_two_site(rng):
+    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_evolve_matches_the_dense_kron_path(n):
+    """F-symmetric XXZ layouts with a two-site operator that F does not keep
+    (the general path) and with Paulis (the flip copies), and one-piece
+    random_two_site chains, against U (O x 1) U^dag from one dense eigh."""
+    rng = np.random.default_rng(n)
+    op = _random_two_site(rng)
+    assert not any(np.array_equal(op[::-1, ::-1], s * op) for s in (1, -1))
+    probes = [opalg.DenseOperator((n - 1, 0), op), opalg.DenseOperator((1, 2), op)]
+    probes += [opalg.single_site(opalg.pauli(p), n // 2) for p in "xyz"]
+    for generator in ("heisenberg_xxz", "random_two_site"):
+        h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
+        evals, vecs = np.linalg.eigh(h.matrix())
+        spec = opalg.hermitian_eig(h.matrix())
+        assert (len(spec.evals) == 1) == (generator == "random_two_site")
+        for o in probes:
+            for t in (0.3, -1.1):
+                u = (vecs * np.exp(1j * t * evals)) @ vecs.conj().T
+                ref = u @ embed_matrix(o.matrix, o.sites, n) @ u.conj().T
+                got = opalg.evolve(o, spec, t)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(o.matrix).max() * 2**n
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_one_piece_evolve_is_the_contraction_and_one_product(seed):
+    # the one-piece path (random_two_site chains) keeps its arithmetic bit for
+    # bit: U (O x 1) by contraction on O's sites, then one product with U^dag
+    h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.4,
+                          seed=seed)
+    spec = opalg.hermitian_eig(h.matrix())
+    assert spec.layout.sources == ((0,),)
+    (e,), (v,) = spec.evals, spec.vecs
+    u_dag = ((v * np.exp(1j * e * 0.4)) @ v.conj().T).conj().T
+    for o in (opalg.single_site(opalg.pauli("x"), 3),
+              opalg.DenseOperator((2, 5), _random_two_site(np.random.default_rng(seed)))):
+        want = opalg.apply_local(o.matrix.conj().T, o.sites, u_dag).conj().T @ u_dag
+        assert np.array_equal(opalg.evolve(o, spec, 0.4), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from(("popcount", "parity", "whole")), st.data())
+def test_connected_pairs_match_the_dense_zero_pattern(n, structure, data):
+    k = data.draw(st.integers(1, min(n, 2)))
+    sites = data.draw(st.permutations(range(n)))[:k]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    op = rng.standard_normal((2**k, 2**k)) * (rng.random((2**k, 2**k)) < 0.3)
+    weight = _popcount(2**n)
+    label = {"popcount": weight, "parity": weight % 2, "whole": np.zeros(2**n, int)}[structure]
+    blocks = tuple(np.flatnonzero(label == v) for v in range(label.max() + 1))
+    full = embed_matrix(op, sites, n)
+    want = [(i, j) for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)
+            if np.any(full[np.ix_(bi, bj)])]
+    assert opalg._connected_pairs(opalg.DenseOperator(sites, op), blocks) == want
 
 
 def test_spectrum_functions_scan_no_sectors(monkeypatch):
