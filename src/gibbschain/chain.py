@@ -364,18 +364,22 @@ def truncation_error_report(
     requires beta * gamma^2 g q l0^2 jbar(l0) <= 1; if that fails the bound
     is reported as nan with condition_ok False.  ``spectra`` is the pair
     (spectrum of H, spectrum of the truncated H), so sweeps over beta and
-    block length diagonalize each Hamiltonian once.
+    block length diagonalize each Hamiltonian once.  When the two share one
+    layout, ||e^{beta H} - e^{beta H_tc}||_1 and Z are taken piece by piece
+    (``opalg.expm_difference``); otherwise from the dense difference.
     """
     l0 = h_tc.block_len
     op_bound = h.gamma**2 * h.g * h_tc.q * l0**2 * h.profile(l0)
     cond = beta * op_bound
-    delta = h_tc.delta_matrix()
-    exact_delta = opalg.opnorm(delta) if h_tc.dropped else 0.0
+    exact_delta = opalg.opnorm(h_tc.delta_matrix()) if h_tc.dropped else 0.0
 
-    e_full = opalg.herm_expm(spectra[0], scale=beta)
-    e_trunc = opalg.herm_expm(spectra[1], scale=beta)
-    diff_trace = opalg.opnorm(e_full - e_trunc, kind="trace")
-    z = float(np.trace(e_full).real)
+    pieces = opalg.expm_difference(spectra[0], spectra[1], beta)
+    if pieces is not None:
+        diff_trace, z = pieces
+    else:
+        e_full = opalg.herm_expm(spectra[0], scale=beta)
+        diff_trace = opalg.opnorm(e_full - opalg.herm_expm(spectra[1], scale=beta), kind="trace")
+        z = float(np.trace(e_full).real)
 
     ok = cond <= 1.0
     return TruncationErrorReport(

@@ -136,7 +136,8 @@ def run_lr_sweep(cfg: ExperimentConfig, manifest, outdir):
     columns = ("mode", "t", "r", "exact_commutator", "envelope", "violation")
     comments = [
         "lr_sweep: exact commutator norms against propagation envelopes",
-        "exact_commutator: ||[O_Z(t), O_Z']|| computed densely",
+        "exact_commutator: ||[O_Z(t), O_Z']|| from the exact eigenvalues of one parity"
+        " block (of the whole commutator where the chain has no parity sectors)",
         "envelope: mode-specific light-cone bound, trivial 2-cap applied",
     ]
     manifest.write_csv(outdir, "lr_sweep.csv", comments, columns, rows)

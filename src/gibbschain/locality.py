@@ -19,10 +19,11 @@ Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
 exact commutator norms (``commutator_norm``: Pauli probes as signed
 permutations, norms over the commutator's ``opalg`` pieces).  For sigma_x
-and sigma_y probes the commutator splits into the two parity blocks, which
-P maps onto each other with a sign (P i[A, P] P = -i[A, P]); they share
-their norm, so one block is normed, at half the dimension.  At even n the
-flip F maps that block onto itself, and ``opalg.evolve`` keeps
+and sigma_y probes and an evolved probe that flips parity, the commutator
+splits into the two parity blocks, which P maps onto each other with a sign
+(P i[A, P] P = -i[A, P]); they share their norm, so only the first block
+is formed, from two gathers of A, and normed, at half the dimension.  At
+even n the flip F maps that block onto itself, and ``opalg.evolve`` keeps
 F A(t) F = +-A(t) bit for bit, so the commutator commutes with F exactly:
 ``opalg.opnorm`` norms the block on its two F = +-1 halves, two eigvalsh
 calls at a quarter of the full dimension per (t, r) row.
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import opalg
 from .chain import ChainHamiltonian, TruncatedHamiltonian, set_distance
-from .errors import MissingParam, SubsetViolation
+from .errors import MissingParam, SubsetViolation, SupportMismatch
 from .profiles import DecayProfile
 
 
@@ -190,23 +191,50 @@ def _pauli_commutator(a, probe, site):
     return comm
 
 
+def _even_parity_block(a, probe, site, even):
+    """Block (E, E) of i[A, P] for a sigma_x or sigma_y ``probe``, E = ``even``.
+
+    P maps index i to i ^ m (m the probe's bit) with the phase of i's bit,
+    so (A P)[E, E] and (P A)[E, E] are the gathers A[E, E ^ m] and
+    A[E ^ m, E] with their phases, combined by the operations of
+    ``_pauli_commutator``: the same floats, entry by entry.
+    """
+    shift = opalg.n_qubits(a.shape[0]) - 1 - site
+    odd = even ^ (1 << shift)
+    block = np.asarray(a[np.ix_(even, odd)], dtype=complex)  # A P
+    p_a = np.asarray(a[np.ix_(odd, even)], dtype=complex)  # P A
+    phase = _PAULI_ACTION[probe][1]
+    if phase is not None:
+        block *= np.array(phase)[(even >> shift) & 1]
+        p_a *= np.array(phase)[(odd >> shift) & 1][:, None]
+    block -= p_a
+    block *= 1j
+    return block
+
+
 def commutator_norm(a, probe, site):
     """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits.
 
-    The norm is ``opalg.opnorm`` of the commutator, except that a sigma_x or
-    sigma_y commutator split into the two parity blocks is normed on the
-    first block alone: P i[A, P] P = -i[A, P] and P maps each parity block
-    onto the other, so the two blocks are unitarily equivalent up to sign
-    and share their norm.  ``opnorm`` splits that block again when F maps
-    it onto itself (even n, A F-symmetric up to sign): it is normed on its
-    two F halves.
+    The norm is ``opalg.opnorm`` of the commutator, except that for a
+    sigma_x or sigma_y probe and an A that is exactly zero between basis
+    states of equal parity (read from row chunks of A, as ``opalg.respects``
+    reads them) only the first parity block E of the commutator is formed
+    and normed: P i[A, P] P = -i[A, P] and P maps each parity block onto the
+    other, so the two blocks are unitarily equivalent up to sign and share
+    their norm.  ``opnorm`` splits that block again when F maps it onto
+    itself (even n, A F-symmetric up to sign): it is normed on its two F
+    halves.
     """
-    comm = _pauli_commutator(a, probe, site)
-    if probe.lower() != "z":
-        blocks = opalg.sectors(comm)
-        if len(blocks) == 2:
-            comm = opalg.sector_block(comm, blocks[0])
-    return opalg.opnorm(comm)
+    a = np.asarray(a)
+    n = opalg.n_qubits(a.shape[0])
+    if not 0 <= site < n:
+        raise SupportMismatch(f"probe site {site} not inside 0..{n - 1}")
+    probe = probe.lower()
+    if probe != "z":
+        (_, _), (parity, _) = opalg.sector_labels(n)
+        if opalg.respects((a,), parity, parity ^ 1):
+            return opalg.opnorm(_even_parity_block(a, probe, site, np.flatnonzero(parity == 0)))
+    return opalg.opnorm(_pauli_commutator(a, probe, site))
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,13 @@ result, so F f(H) F = f(H) holds bit for bit.  ``evolve`` forms only the
 block pairs that O x 1 connects, read from O's exact zeros; when F O F =
 +-O exactly, each image pair is the reversed copy of its partner (negated
 for sigma_y and sigma_z) and a self-image pair is formed F-symmetric, so
-F A(t) F = +-A(t) holds bit for bit as well.  The pieces are orthogonally
-equivalent to the blocks: ``opnorm`` takes the largest piece norm, and the
-trace norm, like Z in ``gibbs``, counts each piece once per block it fills.
+F A(t) F = +-A(t) holds bit for bit as well; for Hermitian O, each pair
+below the diagonal is the conjugate transpose of its mirror, so A(t) is
+Hermitian bit for bit and half the pairs take a product.  The pieces are
+orthogonally equivalent to the blocks: ``opnorm`` takes the largest piece
+norm, and the trace norm, like Z in ``gibbs``, counts each piece once per
+block it fills; ``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the
+same way from two spectra of one layout, with no dense exponential.
 Callers with matrices of their own (``qbp``, ``locality.commutator_norm``)
 take ``split`` (or ``opnorm``) and reassemble with its layout.
 """
@@ -278,7 +282,7 @@ def _read_only(*arrays):
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_labels(n):
+def sector_labels(n):
     """Popcount and its parity for every n-bit basis index, each with the
     indices whose label differs from index 0's; read-only, as every call shares them."""
     weight = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
@@ -287,14 +291,16 @@ def _sector_labels(n):
     return out
 
 
-def respects(mats, label):
+def respects(mats, label, col_label=None):
     """True when every matrix is exactly zero between basis states of different
-    ``label`` (any array of one value per basis index); row chunks of ~65k
-    entries are scanned up to the first break."""
+    ``label`` (any array of one value per basis index), the column's read from
+    ``col_label`` when given; row chunks of ~65k entries are scanned up to the
+    first break."""
     step = max(1, (1 << 16) // len(label))
+    col_label = label if col_label is None else col_label
     for mat in mats:
         for lo in range(0, len(label), step):
-            bad = label[lo : lo + step, None] != label
+            bad = label[lo : lo + step, None] != col_label
             bad &= mat[lo : lo + step] != 0
             if bad.any():
                 return False
@@ -316,7 +322,7 @@ def sectors(*mats):
         for m in mats:
             edge |= m[0] != 0
             edge |= m[:, 0] != 0
-        for label, off0 in _sector_labels(n):
+        for label, off0 in sector_labels(n):
             if not edge[off0].any() and respects(mats, label):
                 return tuple(np.flatnonzero(label == k) for k in range(label.max() + 1))
     return (np.arange(dim),)
@@ -508,10 +514,15 @@ def _sandwiches(spec, weights):
     return [(v * w) @ v.conj().T for v, w in zip(spec.vecs, weights)]
 
 
+def _expm_pieces(spec, scale):
+    """V_p e^(scale E_p) V_p^dag on every piece p of ``spec``."""
+    return _sandwiches(spec, [np.exp(scale * e) for e in spec.evals])
+
+
 def herm_expm(a, scale=1.0):
     """exp(scale * A) for Hermitian A (matrix or Spectrum)."""
     spec = _spectrum_of(a)
-    return spec.layout.assemble(_sandwiches(spec, [np.exp(scale * e) for e in spec.evals]))
+    return spec.layout.assemble(_expm_pieces(spec, scale))
 
 
 def _taylor_degree(bound):
@@ -601,6 +612,25 @@ def opnorm(op, kind="spectral"):
     return sum(c * _trace_norm(piece) for c, (piece,) in zip(layout.counts(), pieces))
 
 
+def expm_difference(spec_a, spec_b, scale=1.0):
+    """(||exp(sA) - exp(sB)||_1, tr exp(sA)) from two spectra of one layout, piece by piece.
+
+    On piece p the difference is V_p e^(s E_p) V_p^dag - W_p e^(s F_p) W_p^dag;
+    as in ``opnorm``, the trace norm is the sum of the piece trace norms and
+    the trace the sum of e^(s E_p), each counted once per block the piece
+    fills, so no 2^n x 2^n matrix is formed.  None when the layouts differ.
+    """
+    la, lb = spec_a.layout, spec_b.layout
+    if la.sources != lb.sources or not all(
+            np.array_equal(a, b) for a, b in zip(la.blocks, lb.blocks)):
+        return None
+    counts = la.counts()
+    norm = sum(c * _trace_norm(a - b) for c, a, b in
+               zip(counts, _expm_pieces(spec_a, scale), _expm_pieces(spec_b, scale)))
+    trace = sum(c * np.sum(np.exp(scale * e)) for c, e in zip(counts, spec_a.evals))
+    return float(norm), float(trace)
+
+
 def gibbs(h, beta):
     """Gibbs state exp(beta*H)/Z, dense, of a Hamiltonian given as matrix or Spectrum.
 
@@ -648,7 +678,12 @@ def evolve(op: DenseOperator, generator, t):
     F O F = s O exactly (s = +1 for sigma_x, -1 for sigma_y and sigma_z),
     F maps pair (i, j) onto the pair of their images reversed: that pair is
     s times its partner's copy, and a self-image pair is formed F-symmetric,
-    so F A(t) F = s A(t) holds bit for bit.
+    so F A(t) F = s A(t) holds bit for bit.  When O is Hermitian, pair (j, i)
+    with j > i is the conjugate transpose of pair (i, j), and a diagonal pair
+    P is formed as (P + P^dag)/2 (a pair that F maps onto its mirror, as
+    1/2 (P + s J P^dag J)), so A(t) = A(t)^dag holds bit for bit and half the
+    pair products are made; each row's contraction is dropped once its pairs
+    are formed.
     """
     spec = _spectrum_of(generator)
     layout = spec.layout
@@ -663,23 +698,33 @@ def evolve(op: DenseOperator, generator, t):
     mat = op.matrix
     sign = next((s for s in (1, -1) if np.array_equal(mat[::-1, ::-1], s * mat)), None)
     images = layout.images() if sign is not None else None
+    hermitian = np.array_equal(mat, mat.conj().T)
     out = np.zeros((dim, dim), complex)
-    lefts, pairs = {}, {}
+    lefts = {}
     for i, j in _connected_pairs(op, blocks):
         if images is not None and (images[i], images[j]) < (i, j):
-            pair = pairs[images[i], images[j]][::-1, ::-1]
+            pair = out[np.ix_(blocks[images[i]], blocks[images[j]])][::-1, ::-1]
             pair = pair if sign == 1 else -pair
+        elif hermitian and j < i:
+            pair = out[np.ix_(blocks[j], blocks[i])].conj().T
         else:
             if i not in lefts:
-                # rows b_i of U (O x 1) = (O^dag U^dag)^dag, from U^dag's columns b_i
+                # rows b_i of U (O x 1) = (O^dag U^dag)^dag, from U^dag's columns b_i;
+                # the previous row's are no longer read
+                lefts.clear()
                 cols = np.zeros((dim, len(blocks[i])), complex)
                 cols[blocks[i]] = us[i].conj().T
                 lefts[i] = apply_local(mat.conj().T, op.sites, cols).conj().T
             pair = lefts[i][:, blocks[j]] @ us[j].conj().T
+            # a pair that F, the adjoint or both map onto itself is formed symmetric
             if images is not None and (images[i], images[j]) == (i, j):
                 flipped = pair[::-1, ::-1]
                 pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
-            pairs[i, j] = pair
+            if hermitian and i == j:
+                pair = 0.5 * (pair + pair.conj().T)
+            elif hermitian and images is not None and (images[j], images[i]) == (i, j):
+                flipped = pair[::-1, ::-1].conj().T
+                pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
         out[np.ix_(blocks[i], blocks[j])] = pair
     return out
 

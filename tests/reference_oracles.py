@@ -127,7 +127,9 @@ def blockwise_evolve(o_mat, spec, t):
     The dense block-pair form: over the spectrum's sectors, u_k is block k
     of V e^{iEt} V^dag, formed from its pieces, row block b_i of U O is
     u_i O[b_i], and each nonzero block pair (b_i, b_j) of it is multiplied by
-    u_j^dag; a single block is U O U^dag.
+    u_j^dag; a single block is U O U^dag.  For Hermitian O, a pair below the
+    diagonal is the conjugate transpose of its mirror and a diagonal pair P
+    is (P + P^dag)/2, so the result is exactly Hermitian.
     """
     if t == 0:
         return np.asarray(o_mat).astype(complex)
@@ -136,13 +138,27 @@ def blockwise_evolve(o_mat, spec, t):
                                 for e, v in zip(spec.evals, spec.vecs)])
     if len(blocks) == 1:
         return us[0] @ o_mat @ us[0].conj().T
+    hermitian = np.array_equal(o_mat, o_mat.conj().T)
     out = np.zeros(o_mat.shape, complex)
-    for bi, ui in zip(blocks, us):
+    for i, (bi, ui) in enumerate(zip(blocks, us)):
         left = ui @ o_mat[bi]
-        for bj, uj in zip(blocks, us):
-            if np.any(left[:, bj]):
-                out[np.ix_(bi, bj)] = left[:, bj] @ uj.conj().T
+        for j, (bj, uj) in enumerate(zip(blocks, us)):
+            if not np.any(left[:, bj]):
+                continue
+            if hermitian and j < i:
+                out[np.ix_(bi, bj)] = out[np.ix_(bj, bi)].conj().T
+                continue
+            pair = left[:, bj] @ uj.conj().T
+            out[np.ix_(bi, bj)] = 0.5 * (pair + pair.conj().T) if hermitian and i == j else pair
     return out
+
+
+def dense_truncation_trace(spectra, beta):
+    """(||e^{beta H} - e^{beta H_tc}||_1, tr e^{beta H}) from the two dense
+    exponentials and their dense difference, ``spectra`` = (H's, H_tc's)."""
+    e_full = opalg.herm_expm(spectra[0], scale=beta)
+    e_trunc = opalg.herm_expm(spectra[1], scale=beta)
+    return opalg.opnorm(e_full - e_trunc, kind="trace"), float(np.trace(e_full).real)
 
 
 def theta_lines_by_search(reports, profile, block_len, count=10_000):

@@ -10,7 +10,7 @@ from gibbschain.errors import (
     InvalidSpec,
     Overlap,
 )
-from reference_oracles import OutOfRange, as_chain, coupling_strength
+from reference_oracles import OutOfRange, as_chain, coupling_strength, dense_truncation_trace
 
 
 def ising(n=6, J=1.0, rng_range=1, seed=0):
@@ -194,6 +194,43 @@ def test_truncation_error_report_bounds():
     rep2 = chain.truncation_error_report(h2, htc2, 0.3, _spectra(h2, htc2))
     assert not rep2.condition_ok
     assert np.isnan(rep2.trace_norm_bound) and not rep2.trace_ok
+
+
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz", "random_two_site"])
+def test_truncation_trace_norm_by_pieces_matches_the_dense_difference(generator):
+    h = chain.build_chain(8, generator, profiles.power_law(3.0), coupling=0.05, seed=3)
+    for block_len in (1, 3):
+        htc = chain.truncate(h, [0], [7], block_len)
+        assert htc.dropped
+        spectra = _spectra(h, htc)
+        for beta in (0.3, 1.0):
+            assert opalg.expm_difference(*spectra, beta) is not None
+            rep = chain.truncation_error_report(h, htc, beta, spectra)
+            diff, z = dense_truncation_trace(spectra, beta)
+            assert abs(rep.exact_trace_norm_diff - diff) <= 1e-12 * diff
+            assert abs(rep.partition_function - z) <= 1e-12 * z
+
+
+def test_truncation_report_falls_back_to_the_dense_difference_across_layouts():
+    h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.05, seed=3)
+    htc = chain.truncate(h, [0], [7], 1)
+    # the truncated spectrum as one piece: its layout is not the split of H's
+    spectra = opalg.hermitian_eig(h.matrix()), opalg.spectrum(htc.matrix())
+    assert opalg.expm_difference(*spectra, 0.3) is None
+    rep = chain.truncation_error_report(h, htc, 0.3, spectra)
+    assert (rep.exact_trace_norm_diff, rep.partition_function) == dense_truncation_trace(spectra, 0.3)
+
+
+def test_truncation_report_builds_no_delta_matrix_when_nothing_is_dropped(monkeypatch):
+    h = ising(n=6)
+    htc = chain.truncate(h, [0], [5], 2)
+    assert not htc.dropped
+
+    def unread(self):
+        raise AssertionError("delta_matrix built for an empty sum")
+
+    monkeypatch.setattr(chain.TruncatedHamiltonian, "delta_matrix", unread)
+    assert chain.truncation_error_report(h, htc, 0.5, _spectra(h, htc)).exact_delta_norm == 0.0
 
 
 def test_center_decomposition_geometry():

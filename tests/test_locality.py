@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbschain import chain, locality, opalg, profiles
-from gibbschain.errors import MissingParam, SubsetViolation
+from gibbschain.errors import MissingParam, SubsetViolation, SupportMismatch
 from reference_oracles import embed_matrix
 
 
@@ -259,6 +260,65 @@ def test_one_parity_block_norm_equals_two_block_maximum(n, generator, probe):
             got = locality.commutator_norm(a_t, probe, site)
             assert got == max(opalg.spectral_norm(piece) for (piece,) in pieces)
             assert abs(got - both) <= 1e-14 * both
+
+
+@pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz", "random_two_site"])
+def test_commutator_norm_equals_the_full_commutator_spectrum(generator):
+    for n in range(4, 9):
+        h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
+        spec = opalg.hermitian_eig(h.matrix())
+        parity = np.array([bin(i).count("1") & 1 for i in range(2**n)])
+        for probe in "xyz":
+            a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), 0), spec, 0.7)
+            # Hermitian as commutator_norm requires: the split evolutions are
+            # already, bit for bit; the one-piece one is to roundoff
+            a_t = 0.5 * (a_t + a_t.conj().T)
+            odd = not np.any(a_t[parity[:, None] == parity])
+            assert odd == (probe != "z" and generator != "random_two_site")
+            for site in range(1, n):
+                comm = locality._pauli_commutator(a_t, probe, site)
+                got = locality.commutator_norm(a_t, probe, site)
+                want = np.max(np.abs(np.linalg.eigvalsh(comm)))
+                assert abs(got - want) <= 1e-14 * want
+                if not odd:
+                    assert got == opalg.opnorm(comm)  # the dense path, as it was
+                    continue
+                # the first parity block alone, the same floats as the block
+                # of the dense commutator
+                blocks = opalg.sectors(comm)
+                if len(blocks) == 2:
+                    assert got == opalg.opnorm(opalg.sector_block(comm, blocks[0]))
+
+
+def test_commutator_norm_names_a_probe_site_outside_the_chain():
+    a = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), np.diag(np.arange(16.0)), 0.5)
+    for site in (-1, 4):
+        with pytest.raises(SupportMismatch, match=f"probe site {site} not inside 0..3"):
+            locality.commutator_norm(a, "x", site)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutator_and_truncation_norms_peak_below_one_full_space_matrix():
+    # n = 10 XXZ: the block commutator and the per-piece truncation trace norm
+    # each peak below one dim^2 complex array (16 MB); the dense commutator, or
+    # the two dense exponentials with their difference, would not fit under it
+    h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.01, seed=0)
+    spec = opalg.hermitian_eig(h.matrix())
+    a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), spec, 1.0)
+    htc = chain.truncate(h, [0], [9], 2)
+    spectra = spec, opalg.hermitian_eig(htc.matrix())
+    one_matrix = a_t.nbytes
+    assert one_matrix == 16 * 2**20
+    assert _traced_peak(lambda: locality.commutator_norm(a_t, "x", 3)) < one_matrix
+    assert _traced_peak(lambda: chain.truncation_error_report(h, htc, 0.3, spectra)) < one_matrix
 
 
 def _eigvalsh_spy(monkeypatch):

@@ -699,10 +699,13 @@ def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
 
 
 @pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz"])
-@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("n", [6, 7, 8, 10])
 def test_evolve_keeps_the_flip_exactly(generator, n):
     # F sigma_x F = sigma_x and F sigma_{y,z} F = -sigma_{y,z}: the image block
-    # pairs are copies and the self-image pairs are formed F-symmetric
+    # pairs are copies and the self-image pairs are formed F-symmetric; a
+    # Pauli is Hermitian, so every pair below the diagonal is its mirror's
+    # conjugate transpose and A(t) is Hermitian bit for bit as well (at odd
+    # n, the pair that F maps onto its mirror is formed symmetric under both)
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
     spec = opalg.hermitian_eig(h.matrix())
     assert spec.layout.images() is not None
@@ -711,6 +714,7 @@ def test_evolve_keeps_the_flip_exactly(generator, n):
             for t in (0.25, 1.0):
                 a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), site), spec, t)
                 assert np.array_equal(a_t[::-1, ::-1], sign * a_t)
+                assert np.array_equal(a_t, a_t.conj().T)
 
 
 def _random_two_site(rng):
@@ -804,7 +808,7 @@ def test_xxz_spectrum_holds_only_its_sector_blocks():
 
 def test_cached_sector_labels_are_read_only():
     opalg.sectors(np.diag(np.arange(16.0)))  # fills the n = 4 cache entry
-    for label, off0 in opalg._sector_labels(4):
+    for label, off0 in opalg.sector_labels(4):
         for a in (label, off0):
             with pytest.raises(ValueError):
                 a[0] = 5
