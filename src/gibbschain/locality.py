@@ -18,15 +18,17 @@ of unit-norm single-site operators at distance r = |i - j|:
 Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
 exact commutator norms (``commutator_norm``: Pauli probes as signed
-permutations, norms over the commutator's ``opalg`` pieces).  For sigma_x
-and sigma_y probes and an evolved probe that flips parity, the commutator
-splits into the two parity blocks, which P maps onto each other with a sign
-(P i[A, P] P = -i[A, P]); they share their norm, so only the first block
-is formed, from two gathers of A, and normed, at half the dimension.  At
-even n the flip F maps that block onto itself, and ``opalg.evolve`` keeps
-F A(t) F = +-A(t) bit for bit, so the commutator commutes with F exactly:
-``opalg.opnorm`` norms the block on its two F = +-1 halves, two eigvalsh
-calls at a quarter of the full dimension per (t, r) row.
+permutations, norms over the commutator's ``opalg`` pieces).  One builder
+forms the commutator's block on a row set R from two gathers of A.  For
+sigma_x and sigma_y probes and an evolved probe that flips parity, the
+commutator splits into the two parity blocks, which P maps onto each other
+with a sign (P i[A, P] P = -i[A, P]); they share their norm, so R is the
+even-parity rows and the block is normed at half the dimension; otherwise
+R is every index.  ``lr_certify`` reads R once per t, for every r.  At
+even n the flip F maps the parity block onto itself, and ``opalg.evolve``
+keeps F A(t) F = +-A(t) bit for bit, so the commutator commutes with F
+exactly: ``opalg.opnorm`` norms the block on its two F = +-1 halves, two
+eigvalsh calls at a quarter of the full dimension per (t, r) row.
 
 Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
 ``subset_evolution_error`` subtracts the window evolution on the window's
@@ -160,81 +162,66 @@ def lr_envelope(env: LREnvelope, t, r):
     return combined_lightcone(env, t, r)
 
 
-# P[src[b], b] = phase[b] on the probe's bit; sigma_x needs no phase
-_PAULI_ACTION = {"x": ((1, 0), None), "y": ((1, 0), (1j, -1j)), "z": ((0, 1), (1, -1))}
+# P maps index i to i ^ m (m the probe's bit, 0 for sigma_z) with the phase
+# of i's bit; sigma_x needs no phase
+_PAULI_PHASE = {"x": None, "y": (1j, -1j), "z": (1, -1)}
 
 
-def _pauli_commutator(a, probe, site):
-    """i[A, P] for the Pauli ``probe`` ('x', 'y' or 'z') on ``site`` of A's qubits.
-
-    Site j is bit n-1-j (site 0 is the most significant bit).  sigma_x maps
-    index i to i ^ bit, sigma_y is that permutation with phases +-i, sigma_z
-    keeps i with sign +-1: each side is two strided slice copies, O(dim^2),
-    and every product is by 0, +-1 or +-i, so the dense products agree exactly.
-    """
-    a = np.asarray(a, dtype=complex)
-    dim = a.shape[0]
-    n = opalg.n_qubits(dim)
-    shape = (1 << site, 2, 1 << (n - 1 - site))
-    src, phase = _PAULI_ACTION[probe.lower()]
-    comm = np.empty_like(a)
-    cols, a_cols = comm.reshape(dim, *shape), a.reshape(dim, *shape)
-    rows, a_rows = comm.reshape(*shape, dim), a.reshape(*shape, dim)
-    for b in (0, 1):
-        cols[:, :, b] = a_cols[:, :, src[b]]  # A P
-        if phase is not None:
-            cols[:, :, b] *= phase[b]
-    for b in (0, 1):
-        p_a = a_rows[:, src[b]]  # row b of P A
-        rows[:, b] -= p_a if phase is None else phase[src[b]] * p_a
-    comm *= 1j
-    return comm
+def _commutator_rows(a, probe):
+    """The rows R on which i[A, P] is formed: the even-parity indices for a
+    sigma_x or sigma_y ``probe`` and an A that is exactly zero between basis
+    states of equal parity (read in row chunks by ``opalg.respects``), else
+    every index."""
+    (_, _), (parity, _) = opalg.sector_labels(opalg.n_qubits(a.shape[0]))
+    if probe != "z" and opalg.respects((a,), parity, parity ^ 1):
+        return np.flatnonzero(parity == 0)
+    return np.arange(a.shape[0])
 
 
-def _even_parity_block(a, probe, site, even):
-    """Block (E, E) of i[A, P] for a sigma_x or sigma_y ``probe``, E = ``even``.
+def _commutator_block(a, probe, site, rows):
+    """Block (R, R) of i[A, P] for the Pauli ``probe`` on ``site``, R = ``rows``.
 
-    P maps index i to i ^ m (m the probe's bit) with the phase of i's bit,
-    so (A P)[E, E] and (P A)[E, E] are the gathers A[E, E ^ m] and
-    A[E ^ m, E] with their phases, combined by the operations of
-    ``_pauli_commutator``: the same floats, entry by entry.
+    Site j is bit n-1-j (site 0 is the most significant bit).  P maps index
+    i to i ^ m with the phase of i's bit, so (A P)[R, R] and (P A)[R, R]
+    are the gathers A[R, R ^ m] and A[R ^ m, R] with their phases; every
+    product is by 0, +-1 or +-i, so the block equals the dense products'
+    exactly.
     """
     shift = opalg.n_qubits(a.shape[0]) - 1 - site
-    odd = even ^ (1 << shift)
-    block = np.asarray(a[np.ix_(even, odd)], dtype=complex)  # A P
-    p_a = np.asarray(a[np.ix_(odd, even)], dtype=complex)  # P A
-    phase = _PAULI_ACTION[probe][1]
+    moved = rows ^ (0 if probe == "z" else 1 << shift)
+    block = np.asarray(a[np.ix_(rows, moved)], dtype=complex)  # A P
+    p_a = np.asarray(a[np.ix_(moved, rows)], dtype=complex)  # P A
+    phase = _PAULI_PHASE[probe]
     if phase is not None:
-        block *= np.array(phase)[(even >> shift) & 1]
-        p_a *= np.array(phase)[(odd >> shift) & 1][:, None]
+        block *= np.array(phase)[(rows >> shift) & 1]
+        p_a *= np.array(phase)[(moved >> shift) & 1][:, None]
     block -= p_a
     block *= 1j
     return block
 
 
+def _commutator_norm(a, probe, site, rows):
+    """||[A, P]|| as ``opalg.opnorm`` of the block of i[A, P] on ``rows``."""
+    return opalg.opnorm(_commutator_block(a, probe, site, rows))
+
+
 def commutator_norm(a, probe, site):
     """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits.
 
-    The norm is ``opalg.opnorm`` of the commutator, except that for a
-    sigma_x or sigma_y probe and an A that is exactly zero between basis
-    states of equal parity (read from row chunks of A, as ``opalg.respects``
-    reads them) only the first parity block E of the commutator is formed
-    and normed: P i[A, P] P = -i[A, P] and P maps each parity block onto the
-    other, so the two blocks are unitarily equivalent up to sign and share
-    their norm.  ``opnorm`` splits that block again when F maps it onto
-    itself (even n, A F-symmetric up to sign): it is normed on its two F
-    halves.
+    The norm is that of the commutator's block on the rows of
+    ``_commutator_rows``.  Where those are the even-parity rows, A flips
+    parity and P is sigma_x or sigma_y: P i[A, P] P = -i[A, P] and P maps
+    each parity block onto the other, so the two blocks are unitarily
+    equivalent up to sign and share their norm.  ``opnorm`` splits the
+    block again when F maps it onto itself (even n, A F-symmetric up to
+    sign): it is normed on its two F halves.
     """
     a = np.asarray(a)
     n = opalg.n_qubits(a.shape[0])
     if not 0 <= site < n:
         raise SupportMismatch(f"probe site {site} not inside 0..{n - 1}")
     probe = probe.lower()
-    if probe != "z":
-        (_, _), (parity, _) = opalg.sector_labels(n)
-        if opalg.respects((a,), parity, parity ^ 1):
-            return opalg.opnorm(_even_parity_block(a, probe, site, np.flatnonzero(parity == 0)))
-    return opalg.opnorm(_pauli_commutator(a, probe, site))
+    return _commutator_norm(a, probe, site, _commutator_rows(a, probe))
 
 
 @dataclass(frozen=True)
@@ -317,7 +304,8 @@ def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
     blocks, for a truncated chain, where the truncated envelope applies) and
     at i0 + r inside the same range; a separation whose partner falls past
     that range has no rows and is listed in ``skipped``.  Each row carries its
-    verdict, ``CertificationRow.ok``.
+    verdict, ``CertificationRow.ok``.  A(t)'s parity pattern is read once per
+    t (``_commutator_rows``) and serves every r, as in ``commutator_norm``.
     """
     if isinstance(h, TruncatedHamiltonian):
         i0, interior_hi = h.blocks[1][0], h.blocks[-2][-1]
@@ -329,9 +317,12 @@ def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
     env = envelope_for_chain(h)
     rows = []
     h_spectrum = opalg.hermitian_eig(h.matrix())  # one diagonalization serves every t
+    probe = probe.lower()
     o_a = opalg.single_site(opalg.pauli(probe), i0)
     for t in t_grid:
         a_t = opalg.evolve(o_a, h_spectrum, t)
-        rows += [CertificationRow(t=float(t), r=r, exact=commutator_norm(a_t, probe, i0 + r),
+        comm_rows = _commutator_rows(a_t, probe)  # one parity scan serves every r
+        rows += [CertificationRow(t=float(t), r=r,
+                                  exact=_commutator_norm(a_t, probe, i0 + r, comm_rows),
                                   envelope=lr_envelope(env, t, r)) for r in kept]
     return CertificationReport(rows=tuple(rows), skipped=skipped)

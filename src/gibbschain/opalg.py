@@ -57,14 +57,17 @@ block pairs that O x 1 connects, read from O's exact zeros; when F O F =
 +-O exactly, each image pair is the reversed copy of its partner (negated
 for sigma_y and sigma_z) and a self-image pair is formed F-symmetric, so
 F A(t) F = +-A(t) holds bit for bit as well; for Hermitian O, each pair
-below the diagonal is the conjugate transpose of its mirror, so A(t) is
-Hermitian bit for bit and half the pairs take a product.  The pieces are
-orthogonally equivalent to the blocks: ``opnorm`` takes the largest piece
-norm, and the trace norm, like Z in ``gibbs``, counts each piece once per
-block it fills; ``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the
-same way from two spectra of one layout, with no dense exponential.
-Callers with matrices of their own (``qbp``, ``locality.commutator_norm``)
-take ``split`` (or ``opnorm``) and reassemble with its layout.
+below the diagonal is the conjugate transpose of its mirror and each
+diagonal pair is formed Hermitian, so A(t) is Hermitian bit for bit on
+every chain (a one-block spectrum is the single diagonal pair) and half
+the pairs take a product.  The pieces are orthogonally equivalent to the
+blocks: ``opnorm`` takes the largest piece norm, and the trace norm, like
+Z in ``gibbs``, counts each piece once per block it fills;
+``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the same way from two
+spectra of one layout (a ValueError for any other pair), with no dense
+exponential.  Callers with matrices of their own (``qbp``,
+``locality.commutator_norm``) take ``split`` (or ``opnorm``) and
+reassemble with its layout.
 """
 
 from __future__ import annotations
@@ -618,12 +621,12 @@ def expm_difference(spec_a, spec_b, scale=1.0):
     On piece p the difference is V_p e^(s E_p) V_p^dag - W_p e^(s F_p) W_p^dag;
     as in ``opnorm``, the trace norm is the sum of the piece trace norms and
     the trace the sum of e^(s E_p), each counted once per block the piece
-    fills, so no 2^n x 2^n matrix is formed.  None when the layouts differ.
+    fills, so no 2^n x 2^n matrix is formed.  ValueError when the layouts differ.
     """
     la, lb = spec_a.layout, spec_b.layout
     if la.sources != lb.sources or not all(
             np.array_equal(a, b) for a, b in zip(la.blocks, lb.blocks)):
-        return None
+        raise ValueError("the two spectra have different layouts")
     counts = la.counts()
     norm = sum(c * _trace_norm(a - b) for c, a, b in
                zip(counts, _expm_pieces(spec_a, scale), _expm_pieces(spec_b, scale)))
@@ -674,7 +677,8 @@ def evolve(op: DenseOperator, generator, t):
     on O's sites, times U^dag.  Over the spectrum's sectors, only the block
     pairs (i, j) that O x 1 connects (``_connected_pairs``) are formed, as
     (U (O x 1))[b_i, b_j] U_j^dag from U^dag's columns b_i; the rest stay
-    zero.  When the spectrum's layout carries the flip F and
+    zero.  A one-block spectrum (a chain without sectors) is the pair
+    (0, 0) of that loop.  When the spectrum's layout carries the flip F and
     F O F = s O exactly (s = +1 for sigma_x, -1 for sigma_y and sigma_z),
     F maps pair (i, j) onto the pair of their images reversed: that pair is
     s times its partner's copy, and a self-image pair is formed F-symmetric,
@@ -691,10 +695,8 @@ def evolve(op: DenseOperator, generator, t):
     if t == 0:
         return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
     blocks = layout.blocks
-    us = layout.blockwise(_sandwiches(spec, [np.exp(1j * e * t) for e in spec.evals]))
-    if layout.sources == ((0,),):
-        u_dag = us[0].conj().T
-        return apply_local(op.matrix.conj().T, op.sites, u_dag).conj().T @ u_dag
+    u_dags = [u.conj().T for u in
+              layout.blockwise(_sandwiches(spec, [np.exp(1j * e * t) for e in spec.evals]))]
     mat = op.matrix
     sign = next((s for s in (1, -1) if np.array_equal(mat[::-1, ::-1], s * mat)), None)
     images = layout.images() if sign is not None else None
@@ -713,15 +715,18 @@ def evolve(op: DenseOperator, generator, t):
                 # the previous row's are no longer read
                 lefts.clear()
                 cols = np.zeros((dim, len(blocks[i])), complex)
-                cols[blocks[i]] = us[i].conj().T
+                cols[blocks[i]] = u_dags[i]
                 lefts[i] = apply_local(mat.conj().T, op.sites, cols).conj().T
-            pair = lefts[i][:, blocks[j]] @ us[j].conj().T
+                del cols
+            pair = lefts[i][:, blocks[j]] @ u_dags[j]
             # a pair that F, the adjoint or both map onto itself is formed symmetric
             if images is not None and (images[i], images[j]) == (i, j):
                 flipped = pair[::-1, ::-1]
                 pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
             if hermitian and i == j:
-                pair = 0.5 * (pair + pair.conj().T)
+                # in place: at one block every temporary is a full-space matrix
+                pair += pair.conj().T
+                pair *= 0.5
             elif hermitian and images is not None and (images[j], images[i]) == (i, j):
                 flipped = pair[::-1, ::-1].conj().T
                 pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)

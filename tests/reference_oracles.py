@@ -92,6 +92,12 @@ def embed_matrix(mat, sites, n):
     return t.reshape(2**n, 2**n)
 
 
+def dense_pauli_commutator(a, probe, site):
+    """i[A, P] = 1j * (A @ P - P @ A), the Pauli ``probe`` embedded on ``site`` of A's qubits."""
+    p = embed_matrix(opalg.pauli(probe), [site], opalg.n_qubits(a.shape[0]))
+    return 1j * (a @ p - p @ a)
+
+
 def apply_local_contracted(op, sites, mat):
     """(``op`` on ``sites``) @ ``mat`` by contraction for every ``op``, diagonal or not.
 
@@ -127,17 +133,15 @@ def blockwise_evolve(o_mat, spec, t):
     The dense block-pair form: over the spectrum's sectors, u_k is block k
     of V e^{iEt} V^dag, formed from its pieces, row block b_i of U O is
     u_i O[b_i], and each nonzero block pair (b_i, b_j) of it is multiplied by
-    u_j^dag; a single block is U O U^dag.  For Hermitian O, a pair below the
-    diagonal is the conjugate transpose of its mirror and a diagonal pair P
-    is (P + P^dag)/2, so the result is exactly Hermitian.
+    u_j^dag.  For Hermitian O, a pair below the diagonal is the conjugate
+    transpose of its mirror and a diagonal pair P is (P + P^dag)/2 (a single
+    block too), so the result is exactly Hermitian.
     """
     if t == 0:
         return np.asarray(o_mat).astype(complex)
     blocks = spec.layout.blocks
     us = spec.layout.blockwise([(v * np.exp(1j * e * t)) @ v.conj().T
                                 for e, v in zip(spec.evals, spec.vecs)])
-    if len(blocks) == 1:
-        return us[0] @ o_mat @ us[0].conj().T
     hermitian = np.array_equal(o_mat, o_mat.conj().T)
     out = np.zeros(o_mat.shape, complex)
     for i, (bi, ui) in enumerate(zip(blocks, us)):

@@ -197,28 +197,42 @@ def test_truncation_error_report_bounds():
 
 
 @pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz", "random_two_site"])
-def test_truncation_trace_norm_by_pieces_matches_the_dense_difference(generator):
-    h = chain.build_chain(8, generator, profiles.power_law(3.0), coupling=0.05, seed=3)
-    for block_len in (1, 3):
-        htc = chain.truncate(h, [0], [7], block_len)
-        assert htc.dropped
-        spectra = _spectra(h, htc)
-        for beta in (0.3, 1.0):
-            assert opalg.expm_difference(*spectra, beta) is not None
-            rep = chain.truncation_error_report(h, htc, beta, spectra)
-            diff, z = dense_truncation_trace(spectra, beta)
-            assert abs(rep.exact_trace_norm_diff - diff) <= 1e-12 * diff
-            assert abs(rep.partition_function - z) <= 1e-12 * z
+def test_truncation_trace_norm_by_pieces_matches_the_dense_difference(generator, monkeypatch):
+    cases = []
+    for profile in (profiles.power_law(3.0), profiles.finite_range(2),
+                    profiles.stretched_exp(0.5, 1.0)):
+        h = chain.build_chain(8, generator, profile, coupling=0.05, seed=3)
+        for block_len in (1, 3):
+            htc = chain.truncate(h, [0], [7], block_len)
+            spectra = _spectra(h, htc)
+            cases += [(h, htc, spectra, beta, dense_truncation_trace(spectra, beta))
+                      for beta in (0.3, 1.0)]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the report formed a dense exponential")
+
+    monkeypatch.setattr(opalg, "herm_expm", unused)
+    for h, htc, (full, trunc), beta, (diff, z) in cases:
+        # the dropped terms keep H's sectors and flip symmetry: one layout
+        assert full.layout.sources == trunc.layout.sources
+        assert all(np.array_equal(a, b) for a, b in zip(full.layout.blocks, trunc.layout.blocks))
+        rep = chain.truncation_error_report(h, htc, beta, (full, trunc))
+        # with nothing dropped (finite range 2 at l0 = 3) both are the
+        # roundoff of two diagonalizations, on the scale of Z
+        tol = 1e-12 * diff if htc.dropped else 1e-15 * z
+        assert abs(rep.exact_trace_norm_diff - diff) <= tol
+        assert abs(rep.partition_function - z) <= 1e-12 * z
 
 
-def test_truncation_report_falls_back_to_the_dense_difference_across_layouts():
+def test_truncation_report_rejects_spectra_of_different_layouts():
     h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.05, seed=3)
     htc = chain.truncate(h, [0], [7], 1)
     # the truncated spectrum as one piece: its layout is not the split of H's
     spectra = opalg.hermitian_eig(h.matrix()), opalg.spectrum(htc.matrix())
-    assert opalg.expm_difference(*spectra, 0.3) is None
-    rep = chain.truncation_error_report(h, htc, 0.3, spectra)
-    assert (rep.exact_trace_norm_diff, rep.partition_function) == dense_truncation_trace(spectra, 0.3)
+    with pytest.raises(ValueError, match="different layouts"):
+        opalg.expm_difference(*spectra, 0.3)
+    with pytest.raises(ValueError, match="different layouts"):
+        chain.truncation_error_report(h, htc, 0.3, spectra)
 
 
 def test_truncation_report_builds_no_delta_matrix_when_nothing_is_dropped(monkeypatch):

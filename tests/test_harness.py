@@ -9,7 +9,8 @@ import pytest
 from gibbschain import chain, cli, csvio, opalg, profiles, qbp
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text, read_keys
 from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
-from gibbschain.experiments import run_experiment
+from gibbschain.experiments import build_config_chain, run_experiment, truncation_regions
+from reference_oracles import dense_pauli_commutator
 
 
 def test_parse_config_text():
@@ -325,14 +326,37 @@ def test_lr_sweep_names_the_separations_it_skips(tmp_path, monkeypatch):
     assert {int(r[2]) for r in rows if r[0] == "plain"} == {1, 6, 7}
 
 
+def test_lr_sweep_on_a_chain_without_sectors_matches_the_dense_commutator(tmp_path):
+    """A random_two_site chain has no parity blocks, so each t > 0 row norms
+    the commutator on every row; its exact_commutator column is the largest
+    |eigenvalue| of the dense commutator of the same evolved probe."""
+    cfg = load_config(None, overrides=dict(
+        experiment="lr_sweep", n=6, generator="random_two_site", profile="power_law",
+        alpha=3.0, coupling=0.5, seed=7, t_grid="0,0.4,1.0"), environ={})
+    out = tmp_path / "out"
+    run_experiment(cfg, output_dir=str(out))
+    h = build_config_chain(cfg)
+    htc = chain.truncate(h, *truncation_regions(cfg.n, cfg.x_width, cfg.y_width), cfg.block_len)
+    targets = {"plain": (h, 0), "truncated": (htc, htc.blocks[1][0])}
+    rows = _csv_rows(out, "lr_sweep.csv")
+    assert {r["mode"] for r in rows} == set(targets) and len(rows) > 6
+    for row in rows:
+        target, i0 = targets[row["mode"]]
+        a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), i0), target.matrix(),
+                           float(row["t"]))
+        comm = dense_pauli_commutator(a_t, "x", i0 + int(row["r"]))
+        want = np.max(np.abs(np.linalg.eigvalsh(comm)))
+        assert abs(float(row["exact_commutator"]) - want) <= 1e-14 * want
+
+
 def test_lr_sweep_csv_violation_column_is_the_certified_verdict(tmp_path, monkeypatch):
     """A row 1.5e-10 over its envelope violates in the CSV and fails the manifest
     check alike: both read lr_certify's one slack of 1e-10."""
     from gibbschain import locality
 
     monkeypatch.setattr(locality, "lr_envelope", lambda env, t, r: 0.5)
-    monkeypatch.setattr(locality, "commutator_norm",
-                        lambda a, probe, site: 0.5 + 1.5e-10 if site == 2 else 0.25)
+    monkeypatch.setattr(locality, "_commutator_norm",
+                        lambda a, probe, site, rows: 0.5 + 1.5e-10 if site == 2 else 0.25)
     cfg = load_config(None, overrides=dict(
         experiment="lr_sweep", n=5, generator="heisenberg_xxz", profile="finite_range",
         range_cutoff=1, t_grid="0.5,1.0"), environ={})
@@ -348,9 +372,9 @@ def test_lr_sweep_csv_violation_column_is_the_certified_verdict(tmp_path, monkey
 def _patch_lr(monkeypatch):
     from gibbschain import locality
 
-    norm = locality.commutator_norm
-    monkeypatch.setattr(locality, "commutator_norm",
-                        lambda a, probe, site: 2.5 if site == 2 else norm(a, probe, site))
+    norm = locality._commutator_norm
+    monkeypatch.setattr(locality, "_commutator_norm", lambda a, probe, site, rows:
+                        2.5 if site == 2 else norm(a, probe, site, rows))
 
 
 def _patch_qbp(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gibbschain import chain, locality, opalg, profiles
 from gibbschain.errors import MissingParam, SubsetViolation, SupportMismatch
-from reference_oracles import embed_matrix
+from reference_oracles import dense_pauli_commutator, embed_matrix
 
 
 def test_convolution_constant_two_sites():
@@ -171,7 +171,7 @@ def test_truncated_envelope_monotone():
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.booleans(), st.sampled_from("xyz"), st.data())
-def test_pauli_commutator_equals_dense_products(n, is_complex, probe, data):
+def test_commutator_block_equals_dense_products(n, is_complex, probe, data):
     site = data.draw(st.integers(0, n - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
@@ -179,10 +179,13 @@ def test_pauli_commutator_equals_dense_products(n, is_complex, probe, data):
     if is_complex:
         a = a + 1j * rng.standard_normal((dim, dim))
     a = 0.5 * (a + a.conj().T)
-    p = embed_matrix(opalg.single_site(opalg.pauli(probe), site).matrix, [site], n)
-    dense = 1j * (a @ p - p @ a)
-    # every product is by 0, +-1 or +-i: the signed permutation reproduces it bit for bit
-    assert np.array_equal(locality._pauli_commutator(a, probe, site), dense)
+    dense = dense_pauli_commutator(a, probe, site)
+    # every product is by 0, +-1 or +-i: the gathers reproduce it bit for bit,
+    # on every row and on the even-parity rows alone
+    (_, _), (parity, _) = opalg.sector_labels(n)
+    for rows in (np.arange(dim), np.flatnonzero(parity == 0)):
+        got = locality._commutator_block(a, probe, site, rows)
+        assert np.array_equal(got, dense[np.ix_(rows, rows)])
     assert locality.commutator_norm(a, probe, site) == pytest.approx(
         np.linalg.norm(dense, 2), rel=1e-12, abs=1e-14
     )
@@ -249,7 +252,7 @@ def test_one_parity_block_norm_equals_two_block_maximum(n, generator, probe):
     for t in (0.25, 0.7, 1.3):
         a_t = opalg.evolve(o, spec, t)
         for site in range(1, n):
-            comm = locality._pauli_commutator(a_t, probe, site)
+            comm = dense_pauli_commutator(a_t, probe, site)
             blocks = opalg.sectors(comm)
             assert len(blocks) == 2
             both = max(opalg.spectral_norm(opalg.sector_block(comm, b)) for b in blocks)
@@ -270,24 +273,59 @@ def test_commutator_norm_equals_the_full_commutator_spectrum(generator):
         parity = np.array([bin(i).count("1") & 1 for i in range(2**n)])
         for probe in "xyz":
             a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), 0), spec, 0.7)
-            # Hermitian as commutator_norm requires: the split evolutions are
-            # already, bit for bit; the one-piece one is to roundoff
-            a_t = 0.5 * (a_t + a_t.conj().T)
             odd = not np.any(a_t[parity[:, None] == parity])
             assert odd == (probe != "z" and generator != "random_two_site")
             for site in range(1, n):
-                comm = locality._pauli_commutator(a_t, probe, site)
+                comm = dense_pauli_commutator(a_t, probe, site)
                 got = locality.commutator_norm(a_t, probe, site)
                 want = np.max(np.abs(np.linalg.eigvalsh(comm)))
                 assert abs(got - want) <= 1e-14 * want
                 if not odd:
-                    assert got == opalg.opnorm(comm)  # the dense path, as it was
+                    assert got == opalg.opnorm(comm)  # every row: the dense commutator
                     continue
                 # the first parity block alone, the same floats as the block
                 # of the dense commutator
                 blocks = opalg.sectors(comm)
                 if len(blocks) == 2:
                     assert got == opalg.opnorm(opalg.sector_block(comm, blocks[0]))
+
+
+def test_one_piece_commutator_is_hermitian_bit_for_bit():
+    # a random_two_site chain has no sectors; its A(t) is exactly Hermitian,
+    # so a small commutator is too and is normed by eigvalsh, whatever its size
+    h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.5, seed=7)
+    spec = opalg.hermitian_eig(h.matrix())
+    assert spec.layout.sources == ((0,),)
+    a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), spec, 0.7)
+    assert np.array_equal(a_t, a_t.conj().T)
+    comm = locality._commutator_block(a_t, "x", 6, locality._commutator_rows(a_t, "x"))
+    assert np.array_equal(comm, dense_pauli_commutator(a_t, "x", 6))
+    assert opalg.herm_defect(comm) == 0.0
+    got = locality.commutator_norm(a_t, "x", 6)
+    assert got == np.max(np.abs(np.linalg.eigvalsh(comm)))
+    assert got == pytest.approx(0.0024491715613729377, rel=1e-13)
+
+
+def test_lr_certify_reads_the_parity_pattern_once_per_time(monkeypatch):
+    h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
+    t_grid, r_grid = (0.0, 0.5, 1.0), (1, 3, 5)
+    calls = []
+    respects = opalg.respects
+
+    def spy(mats, label, col_label=None):
+        if col_label is not None:  # the parity test; sectors passes no column label
+            calls.append(mats[0].shape)
+        return respects(mats, label, col_label)
+
+    monkeypatch.setattr(opalg, "respects", spy)
+    rep = locality.lr_certify(h, t_grid, r_grid)
+    assert len(rep.rows) == 9
+    assert calls == [(64, 64)] * len(t_grid)
+    # one commutator_norm call scans its A once
+    calls.clear()
+    locality.commutator_norm(opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), h.matrix(), 0.5),
+                             "x", 3)
+    assert calls == [(64, 64)]
 
 
 def test_commutator_norm_names_a_probe_site_outside_the_chain():
@@ -341,8 +379,8 @@ def test_sigma_z_commutator_takes_both_parity_blocks(monkeypatch):
     parity = np.array([bin(i).count("1") & 1 for i in range(2**n)])
     a[parity[:, None] != parity] = 0.0
     a = 0.5 * (a + a.conj().T)
-    assert len(opalg.sectors(locality._pauli_commutator(a, "z", site))) == 2
-    want = opalg.opnorm(locality._pauli_commutator(a, "z", site))
+    assert len(opalg.sectors(dense_pauli_commutator(a, "z", site))) == 2
+    want = opalg.opnorm(dense_pauli_commutator(a, "z", site))
     calls = _eigvalsh_spy(monkeypatch)
     assert locality.commutator_norm(a, "z", site) == want
     assert calls == [(2 ** (n - 1), True)] * 2

@@ -745,19 +745,16 @@ def test_evolve_matches_the_dense_kron_path(n):
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11])
-def test_one_piece_evolve_is_the_contraction_and_one_product(seed):
-    # the one-piece path (random_two_site chains) keeps its arithmetic bit for
-    # bit: U (O x 1) by contraction on O's sites, then one product with U^dag
-    h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.4,
+def test_one_piece_evolve_is_hermitian_bit_for_bit(seed):
+    # a chain without sectors is the one diagonal block pair of the loop,
+    # formed as (P + P^dag)/2 for a Hermitian probe
+    h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.5,
                           seed=seed)
     spec = opalg.hermitian_eig(h.matrix())
     assert spec.layout.sources == ((0,),)
-    (e,), (v,) = spec.evals, spec.vecs
-    u_dag = ((v * np.exp(1j * e * 0.4)) @ v.conj().T).conj().T
-    for o in (opalg.single_site(opalg.pauli("x"), 3),
-              opalg.DenseOperator((2, 5), _random_two_site(np.random.default_rng(seed)))):
-        want = opalg.apply_local(o.matrix.conj().T, o.sites, u_dag).conj().T @ u_dag
-        assert np.array_equal(opalg.evolve(o, spec, 0.4), want)
+    for probe in "xyz":
+        a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), 3), spec, 0.7)
+        assert np.array_equal(a_t, a_t.conj().T)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
