@@ -260,10 +260,8 @@ def criterion_10_commuting_clustering():
     rows = []
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
     htc = chain_mod.truncate(h, [0], [9], 1)
-    o_x = opalg.single_site(opalg.pauli("z"), 0)
-    o_y = opalg.single_site(opalg.pauli("z"), 9)
     for beta in (0.5, 1.0, 2.0):
-        rep = cluster.commuting_chain_bound(htc, beta, o_x=o_x, o_y=o_y)
+        rep = cluster.commuting_chain_bound(htc, beta)  # Z probes on sites 0 and 9
         oracle = abs(oracles.ising_transfer_correlation(10, 1.0, beta, 0, 9))
         dev = abs(rep.exact_cor - oracle)
         rows.append((f"oracle_match[beta={beta}]", dev, 1e-10, dev <= 1e-10))
@@ -283,12 +281,13 @@ def criterion_11_correlation_length():
     xis = [xi for _, xi, _, _ in correlation_lengths(h, betas, 0, range(1, 10))]
     rows.append(ising_xi_row(betas, xis, 1.0))
 
-    hq = chain_mod.build_chain(
-        10, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
-    )
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
-    xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, 10))]
-    rows.append(log_xi_line("quantum_log_xi_monotone", betas, xis)[1])
+    for n, label in ((10, "quantum_log_xi_monotone"), (12, "quantum_log_xi_monotone[n=12]")):
+        hq = chain_mod.build_chain(
+            n, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
+        )
+        xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, n))]
+        rows.append(log_xi_line(label, betas, xis)[1])
     return rows
 
 

@@ -311,21 +311,17 @@ class CommutingBoundReport:
         return self.product_bound <= self.final_bound + 1e-10
 
 
-def commuting_chain_bound(
-    h_tc: TruncatedHamiltonian, beta, o_x=None, o_y=None
-) -> CommutingBoundReport:
+def commuting_chain_bound(h_tc: TruncatedHamiltonian, beta) -> CommutingBoundReport:
     """Correlation bound chain for mutually commuting truncated chains.
 
     exact <= 2 prod_s (1 - e^{-beta 2||h_s||}) <= 2 exp(-R / (l0 e^{2 beta gt}))
-    with doubled bond norms 2||h_s|| <= 2 gt and R = q * l0.
+    with doubled bond norms 2||h_s|| <= 2 gt and R = q * l0; exact is |Cor(Z, Z)|
+    across the cut, from the ends of the first and last blocks.
     """
     if not _kept_bundles_commute(h_tc):
         raise NotCommuting("bound chain needs mutually commuting bundles")
-    if o_x is None:
-        o_x = opalg.single_site(opalg.pauli("z"), h_tc.blocks[0][-1])
-    if o_y is None:
-        o_y = opalg.single_site(opalg.pauli("z"), h_tc.blocks[-1][0])
-    exact = abs(opalg.correlation(opalg.gibbs(h_tc.matrix(), beta), o_x, o_y))
+    pops = opalg.gibbs_populations(h_tc.matrix(), beta)
+    exact = abs(opalg.zz_correlation(pops, h_tc.blocks[0][-1], h_tc.blocks[-1][0]))
 
     bond_norms = tuple(h_tc.bond_norm(s) for s in range(h_tc.q + 1))
     product_bound = 2.0 * math.prod(-math.expm1(-2.0 * beta * h) for h in bond_norms)
@@ -461,9 +457,9 @@ def gamma_pair(
     Gibbs exponential; Gamma-tilde replaces the exact removal operators by
     window-localized ones, after which the probe trace factorizes into the
     product form that drives the distance decay.  Only Gamma-tilde is
-    traced, so the full space sees two exponentials per beta whatever m is:
-    e^{beta H_0} (H_0 = H minus every center bond) and e^{beta H} for Z,
-    from one spectrum each; each window takes one ``qbp.localized_sweep``
+    traced, so the full space sees one exponential per beta whatever m is,
+    e^{beta H_0} (H_0 = H minus every center bond), and Z is the sum of
+    e^{beta E} over H's spectrum; each window takes one ``qbp.localized_sweep``
     over all betas.  All traces go through the tensor-square factorization.
 
     Each window BP operator B_j stays on its own window and acts on a
@@ -489,7 +485,8 @@ def gamma_pair(
     for i, beta in enumerate(betas):
         local_ops = [ops[i].op for ops in sweeps]
         e0 = opalg.herm_expm(spec0, beta)
-        z = float(np.trace(opalg.herm_expm(spec, beta)).real)
+        z = float(sum(c * np.sum(np.exp(beta * e))
+                      for c, e in zip(spec.layout.counts(), spec.evals)))
         tr_gamma_local = 0.0 + 0.0j
         for lam, sign in lambda_branches(m):
             m_lam = e0

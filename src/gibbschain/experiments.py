@@ -6,7 +6,8 @@ and ``run_experiment`` alone dispatches, times and writes the manifest.
 Sweep points run one after another in a single thread, and a run holds
 OpenBLAS on one thread (``_one_blas_thread``), so its CSV bodies do not
 depend on OPENBLAS_NUM_THREADS; clustering_sweep emits its rows in sorted
-beta order.
+beta order.  Correlations are Z-Z correlators of the Gibbs populations
+(``opalg.gibbs_populations``); no 2^n x 2^n Gibbs state is formed.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ def correlation_lengths(h, betas, x0, r_list):
     """Connected zz correlations and their fitted correlation length at each beta.
 
     ``h`` is diagonalized once.  For each beta the list holds
-    (cors, xi, n_used, excluded): cors[k] = Re Cor(Z_x0, Z_(x0 + r_list[k]))
-    from ``opalg.correlation`` on the Gibbs state, and the rest from
+    (cors, xi, n_used, excluded): cors[k] = Cor(Z_x0, Z_(x0 + r_list[k]))
+    from ``opalg.zz_correlation`` on the Gibbs populations, and the rest from
     ``oracles.fit_exponential_decay`` of |cors| against r_list.
     """
     spectrum = opalg.hermitian_eig(h.matrix())
-    z = opalg.pauli("z")
-    o_x = opalg.single_site(z, x0)
     out = []
     for beta in betas:
-        rho = opalg.gibbs(spectrum, beta)
-        cors = [opalg.correlation(rho, o_x, opalg.single_site(z, x0 + r)).real for r in r_list]
+        pops = opalg.gibbs_populations(spectrum, beta)
+        cors = [opalg.zz_correlation(pops, x0, x0 + r) for r in r_list]
         xi, _, used, excluded = oracles.fit_exponential_decay(r_list, cors)
         out.append((cors, xi, used, excluded))
     return out
@@ -72,16 +71,16 @@ def gamma_decay_values(cfg: ExperimentConfig):
     for m in cfg.m_list:
         n_m = cfg.x_width + cfg.y_width + 2 * ell * m
         h = build_config_chain(cfg, n=n_m)
-        o_x = opalg.single_site(opalg.pauli("z"), 0)
-        o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
         if m == 0:
             spec = opalg.hermitian_eig(h.matrix())
-            values = [(abs(opalg.correlation(opalg.gibbs(spec, beta), o_x, o_y)), 0.0)
-                      for beta in cfg.beta_list]
+            pops = [opalg.gibbs_populations(spec, beta) for beta in cfg.beta_list]
+            values = [(abs(opalg.zz_correlation(p, 0, n_m - 1)), 0.0) for p in pops]
         else:
             x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
             htc = chain_mod.truncate(h, x, y, cfg.block_len)
             cd = chain_mod.center_decomposition(htc, m, ell)
+            o_x = opalg.single_site(opalg.pauli("z"), 0)
+            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
             reps = cluster.gamma_pair(htc, cd, cfg.beta_list, o_x, o_y,
                                       tau_steps=cfg.tau_steps, integrator=cfg.integrator)
             values = [(rep.psi_trace_decay, rep.factorization_residual) for rep in reps]

@@ -6,7 +6,7 @@ function given a full-space matrix reads n from its dimension
 (``n_qubits``).
 
 Everything is dense numpy.  Exponentials of Hermitian operators at large
-scale (``herm_expm``, ``gibbs``, ``evolve``) go through eigendecomposition:
+scale (``herm_expm``, ``gibbs_populations``, ``evolve``) diagonalize:
 a Taylor series of exp(beta H) cancels terms far larger than its result and
 loses accuracy.  ``expm_bounded`` takes the other road for a generator whose
 spectral-norm bound b the caller already holds (the tau steps of ``qbp``,
@@ -17,7 +17,7 @@ term ever exceeds the result by more than e^(1/2).  A ``Spectrum`` is a
 read-only eigendecomposition held piece by piece: callers that need one
 operator's exponential at several scales (Gibbs states at several beta,
 evolutions at several t) diagonalize once and pass the spectrum to
-``herm_expm``, ``gibbs`` or ``evolve`` in place of the matrix.  There is no
+``herm_expm``, ``gibbs_populations`` or ``evolve`` instead.  There is no
 hidden cache; every function is pure.
 
 A local operator on k sites meets a full-space matrix only on its own
@@ -50,9 +50,11 @@ block whose image comes later is a piece and the image its reversed copy
 (k = n/2, or a parity block at even n) splits into the F = +-1 halves
 H_+- = H11 +- H12 J (J the reversal), an eighth of its cost each.  A
 spectrum keeps one (evals, vecs) pair per piece, so no block or 2^n x 2^n
-eigenvector matrix is formed; ``herm_expm`` and ``gibbs`` form
-V_p f(E_p) V_p^dag per piece and ``FlipLayout.assemble`` rebuilds the dense
-result, so F f(H) F = f(H) holds bit for bit.  ``evolve`` forms only the
+eigenvector matrix is formed; ``herm_expm`` forms V_p f(E_p) V_p^dag per
+piece and ``FlipLayout.assemble`` rebuilds the dense result, so
+F f(H) F = f(H) holds bit for bit, as it does for the Gibbs populations of
+``gibbs_populations`` (placed by ``FlipLayout.diagonal``), from which
+``zz_correlation`` reads Z-Z correlators.  ``evolve`` forms only the
 block pairs that O x 1 connects, read from O's exact zeros; when F O F =
 +-O exactly, each image pair is the reversed copy of its partner (negated
 for sigma_y and sigma_z) and a self-image pair is formed F-symmetric, so
@@ -62,7 +64,7 @@ diagonal pair is formed Hermitian, so A(t) is Hermitian bit for bit on
 every chain (a one-block spectrum is the single diagonal pair) and half
 the pairs take a product.  The pieces are orthogonally equivalent to the
 blocks: ``opnorm`` takes the largest piece norm, and the trace norm, like
-Z in ``gibbs``, counts each piece once per block it fills;
+Z, counts each piece once per block it fills;
 ``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the same way from two
 spectra of one layout (a ValueError for any other pair), with no dense
 exponential.  Callers with matrices of their own (``qbp``,
@@ -80,12 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionCap,
-    NotHermitian,
-    OverlappingSupports,
-    SupportMismatch,
-)
+from .errors import DimensionCap, NotHermitian, SupportMismatch
 
 # largest dimension hermitian_eig accepts (12 qubits); config validation reads it too
 DIM_CAP = 4096
@@ -141,16 +138,15 @@ def herm_defect(mat):
     transposed read stays in cache and each off-diagonal pair is compared
     once.  Each entry |a_ij - conj(a_ji)| equals the untiled formula's entry
     (or its mirror, equal under negation and conjugation), so the maximum is
-    the same float bit for bit.
+    the same float bit for bit; so is the scale max|A|, read from the tiles.
     """
     dim, step, conj = mat.shape[0], _HERM_TILE, np.iscomplexobj(mat)
-    d = 0.0
+    d = s = 0.0
     for i in range(0, dim, step):
         for j in range(i, dim, step):
-            mirror = mat[j : j + step, i : i + step].T
-            tile = mat[i : i + step, j : j + step] - (mirror.conj() if conj else mirror)
-            d = max(d, float(np.abs(tile).max()))
-    s = float(np.abs(mat).max(initial=0.0))
+            tile, mirror = mat[i : i + step, j : j + step], mat[j : j + step, i : i + step].T
+            d = max(d, float(np.abs(tile - (mirror.conj() if conj else mirror)).max()))
+            s = max(s, float(np.abs(tile).max()), float(np.abs(mirror).max()) if i != j else 0.0)
     return d / max(s, 1e-300)
 
 
@@ -410,6 +406,17 @@ class FlipLayout(NamedTuple):
         """The dense f(M) from f(piece) for every piece."""
         return from_blocks(self.blocks, self.blockwise(results))
 
+    def diagonal(self, diags):
+        """The real diag f(M) from diag f(piece) per piece, placed as ``blockwise`` does."""
+        out = np.empty(self.dim)
+        for block, src in zip(self.blocks, self.sources):
+            if isinstance(src, int):
+                out[block] = out[self.blocks[src]][::-1]
+            else:
+                s = sum(diags[p] for p in src) / len(src)
+                out[block] = s if len(src) == 1 else np.concatenate([s, s[::-1]])
+        return out
+
 
 def split(*mats):
     """(pieces, layout): the sectors of ``mats`` as pieces under the global spin flip F.
@@ -634,21 +641,21 @@ def expm_difference(spec_a, spec_b, scale=1.0):
     return float(norm), float(trace)
 
 
-def gibbs(h, beta):
-    """Gibbs state exp(beta*H)/Z, dense, of a Hamiltonian given as matrix or Spectrum.
+def gibbs_populations(h, beta):
+    """Gibbs populations diag(exp(beta*H))/Z of a Hamiltonian given as matrix or Spectrum.
 
     The sign convention puts the customary minus sign inside the
-    Hamiltonian, so beta multiplies +H.  Z counts each piece's eigenvalues
-    once per block the piece fills.
+    Hamiltonian, so beta multiplies +H; the weights w = exp(beta*E - shift),
+    shifted by the largest beta*E, cannot overflow.  Piece p gives
+    sum_k |V_p[x, k]|^2 w_k at row x, and Z is the sum of w over every block.
     """
     spec = _spectrum_of(h)
     n_qubits(spec.layout.dim)  # SupportMismatch unless the space is n qubits
     ms = [beta * e for e in spec.evals]
     shift = max(np.max(m) for m in ms)
-    z = sum(c * np.sum(np.exp(m - shift)) for c, m in zip(spec.layout.counts(), ms))
-    logz = shift + np.log(z)
-    rhos = _sandwiches(spec, [np.exp(m - logz) for m in ms])
-    return spec.layout.assemble([0.5 * (r + r.conj().T) for r in rhos])
+    ws = [np.exp(m - shift) for m in ms]
+    z = sum(c * np.sum(w) for c, w in zip(spec.layout.counts(), ws))
+    return spec.layout.diagonal([(v * v.conj()).real @ w for v, w in zip(spec.vecs, ws)]) / z
 
 
 def _connected_pairs(op, blocks):
@@ -734,14 +741,16 @@ def evolve(op: DenseOperator, generator, t):
     return out
 
 
-def correlation(rho, o_x: DenseOperator, o_y: DenseOperator) -> complex:
-    """tr(rho O_X O_Y) - tr(rho O_X) tr(rho O_Y) for disjoint supports.
+def zz_correlation(populations, i, j):
+    """Cor(Z_i, Z_j) = <Z_i Z_j> - <Z_i><Z_j> in a state with diagonal ``populations``.
 
-    O_X O_Y is the kron of the factors on their joint support; each trace
-    is a correctly rounded ``local_trace``.
+    Z_i is +-1 by bit n-1-i of the basis index, so every term is one exact
+    product, and each sum is correctly rounded (math.fsum).
     """
-    if set(o_x.sites) & set(o_y.sites):
-        raise OverlappingSupports("correlation requires disjoint supports")
-    joint = local_trace(np.kron(o_x.matrix, o_y.matrix), o_x.sites + o_y.sites, rho)
-    return joint - (local_trace(o_x.matrix, o_x.sites, rho)
-                    * local_trace(o_y.matrix, o_y.sites, rho))
+    n = n_qubits(len(populations))
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise SupportMismatch(f"sites {i}, {j} are not two distinct sites of 0..{n - 1}")
+    index = np.arange(len(populations))
+    z_i, z_j = (1 - 2 * ((index >> (n - 1 - s)) & 1) for s in (i, j))
+    return (math.fsum(populations * (z_i * z_j))
+            - math.fsum(populations * z_i) * math.fsum(populations * z_j))

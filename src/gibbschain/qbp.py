@@ -331,9 +331,9 @@ def build_bp_sweep(
     the gate are rebuilt with doubled tau_steps; NonConvergence is raised
     after MAX_REFINEMENTS doublings, and at once for a closed form, which no
     refinement changes.  An infinite gate measures the residual and never
-    refines; without a gate it is left uncomputed.  A zero bond gives the
-    identity with residual 0.  Each operator equals, bit for bit, a one-beta
-    build.
+    refines; without a gate it is left uncomputed.  A zero bond is a
+    commuting diagonal one, so its closed form is the identity exactly.
+    Each operator equals, bit for bit, a one-beta build.
     """
     h_env = np.asarray(h_env)
     h_bond = np.asarray(h_bond)
@@ -352,10 +352,6 @@ def build_bp_sweep(
             op=opalg.DenseOperator(sites, u), beta=beta, tau_steps=steps,
             bond_norm=bond_norm, phi_norm_max=phi_max, reconstruction_residual=residual,
         )
-
-    if bond_norm == 0.0:
-        eye = np.eye(h_env.shape[0], dtype=complex)
-        return tuple(record(beta, eye, tau_steps, 0.0, 0.0) for beta in betas)
 
     def build(he, hb, pending_betas, steps):
         if diag is None:

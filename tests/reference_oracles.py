@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gibbschain import chain, opalg, qbp
-from gibbschain.errors import GibbsChainError, Overlap
+from gibbschain.errors import GibbsChainError, Overlap, OverlappingSupports
 
 
 class OutOfRange(GibbsChainError):
@@ -119,6 +119,36 @@ def herm_defect_untiled(mat):
     mat = np.asarray(mat)
     d = float(np.abs(mat - mat.conj().T).max(initial=0.0))
     return d / max(float(np.abs(mat).max(initial=0.0)), 1e-300)
+
+
+def gibbs_state(h, beta):
+    """The dense Gibbs state exp(beta*H)/Z of a matrix or Spectrum, whose diagonal alone
+    the library forms (``opalg.gibbs_populations``).
+
+    V_p e^(beta E_p - log Z) V_p^dag per piece, each made Hermitian and the
+    blocks assembled by the layout, with Z from the shifted weights counted
+    once per block a piece fills.
+    """
+    spec = h if isinstance(h, opalg.Spectrum) else opalg.hermitian_eig(h)
+    ms = [beta * e for e in spec.evals]
+    shift = max(np.max(m) for m in ms)
+    logz = shift + np.log(sum(c * np.sum(np.exp(m - shift))
+                              for c, m in zip(spec.layout.counts(), ms)))
+    rhos = [(v * np.exp(m - logz)) @ v.conj().T for v, m in zip(spec.vecs, ms)]
+    return spec.layout.assemble([0.5 * (r + r.conj().T) for r in rhos])
+
+
+def correlation(rho, o_x, o_y):
+    """tr(rho O_X O_Y) - tr(rho O_X) tr(rho O_Y) for general probes on disjoint supports.
+
+    O_X O_Y is the kron of the factors on their joint support; each trace
+    is a correctly rounded ``opalg.local_trace``.
+    """
+    if set(o_x.sites) & set(o_y.sites):
+        raise OverlappingSupports("correlation requires disjoint supports")
+    joint = opalg.local_trace(np.kron(o_x.matrix, o_y.matrix), o_x.sites + o_y.sites, rho)
+    return joint - (opalg.local_trace(o_x.matrix, o_x.sites, rho)
+                    * opalg.local_trace(o_y.matrix, o_y.sites, rho))
 
 
 def trace_of_product(p, a):

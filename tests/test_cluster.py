@@ -14,7 +14,13 @@ from gibbschain.errors import (
     NotUnitNorm,
     OverlappingSupports,
 )
-from reference_oracles import embed_matrix, replace_terms, trace_of_product
+from reference_oracles import (
+    correlation,
+    embed_matrix,
+    gibbs_state,
+    replace_terms,
+    trace_of_product,
+)
 
 
 def rand_herm(rng, dim):
@@ -98,12 +104,12 @@ def test_psi_expectation_reproduces_correlation():
     rng = np.random.default_rng(2)
     h = rand_herm(rng, 16)
     beta = 0.9
-    rho = opalg.gibbs(h, beta)
+    rho = gibbs_state(h, beta)
     ox = opalg.single_site(opalg.pauli("x"), 0)
     oy = opalg.single_site(opalg.pauli("y"), 3)
     probe = cluster.psi(ox, oy)
     factorized = probe.expectation(rho)
-    direct = opalg.correlation(rho, ox, oy)
+    direct = correlation(rho, ox, oy)
     assert factorized == pytest.approx(direct, abs=1e-12)
     # and the same number from the materialized doubled operators
     doubled = np.kron(rho, rho) @ psi_matrix(probe, 4)
@@ -322,10 +328,9 @@ def test_identity_residual_checks_branch_cap_before_any_exponential(monkeypatch)
 
 def test_commuting_chain_bound_oracle():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1, n=8)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 7)
+    assert (htc.blocks[0][-1], htc.blocks[-1][0]) == (0, 7)  # the Z probes' sites
     for beta in (0.5, 1.0):
-        rep = cluster.commuting_chain_bound(htc, beta, o_x=ox, o_y=oy)
+        rep = cluster.commuting_chain_bound(htc, beta)
         oracle = abs(oracles.ising_transfer_correlation(8, 1.0, beta, 0, 7))
         assert rep.exact_cor == pytest.approx(oracle, abs=1e-12)
         assert rep.exact_cor <= rep.product_bound <= rep.final_bound + 1e-12
@@ -418,9 +423,9 @@ def test_gamma_pair_trivial_and_factorized():
     (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=16)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the exact alternating sum reproduces the correlation
-    rho = opalg.gibbs(htc.matrix(), beta)
+    pops = opalg.gibbs_populations(htc.matrix(), beta)
     assert exact_gamma_trace(htc, cd, beta, ox, oy) / rep.z2 == pytest.approx(
-        abs(opalg.correlation(rho, ox, oy)), abs=1e-10
+        abs(opalg.zz_correlation(pops, 0, 5)), abs=1e-10
     )
 
 
@@ -441,11 +446,11 @@ def test_gamma_pair_zero_bonds_vanish():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
+def test_gamma_pair_makes_one_full_space_exponential_per_beta(m, monkeypatch):
     # x = {0, 1}, y = {n - 1}: H_0 and H are the only full-space spectra, taken
-    # once for every beta, and e^{beta H_0} and e^{beta H} for Z the only
-    # full-space exponentials of each beta; the exact Gamma's 2^m branches are
-    # never formed
+    # once for every beta, and e^{beta H_0} the only full-space exponential of
+    # each beta (Z is summed from H's eigenvalues); the exact Gamma's 2^m
+    # branches are never formed
     n = 3 + 2 * m
     h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     htc = chain.truncate(h, [0, 1], [n - 1], 1)
@@ -493,7 +498,7 @@ def test_gamma_pair_makes_two_full_space_exponentials(m, monkeypatch):
         reports = cluster.gamma_pair(htc, cd, betas, ox, oy, tau_steps=4)
         assert len(reports) == len(betas)
         assert eig_dims.count(2**n) == 2
-        assert dims.count(2**n) == 2 * len(betas)
+        assert dims.count(2**n) == len(betas)
     assert solver_calls == []
 
 

@@ -10,7 +10,8 @@ from gibbschain import chain, cli, csvio, opalg, profiles, qbp
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text, read_keys
 from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
 from gibbschain.experiments import build_config_chain, run_experiment, truncation_regions
-from reference_oracles import dense_pauli_commutator
+from reference_oracles import correlation as oracle_correlation
+from reference_oracles import dense_pauli_commutator, gibbs_state
 
 
 def test_parse_config_text():
@@ -813,12 +814,45 @@ def test_correlation_lengths_equal_dense_correlation(generator):
         for beta, (cors, xi, used, excluded) in zip(
             betas, correlation_lengths(h, betas, x, r_list)
         ):
-            rho = opalg.gibbs(h.matrix(), beta)
-            dense = [opalg.correlation(rho, opalg.single_site(z, x),
-                                       opalg.single_site(z, x + r)).real for r in r_list]
-            assert cors == dense
-            fit = oracles.fit_exponential_decay(r_list, dense)
+            rho = gibbs_state(h.matrix(), beta)
+            dense = [oracle_correlation(rho, opalg.single_site(z, x),
+                                        opalg.single_site(z, x + r)).real for r in r_list]
+            assert np.max(np.abs(np.subtract(cors, dense))) <= 5e-14
+            fit = oracles.fit_exponential_decay(r_list, cors)
             assert (xi, used, excluded) == (fit[0], fit[2], fit[3])
+
+
+def test_correlation_lengths_match_the_ising_closed_form():
+    # the open nearest-neighbour Ising chain: Cor(Z_0, Z_r) = tanh(beta J)^r exactly
+    from gibbschain.experiments import correlation_lengths
+
+    betas = (0.5, 1.0, 2.0, 3.0)
+    for n in range(3, 11):
+        h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
+        for beta, (cors, *_) in zip(betas, correlation_lengths(h, betas, 0, range(1, n))):
+            exact = [math.tanh(beta) ** r for r in range(1, n)]
+            assert np.max(np.abs(np.subtract(cors, exact))) <= 1e-15, (n, beta)
+
+
+def test_correlation_lengths_at_twelve_sites_stay_small():
+    # the n = 12 XXZ sweep of criterion 11 from the populations: no 2^n x 2^n
+    # Gibbs state (a 134 MB real matrix) or dim^2 temporary; what is left is the
+    # pieces that hermitian_eig splits and diagonalizes
+    import tracemalloc
+
+    from gibbschain.experiments import correlation_lengths
+
+    h = chain.build_chain(12, "heisenberg_xxz", profiles.finite_range(1), coupling=1.0,
+                          seed=0, anisotropy=1.5)
+    h.matrix()  # built and cached before the measurement
+    tracemalloc.start()
+    try:
+        out = correlation_lengths(h, (0.2, 1.2), 0, range(1, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert all(math.isfinite(xi) and xi > 0 for _, xi, _, _ in out)
 
 
 def test_fit_log_line_drops_nonpositive_and_nonfinite_points():
@@ -911,11 +945,12 @@ def test_library_is_qubit_only():
     assert "k" not in inspect.signature(chain.build_chain).parameters
     h = chain.build_chain(3, "ising_zz", profiles.finite_range(1))
     assert h.k == 2 and locality.envelope_for_chain(h).k == 2
-    for fn in (opalg.add_embedded, opalg.apply_local, opalg.partial_trace, opalg.gibbs,
-               locality.commutator_norm, cluster.verify_weighted_product):
+    for fn in (opalg.add_embedded, opalg.apply_local, opalg.partial_trace,
+               opalg.gibbs_populations, locality.commutator_norm,
+               cluster.verify_weighted_product):
         assert "n" not in inspect.signature(fn).parameters, fn.__name__
     with pytest.raises(SupportMismatch):
-        opalg.gibbs(np.zeros((6, 6)), 1.0)
+        opalg.gibbs_populations(np.zeros((6, 6)), 1.0)
     with pytest.raises(SupportMismatch):
         opalg.partial_trace(np.zeros((6, 6)), [0])
     with pytest.raises(SupportMismatch):

@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbschain import chain, opalg, profiles
-from gibbschain.errors import (
-    DimensionCap,
-    NotHermitian,
-    OverlappingSupports,
-    SupportMismatch,
-)
+from gibbschain.errors import DimensionCap, NotHermitian, SupportMismatch
 from reference_oracles import (
     apply_local_contracted,
     blockwise_evolve,
     embed_matrix,
+    gibbs_state,
     herm_defect_untiled,
     trace_of_product,
 )
@@ -122,7 +118,7 @@ def test_spectrum_reuse_matches_matrix_path():
     assert vecs.shape == (16, 16) and np.array_equal(layout.blocks[0], np.arange(16))
     assert layout.sources == ((0,),) and layout.counts() == [1]
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
-    assert np.array_equal(opalg.gibbs(spec, 1.3), opalg.gibbs(h, 1.3))
+    assert np.array_equal(opalg.gibbs_populations(spec, 1.3), opalg.gibbs_populations(h, 1.3))
     o = opalg.DenseOperator(range(4), o)
     assert np.array_equal(opalg.evolve(o, spec, 0.4), opalg.evolve(o, h, 0.4))
     with pytest.raises(NotHermitian):
@@ -235,10 +231,10 @@ def test_herm_expm_rejects_nonhermitian():
 
 
 def test_gibbs_maximally_mixed_and_two_level():
-    rho0 = opalg.gibbs(np.zeros((8, 8)), 0.7)
-    assert np.allclose(rho0, np.eye(8) / 8.0)
+    pops0 = opalg.gibbs_populations(np.zeros((8, 8)), 0.7)
+    assert np.array_equal(pops0, np.full(8, 1.0 / 8.0))
     e = 1.3
-    pops = np.diag(opalg.gibbs(np.diag([0.0, e]), 2.0)).real
+    pops = opalg.gibbs_populations(np.diag([0.0, e]), 2.0)
     z = 1.0 + math.exp(2.0 * e)
     assert pops == pytest.approx([1.0 / z, math.exp(2.0 * e) / z], rel=1e-12)
 
@@ -247,20 +243,44 @@ def test_gibbs_energy_spectral_sum_oracle():
     rng = np.random.default_rng(3)
     h = rand_herm(rng, 64)
     beta = 1.0
-    rho = opalg.gibbs(h, beta)
+    # the dense oracle state against the spectral sums of an independent eigh
+    rho = gibbs_state(h, beta)
     energy = float(np.trace(rho @ h).real)
-    evals = np.linalg.eigvalsh(h)
+    evals, vecs = np.linalg.eigh(h)
     w = np.exp(beta * evals - np.max(beta * evals))
     oracle = float(np.sum(evals * w) / np.sum(w))
     assert energy == pytest.approx(oracle, rel=1e-10)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+    # the populations are its diagonal, sum_k |V[x, k]|^2 w_k / Z
+    pops = opalg.gibbs_populations(h, beta)
+    assert np.max(np.abs(pops - (np.abs(vecs) ** 2 @ w) / np.sum(w))) <= 1e-14
+    assert np.max(np.abs(pops - np.diag(rho).real)) <= 1e-14
+    assert math.fsum(pops) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gibbs_dimension_cap(monkeypatch):
     monkeypatch.setattr(opalg, "DIM_CAP", 16)
     with pytest.raises(DimensionCap):
-        opalg.gibbs(np.zeros((32, 32)), 1.0)
+        opalg.gibbs_populations(np.zeros((32, 32)), 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_gibbs_populations_are_flip_symmetric_and_never_overflow(n):
+    # an XXZ chain commutes with the global flip F, which reverses the basis
+    # index: its pieces place image and self-image blocks as exact reversals
+    h = chain.build_chain(n, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.7,
+                          seed=0, anisotropy=1.5)
+    spec = opalg.hermitian_eig(h.matrix())
+    assert len(spec.layout.blocks) == n + 1 and spec.layout.images() is not None
+    norm = max(np.max(np.abs(e)) for e in spec.evals)
+    for beta in (0.3, 1.0, 800.0 / norm, -800.0 / norm):
+        pops = opalg.gibbs_populations(spec, beta)
+        assert np.array_equal(pops[::-1], pops)
+        assert np.all(np.isfinite(pops)) and np.all(pops >= 0.0)
+        assert math.fsum(pops) == pytest.approx(1.0, abs=1e-13)
+    # beta ||H|| = 800: exp(beta E) alone would overflow
+    assert 800.0 > math.log(np.finfo(float).max)
 
 
 def test_evolve_identity_cases():
@@ -302,34 +322,34 @@ def test_norms():
 
 
 def test_correlation_factorizing_states():
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 2)
-    rho = opalg.gibbs(np.zeros((8, 8)), 1.0)  # maximally mixed
-    assert abs(opalg.correlation(rho, ox, oy)) < 1e-14
+    pops = opalg.gibbs_populations(np.zeros((8, 8)), 1.0)  # maximally mixed
+    assert opalg.zz_correlation(pops, 0, 2) == 0.0
 
     rng = np.random.default_rng(7)
     h_left = embed_matrix(rand_herm(rng, 2), [0], 3)
     h_right = embed_matrix(rand_herm(rng, 4), [1, 2], 3)
-    rho2 = opalg.gibbs(h_left + h_right, 0.9)  # product state across 0 | 12
-    assert abs(opalg.correlation(rho2, ox, oy)) < 1e-12
+    pops2 = opalg.gibbs_populations(h_left + h_right, 0.9)  # product state across 0 | 12
+    assert abs(opalg.zz_correlation(pops2, 0, 2)) < 1e-12
+    assert abs(opalg.zz_correlation(pops2, 1, 2)) > 1e-3  # the pair the state couples
 
 
 def test_correlation_rejects_overlap():
-    ox = opalg.single_site(opalg.pauli("z"), 1)
-    oy = opalg.single_site(opalg.pauli("z"), 1)
-    rho = opalg.gibbs(np.zeros((4, 4)), 1.0)
-    with pytest.raises(OverlappingSupports):
-        opalg.correlation(rho, ox, oy)
+    pops = opalg.gibbs_populations(np.zeros((4, 4)), 1.0)
+    for i, j in ((1, 1), (0, 2), (-1, 0)):
+        with pytest.raises(SupportMismatch):
+            opalg.zz_correlation(pops, i, j)
+    with pytest.raises(SupportMismatch):
+        opalg.zz_correlation(np.full(6, 1.0 / 6.0), 0, 1)
 
 
 def test_correlation_shift_invariance():
     rng = np.random.default_rng(8)
     h = rand_herm(rng, 16)
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("x"), 3)
-    c1 = opalg.correlation(opalg.gibbs(h, 1.1), ox, oy)
-    c2 = opalg.correlation(opalg.gibbs(h + 2.7 * np.eye(16), 1.1), ox, oy)
+    pops = opalg.gibbs_populations(h, 1.1)
+    c1 = opalg.zz_correlation(pops, 0, 3)
+    c2 = opalg.zz_correlation(opalg.gibbs_populations(h + 2.7 * np.eye(16), 1.1), 0, 3)
     assert abs(c1 - c2) < 1e-10
+    assert opalg.zz_correlation(pops, 3, 0) == c1
 
 
 def test_golden_thompson():
@@ -641,9 +661,8 @@ def test_blockwise_functions_match_dense(case, scale, beta):
     m = beta * evals
     w = np.exp(m - m.max())
     rho_ref = _dense_vfv(evals, vecs, w / w.sum())
-    rho = opalg.gibbs(spec, beta)
-    assert np.max(np.abs(rho - rho_ref)) <= tol
-    assert opalg.herm_defect(rho) == 0.0
+    pops = opalg.gibbs_populations(spec, beta)
+    assert np.max(np.abs(pops - np.diag(rho_ref).real)) <= tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -787,7 +806,7 @@ def test_spectrum_functions_scan_no_sectors(monkeypatch):
 
     monkeypatch.setattr(opalg, "sectors", spy)
     opalg.herm_expm(spec, 0.3)
-    opalg.gibbs(spec, 0.7)
+    opalg.gibbs_populations(spec, 0.7)
     opalg.evolve(opalg.single_site(opalg.pauli("x"), 2), spec, 0.4)
     assert calls == []
 
@@ -898,7 +917,9 @@ def test_tiled_herm_defect_equals_untiled_formula(dim, is_complex):
     h = 0.5 * (a + a.conj().T)
     bumped = h.copy()
     bumped[dim // 2, dim - 1] += 3e-12  # one entry, across a tile boundary past dim 128
-    for mat in (h, bumped, h + 1e-9 * a, a, np.asfortranarray(a), h[::-1, ::-1]):
+    lower = h.copy()
+    lower[dim - 1, 0] += 50.0  # max|A| below the diagonal only: a mirror tile past dim 128
+    for mat in (h, bumped, h + 1e-9 * a, a, np.asfortranarray(a), h[::-1, ::-1], lower):
         assert opalg.herm_defect(mat) == herm_defect_untiled(mat)
 
 

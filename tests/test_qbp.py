@@ -19,6 +19,7 @@ from reference_oracles import (
     build_truncated_bp,
     embed_matrix,
     filter_value,
+    gibbs_state,
     ordered_exponentials_two_rules,
     reconstruction_residual,
     spectral_filter_direct,
@@ -147,12 +148,17 @@ def _random_truncated(n=6, coupling=0.4, seed=3, block_len=1):
 
 
 def test_zero_bond_gives_identity():
+    # a zero bond is diagonal and commutes with any environment: its closed
+    # form is the identity exactly, and a gate measures its residual as 0
     rng = np.random.default_rng(1)
     env = rng.standard_normal((8, 8))
     env = env + env.T
-    bp = qbp.build_bp_sweep(env, np.zeros((8, 8)), (1.0,))[0]
-    assert np.allclose(bp.matrix, np.eye(8))
+    bp = qbp.build_bp_sweep(env, np.zeros((8, 8)), (1.0,), residual_gate=math.inf)[0]
+    assert np.array_equal(bp.matrix, np.eye(8))
     assert bp.reconstruction_residual == 0.0
+    assert (bp.bond_norm, bp.phi_norm_max) == (0.0, 0.0)
+    # without a gate the residual is left uncomputed, as for any other build
+    assert qbp.build_bp_sweep(env, np.zeros((8, 8)), (1.0,))[0].reconstruction_residual is None
 
 
 def test_commuting_split_closed_form():
@@ -480,7 +486,7 @@ def test_flip_images_are_exact_reversals(n):
         assert np.max(np.abs(v.T @ v - np.eye(len(e)))) <= 1e-13
     counted = np.concatenate([np.tile(e, c) for e, c in zip(spec.evals, spec.layout.counts())])
     assert np.allclose(np.sort(counted), np.linalg.eigvalsh(h), rtol=0.0, atol=1e-13)
-    rho = opalg.gibbs(spec, 0.7)
+    rho = gibbs_state(spec, 0.7)
     u = opalg.herm_expm(spec, 0.9j)
     phis = [op.matrix for op in qbp.bond_sweep(htc, 1, (0.5, 2.0), tau_steps=2)]
     for mat in (rho, u, *phis):
