@@ -34,6 +34,7 @@ full-space matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -364,11 +365,11 @@ class PositivityShiftReport:
     passed: bool
 
 
-def verify_positivity_shift(a, b, zeta, tol=1e-10) -> PositivityShiftReport:
+def verify_positivity_shift(a, b, zeta) -> PositivityShiftReport:
     """Minimum eigenvalue of e^{A + B + zeta} - e^{A} for PSD A, B.
 
     The difference is guaranteed positive for zeta >= ||A||; the report's
-    ``passed`` records whether the measured minimum clears -tol.
+    ``passed`` records whether the measured minimum clears -1e-10.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -377,7 +378,7 @@ def verify_positivity_shift(a, b, zeta, tol=1e-10) -> PositivityShiftReport:
         _require_psd(mat, name)
     diff = math.exp(zeta) * opalg.herm_expm(a + b) - opalg.herm_expm(a)
     min_eig = _min_eig(diff)
-    return PositivityShiftReport(min_eig=min_eig, passed=min_eig >= -tol)
+    return PositivityShiftReport(min_eig=min_eig, passed=min_eig >= -1e-10)
 
 
 @dataclass(frozen=True)
@@ -387,15 +388,15 @@ class WeightedProductReport:
     passed: bool
 
 
-def verify_weighted_product(
-    w_ops, rho_full, psi_vec, x_sites, *, tol=1e-10
-) -> WeightedProductReport:
+def verify_weighted_product(w_ops, rho_full, psi_vec, x_sites) -> WeightedProductReport:
     """Weighted-product trace inequality for commuting PSD factors on X.
 
     lhs = <psi| tr_X(rho prod W_j) |psi> must not exceed
     rhs = <psi| tr_X(rho prod (W_j + 1)) |psi> * prod ||W_j|| / (||W_j|| + 1)
     for any PSD rho on the chain (its dimension fixes the site count) and
-    any state psi on the complement of X.
+    any state psi on the complement of X, to 1e-10 of the larger side (or
+    of 1).  Each bracket is one ``opalg.local_trace``: <psi| tr_X(rho W) |psi>
+    = tr((W x |psi><psi|) rho), W on X and the projector on the complement.
     """
     x_sites = tuple(sorted(int(s) for s in x_sites))
     w_ops = [np.asarray(w, dtype=complex) for w in w_ops]
@@ -409,17 +410,14 @@ def verify_weighted_product(
     n = opalg.n_qubits(rho_full.shape[0])
     _require_psd(rho_full, "rho")
 
-    keep = [s for s in range(n) if s not in x_sites]
+    keep = tuple(s for s in range(n) if s not in x_sites)
     psi_vec = np.asarray(psi_vec, dtype=complex)
     psi_vec = psi_vec / np.linalg.norm(psi_vec)
+    projector = np.outer(psi_vec, psi_vec.conj())
 
     def bracket(mats):
-        prod = rho_full.copy()
-        for w in mats:
-            # prod (W x 1) as ((W^dag x 1) prod^dag)^dag, contracted on X
-            prod = opalg.apply_local(w.conj().T, x_sites, prod.conj().T).conj().T
-        reduced = opalg.partial_trace(prod, keep)
-        return float(np.real(psi_vec.conj() @ reduced @ psi_vec))
+        prod = functools.reduce(np.matmul, mats, np.eye(2 ** len(x_sites)))
+        return opalg.local_trace(np.kron(prod, projector), x_sites + keep, rho_full).real
 
     lhs = bracket(w_ops)
     rhs = bracket([w + np.eye(2 ** len(x_sites)) for w in w_ops])
@@ -427,7 +425,7 @@ def verify_weighted_product(
         nw = opalg.opnorm(w)
         rhs *= nw / (nw + 1.0)
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return WeightedProductReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol * scale)
+    return WeightedProductReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,11 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"{key} entries must be >= 1")
     if not all(math.isfinite(b) and b > 0 for b in cfg.beta_list):
         raise ConfigError("beta_list entries must be finite and > 0")
+    for key in ("coupling", "anisotropy"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
+    if not all(math.isfinite(t) for t in cfg.t_grid):
+        raise ConfigError("t_grid entries must be finite")
     # an empty list certifies no rows; an empty r_list selects every separation
     empty = sorted(key for key in keys - {"r_list"} if getattr(cfg, key) == ())
     if empty:

@@ -17,18 +17,18 @@ of unit-norm single-site operators at distance r = |i - j|:
 
 Every returned value is additionally capped by the trivial commutator bound
 2.  ``lr_certify`` sweeps a (t, r) grid and compares the envelope against
-exact commutator norms (``commutator_norm``: Pauli probes as signed
-permutations, norms over the commutator's ``opalg`` pieces).  One builder
-forms the commutator's block on a row set R from two gathers of A.  For
-sigma_x and sigma_y probes and an evolved probe that flips parity, the
-commutator splits into the two parity blocks, which P maps onto each other
-with a sign (P i[A, P] P = -i[A, P]); they share their norm, so R is the
-even-parity rows and the block is normed at half the dimension; otherwise
-R is every index.  ``lr_certify`` reads R once per t, for every r.  At
-even n the flip F maps the parity block onto itself, and ``opalg.evolve``
-keeps F A(t) F = +-A(t) bit for bit, so the commutator commutes with F
-exactly: ``opalg.opnorm`` norms the block on its two F = +-1 halves, two
-eigvalsh calls at a quarter of the full dimension per (t, r) row.
+exact commutator norms ||[A(t), X_j]|| of the evolved sigma_x probe A(t)
+with sigma_x on site j.  X_j is a permutation, so the commutator's block
+on a row set R is formed from two gathers of A.  When A(t) flips parity,
+the commutator splits into the two parity blocks, which X_j maps onto
+each other with a sign (X_j i[A, X_j] X_j = -i[A, X_j]); they share their
+norm, so R is the even-parity rows and the block is normed at half the
+dimension; otherwise R is every index.  ``lr_certify`` reads R once per
+t, for every r.  At even n the flip F maps the parity block onto itself,
+and ``opalg.evolve`` keeps F A(t) F = A(t) bit for bit, so the commutator
+commutes with F exactly: ``opalg.opnorm`` norms the block on its two
+F = +-1 halves, two eigvalsh calls at a quarter of the full dimension per
+(t, r) row.
 
 Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
 ``subset_evolution_error`` subtracts the window evolution on the window's
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import opalg
 from .chain import ChainHamiltonian, TruncatedHamiltonian, set_distance
-from .errors import MissingParam, SubsetViolation, SupportMismatch
+from .errors import MissingParam, SubsetViolation
 from .profiles import DecayProfile
 
 
@@ -128,10 +128,15 @@ def combined_lightcone(env: LREnvelope, t, r):
         return min(2.0, f0)
     if math.isinf(env.velocity):
         return 2.0
+    if not f0 > 0:
+        return 0.0
     exponent = env.velocity * abs(t)
-    if f0 > 0 and exponent + math.log(f0) > math.log(2.0):
+    if exponent + math.log(f0) > math.log(2.0):
         return 2.0
-    return min(2.0, math.exp(exponent) * f0) if f0 > 0 else 0.0
+    try:
+        return min(2.0, math.exp(exponent) * f0)
+    except OverflowError:  # a subnormal f0: the product, below 2, in log space
+        return math.exp(exponent + math.log(f0))
 
 
 def lr_envelope(env: LREnvelope, t, r):
@@ -152,76 +157,57 @@ def lr_envelope(env: LREnvelope, t, r):
         log_core = n0 * math.log(2.0 * env.g * env.k * abs(t)) - math.log(
             math.factorial(n0)
         )
-        return min((2.0 / env.k) * math.exp(log_core), 2.0)
+        try:
+            return min((2.0 / env.k) * math.exp(log_core), 2.0)
+        except OverflowError:  # e^log_core past float range is far past the cap
+            return 2.0
     if env.mode == "infinite_range":
         jb = env.profile(r)
         exponent = 2.0 * env.conv_const * abs(t)
         if jb > 0 and exponent + math.log(jb) > 710.0:
             return 2.0
-        return min((2.0 / env.conv_const) * math.expm1(exponent) * jb, 2.0)
+        try:
+            return min((2.0 / env.conv_const) * math.expm1(exponent) * jb, 2.0)
+        except OverflowError:  # e^exponent past float range: the value in log space
+            if not jb > 0:
+                return 0.0
+            log_value = math.log(2.0 / env.conv_const) + exponent + math.log(jb)
+            return 2.0 if log_value > math.log(2.0) else math.exp(log_value)
     return combined_lightcone(env, t, r)
 
 
-# P maps index i to i ^ m (m the probe's bit, 0 for sigma_z) with the phase
-# of i's bit; sigma_x needs no phase
-_PAULI_PHASE = {"x": None, "y": (1j, -1j), "z": (1, -1)}
-
-
-def _commutator_rows(a, probe):
-    """The rows R on which i[A, P] is formed: the even-parity indices for a
-    sigma_x or sigma_y ``probe`` and an A that is exactly zero between basis
-    states of equal parity (read in row chunks by ``opalg.respects``), else
-    every index."""
+def _commutator_rows(a):
+    """The rows R on which i[A, X_j] is formed: the even-parity indices for
+    an A that is exactly zero between basis states of equal parity (read in
+    row chunks by ``opalg.respects``), else every index."""
     (_, _), (parity, _) = opalg.sector_labels(opalg.n_qubits(a.shape[0]))
-    if probe != "z" and opalg.respects((a,), parity, parity ^ 1):
+    if opalg.respects((a,), parity, parity ^ 1):
         return np.flatnonzero(parity == 0)
     return np.arange(a.shape[0])
 
 
-def _commutator_block(a, probe, site, rows):
-    """Block (R, R) of i[A, P] for the Pauli ``probe`` on ``site``, R = ``rows``.
+def _commutator_block(a, site, rows):
+    """Block (R, R) of i[A, X_j] for sigma_x on ``site`` j, R = ``rows``.
 
-    Site j is bit n-1-j (site 0 is the most significant bit).  P maps index
-    i to i ^ m with the phase of i's bit, so (A P)[R, R] and (P A)[R, R]
-    are the gathers A[R, R ^ m] and A[R ^ m, R] with their phases; every
-    product is by 0, +-1 or +-i, so the block equals the dense products'
+    Site j is bit n-1-j (site 0 is the most significant bit).  X_j maps
+    index i to i ^ m, so (A X_j)[R, R] and (X_j A)[R, R] are the gathers
+    A[R, R ^ m] and A[R ^ m, R], and the block equals the dense products'
     exactly.
     """
-    shift = opalg.n_qubits(a.shape[0]) - 1 - site
-    moved = rows ^ (0 if probe == "z" else 1 << shift)
-    block = np.asarray(a[np.ix_(rows, moved)], dtype=complex)  # A P
-    p_a = np.asarray(a[np.ix_(moved, rows)], dtype=complex)  # P A
-    phase = _PAULI_PHASE[probe]
-    if phase is not None:
-        block *= np.array(phase)[(rows >> shift) & 1]
-        p_a *= np.array(phase)[(moved >> shift) & 1][:, None]
-    block -= p_a
+    moved = rows ^ (1 << (opalg.n_qubits(a.shape[0]) - 1 - site))
+    block = np.asarray(a[np.ix_(rows, moved)], dtype=complex)  # A X_j
+    block -= a[np.ix_(moved, rows)]  # X_j A
     block *= 1j
     return block
 
 
-def _commutator_norm(a, probe, site, rows):
-    """||[A, P]|| as ``opalg.opnorm`` of the block of i[A, P] on ``rows``."""
-    return opalg.opnorm(_commutator_block(a, probe, site, rows))
-
-
-def commutator_norm(a, probe, site):
-    """||[A, P]|| for Hermitian A and the Pauli ``probe`` on ``site`` of A's qubits.
-
-    The norm is that of the commutator's block on the rows of
-    ``_commutator_rows``.  Where those are the even-parity rows, A flips
-    parity and P is sigma_x or sigma_y: P i[A, P] P = -i[A, P] and P maps
-    each parity block onto the other, so the two blocks are unitarily
-    equivalent up to sign and share their norm.  ``opnorm`` splits the
-    block again when F maps it onto itself (even n, A F-symmetric up to
-    sign): it is normed on its two F halves.
-    """
-    a = np.asarray(a)
-    n = opalg.n_qubits(a.shape[0])
-    if not 0 <= site < n:
-        raise SupportMismatch(f"probe site {site} not inside 0..{n - 1}")
-    probe = probe.lower()
-    return _commutator_norm(a, probe, site, _commutator_rows(a, probe))
+def _commutator_norm(a, site, rows):
+    """||[A, X_j]|| for Hermitian A, as ``opalg.opnorm`` of the block of
+    i[A, X_j] on ``rows`` (``_commutator_rows``).  Where those are the
+    even-parity rows, the other parity block is unitarily equivalent up to
+    sign and shares the norm; ``opnorm`` splits the block again when F maps
+    it onto itself."""
+    return opalg.opnorm(_commutator_block(a, site, rows))
 
 
 @dataclass(frozen=True)
@@ -296,16 +282,16 @@ class CertificationReport:
     skipped: tuple  # separations whose partner site falls past the interior
 
 
-def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
+def lr_certify(h, t_grid, r_grid) -> CertificationReport:
     """Certify the chain's envelope (``envelope_for_chain``) against exact
     commutators on a (t, r) grid.
 
-    Probes are single-site Paulis at the first site i0 (of the interior
-    blocks, for a truncated chain, where the truncated envelope applies) and
-    at i0 + r inside the same range; a separation whose partner falls past
-    that range has no rows and is listed in ``skipped``.  Each row carries its
-    verdict, ``CertificationRow.ok``.  A(t)'s parity pattern is read once per
-    t (``_commutator_rows``) and serves every r, as in ``commutator_norm``.
+    Probes are sigma_x at the first site i0 (of the interior blocks, for a
+    truncated chain, where the truncated envelope applies) and at i0 + r
+    inside the same range; a separation whose partner falls past that range
+    has no rows and is listed in ``skipped``.  Each row carries its verdict,
+    ``CertificationRow.ok``.  A(t)'s parity pattern is read once per t
+    (``_commutator_rows``) and serves every r.
     """
     if isinstance(h, TruncatedHamiltonian):
         i0, interior_hi = h.blocks[1][0], h.blocks[-2][-1]
@@ -317,12 +303,11 @@ def lr_certify(h, t_grid, r_grid, probe="x") -> CertificationReport:
     env = envelope_for_chain(h)
     rows = []
     h_spectrum = opalg.hermitian_eig(h.matrix())  # one diagonalization serves every t
-    probe = probe.lower()
-    o_a = opalg.single_site(opalg.pauli(probe), i0)
+    o_a = opalg.single_site(opalg.pauli("x"), i0)
     for t in t_grid:
         a_t = opalg.evolve(o_a, h_spectrum, t)
-        comm_rows = _commutator_rows(a_t, probe)  # one parity scan serves every r
+        comm_rows = _commutator_rows(a_t)  # one parity scan serves every r
         rows += [CertificationRow(t=float(t), r=r,
-                                  exact=_commutator_norm(a_t, probe, i0 + r, comm_rows),
+                                  exact=_commutator_norm(a_t, i0 + r, comm_rows),
                                   envelope=lr_envelope(env, t, r)) for r in kept]
     return CertificationReport(rows=tuple(rows), skipped=skipped)

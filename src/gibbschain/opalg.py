@@ -67,9 +67,9 @@ blocks: ``opnorm`` takes the largest piece norm, and the trace norm, like
 Z, counts each piece once per block it fills;
 ``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the same way from two
 spectra of one layout (a ValueError for any other pair), with no dense
-exponential.  Callers with matrices of their own (``qbp``,
-``locality.commutator_norm``) take ``split`` (or ``opnorm``) and
-reassemble with its layout.
+exponential.  Callers with matrices of their own (``qbp``, the
+commutator blocks of ``locality.lr_certify``) take ``split`` (or
+``opnorm``) and reassemble with its layout.
 """
 
 from __future__ import annotations
@@ -139,19 +139,21 @@ def herm_defect(mat):
     once.  Each entry |a_ij - conj(a_ji)| equals the untiled formula's entry
     (or its mirror, equal under negation and conjugation), so the maximum is
     the same float bit for bit; so is the scale max|A|, read from the tiles.
+    The maxima propagate NaN (``np.maximum``): a NaN entry reads nan.
     """
     dim, step, conj = mat.shape[0], _HERM_TILE, np.iscomplexobj(mat)
     d = s = 0.0
     for i in range(0, dim, step):
         for j in range(i, dim, step):
             tile, mirror = mat[i : i + step, j : j + step], mat[j : j + step, i : i + step].T
-            d = max(d, float(np.abs(tile - (mirror.conj() if conj else mirror)).max()))
+            d = np.maximum(d, np.abs(tile - (mirror.conj() if conj else mirror)).max())
             s = max(s, float(np.abs(tile).max()), float(np.abs(mirror).max()) if i != j else 0.0)
-    return d / max(s, 1e-300)
+    return float(d) / max(s, 1e-300)
 
 
 def require_hermitian(mat, what="operator"):
-    if herm_defect(mat) > HERM_TOL:
+    """NotHermitian unless ``herm_defect`` is at most HERM_TOL (a nan defect is not)."""
+    if not herm_defect(mat) <= HERM_TOL:
         raise NotHermitian(f"{what} is not Hermitian")
 
 
@@ -160,7 +162,7 @@ def single_site(op_matrix, site) -> DenseOperator:
 
 
 # ---------------------------------------------------------------------------
-# embedding / partial trace
+# embedding and local traces
 
 
 def n_qubits(dim):
@@ -251,24 +253,6 @@ def local_trace(op, sites, mat):
                       np.asarray(op).reshape((2,) * (2 * len(sites))),
                       mat.reshape((2,) * (2 * n))).ravel()
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
-def partial_trace(mat, keep_sites):
-    """Trace out every site not in ``keep_sites`` from a full-space matrix.
-
-    Returns the matrix on ``keep_sites`` in ascending site order.
-    """
-    mat = np.asarray(mat)
-    n = n_qubits(mat.shape[0])
-    keep = sorted(int(s) for s in keep_sites)
-    drop = [i for i in range(n) if i not in keep]
-    t = mat.reshape([2] * (2 * n))
-    for k, site in enumerate(drop):
-        ax = site - sum(1 for d2 in drop[:k] if d2 < site)
-        nleft = n - k
-        t = np.trace(t, axis1=ax, axis2=ax + nleft)
-    dim = 2 ** len(keep)
-    return t.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

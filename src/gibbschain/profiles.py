@@ -11,11 +11,11 @@ The tail-sum condition
 
     sum_{x >= l} x^z * jbar(x)  <=  gamma * l^(z+1) * jbar(l),  z in {0, 1}
 
-is what the locality machinery needs from a profile.  ``verify_decay_condition``
-checks it numerically with analytic tails, and ``measure_gamma`` returns the
-smallest gamma that works on a finite chain.  A profile is only its shape: the
-measured constants (gamma, and the coupling scale g) belong to the chain they
-were measured on, ``chain.ChainHamiltonian``.
+is what the locality machinery needs from a profile.  ``measure_gamma``
+returns the smallest gamma that works on a finite chain, from analytic
+tails (``tail_sum``).  A profile is only its shape: the measured constants
+(gamma, and the coupling scale g) belong to the chain they were measured
+on, ``chain.ChainHamiltonian``.
 """
 
 from __future__ import annotations
@@ -205,36 +205,16 @@ def tail_sum(profile: DecayProfile, ell: int, z: int) -> float:
     return total + rem
 
 
-@dataclass(frozen=True)
-class DecayConditionReport:
-    worst_ratio: float
-    passed: bool
-
-
-def verify_decay_condition(
-    profile: DecayProfile, gamma: float, z: int, ell_max: int
-) -> DecayConditionReport:
-    """Check the tail-sum condition for one moment z on ell in [1, ell_max].
-
-    worst_ratio is the largest value of tail / (l^(z+1) jbar(l)); the check
-    passes iff worst_ratio <= gamma.  Points where jbar(l) = 0 are vacuous
-    (the tail is then 0 as well) and do not contribute.
-    """
+def measure_gamma(profile: DecayProfile, ell_max: int) -> float:
+    """Smallest gamma for which the tail-sum condition holds for both moments
+    on ell in [1, ell_max]: the largest tail / (l^(z+1) jbar(l)).  Points
+    where jbar(l) = 0 are vacuous (the tail is then 0 as well)."""
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     worst = 0.0
-    for ell in range(1, ell_max + 1):
-        j = profile(ell)
-        if j == 0.0:
-            continue
-        ratio = tail_sum(profile, ell, z) / (ell ** (z + 1) * j)
-        worst = max(worst, ratio)
-    return DecayConditionReport(worst_ratio=worst, passed=worst <= gamma)
-
-
-def measure_gamma(profile: DecayProfile, ell_max: int) -> float:
-    """Smallest tail-sum constant valid for both moments up to ell_max."""
-    worst = 0.0
     for z in (0, 1):
-        worst = max(worst, verify_decay_condition(profile, np.inf, z, ell_max).worst_ratio)
+        for ell in range(1, ell_max + 1):
+            j = profile(ell)
+            if j != 0.0:
+                worst = max(worst, tail_sum(profile, ell, z) / (ell ** (z + 1) * j))
     return worst

@@ -92,6 +92,24 @@ def embed_matrix(mat, sites, n):
     return t.reshape(2**n, 2**n)
 
 
+def partial_trace(mat, keep_sites):
+    """Trace out every site not in ``keep_sites`` from a full-space matrix.
+
+    Returns the matrix on ``keep_sites`` in ascending site order.
+    """
+    mat = np.asarray(mat)
+    n = opalg.n_qubits(mat.shape[0])
+    keep = sorted(int(s) for s in keep_sites)
+    drop = [i for i in range(n) if i not in keep]
+    t = mat.reshape([2] * (2 * n))
+    for k, site in enumerate(drop):
+        ax = site - sum(1 for d2 in drop[:k] if d2 < site)
+        nleft = n - k
+        t = np.trace(t, axis1=ax, axis2=ax + nleft)
+    dim = 2 ** len(keep)
+    return t.reshape(dim, dim)
+
+
 def dense_pauli_commutator(a, probe, site):
     """i[A, P] = 1j * (A @ P - P @ A), the Pauli ``probe`` embedded on ``site`` of A's qubits."""
     p = embed_matrix(opalg.pauli(probe), [site], opalg.n_qubits(a.shape[0]))

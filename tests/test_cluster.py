@@ -391,11 +391,9 @@ def test_weighted_product_random_draws():
 
 
 def test_weighted_product_tolerance_is_keyword_only():
-    # the chain's site count comes from rho; a stale positional n must not land in tol
+    # the chain's site count comes from rho; a stale positional n is rejected
     with pytest.raises(TypeError):
         cluster.verify_weighted_product([np.eye(4)], np.eye(8), np.ones(2), (0, 1), 3)
-    assert cluster.verify_weighted_product([np.eye(4)], np.eye(8), np.ones(2), (0, 1),
-                                           tol=0.0).passed
 
 
 def test_weighted_product_commutation_is_relative_at_small_norms():

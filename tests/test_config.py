@@ -222,6 +222,25 @@ def test_clustering_sweep_needs_two_betas(tmp_path, monkeypatch):
     assert load_config(path).beta_list == (0.6, 0.8)
 
 
+@pytest.mark.parametrize("config, key, values", [
+    ("clustering_xxz", "coupling", ("nan", "inf", "-inf")),
+    ("clustering_xxz", "anisotropy", ("nan", "inf")),
+    ("lr_sweep", "t_grid", ("0.25,nan", "0.25,inf")),
+], ids=["coupling", "anisotropy", "t_grid"])
+def test_non_finite_floats_exit_2(config, key, values, tmp_path, monkeypatch):
+    """A nan or inf coupling, anisotropy or t_grid entry used to pass validation
+    and die mid-run with LinAlgError: the bundled config exits 2 with it and
+    writes no output."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{config}.cfg")
+    out = tmp_path / "out"
+    for value in values:
+        monkeypatch.setenv(f"GIBBSCHAIN_{key.upper()}", value)
+        with pytest.raises(ConfigError, match=f"{key}.* must be finite"):
+            load_config(path)
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_gamma_decay_needs_two_block_counts(tmp_path, monkeypatch):
     """One m checks no decay in m: the bundled config with a one-entry m_list
     exits 2 and writes no output."""

@@ -357,7 +357,7 @@ def test_lr_sweep_csv_violation_column_is_the_certified_verdict(tmp_path, monkey
 
     monkeypatch.setattr(locality, "lr_envelope", lambda env, t, r: 0.5)
     monkeypatch.setattr(locality, "_commutator_norm",
-                        lambda a, probe, site, rows: 0.5 + 1.5e-10 if site == 2 else 0.25)
+                        lambda a, site, rows: 0.5 + 1.5e-10 if site == 2 else 0.25)
     cfg = load_config(None, overrides=dict(
         experiment="lr_sweep", n=5, generator="heisenberg_xxz", profile="finite_range",
         range_cutoff=1, t_grid="0.5,1.0"), environ={})
@@ -374,8 +374,8 @@ def _patch_lr(monkeypatch):
     from gibbschain import locality
 
     norm = locality._commutator_norm
-    monkeypatch.setattr(locality, "_commutator_norm", lambda a, probe, site, rows:
-                        2.5 if site == 2 else norm(a, probe, site, rows))
+    monkeypatch.setattr(locality, "_commutator_norm", lambda a, site, rows:
+                        2.5 if site == 2 else norm(a, site, rows))
 
 
 def _patch_qbp(monkeypatch):
@@ -945,18 +945,18 @@ def test_library_is_qubit_only():
     assert "k" not in inspect.signature(chain.build_chain).parameters
     h = chain.build_chain(3, "ising_zz", profiles.finite_range(1))
     assert h.k == 2 and locality.envelope_for_chain(h).k == 2
-    for fn in (opalg.add_embedded, opalg.apply_local, opalg.partial_trace,
-               opalg.gibbs_populations, locality.commutator_norm,
+    for fn in (opalg.add_embedded, opalg.apply_local, opalg.local_trace,
+               opalg.gibbs_populations, locality._commutator_rows,
                cluster.verify_weighted_product):
         assert "n" not in inspect.signature(fn).parameters, fn.__name__
     with pytest.raises(SupportMismatch):
         opalg.gibbs_populations(np.zeros((6, 6)), 1.0)
     with pytest.raises(SupportMismatch):
-        opalg.partial_trace(np.zeros((6, 6)), [0])
+        opalg.local_trace(np.eye(2), [0], np.zeros((6, 6)))
     with pytest.raises(SupportMismatch):
         opalg.apply_local(np.eye(2), [0], np.zeros((6, 2)))
     with pytest.raises(SupportMismatch):
-        locality.commutator_norm(np.zeros((6, 6)), "x", 0)
+        locality._commutator_rows(np.zeros((6, 6)))
 
 
 def test_only_opalg_knows_the_flip_split():
@@ -982,6 +982,50 @@ def test_only_opalg_knows_the_flip_split():
                 offenders += [f"{os.path.basename(path)}:{node.lineno}: {a.name}"
                               for a in node.names if a.name in banned]
     assert offenders == []
+
+
+def test_every_public_library_name_has_a_library_reader():
+    """Every public module-level function and class of the library, and every
+    public method, is named (by a Name, an Attribute or an import) somewhere
+    in the library or the benchmark scripts outside its own definition: a
+    name only the tests reach belongs with the tests' oracles."""
+    import ast
+    import glob
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    library = sorted(glob.glob(os.path.join(root, "src", "gibbschain", "*.py")))
+    trees = {}
+    for path in library + sorted(glob.glob(os.path.join(root, "perfbench", "*.py"))):
+        with open(path) as fh:
+            trees[path] = ast.parse(fh.read())
+    mentions = []  # (name, path, line)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentions.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                mentions.append((node.attr, path, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                mentions += [(a.name.split(".")[-1], path, node.lineno) for a in node.names]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for path in library:
+        module = os.path.basename(path)[:-3]
+        for node in trees[path].body:
+            if not isinstance(node, kinds):
+                continue
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, kinds[:2])]
+            for d, label in defs:
+                if d.name.startswith("_"):
+                    continue
+                readers = [(where, line) for name, where, line in mentions if name == d.name
+                           and not (where == path and d.lineno <= line <= d.end_lineno)]
+                if not readers:
+                    unread.append(f"{module}.{label}")
+    assert unread == []
 
 
 def test_only_opalg_calls_the_eigensolver():

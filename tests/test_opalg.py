@@ -14,6 +14,7 @@ from reference_oracles import (
     embed_matrix,
     gibbs_state,
     herm_defect_untiled,
+    partial_trace,
     trace_of_product,
 )
 
@@ -43,7 +44,7 @@ def test_embed_roundtrip_partial_trace():
     a = rand_herm(rng, 4)
     op = opalg.DenseOperator((1, 2), a)
     full = embed_matrix(op.matrix, op.sites, 4)
-    back = opalg.partial_trace(full, (1, 2)) / 4.0  # identity factors carry 2 each
+    back = partial_trace(full, (1, 2)) / 4.0  # identity factors carry 2 each
     assert np.allclose(back, a, atol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_embed_partial_trace_adjoint(n, data):
     a = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
     b = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
     lhs = opalg.local_trace(a, keep, b)
-    rhs = np.trace(a @ opalg.partial_trace(b, keep))
+    rhs = np.trace(a @ partial_trace(b, keep))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * dn
 
 
@@ -921,6 +922,13 @@ def test_tiled_herm_defect_equals_untiled_formula(dim, is_complex):
     lower[dim - 1, 0] += 50.0  # max|A| below the diagonal only: a mirror tile past dim 128
     for mat in (h, bumped, h + 1e-9 * a, a, np.asfortranarray(a), h[::-1, ::-1], lower):
         assert opalg.herm_defect(mat) == herm_defect_untiled(mat)
+    # one NaN entry (at (250, 10) for dim 300) reads nan, as untiled, and is rejected
+    for base in (h, np.eye(dim)):
+        nan = base.copy()
+        nan[dim * 5 // 6, dim // 30] = np.nan
+        assert math.isnan(opalg.herm_defect(nan)) and math.isnan(herm_defect_untiled(nan))
+        with pytest.raises(NotHermitian):
+            opalg.require_hermitian(nan)
 
 
 def test_require_hermitian_raises_just_above_tolerance():

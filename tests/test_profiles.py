@@ -95,12 +95,22 @@ def test_hurwitz_zeta_equals_scipy_bit_for_bit():
     assert profiles.tail_sum(profiles.power_law(3.0), 4, 1) == zeta(2.0, 4.0)
 
 
+def _ratios(p, z, ell_max):
+    """tail / (l^(z+1) jbar(l)) for l in [1, ell_max] with jbar(l) > 0."""
+    return [profiles.tail_sum(p, ell, z) / (ell ** (z + 1) * p(ell))
+            for ell in range(1, ell_max + 1) if p(ell) > 0]
+
+
 def test_geometric_tail_closed_form():
-    # jbar(x) = 2^-x: tail sum from ell is 2^(1-ell), ratio 2/ell, worst 2
+    # jbar(x) = 2^-x: tail sums from ell are 2^(1-ell) and 2^(1-ell) (ell + 1),
+    # ratios 2/ell and 2 (ell + 1)/ell^2, worst 2 and 4, both at ell = 1
     p = profiles.exponential(math.log(2.0))
-    rep = profiles.verify_decay_condition(p, 2.0, 0, 30)
-    assert rep.passed
-    assert rep.worst_ratio == pytest.approx(2.0, rel=1e-12)
+    for ell in range(1, 31):
+        assert profiles.tail_sum(p, ell, 0) == pytest.approx(2.0 ** (1 - ell), rel=1e-12)
+        assert profiles.tail_sum(p, ell, 1) == pytest.approx(2.0 ** (1 - ell) * (ell + 1),
+                                                             rel=1e-12)
+    assert max(_ratios(p, 0, 30)) == pytest.approx(2.0, rel=1e-12)
+    assert profiles.measure_gamma(p, 30) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_inverse_square_first_moment_diverges():
@@ -108,29 +118,24 @@ def test_inverse_square_first_moment_diverges():
     with pytest.raises(NonConvergentTail):
         profiles.tail_sum(p, 1, 1)
     with pytest.raises(NonConvergentTail):
-        profiles.verify_decay_condition(p, 10.0, 1, 5)
+        profiles.measure_gamma(p, 5)
 
 
 def test_cubic_power_law_ratio_against_partial_sums():
     # frozen from an independent 2e6-term partial sum
     p = profiles.power_law(3.0)
-    rep = profiles.verify_decay_condition(p, 1.21, 0, 50)
-    assert rep.passed
-    assert rep.worst_ratio == pytest.approx(1.202056903159, rel=1e-9)
-    rep_tight = profiles.verify_decay_condition(p, 1.20, 0, 50)
-    assert not rep_tight.passed
+    assert max(_ratios(p, 0, 50)) == pytest.approx(1.202056903159, rel=1e-9)
 
 
 def test_measure_gamma_covers_both_moments():
     p = profiles.power_law(3.0)
     g = profiles.measure_gamma(p, 12)
-    for z in (0, 1):
-        assert profiles.verify_decay_condition(p, g, z, 12).passed
+    assert g == max(_ratios(p, 0, 12) + _ratios(p, 1, 12))
     # z=1 dominates for the cubic power law
     assert g == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
 
 
 def test_finite_range_vacuous_beyond_cutoff():
     p = profiles.finite_range(2)
-    rep = profiles.verify_decay_condition(p, 10.0, 0, 10)
-    assert rep.passed  # points with jbar = 0 are vacuous
+    # points with jbar = 0 are vacuous: the worst ratio is (1 + 2) / 1 at l = 1
+    assert profiles.measure_gamma(p, 10) == 3.0

@@ -21,6 +21,7 @@ from reference_oracles import (
     filter_value,
     gibbs_state,
     ordered_exponentials_two_rules,
+    partial_trace,
     reconstruction_residual,
     spectral_filter_direct,
     theta_lines_by_search,
@@ -521,7 +522,7 @@ def test_truncated_bp_support_locality():
     full = embed_matrix(win.matrix, win.sites, 6)
     # acting as identity outside the window: partial trace back recovers it
     outside = [q for q in range(6) if q not in win.sites]
-    back = opalg.partial_trace(full, win.sites) / 2 ** len(outside)
+    back = partial_trace(full, win.sites) / 2 ** len(outside)
     assert np.max(np.abs(back - win.matrix)) < 1e-12
     cap = math.exp(1.0 * win.bond_norm / 2.0) + 1e-8
     assert win.norm() <= cap
