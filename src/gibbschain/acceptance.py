@@ -126,8 +126,7 @@ def criterion_05_subset_evolution():
         if gen == "heisenberg_xxz" and seed >= 12:
             lo = 3 - lo  # XXZ ignores its seed: seeds 12-18 would repeat 0-6 bit for bit
         window = range(lo, n - 1)
-        o = opalg.single_site(opalg.pauli("x"), site)
-        rep = locality.subset_evolution_error(o, h, window, t)
+        rep = locality.subset_evolution_error(h, site, window, t)
         rows.append((f"seed={seed},n={n},t={t}", rep.exact, rep.bound, rep.ok))
     return rows
 

@@ -205,6 +205,8 @@ def validate_config(cfg: ExperimentConfig):
     for key in ("x_width", "y_width", "half_width", "block_len", "tau_steps"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if cfg.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("seed must be >= 0")
     for key in ("block_len_list", "r_list"):
         if any(v < 1 for v in getattr(cfg, key)):
             raise ConfigError(f"{key} entries must be >= 1")

@@ -30,9 +30,10 @@ commutes with F exactly: ``opalg.opnorm`` norms the block on its two
 F = +-1 halves, two eigvalsh calls at a quarter of the full dimension per
 (t, r) row.
 
-Probes stay local: ``opalg.evolve`` contracts them on their own sites, and
-``subset_evolution_error`` subtracts the window evolution on the window's
-sites (``opalg.add_embedded``); no probe is embedded as a full-space matrix.
+Both light-cone checks evolve sigma_x on one site: ``opalg.evolve`` gathers
+the columns it permutes, and ``subset_evolution_error`` subtracts the window
+evolution on the window's sites (``opalg.add_embedded``); no probe is formed
+as a full-space matrix.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def lr_envelope(env: LREnvelope, t, r):
         raise ValueError("supports must be disjoint (r >= 1)")
     if env.mode == "finite_range":
         n0 = math.floor(r / env.profile.range_cutoff + 1)
-        if t == 0:
+        if t == 0 or env.g == 0:  # no time or no couplings: nothing spreads
             return 0.0
         # factorial in log space; for the n0 <= 12 that DIM_CAP allows
         # (r <= 11) this equals scipy's gammaln(n0 + 1) bit for bit, past 12
@@ -223,10 +224,10 @@ class SubsetEvolutionReport:
         return self.exact <= self.bound + 1e-12
 
 
-def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
-    """Error of evolving with the window-restricted Hamiltonian.
+def subset_evolution_error(h, site, window, t) -> SubsetEvolutionReport:
+    """Error of evolving sigma_x on ``site`` with the window-restricted Hamiltonian.
 
-    exact = || O(H, t) - O(H_window, t) ||, the second evolved on the window's
+    exact = || X(H, t) - X(H_window, t) ||, the second evolved on the window's
     own space and subtracted on the window's sites; the envelope combines the
     interaction tail across the window boundary with the light-cone factor
     (the envelope of the chain evolved) at half the boundary distance.
@@ -234,32 +235,24 @@ def subset_evolution_error(o_local, h, window, t) -> SubsetEvolutionReport:
     if not isinstance(h, ChainHamiltonian):
         raise TypeError("need a chain to form subset Hamiltonians")
     window = sorted(int(s) for s in window)
-    support = set(o_local.sites)
-    if not support <= set(window):
-        raise SubsetViolation("window must contain the operator support")
+    if site not in window:
+        raise SubsetViolation("window must contain the probe site")
 
     n = h.n
-    diff = opalg.evolve(o_local, h.matrix(), t)
-    # H_window acts on the window only: evolve O there and subtract the result
+    diff = opalg.evolve(h.matrix(), site, t)
+    # H_window acts on the window only: evolve X there and subtract the result
     # on the window's sites
-    pos = [window.index(s) for s in o_local.sites]
-    b_win = opalg.evolve(opalg.DenseOperator(pos, o_local.matrix),
-                         h.subset_matrix(window), t)
+    b_win = opalg.evolve(h.subset_matrix(window), window.index(site), t)
     opalg.add_embedded(diff, -b_win, window)
     exact = opalg.opnorm(diff)
 
     complement = [s for s in range(n) if s not in window]
     if not complement:
         return SubsetEvolutionReport(exact=exact, bound=0.0, distance=math.inf)
-    ell = set_distance(complement, support)
-    norm_o = opalg.opnorm(o_local)
+    ell = set_distance(complement, [site])
     lightcone = combined_lightcone(envelope_for_chain(h), t, ell / 2.0)
-    bound = (
-        abs(t)
-        * len(support)
-        * norm_o
-        * (0.5 * h.g * h.gamma**2 * ell**2 * h.profile(ell / 2.0) + h.g_tilde * h.k * lightcone)
-    )
+    bound = abs(t) * (0.5 * h.g * h.gamma**2 * ell**2 * h.profile(ell / 2.0)
+                      + h.g_tilde * h.k * lightcone)
     return SubsetEvolutionReport(exact=exact, bound=float(bound), distance=float(ell))
 
 
@@ -303,9 +296,8 @@ def lr_certify(h, t_grid, r_grid) -> CertificationReport:
     env = envelope_for_chain(h)
     rows = []
     h_spectrum = opalg.hermitian_eig(h.matrix())  # one diagonalization serves every t
-    o_a = opalg.single_site(opalg.pauli("x"), i0)
     for t in t_grid:
-        a_t = opalg.evolve(o_a, h_spectrum, t)
+        a_t = opalg.evolve(h_spectrum, i0, t)
         comm_rows = _commutator_rows(a_t)  # one parity scan serves every r
         rows += [CertificationRow(t=float(t), r=r,
                                   exact=_commutator_norm(a_t, i0 + r, comm_rows),

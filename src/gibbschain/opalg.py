@@ -54,11 +54,11 @@ eigenvector matrix is formed; ``herm_expm`` forms V_p f(E_p) V_p^dag per
 piece and ``FlipLayout.assemble`` rebuilds the dense result, so
 F f(H) F = f(H) holds bit for bit, as it does for the Gibbs populations of
 ``gibbs_populations`` (placed by ``FlipLayout.diagonal``), from which
-``zz_correlation`` reads Z-Z correlators.  ``evolve`` forms only the
-block pairs that O x 1 connects, read from O's exact zeros; when F O F =
-+-O exactly, each image pair is the reversed copy of its partner (negated
-for sigma_y and sigma_z) and a self-image pair is formed F-symmetric, so
-F A(t) F = +-A(t) holds bit for bit as well; for Hermitian O, each pair
+``zz_correlation`` reads Z-Z correlators.  ``evolve`` takes sigma_x on
+one site, a permutation of the basis: it forms only the block pairs that
+sigma_x connects, each from a gather of U's columns; each image pair is
+the reversed copy of its partner and a self-image pair is formed
+F-symmetric, so F A(t) F = A(t) holds bit for bit as well; each pair
 below the diagonal is the conjugate transpose of its mirror and each
 diagonal pair is formed Hermitian, so A(t) is Hermitian bit for bit on
 every chain (a one-block spectrum is the single diagonal pair) and half
@@ -642,86 +642,63 @@ def gibbs_populations(h, beta):
     return spec.layout.diagonal([(v * v.conj()).real @ w for v, w in zip(spec.vecs, ws)]) / z
 
 
-def _connected_pairs(op, blocks):
-    """The block pairs (i, j), sorted, on which O x 1 has a nonzero entry.
+def evolve(generator, site, t):
+    """Heisenberg evolution exp(iGt) X exp(-iGt) of sigma_x on ``site``, on G's full space.
 
-    Read from O's exact zeros: entry (a, b) of O puts a nonzero at (x, y)
-    for x and y that carry a and b on O's sites and agree on the rest.
-    """
-    dim = sum(len(b) for b in blocks)
-    n, k = n_qubits(dim), len(op.sites)
-    label = np.empty(dim, int)
-    for i, block in enumerate(blocks):
-        label[block] = i
-    # basis index of (state a on O's sites, in its axis order) x (state of the rest)
-    local = np.moveaxis(np.arange(dim).reshape((2,) * n), op.sites, range(k)).reshape(1 << k, -1)
-    a, b = np.nonzero(op.matrix)
-    codes = np.unique(label[local[a]] * len(blocks) + label[local[b]])
-    return [divmod(int(c), len(blocks)) for c in codes]
-
-
-def evolve(op: DenseOperator, generator, t):
-    """Heisenberg evolution exp(iGt) (O x 1) exp(-iGt) on G's full space.
-
-    G is a Hermitian matrix or a Spectrum; t = 0 returns O x 1 as a complex
-    matrix.  O is never embedded: U (O x 1) is (O^dag U^dag)^dag, contracted
-    on O's sites, times U^dag.  Over the spectrum's sectors, only the block
-    pairs (i, j) that O x 1 connects (``_connected_pairs``) are formed, as
-    (U (O x 1))[b_i, b_j] U_j^dag from U^dag's columns b_i; the rest stay
-    zero.  A one-block spectrum (a chain without sectors) is the pair
-    (0, 0) of that loop.  When the spectrum's layout carries the flip F and
-    F O F = s O exactly (s = +1 for sigma_x, -1 for sigma_y and sigma_z),
-    F maps pair (i, j) onto the pair of their images reversed: that pair is
-    s times its partner's copy, and a self-image pair is formed F-symmetric,
-    so F A(t) F = s A(t) holds bit for bit.  When O is Hermitian, pair (j, i)
-    with j > i is the conjugate transpose of pair (i, j), and a diagonal pair
-    P is formed as (P + P^dag)/2 (a pair that F maps onto its mirror, as
-    1/2 (P + s J P^dag J)), so A(t) = A(t)^dag holds bit for bit and half the
-    pair products are made; each row's contraction is dropped once its pairs
-    are formed.
+    G is a Hermitian matrix or a Spectrum; t = 0 returns X as a complex
+    matrix; a site outside the chain raises SupportMismatch.  X maps basis
+    index x to x ^ m, m the site's bit, so no product with X is made: over
+    the spectrum's sectors, column c of block pair (i, j) of U X is U_i's
+    column at b_j[c] ^ m when that index lies in b_i and zero otherwise (the
+    zero columns are kept, so each product sums over all of b_j).  Only the
+    pairs (i, j) that X connects, j in the labels of b_i ^ m, are formed,
+    each as that gather times U_j^dag; the rest stay zero.  A one-block
+    spectrum (a chain without sectors) is the pair (0, 0) of that loop.
+    X is Hermitian and F X F = X, so when the spectrum's layout carries the
+    flip F, F maps pair (i, j) onto the pair of their images reversed, which
+    is its partner's copy; pair (j, i) with j > i is the conjugate transpose
+    of pair (i, j); and a pair that F, the adjoint or both map onto itself
+    is formed symmetric under them.  So F A(t) F = A(t) and A(t) = A(t)^dag
+    hold bit for bit, and half the pair products are made.
     """
     spec = _spectrum_of(generator)
     layout = spec.layout
     dim = layout.dim
-    if t == 0:
-        return add_embedded(np.zeros((dim, dim), complex), op.matrix, op.sites)
-    blocks = layout.blocks
-    u_dags = [u.conj().T for u in
-              layout.blockwise(_sandwiches(spec, [np.exp(1j * e * t) for e in spec.evals]))]
-    mat = op.matrix
-    sign = next((s for s in (1, -1) if np.array_equal(mat[::-1, ::-1], s * mat)), None)
-    images = layout.images() if sign is not None else None
-    hermitian = np.array_equal(mat, mat.conj().T)
+    n = n_qubits(dim)
+    if not 0 <= site < n:
+        raise SupportMismatch(f"site {site} not inside 0..{n - 1}")
+    m = 1 << (n - 1 - site)
     out = np.zeros((dim, dim), complex)
-    lefts = {}
-    for i, j in _connected_pairs(op, blocks):
-        if images is not None and (images[i], images[j]) < (i, j):
-            pair = out[np.ix_(blocks[images[i]], blocks[images[j]])][::-1, ::-1]
-            pair = pair if sign == 1 else -pair
-        elif hermitian and j < i:
-            pair = out[np.ix_(blocks[j], blocks[i])].conj().T
-        else:
-            if i not in lefts:
-                # rows b_i of U (O x 1) = (O^dag U^dag)^dag, from U^dag's columns b_i;
-                # the previous row's are no longer read
-                lefts.clear()
-                cols = np.zeros((dim, len(blocks[i])), complex)
-                cols[blocks[i]] = u_dags[i]
-                lefts[i] = apply_local(mat.conj().T, op.sites, cols).conj().T
-                del cols
-            pair = lefts[i][:, blocks[j]] @ u_dags[j]
-            # a pair that F, the adjoint or both map onto itself is formed symmetric
-            if images is not None and (images[i], images[j]) == (i, j):
-                flipped = pair[::-1, ::-1]
-                pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
-            if hermitian and i == j:
-                # in place: at one block every temporary is a full-space matrix
-                pair += pair.conj().T
-                pair *= 0.5
-            elif hermitian and images is not None and (images[j], images[i]) == (i, j):
-                flipped = pair[::-1, ::-1].conj().T
-                pair = 0.5 * (pair + flipped if sign == 1 else pair - flipped)
-        out[np.ix_(blocks[i], blocks[j])] = pair
+    if t == 0:
+        out[np.arange(dim), np.arange(dim) ^ m] = 1.0
+        return out
+    blocks, images = layout.blocks, layout.images()
+    us = layout.blockwise(_sandwiches(spec, [np.exp(1j * e * t) for e in spec.evals]))
+    label, pos = np.empty(dim, int), np.empty(dim, int)
+    for i, block in enumerate(blocks):
+        label[block], pos[block] = i, np.arange(len(block))
+    for i, block in enumerate(blocks):
+        for j in np.unique(label[block ^ m]):
+            if images is not None and (images[i], images[j]) < (i, j):
+                pair = out[np.ix_(blocks[images[i]], blocks[images[j]])][::-1, ::-1]
+            elif j < i:
+                pair = out[np.ix_(blocks[j], block)].conj().T
+            else:
+                # (U X)[b_i, b_j]: U_i's columns at b_j ^ m, zero where that leaves b_i
+                moved = blocks[j] ^ m
+                inside = label[moved] == i
+                pair = us[i][:, np.where(inside, pos[moved], 0)]
+                pair[:, ~inside] = 0.0
+                pair = pair @ us[j].conj().T
+                if images is not None and (images[i], images[j]) == (i, j):
+                    pair = 0.5 * (pair + pair[::-1, ::-1])
+                if i == j:
+                    # in place: at one block every temporary is a full-space matrix
+                    pair += pair.conj().T
+                    pair *= 0.5
+                elif images is not None and (images[j], images[i]) == (i, j):
+                    pair = 0.5 * (pair + pair[::-1, ::-1].conj().T)
+            out[np.ix_(block, blocks[j])] = pair
     return out
 
 

@@ -86,9 +86,11 @@ from .locality import envelope_for_chain
 FILTER_FIRST_MOMENT = 7.0 * 1.2020569031595942 / math.pi**3
 
 # filter_quadrature resolves integrands oscillating up to RESOLVE_OMEGA with
-# Gauss panels of PANEL_ORDER nodes
+# Gauss panels of PANEL_ORDER nodes, and refuses a scheme of more than
+# MAX_NODES nodes
 RESOLVE_OMEGA = 192.0
 PANEL_ORDER = 16
+MAX_NODES = 60_000
 
 # a residual-gated build doubles tau_steps at most this many times
 MAX_REFINEMENTS = 3
@@ -151,7 +153,7 @@ def _gauss_panel(a, b, order):
     return mid + half * x, half * w
 
 
-def filter_quadrature(beta, eps, max_nodes=60_000) -> QuadratureScheme:
+def filter_quadrature(beta, eps) -> QuadratureScheme:
     """Build the quadrature scheme for integrals against the filter kernel.
 
     The time cutoff T = (beta/pi) log(1 + 8/(pi eps)) keeps the discarded
@@ -181,9 +183,9 @@ def filter_quadrature(beta, eps, max_nodes=60_000) -> QuadratureScheme:
         ws.append(w)
     x_pos = np.concatenate(xs)
     w_pos = np.concatenate(ws)
-    if 2 * x_pos.size > max_nodes:
+    if 2 * x_pos.size > MAX_NODES:
         raise ToleranceUnreachable(
-            f"{2 * x_pos.size} nodes exceed the budget of {max_nodes}"
+            f"{2 * x_pos.size} nodes exceed the budget of {MAX_NODES}"
         )
     nodes = np.concatenate([-x_pos[::-1], x_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])

@@ -65,25 +65,24 @@ def test_truncation_error_report_holds_on_random_chains(draws, beta):
 
 @st.composite
 def windows(draw):
-    """A chain, a single-site Pauli probe and a window interval around it
+    """A chain, the site of a sigma_x probe and a window interval around it
     that leaves at least one site of the chain out."""
     h = draw(chains())
     site = draw(st.integers(0, h.n - 1))
     lo, hi = draw(st.tuples(st.integers(0, site), st.integers(site, h.n - 1))
                   .filter(lambda w: w != (0, h.n - 1)))
-    probe = opalg.single_site(opalg.pauli(draw(st.sampled_from("xyz"))), site)
-    return h, probe, range(lo, hi + 1)
+    return h, site, range(lo, hi + 1)
 
 
 # at t = 5e-324 the bound is 2.2e-322, below the 1e-15 roundoff of the two
 # evolutions that exact subtracts: a check with no roundoff allowance failed here
 @example((chain.build_chain(4, "heisenberg_xxz", profiles.finite_range(1), coupling=1.0),
-          opalg.single_site(opalg.pauli("x"), 0), range(0, 1)), 5e-324)
+          0, range(0, 1)), 5e-324)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(windows(), st.floats(0.0, 1.5, exclude_min=True))
 def test_subset_evolution_error_holds_on_random_windows(draws, t):
-    h, probe, window = draws
-    rep = locality.subset_evolution_error(probe, h, window, t)
+    h, site, window = draws
+    rep = locality.subset_evolution_error(h, site, window, t)
     assert rep.ok, rep
 
 

@@ -241,6 +241,25 @@ def test_non_finite_floats_exit_2(config, key, values, tmp_path, monkeypatch):
         assert not out.exists()
 
 
+def test_negative_seed_exits_2(tmp_path, monkeypatch):
+    """numpy's generators take no negative seed: a negative --seed or
+    GIBBSCHAIN_SEED used to pass validation and die in the chain build with
+    an empty output directory; it exits 2 and writes no output."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "clustering_xxz.cfg")
+    out = tmp_path / "out"
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_config(path, overrides={"seed": -5})
+    assert cli.main(["run", path, "--seed", "-5", "--output-dir", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("GIBBSCHAIN_SEED", "-1")
+    assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("GIBBSCHAIN_SEED", "0")
+    assert load_config(path).seed == 0
+
+
 def test_gamma_decay_needs_two_block_counts(tmp_path, monkeypatch):
     """One m checks no decay in m: the bundled config with a one-entry m_list
     exits 2 and writes no output."""

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gibbschain import chain, cli, csvio, opalg, profiles, qbp
+from gibbschain import chain, cli, csvio, locality, opalg, profiles, qbp
 from gibbschain.config import ExperimentConfig, load_config, parse_config_text, read_keys
 from gibbschain.errors import BadPartition, ConfigError, GeometryError, SupportMismatch
 from gibbschain.experiments import build_config_chain, run_experiment, truncation_regions
@@ -260,6 +260,28 @@ def test_gamma_decay_runs_where_the_profile_leaves_far_pairs_uncoupled(tmp_path,
     assert sorted({row.split(",")[1] for row in rows}) == ["0", "2"]
 
 
+def test_lr_sweep_on_an_uncoupled_chain_certifies_a_zero_envelope(tmp_path, monkeypatch):
+    """A finite_range chain with coupling 0 has g = 0: its factorial envelope
+    is 0 at every t (the log of 2 g k |t| once raised a math domain error),
+    and the run passes with every commutator exactly 0."""
+    for name in [k for k in os.environ if k.startswith("GIBBSCHAIN_")]:
+        monkeypatch.delenv(name)
+    h = chain.build_chain(8, "heisenberg_xxz", profiles.finite_range(1), coupling=0.0)
+    env = locality.envelope_for_chain(h)
+    assert env.mode == "finite_range" and env.g == 0.0
+    assert all(locality.lr_envelope(env, t, r) == 0.0 for t in (0.25, -1.0) for r in (1, 7))
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = lr_sweep\nn = 8\ngenerator = heisenberg_xxz\n"
+                    "profile = finite_range\nrange_cutoff = 1\ncoupling = 0.0\n"
+                    "t_grid = 0,0.25,0.5,1.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    assert (out / "manifest.txt").exists()
+    rows = _csv_rows(out, "lr_sweep.csv")
+    assert len(rows) == 28
+    assert all(float(r["exact_commutator"]) == float(r["envelope"]) == 0.0 for r in rows)
+
+
 def test_config_validation_does_no_matrix_work(monkeypatch):
     """Config checks read site arithmetic and chain's geometry rules over site
     tuples only: no term, matrix or eigensolver call.  This covers every
@@ -343,8 +365,7 @@ def test_lr_sweep_on_a_chain_without_sectors_matches_the_dense_commutator(tmp_pa
     assert {r["mode"] for r in rows} == set(targets) and len(rows) > 6
     for row in rows:
         target, i0 = targets[row["mode"]]
-        a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), i0), target.matrix(),
-                           float(row["t"]))
+        a_t = opalg.evolve(target.matrix(), i0, float(row["t"]))
         comm = dense_pauli_commutator(a_t, "x", i0 + int(row["r"]))
         want = np.max(np.abs(np.linalg.eigvalsh(comm)))
         assert abs(float(row["exact_commutator"]) - want) <= 1e-14 * want
@@ -984,11 +1005,8 @@ def test_only_opalg_knows_the_flip_split():
     assert offenders == []
 
 
-def test_every_public_library_name_has_a_library_reader():
-    """Every public module-level function and class of the library, and every
-    public method, is named (by a Name, an Attribute or an import) somewhere
-    in the library or the benchmark scripts outside its own definition: a
-    name only the tests reach belongs with the tests' oracles."""
+def _library_and_benchmark_trees():
+    """(library module paths, path -> parsed AST for them and perfbench/*.py)."""
     import ast
     import glob
 
@@ -998,6 +1016,17 @@ def test_every_public_library_name_has_a_library_reader():
     for path in library + sorted(glob.glob(os.path.join(root, "perfbench", "*.py"))):
         with open(path) as fh:
             trees[path] = ast.parse(fh.read())
+    return library, trees
+
+
+def test_every_public_library_name_has_a_library_reader():
+    """Every public module-level function and class of the library, and every
+    public method, is named (by a Name, an Attribute or an import) somewhere
+    in the library or the benchmark scripts outside its own definition: a
+    name only the tests reach belongs with the tests' oracles."""
+    import ast
+
+    library, trees = _library_and_benchmark_trees()
     mentions = []  # (name, path, line)
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -1026,6 +1055,58 @@ def test_every_public_library_name_has_a_library_reader():
                 if not readers:
                     unread.append(f"{module}.{label}")
     assert unread == []
+
+
+def test_every_defaulted_library_parameter_is_set_by_a_library_call():
+    """Every defaulted parameter of a public library function or method is set,
+    by keyword or by position, by some call in the library or the benchmark
+    scripts: a default that only the tests change is an unread knob, and
+    belongs in a module constant the tests can patch."""
+    import ast
+
+    library, trees = _library_and_benchmark_trees()
+    calls = {}  # callee name -> [(positional count, keywords)]; None: unpacked, sets all
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                None if unpacked else (len(node.args), {k.arg for k in node.keywords}))
+    unset = []
+    for path in library:
+        module = os.path.basename(path)[:-3]
+        defs = []  # (function node, label, positional slots its callers skip)
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((node, node.name, 0))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for m in node.body:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in m.decorator_list)
+                        defs.append((m, f"{node.name}.{m.name}", 0 if static else 1))
+        for fn, label, skip in defs:
+            if fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(i - skip, p.arg)
+                         for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(c is None or param in c[1] or (index is not None and c[0] > index)
+                           for c in calls.get(fn.name, [])):
+                    unset.append(f"{module}.{label}({param}=)")
+    assert unset == []
 
 
 def test_only_opalg_calls_the_eigensolver():

@@ -139,9 +139,8 @@ def test_envelopes_whose_exponential_alone_overflows():
 
 def test_exact_commutator_trivial_cases():
     h = chain.build_chain(6, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.5, seed=0)
-    ox = opalg.single_site(opalg.pauli("x"), 0)
     for gen, t in ((h.matrix(), 0.0), (np.zeros((64, 64)), 1.3)):
-        assert _x_commutator_norm(opalg.evolve(ox, gen, t), 4) < 1e-14
+        assert _x_commutator_norm(opalg.evolve(gen, 0, t), 4) < 1e-14
 
 
 def test_certification_no_violations_small():
@@ -156,19 +155,18 @@ def test_certification_no_violations_small():
 
 def test_subset_evolution_trivial_and_bound():
     h = chain.build_chain(8, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.4, seed=0)
-    o = opalg.single_site(opalg.pauli("x"), 4)
-    full = locality.subset_evolution_error(o, h, range(8), 0.7)
+    full = locality.subset_evolution_error(h, 4, range(8), 0.7)
     assert full.exact < 1e-12 and full.bound == 0.0
 
-    zero_t = locality.subset_evolution_error(o, h, range(1, 7), 0.0)
+    zero_t = locality.subset_evolution_error(h, 4, range(1, 7), 0.0)
     assert zero_t.exact < 1e-14 and zero_t.bound == 0.0
 
-    rep = locality.subset_evolution_error(o, h, range(2, 7), 0.5)
+    rep = locality.subset_evolution_error(h, 4, range(2, 7), 0.5)
     assert rep.exact <= rep.bound
     assert rep.distance == 3.0
 
     with pytest.raises(SubsetViolation):
-        locality.subset_evolution_error(o, h, range(0, 3), 0.5)
+        locality.subset_evolution_error(h, 4, range(0, 3), 0.5)
 
 
 def test_infinite_range_mode_requires_convolution_constant():
@@ -250,10 +248,9 @@ def test_window_evolution_matches_full_space(n, gen, t, seed, data):
     hi = data.draw(st.integers(lo + 1, n - 1))
     window = range(lo, hi + 1)
     site = data.draw(st.integers(lo, hi))
-    o = opalg.single_site(opalg.pauli(data.draw(st.sampled_from("xyz"))), site)
-    rep = locality.subset_evolution_error(o, h, window, t)
+    rep = locality.subset_evolution_error(h, site, window, t)
     # dense reference: both evolutions at the full dimension, one eigh each
-    o_full = embed_matrix(o.matrix, o.sites, n)
+    o_full = embed_matrix(opalg.pauli("x"), [site], n)
 
     def evolved(h_mat):
         evals, vecs = np.linalg.eigh(h_mat)
@@ -271,9 +268,8 @@ def test_window_evolution_matches_full_space(n, gen, t, seed, data):
 def test_one_parity_block_norm_equals_two_block_maximum(n, generator, probe):
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
     spec = opalg.hermitian_eig(h.matrix())
-    o = opalg.single_site(opalg.pauli(probe), 0)
     for t in (0.25, 0.7, 1.3):
-        a_t = opalg.evolve(o, spec, t)
+        a_t = opalg.evolve(spec, 0, t)
         for site in range(1, n):
             comm = dense_pauli_commutator(a_t, probe, site)
             blocks = opalg.sectors(comm)
@@ -294,7 +290,7 @@ def test_commutator_norm_equals_the_full_commutator_spectrum(generator):
         h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
         spec = opalg.hermitian_eig(h.matrix())
         parity = np.array([bin(i).count("1") & 1 for i in range(2**n)])
-        a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), spec, 0.7)
+        a_t = opalg.evolve(spec, 0, 0.7)
         odd = not np.any(a_t[parity[:, None] == parity])
         assert odd == (generator != "random_two_site")
         for site in range(1, n):
@@ -318,7 +314,7 @@ def test_one_piece_commutator_is_hermitian_bit_for_bit():
     h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.5, seed=7)
     spec = opalg.hermitian_eig(h.matrix())
     assert spec.layout.sources == ((0,),)
-    a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), spec, 0.7)
+    a_t = opalg.evolve(spec, 0, 0.7)
     assert np.array_equal(a_t, a_t.conj().T)
     comm = locality._commutator_block(a_t, 6, locality._commutator_rows(a_t))
     assert np.array_equal(comm, dense_pauli_commutator(a_t, "x", 6))
@@ -345,7 +341,7 @@ def test_lr_certify_reads_the_parity_pattern_once_per_time(monkeypatch):
     assert calls == [(64, 64)] * len(t_grid)
     # the rows scan A once; the norm on them scans nothing
     calls.clear()
-    _x_commutator_norm(opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), h.matrix(), 0.5), 3)
+    _x_commutator_norm(opalg.evolve(h.matrix(), 0, 0.5), 3)
     assert calls == [(64, 64)]
 
 
@@ -364,7 +360,7 @@ def test_commutator_and_truncation_norms_peak_below_one_full_space_matrix():
     # the two dense exponentials with their difference, would not fit under it
     h = chain.build_chain(10, "heisenberg_xxz", profiles.power_law(3.0), coupling=0.01, seed=0)
     spec = opalg.hermitian_eig(h.matrix())
-    a_t = opalg.evolve(opalg.single_site(opalg.pauli("x"), 0), spec, 1.0)
+    a_t = opalg.evolve(spec, 0, 1.0)
     htc = chain.truncate(h, [0], [9], 2)
     spectra = spec, opalg.hermitian_eig(htc.matrix())
     one_matrix = a_t.nbytes

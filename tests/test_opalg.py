@@ -120,13 +120,11 @@ def test_spectrum_reuse_matches_matrix_path():
     assert layout.sources == ((0,),) and layout.counts() == [1]
     assert np.array_equal(opalg.herm_expm(spec, 0.7), opalg.herm_expm(h, 0.7))
     assert np.array_equal(opalg.gibbs_populations(spec, 1.3), opalg.gibbs_populations(h, 1.3))
-    o = opalg.DenseOperator(range(4), o)
-    assert np.array_equal(opalg.evolve(o, spec, 0.4), opalg.evolve(o, h, 0.4))
+    assert np.array_equal(opalg.evolve(spec, 2, 0.4), opalg.evolve(h, 2, 0.4))
     with pytest.raises(NotHermitian):
         opalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
-        opalg.evolve(opalg.DenseOperator((0,), np.eye(2)),
-                     np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        opalg.evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 0, 1.0)
 
 
 def test_embed_rejects_bad_support():
@@ -286,22 +284,28 @@ def test_gibbs_populations_are_flip_symmetric_and_never_overflow(n):
 
 def test_evolve_identity_cases():
     rng = np.random.default_rng(4)
-    o = rand_herm(rng, 8)
     g = rand_herm(rng, 8)
-    assert np.allclose(opalg.evolve(opalg.DenseOperator(range(3), o), g, 0.0), o)
-    diag = np.diag(rng.standard_normal(8))
-    f = np.diag(rng.standard_normal(8))
-    assert np.allclose(opalg.evolve(opalg.DenseOperator(range(3), f), diag, 0.83), f,
-                       atol=1e-12)
+    for site in range(3):
+        x = embed_matrix(opalg.pauli("x"), [site], 3)
+        assert np.array_equal(opalg.evolve(g, site, 0.0), x)
+        assert np.array_equal(opalg.evolve(np.zeros((8, 8)), site, 1.3), x)
+        # a generator that commutes with X: sigma_x on the site plus a
+        # diagonal on the other sites
+        rest = np.diag(rng.standard_normal(4))
+        others = [s for s in range(3) if s != site]
+        comm = 0.7 * x + embed_matrix(rest, others, 3)
+        assert np.allclose(opalg.evolve(comm, site, 0.83), x, atol=1e-12)
+    for site in (-1, 3):
+        with pytest.raises(SupportMismatch):
+            opalg.evolve(g, site, 0.5)
 
 
 def test_evolve_preserves_norm_and_hermiticity():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        o = rand_herm(rng, 16)
+    for site in (0, 1, 3, 2, 0):
         g = rand_herm(rng, 16)
-        out = opalg.evolve(opalg.DenseOperator(range(4), o), g, 0.61)
-        assert opalg.opnorm(out) == pytest.approx(opalg.opnorm(o), abs=1e-10)
+        out = opalg.evolve(g, site, 0.61)
+        assert opalg.opnorm(out) == pytest.approx(1.0, abs=1e-10)
         assert opalg.herm_defect(out) < 1e-12
 
 
@@ -667,36 +671,29 @@ def test_blockwise_functions_match_dense(case, scale, beta):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sector_spectra(), st.floats(-2.0, 2.0), st.sampled_from("xyz"), st.data())
-def test_blockwise_evolve_matches_dense(case, t, probe, data):
+@given(sector_spectra(), st.floats(-2.0, 2.0), st.data())
+def test_blockwise_evolve_matches_dense(case, t, data):
     n, mat, spec = case
     site = data.draw(st.integers(0, n - 1))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dim = 2**n
     evals, vecs = _dense_eig(spec)
     u = _dense_vfv(evals, vecs, np.exp(1j * t * evals))
-    pauli_op = opalg.single_site(opalg.pauli(probe), site)
-    pauli = embed_matrix(pauli_op.matrix, pauli_op.sites, n)
-    dense_op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    for op in (pauli_op, opalg.DenseOperator(range(n), dense_op)):
-        o = embed_matrix(op.matrix, op.sites, n)
-        ref = u @ o @ u.conj().T
-        got = opalg.evolve(op, spec, t)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.abs(o).max()) * dim
-        assert np.array_equal(opalg.evolve(op, mat, t), got)
-    # a block pair on which the Pauli vanishes stays exactly zero
-    got = opalg.evolve(pauli_op, spec, t)
+    x = embed_matrix(opalg.pauli("x"), [site], n)
+    got = opalg.evolve(spec, site, t)
+    assert np.max(np.abs(got - u @ x @ u.conj().T)) <= 1e-12 * dim
+    assert np.array_equal(opalg.evolve(mat, site, t), got)
+    # a block pair on which sigma_x vanishes stays exactly zero
     for bi in spec.layout.blocks:
         for bj in spec.layout.blocks:
-            if not np.any(pauli[np.ix_(bi, bj)]):
+            if not np.any(x[np.ix_(bi, bj)]):
                 assert not np.any(got[np.ix_(bi, bj)])
 
 
 @pytest.mark.parametrize("structure", ["popcount", "parity", "whole"])
 @pytest.mark.parametrize("t", [0.0, 0.37, -1.4])
 def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
-    # contraction on the probe's site reproduces the dense block-pair product
-    # bit for bit: every product with a Pauli is by 0, +-1 or +-i
+    # the gather of U's columns reproduces the dense block-pair product with
+    # the embedded sigma_x bit for bit: every product with it is by 0 or 1
     for n in (3, 5):
         rng = np.random.default_rng(n)
         dim = 2**n
@@ -711,86 +708,57 @@ def test_evolve_equals_blockwise_dense_oracle_for_paulis(structure, t):
             spec = opalg.hermitian_eig(mat)
             n_blocks = {"popcount": n + 1, "parity": 2, "whole": 1}[structure]
             assert len(spec.layout.blocks) == n_blocks
-            for probe in "xyz":
-                for site in range(n):
-                    op = opalg.single_site(opalg.pauli(probe), site)
-                    ref = blockwise_evolve(embed_matrix(op.matrix, op.sites, n), spec, t)
-                    assert np.array_equal(opalg.evolve(op, spec, t), ref)
+            for site in range(n):
+                ref = blockwise_evolve(embed_matrix(opalg.pauli("x"), [site], n), spec, t)
+                assert np.array_equal(opalg.evolve(spec, site, t), ref)
 
 
 @pytest.mark.parametrize("generator", ["heisenberg_xxz", "ising_zz"])
 @pytest.mark.parametrize("n", [6, 7, 8, 10])
 def test_evolve_keeps_the_flip_exactly(generator, n):
-    # F sigma_x F = sigma_x and F sigma_{y,z} F = -sigma_{y,z}: the image block
-    # pairs are copies and the self-image pairs are formed F-symmetric; a
-    # Pauli is Hermitian, so every pair below the diagonal is its mirror's
-    # conjugate transpose and A(t) is Hermitian bit for bit as well (at odd
-    # n, the pair that F maps onto its mirror is formed symmetric under both)
+    # F sigma_x F = sigma_x: the image block pairs are copies and the
+    # self-image pairs are formed F-symmetric; sigma_x is Hermitian, so every
+    # pair below the diagonal is its mirror's conjugate transpose and A(t) is
+    # Hermitian bit for bit as well (at odd n, the pair that F maps onto its
+    # mirror is formed symmetric under both)
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
     spec = opalg.hermitian_eig(h.matrix())
     assert spec.layout.images() is not None
-    for probe, sign in (("x", 1), ("y", -1), ("z", -1)):
-        for site in (0, n // 2):
-            for t in (0.25, 1.0):
-                a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), site), spec, t)
-                assert np.array_equal(a_t[::-1, ::-1], sign * a_t)
-                assert np.array_equal(a_t, a_t.conj().T)
-
-
-def _random_two_site(rng):
-    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for site in (0, n // 2):
+        for t in (0.25, 1.0):
+            a_t = opalg.evolve(spec, site, t)
+            assert np.array_equal(a_t[::-1, ::-1], a_t)
+            assert np.array_equal(a_t, a_t.conj().T)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_evolve_matches_the_dense_kron_path(n):
-    """F-symmetric XXZ layouts with a two-site operator that F does not keep
-    (the general path) and with Paulis (the flip copies), and one-piece
-    random_two_site chains, against U (O x 1) U^dag from one dense eigh."""
-    rng = np.random.default_rng(n)
-    op = _random_two_site(rng)
-    assert not any(np.array_equal(op[::-1, ::-1], s * op) for s in (1, -1))
-    probes = [opalg.DenseOperator((n - 1, 0), op), opalg.DenseOperator((1, 2), op)]
-    probes += [opalg.single_site(opalg.pauli(p), n // 2) for p in "xyz"]
+    """F-symmetric XXZ layouts (the flip copies) and one-piece random_two_site
+    chains, sigma_x on every site, against U X U^dag from one dense eigh."""
     for generator in ("heisenberg_xxz", "random_two_site"):
         h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.5, seed=n)
         evals, vecs = np.linalg.eigh(h.matrix())
         spec = opalg.hermitian_eig(h.matrix())
         assert (len(spec.evals) == 1) == (generator == "random_two_site")
-        for o in probes:
+        for site in range(n):
             for t in (0.3, -1.1):
                 u = (vecs * np.exp(1j * t * evals)) @ vecs.conj().T
-                ref = u @ embed_matrix(o.matrix, o.sites, n) @ u.conj().T
-                got = opalg.evolve(o, spec, t)
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(o.matrix).max() * 2**n
+                ref = u @ embed_matrix(opalg.pauli("x"), [site], n) @ u.conj().T
+                got = opalg.evolve(spec, site, t)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * 2**n
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11])
 def test_one_piece_evolve_is_hermitian_bit_for_bit(seed):
     # a chain without sectors is the one diagonal block pair of the loop,
-    # formed as (P + P^dag)/2 for a Hermitian probe
+    # formed as (P + P^dag)/2
     h = chain.build_chain(7, "random_two_site", profiles.power_law(3.0), coupling=0.5,
                           seed=seed)
     spec = opalg.hermitian_eig(h.matrix())
     assert spec.layout.sources == ((0,),)
-    for probe in "xyz":
-        a_t = opalg.evolve(opalg.single_site(opalg.pauli(probe), 3), spec, 0.7)
+    for site in (0, 3, 6):
+        a_t = opalg.evolve(spec, site, 0.7)
         assert np.array_equal(a_t, a_t.conj().T)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 6), st.sampled_from(("popcount", "parity", "whole")), st.data())
-def test_connected_pairs_match_the_dense_zero_pattern(n, structure, data):
-    k = data.draw(st.integers(1, min(n, 2)))
-    sites = data.draw(st.permutations(range(n)))[:k]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    op = rng.standard_normal((2**k, 2**k)) * (rng.random((2**k, 2**k)) < 0.3)
-    weight = _popcount(2**n)
-    label = {"popcount": weight, "parity": weight % 2, "whole": np.zeros(2**n, int)}[structure]
-    blocks = tuple(np.flatnonzero(label == v) for v in range(label.max() + 1))
-    full = embed_matrix(op, sites, n)
-    want = [(i, j) for i, bi in enumerate(blocks) for j, bj in enumerate(blocks)
-            if np.any(full[np.ix_(bi, bj)])]
-    assert opalg._connected_pairs(opalg.DenseOperator(sites, op), blocks) == want
 
 
 def test_spectrum_functions_scan_no_sectors(monkeypatch):
@@ -808,7 +776,7 @@ def test_spectrum_functions_scan_no_sectors(monkeypatch):
     monkeypatch.setattr(opalg, "sectors", spy)
     opalg.herm_expm(spec, 0.3)
     opalg.gibbs_populations(spec, 0.7)
-    opalg.evolve(opalg.single_site(opalg.pauli("x"), 2), spec, 0.4)
+    opalg.evolve(spec, 2, 0.4)
     assert calls == []
 
 

@@ -68,11 +68,12 @@ def test_quadrature_refinement_monotone():
     assert all(a >= b - 1e-16 for a, b in zip(errs, errs[1:]))
 
 
-def test_quadrature_eps_validation_and_budget():
+def test_quadrature_eps_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         qbp.filter_quadrature(1.0, 0.5)
+    monkeypatch.setattr(qbp, "MAX_NODES", 100)
     with pytest.raises(ToleranceUnreachable):
-        qbp.filter_quadrature(1.0, 1e-9, max_nodes=100)
+        qbp.filter_quadrature(1.0, 1e-9)
 
 
 def test_legendre_nodes_built_once_and_read_only():
