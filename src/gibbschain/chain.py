@@ -6,7 +6,9 @@ from a decay profile and shifted to positive semidefinite at build time.
 The chain owns the constants every bound reads: the coupling scale ``g``,
 measured from the generated terms rather than assumed, the tail constant
 ``gamma`` of its profile, and ``g_tilde = g gamma^2 jbar(1)``.  The profile
-itself is only the shape jbar.
+itself is only the shape jbar.  A chain holds its terms, not their matrix:
+``matrix()`` assembles the sum afresh on each call, and one rule norms any
+bundle of terms on the union of its supports.
 
 Sites are indexed 0..n-1.  Distances are shortest-path distances on the chain
 graph (adjacent sites at distance 1, overlapping sets at distance 0).  For
@@ -76,9 +78,11 @@ def terms_matrix(terms, sites):
     return out
 
 
-def _read_only(mat):
-    mat.setflags(write=False)
-    return mat
+def _bundle_norm(terms):
+    """Spectral norm of the sum of ``terms`` on the union of their supports;
+    0 for no terms, with nothing assembled."""
+    support = sorted({i for t in terms for i in t.sites})
+    return opalg.opnorm(terms_matrix(terms, support)) if terms else 0.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,6 @@ class ChainHamiltonian:
     profile: DecayProfile
     g: float
     gamma: float
-    _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def g_tilde(self):
@@ -104,16 +107,14 @@ class ChainHamiltonian:
         return 2
 
     def matrix(self):
-        """Full-space Hamiltonian matrix (cached, read-only)."""
-        if "full" not in self._matrix_cache:
-            self._matrix_cache["full"] = _read_only(terms_matrix(self.terms, range(self.n)))
-        return self._matrix_cache["full"]
+        """Full-space Hamiltonian matrix, assembled afresh on each call."""
+        return terms_matrix(self.terms, range(self.n))
 
     def subset_matrix(self, sites):
-        """Sum of the terms inside ``sites`` on their own tensor space (read-only)."""
+        """Sum of the terms inside ``sites`` on their own tensor space."""
         sites = sorted(int(s) for s in sites)
         inside = [t for t in self.terms if set(t.sites) <= set(sites)]
-        return _read_only(terms_matrix(inside, sites))
+        return terms_matrix(inside, sites)
 
 
 def coupled_pairs(n, profile, coupling):
@@ -227,7 +228,6 @@ class TruncatedHamiltonian:
     v_terms: tuple
     h_terms: tuple
     dropped: tuple
-    _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self):
@@ -252,12 +252,8 @@ class TruncatedHamiltonian:
         return tuple(out)
 
     def matrix(self):
-        """Full-space matrix of the kept terms (cached, read-only)."""
-        if "full" not in self._matrix_cache:
-            self._matrix_cache["full"] = _read_only(
-                terms_matrix(self.kept_terms, range(self.n))
-            )
-        return self._matrix_cache["full"]
+        """Full-space matrix of the kept terms, assembled afresh on each call."""
+        return terms_matrix(self.kept_terms, range(self.n))
 
     def bond_matrix(self, s):
         """Boundary bundle h_s as a full-space matrix."""
@@ -265,13 +261,7 @@ class TruncatedHamiltonian:
 
     def bond_norm(self, s):
         """Norm of the boundary bundle h_s, summed on its own support."""
-        bundle = self.h_terms[s]
-        support = sorted({i for t in bundle for i in t.sites})
-        return opalg.opnorm(terms_matrix(bundle, support)) if bundle else 0.0
-
-    def delta_matrix(self):
-        """Sum of the dropped terms, embedded in the full space."""
-        return terms_matrix(self.dropped, range(self.n))
+        return _bundle_norm(self.h_terms[s])
 
 
 def partition(n, x_width, y_width, block_len):
@@ -372,7 +362,7 @@ def truncation_error_report(
     l0 = h_tc.block_len
     op_bound = h.gamma**2 * h.g * h_tc.q * l0**2 * h.profile(l0)
     cond = beta * op_bound
-    exact_delta = opalg.opnorm(h_tc.delta_matrix()) if h_tc.dropped else 0.0
+    exact_delta = _bundle_norm(h_tc.dropped)
 
     diff_trace, z = opalg.expm_difference(spectra[0], spectra[1], beta)
 

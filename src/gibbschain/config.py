@@ -217,10 +217,15 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"{key} must be finite")
     if not all(math.isfinite(t) for t in cfg.t_grid):
         raise ConfigError("t_grid entries must be finite")
-    # an empty list certifies no rows; an empty r_list selects every separation
-    empty = sorted(key for key in keys - {"r_list"} if getattr(cfg, key) == ())
+    # an empty list certifies no rows (an empty r_list selects every
+    # separation); a repeated entry repeats rows and fits fewer points than it counts
+    lists = {key: getattr(cfg, key) for key in keys if isinstance(getattr(cfg, key), tuple)}
+    empty = sorted(key for key, v in lists.items() if v == () and key != "r_list")
     if empty:
         raise ConfigError(f"{cfg.experiment} needs a non-empty {', '.join(empty)}")
+    repeated = sorted(key for key, v in lists.items() if len(set(v)) < len(v))
+    if repeated:
+        raise ConfigError(f"{', '.join(repeated)} must not repeat an entry")
     if cfg.experiment == "clustering_sweep":
         r_list = cfg.clustering_sites()
         if any(r > cfg.n - 1 for r in r_list):

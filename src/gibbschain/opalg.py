@@ -17,8 +17,8 @@ term ever exceeds the result by more than e^(1/2).  A ``Spectrum`` is a
 read-only eigendecomposition held piece by piece: callers that need one
 operator's exponential at several scales (Gibbs states at several beta,
 evolutions at several t) diagonalize once and pass the spectrum to
-``herm_expm``, ``gibbs_populations`` or ``evolve`` instead.  There is no
-hidden cache; every function is pure.
+``herm_expm``, ``gibbs_populations`` or ``evolve`` instead.  Every function
+is pure; the one cache, ``sector_labels``, holds read-only arrays of n alone.
 
 A local operator on k sites meets a full-space matrix only on its own
 sites; no function builds its 2^n x 2^n embedding.  ``add_embedded`` adds it
@@ -63,13 +63,13 @@ below the diagonal is the conjugate transpose of its mirror and each
 diagonal pair is formed Hermitian, so A(t) is Hermitian bit for bit on
 every chain (a one-block spectrum is the single diagonal pair) and half
 the pairs take a product.  The pieces are orthogonally equivalent to the
-blocks: ``opnorm`` takes the largest piece norm, and the trace norm, like
-Z, counts each piece once per block it fills;
-``expm_difference`` takes ||exp(sA) - exp(sB)||_1 the same way from two
-spectra of one layout (a ValueError for any other pair), with no dense
-exponential.  Callers with matrices of their own (``qbp``, the
-commutator blocks of ``locality.lr_certify``) take ``split`` (or
-``opnorm``) and reassemble with its layout.
+blocks: ``opnorm``, the spectral norm, takes the largest piece norm, and
+``expm_difference`` takes ||exp(sA) - exp(sB)||_1 from two spectra of one
+layout (a ValueError for any other pair) as the sum of piece trace norms,
+each counted, like Z, once per block it fills, with no dense exponential.
+Callers with matrices of their own (``qbp``, the commutator blocks of
+``locality.lr_certify``) take ``split`` (or ``opnorm``) and reassemble with
+its layout.
 """
 
 from __future__ import annotations
@@ -590,29 +590,21 @@ def _trace_norm(mat):
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def opnorm(op, kind="spectral"):
-    """Spectral norm (largest singular value) or trace norm (their sum).
-
-    Taken over the pieces of ``split``, which are orthogonally equivalent to
-    the sector blocks: the spectral norm is the largest piece norm, the trace
-    norm the sum of piece norms, each counted once per block it fills.
-    """
+def opnorm(op):
+    """Spectral norm (largest singular value), the largest norm over the
+    pieces of ``split``, which are orthogonally equivalent to the sector blocks."""
     mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-    if kind not in ("spectral", "trace"):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    pieces, layout = split(mat)
-    if kind == "spectral":
-        return max(spectral_norm(piece) for (piece,) in pieces)
-    return sum(c * _trace_norm(piece) for c, (piece,) in zip(layout.counts(), pieces))
+    return max(spectral_norm(piece) for (piece,) in split(mat)[0])
 
 
 def expm_difference(spec_a, spec_b, scale=1.0):
     """(||exp(sA) - exp(sB)||_1, tr exp(sA)) from two spectra of one layout, piece by piece.
 
     On piece p the difference is V_p e^(s E_p) V_p^dag - W_p e^(s F_p) W_p^dag;
-    as in ``opnorm``, the trace norm is the sum of the piece trace norms and
-    the trace the sum of e^(s E_p), each counted once per block the piece
-    fills, so no 2^n x 2^n matrix is formed.  ValueError when the layouts differ.
+    the pieces are orthogonally equivalent to the sector blocks, so the trace
+    norm is the sum of the piece trace norms and the trace the sum of
+    e^(s E_p), each counted once per block the piece fills, and no 2^n x 2^n
+    matrix is formed.  ValueError when the layouts differ.
     """
     la, lb = spec_a.layout, spec_b.layout
     if la.sources != lb.sources or not all(

@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -127,7 +127,7 @@ class QuadratureScheme:
     weights: np.ndarray
     t_max: float
 
-    @cached_property
+    @property
     def filter_at_nodes(self):
         return _filter_values(self.beta, self.nodes)
 

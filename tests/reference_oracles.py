@@ -210,7 +210,8 @@ def dense_truncation_trace(spectra, beta):
     exponentials and their dense difference, ``spectra`` = (H's, H_tc's)."""
     e_full = opalg.herm_expm(spectra[0], scale=beta)
     e_trunc = opalg.herm_expm(spectra[1], scale=beta)
-    return opalg.opnorm(e_full - e_trunc, kind="trace"), float(np.trace(e_full).real)
+    trace_norm = np.sum(np.linalg.svd(e_full - e_trunc, compute_uv=False))
+    return float(trace_norm), float(np.trace(e_full).real)
 
 
 def theta_lines_by_search(reports, profile, block_len, count=10_000):

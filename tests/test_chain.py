@@ -91,7 +91,7 @@ def test_truncate_dropped_norm_within_bound():
     h = powerlaw_chain(n=12, gen="heisenberg_xxz")
     htc = chain.truncate(h, [0], [9, 10, 11], 2)  # q = 4
     bound = h.gamma**2 * h.g * htc.q * htc.block_len**2 * h.profile(htc.block_len)
-    delta = htc.delta_matrix()
+    delta = chain.terms_matrix(htc.dropped, range(h.n))
     assert opalg.opnorm(delta) <= bound + 1e-12
     assert htc.separation == htc.q * htc.block_len
 
@@ -150,16 +150,17 @@ def test_block_interaction_all_pairs_small():
             assert rep.exact <= rep.bound + 1e-12
 
 
-def test_cached_matrices_are_read_only():
+def test_each_matrix_call_assembles_a_new_array():
+    # a chain holds its terms: writing into one call's matrix leaves the next intact
     h = powerlaw_chain(n=6, gen="random_two_site", seed=4)
     htc = chain.truncate(h, [0], [5], 1)
-    for owner in (h, htc):
-        before = owner.matrix().copy()
-        with pytest.raises(ValueError):
-            owner.matrix()[0, 0] = 1
-        assert np.array_equal(owner.matrix(), before)
-    with pytest.raises(ValueError):
-        h.subset_matrix((1, 2, 3))[0, 0] = 1
+    for build in (h.matrix, htc.matrix, lambda: h.subset_matrix((1, 2, 3))):
+        first = build()
+        before = first.copy()
+        first[0, 0] += 1.0
+        second = build()
+        assert second is not first and not np.shares_memory(first, second)
+        assert np.array_equal(second, before)
 
 
 def test_local_term_norm_computed_once():
@@ -239,12 +240,13 @@ def test_truncation_report_builds_no_delta_matrix_when_nothing_is_dropped(monkey
     h = ising(n=6)
     htc = chain.truncate(h, [0], [5], 2)
     assert not htc.dropped
+    spectra = _spectra(h, htc)
 
-    def unread(self):
-        raise AssertionError("delta_matrix built for an empty sum")
+    def unread(terms, sites):
+        raise AssertionError("terms assembled for an empty sum")
 
-    monkeypatch.setattr(chain.TruncatedHamiltonian, "delta_matrix", unread)
-    assert chain.truncation_error_report(h, htc, 0.5, _spectra(h, htc)).exact_delta_norm == 0.0
+    monkeypatch.setattr(chain, "terms_matrix", unread)
+    assert chain.truncation_error_report(h, htc, 0.5, spectra).exact_delta_norm == 0.0
 
 
 def test_center_decomposition_geometry():

@@ -260,6 +260,27 @@ def test_negative_seed_exits_2(tmp_path, monkeypatch):
     assert load_config(path).seed == 0
 
 
+@pytest.mark.parametrize("config, key, value", [
+    ("gamma_decay", "m_list", "1,1"),
+    ("clustering_xxz", "beta_list", "0.2,0.2,0.6"),
+    ("lr_sweep", "t_grid", "0.0,0.5,0.5"),
+    ("truncation_sweep", "block_len_list", "1,2,1"),
+    ("qbp_locality", "radius_list", "7,7"),
+], ids=["m_list", "beta_list", "t_grid", "block_len_list", "radius_list"])
+def test_repeated_list_entries_exit_2(config, key, value, tmp_path, monkeypatch):
+    """A repeated list entry used to pass validation: m_list = 1,1 fitted tau
+    through one distinct m and exited 0 with PASS, and beta_list = 0.2,0.2,0.6
+    failed mid-run on a zero log xi increment.  Every list key a bundled config
+    reads rejects one with exit 2 and writes no output."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{config}.cfg")
+    out = tmp_path / "out"
+    monkeypatch.setenv(f"GIBBSCHAIN_{key.upper()}", value)
+    with pytest.raises(ConfigError, match=f"{key} must not repeat an entry"):
+        load_config(path)
+    assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_gamma_decay_needs_two_block_counts(tmp_path, monkeypatch):
     """One m checks no decay in m: the bundled config with a one-entry m_list
     exits 2 and writes no output."""

@@ -865,10 +865,15 @@ def test_correlation_lengths_at_twelve_sites_stay_small():
 
     h = chain.build_chain(12, "heisenberg_xxz", profiles.finite_range(1), coupling=1.0,
                           seed=0, anisotropy=1.5)
-    h.matrix()  # built and cached before the measurement
+    h_mat = h.matrix()  # built before the measurement, which covers what follows it
+
+    class Built:
+        def matrix(self):
+            return h_mat
+
     tracemalloc.start()
     try:
-        out = correlation_lengths(h, (0.2, 1.2), 0, range(1, 12))
+        out = correlation_lengths(Built(), (0.2, 1.2), 0, range(1, 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1055,6 +1060,33 @@ def test_every_public_library_name_has_a_library_reader():
                 if not readers:
                     unread.append(f"{module}.{label}")
     assert unread == []
+
+
+def test_no_library_object_caches_what_it_computes():
+    """No ``cached_property``, ``lru_cache`` or ``cache`` and no dataclass field
+    with a ``default_factory`` in the library: an object holds its inputs and
+    computes the rest on each read.  The two exceptions memoize a function of
+    one int that returns read-only arrays, ``opalg.sector_labels`` and
+    ``qbp._legendre``."""
+    import ast
+
+    library, trees = _library_and_benchmark_trees()
+    caches = {"cached_property", "lru_cache", "cache"}
+    allowed = {("opalg", "sector_labels"), ("qbp", "_legendre")}
+    found = []
+    for path in library:
+        module = os.path.basename(path)[:-3]
+        exempt = set()  # the decorator nodes of the allowed functions
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.FunctionDef) and (module, node.name) in allowed:
+                exempt |= {id(n) for d in node.decorator_list for n in ast.walk(d)}
+        for node in ast.walk(trees[path]):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.arg if isinstance(node, ast.keyword) else None)
+            if (name in caches and id(node) not in exempt) or name == "default_factory":
+                found.append(f"{module}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_every_defaulted_library_parameter_is_set_by_a_library_call():

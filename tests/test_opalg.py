@@ -311,16 +311,10 @@ def test_evolve_preserves_norm_and_hermiticity():
 
 def test_norms():
     assert opalg.opnorm(np.eye(8)) == 1.0
-    assert opalg.opnorm(np.eye(8), kind="trace") == 8.0
     proj = np.zeros((4, 4))
     proj[0, 0] = 1.0
     assert opalg.opnorm(proj) == 1.0
-    assert opalg.opnorm(proj, kind="trace") == 1.0
     rng = np.random.default_rng(6)
-    a = rand_herm(rng, 12)
-    assert opalg.opnorm(a, kind="trace") == pytest.approx(
-        np.sum(np.abs(np.linalg.eigvalsh(a))), rel=1e-10
-    )
     # non-Hermitian spectral norm agrees with the SVD route
     b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     assert opalg.opnorm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-10)
@@ -433,23 +427,17 @@ def test_hermitian_eig_by_sector_reconstructs(case):
 def test_opnorm_by_sector_matches_dense(case):
     _, mat = case
     assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
-    assert opalg.opnorm(mat, kind="trace") == pytest.approx(
-        np.linalg.norm(mat, "nuc"), rel=1e-12, abs=1e-14
-    )
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.one_of(*(sz_conserving(hermitian=h, structure=s, max_n=7, flip=True)
                    for h in (True, False) for s in ("popcount", "parity", "whole"))))
 def test_opnorm_over_flip_pieces_matches_dense(case):
-    # F-symmetric draws at odd and even n: the norms run over the flip pieces,
+    # F-symmetric draws at odd and even n: the norm runs over the flip pieces,
     # and the non-Hermitian ones take spectral_norm's Gram path
     n, mat = case
     assert np.array_equal(mat[::-1, ::-1], mat)
     assert opalg.opnorm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12, abs=1e-14)
-    assert opalg.opnorm(mat, kind="trace") == pytest.approx(
-        np.linalg.norm(mat, "nuc"), rel=1e-12, abs=1e-14
-    )
 
 
 @settings(max_examples=60, deadline=None)
