@@ -217,8 +217,6 @@ def criterion_09_disconnected_traces():
     rng = np.random.default_rng(9)
     for seed in range(20):
         n = 4 + seed % 2
-        o_x = opalg.single_site(opalg.pauli("x"), 0)
-        o_y = opalg.single_site(opalg.pauli("y"), n - 1)
         mid = n // 2
         z_ops = []
         for _ in range(1 + seed % 3):
@@ -226,11 +224,8 @@ def criterion_09_disconnected_traces():
                 sites = sorted(rng.choice(range(0, mid), size=min(2, mid), replace=False))
             else:
                 sites = sorted(rng.choice(range(mid, n - 1), size=min(2, n - 1 - mid), replace=False))
-            z_ops.append(
-                opalg.DenseOperator(tuple(int(s) for s in sites),
-                                    _random_hermitian(rng, 2 ** len(sites)))
-            )
-        res = cluster.disconnected_trace(z_ops, o_x, o_y, n)
+            z_ops.append(chain_mod.LocalTerm(sites, _random_hermitian(rng, 2 ** len(sites))))
+        res = cluster.disconnected_trace(z_ops, n)
         # keep only genuinely split collections; the construction all but ensures it
         if not res.disconnected:
             continue
@@ -243,9 +238,8 @@ def criterion_09_disconnected_traces():
     ):
         h = chain_mod.build_chain(6, gen, prof, coupling=coupling, seed=seed)
         htc = chain_mod.truncate(h, [0], [5], 2)
-        o_x = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 0)
-        o_y = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 5)
-        rep = cluster.correlation_identity_residual(htc, o_x, o_y, beta)
+        pauli = "z" if label == "ising" else "x"
+        rep = cluster.correlation_identity_residual(htc, pauli, beta)
         rows.append((f"identity_residual[{label}]", rep.residual, 1e-8, rep.residual <= 1e-8))
         if rep.trace_norm_ratio is not None:
             rows.append(
@@ -278,7 +272,7 @@ def criterion_11_correlation_length():
 
     h = chain_mod.build_chain(10, "ising_zz", finite_range(1), coupling=1.0, seed=0)
     betas = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
-    xis = [xi for _, xi, _, _ in correlation_lengths(h, betas, 0, range(1, 10))]
+    xis = [xi for _, xi, _, _ in correlation_lengths(h, betas, range(1, 10))]
     rows.append(ising_xi_row(betas, xis, 1.0))
 
     betas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
@@ -286,7 +280,7 @@ def criterion_11_correlation_length():
         hq = chain_mod.build_chain(
             n, "heisenberg_xxz", finite_range(1), coupling=1.0, seed=0, anisotropy=1.5
         )
-        xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, 0, range(1, n))]
+        xis = [xi for _, xi, _, _ in correlation_lengths(hq, betas, range(1, n))]
         rows.append(log_xi_line(label, betas, xis)[1])
     return rows
 
@@ -314,9 +308,8 @@ def criterion_12_gamma_machinery():
         hf = chain_mod.build_chain(6, gen, prof, coupling=coupling, seed=seed)
         hft = chain_mod.truncate(hf, [0], [5], 1)
         cd = chain_mod.center_decomposition(hft, 2, 1)
-        o_x = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 0)
-        o_y = opalg.single_site(opalg.pauli("z" if label == "ising" else "x"), 5)
-        (rep,) = cluster.gamma_pair(hft, cd, (beta_f,), o_x, o_y, tau_steps=16)
+        pauli = "z" if label == "ising" else "x"
+        (rep,) = cluster.gamma_pair(hft, cd, (beta_f,), pauli, tau_steps=16)
         rows.append(
             (f"factorization_residual[{label}]", rep.factorization_residual, 1e-10,
              rep.factorization_residual <= 1e-10)

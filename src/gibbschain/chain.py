@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import opalg
-from .errors import BadPartition, GeometryError, InvalidSpec, Overlap
+from .errors import BadPartition, GeometryError, InvalidSpec, Overlap, SupportMismatch
 from .profiles import DecayProfile, measure_gamma
 
 GENERATORS = ("ising_zz", "heisenberg_xxz", "random_two_site")
@@ -33,14 +33,22 @@ GENERATORS = ("ising_zz", "heisenberg_xxz", "random_two_site")
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """Positive local term h_Z with its support and norm."""
+    """A 2^k x 2^k matrix on k distinct sites, with its spectral norm.
+
+    The one record of a local operator: a positive chain term h_Z, or a
+    factor Z_i of a ``cluster.disconnected_trace`` string.  Repeated sites
+    or a shape other than 2^k x 2^k raise SupportMismatch.
+    """
 
     sites: tuple
     matrix: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+        sites = tuple(int(s) for s in self.sites)
+        if len(set(sites)) != len(sites) or self.matrix.shape != (2 ** len(sites),) * 2:
+            raise SupportMismatch(f"matrix of shape {self.matrix.shape} on sites {sites}")
+        object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "norm", opalg.spectral_norm(self.matrix))
 
     def crosses(self, cut):

@@ -22,9 +22,14 @@ tr[Psi (A x B)] = tr(O_X O_Y A) tr(B) - tr(O_X A) tr(O_Y B), a (+)-string
 expands into a sum of such products over subsets of its factors, and each
 inclusion-exclusion branch is a tensor square.
 
-Local operators (the probes O_X and O_Y, the string factors Z_i, the weight
-factors W_j, the window-localized BP operators of ``gamma_pair``) meet
-full-space matrices only on their own sites: they multiply by contraction
+The probes are a Pauli on each end of the chain: O_X on site 0 and O_Y on
+site n - 1, n read from the matrix traced (sigma_x and sigma_y for
+``disconnected_trace``, one named Pauli at both ends for the identity
+residual and ``gamma_pair``).  Every other local operator carries its own
+sites and matrix: a string factor Z_i is a ``chain.LocalTerm`` and a
+window-localized BP operator of ``gamma_pair`` a ``qbp.BPOperator``.  Local
+operators (these, the probes and the weight factors W_j) meet full-space
+matrices only on their own sites: they multiply by contraction
 (``opalg.apply_local``), or by scaling rows when they are diagonal (sigma_z
 probes and factors, and on a commuting chain every window BP operator and
 its product K_j = B_j^dag B_j), and are traced from a diagonal view
@@ -43,13 +48,7 @@ import numpy as np
 
 from . import opalg, qbp
 from .chain import TruncatedHamiltonian, terms_matrix
-from .errors import (
-    CapExceeded,
-    NotCommuting,
-    NotPSD,
-    NotUnitNorm,
-    OverlappingSupports,
-)
+from .errors import CapExceeded, NotCommuting, NotPSD
 
 # the most inclusion-exclusion branches (2^m for m bonds) any sum expands
 BRANCH_CAP = 64
@@ -57,52 +56,47 @@ BRANCH_CAP = 64
 
 @dataclass(frozen=True)
 class PsiOperator:
-    """The probe O_X^(0) O_Y^(1), kept in factorized form."""
+    """The probe O_X^(0) O_Y^(1), kept in factorized form: 2 x 2 matrices
+    O_X on the chain's first site and O_Y on its last."""
 
-    o_x: opalg.DenseOperator
-    o_y: opalg.DenseOperator
+    o_x: np.ndarray
+    o_y: np.ndarray
 
     def expectation(self, a, b=None):
         """tr[Psi (A x B)] via single-space traces; B defaults to A.
 
         The result is a connected correlation, often orders of magnitude
         below the two products it is the difference of, so each trace is
-        correctly rounded: ``opalg.local_trace`` on the probe's own sites
-        (O_X O_Y is the kron of the factors on their joint support) and the
-        math.fsum of the diagonal of B.
+        correctly rounded: ``opalg.local_trace`` on sites 0 and n - 1 (O_X O_Y
+        is the kron of the factors on that pair) and the math.fsum of the
+        diagonal of B.
         """
         b = a if b is None else b
-        o_x, o_y = self.o_x, self.o_y
-        xy = opalg.local_trace(np.kron(o_x.matrix, o_y.matrix), o_x.sites + o_y.sites, a)
+        last = opalg.n_qubits(a.shape[0]) - 1
+        xy = opalg.local_trace(np.kron(self.o_x, self.o_y), (0, last), a)
         return (
             xy * _exact_sum(np.diagonal(b))
-            - opalg.local_trace(o_x.matrix, o_x.sites, a)
-            * opalg.local_trace(o_y.matrix, o_y.sites, b)
+            - opalg.local_trace(self.o_x, (0,), a) * opalg.local_trace(self.o_y, (last,), b)
         )
+
+
+def _pauli_probe(name):
+    """The probe with the Pauli ``name`` on both ends."""
+    return PsiOperator(opalg.pauli(name), opalg.pauli(name))
 
 
 def _exact_sum(values):
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
-def _apply(op: opalg.DenseOperator, mat):
+def _apply(op, mat):
     """(op on its sites x 1) @ mat, by contraction on those sites."""
     return opalg.apply_local(op.matrix, op.sites, mat)
 
 
-def _sandwich(op: opalg.DenseOperator, mat):
+def _sandwich(op, mat):
     """op mat op^dag as (op (op mat)^dag)^dag: two contractions."""
     return _apply(op, _apply(op, mat).conj().T).conj().T
-
-
-def psi(o_x: opalg.DenseOperator, o_y: opalg.DenseOperator) -> PsiOperator:
-    """Build the correlation probe; requires disjoint supports and unit norms (to 1e-10)."""
-    if set(o_x.sites) & set(o_y.sites):
-        raise OverlappingSupports("probe factors must have disjoint supports")
-    for op, name in ((o_x, "O_X"), (o_y, "O_Y")):
-        if abs(opalg.opnorm(op) - 1.0) > 1e-10:
-            raise NotUnitNorm(f"{name} must have unit spectral norm")
-    return PsiOperator(o_x=o_x, o_y=o_y)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +129,21 @@ class DisconnectedTraceResult:
     scale: float
 
 
-def disconnected_trace(
-    z_ops, o_x: opalg.DenseOperator, o_y: opalg.DenseOperator, n,
-) -> DisconnectedTraceResult:
+def disconnected_trace(z_ops, n) -> DisconnectedTraceResult:
     """tr[ prod_i Z_i^(+) . O_X^(0) O_Y^(1) ] with its disconnection check.
 
-    The string expands as prod_i Z_i^(+) = sum_S P_S x Q_S over the subsets S
-    of its factors, P_S the ordered product of the Z_i in S and Q_S that of
-    the rest, so the value is sum_S tr[Psi (P_S x Q_S)] in single-space
-    traces.  When the support collection is disconnected the value is an
-    exact zero up to rounding; the caller gets the measured value, the
-    checker verdict and the natural scale (product of operator norms times
-    the doubled dimension) to compare against.
+    O_X is sigma_x on site 0 and O_Y sigma_y on site n - 1; each Z_i is a
+    ``chain.LocalTerm``.  The string expands as prod_i Z_i^(+) =
+    sum_S P_S x Q_S over the subsets S of its factors, P_S the ordered
+    product of the Z_i in S and Q_S that of the rest, so the value is
+    sum_S tr[Psi (P_S x Q_S)] in single-space traces.  When the support
+    collection is disconnected the value is an exact zero up to rounding;
+    the caller gets the measured value, the checker verdict and the natural
+    scale (product of operator norms, the probes' being 1, times the
+    doubled dimension) to compare against.
     """
-    if set(o_x.sites) & set(o_y.sites):
-        raise OverlappingSupports("X and Y must be disjoint")
     dim = 2**n
-    probe = PsiOperator(o_x=o_x, o_y=o_y)
+    probe = PsiOperator(opalg.pauli("x"), opalg.pauli("y"))
     eye = np.eye(dim, dtype=complex)
     value = 0.0 + 0.0j
     for in_p in itertools.product((False, True), repeat=len(z_ops)):
@@ -165,9 +157,9 @@ def disconnected_trace(
         value += probe.expectation(p, q)
     scale = float(dim * dim)
     for z in z_ops:
-        scale *= 2.0 * opalg.opnorm(z)
-    scale *= 2.0 * opalg.opnorm(o_x) * opalg.opnorm(o_y)
-    ok = supports_split(o_x.sites, o_y.sites, [z.sites for z in z_ops])
+        scale *= 2.0 * z.norm
+    scale *= 2.0
+    ok = supports_split((0,), (n - 1,), [z.sites for z in z_ops])
     return DisconnectedTraceResult(value=value, disconnected=ok, scale=scale)
 
 
@@ -241,9 +233,10 @@ class IdentityResidualReport:
 
 
 def correlation_identity_residual(
-    h_tc: TruncatedHamiltonian, o_x, o_y, beta
+    h_tc: TruncatedHamiltonian, pauli, beta
 ) -> IdentityResidualReport:
-    """Residual of tr[Psi (e^{beta H+} - G_all)] = 0 over all boundary bonds.
+    """Residual of tr[Psi (e^{beta H+} - G_all)] = 0 over all boundary bonds,
+    with the Pauli ``pauli`` on the chain's first and last site.
 
     Works entirely through the tensor-square factorization: each
     inclusion-exclusion branch contributes single-space traces only.  Also
@@ -252,7 +245,7 @@ def correlation_identity_residual(
     majorant 2 ||G||_1 / Z^2.
     """
     _check_branches(h_tc.q + 1)
-    probe = psi(o_x, o_y)
+    probe = _pauli_probe(pauli)
     h_mat = h_tc.matrix()
     bonds = [h_tc.bond_matrix(s) for s in range(h_tc.q + 1)]
 
@@ -444,8 +437,7 @@ def gamma_pair(
     h_tc: TruncatedHamiltonian,
     centers,
     betas,
-    o_x,
-    o_y,
+    pauli,
     tau_steps=32,
     integrator="cf4",
 ) -> tuple:
@@ -458,7 +450,8 @@ def gamma_pair(
     traced, so the full space sees one exponential per beta whatever m is,
     e^{beta H_0} (H_0 = H minus every center bond), and Z is the sum of
     e^{beta E} over H's spectrum; each window takes one ``qbp.localized_sweep``
-    over all betas.  All traces go through the tensor-square factorization.
+    over all betas.  The probe is the Pauli ``pauli`` on the chain's first and
+    last site.  All traces go through the tensor-square factorization.
 
     Each window BP operator B_j stays on its own window and acts on a
     full-space matrix by contraction (``opalg.apply_local``; a diagonal B_j,
@@ -469,7 +462,7 @@ def gamma_pair(
     """
     m = centers.m
     _check_branches(m)
-    probe = psi(o_x, o_y)
+    probe = _pauli_probe(pauli)
     h_mat = h_tc.matrix()
     bonds = [centers.bond_matrix(j) for j in range(m)]
 
@@ -481,7 +474,7 @@ def gamma_pair(
     spec = opalg.hermitian_eig(h_mat)
     reports = []
     for i, beta in enumerate(betas):
-        local_ops = [ops[i].op for ops in sweeps]
+        local_ops = [ops[i] for ops in sweeps]
         e0 = opalg.herm_expm(spec0, beta)
         z = float(sum(c * np.sum(np.exp(beta * e))
                       for c, e in zip(spec.layout.counts(), spec.evals)))

@@ -29,10 +29,6 @@ class Overlap(GibbsChainError):
     """Regions required to be disjoint overlap."""
 
 
-class OverlappingSupports(Overlap):
-    """Operator supports required to be disjoint overlap."""
-
-
 class SupportMismatch(GibbsChainError):
     """Operator support is incompatible with the target space."""
 
@@ -47,10 +43,6 @@ class NotPSD(GibbsChainError):
 
 class NotCommuting(GibbsChainError):
     """Operators expected to commute do not."""
-
-
-class NotUnitNorm(GibbsChainError):
-    """Operator expected to have unit spectral norm does not."""
 
 
 class DimensionCap(GibbsChainError):

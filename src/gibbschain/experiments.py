@@ -40,11 +40,11 @@ def truncation_regions(n, x_width, y_width):
     return tuple(range(x_width)), tuple(range(n - y_width, n))
 
 
-def correlation_lengths(h, betas, x0, r_list):
-    """Connected zz correlations and their fitted correlation length at each beta.
+def correlation_lengths(h, betas, r_list):
+    """Connected zz correlations from site 0 and their fitted correlation length at each beta.
 
     ``h`` is diagonalized once.  For each beta the list holds
-    (cors, xi, n_used, excluded): cors[k] = Cor(Z_x0, Z_(x0 + r_list[k]))
+    (cors, xi, n_used, excluded): cors[k] = Cor(Z_0, Z_(r_list[k]))
     from ``opalg.zz_correlation`` on the Gibbs populations, and the rest from
     ``oracles.fit_exponential_decay`` of |cors| against r_list.
     """
@@ -52,7 +52,7 @@ def correlation_lengths(h, betas, x0, r_list):
     out = []
     for beta in betas:
         pops = opalg.gibbs_populations(spectrum, beta)
-        cors = [opalg.zz_correlation(pops, x0, x0 + r) for r in r_list]
+        cors = [opalg.zz_correlation(pops, 0, r) for r in r_list]
         xi, _, used, excluded = oracles.fit_exponential_decay(r_list, cors)
         out.append((cors, xi, used, excluded))
     return out
@@ -79,9 +79,7 @@ def gamma_decay_values(cfg: ExperimentConfig):
             x, y = truncation_regions(n_m, cfg.x_width, cfg.y_width)
             htc = chain_mod.truncate(h, x, y, cfg.block_len)
             cd = chain_mod.center_decomposition(htc, m, ell)
-            o_x = opalg.single_site(opalg.pauli("z"), 0)
-            o_y = opalg.single_site(opalg.pauli("z"), n_m - 1)
-            reps = cluster.gamma_pair(htc, cd, cfg.beta_list, o_x, o_y,
+            reps = cluster.gamma_pair(htc, cd, cfg.beta_list, "z",
                                       tau_steps=cfg.tau_steps, integrator=cfg.integrator)
             values = [(rep.psi_trace_decay, rep.factorization_residual) for rep in reps]
         ladder.append([(beta, m, n_m, *v) for beta, v in zip(cfg.beta_list, values)])
@@ -105,9 +103,10 @@ def log_xi_line(label, betas, xis):
 
 
 def decay_row(beta, values):
-    """The row that ``values`` (by increasing m) rise by at most 1e-12; measured: the least drop."""
+    """The row that ``values`` (by increasing m) rise by at most 1e-12; measured: the
+    least drop, nan if any value is nan (``np.min`` propagates it)."""
     drops = [a - b for a, b in zip(values, values[1:])]
-    return (f"decay_nonincreasing[beta={beta}]", float(min(drops, default=0.0)), 0.0,
+    return (f"decay_nonincreasing[beta={beta}]", float(np.min(drops)) if drops else 0.0, 0.0,
             all(d >= -1e-12 for d in drops))
 
 
@@ -204,7 +203,7 @@ def run_truncation_sweep(cfg: ExperimentConfig, manifest, outdir):
 def run_clustering_sweep(cfg: ExperimentConfig, manifest, outdir):
     r_list = cfg.clustering_sites()
     betas = sorted(cfg.beta_list)
-    sweep = correlation_lengths(build_config_chain(cfg), betas, 0, r_list)
+    sweep = correlation_lengths(build_config_chain(cfg), betas, r_list)
 
     rows = []
     xis = []

@@ -20,8 +20,10 @@ evolutions at several t) diagonalize once and pass the spectrum to
 ``herm_expm``, ``gibbs_populations`` or ``evolve`` instead.  Every function
 is pure; the one cache, ``sector_labels``, holds read-only arrays of n alone.
 
-A local operator on k sites meets a full-space matrix only on its own
-sites; no function builds its 2^n x 2^n embedding.  ``add_embedded`` adds it
+A local operator on k sites is a 2^k x 2^k matrix passed with its tuple of
+sites (``chain.LocalTerm`` is the one record that holds the pair), and it
+meets a full-space matrix only on those sites; no function builds its
+2^n x 2^n embedding.  ``add_embedded`` adds it
 (identity elsewhere) into a full-space matrix in place, ``apply_local``
 multiplies by it, contracting it with the row axes of its sites (O(dim^2 2^k)
 where the embedded product costs O(dim^3)), and ``local_trace`` takes the
@@ -77,7 +79,6 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,25 +103,6 @@ def pauli(name):
         "z": _sigma_z.copy(),
         "i": np.eye(2),
     }[name.lower()]
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Complex matrix together with the ordered site set it acts on."""
-
-    sites: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        sites = tuple(int(s) for s in self.sites)
-        object.__setattr__(self, "sites", sites)
-        if sorted(set(sites)) != sorted(sites):
-            raise ValueError("duplicate sites in support")
-        dim = 2 ** len(sites)
-        if self.matrix.shape != (dim, dim):
-            raise SupportMismatch(
-                f"matrix shape {self.matrix.shape} does not match {len(sites)} qubits"
-            )
 
 
 # side of the square tiles herm_defect compares: a complex tile pair (2 x 256 KB)
@@ -155,10 +137,6 @@ def require_hermitian(mat, what="operator"):
     """NotHermitian unless ``herm_defect`` is at most HERM_TOL (a nan defect is not)."""
     if not herm_defect(mat) <= HERM_TOL:
         raise NotHermitian(f"{what} is not Hermitian")
-
-
-def single_site(op_matrix, site) -> DenseOperator:
-    return DenseOperator((site,), np.asarray(op_matrix, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +568,10 @@ def _trace_norm(mat):
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def opnorm(op):
+def opnorm(mat):
     """Spectral norm (largest singular value), the largest norm over the
     pieces of ``split``, which are orthogonally equivalent to the sector blocks."""
-    mat = op.matrix if isinstance(op, DenseOperator) else np.asarray(op)
-    return max(spectral_norm(piece) for (piece,) in split(mat)[0])
+    return max(spectral_norm(piece) for (piece,) in split(np.asarray(mat))[0])
 
 
 def expm_difference(spec_a, spec_b, scale=1.0):

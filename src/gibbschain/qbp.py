@@ -206,22 +206,15 @@ def filter_quadrature(beta, eps) -> QuadratureScheme:
 
 @dataclass(frozen=True)
 class BPOperator:
-    """Belief propagation operator with its construction record."""
+    """Belief propagation operator: its matrix on its sites, with its construction record."""
 
-    op: opalg.DenseOperator
+    sites: tuple
+    matrix: np.ndarray
     beta: float
     tau_steps: int
     bond_norm: float
     phi_norm_max: float
     reconstruction_residual: float | None = None
-
-    @property
-    def matrix(self):
-        return self.op.matrix
-
-    @property
-    def sites(self):
-        return self.op.sites
 
     def norm(self):
         return opalg.opnorm(self.matrix)
@@ -351,7 +344,7 @@ def build_bp_sweep(
 
     def record(beta, u, steps, phi_max, residual):
         return BPOperator(
-            op=opalg.DenseOperator(sites, u), beta=beta, tau_steps=steps,
+            sites=sites, matrix=u, beta=beta, tau_steps=steps,
             bond_norm=bond_norm, phi_norm_max=phi_max, reconstruction_residual=residual,
         )
 

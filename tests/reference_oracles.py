@@ -6,7 +6,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from gibbschain import chain, opalg, qbp
-from gibbschain.errors import GibbsChainError, Overlap, OverlappingSupports
+from gibbschain.errors import GibbsChainError, Overlap
+
+
+class OverlappingSupports(Overlap):
+    """Operator supports required to be disjoint overlap."""
 
 
 class OutOfRange(GibbsChainError):

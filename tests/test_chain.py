@@ -9,6 +9,7 @@ from gibbschain.errors import (
     GeometryError,
     InvalidSpec,
     Overlap,
+    SupportMismatch,
 )
 from reference_oracles import OutOfRange, as_chain, coupling_strength, dense_truncation_trace
 
@@ -168,6 +169,16 @@ def test_local_term_norm_computed_once():
     for t in h.terms:
         assert t.norm == float(np.max(np.abs(np.linalg.eigvalsh(t.matrix))))
         assert "norm" in vars(t)
+
+
+def test_local_term_rejects_repeated_sites_and_mismatched_shapes():
+    with pytest.raises(SupportMismatch):
+        chain.LocalTerm((1, 1), np.eye(4))
+    with pytest.raises(SupportMismatch):
+        chain.LocalTerm((0, 1), np.eye(2))
+    with pytest.raises(SupportMismatch):
+        chain.LocalTerm((0,), np.eye(4))
+    assert chain.LocalTerm((2, 0), np.eye(4)).sites == (2, 0)
 
 
 def _spectra(h, htc):

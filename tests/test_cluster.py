@@ -7,13 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbschain import chain, cluster, opalg, oracles, profiles, qbp
-from gibbschain.errors import (
-    CapExceeded,
-    NotCommuting,
-    NotPSD,
-    NotUnitNorm,
-    OverlappingSupports,
-)
+from gibbschain.chain import LocalTerm
+from gibbschain.errors import CapExceeded, NotCommuting, NotPSD
 from reference_oracles import (
     correlation,
     embed_matrix,
@@ -46,30 +41,34 @@ def double(op, kind, n):
 
 
 def psi_matrix(probe, n):
-    """The materialized probe O_X^(0) O_Y^(1) on the doubled space of n sites."""
-    return double(probe.o_x, "zero", n) @ double(probe.o_y, "one", n)
+    """The materialized probe O_X^(0) O_Y^(1) on the doubled space of n sites,
+    O_X on site 0 and O_Y on site n - 1."""
+    return (double(LocalTerm((0,), probe.o_x), "zero", n)
+            @ double(LocalTerm((n - 1,), probe.o_y), "one", n))
 
 
-def kron_disconnected_trace(z_ops, o_x, o_y, n):
-    """tr[prod_i Z_i^(+) O_X^(0) O_Y^(1)] from the materialized doubled matrices."""
+def kron_disconnected_trace(z_ops, n):
+    """tr[prod_i Z_i^(+) X_0^(0) Y_(n-1)^(1)] from the materialized doubled matrices,
+    each Z_i a ``LocalTerm``."""
     acc = np.eye(4**n, dtype=complex)
     for z in z_ops:
         acc = acc @ double(z, "plus", n)
-    return complex(np.trace(acc @ psi_matrix(cluster.PsiOperator(o_x, o_y), n)))
+    probe = cluster.PsiOperator(opalg.pauli("x"), opalg.pauli("y"))
+    return complex(np.trace(acc @ psi_matrix(probe, n)))
 
 
 def test_double_identity_cases():
-    eye = opalg.DenseOperator((1,), np.eye(2))
+    eye = LocalTerm((1,), np.eye(2))
     assert np.allclose(double(eye, "one", 2), 0.0)
     assert np.allclose(double(eye, "plus", 2), 2 * np.eye(16))
-    z = opalg.single_site(opalg.pauli("z"), 0)
+    z = LocalTerm((0,), opalg.pauli("z"))
     assert opalg.opnorm(double(z, "zero", 2)) == pytest.approx(1.0)
     assert opalg.opnorm(double(z, "one", 2)) <= 2.0 + 1e-12
 
 
 def test_double_swap_symmetry():
     rng = np.random.default_rng(0)
-    op = opalg.DenseOperator((0,), rand_herm(rng, 2))
+    op = LocalTerm((0,), rand_herm(rng, 2))
     s = swap_matrix(2)
     plus = double(op, "plus", 1)
     one = double(op, "one", 1)
@@ -84,19 +83,12 @@ def test_psi_norm_and_validation():
         a /= opalg.opnorm(a)
         b = rand_herm(rng, 2)
         b /= opalg.opnorm(b)
-        probe = cluster.psi(opalg.DenseOperator((0,), a), opalg.DenseOperator((3,), b))
+        probe = cluster.PsiOperator(a, b)
         assert opalg.opnorm(psi_matrix(probe, 4)) <= 2.0 + 1e-10
-    with pytest.raises(OverlappingSupports):
-        cluster.psi(opalg.single_site(opalg.pauli("x"), 1),
-                    opalg.single_site(opalg.pauli("y"), 1))
-    with pytest.raises(NotUnitNorm):
-        cluster.psi(opalg.DenseOperator((0,), 2 * np.eye(2)),
-                    opalg.single_site(opalg.pauli("x"), 1))
 
 
 def test_psi_identity_second_factor_vanishes():
-    probe = cluster.psi(opalg.single_site(opalg.pauli("x"), 0),
-                        opalg.DenseOperator((2,), np.eye(2)))
+    probe = cluster.PsiOperator(opalg.pauli("x"), np.eye(2))
     assert np.max(np.abs(psi_matrix(probe, 3))) < 1e-14
 
 
@@ -105,9 +97,9 @@ def test_psi_expectation_reproduces_correlation():
     h = rand_herm(rng, 16)
     beta = 0.9
     rho = gibbs_state(h, beta)
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("y"), 3)
-    probe = cluster.psi(ox, oy)
+    ox = LocalTerm((0,), opalg.pauli("x"))
+    oy = LocalTerm((3,), opalg.pauli("y"))
+    probe = cluster.PsiOperator(ox.matrix, oy.matrix)
     factorized = probe.expectation(rho)
     direct = correlation(rho, ox, oy)
     assert factorized == pytest.approx(direct, abs=1e-12)
@@ -119,20 +111,18 @@ def test_psi_expectation_reproduces_correlation():
 def test_disconnected_trace_zero_and_counterexample():
     rng = np.random.default_rng(3)
     n = 4
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("y"), n - 1)
     # no clusters at all: antisymmetry alone kills the trace
-    res0 = cluster.disconnected_trace([], ox, oy, n)
+    res0 = cluster.disconnected_trace([], n)
     assert res0.disconnected and abs(res0.value) < 1e-10 * res0.scale
     # one cluster overlapping the X side only
-    z1 = opalg.DenseOperator((0, 1), rand_herm(rng, 4))
-    res1 = cluster.disconnected_trace([z1], ox, oy, n)
+    z1 = LocalTerm((0, 1), rand_herm(rng, 4))
+    res1 = cluster.disconnected_trace([z1], n)
     assert res1.disconnected and abs(res1.value) < 1e-10 * res1.scale
     # bridging chain of clusters: checker flags it, value is generic
-    zs = [opalg.DenseOperator((0, 1), rand_herm(rng, 4)),
-          opalg.DenseOperator((1, 2), rand_herm(rng, 4)),
-          opalg.DenseOperator((2, 3), rand_herm(rng, 4))]
-    res2 = cluster.disconnected_trace(zs, ox, oy, n)
+    zs = [LocalTerm((0, 1), rand_herm(rng, 4)),
+          LocalTerm((1, 2), rand_herm(rng, 4)),
+          LocalTerm((2, 3), rand_herm(rng, 4))]
+    res2 = cluster.disconnected_trace(zs, n)
     assert not res2.disconnected
     assert abs(res2.value) > 1e-10 * res2.scale
 
@@ -142,38 +132,32 @@ def test_disconnected_trace_above_doubled_dimension_4096():
     # 4^7 = 16384 is no limit
     rng = np.random.default_rng(5)
     n = 7
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("y"), n - 1)
-    for z_ops in ([], [opalg.DenseOperator((0, 1), rand_herm(rng, 4))]):
-        res = cluster.disconnected_trace(z_ops, ox, oy, n)
+    for z_ops in ([], [LocalTerm((0, 1), rand_herm(rng, 4))]):
+        res = cluster.disconnected_trace(z_ops, n)
         assert res.disconnected and abs(res.value) < 1e-10 * res.scale
 
 
 @st.composite
 def trace_cases(draw):
-    """Disjoint probe supports and random non-Hermitian clusters on n <= 4 sites."""
+    """Random non-Hermitian clusters on n <= 4 sites."""
     n = draw(st.integers(2, 4))
-    x = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    y = draw(st.sets(st.sampled_from(sorted(set(range(n)) - x)), min_size=1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def op(sites):
         d = 2 ** len(sites)
-        return opalg.DenseOperator(
-            tuple(sites), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        )
+        return LocalTerm(sites, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
     z_ops = [op(draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 2)))])
              for _ in range(draw(st.integers(0, 3)))]
-    return n, op(sorted(x)), op(sorted(y)), z_ops
+    return n, z_ops
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace_cases())
 def test_disconnected_trace_matches_kron_oracle(case):
-    n, ox, oy, z_ops = case
-    res = cluster.disconnected_trace(z_ops, ox, oy, n)
-    assert abs(res.value - kron_disconnected_trace(z_ops, ox, oy, n)) <= 1e-12 * res.scale
+    n, z_ops = case
+    res = cluster.disconnected_trace(z_ops, n)
+    assert abs(res.value - kron_disconnected_trace(z_ops, n)) <= 1e-12 * res.scale
     if res.disconnected:
         assert abs(res.value) <= 1e-12 * res.scale
 
@@ -302,11 +286,9 @@ def test_commuting_factorization():
 
 def test_identity_residual_beta_zero_and_small():
     htc = _truncated()
-    ox = opalg.single_site(opalg.pauli("x"), 0)
-    oy = opalg.single_site(opalg.pauli("x"), 5)
-    rep0 = cluster.correlation_identity_residual(htc, ox, oy, 0.0)
+    rep0 = cluster.correlation_identity_residual(htc, "x", 0.0)
     assert rep0.residual < 1e-14
-    rep = cluster.correlation_identity_residual(htc, ox, oy, 1.0)
+    rep = cluster.correlation_identity_residual(htc, "x", 1.0)
     assert rep.residual <= 1e-8
     assert rep.cor_abs == pytest.approx(rep.psi_g_over_z, abs=1e-12)
 
@@ -320,10 +302,8 @@ def test_identity_residual_checks_branch_cap_before_any_exponential(monkeypatch)
         raise AssertionError("a branch exponential was built")
 
     monkeypatch.setattr(opalg, "herm_expm", no_branch)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 7)
     with pytest.raises(CapExceeded):
-        cluster.correlation_identity_residual(htc, ox, oy, 1.0)
+        cluster.correlation_identity_residual(htc, "z", 1.0)
 
 
 def test_commuting_chain_bound_oracle():
@@ -415,14 +395,12 @@ def test_weighted_product_commutation_is_relative_at_small_norms():
 def test_gamma_pair_trivial_and_factorized():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1)
     cd = chain.center_decomposition(htc, 2, 1)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 5)
     beta = 0.7
-    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=16)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), "z", tau_steps=16)
     assert rep.factorization_residual <= 1e-10
     # the probe trace of the exact alternating sum reproduces the correlation
     pops = opalg.gibbs_populations(htc.matrix(), beta)
-    assert exact_gamma_trace(htc, cd, beta, ox, oy) / rep.z2 == pytest.approx(
+    assert exact_gamma_trace(htc, cd, beta, "z") / rep.z2 == pytest.approx(
         abs(opalg.zz_correlation(pops, 0, 5)), abs=1e-10
     )
 
@@ -436,10 +414,8 @@ def test_gamma_pair_zero_bonds_vanish():
     htc = chain.truncate(h2, [0], [5], 1)
     cd = chain.center_decomposition(htc, 2, 1)
     assert all(len(b) == 0 for b in cd.bond_bundles)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 5)
-    (rep,) = cluster.gamma_pair(htc, cd, (0.8,), ox, oy, tau_steps=4)
-    assert exact_gamma_trace(htc, cd, 0.8, ox, oy) < 1e-12
+    (rep,) = cluster.gamma_pair(htc, cd, (0.8,), "z", tau_steps=4)
+    assert exact_gamma_trace(htc, cd, 0.8, "z") < 1e-12
     assert rep.psi_trace_gamma_local < 1e-12
 
 
@@ -453,8 +429,6 @@ def test_gamma_pair_makes_one_full_space_exponential_per_beta(m, monkeypatch):
     h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
     htc = chain.truncate(h, [0, 1], [n - 1], 1)
     cd = chain.center_decomposition(htc, m, 1)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), n - 1)
     dims, eig_dims = [], []
     herm_expm, hermitian_eig = opalg.herm_expm, opalg.hermitian_eig
 
@@ -493,7 +467,7 @@ def test_gamma_pair_makes_one_full_space_exponential_per_beta(m, monkeypatch):
     for betas in ((0.8,), (0.5, 0.8, 1.1)):
         dims.clear()
         eig_dims.clear()
-        reports = cluster.gamma_pair(htc, cd, betas, ox, oy, tau_steps=4)
+        reports = cluster.gamma_pair(htc, cd, betas, "z", tau_steps=4)
         assert len(reports) == len(betas)
         assert eig_dims.count(2**n) == 2
         assert dims.count(2**n) == len(betas)
@@ -507,18 +481,16 @@ def test_gamma_pair_over_betas_equals_one_beta_calls(gen):
     h = chain.build_chain(7, gen, prof, coupling=0.4, seed=3)
     htc = chain.truncate(h, [0, 1], [6], 1)
     cd = chain.center_decomposition(htc, 2, 1)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 6)
     betas = (0.5, 0.9, 1.4)
-    swept = cluster.gamma_pair(htc, cd, betas, ox, oy, tau_steps=4)
-    ones = [cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=4)[0] for beta in betas]
+    swept = cluster.gamma_pair(htc, cd, betas, "z", tau_steps=4)
+    ones = [cluster.gamma_pair(htc, cd, (beta,), "z", tau_steps=4)[0] for beta in betas]
     assert len(swept) == len(betas)
     assert [repr(rep) for rep in swept] == [repr(rep) for rep in ones]
 
 
-def exact_gamma_trace(h_tc, centers, beta, o_x, o_y):
+def exact_gamma_trace(h_tc, centers, beta, pauli):
     """|tr[Psi Gamma]| for the exact alternating sum over the center bonds."""
-    probe = cluster.psi(o_x, o_y)
+    probe = cluster.PsiOperator(opalg.pauli(pauli), opalg.pauli(pauli))
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
     total = 0.0 + 0.0j
     for _, sign, e_lam in cluster._branch_exponentials(h_tc.matrix(), bonds, beta):
@@ -533,14 +505,14 @@ def embedded_bp(h_tc, centers, j, beta, tau_steps):
     return embed_matrix(op.matrix, op.sites, h_tc.n)
 
 
-def dense_gamma_pair_traces(h_tc, centers, beta, o_x, o_y, tau_steps):
+def dense_gamma_pair_traces(h_tc, centers, beta, pauli, tau_steps):
     """(tr[Psi Gamma-tilde], product form) by dense products of embedded BP operators.
 
     M_lam = B_lam e^{beta H_0} B_lam^dag with B_lam the identity-seeded product
     of the embedded window operators in lam; the product form takes
     K_S e^{beta H_0} with K_S the product of the embedded K_j = B_j^dag B_j.
     """
-    probe = cluster.psi(o_x, o_y)
+    probe = cluster.PsiOperator(opalg.pauli(pauli), opalg.pauli(pauli))
     h_mat = h_tc.matrix()
     dim = h_mat.shape[0]
     bonds = [centers.bond_matrix(j) for j in range(centers.m)]
@@ -569,10 +541,8 @@ def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
     h = chain.build_chain(n, gen, prof, coupling=0.4, seed=3)
     htc = chain.truncate(h, [0, 1], [n - 1], 1)
     cd = chain.center_decomposition(htc, (n - 3) // (2 * half_width), half_width)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), n - 1)
     beta = 0.9
-    ref_local, ref_product = dense_gamma_pair_traces(htc, cd, beta, ox, oy, 8)
+    ref_local, ref_product = dense_gamma_pair_traces(htc, cd, beta, "z", 8)
 
     # the product form is the signed sum of the last 2^m probe traces
     seen = []
@@ -583,7 +553,7 @@ def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(cluster.PsiOperator, "expectation", spy)
-    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=8)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), "z", tau_steps=8)
     branches = cluster.lambda_branches(cd.m)
     product = sum(sign * v for (_, sign), v in zip(branches, seen[-len(branches):]))
 
@@ -595,10 +565,11 @@ def test_gamma_pair_matches_dense_products(gen, n, half_width, monkeypatch):
 
     assert close(rep.psi_trace_gamma_local, abs(ref_local))
     assert close(product, ref_product)
-    # the joint probe trace: the kron of the factors on their joint support is O_X O_Y
-    xy = embed_matrix(ox.matrix, ox.sites, n) @ embed_matrix(oy.matrix, oy.sites, n)
+    # the joint probe trace: the kron of the factors on sites 0 and n - 1 is O_X O_Y
+    z = opalg.pauli("z")
+    xy = embed_matrix(z, (0,), n) @ embed_matrix(z, (n - 1,), n)
     h_mat = htc.matrix()
-    assert (opalg.local_trace(np.kron(ox.matrix, oy.matrix), ox.sites + oy.sites, h_mat)
+    assert (opalg.local_trace(np.kron(z, z), (0, n - 1), h_mat)
             == trace_of_product(xy, h_mat))
 
 
@@ -629,10 +600,8 @@ def kron_gamma_diff_trace_norm(h_tc, centers, beta, tau_steps):
 def test_gamma_pair_diff_trace_norm_small_on_commuting():
     htc = _truncated(gen="ising_zz", coupling=1.0, block_len=1, n=4)
     cd = chain.center_decomposition(htc, 1, 1)
-    ox = opalg.single_site(opalg.pauli("z"), 0)
-    oy = opalg.single_site(opalg.pauli("z"), 3)
     beta = 0.6
-    (rep,) = cluster.gamma_pair(htc, cd, (beta,), ox, oy, tau_steps=16)
+    (rep,) = cluster.gamma_pair(htc, cd, (beta,), "z", tau_steps=16)
     # commuting case: the localized construction is numerically exact
     assert kron_gamma_diff_trace_norm(htc, cd, beta, 16) <= 1e-7 * rep.z2
 

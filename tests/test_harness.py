@@ -424,8 +424,8 @@ def _patch_clustering(monkeypatch):
 
     lengths = experiments.correlation_lengths
 
-    def first_high(h, betas, x0, r_list):  # xi at the first beta 20% high
-        (cors, xi, used, excluded), *rest = lengths(h, betas, x0, r_list)
+    def first_high(h, betas, r_list):  # xi at the first beta 20% high
+        (cors, xi, used, excluded), *rest = lengths(h, betas, r_list)
         return [(cors, 1.2 * xi, used, excluded), *rest]
 
     monkeypatch.setattr(experiments, "correlation_lengths", first_high)
@@ -830,17 +830,25 @@ def test_correlation_lengths_equal_dense_correlation(generator):
     h = chain.build_chain(n, generator, profiles.power_law(3.0), coupling=0.7, seed=2)
     betas = (0.4, 0.9)
     z = opalg.pauli("z")
-    for x in (0, 2):
-        r_list = tuple(range(1, n - x))
-        for beta, (cors, xi, used, excluded) in zip(
-            betas, correlation_lengths(h, betas, x, r_list)
-        ):
-            rho = gibbs_state(h.matrix(), beta)
-            dense = [oracle_correlation(rho, opalg.single_site(z, x),
-                                        opalg.single_site(z, x + r)).real for r in r_list]
-            assert np.max(np.abs(np.subtract(cors, dense))) <= 5e-14
-            fit = oracles.fit_exponential_decay(r_list, cors)
-            assert (xi, used, excluded) == (fit[0], fit[2], fit[3])
+    r_list = tuple(range(1, n))
+    for beta, (cors, xi, used, excluded) in zip(betas, correlation_lengths(h, betas, r_list)):
+        rho = gibbs_state(h.matrix(), beta)
+        dense = [oracle_correlation(rho, chain.LocalTerm((0,), z),
+                                    chain.LocalTerm((r,), z)).real for r in r_list]
+        assert np.max(np.abs(np.subtract(cors, dense))) <= 5e-14
+        fit = oracles.fit_exponential_decay(r_list, cors)
+        assert (xi, used, excluded) == (fit[0], fit[2], fit[3])
+
+
+def test_decay_row_reads_nan_when_a_value_is_nan():
+    # a nan psi_trace_decay (Z^2 past float range) past the first drop: Python's
+    # min skipped it and reported the finite drops as the measured value
+    from gibbschain.experiments import decay_row
+
+    row = decay_row(30.0, [1e-3, 4e-4, math.nan, 1e-4])
+    assert math.isnan(row[1]) and row[3] is False
+    assert csvio._row_text(row) == "decay_nonincreasing[beta=30.0]: nan > 0"
+    assert decay_row(0.5, [1.0, 0.5, 0.25]) == ("decay_nonincreasing[beta=0.5]", 0.25, 0.0, True)
 
 
 def test_correlation_lengths_match_the_ising_closed_form():
@@ -850,7 +858,7 @@ def test_correlation_lengths_match_the_ising_closed_form():
     betas = (0.5, 1.0, 2.0, 3.0)
     for n in range(3, 11):
         h = chain.build_chain(n, "ising_zz", profiles.finite_range(1), coupling=1.0, seed=0)
-        for beta, (cors, *_) in zip(betas, correlation_lengths(h, betas, 0, range(1, n))):
+        for beta, (cors, *_) in zip(betas, correlation_lengths(h, betas, range(1, n))):
             exact = [math.tanh(beta) ** r for r in range(1, n)]
             assert np.max(np.abs(np.subtract(cors, exact))) <= 1e-15, (n, beta)
 
@@ -873,7 +881,7 @@ def test_correlation_lengths_at_twelve_sites_stay_small():
 
     tracemalloc.start()
     try:
-        out = correlation_lengths(Built(), (0.2, 1.2), 0, range(1, 12))
+        out = correlation_lengths(Built(), (0.2, 1.2), range(1, 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

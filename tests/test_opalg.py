@@ -42,8 +42,7 @@ def test_embed_identity_and_norm():
 def test_embed_roundtrip_partial_trace():
     rng = np.random.default_rng(0)
     a = rand_herm(rng, 4)
-    op = opalg.DenseOperator((1, 2), a)
-    full = embed_matrix(op.matrix, op.sites, 4)
+    full = embed_matrix(a, (1, 2), 4)
     back = partial_trace(full, (1, 2)) / 4.0  # identity factors carry 2 each
     assert np.allclose(back, a, atol=1e-12)
 
